@@ -18,12 +18,7 @@ import numpy as np
 from .fitting import PowerLawFit, powerlaw_fit
 from .grids import Grid3D, GridError
 from .ks_molecule import scf_molecule
-from .tf_molecule import (
-    NuclearConfiguration,
-    TFOptions,
-    matched_atomic_grid,
-    solve_tf,
-)
+from .tf_molecule import NuclearConfiguration, TFOptions, atomic_references, solve_tf
 from .xc import XCFunctional
 
 
@@ -111,20 +106,24 @@ def _richardson(values, order: float = 2.0):
     return vals[0]
 
 
+def diatomic(z1: float, z2: float, R: float) -> NuclearConfiguration:
+    """Charges z1 at -R/2 and z2 at +R/2 on the x axis."""
+    return NuclearConfiguration(
+        positions=[[-R / 2.0, 0.0, 0.0], [R / 2.0, 0.0, 0.0]], charges=[z1, z2]
+    )
+
+
 def bo_tf(config: NuclearConfiguration, policy: GridPolicy,
           opts: TFOptions | None = None) -> BOSample:
     """D^TF = E^TF_mol - sum_j E^TF_atom + U_R with matched atomic grids."""
     ds, emols, eatoms = [], [], []
-    grid = None
-    sol = None
     for level in range(policy.levels):
         grid = policy.build(config, level)
         sol = solve_tf(config, config.Z, grid, opts=opts)
-        e_at = 0.0
-        for pos, z in zip(config.positions, config.charges):
-            agrid = matched_atomic_grid(grid, pos)
-            single = NuclearConfiguration(positions=[pos], charges=[z])
-            e_at += solve_tf(single, float(z), agrid, opts=opts).energy
+        e_at = atomic_references(
+            config, grid,
+            lambda single, agrid: solve_tf(single, single.Z, agrid, opts=opts).energy,
+        )
         emols.append(sol.energy)
         eatoms.append(e_at)
         ds.append(sol.energy - e_at + config.U_R)
@@ -146,11 +145,12 @@ def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
     """D = E_mol - sum_j E_atom + U_R in KS-LDA, matched atomic grids."""
     grid = policy.build(config)
     mol = scf_molecule(config, config.Z, xc, grid, q=q, **scf_kw)
-    e_at = 0.0
-    for pos, z in zip(config.positions, config.charges):
-        agrid = matched_atomic_grid(grid, pos)
-        single = NuclearConfiguration(positions=[pos], charges=[z])
-        e_at += scf_molecule(single, float(z), xc, agrid, q=q, **scf_kw).energy["total"]
+    e_at = atomic_references(
+        config, grid,
+        lambda single, agrid: scf_molecule(
+            single, single.Z, xc, agrid, q=q, **scf_kw
+        ).energy["total"],
+    )
     resid = mol.scf_history[-1] if mol.scf_history else 0.0
     return BOSample(
         R_min=config.R_min if config.K > 1 else 0.0,
@@ -170,11 +170,7 @@ def tf_sweep(charges, R_values, policy: GridPolicy,
     z1, z2 = charges
     samples = []
     for R in sorted(R_values):
-        cfg = NuclearConfiguration(
-            positions=[[-R / 2.0, 0.0, 0.0], [R / 2.0, 0.0, 0.0]],
-            charges=[z1, z2],
-        )
-        samples.append(bo_tf(cfg, policy, opts=opts))
+        samples.append(bo_tf(diatomic(z1, z2, R), policy, opts=opts))
     return BOCurve(
         charges=(float(z1), float(z2)), theory="tf", xc_name="", q=0.0,
         samples=tuple(samples),

@@ -1,10 +1,10 @@
 """Content-addressed on-disk result cache.
 
 Keys are SHA-256 hashes of (solver id, cache version, canonical JSON of the
-numeric inputs). Each entry is a JSON sidecar of scalars plus optional
-binary field snapshots; writes go through a temp file and atomic rename so
-concurrent identical runs leave one valid entry. A payload whose recorded
-digest no longer matches is treated as a miss with a warning.
+numeric inputs). Each entry is one JSON file of scalars with their digest;
+writes go through a temp file and atomic rename so concurrent identical
+runs leave one valid entry. Scalars whose recorded digest no longer
+matches are treated as a miss with a warning.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 ENV_VAR = "FERMISURF_CACHE"
 
 
@@ -39,6 +39,10 @@ def cache_key(solver_id: str, inputs) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _digest(scalars) -> str:
+    return hashlib.sha256(canonical_json(scalars).encode()).hexdigest()
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -55,76 +59,49 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 class SolutionCache:
-    """Directory-backed cache mapping keys to scalar JSON + binary blobs."""
+    """Directory-backed cache mapping keys to JSON scalar entries."""
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
 
-    def _paths(self, key: str):
-        base = self.directory / key[:2] / key
-        return base.with_suffix(".json"), base.with_suffix(".bin")
+    def _path(self, key: str) -> Path:
+        return self.directory / key[:2] / f"{key}.json"
 
     def get(self, key: str):
-        """Return (scalars, blob or None) on hit, None on miss/corruption."""
-        sidecar, blob_path = self._paths(key)
-        if not sidecar.exists():
+        """Return the scalars on a hit, None on a miss or corruption."""
+        path = self._path(key)
+        if not path.exists():
             return None
         try:
-            entry = json.loads(sidecar.read_text())
+            entry = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             warnings.warn(f"cache entry unreadable, treating as miss: {exc}",
                           RuntimeWarning, stacklevel=2)
             return None
-        blob = None
-        if entry.get("blob_sha256"):
-            try:
-                blob = blob_path.read_bytes()
-            except OSError as exc:
-                warnings.warn(f"cache blob unreadable, treating as miss: {exc}",
-                              RuntimeWarning, stacklevel=2)
-                return None
-            if hashlib.sha256(blob).hexdigest() != entry["blob_sha256"]:
-                warnings.warn("cache blob digest mismatch, treating as miss",
-                              RuntimeWarning, stacklevel=2)
-                return None
         if entry.get("scalars_sha256"):
-            digest = hashlib.sha256(
-                canonical_json(entry["scalars"]).encode()
-            ).hexdigest()
-            if digest != entry["scalars_sha256"]:
+            if _digest(entry["scalars"]) != entry["scalars_sha256"]:
                 warnings.warn("cache scalar digest mismatch, treating as miss",
                               RuntimeWarning, stacklevel=2)
                 return None
-        return entry["scalars"], blob
+        return entry["scalars"]
 
-    def put(self, key: str, scalars, blob: bytes | None = None) -> None:
-        sidecar, blob_path = self._paths(key)
+    def put(self, key: str, scalars) -> None:
         entry = {
             "version": CACHE_VERSION,
             "scalars": scalars,
-            "scalars_sha256": hashlib.sha256(
-                canonical_json(scalars).encode()
-            ).hexdigest(),
-            "blob_sha256": hashlib.sha256(blob).hexdigest() if blob else None,
+            "scalars_sha256": _digest(scalars),
         }
-        if blob is not None:
-            _atomic_write(blob_path, blob)
-        _atomic_write(sidecar, canonical_json(entry).encode())
+        _atomic_write(self._path(key), canonical_json(entry).encode())
 
     def get_or_solve(self, solver_id: str, inputs, thunk):
-        """Cached scalars for (solver_id, inputs), calling thunk on a miss.
+        """(scalars, hit) for (solver_id, inputs), calling thunk on a miss.
 
-        thunk() must return a JSON-serializable scalar dict, or a
-        (scalars, blob_bytes) pair.
+        thunk() must return a JSON-serializable scalar dict.
         """
         key = cache_key(solver_id, inputs)
-        hit = self.get(key)
-        if hit is not None:
-            return hit[0], True
-        result = thunk()
-        if isinstance(result, tuple):
-            scalars, blob = result
-        else:
-            scalars, blob = result, None
-        self.put(key, scalars, blob)
+        scalars = self.get(key)
+        if scalars is not None:
+            return scalars, True
+        scalars = thunk()
+        self.put(key, scalars)
         return scalars, False

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bo import GammaEstimate, GridPolicy, bo_ks, bo_tf, gamma_limit
-from .cache import SolutionCache, cache_key
+from .bo import GammaEstimate, GridPolicy, bo_ks, bo_tf, diatomic, gamma_limit
+from .cache import SolutionCache
 from .eig import EigenError
 from .fitting import FitError
 from .grids import GridError
@@ -31,7 +31,6 @@ from .ks_radial import scf_atom
 from .minsearch import min_distance_search
 from .outside import qij_tf
 from .screening import screened_compare
-from .snapshot import pack_field
 from .tf_atom import ShootingError, atomic_tf, universal_profile
 from .tf_molecule import (
     ConvergenceError,
@@ -86,11 +85,11 @@ def _load_config(path: str, allowed: dict, required: set) -> dict:
 _GRID_KEYS = {"spacing": None, "margin_factor": 6.0, "levels": 1}
 
 
-def _grid_policy(cfg_grid, strict_keys=True) -> GridPolicy:
+def _grid_policy(cfg_grid) -> GridPolicy:
     if not isinstance(cfg_grid, dict):
         raise ConfigError("'grid' must be an object")
     unknown = set(cfg_grid) - set(_GRID_KEYS)
-    if strict_keys and unknown:
+    if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     merged = dict(_GRID_KEYS)
     merged.update(cfg_grid)
@@ -109,7 +108,8 @@ def _grid_policy(cfg_grid, strict_keys=True) -> GridPolicy:
 _XC_KEYS = {"kind": None, "c": None, "beta": None}
 
 
-def _xc_functional(cfg_xc, strict_mode: bool) -> XCFunctional:
+def _xc_kwargs(cfg_xc, strict_mode: bool) -> dict:
+    """make_functional keywords for the 'xc' object (picklable for workers)."""
     if not isinstance(cfg_xc, dict):
         raise ConfigError("'xc' must be an object")
     unknown = set(cfg_xc) - set(_XC_KEYS)
@@ -118,13 +118,18 @@ def _xc_functional(cfg_xc, strict_mode: bool) -> XCFunctional:
     kind = cfg_xc.get("kind")
     if kind is None:
         raise ConfigError("xc.kind is required")
-    kw = {}
+    kw = {"kind": str(kind), "strict_mode": strict_mode}
     if cfg_xc.get("c") is not None:
         kw["c"] = float(cfg_xc["c"])
     if cfg_xc.get("beta") is not None:
         kw["beta"] = float(cfg_xc["beta"])
+    return kw
+
+
+def _xc_functional(cfg_xc, strict_mode: bool) -> XCFunctional:
+    kw = _xc_kwargs(cfg_xc, strict_mode)
     try:
-        return make_functional(str(kind), strict_mode=strict_mode, **kw)
+        return make_functional(**kw)
     except (XCValidationError, ValueError) as exc:
         raise ConfigError(f"bad xc config: {exc}") from exc
 
@@ -188,13 +193,6 @@ def _cmd_tf_molecule(args) -> int:
              grid.h, sol.residual, config.U_R]]
     out = Path(args.out) / "tf_molecule.csv"
     _csv_rows(out, "R_min,n,energy,mu,grid_h,residual,U_R", rows)
-    if args.cache_dir is not None:
-        cache = SolutionCache(args.cache_dir)
-        key = cache_key("tf_molecule", {"config": config.descriptor(),
-                                        "n": n, "grid": grid.descriptor()})
-        blob = pack_field(sol.rho.values, grid.descriptor(), key)
-        cache.put(key, {"energy": sol.energy, "mu": sol.mu,
-                        "residual": sol.residual}, blob)
     print(f"tf-molecule K={config.K} energy={sol.energy:.8g} "
           f"mu={sol.mu:.6g} -> {out}")
     return 0
@@ -250,12 +248,7 @@ def _cmd_ks_molecule(args) -> int:
 
 def _bo_point(point: dict) -> dict:
     """One scan point; module-level so worker processes can pickle it."""
-    z1, z2 = point["charges"]
-    R = point["R"]
-    config = NuclearConfiguration(
-        positions=[[-R / 2.0, 0.0, 0.0], [R / 2.0, 0.0, 0.0]],
-        charges=[z1, z2],
-    )
+    config = diatomic(*point["charges"], point["R"])
     policy = GridPolicy(spacing=point["spacing"],
                         margin_factor=point["margin_factor"],
                         levels=point["levels"])
@@ -272,16 +265,15 @@ def _bo_point(point: dict) -> dict:
 
     if point.get("cache_dir"):
         cache = SolutionCache(point["cache_dir"])
-        scalars, _ = cache.get_or_solve("bo_point", point_key(point), solve)
+        inputs = {k: v for k, v in point.items() if k != "cache_dir"}
+        scalars, _ = cache.get_or_solve("bo_point", inputs, solve)
         return scalars
     return solve()
 
 
-def point_key(point: dict) -> dict:
-    return {k: point[k] for k in sorted(point) if k != "cache_dir"}
-
-
 def _cmd_bo_scan(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("workers must be >= 1")
     cfg = _load_config(
         args.config,
         {"charges": None, "R_values": None, "theory": "tf", "xc": None,
@@ -300,13 +292,8 @@ def _cmd_bo_scan(args) -> int:
     if theory == "ks":
         if cfg["xc"] is None:
             raise ConfigError("ks scans need an 'xc' object")
-        xc = _xc_functional(cfg["xc"], args.strict_xc)  # validate early
-        xc_name = xc.name
-        xc_kw = {"kind": str(cfg["xc"]["kind"]), "strict_mode": args.strict_xc}
-        if cfg["xc"].get("c") is not None:
-            xc_kw["c"] = float(cfg["xc"]["c"])
-        if cfg["xc"].get("beta") is not None:
-            xc_kw["beta"] = float(cfg["xc"]["beta"])
+        xc_name = _xc_functional(cfg["xc"], args.strict_xc).name  # validate early
+        xc_kw = _xc_kwargs(cfg["xc"], args.strict_xc)
     policy = _grid_policy(cfg["grid"])
     rs = sorted(float(r) for r in cfg["R_values"])
     if not rs or any(r <= 0 for r in rs):
@@ -527,17 +514,27 @@ def _cmd_selfcheck(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--cache": dict(dest="cache_dir", default=None,
+                    help="cache directory (default: FERMISURF_CACHE or none)"),
+    "--workers": dict(type=int, default=1,
+                      help="worker processes for scan points"),
+    "--strict-xc": dict(action="store_true",
+                        help="enforce the strict admissibility class on xc"),
+}
+
+# handler and the optional flags it reads; None: no config, no flags
 _COMMANDS = {
-    "tf-atom": (_cmd_tf_atom, True),
-    "tf-molecule": (_cmd_tf_molecule, True),
-    "ks-atom": (_cmd_ks_atom, True),
-    "ks-molecule": (_cmd_ks_molecule, True),
-    "bo-scan": (_cmd_bo_scan, True),
-    "gamma": (_cmd_gamma, True),
-    "screened": (_cmd_screened, True),
-    "qij": (_cmd_qij, True),
-    "minsearch": (_cmd_minsearch, True),
-    "selfcheck": (_cmd_selfcheck, False),
+    "tf-atom": (_cmd_tf_atom, ()),
+    "tf-molecule": (_cmd_tf_molecule, ()),
+    "ks-atom": (_cmd_ks_atom, ("--strict-xc",)),
+    "ks-molecule": (_cmd_ks_molecule, ("--strict-xc",)),
+    "bo-scan": (_cmd_bo_scan, ("--cache", "--workers", "--strict-xc")),
+    "gamma": (_cmd_gamma, ()),
+    "screened": (_cmd_screened, ("--strict-xc",)),
+    "qij": (_cmd_qij, ()),
+    "minsearch": (_cmd_minsearch, ("--strict-xc",)),
+    "selfcheck": (_cmd_selfcheck, None),
 }
 
 
@@ -548,25 +545,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_config) in _COMMANDS.items():
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config,
+        if flags is None:
+            continue
+        p.add_argument("--config", required=True,
                        help="path to the JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--cache", dest="cache_dir", default=None,
-                       help="cache directory (default: FERMISURF_CACHE or none)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for scan points")
-        p.add_argument("--strict-xc", action="store_true",
-                       help="enforce the strict admissibility class on xc")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.workers < 1:
-        _emit_error("config", "workers must be >= 1")
-        return 2
     handler, _ = _COMMANDS[args.command]
     try:
         return handler(args)

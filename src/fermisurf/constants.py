@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 def tf_kinetic_constant(q: int = 2) -> float:
@@ -19,34 +18,9 @@ def tf_kinetic_constant(q: int = 2) -> float:
 #: phi(r) -> SOMMERFELD_C / r^4.
 SOMMERFELD_C = 3.0**4 * 2.0**-3 * math.pi**2
 
-#: Roots of p^2 - 7p = 6; correction exponents of the Sommerfeld tail.
+#: Correction exponent of the Sommerfeld tail, the positive root of p^2 + 7p = 6.
 XI = (math.sqrt(73.0) - 7.0) / 2.0
-ETA = (7.0 + math.sqrt(73.0)) / 2.0
-
-#: Small exponent improvement in the initial screened-potential estimate.
-A_EXPONENT = 1.0 / 198.0
 
 #: Length scale of the universal TF profile: r = TF_LENGTH_B * z^(-1/3) * x.
 TF_LENGTH_B = 0.5 * (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
 
-
-@dataclass(frozen=True)
-class Constants:
-    """Bundle of the asymptotic constants and the exponent menagerie."""
-
-    c_S: float = SOMMERFELD_C
-    xi: float = XI
-    eta: float = ETA
-    a: float = A_EXPONENT
-    exponents: tuple = field(
-        default=(7.0 / 3.0, 25.0 / 11.0, 49.0 / 36.0, 1.0 / 12.0, -7.0, -4.0)
-    )
-
-    def __post_init__(self):
-        if abs(self.xi * self.eta - 6.0) > 1e-12:
-            raise ValueError("xi * eta must equal 6")
-        if abs(self.eta - self.xi - 7.0) > 1e-12:
-            raise ValueError("eta - xi must equal 7")
-
-
-CONSTANTS = Constants()

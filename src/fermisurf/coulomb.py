@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid3D, GridError, RadialGrid, ScalarField
+from .grids import GridError, RadialGrid, ScalarField
 from .poisson import poisson_solve
 
 

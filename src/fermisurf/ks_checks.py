@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ks_common import KSState
 from .tf_atom import slope_energy_constant, universal_profile
 from .xc import XCFunctional, exchange_energy

@@ -47,10 +47,6 @@ class KSState:
     def n_electrons(self) -> float:
         return float(self.occupations.sum())
 
-    @property
-    def total_energy(self) -> float:
-        return self.energy["total"]
-
 
 def aufbau_occupations(eigenvalues, capacities, n: float,
                        tol: float = FERMI_DEGENERACY_TOL) -> np.ndarray:
@@ -102,10 +98,6 @@ class AndersonMixer:
         self.depth = depth
         self._xs: list = []
         self._rs: list = []
-
-    def reset(self):
-        self._xs.clear()
-        self._rs.clear()
 
     def mix(self, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()

@@ -15,13 +15,13 @@ from .eig import apply_hamiltonian, lowest_eigenpairs
 from .grids import Grid3D, ScalarField
 from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations
 from .poisson import poisson_solve
-from .tf_atom import atomic_tf
-from .tf_molecule import NuclearConfiguration, check_grid_margin, external_potential
+from .tf_molecule import (
+    NuclearConfiguration,
+    atomic_superposition,
+    check_grid_margin,
+    external_potential,
+)
 from .xc import XCFunctional
-
-
-def _hartree_3d(grid: Grid3D, rho: np.ndarray) -> np.ndarray:
-    return poisson_solve(ScalarField(grid=grid, values=rho)).values
 
 
 def scf_molecule(
@@ -46,21 +46,16 @@ def scf_molecule(
     v_ext = external_potential(grid, config).values
     n_orb = int(math.ceil(N / q)) + extra_orbitals
 
-    X, Y, Z = grid.meshgrid()
-    rho = np.zeros(grid.shape)
-    for pos, z in zip(config.positions, config.charges):
-        ref = atomic_tf(float(z))
-        d = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
-        rho += ref.rho_at(np.maximum(d, grid.h / 4.0))
+    rho = atomic_superposition(grid, config)
     rho *= N / grid.integrate(rho)
 
     mixer = AndersonMixer(alpha=mix_alpha)
     history = []
-    orbitals = None
     pairs = None
     occ = None
     for it in range(max_iter):
-        v_eff = -v_ext + _hartree_3d(grid, rho) - xc.derivative(rho)
+        u = poisson_solve(ScalarField(grid=grid, values=rho)).values
+        v_eff = -v_ext + u - xc.derivative(rho)
         v_field = ScalarField(grid=grid, values=v_eff, kind="potential")
         initial = (
             np.stack([p[1].values.ravel() for p in pairs], axis=1)
@@ -94,7 +89,8 @@ def scf_molecule(
         )
 
     # stationarity of every occupied orbital under the converged potential
-    v_eff = -v_ext + _hartree_3d(grid, rho) - xc.derivative(rho)
+    u = poisson_solve(ScalarField(grid=grid, values=rho)).values
+    v_eff = -v_ext + u - xc.derivative(rho)
     scale = math.sqrt(grid.cell_volume)
     stat_resids = []
     for lam, (eps, orb) in zip(occ, pairs):
@@ -105,7 +101,8 @@ def scf_molecule(
 
     eig = np.array([p[0] for p in pairs])
     external = -grid.integrate(v_ext * rho)
-    hartree = 0.5 * grid.integrate(_hartree_3d(grid, rho) * rho)
+    u = poisson_solve(ScalarField(grid=grid, values=rho)).values
+    hartree = 0.5 * grid.integrate(u * rho)
     exc = grid.integrate(xc.evaluate(rho))
     vxc_rho = grid.integrate(xc.derivative(rho) * rho)
     e_sum = float(np.dot(occ, eig))

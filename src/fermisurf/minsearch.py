@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from .bo import GridPolicy
 from .ks_common import SCFError
 from .ks_molecule import scf_molecule
-from .tf_molecule import NuclearConfiguration, matched_atomic_grid
+from .tf_molecule import NuclearConfiguration, atomic_references
 from .xc import XCFunctional
 
 _HARD_FLOOR = 0.25  # reject near-coincident nuclei outright
@@ -178,13 +178,12 @@ def subadditivity_check(
     cfg = result.config
     if cfg.K != 2:
         raise ValueError("subadditivity split implemented for diatomics")
-    grid = policy.build(cfg)
-    e_parts = 0.0
-    for pos, z in zip(cfg.positions, cfg.charges):
-        agrid = matched_atomic_grid(grid, pos)
-        single = NuclearConfiguration(positions=[pos], charges=[z])
-        state = scf_molecule(single, float(z), xc, agrid, q=q, **scf_kw)
-        e_parts += state.energy["total"]
+    e_parts = atomic_references(
+        cfg, policy.build(cfg),
+        lambda single, agrid: scf_molecule(
+            single, single.Z, xc, agrid, q=q, **scf_kw
+        ).energy["total"],
+    )
     gap = result.E_mol - e_parts
     return SubadditivityReport(
         charges=tuple(float(z) for z in cfg.charges),

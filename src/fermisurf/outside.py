@@ -21,8 +21,8 @@ from .tf_molecule import (
     NuclearConfiguration,
     RegionMask,
     TFOptions,
+    atomic_references,
     exterior_tf,
-    matched_atomic_grid,
     screened_tf,
     solve_tf,
 )
@@ -113,19 +113,18 @@ class OutsideReport:
 
 
 def _atomic_exterior_energy(
-    sol_atom: AtomicTFSolution,
+    single: NuclearConfiguration,
     grid: Grid3D,
-    position,
     r: float,
     opts: TFOptions | None,
     sphere_points: int = 256,
 ) -> float:
     """Exterior problem for one atom on the shared 3D staircase grid."""
+    sol_atom = atomic_tf(single.Z)
     phi_r = atomic_screened_tf(sol_atom, r)
     X, Y, Z = grid.meshgrid()
-    pos = np.asarray(position, dtype=float)
+    pos = single.positions[0]
     dist = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
-    single = NuclearConfiguration(positions=[pos], charges=[sol_atom.z])
     mask = RegionMask(config=single, r=r, sphere_points=sphere_points)
     gmask = mask.grid_mask(grid)
     vals = np.interp(dist.ravel(), sol_atom.grid.nodes, phi_r.values).reshape(
@@ -150,13 +149,15 @@ def outside_decomposition_check(
     For each r the molecular exterior problem uses V_r = 1_{A_r} Phi_r^TF
     from the converged molecular solution, with charge bound equal to the
     electron number in A_r; each atomic exterior problem uses the atomic
-    screened potential on a matched grid with the same mask radius.
+    screened potential on a matched grid with the same mask radius. D^TF
+    is the BO point on the same single grid (no Richardson levels).
     """
+    if policy.levels != 1:
+        raise ValueError("the decomposition check uses a single grid (levels=1)")
     rs = sorted((float(r) for r in r_values), reverse=True)
-    d_sample = bo_tf(config, policy, opts=opts)
+    d_tf = bo_tf(config, policy, opts=opts).D
     grid = policy.build(config)
     mol = solve_tf(config, config.Z, grid, opts=opts)
-    atoms = [atomic_tf(float(z)) for z in config.charges]
 
     samples = []
     for r in rs:
@@ -169,14 +170,14 @@ def outside_decomposition_check(
         )
         bound = float(np.sum(mol.rho.values[gmask])) * grid.cell_volume
         ext_mol = exterior_tf(v_r, mask, bound, opts=opts)
-        e_atoms = 0.0
-        for pos, sol_atom in zip(config.positions, atoms):
-            agrid = matched_atomic_grid(grid, pos)
-            e_atoms += _atomic_exterior_energy(
-                sol_atom, agrid, pos, r, opts, sphere_points=sphere_points
-            )
+        e_atoms = atomic_references(
+            config, grid,
+            lambda single, agrid: _atomic_exterior_energy(
+                single, agrid, r, opts, sphere_points=sphere_points
+            ),
+        )
         decomp = ext_mol.energy - e_atoms
-        gap = abs(d_sample.D - decomp)
+        gap = abs(d_tf - decomp)
         samples.append(
             OutsideSample(
                 r=r,
@@ -189,5 +190,5 @@ def outside_decomposition_check(
         )
     g = [s.gap_r7 for s in samples]  # rs descending: expect decreasing gap*r^7
     decreasing = all(g[i + 1] <= g[i] for i in range(len(g) - 1))
-    return OutsideReport(D_tf=d_sample.D, samples=tuple(samples),
+    return OutsideReport(D_tf=d_tf, samples=tuple(samples),
                          gap_r7_decreasing=bool(decreasing))

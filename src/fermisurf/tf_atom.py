@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .constants import SOMMERFELD_C, TF_LENGTH_B, XI, tf_kinetic_constant
+from .constants import TF_LENGTH_B, XI, tf_kinetic_constant
 from .coulomb import radial_hartree_potential
 from .grids import GridError, RadialGrid, ScalarField
 
@@ -318,7 +318,3 @@ def screened_sup_at(sol: AtomicTFSolution, r: float) -> float:
     field = atomic_screened_tf(sol, r)
     return float(np.abs(np.interp(r, sol.grid.nodes, field.values)))
 
-
-def sommerfeld_tail_constant() -> float:
-    """c_S = 3^4 2^-3 pi^2, the limit of r^4 phi(r) for the neutral atom."""
-    return SOMMERFELD_C

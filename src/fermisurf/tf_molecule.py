@@ -16,8 +16,8 @@ import numpy as np
 
 from .constants import tf_kinetic_constant
 from .grids import Grid3D, GridError, ScalarField, fibonacci_sphere, trilinear_sample
-from .poisson import multipole_boundary, poisson_solve, solve_dirichlet
-from .tf_atom import AtomicTFSolution, atomic_tf
+from .poisson import poisson_solve
+from .tf_atom import atomic_tf
 
 TF_C = tf_kinetic_constant(2)
 
@@ -214,6 +214,16 @@ def check_grid_margin(grid: Grid3D, config: NuclearConfiguration, factor: float 
             )
 
 
+def atomic_superposition(grid: Grid3D, config: NuclearConfiguration) -> np.ndarray:
+    """Sum of the neutral radial TF atoms: the initial density of 3D solves."""
+    X, Y, Z = grid.meshgrid()
+    rho = np.zeros(grid.shape)
+    for pos, z in zip(config.positions, config.charges):
+        d = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
+        rho += atomic_tf(float(z)).rho_at(np.maximum(d, grid.h / 4.0))
+    return rho
+
+
 @dataclass(frozen=True)
 class TFSolution:
     """Converged molecular (or exterior) TF solution."""
@@ -226,7 +236,6 @@ class TFSolution:
     energy: float
     residual: float
     history: tuple = field(default=())
-    mask_r: float | None = None
 
     @property
     def n_electrons(self) -> float:
@@ -239,11 +248,6 @@ class TFOptions:
     tol: float = 1e-8  # relative L1 density change per sweep
     max_iter: int = 400
     min_alpha: float = 0.02
-
-
-def _electron_potential(grid: Grid3D, rho: np.ndarray) -> np.ndarray:
-    u = poisson_solve(ScalarField(grid=grid, values=rho))
-    return u.values
 
 
 def _pick_mu(phi: np.ndarray, target: float, cell_vol: float) -> float:
@@ -285,7 +289,7 @@ def _tf_fixed_point(
     constrained = n_target < neutral_charge - 1e-9
 
     for it in range(opts.max_iter):
-        phi = v_ext - _electron_potential(grid, rho)
+        phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
         mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
         rho_new = _density_of_phi(phi, mu)
         if mask is not None:
@@ -310,7 +314,7 @@ def _tf_fixed_point(
             history,
         )
 
-    phi = v_ext - _electron_potential(grid, rho)
+    phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
     if constrained:
         mu = _pick_mu(phi, n_target, vol)
     resid_field = TF_C * (5.0 / 3.0) * rho ** (2.0 / 3.0) - np.maximum(phi - mu, 0.0)
@@ -322,7 +326,7 @@ def _tf_fixed_point(
 
 def tf_energy(grid: Grid3D, rho: np.ndarray, v_ext: np.ndarray) -> float:
     """Quadrature of the TF functional c int rho^(5/3) - int V rho + D(rho)."""
-    u = _electron_potential(grid, rho)
+    u = poisson_solve(ScalarField(grid=grid, values=rho)).values
     return grid.integrate(TF_C * rho ** (5.0 / 3.0) - v_ext * rho + 0.5 * rho * u)
 
 
@@ -331,7 +335,6 @@ def solve_tf(
     n: float,
     grid: Grid3D,
     opts: TFOptions | None = None,
-    atomic_refs: dict | None = None,
 ) -> TFSolution:
     """Molecular TF minimizer with particle number constraint int rho <= n."""
     if n <= 0.0:
@@ -340,15 +343,7 @@ def solve_tf(
     check_grid_margin(grid, config)
 
     v_ext = external_potential(grid, config).values
-    X, Y, Z = grid.meshgrid()
-    rho0 = np.zeros(grid.shape)
-    refs = atomic_refs or {}
-    for pos, z in zip(config.positions, config.charges):
-        ref = refs.get(float(z)) or atomic_tf(float(z))
-        refs[float(z)] = ref
-        d = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
-        d = np.maximum(d, grid.h / 4.0)
-        rho0 += ref.rho_at(d)
+    rho0 = atomic_superposition(grid, config)
     if n < config.Z:
         rho0 *= n / config.Z
 
@@ -397,7 +392,6 @@ def exterior_tf(
     rho, phi, mu_out, residual, history = _tf_fixed_point(
         grid, v_ext, charge_bound, math.inf, opts, gmask, rho0
     )
-    # constraint may be slack: redo mu decision
     energy = tf_energy(grid, rho, v_ext)
     return TFSolution(
         config=mask.config,
@@ -408,7 +402,6 @@ def exterior_tf(
         energy=energy,
         residual=residual,
         history=history,
-        mask_r=mask.r,
     )
 
 
@@ -419,8 +412,6 @@ def screened_tf(sol: TFSolution, mask: RegionMask):
     over the sampled sphere around nucleus j.
     """
     grid = sol.grid
-    if mask.config.K >= 2 and mask.r > mask.config.R_min / 2.0 + 1e-12:
-        raise GridError("mask radius must be <= R_min/2")
     gmask = mask.grid_mask(grid)
     inner_rho = np.where(gmask, 0.0, sol.rho.values)
     u = poisson_solve(ScalarField(grid=grid, values=inner_rho))
@@ -429,10 +420,9 @@ def screened_tf(sol: TFSolution, mask: RegionMask):
     field = ScalarField(grid=grid, values=phi_r, kind="potential")
 
     sups = []
-    ufield = ScalarField(grid=grid, values=u.values, kind="potential")
     for j in range(mask.config.K):
         pts = mask.sphere_samples(j)
-        vals = _exact_vr(pts, sol.config) - trilinear_sample(ufield, pts)
+        vals = _exact_vr(pts, sol.config) - trilinear_sample(u, pts)
         sups.append(float(np.max(np.abs(vals))))
     return field, sups
 
@@ -459,29 +449,20 @@ def matched_atomic_grid(grid: Grid3D, position: np.ndarray) -> Grid3D:
     return Grid3D(origin=origin, h=grid.h, dims=grid.dims, point_budget=grid.point_budget)
 
 
-def teller_check(
-    config: NuclearConfiguration,
-    grid: Grid3D,
-    opts: TFOptions | None = None,
-    atomic_energy_mode: str = "matched3d",
-) -> float:
-    """D^TF(Z, R) = E^TF_mol - sum_j E^TF_atom(z_j) + U_R (Teller: > 0).
+def atomic_references(config: NuclearConfiguration, grid: Grid3D, solve_atom) -> float:
+    """Sum over the nuclei of solve_atom(single-nucleus config, matched grid).
 
-    With atomic_energy_mode="matched3d" the atomic references are solved on
-    grids of identical spacing and size, so cusp quadrature errors cancel in
-    the difference; "radial" uses the high-accuracy radial energies instead.
+    Nuclei with the same charge and sub-cell offset have identical matched
+    problems, so each distinct one is solved once per call.
     """
-    mol = solve_tf(config, config.Z, grid, opts=opts)
-    e_atoms = 0.0
+    total = 0.0
+    solved = {}
     for pos, z in zip(config.positions, config.charges):
-        if atomic_energy_mode == "matched3d":
-            agrid = matched_atomic_grid(grid, pos)
+        agrid = matched_atomic_grid(grid, pos)
+        # pos - origin is the central node plus the nucleus' sub-cell offset
+        key = (float(z), tuple(np.round((pos - agrid.origin) / grid.h, 9) + 0.0))
+        if key not in solved:
             single = NuclearConfiguration(positions=[pos], charges=[z])
-            # recentering keeps the nucleus; reuse the same solver
-            asol = solve_tf(single, float(z), agrid, opts=opts)
-            e_atoms += asol.energy
-        elif atomic_energy_mode == "radial":
-            e_atoms += atomic_tf(float(z)).energy
-        else:
-            raise ValueError(f"unknown atomic_energy_mode {atomic_energy_mode!r}")
-    return mol.energy - e_atoms + config.U_R
+            solved[key] = solve_atom(single, agrid)
+        total += solved[key]
+    return total

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fermisurf.bo import GridPolicy, _richardson, bo_tf, gamma_limit, tf_sweep
+import fermisurf.bo as bo
+from fermisurf.bo import GridPolicy, _richardson, bo_tf, diatomic, gamma_limit, tf_sweep
 from fermisurf.grids import GridError
-from fermisurf.tf_molecule import NuclearConfiguration
+from fermisurf.tf_molecule import NuclearConfiguration, matched_atomic_grid, solve_tf
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,37 @@ class TestSurfaces:
         extrap = bo_tf(pair_11, GridPolicy(spacing=0.5, levels=2))
         fine = bo_tf(pair_11, GridPolicy(spacing=0.125))
         assert abs(extrap.D - fine.D) < abs(coarse.D - fine.D)
+
+
+class TestAtomicReferences:
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].K)
+            return solve_tf(*args, **kwargs)
+
+        monkeypatch.setattr(bo, "solve_tf", counting)
+        return calls
+
+    def test_nuclei_on_nodes_share_one_atomic_solve(self, monkeypatch):
+        # h = 0.4, R = 1.2 = 3h: both nuclei sit on nodes
+        cfg = diatomic(1.0, 1.0, 1.2)
+        calls = self._count_solves(monkeypatch)
+        s = bo_tf(cfg, GridPolicy(spacing=0.4))
+        assert calls == [2, 1]
+        grid = GridPolicy(spacing=0.4).build(cfg)
+        mol = solve_tf(cfg, 2.0, grid)
+        single = NuclearConfiguration(positions=[cfg.positions[0]], charges=[1.0])
+        e_atom = solve_tf(single, 1.0, matched_atomic_grid(grid, cfg.positions[0])).energy
+        assert s.D == mol.energy - 2.0 * e_atom + cfg.U_R
+
+    def test_distinct_offsets_solve_each_atom(self, monkeypatch):
+        # R = 1.0 = 2.5h: the second nucleus sits half a cell off the nodes
+        calls = self._count_solves(monkeypatch)
+        bo_tf(diatomic(1.0, 1.0, 1.0), GridPolicy(spacing=0.4))
+        assert calls == [2, 1, 1]
 
 
 class TestGamma:

@@ -24,13 +24,13 @@ class TestKeys:
             canonical_json({"x": float("nan")})
 
 
-def _solve_blob():
-    return {"e": -2.0}, b"blob" * 100
+def _solve():
+    return {"e": -2.0}
 
 
 def _concurrent_worker(directory):
     # module-level so ProcessPoolExecutor can pickle it
-    return SolutionCache(directory).get_or_solve("tf", {"z": 9.0}, _solve_blob)
+    return SolutionCache(directory).get_or_solve("tf", {"z": 9.0}, _solve)
 
 
 class TestStore:
@@ -48,28 +48,11 @@ class TestStore:
         assert s1 == s2 == {"energy": -1.5}
         assert len(calls) == 1
 
-    def test_blob_round_trip(self, tmp_path):
-        cache = SolutionCache(tmp_path)
-        key = cache_key("tf", {"z": 2.0})
-        cache.put(key, {"e": 1.0}, b"\x00\x01payload")
-        scalars, blob = cache.get(key)
-        assert scalars == {"e": 1.0}
-        assert blob == b"\x00\x01payload"
-
-    def test_corrupt_blob_is_a_miss_with_warning(self, tmp_path):
-        cache = SolutionCache(tmp_path)
-        key = cache_key("tf", {"z": 3.0})
-        cache.put(key, {"e": 1.0}, b"data")
-        _, blob_path = cache._paths(key)
-        blob_path.write_bytes(b"tampered")
-        with pytest.warns(RuntimeWarning, match="digest"):
-            assert cache.get(key) is None
-
     def test_corrupt_scalars_is_a_miss_with_warning(self, tmp_path):
         cache = SolutionCache(tmp_path)
         key = cache_key("tf", {"z": 4.0})
         cache.put(key, {"e": 1.0})
-        sidecar, _ = cache._paths(key)
+        sidecar = cache._path(key)
         entry = json.loads(sidecar.read_text())
         entry["scalars"]["e"] = 2.0
         sidecar.write_text(json.dumps(entry))
@@ -80,7 +63,7 @@ class TestStore:
         cache = SolutionCache(tmp_path)
         key = cache_key("tf", {"z": 5.0})
         cache.put(key, {"e": 1.0})
-        sidecar, _ = cache._paths(key)
+        sidecar = cache._path(key)
         sidecar.write_text("{not json")
         with pytest.warns(RuntimeWarning):
             assert cache.get(key) is None
@@ -89,9 +72,7 @@ class TestStore:
         with concurrent.futures.ProcessPoolExecutor(max_workers=8) as ex:
             results = list(ex.map(_concurrent_worker, [str(tmp_path)] * 8))
         assert all(s == {"e": -2.0} for s, _ in results)
-        scalars, blob = SolutionCache(tmp_path).get(cache_key("tf", {"z": 9.0}))
-        assert scalars == {"e": -2.0}
-        assert blob == b"blob" * 100
+        assert SolutionCache(tmp_path).get(cache_key("tf", {"z": 9.0})) == {"e": -2.0}
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FERMISURF_CACHE", str(tmp_path / "envcache"))

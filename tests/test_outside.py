@@ -87,3 +87,8 @@ class TestDecomposition:
         assert s.gap < 0.1
         assert s.gap_r7 == pytest.approx(s.gap * 0.6**7, rel=1e-12)
         assert report.gap_r7_decreasing
+
+    def test_rejects_richardson_levels(self):
+        cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[2.0])
+        with pytest.raises(ValueError, match="levels"):
+            outside_decomposition_check(cfg, [0.6], GridPolicy(spacing=0.35, levels=2))
