@@ -14,7 +14,6 @@ from .tf_molecule import (
     ConvergenceError,
     NuclearConfiguration,
     RegionMask,
-    TFOptions,
     TFSolution,
     exterior_tf,
     solve_tf,
@@ -39,7 +38,6 @@ __all__ = [
     "RegionMask",
     "SCFError",
     "ScalarField",
-    "TFOptions",
     "TFSolution",
     "UniformBall",
     "UniversalTF",

@@ -18,7 +18,7 @@ import numpy as np
 from .fitting import PowerLawFit, powerlaw_fit
 from .grids import Grid3D, GridError
 from .ks_molecule import scf_molecule
-from .tf_molecule import NuclearConfiguration, TFOptions, atomic_references, solve_tf
+from .tf_molecule import NuclearConfiguration, atomic_references, solve_tf
 from .xc import XCFunctional
 
 
@@ -113,16 +113,15 @@ def diatomic(z1: float, z2: float, R: float) -> NuclearConfiguration:
     )
 
 
-def bo_tf(config: NuclearConfiguration, policy: GridPolicy,
-          opts: TFOptions | None = None) -> BOSample:
+def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
     """D^TF = E^TF_mol - sum_j E^TF_atom + U_R with matched atomic grids."""
     ds, emols, eatoms = [], [], []
     for level in range(policy.levels):
         grid = policy.build(config, level)
-        sol = solve_tf(config, config.Z, grid, opts=opts)
+        sol = solve_tf(config, config.Z, grid)
         e_at = atomic_references(
             config, grid,
-            lambda single, agrid: solve_tf(single, single.Z, agrid, opts=opts).energy,
+            lambda single, agrid: solve_tf(single, single.Z, agrid).energy,
         )
         emols.append(sol.energy)
         eatoms.append(e_at)
@@ -164,13 +163,12 @@ def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
     )
 
 
-def tf_sweep(charges, R_values, policy: GridPolicy,
-             opts: TFOptions | None = None) -> BOCurve:
+def tf_sweep(charges, R_values, policy: GridPolicy) -> BOCurve:
     """Homonuclear-axis diatomic sweep of D^TF over separations R."""
     z1, z2 = charges
     samples = []
     for R in sorted(R_values):
-        samples.append(bo_tf(diatomic(z1, z2, R), policy, opts=opts))
+        samples.append(bo_tf(diatomic(z1, z2, R), policy))
     return BOCurve(
         charges=(float(z1), float(z2)), theory="tf", xc_name="", q=0.0,
         samples=tuple(samples),
@@ -215,8 +213,8 @@ def _extrapolate_ladder(ls, ys):
     return y3 + (y3 - y2), "geometric-step"
 
 
-def gamma_limit(unit_config: NuclearConfiguration, l_values, policy: GridPolicy,
-                opts: TFOptions | None = None) -> GammaEstimate:
+def gamma_limit(unit_config: NuclearConfiguration, l_values,
+                policy: GridPolicy) -> GammaEstimate:
     """Estimate Gamma(R) = lim_l l^7 D^TF(Z, l R) by rescaled solves.
 
     Each ladder entry solves the base charges at stretched positions l R
@@ -232,7 +230,7 @@ def gamma_limit(unit_config: NuclearConfiguration, l_values, policy: GridPolicy,
         stretched = NuclearConfiguration(
             positions=unit_config.positions * l, charges=unit_config.charges
         )
-        s = bo_tf(stretched, policy, opts=opts)
+        s = bo_tf(stretched, policy)
         ladder.append(l**7 * s.D)
         samples.append(s)
     diffs = np.diff(ladder)

@@ -16,7 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 ENV_VAR = "FERMISURF_CACHE"
 
 

@@ -567,17 +567,21 @@ def main(argv=None) -> int:
         return 2
     # solver errors before ValueError: FitError subclasses ValueError
     except _SOLVER_ERRORS as exc:
-        _emit_error("solver", str(exc), kind=type(exc).__name__)
+        _emit_error("solver", str(exc), kind=type(exc).__name__,
+                    history=getattr(exc, "history", None))
         return 3
     except (GridError, XCValidationError, ValueError) as exc:
         _emit_error("config", str(exc))
         return 2
 
 
-def _emit_error(category: str, message: str, kind: str | None = None) -> None:
+def _emit_error(category: str, message: str, kind: str | None = None,
+                history=None) -> None:
     payload = {"error": category, "message": message}
     if kind:
         payload["type"] = kind
+    if history:
+        payload["history"] = [float(v) for v in history[-5:]]
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 

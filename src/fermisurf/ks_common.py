@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FERMI_DEGENERACY_TOL = 1e-6  # Hartree window treated as degenerate
+MIX_ALPHA = 0.4  # damping of the Anderson step
+MIX_DEPTH = 3  # differences kept by the Anderson mixer
 
 
 class SCFError(RuntimeError):
@@ -84,41 +86,47 @@ def aufbau_occupations(eigenvalues, capacities, n: float,
 
 
 class AndersonMixer:
-    """Anderson acceleration (depth m) with fallback to simple mixing.
+    """Anderson acceleration of a density fixed point x = f(x).
 
-    mix(x, fx) returns the next iterate given the input x and fixed-point
-    image fx; falls back to plain damping while history is short or when
-    the least-squares step is ill-conditioned.
+    mix(x, fx) returns the next iterate x - dX g + MIX_ALPHA (r - dR g),
+    r = fx - x, where the columns of dX and dR are the last MIX_DEPTH
+    iterate and residual differences and g minimises |r - dR g| (Pulay,
+    CPL 73:393, 1980; Walker & Ni, SIAM J. Numer. Anal. 49:1715, 2011).
+    The Gram matrix dR^T dR is updated incrementally, so a call costs
+    O(MIX_DEPTH n). The first call, a singular system or a non-finite
+    step gives plain damping x + MIX_ALPHA r. The output has x's shape.
     """
 
-    def __init__(self, alpha: float = 0.5, depth: int = 5):
-        if not (0.0 < alpha <= 1.0) or depth < 1:
-            raise ValueError("need 0 < alpha <= 1 and depth >= 1")
-        self.alpha = alpha
-        self.depth = depth
-        self._xs: list = []
-        self._rs: list = []
+    def __init__(self):
+        self._x = None  # previous iterate and residual, flattened
+        self._r = None
+        self._dx: list = []  # differences, oldest first
+        self._dr: list = []
+        self._gram = np.zeros((0, 0))
 
     def mix(self, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        shape = np.shape(x)
         x = np.asarray(x, dtype=float).ravel()
         r = np.asarray(fx, dtype=float).ravel() - x
-        self._xs.append(x)
-        self._rs.append(r)
-        if len(self._xs) > self.depth + 1:
-            self._xs.pop(0)
-            self._rs.pop(0)
-        m = len(self._rs) - 1
-        if m == 0:
-            return x + self.alpha * r
-        dR = np.stack([self._rs[k + 1] - self._rs[k] for k in range(m)], axis=1)
-        dX = np.stack([self._xs[k + 1] - self._xs[k] for k in range(m)], axis=1)
+        if self._x is not None:
+            if len(self._dr) == MIX_DEPTH:
+                del self._dx[0], self._dr[0]
+                self._gram = self._gram[1:, 1:]
+            self._dx.append(x - self._x)
+            self._dr.append(r - self._r)
+            row = [d @ self._dr[-1] for d in self._dr]
+            self._gram = np.pad(self._gram, (0, 1))
+            self._gram[-1, :] = self._gram[:, -1] = row
+        self._x, self._r = x, r
+        damped = x + MIX_ALPHA * r
+        if not self._dr:
+            return damped.reshape(shape)
         try:
-            gamma, *_ = np.linalg.lstsq(dR, r, rcond=1e-10)
+            g = np.linalg.solve(self._gram, [d @ r for d in self._dr])
         except np.linalg.LinAlgError:
-            return x + self.alpha * r
-        x_bar = x - dX @ gamma
-        r_bar = r - dR @ gamma
-        out = x_bar + self.alpha * r_bar
+            return damped.reshape(shape)
+        out = damped - sum(gk * (dx + MIX_ALPHA * dr)
+                           for gk, dx, dr in zip(g, self._dx, self._dr))
         if not np.all(np.isfinite(out)):
-            return x + self.alpha * r
-        return out
+            return damped.reshape(shape)
+        return out.reshape(shape)

@@ -33,7 +33,6 @@ def scf_molecule(
     tol: float = 1e-6,
     eig_tol: float = 1e-7,
     max_iter: int = 120,
-    mix_alpha: float = 0.4,
     extra_orbitals: int = 1,
 ) -> KSState:
     """Converged molecular KS-LDA state with aufbau occupations."""
@@ -49,7 +48,7 @@ def scf_molecule(
     rho = atomic_superposition(grid, config)
     rho *= N / grid.integrate(rho)
 
-    mixer = AndersonMixer(alpha=mix_alpha)
+    mixer = AndersonMixer()
     history = []
     pairs = None
     occ = None
@@ -79,8 +78,7 @@ def scf_molecule(
         if resid < tol:
             rho = rho_out
             break
-        mixed = mixer.mix(rho.ravel(), rho_out.ravel()).reshape(grid.shape)
-        rho = np.maximum(mixed, 0.0)
+        rho = np.maximum(mixer.mix(rho, rho_out), 0.0)
     else:
         raise SCFError(
             f"molecular SCF did not reach {tol:g} in {max_iter} iterations "

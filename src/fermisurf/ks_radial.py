@@ -62,7 +62,6 @@ def scf_atom(
     per_ell: int = 5,
     tol: float = 1e-6,
     max_iter: int = 200,
-    mix_alpha: float = 0.4,
 ) -> KSState:
     """Self-consistent radial KS-LDA atom with fractional occupations."""
     if z <= 0.0 or q <= 0.0:
@@ -89,7 +88,7 @@ def scf_atom(
     rho = atomic_tf(z).rho_at(r)
     rho = rho * (N / grid.integrate(rho))
 
-    mixer = AndersonMixer(alpha=mix_alpha)
+    mixer = AndersonMixer()
     history = []
     levels = None
     occ = None

@@ -20,7 +20,6 @@ from .tf_atom import AtomicTFSolution, atomic_screened_tf, atomic_tf
 from .tf_molecule import (
     NuclearConfiguration,
     RegionMask,
-    TFOptions,
     atomic_references,
     exterior_tf,
     screened_tf,
@@ -116,7 +115,6 @@ def _atomic_exterior_energy(
     single: NuclearConfiguration,
     grid: Grid3D,
     r: float,
-    opts: TFOptions | None,
     sphere_points: int = 256,
 ) -> float:
     """Exterior problem for one atom on the shared 3D staircase grid."""
@@ -133,7 +131,7 @@ def _atomic_exterior_energy(
     vals = np.where(gmask, vals, 0.0)
     v_field = ScalarField(grid=grid, values=vals, kind="potential")
     n_j = sol_atom.z - charge_within(sol_atom, r)
-    ext = exterior_tf(v_field, mask, max(n_j, 1e-9), opts=opts)
+    ext = exterior_tf(v_field, mask, max(n_j, 1e-9))
     return ext.energy
 
 
@@ -141,7 +139,6 @@ def outside_decomposition_check(
     config: NuclearConfiguration,
     r_values,
     policy: GridPolicy,
-    opts: TFOptions | None = None,
     sphere_points: int = 256,
 ) -> OutsideReport:
     """Compare D^TF with the exterior-energy decomposition over radii.
@@ -155,9 +152,9 @@ def outside_decomposition_check(
     if policy.levels != 1:
         raise ValueError("the decomposition check uses a single grid (levels=1)")
     rs = sorted((float(r) for r in r_values), reverse=True)
-    d_tf = bo_tf(config, policy, opts=opts).D
+    d_tf = bo_tf(config, policy).D
     grid = policy.build(config)
-    mol = solve_tf(config, config.Z, grid, opts=opts)
+    mol = solve_tf(config, config.Z, grid)
 
     samples = []
     for r in rs:
@@ -169,11 +166,11 @@ def outside_decomposition_check(
             kind="potential",
         )
         bound = float(np.sum(mol.rho.values[gmask])) * grid.cell_volume
-        ext_mol = exterior_tf(v_r, mask, bound, opts=opts)
+        ext_mol = exterior_tf(v_r, mask, bound)
         e_atoms = atomic_references(
             config, grid,
             lambda single, agrid: _atomic_exterior_energy(
-                single, agrid, r, opts, sphere_points=sphere_points
+                single, agrid, r, sphere_points=sphere_points
             ),
         )
         decomp = ext_mol.energy - e_atoms

@@ -46,7 +46,7 @@ def multipole_boundary(grid: Grid3D, source: np.ndarray):
     dip = np.array([dx, dy, dz])
 
     bound = np.zeros(grid.shape)
-    X, Y, Z = grid.meshgrid()
+    X, Y, Z = np.ix_(*grid.axes())
 
     def fill(mask_slices):
         x = X[mask_slices] - center[0]

@@ -1,6 +1,6 @@
 """Molecular Thomas-Fermi solver on a 3D box.
 
-The TF minimizer is found as the damped fixed point of
+The TF minimizer is found as the Anderson-mixed fixed point of
 rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2),   phi = V_R - rho * |x|^-1,
 with the chemical potential mu picked by bisection when the particle
 number constraint binds. The same sweep with a region mask solves the
@@ -16,10 +16,13 @@ import numpy as np
 
 from .constants import tf_kinetic_constant
 from .grids import Grid3D, GridError, ScalarField, fibonacci_sphere, trilinear_sample
+from .ks_common import AndersonMixer
 from .poisson import poisson_solve
 from .tf_atom import atomic_tf
 
 TF_C = tf_kinetic_constant(2)
+TF_TOL = 1e-8  # relative L1 density change per sweep
+TF_MAX_SWEEPS = 400
 
 
 def _density_of_phi(phi: np.ndarray, mu: float) -> np.ndarray:
@@ -242,14 +245,6 @@ class TFSolution:
         return self.rho.integrate()
 
 
-@dataclass(frozen=True)
-class TFOptions:
-    mix_alpha: float = 0.5
-    tol: float = 1e-8  # relative L1 density change per sweep
-    max_iter: int = 400
-    min_alpha: float = 0.02
-
-
 def _pick_mu(phi: np.ndarray, target: float, cell_vol: float) -> float:
     """Smallest mu >= 0 with integral of the TF density <= target."""
 
@@ -275,20 +270,17 @@ def _tf_fixed_point(
     v_ext: np.ndarray,
     n_target: float,
     neutral_charge: float,
-    opts: TFOptions,
     mask: np.ndarray | None,
     rho0: np.ndarray,
 ):
-    """Shared damped-mixing loop for the full and exterior problems."""
+    """Anderson-mixed fixed-point loop shared by the full and exterior problems."""
     vol = grid.cell_volume
-    rho = rho0.copy()
-    alpha = opts.mix_alpha
+    rho = rho0
+    mixer = AndersonMixer()
     history = []
-    mu = 0.0
-    improve_streak = 0
     constrained = n_target < neutral_charge - 1e-9
 
-    for it in range(opts.max_iter):
+    for it in range(TF_MAX_SWEEPS):
         phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
         mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
         rho_new = _density_of_phi(phi, mu)
@@ -296,27 +288,19 @@ def _tf_fixed_point(
             rho_new = np.where(mask, rho_new, 0.0)
         change = float(np.abs(rho_new - rho).sum()) * vol / max(n_target, 1e-12)
         history.append(change)
-        if len(history) > 1 and change > history[-2] * 1.0000001:
-            alpha = max(opts.min_alpha, 0.5 * alpha)
-            improve_streak = 0
-        else:
-            improve_streak += 1
-            if improve_streak >= 5:
-                alpha = min(0.9, 1.2 * alpha)
-                improve_streak = 0
-        rho = (1.0 - alpha) * rho + alpha * rho_new
-        if change < opts.tol:
+        if change < TF_TOL:
+            rho = rho_new
             break
+        rho = np.maximum(mixer.mix(rho, rho_new), 0.0)
     else:
         raise ConvergenceError(
-            f"TF mixing did not reach {opts.tol:g} in {opts.max_iter} sweeps "
+            f"TF mixing did not reach {TF_TOL:g} in {TF_MAX_SWEEPS} sweeps "
             f"(last change {history[-1]:.3e})",
             history,
         )
 
     phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
-    if constrained:
-        mu = _pick_mu(phi, n_target, vol)
+    mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
     resid_field = TF_C * (5.0 / 3.0) * rho ** (2.0 / 3.0) - np.maximum(phi - mu, 0.0)
     if mask is not None:
         resid_field = np.where(mask, resid_field, 0.0)
@@ -334,12 +318,10 @@ def solve_tf(
     config: NuclearConfiguration,
     n: float,
     grid: Grid3D,
-    opts: TFOptions | None = None,
 ) -> TFSolution:
     """Molecular TF minimizer with particle number constraint int rho <= n."""
     if n <= 0.0:
         raise ValueError("particle number must be positive")
-    opts = opts or TFOptions()
     check_grid_margin(grid, config)
 
     v_ext = external_potential(grid, config).values
@@ -348,7 +330,7 @@ def solve_tf(
         rho0 *= n / config.Z
 
     rho, phi, mu, residual, history = _tf_fixed_point(
-        grid, v_ext, min(n, config.Z), config.Z, opts, None, rho0
+        grid, v_ext, min(n, config.Z), config.Z, None, rho0
     )
     energy = tf_energy(grid, rho, v_ext)
     return TFSolution(
@@ -367,7 +349,6 @@ def exterior_tf(
     v_r: ScalarField,
     mask: RegionMask,
     charge_bound: float,
-    opts: TFOptions | None = None,
 ) -> TFSolution:
     """TF minimizer over densities supported on A_r with int rho <= charge_bound."""
     if charge_bound <= 0.0:
@@ -375,7 +356,6 @@ def exterior_tf(
     grid = v_r.grid
     if not isinstance(grid, Grid3D):
         raise GridError("exterior problem is solved on a 3D grid")
-    opts = opts or TFOptions()
     gmask = mask.grid_mask(grid)
     v_ext = np.where(gmask, v_r.values, 0.0)
     if float(np.max(np.abs(v_r.values[~gmask]))) > 1e-9 * max(
@@ -390,7 +370,7 @@ def exterior_tf(
     # neutral_charge sentinel: unconstrained charge of this exterior problem
     # is unknown, so always run the mu bisection against the bound.
     rho, phi, mu_out, residual, history = _tf_fixed_point(
-        grid, v_ext, charge_bound, math.inf, opts, gmask, rho0
+        grid, v_ext, charge_bound, math.inf, gmask, rho0
     )
     energy = tf_energy(grid, rho, v_ext)
     return TFSolution(

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fermisurf.cli import BO_HEADER, main
+from fermisurf.tf_molecule import ConvergenceError
 
 
 def _write_config(path, payload):
@@ -61,6 +62,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "solver"
         assert err["type"] == "FitError"
+
+    def test_solver_error_reports_history_tail(self, tmp_path, capsys,
+                                               monkeypatch):
+        history = [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]
+
+        def stall(*args, **kwargs):
+            raise ConvergenceError("TF mixing stalled", history)
+
+        monkeypatch.setattr("fermisurf.cli.solve_tf", stall)
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {"positions": [[0, 0, 0]], "charges": [1.0], "grid": {"spacing": 0.5}},
+        )
+        assert main(["tf-molecule", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ConvergenceError"
+        assert err["history"] == history[-5:]
 
     def test_workers_must_be_positive(self, bo_config, tmp_path):
         assert main(["bo-scan", "--config", bo_config,

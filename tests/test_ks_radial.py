@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fermisurf.ks_common import aufbau_occupations
+from fermisurf.ks_common import MIX_ALPHA, MIX_DEPTH, AndersonMixer, aufbau_occupations
 from fermisurf.ks_radial import scf_atom
 from fermisurf.xc import make_functional
 
@@ -28,6 +28,51 @@ class TestAufbau:
                                  np.array([2.0, 2.0, 2.0]), 5.5)
         assert np.all(occ >= 0.0) and np.all(occ <= 2.0)
         assert occ.sum() == pytest.approx(5.5)
+
+
+class TestAndersonMixer:
+    def test_first_call_is_plain_damping(self):
+        rng = np.random.default_rng(0)
+        x, fx = rng.random(7), rng.random(7)
+        assert np.allclose(AndersonMixer().mix(x, fx), x + 0.4 * (fx - x),
+                           rtol=0, atol=1e-15)
+
+    def test_step_matches_textbook_anderson(self):
+        rng = np.random.default_rng(1)
+        mixer = AndersonMixer()
+        xs, rs = [], []
+        for _ in range(MIX_DEPTH + 3):
+            x, fx = rng.random(12), rng.random(12)
+            out = mixer.mix(x, fx)
+            xs.append(x)
+            rs.append(fx - x)
+        # least squares over the last MIX_DEPTH differences only
+        dX = np.stack([xs[k + 1] - xs[k] for k in range(-MIX_DEPTH - 1, -1)], axis=1)
+        dR = np.stack([rs[k + 1] - rs[k] for k in range(-MIX_DEPTH - 1, -1)], axis=1)
+        g, *_ = np.linalg.lstsq(dR, rs[-1], rcond=None)
+        expected = xs[-1] - dX @ g + MIX_ALPHA * (rs[-1] - dR @ g)
+        assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_beats_plain_damping_on_linear_contraction(self):
+        rng = np.random.default_rng(2)
+        n = 40
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = Q @ np.diag(np.linspace(0.0, 0.95, n)) @ Q.T
+        b = rng.standard_normal(n)
+
+        def calls_to_converge(step):
+            x = np.zeros(n)
+            for k in range(1, 2000):
+                fx = A @ x + b
+                if np.linalg.norm(fx - x) < 1e-10:
+                    return k
+                x = step(x, fx)
+            return 2000
+
+        mixer = AndersonMixer()
+        anderson = calls_to_converge(mixer.mix)
+        damped = calls_to_converge(lambda x, fx: x + MIX_ALPHA * (fx - x))
+        assert anderson < damped
 
 
 class TestAtoms:

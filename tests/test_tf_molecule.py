@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from fermisurf.grids import Grid3D, GridError
 from fermisurf.tf_atom import atomic_tf
 from fermisurf.tf_molecule import (
+    ConvergenceError,
     NuclearConfiguration,
     RegionMask,
-    TFOptions,
     _cube_inv_r_integral,
     check_grid_margin,
     exterior_tf,
@@ -185,9 +185,15 @@ class TestSolveTF:
 
     def test_residual_reported_below_tolerance(self):
         cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[1.0])
-        opts = TFOptions(tol=1e-9)
-        sol = solve_tf(cfg, 1.0, _grid_for(cfg, h=0.4), opts=opts)
+        sol = solve_tf(cfg, 1.0, _grid_for(cfg, h=0.4))
         assert sol.residual < 1e-6
+
+    def test_sweep_limit_raises_with_history(self, monkeypatch):
+        monkeypatch.setattr("fermisurf.tf_molecule.TF_MAX_SWEEPS", 3)
+        cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[1.0])
+        with pytest.raises(ConvergenceError) as info:
+            solve_tf(cfg, 1.0, _grid_for(cfg, h=0.4))
+        assert len(info.value.history) == 3
 
 
 class TestExterior:
