@@ -29,7 +29,6 @@ class GridPolicy:
     spacing: float
     margin_factor: float = 6.0
     levels: int = 1  # Richardson refinement levels (1 = single grid)
-    point_budget: int = 16_000_000
 
     def __post_init__(self):
         if self.spacing <= 0.0 or self.levels < 1:
@@ -61,9 +60,7 @@ class GridPolicy:
         # shift so nucleus 1 lands exactly on a node
         p0 = config.positions[0]
         shift = p0 - (origin + h * np.round((p0 - origin) / h))
-        return Grid3D(
-            origin=origin + shift, h=h, dims=(n, n, n), point_budget=self.point_budget
-        )
+        return Grid3D(origin=origin + shift, h=h, dims=(n, n, n))
 
 
 @dataclass(frozen=True)
@@ -142,6 +139,8 @@ def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
 def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
           q: float = 2.0, **scf_kw) -> BOSample:
     """D = E_mol - sum_j E_atom + U_R in KS-LDA, matched atomic grids."""
+    if policy.levels != 1:
+        raise ValueError("bo_ks solves a single grid (levels=1)")
     grid = policy.build(config)
     mol = scf_molecule(config, config.Z, xc, grid, q=q, **scf_kw)
     e_at = atomic_references(

@@ -31,13 +31,8 @@ from .ks_radial import scf_atom
 from .minsearch import min_distance_search
 from .outside import qij_tf
 from .screening import screened_compare
-from .tf_atom import ShootingError, atomic_tf, universal_profile
-from .tf_molecule import (
-    ConvergenceError,
-    NuclearConfiguration,
-    TF_C,
-    solve_tf,
-)
+from .tf_atom import ShootingError, atomic_tf, tf_residual, universal_profile
+from .tf_molecule import ConvergenceError, NuclearConfiguration, solve_tf
 from .xc import XCFunctional, XCValidationError, make_functional
 
 BO_HEADER = "R_min,theory,xc,q,D,grid_h,residual,E_mol,E_atoms,U_R"
@@ -143,13 +138,6 @@ def _nuclear_config(cfg) -> NuclearConfiguration:
         raise ConfigError(f"bad nuclear configuration: {exc}") from exc
 
 
-def _tf_residual(sol) -> float:
-    """Sup-norm TF-equation residual of a radial atomic solution."""
-    lhs = TF_C * (5.0 / 3.0) * sol.rho.values ** (2.0 / 3.0)
-    rhs = np.maximum(sol.phi.values - sol.mu, 0.0)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -168,8 +156,9 @@ def _cmd_tf_atom(args) -> int:
     fit = powerlaw_fit(sol.grid.nodes, np.maximum(sol.phi.values, 1e-300),
                        window=(float(window[0]), float(window[1])))
     e_tf = -sol.energy / z ** (7.0 / 3.0)
+    resid = tf_residual(sol.rho.values, sol.phi.values, sol.mu)
     rows = [[z, sol.energy, e_tf, sol.mu, fit.exponent, fit.r_squared,
-             float(sol.grid.nodes[1] - sol.grid.nodes[0]), _tf_residual(sol)]]
+             float(sol.grid.nodes[1] - sol.grid.nodes[0]), resid]]
     out = Path(args.out) / "tf_atom.csv"
     _csv_rows(out, "z,energy,e_tf,mu,tail_exponent,tail_r2,grid_h,residual", rows)
     print(f"tf-atom z={z:g} energy={sol.energy:.8g} e_tf={e_tf:.8g} -> {out}")
@@ -407,7 +396,7 @@ def _cmd_qij(args) -> int:
     atoms = [atomic_tf(float(z)) for z in config.charges]
     Q = qij_tf(atoms, config, r)
     grid_h = float(atoms[0].grid.nodes[1] - atoms[0].grid.nodes[0])
-    resid = max(_tf_residual(a) for a in atoms)
+    resid = max(tf_residual(a.rho.values, a.phi.values, a.mu) for a in atoms)
     rows = [
         [i, j, Q[i, j], r, grid_h, resid]
         for i in range(config.K)

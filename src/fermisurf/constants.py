@@ -5,14 +5,9 @@ from __future__ import annotations
 import math
 
 
-def tf_kinetic_constant(q: int = 2) -> float:
-    """Coefficient of the rho^(5/3) kinetic term, (3/10)(6 pi^2 / q)^(2/3).
-
-    q is the number of states per phase-space cell (spin degeneracy);
-    q = 2 gives the usual (3/10)(3 pi^2)^(2/3).
-    """
-    return 0.3 * (6.0 * math.pi**2 / q) ** (2.0 / 3.0)
-
+#: Coefficient of the rho^(5/3) kinetic term, (3/10)(6 pi^2 / 2)^(2/3), for
+#: two spin states per phase-space cell.
+TF_C = 0.3 * (6.0 * math.pi**2 / 2) ** (2.0 / 3.0)
 
 #: Sommerfeld far-field coefficient of the neutral TF potential:
 #: phi(r) -> SOMMERFELD_C / r^4.

@@ -12,6 +12,9 @@ from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .grids import Grid3D, GridError, ScalarField
+from .poisson import _dst_eigenvalues
+
+EIG_SEED = 7  # random start vectors beyond the warm-start columns
 
 
 class EigenError(RuntimeError):
@@ -23,30 +26,36 @@ class EigenError(RuntimeError):
 
 
 def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(-1/2 Lap_h + V) psi with psi = 0 outside the box."""
+    """(-1/2 Lap_h + V) psi with psi = 0 outside the box.
+
+    psi is one (nx, ny, nz) array or a (k, nx, ny, nz) block of them.
+    """
     h2 = grid.h**2
     out = (6.0 * psi) / (2.0 * h2) + v * psi
-    out[:-1, :, :] -= psi[1:, :, :] / (2.0 * h2)
-    out[1:, :, :] -= psi[:-1, :, :] / (2.0 * h2)
-    out[:, :-1, :] -= psi[:, 1:, :] / (2.0 * h2)
-    out[:, 1:, :] -= psi[:, :-1, :] / (2.0 * h2)
-    out[:, :, :-1] -= psi[:, :, 1:] / (2.0 * h2)
-    out[:, :, 1:] -= psi[:, :, :-1] / (2.0 * h2)
+    out[..., :-1, :, :] -= psi[..., 1:, :, :] / (2.0 * h2)
+    out[..., 1:, :, :] -= psi[..., :-1, :, :] / (2.0 * h2)
+    out[..., :, :-1, :] -= psi[..., :, 1:, :] / (2.0 * h2)
+    out[..., :, 1:, :] -= psi[..., :, :-1, :] / (2.0 * h2)
+    out[..., :, :, :-1] -= psi[..., :, :, 1:] / (2.0 * h2)
+    out[..., :, :, 1:] -= psi[..., :, :, :-1] / (2.0 * h2)
     return out
 
 
-def hamiltonian_operator(grid: Grid3D, v: np.ndarray) -> LinearOperator:
-    n = grid.n_points
-    shape = grid.shape
-
-    def matvec(x):
-        return apply_hamiltonian(grid, v, x.reshape(shape)).ravel()
+def _block_operator(shape: tuple, apply_block) -> LinearOperator:
+    """LinearOperator on (n, k) columns from a map of (k, *shape) grid blocks."""
+    n = int(np.prod(shape))
 
     def matmat(x):
-        cols = [matvec(x[:, j]) for j in range(x.shape[1])]
-        return np.stack(cols, axis=1)
+        k = x.shape[1]
+        return apply_block(x.T.reshape(k, *shape)).reshape(k, n).T
 
-    return LinearOperator((n, n), matvec=matvec, matmat=matmat, dtype=float)
+    return LinearOperator(
+        (n, n), matvec=lambda x: matmat(x.reshape(n, 1)), matmat=matmat, dtype=float
+    )
+
+
+def hamiltonian_operator(grid: Grid3D, v: np.ndarray) -> LinearOperator:
+    return _block_operator(grid.shape, lambda psi: apply_hamiltonian(grid, v, psi))
 
 
 def dense_hamiltonian(grid: Grid3D, v: np.ndarray) -> np.ndarray:
@@ -68,7 +77,6 @@ def lowest_eigenpairs(
     tol: float = 1e-7,
     maxiter: int = 300,
     initial: np.ndarray | None = None,
-    seed: int = 7,
 ):
     """Lowest `count` eigenpairs, solving for count + degeneracy_budget states.
 
@@ -92,34 +100,15 @@ def lowest_eigenpairs(
     # spectral preconditioner: exact inverse of -1/2 Lap_h + c via sine
     # transforms; kills the stiff Laplacian part of the error in one apply
     shape = grid.shape
-    h = grid.h
     c_shift = 1.0 + max(0.0, -float(v.min())) * 0.1
-
-    def _half_lap_eigs(m):
-        k = np.arange(1, m + 1)
-        return 0.5 * (2.0 - 2.0 * np.cos(np.pi * k / (m + 1))) / h**2
-
-    denom = (
-        _half_lap_eigs(shape[0])[:, None, None]
-        + _half_lap_eigs(shape[1])[None, :, None]
-        + _half_lap_eigs(shape[2])[None, None, :]
-        + c_shift
+    lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in shape)
+    denom = lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift
+    M = _block_operator(
+        shape,
+        lambda b: idstn(dstn(b, type=1, axes=(1, 2, 3)) / denom, type=1, axes=(1, 2, 3)),
     )
 
-    def _precond_one(x):
-        return idstn(dstn(x.reshape(shape), type=1) / denom, type=1).ravel()
-
-    def _precond_mat(X):
-        return np.stack([_precond_one(X[:, j]) for j in range(X.shape[1])], axis=1)
-
-    M = LinearOperator(
-        (n, n),
-        matvec=lambda x: _precond_one(np.asarray(x).ravel()),
-        matmat=_precond_mat,
-        dtype=float,
-    )
-
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(EIG_SEED)
     if initial is not None and initial.shape == (n, nev):
         X = initial.copy()
     else:
@@ -144,24 +133,20 @@ def lowest_eigenpairs(
     vecs = q / w
 
     # Rayleigh-Ritz in the orthonormal basis to restore eigen structure
-    Hv = np.stack([A.matvec(vecs[:, j]) for j in range(vecs.shape[1])], axis=1)
-    small = (vecs * grid.cell_volume).T @ Hv
+    small = (vecs * grid.cell_volume).T @ A.matmat(vecs)
     small = 0.5 * (small + small.T)
     s_vals, s_vecs = np.linalg.eigh(small)
     vecs = vecs @ s_vecs
     vals = s_vals
 
     # residual check on the reported pairs
-    best = 0.0
-    pairs = []
-    for j in range(count):
-        psi = vecs[:, j]
-        r = A.matvec(psi) - vals[j] * psi
-        rn = float(np.sqrt(np.sum(r * r) * grid.cell_volume))
-        best = max(best, rn)
-        pairs.append(
-            (float(vals[j]), ScalarField(grid=grid, values=psi.reshape(grid.shape)))
-        )
+    vecs = vecs[:, :count]
+    r = A.matmat(vecs) - vals[:count] * vecs
+    best = float(np.sqrt(np.max(np.sum(r * r, axis=0)) * grid.cell_volume))
+    pairs = [
+        (float(vals[j]), ScalarField(grid=grid, values=vecs[:, j].reshape(grid.shape)))
+        for j in range(count)
+    ]
     if best > tol * max(1.0, float(np.max(np.abs(vals[:count])))):
         raise EigenError("eigensolver did not reach residual tolerance", best)
     return pairs

@@ -23,6 +23,9 @@ from .tf_molecule import (
 )
 from .xc import XCFunctional
 
+SCF_MAX_ITER = 120
+EIG_TOL = 1e-7  # floor of the per-step eigensolver tolerance
+
 
 def scf_molecule(
     config: NuclearConfiguration,
@@ -31,8 +34,6 @@ def scf_molecule(
     grid: Grid3D,
     q: float = 2.0,
     tol: float = 1e-6,
-    eig_tol: float = 1e-7,
-    max_iter: int = 120,
     extra_orbitals: int = 1,
 ) -> KSState:
     """Converged molecular KS-LDA state with aufbau occupations."""
@@ -52,7 +53,7 @@ def scf_molecule(
     history = []
     pairs = None
     occ = None
-    for it in range(max_iter):
+    for it in range(SCF_MAX_ITER):
         u = poisson_solve(ScalarField(grid=grid, values=rho)).values
         v_eff = -v_ext + u - xc.derivative(rho)
         v_field = ScalarField(grid=grid, values=v_eff, kind="potential")
@@ -62,7 +63,7 @@ def scf_molecule(
             else None
         )
         # loose eigensolves while the density is far from self-consistent
-        it_tol = max(eig_tol, 0.1 * history[-1]) if history else 1e-4
+        it_tol = max(EIG_TOL, 0.1 * history[-1]) if history else 1e-4
         pairs = lowest_eigenpairs(
             v_field, n_orb, degeneracy_budget=1, tol=it_tol, initial=initial,
             maxiter=500,
@@ -81,7 +82,7 @@ def scf_molecule(
         rho = np.maximum(mixer.mix(rho, rho_out), 0.0)
     else:
         raise SCFError(
-            f"molecular SCF did not reach {tol:g} in {max_iter} iterations "
+            f"molecular SCF did not reach {tol:g} in {SCF_MAX_ITER} iterations "
             f"(last residual {history[-1]:.3e})",
             history,
         )

@@ -18,6 +18,8 @@ from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations
 from .tf_atom import atomic_tf
 from .xc import XCFunctional
 
+SCF_MAX_ITER = 200
+
 
 def default_ks_radial_grid(z: float, r_max: float = 30.0, h: float | None = None):
     """Uniform radial grid resolving the 1/z core length."""
@@ -61,7 +63,6 @@ def scf_atom(
     lmax: int = 3,
     per_ell: int = 5,
     tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> KSState:
     """Self-consistent radial KS-LDA atom with fractional occupations."""
     if z <= 0.0 or q <= 0.0:
@@ -92,7 +93,7 @@ def scf_atom(
     history = []
     levels = None
     occ = None
-    for it in range(max_iter):
+    for it in range(SCF_MAX_ITER):
         w = 4.0 * np.pi * r**2 * rho
         v_eff = -z / r + _hartree_uniform(r, h, w) - xc.derivative(rho)
         levels = _radial_levels(r, h, v_eff, lmax, per_ell)
@@ -111,7 +112,7 @@ def scf_atom(
         rho = np.maximum(mixer.mix(rho, rho_out), 0.0)
     else:
         raise SCFError(
-            f"radial SCF did not reach {tol:g} in {max_iter} iterations "
+            f"radial SCF did not reach {tol:g} in {SCF_MAX_ITER} iterations "
             f"(last residual {history[-1]:.3e})",
             history,
         )

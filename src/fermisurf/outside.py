@@ -115,7 +115,6 @@ def _atomic_exterior_energy(
     single: NuclearConfiguration,
     grid: Grid3D,
     r: float,
-    sphere_points: int = 256,
 ) -> float:
     """Exterior problem for one atom on the shared 3D staircase grid."""
     sol_atom = atomic_tf(single.Z)
@@ -123,7 +122,7 @@ def _atomic_exterior_energy(
     X, Y, Z = grid.meshgrid()
     pos = single.positions[0]
     dist = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
-    mask = RegionMask(config=single, r=r, sphere_points=sphere_points)
+    mask = RegionMask(config=single, r=r)
     gmask = mask.grid_mask(grid)
     vals = np.interp(dist.ravel(), sol_atom.grid.nodes, phi_r.values).reshape(
         grid.shape
@@ -139,7 +138,6 @@ def outside_decomposition_check(
     config: NuclearConfiguration,
     r_values,
     policy: GridPolicy,
-    sphere_points: int = 256,
 ) -> OutsideReport:
     """Compare D^TF with the exterior-energy decomposition over radii.
 
@@ -158,7 +156,7 @@ def outside_decomposition_check(
 
     samples = []
     for r in rs:
-        mask = RegionMask(config=config, r=r, sphere_points=sphere_points)
+        mask = RegionMask(config=config, r=r)
         phi_field, _ = screened_tf(mol, mask)
         gmask = mask.grid_mask(grid)
         v_r = ScalarField(
@@ -169,9 +167,7 @@ def outside_decomposition_check(
         ext_mol = exterior_tf(v_r, mask, bound)
         e_atoms = atomic_references(
             config, grid,
-            lambda single, agrid: _atomic_exterior_energy(
-                single, agrid, r, sphere_points=sphere_points
-            ),
+            lambda single, agrid: _atomic_exterior_energy(single, agrid, r),
         )
         decomp = ext_mol.energy - e_atoms
         gap = abs(d_tf - decomp)

@@ -14,6 +14,8 @@ from scipy.fft import dstn, idstn
 
 from .grids import Grid3D, GridError, ScalarField
 
+CHECK_TOL = 1e-6  # stencil residual bound, relative to max(1, max |4 pi source|)
+
 
 class PoissonError(RuntimeError):
     """Linear solve failed to reach the requested residual."""
@@ -109,7 +111,7 @@ def stencil_residual(grid: Grid3D, u: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(-lap - rhs[1:-1, 1:-1, 1:-1])))
 
 
-def poisson_solve(source: ScalarField, check_tol: float = 1e-6) -> ScalarField:
+def poisson_solve(source: ScalarField) -> ScalarField:
     """Potential u with -Lap u = 4 pi source and multipole boundary values."""
     grid = source.grid
     if not isinstance(grid, Grid3D):
@@ -119,6 +121,6 @@ def poisson_solve(source: ScalarField, check_tol: float = 1e-6) -> ScalarField:
     u = solve_dirichlet(grid, rhs, boundary)
     res = stencil_residual(grid, u, rhs)
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if res > check_tol * scale:
+    if res > CHECK_TOL * scale:
         raise PoissonError("direct stencil solve residual above tolerance", res)
     return ScalarField(grid=grid, values=u, kind="potential")

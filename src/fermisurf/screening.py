@@ -18,6 +18,9 @@ from .fitting import PowerLawFit, powerlaw_fit
 from .grids import ScalarField, fibonacci_sphere, trilinear_sample
 from .tf_molecule import NuclearConfiguration
 
+PROFILE_RADII = 240  # geometric radii of a nucleus profile, from PROFILE_S_MIN
+PROFILE_S_MIN = 1e-3
+
 
 @dataclass(frozen=True)
 class NucleusProfile:
@@ -32,17 +35,16 @@ class NucleusProfile:
         return float(np.interp(r, self.s, self.q_cum))
 
 
-def nucleus_profile(rho: ScalarField, center, s_max: float, n_s: int = 240,
-                    n_sphere: int = 256, s_min: float = 1e-3) -> NucleusProfile:
+def nucleus_profile(rho: ScalarField, center, s_max: float) -> NucleusProfile:
     """Average a 3D density over spheres around `center` (Fibonacci lattice)."""
     center = np.asarray(center, dtype=float)
-    s = np.geomspace(s_min, s_max, n_s)
-    rho_bar = np.empty(n_s)
+    s = np.geomspace(PROFILE_S_MIN, s_max, PROFILE_RADII)
+    rho_bar = np.empty(PROFILE_RADII)
     for k, sk in enumerate(s):
-        pts = fibonacci_sphere(center, sk, n_sphere)
+        pts = fibonacci_sphere(center, sk)
         rho_bar[k] = float(np.mean(trilinear_sample(rho, pts)))
     shell = 4.0 * np.pi * s**2 * rho_bar
-    q = np.zeros(n_s)
+    q = np.zeros(PROFILE_RADII)
     # trapezoid cumulative; the first shell is extended to s = 0
     q[0] = shell[0] * s[0] / 3.0
     q[1:] = q[0] + np.cumsum(0.5 * (shell[1:] + shell[:-1]) * np.diff(s))
@@ -68,7 +70,6 @@ def screened_compare(
     rho_tf: ScalarField,
     r_list,
     eps: float = 0.5,
-    n_sphere: int = 256,
 ) -> ScreenedProfile:
     """Sphere sups of Phi_r, Phi_r^TF and their difference over r_list.
 
@@ -83,11 +84,11 @@ def screened_compare(
 
     s_max = rs[-1] * 1.05
     prof_ks = [
-        nucleus_profile(rho_ks, p, s_max, n_sphere=n_sphere)
+        nucleus_profile(rho_ks, p, s_max)
         for p in config.positions
     ]
     prof_tf = [
-        nucleus_profile(rho_tf, p, s_max, n_sphere=n_sphere)
+        nucleus_profile(rho_tf, p, s_max)
         for p in config.positions
     ]
 
@@ -97,10 +98,10 @@ def screened_compare(
         q_tf = np.array([p.charge_within(r) for p in prof_tf])
         diffs, phis, phis_tf = [], [], []
         for j in range(config.K):
-            pts = fibonacci_sphere(config.positions[j], r, n_sphere)
+            pts = fibonacci_sphere(config.positions[j], r)
             d = np.stack(
                 [np.linalg.norm(pts - p, axis=1) for p in config.positions]
-            )  # (K, n_sphere); row j is identically r
+            )  # (K, sphere samples); row j is identically r
             d = np.maximum(d, 1e-12)
             phi_ks = ((config.charges - q_ks)[:, None] / d).sum(axis=0)
             phi_tf = ((config.charges - q_tf)[:, None] / d).sum(axis=0)

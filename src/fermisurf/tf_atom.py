@@ -16,16 +16,36 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .constants import TF_LENGTH_B, XI, tf_kinetic_constant
+from .constants import TF_C, TF_LENGTH_B, XI
 from .coulomb import radial_hartree_potential
 from .grids import GridError, RadialGrid, ScalarField
 
 #: Dimensionless Sommerfeld tail of the universal profile: y -> 144 / x^3.
 Y_TAIL = 144.0
 
+X0 = 1e-3  # start of the forward integration; the series covers [0, X0)
+X_MATCH = 5.0  # where the forward and backward shootings meet
+SLOPE_BRACKET = (-1.8, -1.4)  # straddles the critical initial slope
+
 
 class ShootingError(RuntimeError):
     """Bisection bracket failure in the universal-profile shooting."""
+
+
+def tf_density(phi, mu: float = 0.0):
+    """TF density law rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2)."""
+    return (2.0 * np.maximum(phi - mu, 0.0)) ** 1.5 / (3.0 * math.pi**2)
+
+
+def tf_residual(rho: np.ndarray, phi: np.ndarray, mu: float) -> float:
+    """Sup norm of the TF equation residual (5/3) c rho^(2/3) - [phi - mu]_+."""
+    resid = TF_C * (5.0 / 3.0) * rho ** (2.0 / 3.0) - np.maximum(phi - mu, 0.0)
+    return float(np.max(np.abs(resid)))
+
+
+def tf_energy(grid, rho: np.ndarray, v: np.ndarray, u: np.ndarray) -> float:
+    """TF functional c int rho^(5/3) - int v rho + D(rho), u the Hartree potential."""
+    return grid.integrate(TF_C * rho ** (5.0 / 3.0) - v * rho + 0.5 * rho * u)
 
 
 def _series_y(x: float, slope: float):
@@ -88,11 +108,11 @@ def _tail_y(x, c):
     return y, dy
 
 
-def _integrate_backward(c: float, x_far: float, x_match: float):
+def _integrate_backward(c: float, x_far: float):
     y0, dy0 = _tail_y(x_far, c)
     return solve_ivp(
         _rhs,
-        (x_far, x_match),
+        (x_far, X_MATCH),
         [y0, dy0],
         method="DOP853",
         rtol=1e-12,
@@ -110,16 +130,14 @@ class UniversalTF:
     x_max: float
     _fwd: object
     _bwd: object
-    x_match: float
-    x0: float
 
     def y(self, x):
         """Profile value(s); accepts scalars or arrays."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xs)
-        lo = xs < self.x0
-        mid = (~lo) & (xs <= self.x_match)
-        hi_num = (xs > self.x_match) & (xs <= self.x_max)
+        lo = xs < X0
+        mid = (~lo) & (xs <= X_MATCH)
+        hi_num = (xs > X_MATCH) & (xs <= self.x_max)
         far = xs > self.x_max
         if np.any(lo):
             out[lo] = [_series_y(v, self.slope_B)[0] for v in xs[lo]]
@@ -133,13 +151,7 @@ class UniversalTF:
         return out if np.ndim(x) else float(out[0])
 
 
-def solve_universal(
-    x_max: float = 1e5,
-    tol: float = 1e-11,
-    x0: float = 1e-3,
-    x_match: float = 5.0,
-    bracket=(-1.8, -1.4),
-) -> UniversalTF:
+def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
     """Shooting solution of the universal TF equation.
 
     The slope is bracketed by bisection: slopes below the critical value
@@ -152,40 +164,40 @@ def solve_universal(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    lo, hi = bracket
+    lo, hi = SLOPE_BRACKET
     x_classify = 80.0
-    sol_lo = _integrate_forward(lo, x0, x_classify)
-    sol_hi = _integrate_forward(hi, x0, x_classify)
+    sol_lo = _integrate_forward(lo, X0, x_classify)
+    sol_hi = _integrate_forward(hi, X0, x_classify)
     if not (len(sol_lo.t_events[0]) and len(sol_hi.t_events[0]) == 0):
         raise ShootingError("initial bracket does not straddle the critical slope")
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        sol = _integrate_forward(mid, x0, x_classify)
+        sol = _integrate_forward(mid, X0, x_classify)
         if len(sol.t_events[0]):  # crossed zero: slope too negative
             lo = mid
         else:
             hi = mid
     slope = 0.5 * (lo + hi)
 
-    fwd = _integrate_forward(slope, x0, x_match, dense=True)
-    if fwd.t[-1] < x_match:
+    fwd = _integrate_forward(slope, X0, X_MATCH, dense=True)
+    if fwd.t[-1] < X_MATCH:
         raise ShootingError("forward integration terminated before the match point")
-    y_match = float(fwd.sol(x_match)[0])
+    y_match = float(fwd.sol(X_MATCH)[0])
 
     # secant iteration on the tail amplitude
     c0, c1 = -13.5, -13.0
-    f0 = float(_integrate_backward(c0, x_max, x_match).sol(x_match)[0]) - y_match
-    f1 = float(_integrate_backward(c1, x_max, x_match).sol(x_match)[0]) - y_match
+    f0 = float(_integrate_backward(c0, x_max).sol(X_MATCH)[0]) - y_match
+    f1 = float(_integrate_backward(c1, x_max).sol(X_MATCH)[0]) - y_match
     for _ in range(60):
         if f1 == f0:
             break
         c2 = c1 - f1 * (c1 - c0) / (f1 - f0)
-        f2 = float(_integrate_backward(c2, x_max, x_match).sol(x_match)[0]) - y_match
+        f2 = float(_integrate_backward(c2, x_max).sol(X_MATCH)[0]) - y_match
         c0, f0, c1, f1 = c1, f1, c2, f2
         if abs(f1) < 1e-14 * max(y_match, 1e-30):
             break
-    bwd = _integrate_backward(c1, x_max, x_match)
+    bwd = _integrate_backward(c1, x_max)
 
     return UniversalTF(
         slope_B=slope,
@@ -193,8 +205,6 @@ def solve_universal(
         x_max=x_max,
         _fwd=fwd,
         _bwd=bwd,
-        x_match=x_match,
-        x0=x0,
     )
 
 
@@ -232,8 +242,7 @@ class AtomicTFSolution:
         return self.z * self.profile.y(x) / r
 
     def rho_at(self, r):
-        phi = self.phi_at(r)
-        return (2.0 * np.maximum(phi, 0.0)) ** 1.5 / (3.0 * math.pi**2)
+        return tf_density(self.phi_at(r))
 
 
 def default_atomic_grid(z: float, n: int = 3001, r_max_factor: float = 2000.0):
@@ -260,7 +269,7 @@ def atomic_tf(z: float, grid: RadialGrid | None = None) -> AtomicTFSolution:
     x = r / (TF_LENGTH_B * scale)
     y = u.y(x)
     phi = z * y / r
-    rho = (2.0 * np.maximum(phi, 0.0)) ** 1.5 / (3.0 * math.pi**2)
+    rho = tf_density(phi)
 
     charge = grid.integrate(rho)
     if charge < 0.999 * z:
@@ -268,12 +277,8 @@ def atomic_tf(z: float, grid: RadialGrid | None = None) -> AtomicTFSolution:
             f"grid captures only {charge / z:.4%} of the charge; extend r_max"
         )
 
-    c_tf = tf_kinetic_constant(2)
     rho_f = ScalarField(grid=grid, values=rho, kind="density")
-    hart = radial_hartree_potential(rho_f)
-    energy = grid.integrate(
-        c_tf * rho ** (5.0 / 3.0) - (z / r) * rho + 0.5 * rho * hart
-    )
+    energy = tf_energy(grid, rho, z / r, radial_hartree_potential(rho_f))
 
     return AtomicTFSolution(
         z=z,

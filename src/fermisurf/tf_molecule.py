@@ -2,7 +2,7 @@
 
 The TF minimizer is found as the Anderson-mixed fixed point of
 rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2),   phi = V_R - rho * |x|^-1,
-with the chemical potential mu picked by bisection when the particle
+with the chemical potential mu picked by Brent's method when the particle
 number constraint binds. The same sweep with a region mask solves the
 exterior problem on A_r.
 """
@@ -13,20 +13,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .constants import tf_kinetic_constant
 from .grids import Grid3D, GridError, ScalarField, fibonacci_sphere, trilinear_sample
 from .ks_common import AndersonMixer
 from .poisson import poisson_solve
-from .tf_atom import atomic_tf
+from .tf_atom import atomic_tf, tf_density, tf_energy, tf_residual
 
-TF_C = tf_kinetic_constant(2)
 TF_TOL = 1e-8  # relative L1 density change per sweep
 TF_MAX_SWEEPS = 400
-
-
-def _density_of_phi(phi: np.ndarray, mu: float) -> np.ndarray:
-    return (2.0 * np.maximum(phi - mu, 0.0)) ** 1.5 / (3.0 * math.pi**2)
+MIN_MARGIN = 6.0  # box margin around a nucleus of charge z, in units of z^(-1/3)
 
 
 class ConvergenceError(RuntimeError):
@@ -123,15 +119,12 @@ class RegionMask:
 
     config: NuclearConfiguration
     r: float
-    sphere_points: int = 256
 
     def __post_init__(self):
         if self.r <= 0.0:
             raise ValueError("exclusion radius must be positive")
         if self.config.K >= 2 and self.r > self.config.R_min / 2.0 + 1e-12:
             raise ValueError("r must be <= R_min/2 so the spheres are disjoint")
-        if self.sphere_points < 200:
-            raise ValueError("need >= 200 sphere samples")
 
     def membership(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -150,7 +143,7 @@ class RegionMask:
         return out
 
     def sphere_samples(self, j: int) -> np.ndarray:
-        return fibonacci_sphere(self.config.positions[j], self.r, self.sphere_points)
+        return fibonacci_sphere(self.config.positions[j], self.r)
 
 
 def _cube_inv_r_integral(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -207,10 +200,10 @@ def external_potential(grid: Grid3D, config: NuclearConfiguration) -> ScalarFiel
     return ScalarField(grid=grid, values=v, kind="potential")
 
 
-def check_grid_margin(grid: Grid3D, config: NuclearConfiguration, factor: float = 6.0):
-    """Box must hold every nucleus with margin >= factor * z^(-1/3)."""
+def check_grid_margin(grid: Grid3D, config: NuclearConfiguration):
+    """Box must hold every nucleus with margin >= MIN_MARGIN * z^(-1/3)."""
     for pos, z in zip(config.positions, config.charges):
-        need = factor * z ** (-1.0 / 3.0)
+        need = MIN_MARGIN * z ** (-1.0 / 3.0)
         if not grid.contains(pos) or grid.min_face_distance(pos) < need - 1e-9:
             raise GridError(
                 f"nucleus at {pos} needs margin {need:.2f} Bohr inside the box"
@@ -245,45 +238,42 @@ class TFSolution:
         return self.rho.integrate()
 
 
+def _excess_charge(mu: float, phi: np.ndarray, target: float, cell_vol: float) -> float:
+    """Integral of the TF density at chemical potential mu, minus target."""
+    return tf_density(phi, mu).sum() * cell_vol - target
+
+
 def _pick_mu(phi: np.ndarray, target: float, cell_vol: float) -> float:
     """Smallest mu >= 0 with integral of the TF density <= target."""
-
-    def charge(mu):
-        return _density_of_phi(phi, mu).sum() * cell_vol
-
-    if charge(0.0) <= target:
+    if _excess_charge(0.0, phi, target, cell_vol) <= 0.0:
         return 0.0
-    lo, hi = 0.0, max(1.0, float(phi.max()))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if charge(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    # phi goes in through args=, not a closure: brentq's wrapper references
+    # itself, so a closure would keep phi alive until the cyclic GC runs
+    return brentq(
+        _excess_charge, 0.0, max(1.0, float(phi.max())),
+        args=(phi, target, cell_vol), xtol=1e-14,
+    )
 
 
 def _tf_fixed_point(
+    config: NuclearConfiguration,
     grid: Grid3D,
     v_ext: np.ndarray,
     n_target: float,
-    neutral_charge: float,
+    constrained: bool,
     mask: np.ndarray | None,
     rho0: np.ndarray,
-):
+) -> TFSolution:
     """Anderson-mixed fixed-point loop shared by the full and exterior problems."""
     vol = grid.cell_volume
     rho = rho0
     mixer = AndersonMixer()
     history = []
-    constrained = n_target < neutral_charge - 1e-9
 
     for it in range(TF_MAX_SWEEPS):
         phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
         mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
-        rho_new = _density_of_phi(phi, mu)
+        rho_new = tf_density(phi, mu)
         if mask is not None:
             rho_new = np.where(mask, rho_new, 0.0)
         change = float(np.abs(rho_new - rho).sum()) * vol / max(n_target, 1e-12)
@@ -301,17 +291,21 @@ def _tf_fixed_point(
 
     phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
     mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
-    resid_field = TF_C * (5.0 / 3.0) * rho ** (2.0 / 3.0) - np.maximum(phi - mu, 0.0)
-    if mask is not None:
-        resid_field = np.where(mask, resid_field, 0.0)
-    residual = float(np.max(np.abs(resid_field)))
-    return rho, phi, mu, residual, tuple(history)
-
-
-def tf_energy(grid: Grid3D, rho: np.ndarray, v_ext: np.ndarray) -> float:
-    """Quadrature of the TF functional c int rho^(5/3) - int V rho + D(rho)."""
+    # rho vanishes off the mask, so phi = 0 there makes the residual 0
+    residual = tf_residual(rho, phi if mask is None else np.where(mask, phi, 0.0), mu)
+    # a second solve of the same rho: perfbench's Poisson count identity
+    # (sweeps + 2 per TF solve) counts it
     u = poisson_solve(ScalarField(grid=grid, values=rho)).values
-    return grid.integrate(TF_C * rho ** (5.0 / 3.0) - v_ext * rho + 0.5 * rho * u)
+    return TFSolution(
+        config=config,
+        grid=grid,
+        rho=ScalarField(grid=grid, values=rho, kind="density"),
+        phi=ScalarField(grid=grid, values=phi, kind="potential"),
+        mu=mu,
+        energy=tf_energy(grid, rho, v_ext, u),
+        residual=residual,
+        history=tuple(history),
+    )
 
 
 def solve_tf(
@@ -328,20 +322,8 @@ def solve_tf(
     rho0 = atomic_superposition(grid, config)
     if n < config.Z:
         rho0 *= n / config.Z
-
-    rho, phi, mu, residual, history = _tf_fixed_point(
-        grid, v_ext, min(n, config.Z), config.Z, None, rho0
-    )
-    energy = tf_energy(grid, rho, v_ext)
-    return TFSolution(
-        config=config,
-        grid=grid,
-        rho=ScalarField(grid=grid, values=rho, kind="density"),
-        phi=ScalarField(grid=grid, values=phi, kind="potential"),
-        mu=mu,
-        energy=energy,
-        residual=residual,
-        history=history,
+    return _tf_fixed_point(
+        config, grid, v_ext, min(n, config.Z), n < config.Z - 1e-9, None, rho0
     )
 
 
@@ -363,26 +345,13 @@ def exterior_tf(
     ):
         raise GridError("exterior potential must vanish off A_r")
 
-    rho0 = np.where(gmask, _density_of_phi(v_ext, 0.0), 0.0)
+    rho0 = np.where(gmask, tf_density(v_ext), 0.0)
     s = rho0.sum() * grid.cell_volume
     if s > charge_bound > 0:
         rho0 *= charge_bound / s
-    # neutral_charge sentinel: unconstrained charge of this exterior problem
-    # is unknown, so always run the mu bisection against the bound.
-    rho, phi, mu_out, residual, history = _tf_fixed_point(
-        grid, v_ext, charge_bound, math.inf, gmask, rho0
-    )
-    energy = tf_energy(grid, rho, v_ext)
-    return TFSolution(
-        config=mask.config,
-        grid=grid,
-        rho=ScalarField(grid=grid, values=rho, kind="density"),
-        phi=ScalarField(grid=grid, values=phi, kind="potential"),
-        mu=mu_out,
-        energy=energy,
-        residual=residual,
-        history=history,
-    )
+    # the unconstrained charge of an exterior problem is unknown, so mu is
+    # always solved against the bound
+    return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, gmask, rho0)
 
 
 def screened_tf(sol: TFSolution, mask: RegionMask):

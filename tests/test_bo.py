@@ -104,6 +104,16 @@ class TestAtomicReferences:
         assert calls == [2, 1, 1]
 
 
+class TestKS:
+    def test_rejects_richardson_levels_before_solving(self, monkeypatch, lda):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("bo_ks solved before checking levels")
+
+        monkeypatch.setattr(bo, "scf_molecule", no_solve)
+        with pytest.raises(ValueError, match="levels"):
+            bo.bo_ks(diatomic(1.0, 1.0, 1.4), lda, GridPolicy(spacing=0.5, levels=2))
+
+
 class TestGamma:
     def test_ladder_monotone_and_positive(self, pair_11):
         unit = NuclearConfiguration(positions=[[0, 0, 0], [1.0, 0, 0]],

@@ -63,6 +63,17 @@ class TestExitCodes:
         assert err["error"] == "solver"
         assert err["type"] == "FitError"
 
+    def test_ks_scan_rejects_richardson_levels(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path / "ks.json",
+            {"charges": [1.0, 1.0], "R_values": [1.4], "theory": "ks",
+             "xc": {"kind": "lda_exchange"},
+             "grid": {"spacing": 0.5, "levels": 2}},
+        )
+        assert main(["bo-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "levels" in err["message"]
+
     def test_solver_error_reports_history_tail(self, tmp_path, capsys,
                                                monkeypatch):
         history = [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]

@@ -75,6 +75,14 @@ class TestContracts:
         rhs = np.sum(a * apply_hamiltonian(grid, v, b))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_block_apply_matches_single_applies(self):
+        grid = Grid3D.cube((0, 0, 0), 1.0, 9)
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal(grid.shape)
+        block = rng.standard_normal((3, *grid.shape))
+        singles = np.stack([apply_hamiltonian(grid, v, psi) for psi in block])
+        assert np.array_equal(apply_hamiltonian(grid, v, block), singles)
+
     def test_stagnation_raises(self):
         grid = Grid3D.cube((0, 0, 0), 3.0, 17)
         X, Y, Z = grid.meshgrid()

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermisurf.grids import Grid3D, GridError
-from fermisurf.tf_atom import atomic_tf
+from fermisurf.tf_atom import atomic_tf, tf_density
 from fermisurf.tf_molecule import (
     ConvergenceError,
     NuclearConfiguration,
     RegionMask,
     _cube_inv_r_integral,
+    _excess_charge,
+    _pick_mu,
     check_grid_margin,
     exterior_tf,
     external_potential,
@@ -194,6 +198,55 @@ class TestSolveTF:
         with pytest.raises(ConvergenceError) as info:
             solve_tf(cfg, 1.0, _grid_for(cfg, h=0.4))
         assert len(info.value.history) == 3
+
+
+class TestPickMu:
+    VOL = 0.1**3
+
+    @staticmethod
+    def _phi():
+        return np.random.default_rng(11).uniform(-1.0, 4.0, (17, 17, 17))
+
+    def _charge(self, phi, mu):
+        return tf_density(phi, mu).sum() * self.VOL
+
+    def _bisect(self, phi, target):
+        # oracle: plain bisection for the charge-target crossing
+        lo, hi = 0.0, max(1.0, float(phi.max()))
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if self._charge(phi, mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def test_matches_bisection_oracle(self):
+        phi = self._phi()
+        target = 0.4 * self._charge(phi, 0.0)
+        mu = _pick_mu(phi, target, self.VOL)
+        oracle = self._bisect(phi, target)
+        assert mu > 0.0
+        assert abs(mu - oracle) <= 1e-12 * oracle
+        assert abs(_excess_charge(mu, phi, target, self.VOL)) <= 1e-10 * target
+
+    def test_zero_when_unconstrained_charge_fits(self):
+        phi = self._phi()
+        assert _pick_mu(phi, self._charge(phi, 0.0), self.VOL) == 0.0
+        assert _pick_mu(phi, 2.0 * self._charge(phi, 0.0), self.VOL) == 0.0
+
+    def test_phi_released_on_return(self):
+        # phi must not survive in a reference cycle left by the root finder
+        phi = self._phi()
+        target = 0.4 * self._charge(phi, 0.0)
+        ref = weakref.ref(phi)
+        gc.disable()
+        try:
+            _pick_mu(phi, target, self.VOL)
+            del phi
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestExterior:
