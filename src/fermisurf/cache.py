@@ -16,7 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 ENV_VAR = "FERMISURF_CACHE"
 
 

@@ -100,7 +100,8 @@ class AndersonMixer:
     def __init__(self):
         self._x = None  # previous iterate and residual, flattened
         self._r = None
-        self._dx: list = []  # differences, oldest first
+        # differences, oldest first: dx + MIX_ALPHA dr (the only use of dx) and dr
+        self._du: list = []
         self._dr: list = []
         self._gram = np.zeros((0, 0))
 
@@ -110,10 +111,13 @@ class AndersonMixer:
         r = np.asarray(fx, dtype=float).ravel() - x
         if self._x is not None:
             if len(self._dr) == MIX_DEPTH:
-                del self._dx[0], self._dr[0]
+                del self._du[0], self._dr[0]
                 self._gram = self._gram[1:, 1:]
-            self._dx.append(x - self._x)
-            self._dr.append(r - self._r)
+            dr = r - self._r
+            du = x - self._x
+            du += MIX_ALPHA * dr
+            self._du.append(du)
+            self._dr.append(dr)
             row = [d @ self._dr[-1] for d in self._dr]
             self._gram = np.pad(self._gram, (0, 1))
             self._gram[-1, :] = self._gram[:, -1] = row
@@ -125,8 +129,9 @@ class AndersonMixer:
             g = np.linalg.solve(self._gram, [d @ r for d in self._dr])
         except np.linalg.LinAlgError:
             return damped.reshape(shape)
-        out = damped - sum(gk * (dx + MIX_ALPHA * dr)
-                           for gk, dx, dr in zip(g, self._dx, self._dr))
+        out = damped.copy()
+        for gk, du in zip(g, self._du):
+            out -= gk * du
         if not np.all(np.isfinite(out)):
             return damped.reshape(shape)
         return out.reshape(shape)

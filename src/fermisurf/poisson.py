@@ -1,16 +1,18 @@
 """Poisson solves on the 3D box: -Laplace(u) = 4 pi * source.
 
 The 7-point stencil system with Dirichlet boundary data is solved directly
-by diagonalizing the stencil with discrete sine transforms; the solution is
-the exact stencil solution (residual at rounding level), so no iteration
-control is needed. Boundary values come from the monopole + dipole
-expansion of the source evaluated on the box faces.
+by diagonalizing the stencil with the orthonormal type-I discrete sine
+transform (`sine_transform`, also the eigensolver's preconditioner); the
+solution is the exact stencil solution (residual at rounding level), so no
+iteration control is needed. Boundary values come from the monopole +
+dipole expansion of the source evaluated on the box faces.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .grids import Grid3D, GridError, ScalarField
 
@@ -66,6 +68,35 @@ def multipole_boundary(grid: Grid3D, source: np.ndarray):
     return q, center, bound
 
 
+@lru_cache(maxsize=None)
+def _sine_matrix(n: int) -> np.ndarray:
+    """Read-only S_n[j, k] = sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n."""
+    k = np.arange(1, n + 1)
+    # reduce j k mod 2(n+1) in integers so sin sees an argument below 2 pi
+    m = np.outer(k, k) % (2 * (n + 1))
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * m / (n + 1))
+    s.flags.writeable = False
+    return s
+
+
+def sine_transform(a: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last three axes of an (..., nx, ny, nz) array.
+
+    Three matrix products with the symmetric orthogonal S_n, so the
+    transform is its own inverse. Dense products beat an FFT here because
+    a length-n DST-I is an FFT of length 2(n+1), which on these boxes has
+    large prime factors. The cost grows as n^4 against n^3 log n for the
+    FFT; the products were measured faster at every interior length from
+    28 to 143 (the paper workloads stay below about 110), and nothing past
+    143 was measured.
+    """
+    *lead, nx, ny, nz = a.shape
+    out = a @ _sine_matrix(nz)
+    out = _sine_matrix(ny) @ out
+    out = _sine_matrix(nx) @ out.reshape(*lead, nx, ny * nz)
+    return out.reshape(a.shape)
+
+
 def _dst_eigenvalues(n: int, h: float) -> np.ndarray:
     k = np.arange(1, n + 1)
     return (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / h**2
@@ -84,12 +115,11 @@ def solve_dirichlet(grid: Grid3D, rhs: np.ndarray, boundary: np.ndarray) -> np.n
     f[:, :, 0] += boundary[1:-1, 1:-1, 0] / h**2
     f[:, :, -1] += boundary[1:-1, 1:-1, -1] / h**2
 
-    fh = dstn(f, type=1)
     lx = _dst_eigenvalues(nx - 2, h)
     ly = _dst_eigenvalues(ny - 2, h)
     lz = _dst_eigenvalues(nz - 2, h)
     denom = lx[:, None, None] + ly[None, :, None] + lz[None, None, :]
-    u_in = idstn(fh / denom, type=1)
+    u_in = sine_transform(sine_transform(f) / denom)
 
     u = boundary.copy()
     u[1:-1, 1:-1, 1:-1] = u_in

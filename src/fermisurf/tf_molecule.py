@@ -216,7 +216,9 @@ def atomic_superposition(grid: Grid3D, config: NuclearConfiguration) -> np.ndarr
     rho = np.zeros(grid.shape)
     for pos, z in zip(config.positions, config.charges):
         d = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
-        rho += atomic_tf(float(z)).rho_at(np.maximum(d, grid.h / 4.0))
+        # a box has few distinct nucleus distances; evaluate each once
+        r, index = np.unique(np.maximum(d, grid.h / 4.0), return_inverse=True)
+        rho += atomic_tf(float(z)).rho_at(r)[index.reshape(d.shape)]
     return rho
 
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dstn
 from scipy.special import erf
 
 from fermisurf.grids import Grid3D, GridError, RadialGrid, ScalarField
-from fermisurf.poisson import poisson_solve, stencil_residual
+from fermisurf.poisson import poisson_solve, sine_transform, stencil_residual
 
 
 def _ball_source(grid, q, a):
@@ -46,6 +47,17 @@ class TestGaussianOracle:
         exact[r < 1e-10] = math.sqrt(2.0 / math.pi)
         inner = r < 4.0
         assert np.max(np.abs(u.values[inner] - exact[inner])) < 5e-3
+
+
+class TestSineTransform:
+    # n + 1 = 29, 31, 37 are prime, the lengths pocketfft handles worst
+    @pytest.mark.parametrize("n", [28, 30, 36])
+    def test_matches_scipy_dst_and_is_its_own_inverse(self, n):
+        a = np.random.default_rng(n).standard_normal((3, n, n + 2, n - 2))
+        ref = dstn(a, type=1, norm="ortho", axes=(1, 2, 3))
+        out = sine_transform(a)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(sine_transform(out) - a)) <= 1e-12 * np.max(np.abs(a))
 
 
 class TestContracts:

@@ -16,6 +16,7 @@ from fermisurf.tf_molecule import (
     _cube_inv_r_integral,
     _excess_charge,
     _pick_mu,
+    atomic_superposition,
     check_grid_margin,
     exterior_tf,
     external_potential,
@@ -300,3 +301,17 @@ class TestMatchedGrid:
         # nucleus near the box center
         center = agrid.origin + agrid.h * (np.asarray(agrid.dims) - 1) / 2.0
         assert np.linalg.norm(pos - center) < 2.0 * grid.h
+
+
+class TestAtomicSuperposition:
+    def test_equals_per_node_evaluation(self):
+        # one radial evaluation per distinct distance must give the same bits
+        cfg = NuclearConfiguration(positions=[[-0.4, 0.0, 0.0], [0.6, 0.1, 0.0]],
+                                   charges=[1.0, 3.0])
+        grid = _grid_for(cfg, h=0.4)
+        X, Y, Z = grid.meshgrid()
+        expected = np.zeros(grid.shape)
+        for pos, z in zip(cfg.positions, cfg.charges):
+            d = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
+            expected += atomic_tf(z).rho_at(np.maximum(d, grid.h / 4.0))
+        assert np.array_equal(atomic_superposition(grid, cfg), expected)
