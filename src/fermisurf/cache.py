@@ -1,7 +1,11 @@
 """Content-addressed on-disk result cache.
 
-Keys are SHA-256 hashes of (solver id, cache version, canonical JSON of the
-numeric inputs). Each entry is one JSON file of scalars with their digest;
+Keys are SHA-256 hashes of the solver id, the canonical JSON of the numeric
+inputs and a fingerprint of the numerics: a SHA-256 of the package's .py
+sources (computed once per process), the numpy and scipy versions, and the
+BLAS/OpenMP thread variables, whose values move D in its last digits. Any
+change to the code or the libraries therefore misses instead of serving a
+stale result. Each entry is one JSON file of scalars with their digest;
 writes go through a temp file and atomic rename so concurrent identical
 runs leave one valid entry. Scalars whose recorded digest no longer
 matches are treated as a miss with a warning.
@@ -9,6 +13,7 @@ matches are treated as a miss with a warning.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -16,8 +21,11 @@ import tempfile
 import warnings
 from pathlib import Path
 
-CACHE_VERSION = 4
+import numpy as np
+import scipy
+
 ENV_VAR = "FERMISURF_CACHE"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def default_cache_dir() -> Path:
@@ -32,9 +40,24 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+@functools.cache
+def source_fingerprint() -> str:
+    """SHA-256 over the names and bytes of the package's .py files."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def cache_key(solver_id: str, inputs) -> str:
+    numerics = {
+        "sources": source_fingerprint(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
     payload = canonical_json(
-        {"solver": solver_id, "version": CACHE_VERSION, "inputs": inputs}
+        {"solver": solver_id, "numerics": numerics, "inputs": inputs}
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -87,7 +110,6 @@ class SolutionCache:
 
     def put(self, key: str, scalars) -> None:
         entry = {
-            "version": CACHE_VERSION,
             "scalars": scalars,
             "scalars_sha256": _digest(scalars),
         }

@@ -2,7 +2,9 @@
 
 Orbitals come from the sparse eigensolver applied to the effective
 Hamiltonian -1/2 Laplacian + v_eff with v_eff = -V_R + rho * |x|^-1
-- g'(rho); the density is Anderson-mixed between sweeps.
+- g'(rho); only the occupied states are converged, and a guard vector
+checks that the Fermi-level shell closes inside them. The density is
+Anderson-mixed between sweeps.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ import math
 
 import numpy as np
 
-from .eig import apply_hamiltonian, lowest_eigenpairs
+from .eig import apply_hamiltonian, occupied_eigenpairs
 from .grids import Grid3D, ScalarField
-from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations
+from .ks_common import AndersonMixer, KSState, SCFError
 from .poisson import poisson_solve
 from .tf_molecule import (
     NuclearConfiguration,
@@ -34,7 +36,6 @@ def scf_molecule(
     grid: Grid3D,
     q: float = 2.0,
     tol: float = 1e-6,
-    extra_orbitals: int = 1,
 ) -> KSState:
     """Converged molecular KS-LDA state with aufbau occupations."""
     if N <= 0.0:
@@ -44,32 +45,20 @@ def scf_molecule(
     check_grid_margin(grid, config)
 
     v_ext = external_potential(grid, config).values
-    n_orb = int(math.ceil(N / q)) + extra_orbitals
 
     rho = atomic_superposition(grid, config)
     rho *= N / grid.integrate(rho)
 
     mixer = AndersonMixer()
     history = []
-    pairs = None
-    occ = None
+    block = None  # orbitals and guard of the last step, a warm start
     for it in range(SCF_MAX_ITER):
         u = poisson_solve(ScalarField(grid=grid, values=rho)).values
         v_eff = -v_ext + u - xc.derivative(rho)
         v_field = ScalarField(grid=grid, values=v_eff, kind="potential")
-        initial = (
-            np.stack([p[1].values.ravel() for p in pairs], axis=1)
-            if pairs is not None
-            else None
-        )
         # loose eigensolves while the density is far from self-consistent
         it_tol = max(EIG_TOL, 0.1 * history[-1]) if history else 1e-4
-        pairs = lowest_eigenpairs(
-            v_field, n_orb, degeneracy_budget=1, tol=it_tol, initial=initial,
-            maxiter=500,
-        )
-        eig = np.array([p[0] for p in pairs])
-        occ = aufbau_occupations(eig, np.full(len(pairs), float(q)), N)
+        pairs, occ, block = occupied_eigenpairs(v_field, N, q, it_tol, block)
         rho_out = np.zeros(grid.shape)
         for lam, (eps, orb) in zip(occ, pairs):
             if lam > 0.0:

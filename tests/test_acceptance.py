@@ -322,9 +322,7 @@ def test_criterion_10_subadditivity(criterion, lda):
             positions=[[-R / 2.0, 0.0, 0.0], [R / 2.0, 0.0, 0.0]],
             charges=list(charges),
         )
-        # no buffer orbital: in these large boxes the first unoccupied
-        # state sits in the near-zero continuum and stalls the eigensolver
-        sample = bo_ks(cfg, lda, GridPolicy(spacing=0.25), extra_orbitals=0)
+        sample = bo_ks(cfg, lda, GridPolicy(spacing=0.25))
         gaps[charges] = sample.D
     ok = all(g <= tol for g in gaps.values())
     detail = ", ".join(f"{c}: {g:+.2e}" for c, g in gaps.items())

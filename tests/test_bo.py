@@ -113,6 +113,13 @@ class TestKS:
         with pytest.raises(ValueError, match="levels"):
             bo.bo_ks(diatomic(1.0, 1.0, 1.4), lda, GridPolicy(spacing=0.5, levels=2))
 
+    def test_h2_point_matches_recorded_value(self, lda):
+        # D recorded while every SCF step still converged a buffer orbital
+        # beside the occupied one; converging only the occupied state with
+        # a checked guard must not move it beyond the SCF noise
+        s = bo.bo_ks(diatomic(1.0, 1.0, 1.4), lda, GridPolicy(spacing=0.35))
+        assert s.D == pytest.approx(-0.2259201260764, abs=1e-6)
+
 
 class TestGamma:
     def test_ladder_monotone_and_positive(self, pair_11):

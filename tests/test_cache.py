@@ -19,6 +19,12 @@ class TestKeys:
         b = {"h": 0.5, "z": 1.0}
         assert cache_key("tf", a) == cache_key("tf", b)
 
+    def test_key_changes_with_blas_threads(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        k1 = cache_key("tf", {"z": 1.0})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert cache_key("tf", {"z": 1.0}) != k1
+
     def test_canonical_json_rejects_nan(self):
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
@@ -47,6 +53,20 @@ class TestStore:
         assert (hit1, hit2) == (False, True)
         assert s1 == s2 == {"energy": -1.5}
         assert len(calls) == 1
+
+    def test_changed_sources_miss(self, tmp_path, monkeypatch):
+        cache = SolutionCache(tmp_path)
+        calls = []
+
+        def thunk():
+            calls.append(1)
+            return {"energy": -1.5}
+
+        cache.get_or_solve("tf", {"z": 1.0}, thunk)
+        monkeypatch.setattr("fermisurf.cache.source_fingerprint", lambda: "0" * 64)
+        _, hit = cache.get_or_solve("tf", {"z": 1.0}, thunk)
+        assert not hit
+        assert len(calls) == 2
 
     def test_corrupt_scalars_is_a_miss_with_warning(self, tmp_path):
         cache = SolutionCache(tmp_path)

@@ -91,6 +91,23 @@ class TestExitCodes:
         assert err["type"] == "ConvergenceError"
         assert err["history"] == history[-5:]
 
+    def test_eigensolver_error_reports_history_tail(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a guard allowed one LOBPCG iteration cannot settle from its
+        # random start, so the first SCF step raises EigenError
+        monkeypatch.setattr("fermisurf.eig.GUARD_MAXITER", 1)
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {"positions": [[0, 0, 0]], "charges": [1.0],
+             "xc": {"kind": "lda_exchange"}, "grid": {"spacing": 0.5}},
+        )
+        assert main(["ks-molecule", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "EigenError"
+        assert "guard" in err["message"]
+        assert 1 <= len(err["history"]) <= 5
+        assert all(v > 0.0 for v in err["history"])
+
     def test_workers_must_be_positive(self, bo_config, tmp_path):
         assert main(["bo-scan", "--config", bo_config,
                      "--out", str(tmp_path), "--workers", "0"]) == 2

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from fermisurf import eig
 from fermisurf.eig import (
+    GUARD_ROOM,
     EigenError,
     apply_hamiltonian,
     dense_hamiltonian,
     lowest_eigenpairs,
+    occupied_eigenpairs,
 )
 from fermisurf.grids import Grid3D, GridError, ScalarField
 from fermisurf.tf_molecule import NuclearConfiguration, external_potential
@@ -20,7 +23,7 @@ class TestDenseOracle:
         v = 0.5 * (X**2 + Y**2 + Z**2) - 1.0
         H = dense_hamiltonian(grid, v)
         exact = np.linalg.eigvalsh(H)[:4]
-        pairs = lowest_eigenpairs(
+        pairs, _ = lowest_eigenpairs(
             ScalarField(grid=grid, values=v), 4, tol=1e-9, maxiter=2000
         )
         got = np.array([lam for lam, _ in pairs])
@@ -37,7 +40,7 @@ class TestPhysicalOracles:
         grid = Grid3D.cube((0, 0, 0), 6.0, 49)
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
-        pairs = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
+        pairs, _ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
         assert pairs[0][0] == pytest.approx(1.5, abs=2e-2)
 
     def test_hydrogen_ground_state_refines_to_half(self):
@@ -46,7 +49,7 @@ class TestPhysicalOracles:
         for n, half in ((41, 7.0), (81, 7.0)):
             grid = Grid3D.cube((0, 0, 0), half, n)
             v = -external_potential(grid, cfg).values
-            pairs = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
+            pairs, _ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
             vals.append(pairs[0][0])
         # O(h^2) approach to -0.5 from below
         assert abs(vals[1] + 0.5) < abs(vals[0] + 0.5)
@@ -58,7 +61,7 @@ class TestContracts:
         grid = Grid3D.cube((0, 0, 0), 5.0, 33)
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
-        pairs = lowest_eigenpairs(ScalarField(grid=grid, values=v), 4, tol=1e-7)
+        pairs, _ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 4, tol=1e-7)
         vol = grid.cell_volume
         for i, (_, fi) in enumerate(pairs):
             for j, (_, fj) in enumerate(pairs):
@@ -87,9 +90,10 @@ class TestContracts:
         grid = Grid3D.cube((0, 0, 0), 3.0, 17)
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
-        with pytest.raises(EigenError):
+        with pytest.raises(EigenError) as exc:
             lowest_eigenpairs(ScalarField(grid=grid, values=v), 3,
                               tol=1e-14, maxiter=2)
+        assert exc.value.history
 
     def test_rejects_nonfinite_potential(self):
         # bypass ScalarField's own construction check to exercise the
@@ -103,3 +107,46 @@ class TestContracts:
         object.__setattr__(field, "kind", "potential")
         with pytest.raises(GridError):
             lowest_eigenpairs(field, 1)
+
+
+def _harmonic(half, n):
+    grid = Grid3D.cube((0, 0, 0), half, n)
+    X, Y, Z = grid.meshgrid()
+    return ScalarField(grid=grid, values=0.5 * (X**2 + Y**2 + Z**2))
+
+
+class TestOccupied:
+    def test_degenerate_shell_grows_block(self, monkeypatch):
+        # N = 4, q = 2: the 1s level holds 2 and the 3-fold p shell the
+        # other 2, so the block must grow from 2 states until it holds
+        # the whole shell
+        sizes = []
+        solve = eig.lowest_eigenpairs
+
+        def counting(potential, count, **kw):
+            sizes.append(count)
+            return solve(potential, count, **kw)
+
+        monkeypatch.setattr(eig, "lowest_eigenpairs", counting)
+        field = _harmonic(5.0, 21)
+        pairs, occ, block = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
+        assert sizes == [2, 3, 4]
+        assert len(pairs) == 4
+        assert np.allclose(occ, [2.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+        assert block.shape == (field.grid.n_points, 5)
+
+    def test_closed_shell_keeps_occupied_block(self):
+        pairs, occ, _ = occupied_eigenpairs(_harmonic(5.0, 21), 2.0, 2.0, 1e-8)
+        assert len(pairs) == 1
+        assert occ.tolist() == [2.0]
+
+    def test_shell_that_cannot_close_raises_with_history(self):
+        # on a 5^3 box the 3-fold shell of states 119-121 straddles the
+        # largest block that leaves GUARD_ROOM states for the guard
+        field = _harmonic(2.0, 5)
+        n = 2.0 * (field.grid.n_points - GUARD_ROOM)
+        with pytest.raises(EigenError) as exc:
+            occupied_eigenpairs(field, n, 2.0, 1e-8)
+        assert "does not close" in str(exc.value)
+        assert len(exc.value.history) == 1
+        assert exc.value.history[0] <= 1e-6

@@ -66,10 +66,7 @@ class TestSearch:
             config=cfg, R_M=1.4, E_mol=-1.03, converged=True,
             n_evals=1, history=((1.4, -1.03),),
         )
-        # extra_orbitals=0: the lone-hydrogen buffer orbital sits in the
-        # box continuum and stalls the eigensolver
-        report = subadditivity_check(result, lda, GridPolicy(spacing=0.4),
-                                     extra_orbitals=0)
+        report = subadditivity_check(result, lda, GridPolicy(spacing=0.4))
         assert report.e_parts > report.e_whole  # binding: whole below parts
         assert report.gap < 0.0
         assert report.passed
