@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bo import GridPolicy
+from .eig import EigenError
 from .ks_common import SCFError
 from .ks_molecule import scf_molecule
 from .tf_molecule import NuclearConfiguration, atomic_references
@@ -69,7 +70,8 @@ def min_distance_search(
 
     Returns the best configuration found with its minimal internuclear
     distance R_M; `converged` is False if every restart stagnated (the
-    result is then the best evaluation, with a warning emitted).
+    result is then the best evaluation, with a warning emitted). A trial
+    geometry whose SCF or eigensolve fails scores a penalty.
     """
     charges = np.asarray(charges, dtype=float)
     K = len(charges)
@@ -91,7 +93,7 @@ def min_distance_search(
         grid = policy.build(cfg)
         try:
             state = scf_molecule(cfg, n_electrons, xc, grid, q=q, **scf_kw)
-        except SCFError:
+        except (SCFError, EigenError):
             return 1e6
         evals["n"] += 1
         e = state.energy["total"] + cfg.U_R

@@ -1,11 +1,13 @@
 """Atomic Thomas-Fermi solutions.
 
 The neutral atom reduces to the universal ODE y'' = y^(3/2) / sqrt(x) with
-y(0) = 1, y(infinity) = 0. The initial slope is found by shooting; the far
-tail is obtained by a second, backward shooting from the asymptotic regime
-(the forward solution cannot be trusted at large x because perturbations
-grow like x^7.77). Atomic quantities for any charge follow by the exact
-scaling rho_z(x) = z^2 rho_1(z^(1/3) x).
+y(0) = 1, y(infinity) = 0. It is solved by one matched shooting: a forward
+integration from the small-x series with initial slope B and a backward
+integration from the Sommerfeld tail 144 x^-3 (1 + c x^-XI) with amplitude
+c meet at X_MATCH, where y and y' must agree. The forward solution alone
+cannot be trusted at large x, because perturbations grow like x^7.77.
+Atomic quantities for any charge follow by the exact scaling
+rho_z(x) = z^2 rho_1(z^(1/3) x).
 """
 
 from __future__ import annotations
@@ -26,10 +28,25 @@ Y_TAIL = 144.0
 X0 = 1e-3  # start of the forward integration; the series covers [0, X0)
 X_MATCH = 5.0  # where the forward and backward shootings meet
 SLOPE_BRACKET = (-1.8, -1.4)  # straddles the critical initial slope
+X_CLASSIFY = 80.0  # a forward shot crosses zero or blows up before here
+MATCH_BASIN = 1e-4  # slope bracket width from which the match converges
+TAIL_GUESS = -13.05  # first tail amplitude (c = -13.0489 at x_max = 1e5)
+MATCH_STEPS = (1e-6, 1e-3)  # finite-difference steps in (B, c)
+MATCH_MAXITER = 8
+MATCH_NOISE = 1e-10  # match residuals below this are integration noise
 
 
 class ShootingError(RuntimeError):
-    """Bisection bracket failure in the universal-profile shooting."""
+    """Universal-profile shooting failure; carries its history.
+
+    The history holds the match residual max |(y, y')_fwd - (y, y')_bwd|
+    at X_MATCH of each Newton iterate; it is empty when the slope bracket
+    failed before the match began.
+    """
+
+    def __init__(self, message: str, history):
+        super().__init__(message)
+        self.history = [float(v) for v in history]
 
 
 def tf_density(phi, mu: float = 0.0):
@@ -48,9 +65,14 @@ def tf_energy(grid, rho: np.ndarray, v: np.ndarray, u: np.ndarray) -> float:
     return grid.integrate(TF_C * rho ** (5.0 / 3.0) - v * rho + 0.5 * rho * u)
 
 
-def _series_y(x: float, slope: float):
-    """Small-x series of the universal solution (removes the sqrt singularity)."""
+def _series_y(x, slope: float):
+    """Small-x series of the universal solution (removes the sqrt singularity).
+
+    Kept through x^(9/2): at X0 the first omitted term changes y' by 1e-13,
+    where stopping at x^(7/2) biased the matched slope by 8e-10.
+    """
     b = slope
+    a9 = 2.0 / 27.0 - b**3 / 252.0
     y = (
         1.0
         + b * x
@@ -58,6 +80,8 @@ def _series_y(x: float, slope: float):
         + 0.4 * b * x**2.5
         + x**3 / 3.0
         + (3.0 * b * b / 70.0) * x**3.5
+        + (2.0 * b / 15.0) * x**4
+        + a9 * x**4.5
     )
     dy = (
         b
@@ -65,6 +89,8 @@ def _series_y(x: float, slope: float):
         + b * x**1.5
         + x**2
         + (3.0 * b * b / 20.0) * x**2.5
+        + (8.0 * b / 15.0) * x**3
+        + 4.5 * a9 * x**3.5
     )
     return y, dy
 
@@ -140,7 +166,7 @@ class UniversalTF:
         hi_num = (xs > X_MATCH) & (xs <= self.x_max)
         far = xs > self.x_max
         if np.any(lo):
-            out[lo] = [_series_y(v, self.slope_B)[0] for v in xs[lo]]
+            out[lo] = _series_y(xs[lo], self.slope_B)[0]
         if np.any(mid):
             out[mid] = self._fwd.sol(xs[mid])[0]
         if np.any(hi_num):
@@ -151,13 +177,34 @@ class UniversalTF:
         return out if np.ndim(x) else float(out[0])
 
 
-def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
-    """Shooting solution of the universal TF equation.
+def _crosses_zero(slope: float) -> bool:
+    """Classify a forward shot: True below the critical slope, False above."""
+    return len(_integrate_forward(slope, X0, X_CLASSIFY).t_events[0]) > 0
 
-    The slope is bracketed by bisection: slopes below the critical value
-    drive y through zero, slopes above make it blow up. A second shooting
-    (backward from x_max on the tail amplitude) continues the profile
-    through the Sommerfeld regime.
+
+def _forward_to_match(slope: float):
+    fwd = _integrate_forward(slope, X0, X_MATCH, dense=True)
+    if fwd.t[-1] < X_MATCH:
+        raise ShootingError("forward integration terminated before the match point", [])
+    return fwd
+
+
+def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
+    """Matched shooting solution of the universal TF equation.
+
+    Bracket phase: a forward shot below the critical slope crosses zero,
+    one above it blows up. Bisection on that dichotomy narrows
+    SLOPE_BRACKET to MATCH_BASIN (12 shots). Match phase: Newton on (B, c)
+    for y_fwd = y_bwd and y'_fwd = y'_bwd at X_MATCH, the backward shot
+    starting on the tail at x_max. The Jacobian is formed once by finite
+    differences and then updated by Broyden; every slope iterate stays
+    inside the bracket.
+
+    Stops when the Newton step is at most tol in B and tol |c| in c, so tol
+    bounds the estimated distance of the returned slope from the matched
+    one. Stops early when the match residual stalls at the integrators'
+    noise floor MATCH_NOISE. Raises ShootingError with the residual history
+    when neither happens within MATCH_MAXITER iterates.
     """
     if x_max < 50.0:
         raise ValueError("x_max must be >= 50")
@@ -165,43 +212,51 @@ def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
         raise ValueError("tol must be positive")
 
     lo, hi = SLOPE_BRACKET
-    x_classify = 80.0
-    sol_lo = _integrate_forward(lo, X0, x_classify)
-    sol_hi = _integrate_forward(hi, X0, x_classify)
-    if not (len(sol_lo.t_events[0]) and len(sol_hi.t_events[0]) == 0):
-        raise ShootingError("initial bracket does not straddle the critical slope")
-
-    while hi - lo > tol:
+    while hi - lo > MATCH_BASIN:
         mid = 0.5 * (lo + hi)
-        sol = _integrate_forward(mid, X0, x_classify)
-        if len(sol.t_events[0]):  # crossed zero: slope too negative
+        if _crosses_zero(mid):
             lo = mid
         else:
             hi = mid
-    slope = 0.5 * (lo + hi)
+    # an end the bisection never moved has not been classified yet
+    if (lo == SLOPE_BRACKET[0] and not _crosses_zero(lo)) or (
+        hi == SLOPE_BRACKET[1] and _crosses_zero(hi)
+    ):
+        raise ShootingError("initial bracket does not straddle the critical slope", [])
 
-    fwd = _integrate_forward(slope, X0, X_MATCH, dense=True)
-    if fwd.t[-1] < X_MATCH:
-        raise ShootingError("forward integration terminated before the match point")
-    y_match = float(fwd.sol(X_MATCH)[0])
-
-    # secant iteration on the tail amplitude
-    c0, c1 = -13.5, -13.0
-    f0 = float(_integrate_backward(c0, x_max).sol(X_MATCH)[0]) - y_match
-    f1 = float(_integrate_backward(c1, x_max).sol(X_MATCH)[0]) - y_match
-    for _ in range(60):
-        if f1 == f0:
+    slope, c = 0.5 * (lo + hi), TAIL_GUESS
+    fwd, bwd = _forward_to_match(slope), _integrate_backward(c, x_max)
+    resid = fwd.sol(X_MATCH) - bwd.sol(X_MATCH)
+    db, dc = MATCH_STEPS
+    jac = np.column_stack((
+        (_forward_to_match(slope + db).sol(X_MATCH) - fwd.sol(X_MATCH)) / db,
+        (bwd.sol(X_MATCH) - _integrate_backward(c + dc, x_max).sol(X_MATCH)) / dc,
+    ))
+    history = []
+    for _ in range(MATCH_MAXITER):
+        history.append(np.max(np.abs(resid)))
+        step = -np.linalg.solve(jac, resid)
+        if abs(step[0]) <= tol and abs(step[1]) <= tol * abs(c):
             break
-        c2 = c1 - f1 * (c1 - c0) / (f1 - f0)
-        f2 = float(_integrate_backward(c2, x_max).sol(X_MATCH)[0]) - y_match
-        c0, f0, c1, f1 = c1, f1, c2, f2
-        if abs(f1) < 1e-14 * max(y_match, 1e-30):
-            break
-    bwd = _integrate_backward(c1, x_max)
+        if len(history) > 1 and MATCH_NOISE >= history[-1] > 0.5 * history[-2]:
+            break  # stalled at the noise floor
+        new_slope = slope + step[0]
+        if not lo < new_slope < hi:
+            new_slope = 0.5 * (slope + (lo if new_slope <= lo else hi))
+        s = np.array([new_slope - slope, step[1]])
+        slope, c = new_slope, c + step[1]
+        fwd, bwd = _forward_to_match(slope), _integrate_backward(c, x_max)
+        new_resid = fwd.sol(X_MATCH) - bwd.sol(X_MATCH)
+        jac += np.outer(new_resid - resid - jac @ s, s) / (s @ s)
+        resid = new_resid
+    else:
+        raise ShootingError(
+            f"shooting match not converged in {MATCH_MAXITER} iterates", history
+        )
 
     return UniversalTF(
         slope_B=slope,
-        tail_c=c1,
+        tail_c=c,
         x_max=x_max,
         _fwd=fwd,
         _bwd=bwd,

@@ -108,8 +108,7 @@ def _slope_bisection_oracle():
 def test_criterion_1_universal_slope(criterion):
     # best of two timings, so a transiently loaded machine cannot fail
     # an otherwise sub-second solve
-    # the slope is set by the shooting phase; a 5e3 far-field cutoff
-    # reproduces the default-cutoff B to 13 digits at half the cost
+    # a 5e3 far-field cutoff reproduces the default-cutoff B to 13 digits
     elapsed = math.inf
     for _ in range(2):
         t0 = time.perf_counter()

@@ -108,6 +108,18 @@ class TestExitCodes:
         assert 1 <= len(err["history"]) <= 5
         assert all(v > 0.0 for v in err["history"])
 
+    def test_shooting_error_reports_history_tail(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # one match iterate cannot close the 1e-4 slope bracket to 1e-11
+        monkeypatch.setattr("fermisurf.tf_atom.MATCH_MAXITER", 1)
+        monkeypatch.setattr("fermisurf.tf_atom._UNIVERSAL_CACHE", {})
+        cfg = _write_config(tmp_path / "c.json", {"z": 1.0})
+        assert main(["tf-atom", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ShootingError"
+        assert 1 <= len(err["history"]) <= 5
+        assert all(v > 0.0 for v in err["history"])
+
     def test_workers_must_be_positive(self, bo_config, tmp_path):
         assert main(["bo-scan", "--config", bo_config,
                      "--out", str(tmp_path), "--workers", "0"]) == 2

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fermisurf.bo import GridPolicy
+from fermisurf.eig import EigenError
 from fermisurf.minsearch import (
     MinSearchResult,
     _config_to_params,
@@ -57,6 +60,26 @@ class TestSearch:
         assert result.E_mol < -1.0  # below two isolated LDA hydrogen atoms
         assert result.n_evals >= 3
         assert all(r >= 0.25 for r, _ in result.history)
+
+    def test_eigensolver_failure_scores_a_penalty(self, lda, monkeypatch):
+        # a model energy (R - 1.4)^2 - 1 after U_R = 1/R; the second trial
+        # geometry's eigensolve fails and must not end the search
+        calls = {"n": 0}
+
+        def scf(cfg, n_electrons, xc, grid, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise EigenError("guard did not settle", [1e-2])
+            r = cfg.R_min
+            return SimpleNamespace(energy={"total": (r - 1.4) ** 2 - 1.0 - 1.0 / r})
+
+        monkeypatch.setattr("fermisurf.minsearch.scf_molecule", scf)
+        result = min_distance_search(
+            [1.0, 1.0], lda, GridPolicy(spacing=0.4), restarts=1, maxiter=40,
+        )
+        assert calls["n"] > 2
+        assert result.n_evals == calls["n"] - 1
+        assert result.R_M == pytest.approx(1.4, abs=0.05)
 
     def test_subadditivity_report_for_coarse_pair(self, lda):
         cfg = NuclearConfiguration(

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import fermisurf.tf_atom
 from fermisurf.constants import SOMMERFELD_C, TF_LENGTH_B
 from fermisurf.tf_atom import (
+    X0,
+    X_MATCH,
     _integrate_forward,
+    _series_y,
     atomic_screened_tf,
     atomic_tf,
     screened_sup_at,
@@ -13,6 +17,8 @@ from fermisurf.tf_atom import (
 )
 
 B_REFERENCE = -1.5880710
+# J. P. Boyd, J. Comput. Appl. Math. 244:90 (2013)
+B_LITERATURE = -1.588071022611375
 
 
 class TestUniversalProfile:
@@ -66,6 +72,45 @@ class TestUniversalProfile:
         # shallower slope -> blow-up event; steeper slope -> zero crossing
         assert up.status == 1 and down.status == 1
         assert up.t_events[1].size + down.t_events[0].size >= 2
+
+
+class TestMatchedShooting:
+    def test_slope_matches_literature_value(self):
+        # 1.19e-9 when the slope came from classifying shots at x = 80 and
+        # 8.3e-10 with the small-x series cut after x^(7/2)
+        assert abs(universal_profile().slope_B - B_LITERATURE) <= 1e-11
+
+    def test_derivative_continuous_at_match_point(self):
+        u = universal_profile()
+        jump = u._fwd.sol(X_MATCH)[1] - u._bwd.sol(X_MATCH)[1]
+        assert abs(jump) <= 1e-10
+
+    def test_far_cutoff_does_not_move_slope(self):
+        near = solve_universal(x_max=5e3)
+        assert abs(near.slope_B - universal_profile().slope_B) <= 1e-12
+
+    def test_integration_count(self, monkeypatch):
+        calls = {"n": 0}
+        original = fermisurf.tf_atom.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fermisurf.tf_atom, "solve_ivp", counting)
+        solve_universal()
+        assert calls["n"] <= 25
+
+    def test_unreachable_tolerance_stops_at_noise_floor(self):
+        # no slope step can fall below 1e-300; the stalled residual ends it
+        u = solve_universal(tol=1e-300)
+        assert abs(u.slope_B - universal_profile().slope_B) <= 1e-12
+
+    def test_series_branch_matches_pointwise_series(self):
+        u = universal_profile()
+        xs = np.geomspace(1e-9, 0.999 * X0, 900)
+        pointwise = np.maximum([_series_y(v, u.slope_B)[0] for v in xs], 0.0)
+        assert np.array_equal(u.y(xs), pointwise)
 
 
 class TestAtomicSolution:
