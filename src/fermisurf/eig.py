@@ -103,12 +103,14 @@ def lowest_eigenpairs(
     holds warm-start columns: the first `count` start the wanted block
     and a further one starts the guard.
 
-    Returns (pairs, guard). pairs is a list of (eigenvalue, ScalarField)
-    with eigenvalues nondecreasing and orbitals orthonormal under the grid
-    inner product (h^3 sum). guard is (theta, rho, vector): the guard's
-    Ritz value and residual norm on the compressed Hamiltonian, which has
-    an eigenvalue within rho of theta, and the flat vector, normalized
-    and orthogonal to the pairs.
+    Returns (pairs, guard, residuals). pairs is a list of (eigenvalue,
+    ScalarField) with eigenvalues nondecreasing and orbitals orthonormal
+    under the grid inner product (h^3 sum). guard is (theta, rho, vector):
+    the guard's Ritz value and residual norm on the compressed Hamiltonian,
+    which has an eigenvalue within rho of theta, and the flat vector,
+    normalized and orthogonal to the pairs. residuals holds the norm
+    |H psi - eps psi| h^(3/2) of each pair, the numbers the residual check
+    compared with tol * max(1, max |eps|).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -164,7 +166,8 @@ def lowest_eigenpairs(
 
         # residual check on the reported pairs; A (V S) = (A V) S
         r = Av @ s_vecs - vals * vecs
-        best = float(np.sqrt(np.max(np.sum(r * r, axis=0)) * vol))
+        residuals = np.sqrt(np.sum(r * r, axis=0) * vol)
+        best = float(np.max(residuals))
         if best <= tol * max(1.0, float(np.max(np.abs(vals)))):
             break
         # scipy also stops early when its search basis degenerates, which a
@@ -210,7 +213,7 @@ def lowest_eigenpairs(
         (float(vals[j]), ScalarField(grid=grid, values=vecs[:, j].reshape(grid.shape)))
         for j in range(count)
     ]
-    return pairs, (theta, rho, y)
+    return pairs, (theta, rho, y), residuals
 
 
 def occupied_eigenpairs(
@@ -232,13 +235,14 @@ def occupied_eigenpairs(
     EigenError is raised with the margins theta - rho - eps_F tried; a
     guard that does not settle raises from lowest_eigenpairs.
 
-    Returns (pairs, occupations, block); block holds the orbitals and the
-    guard as columns, the warm start of the next call.
+    Returns (pairs, occupations, block, residuals); block holds the
+    orbitals and the guard as columns, the warm start of the next call, and
+    residuals the eigenpair residual norms of lowest_eigenpairs.
     """
     count = int(math.ceil(n / q))
     margins = []
     while True:
-        pairs, (theta, rho, guard) = lowest_eigenpairs(
+        pairs, (theta, rho, guard), residuals = lowest_eigenpairs(
             potential, count, tol=tol, initial=initial
         )
         eig = np.array([p[0] for p in pairs])
@@ -247,7 +251,7 @@ def occupied_eigenpairs(
         margins.append(theta - rho - eps_f)
         initial = np.column_stack([*(p[1].values.ravel() for p in pairs), guard])
         if margins[-1] > FERMI_DEGENERACY_TOL:
-            return pairs, occ, initial
+            return pairs, occ, initial, residuals
         if count + 1 > potential.grid.n_points - GUARD_ROOM:
             raise EigenError(
                 f"Fermi shell at {eps_f:.8g} Ha does not close inside {count} "

@@ -92,46 +92,47 @@ class AndersonMixer:
     r = fx - x, where the columns of dX and dR are the last MIX_DEPTH
     iterate and residual differences and g minimises |r - dR g| (Pulay,
     CPL 73:393, 1980; Walker & Ni, SIAM J. Numer. Anal. 49:1715, 2011).
-    The Gram matrix dR^T dR is updated incrementally, so a call costs
-    O(MIX_DEPTH n). The first call, a singular system or a non-finite
-    step gives plain damping x + MIX_ALPHA r. The output has x's shape.
+    dX enters only as dU = dX + MIX_ALPHA dR, the difference of successive
+    damped steps x + MIX_ALPHA r. dU and dR live in two (MIX_DEPTH, n) ring
+    arrays whose oldest row the next difference overwrites, and the Gram
+    matrix dR^T dR is updated by one row per call, so a call costs
+    O(MIX_DEPTH n). The first call, a singular system or a non-finite step
+    gives plain damping x + MIX_ALPHA r. The output is a fresh array of
+    x's shape.
     """
 
     def __init__(self):
-        self._x = None  # previous iterate and residual, flattened
+        self._damped = None  # previous damped step and residual, flattened
         self._r = None
-        # differences, oldest first: dx + MIX_ALPHA dr (the only use of dx) and dr
-        self._du: list = []
-        self._dr: list = []
-        self._gram = np.zeros((0, 0))
+        self._du = self._dr = None  # ring arrays, allocated on first use
+        self._gram = np.zeros((MIX_DEPTH, MIX_DEPTH))
+        self._stored = 0  # differences held, at most MIX_DEPTH
 
     def mix(self, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
         shape = np.shape(x)
         x = np.asarray(x, dtype=float).ravel()
         r = np.asarray(fx, dtype=float).ravel() - x
-        if self._x is not None:
-            if len(self._dr) == MIX_DEPTH:
-                del self._du[0], self._dr[0]
-                self._gram = self._gram[1:, 1:]
-            dr = r - self._r
-            du = x - self._x
-            du += MIX_ALPHA * dr
-            self._du.append(du)
-            self._dr.append(dr)
-            row = [d @ self._dr[-1] for d in self._dr]
-            self._gram = np.pad(self._gram, (0, 1))
-            self._gram[-1, :] = self._gram[:, -1] = row
-        self._x, self._r = x, r
-        damped = x + MIX_ALPHA * r
-        if not self._dr:
-            return damped.reshape(shape)
+        damped = MIX_ALPHA * r
+        damped += x
+        # damped stays with the mixer, so plain damping returns a copy
+        if self._damped is None:
+            # two arrays: one (2, MIX_DEPTH, n) block raised peak RSS by ~2%
+            self._du, self._dr = (np.empty((MIX_DEPTH, x.size)) for _ in range(2))
+            self._damped, self._r = damped, r
+            return damped.reshape(shape).copy()
+        k = self._stored % MIX_DEPTH  # the oldest row once the ring is full
+        np.subtract(damped, self._damped, out=self._du[k])
+        np.subtract(r, self._r, out=self._dr[k])
+        self._damped, self._r = damped, r
+        self._stored += 1
+        m = min(self._stored, MIX_DEPTH)
+        self._gram[k, :m] = self._gram[:m, k] = self._dr[:m] @ self._dr[k]
         try:
-            g = np.linalg.solve(self._gram, [d @ r for d in self._dr])
+            g = np.linalg.solve(self._gram[:m, :m], self._dr[:m] @ r)
         except np.linalg.LinAlgError:
-            return damped.reshape(shape)
-        out = damped.copy()
-        for gk, du in zip(g, self._du):
-            out -= gk * du
+            return damped.reshape(shape).copy()
+        out = g @ self._du[:m]
+        np.subtract(damped, out, out=out)
         if not np.all(np.isfinite(out)):
-            return damped.reshape(shape)
+            return damped.reshape(shape).copy()
         return out.reshape(shape)

@@ -37,7 +37,15 @@ def scf_molecule(
     q: float = 2.0,
     tol: float = 1e-6,
 ) -> KSState:
-    """Converged molecular KS-LDA state with aufbau occupations."""
+    """Converged molecular KS-LDA state with aufbau occupations.
+
+    Two residuals per occupied orbital go into meta, both the norm
+    |H psi - eps psi| h^(3/2). "stationarity" takes H with the potential
+    of the returned density, so it follows where the SCF stopped.
+    "eigen_residual" takes H with the potential of the last step, the one
+    the eigensolver was given; it is the eigensolver's own residual check
+    and lies within that step's tolerance times max(1, max |eps|).
+    """
     if N <= 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
     if N > config.Z + 1e-12:
@@ -58,7 +66,9 @@ def scf_molecule(
         v_field = ScalarField(grid=grid, values=v_eff, kind="potential")
         # loose eigensolves while the density is far from self-consistent
         it_tol = max(EIG_TOL, 0.1 * history[-1]) if history else 1e-4
-        pairs, occ, block = occupied_eigenpairs(v_field, N, q, it_tol, block)
+        pairs, occ, block, eig_resids = occupied_eigenpairs(
+            v_field, N, q, it_tol, block
+        )
         rho_out = np.zeros(grid.shape)
         for lam, (eps, orb) in zip(occ, pairs):
             if lam > 0.0:
@@ -117,5 +127,8 @@ def scf_molecule(
             "N": N,
             "grid": grid.descriptor(),
             "stationarity": tuple(stat_resids),
+            "eigen_residual": tuple(
+                float(e) for lam, e in zip(occ, eig_resids) if lam > 1e-12
+            ),
         },
     )

@@ -5,7 +5,9 @@ by diagonalizing the stencil with the orthonormal type-I discrete sine
 transform (`sine_transform`, also the eigensolver's preconditioner); the
 solution is the exact stencil solution (residual at rounding level), so no
 iteration control is needed. Boundary values come from the monopole +
-dipole expansion of the source evaluated on the box faces.
+dipole expansion of the source, written on the box faces of a fresh array
+whose interior the solve then fills; no grid-sized array is kept between
+solves.
 """
 
 from __future__ import annotations
@@ -30,42 +32,35 @@ class PoissonError(RuntimeError):
 def multipole_boundary(grid: Grid3D, source: np.ndarray):
     """Monopole + dipole potential of the source on the box faces.
 
-    Returns (q, center, boundary) where boundary is a full grid array that
-    is only meaningful on the faces.
+    Returns (q, center, dipole, u). The moments come from two reductions
+    of the source (over z, and over x and y). u is a fresh grid array that
+    holds the potential on the six faces only: its interior is left unset
+    for `solve_dirichlet` to fill.
     """
     vol = grid.cell_volume
-    q = float(source.sum()) * vol
     xs, ys, zs = grid.axes()
+    s_xy = source.sum(axis=2)
+    s_z = source.sum(axis=(0, 1))
+    s_x, s_y = s_xy.sum(axis=1), s_xy.sum(axis=0)
+    q = float(s_x.sum()) * vol
     if abs(q) > 1e-300:
-        cx = float((source.sum(axis=(1, 2)) * xs).sum()) * vol / q
-        cy = float((source.sum(axis=(0, 2)) * ys).sum()) * vol / q
-        cz = float((source.sum(axis=(0, 1)) * zs).sum()) * vol / q
-        center = np.array([cx, cy, cz])
+        center = np.array([s_x @ xs, s_y @ ys, s_z @ zs]) * vol / q
     else:
         center = 0.5 * (grid.origin + grid.upper_corner())
     # dipole about `center`
-    dx = (source.sum(axis=(1, 2)) * (xs - center[0])).sum() * vol
-    dy = (source.sum(axis=(0, 2)) * (ys - center[1])).sum() * vol
-    dz = (source.sum(axis=(0, 1)) * (zs - center[2])).sum() * vol
-    dip = np.array([dx, dy, dz])
+    dip = np.array([
+        s_x @ (xs - center[0]), s_y @ (ys - center[1]), s_z @ (zs - center[2])
+    ]) * vol
 
-    bound = np.zeros(grid.shape)
-    X, Y, Z = np.ix_(*grid.axes())
-
-    def fill(mask_slices):
-        x = X[mask_slices] - center[0]
-        y = Y[mask_slices] - center[1]
-        z = Z[mask_slices] - center[2]
-        r = np.sqrt(x * x + y * y + z * z)
-        r = np.maximum(r, 1e-12)
-        bound[mask_slices] = q / r + (dip[0] * x + dip[1] * y + dip[2] * z) / r**3
-
+    u = np.empty(grid.shape)
+    X, Y, Z = np.ix_(xs - center[0], ys - center[1], zs - center[2])
     for axis in range(3):
         for side in (0, -1):
-            sl = [slice(None)] * 3
-            sl[axis] = side
-            fill(tuple(sl))
-    return q, center, bound
+            face = tuple(side if a == axis else slice(None) for a in range(3))
+            x, y, z = X[face], Y[face], Z[face]
+            r = np.maximum(np.sqrt(x * x + y * y + z * z), 1e-12)
+            u[face] = q / r + (dip[0] * x + dip[1] * y + dip[2] * z) / r**3
+    return q, center, dip, u
 
 
 @lru_cache(maxsize=None)
@@ -102,43 +97,42 @@ def _dst_eigenvalues(n: int, h: float) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / h**2
 
 
-def solve_dirichlet(grid: Grid3D, rhs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-    """Solve -Lap_h u = rhs with u = boundary on the box faces."""
-    nx, ny, nz = grid.shape
-    h = grid.h
+def solve_dirichlet(grid: Grid3D, rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Solve -Lap_h u = rhs in the interior of u, whose faces hold the data.
+
+    The interior of u is written in place; u is returned.
+    """
+    h2 = grid.h**2
     f = rhs[1:-1, 1:-1, 1:-1].copy()
     # boundary nodes feed the adjacent interior rows
-    f[0, :, :] += boundary[0, 1:-1, 1:-1] / h**2
-    f[-1, :, :] += boundary[-1, 1:-1, 1:-1] / h**2
-    f[:, 0, :] += boundary[1:-1, 0, 1:-1] / h**2
-    f[:, -1, :] += boundary[1:-1, -1, 1:-1] / h**2
-    f[:, :, 0] += boundary[1:-1, 1:-1, 0] / h**2
-    f[:, :, -1] += boundary[1:-1, 1:-1, -1] / h**2
+    f[0, :, :] += u[0, 1:-1, 1:-1] / h2
+    f[-1, :, :] += u[-1, 1:-1, 1:-1] / h2
+    f[:, 0, :] += u[1:-1, 0, 1:-1] / h2
+    f[:, -1, :] += u[1:-1, -1, 1:-1] / h2
+    f[:, :, 0] += u[1:-1, 1:-1, 0] / h2
+    f[:, :, -1] += u[1:-1, 1:-1, -1] / h2
 
-    lx = _dst_eigenvalues(nx - 2, h)
-    ly = _dst_eigenvalues(ny - 2, h)
-    lz = _dst_eigenvalues(nz - 2, h)
-    denom = lx[:, None, None] + ly[None, :, None] + lz[None, None, :]
-    u_in = sine_transform(sine_transform(f) / denom)
-
-    u = boundary.copy()
-    u[1:-1, 1:-1, 1:-1] = u_in
+    t = sine_transform(f)
+    lx, ly, lz = (_dst_eigenvalues(m, grid.h) for m in f.shape)
+    # one x-slab of the stencil eigenvalues at a time: no n^3 denominator
+    for i, li in enumerate(lx):
+        t[i] /= (li + ly[:, None]) + lz
+    u[1:-1, 1:-1, 1:-1] = sine_transform(t)
     return u
 
 
 def stencil_residual(grid: Grid3D, u: np.ndarray, rhs: np.ndarray) -> float:
     """Max-norm interior residual of -Lap_h u - rhs."""
-    h2 = grid.h**2
-    lap = (
-        u[:-2, 1:-1, 1:-1]
-        + u[2:, 1:-1, 1:-1]
-        + u[1:-1, :-2, 1:-1]
-        + u[1:-1, 2:, 1:-1]
-        + u[1:-1, 1:-1, :-2]
-        + u[1:-1, 1:-1, 2:]
-        - 6.0 * u[1:-1, 1:-1, 1:-1]
-    ) / h2
-    return float(np.max(np.abs(-lap - rhs[1:-1, 1:-1, 1:-1])))
+    lap = u[1:-1, 1:-1, 1:-1] * -6.0
+    lap += u[:-2, 1:-1, 1:-1]
+    lap += u[2:, 1:-1, 1:-1]
+    lap += u[1:-1, :-2, 1:-1]
+    lap += u[1:-1, 2:, 1:-1]
+    lap += u[1:-1, 1:-1, :-2]
+    lap += u[1:-1, 1:-1, 2:]
+    lap /= grid.h**2
+    lap += rhs[1:-1, 1:-1, 1:-1]  # -(-Lap_h u - rhs)
+    return max(float(lap.max()), -float(lap.min()))
 
 
 def poisson_solve(source: ScalarField) -> ScalarField:
@@ -147,10 +141,10 @@ def poisson_solve(source: ScalarField) -> ScalarField:
     if not isinstance(grid, Grid3D):
         raise GridError("poisson_solve expects a 3D field")
     rhs = 4.0 * np.pi * source.values
-    _, _, boundary = multipole_boundary(grid, source.values)
-    u = solve_dirichlet(grid, rhs, boundary)
+    _, _, _, u = multipole_boundary(grid, source.values)
+    solve_dirichlet(grid, rhs, u)
     res = stencil_residual(grid, u, rhs)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
+    scale = max(1.0, float(rhs.max()), -float(rhs.min()))
     if res > CHECK_TOL * scale:
         raise PoissonError("direct stencil solve residual above tolerance", res)
     return ScalarField(grid=grid, values=u, kind="potential")

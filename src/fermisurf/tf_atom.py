@@ -50,8 +50,16 @@ class ShootingError(RuntimeError):
 
 
 def tf_density(phi, mu: float = 0.0):
-    """TF density law rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2)."""
-    return (2.0 * np.maximum(phi - mu, 0.0)) ** 1.5 / (3.0 * math.pi**2)
+    """TF density law rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2).
+
+    Evaluated as 2^(3/2) t sqrt(t) / (3 pi^2), t = [phi - mu]_+, in one
+    fresh array: a float power costs several times a square root.
+    """
+    t = np.subtract(phi, mu, out=np.empty(np.shape(phi)))
+    np.maximum(t, 0.0, out=t)
+    t *= np.sqrt(t)
+    t *= 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
+    return t[()]
 
 
 def tf_residual(rho: np.ndarray, phi: np.ndarray, mu: float) -> float:

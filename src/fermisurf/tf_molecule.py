@@ -277,13 +277,15 @@ def _tf_fixed_point(
         mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
         rho_new = tf_density(phi, mu)
         if mask is not None:
-            rho_new = np.where(mask, rho_new, 0.0)
-        change = float(np.abs(rho_new - rho).sum()) * vol / max(n_target, 1e-12)
+            np.copyto(rho_new, 0.0, where=~mask)
+        diff = np.subtract(rho_new, rho)
+        change = float(np.abs(diff, out=diff).sum()) * vol / max(n_target, 1e-12)
         history.append(change)
         if change < TF_TOL:
             rho = rho_new
             break
-        rho = np.maximum(mixer.mix(rho, rho_new), 0.0)
+        rho = mixer.mix(rho, rho_new)
+        np.maximum(rho, 0.0, out=rho)
     else:
         raise ConvergenceError(
             f"TF mixing did not reach {TF_TOL:g} in {TF_MAX_SWEEPS} sweeps "

@@ -23,7 +23,7 @@ class TestDenseOracle:
         v = 0.5 * (X**2 + Y**2 + Z**2) - 1.0
         H = dense_hamiltonian(grid, v)
         exact = np.linalg.eigvalsh(H)[:4]
-        pairs, _ = lowest_eigenpairs(
+        pairs, *_ = lowest_eigenpairs(
             ScalarField(grid=grid, values=v), 4, tol=1e-9, maxiter=2000
         )
         got = np.array([lam for lam, _ in pairs])
@@ -40,7 +40,7 @@ class TestPhysicalOracles:
         grid = Grid3D.cube((0, 0, 0), 6.0, 49)
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
-        pairs, _ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
+        pairs, *_ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
         assert pairs[0][0] == pytest.approx(1.5, abs=2e-2)
 
     def test_hydrogen_ground_state_refines_to_half(self):
@@ -49,7 +49,7 @@ class TestPhysicalOracles:
         for n, half in ((41, 7.0), (81, 7.0)):
             grid = Grid3D.cube((0, 0, 0), half, n)
             v = -external_potential(grid, cfg).values
-            pairs, _ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
+            pairs, *_ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
             vals.append(pairs[0][0])
         # O(h^2) approach to -0.5 from below
         assert abs(vals[1] + 0.5) < abs(vals[0] + 0.5)
@@ -61,7 +61,7 @@ class TestContracts:
         grid = Grid3D.cube((0, 0, 0), 5.0, 33)
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
-        pairs, _ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 4, tol=1e-7)
+        pairs, *_ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 4, tol=1e-7)
         vol = grid.cell_volume
         for i, (_, fi) in enumerate(pairs):
             for j, (_, fj) in enumerate(pairs):
@@ -129,14 +129,14 @@ class TestOccupied:
 
         monkeypatch.setattr(eig, "lowest_eigenpairs", counting)
         field = _harmonic(5.0, 21)
-        pairs, occ, block = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
+        pairs, occ, block, _ = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
         assert sizes == [2, 3, 4]
         assert len(pairs) == 4
         assert np.allclose(occ, [2.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         assert block.shape == (field.grid.n_points, 5)
 
     def test_closed_shell_keeps_occupied_block(self):
-        pairs, occ, _ = occupied_eigenpairs(_harmonic(5.0, 21), 2.0, 2.0, 1e-8)
+        pairs, occ, *_ = occupied_eigenpairs(_harmonic(5.0, 21), 2.0, 2.0, 1e-8)
         assert len(pairs) == 1
         assert occ.tolist() == [2.0]
 

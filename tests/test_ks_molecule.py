@@ -82,6 +82,31 @@ class TestDiatomic:
         assert len(res) >= 1
         assert max(res) < 1e-3
 
+    def test_eigen_residuals_within_last_eigensolve_tolerance(self, h2_state):
+        from fermisurf.ks_molecule import EIG_TOL
+
+        state, _, _ = h2_state
+        res = state.meta["eigen_residual"]
+        assert len(res) == len(state.orbitals) == len(state.meta["stationarity"])
+        tol = max(EIG_TOL, 0.1 * state.scf_history[-2])
+        assert max(res) <= tol * max(1.0, float(np.max(np.abs(state.eigenvalues))))
+
+    def test_stationarity_uses_potential_of_returned_density(self, h2_state, lda):
+        from fermisurf.eig import apply_hamiltonian
+        from fermisurf.poisson import poisson_solve
+        from fermisurf.tf_molecule import external_potential
+
+        state, cfg, grid = h2_state
+        rho = state.rho0.values
+        v = (-external_potential(grid, cfg).values + poisson_solve(state.rho0).values
+             - lda.derivative(rho))
+        expected = [
+            float(np.linalg.norm(apply_hamiltonian(grid, v, o.values) - e * o.values))
+            * grid.cell_volume**0.5
+            for e, o in zip(state.eigenvalues, state.orbitals)
+        ]
+        assert np.allclose(state.meta["stationarity"], expected, rtol=1e-10, atol=0.0)
+
     def test_occupations_respect_bound(self, h2_state):
         state, _, _ = h2_state
         assert np.all(state.occupations <= state.q + 1e-12)

@@ -53,6 +53,37 @@ class TestAndersonMixer:
         expected = xs[-1] - dX @ g + MIX_ALPHA * (rs[-1] - dR @ g)
         assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
 
+    def test_singular_gram_falls_back_to_plain_damping(self):
+        # equal residual differences make dR^T dR exactly singular
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal(9)
+        x = rng.standard_normal(9)
+        mixer = AndersonMixer()
+        for k in range(3):
+            out = mixer.mix(x, x + k * d)
+        assert np.array_equal(out, x + MIX_ALPHA * (2 * d))
+
+    def test_overflowing_step_falls_back_to_plain_damping(self):
+        # a residual difference of 1e-10 gives g of about 1e10, and g times
+        # an iterate difference of 1e300 overflows
+        mixer = AndersonMixer()
+        mixer.mix(np.zeros(2), np.array([0.0, 1.0]))
+        x = np.array([1e300, 0.0])
+        fx = np.array([1e300, 1.0 + 1e-10])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = mixer.mix(x, fx)
+        assert np.array_equal(out, x + MIX_ALPHA * (fx - x))
+
+    def test_output_is_a_fresh_array(self):
+        # callers clamp the returned iterate in place
+        rng = np.random.default_rng(4)
+        mixer = AndersonMixer()
+        x = rng.random((3, 4))
+        outs = [mixer.mix(x, rng.random((3, 4))) for _ in range(MIX_DEPTH + 2)]
+        assert all(o.shape == x.shape for o in outs)
+        assert len({id(o) for o in outs}) == len(outs)
+        assert not any(np.shares_memory(a, b) for a in outs for b in outs if a is not b)
+
     def test_beats_plain_damping_on_linear_contraction(self):
         rng = np.random.default_rng(2)
         n = 40

@@ -6,7 +6,12 @@ from scipy.fft import dstn
 from scipy.special import erf
 
 from fermisurf.grids import Grid3D, GridError, RadialGrid, ScalarField
-from fermisurf.poisson import poisson_solve, sine_transform, stencil_residual
+from fermisurf.poisson import (
+    multipole_boundary,
+    poisson_solve,
+    sine_transform,
+    stencil_residual,
+)
 
 
 def _ball_source(grid, q, a):
@@ -58,6 +63,64 @@ class TestSineTransform:
         out = sine_transform(a)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(sine_transform(out) - a)) <= 1e-12 * np.max(np.abs(a))
+
+
+class TestKernels:
+    """The lean kernels against direct full-grid evaluations."""
+
+    @staticmethod
+    def _source(grid, seed):
+        rng = np.random.default_rng(seed)
+        X, Y, Z = grid.meshgrid()
+        blob = np.exp(-((X - 0.4) ** 2 + (Y + 0.3) ** 2 + 2.0 * Z**2))
+        return blob * (1.0 + 0.1 * rng.random(grid.shape))
+
+    def test_multipole_boundary_matches_direct_sums(self):
+        grid = Grid3D((-2.0, -1.5, -1.75), 0.25, (17, 15, 19))
+        src = self._source(grid, 1)
+        q, center, dip, u = multipole_boundary(grid, src)
+        X, Y, Z = grid.meshgrid()
+        vol = grid.cell_volume
+        q_ref = np.sum(src) * vol
+        c_ref = np.array([np.sum(src * X), np.sum(src * Y), np.sum(src * Z)]) * vol / q_ref
+        d_ref = np.array([
+            np.sum(src * (X - c_ref[0])),
+            np.sum(src * (Y - c_ref[1])),
+            np.sum(src * (Z - c_ref[2])),
+        ]) * vol
+        assert q == pytest.approx(q_ref, rel=1e-12)
+        assert np.allclose(center, c_ref, rtol=1e-12, atol=0.0)
+        # the dipole about the centre of charge vanishes up to rounding
+        assert np.max(np.abs(dip - d_ref)) <= 1e-12 * q_ref * grid.h
+        x, y, z = X - c_ref[0], Y - c_ref[1], Z - c_ref[2]
+        r = np.sqrt(x * x + y * y + z * z)
+        ref = q_ref / r + (d_ref[0] * x + d_ref[1] * y + d_ref[2] * z) / r**3
+        faces = np.ones(grid.shape, dtype=bool)
+        faces[1:-1, 1:-1, 1:-1] = False
+        assert np.allclose(u[faces], ref[faces], rtol=1e-12, atol=0.0)
+
+    def test_stencil_residual_matches_seven_point_expression(self):
+        grid = Grid3D((0.0, 0.0, 0.0), 0.2, (11, 13, 12))
+        rng = np.random.default_rng(2)
+        u, rhs = rng.standard_normal((2, *grid.shape))
+        lap = (
+            u[:-2, 1:-1, 1:-1] + u[2:, 1:-1, 1:-1]
+            + u[1:-1, :-2, 1:-1] + u[1:-1, 2:, 1:-1]
+            + u[1:-1, 1:-1, :-2] + u[1:-1, 1:-1, 2:]
+            - 6.0 * u[1:-1, 1:-1, 1:-1]
+        ) / grid.h**2
+        ref = np.max(np.abs(-lap - rhs[1:-1, 1:-1, 1:-1]))
+        assert stencil_residual(grid, u, rhs) == pytest.approx(ref, rel=1e-12)
+
+    def test_solve_leaves_source_alone_and_repeats_exactly(self):
+        grid = Grid3D((-2.0, -1.5, -1.75), 0.25, (17, 15, 19))
+        values = self._source(grid, 3)
+        source = ScalarField(grid=grid, values=values.copy())
+        first = poisson_solve(source)
+        second = poisson_solve(source)
+        assert np.array_equal(source.values, values)
+        assert np.array_equal(first.values, second.values)
+        assert first.values is not second.values
 
 
 class TestContracts:

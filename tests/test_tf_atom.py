@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fermisurf.tf_atom import (
     screened_sup_at,
     slope_energy_constant,
     solve_universal,
+    tf_density,
     universal_profile,
 )
 
@@ -191,3 +194,31 @@ class TestScreened:
     def test_constants_relation(self):
         assert TF_LENGTH_B == pytest.approx(0.5 * (3 * np.pi / 4) ** (2 / 3))
         assert SOMMERFELD_C == pytest.approx(81.0 * np.pi**2 / 8.0)
+
+
+class TestDensityKernel:
+    @staticmethod
+    def _closed_form(phi, mu):
+        return (2.0 * np.maximum(phi - mu, 0.0)) ** 1.5 / (3.0 * math.pi**2)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.37, -1.5])
+    def test_matches_closed_form_within_4_ulp(self, mu):
+        rng = np.random.default_rng(11)
+        # signed values over many decades, plus exact zeros and mu itself
+        phi = rng.standard_normal((17, 19, 23)) * np.exp(rng.uniform(-20, 20, (17, 19, 23)))
+        phi.flat[:50] = 0.0
+        phi.flat[50:100] = mu
+        phi.setflags(write=False)
+        before = phi.copy()
+        got = tf_density(phi, mu)
+        ref = self._closed_form(phi, mu)
+        assert np.array_equal(phi, before)
+        assert got.shape == phi.shape
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * ref)
+
+    @pytest.mark.parametrize("phi", [2.5, np.array(2.5), -1.0, np.array(-1.0)])
+    def test_scalar_and_0d_input(self, phi):
+        got = tf_density(phi, 0.25)
+        assert np.ndim(got) == 0
+        assert float(got) == pytest.approx(float(self._closed_form(phi, 0.25)), rel=1e-15)
