@@ -137,16 +137,20 @@ def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
 
 
 def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
-          q: float = 2.0, **scf_kw) -> BOSample:
-    """D = E_mol - sum_j E_atom + U_R in KS-LDA, matched atomic grids."""
+          q: float = 2.0) -> BOSample:
+    """D = E_mol - sum_j E_atom + U_R in KS-LDA, matched atomic grids.
+
+    Every SCF solve (molecule and atomic references) runs at the
+    `scf_molecule` defaults with occupation bound q.
+    """
     if policy.levels != 1:
         raise ValueError("bo_ks solves a single grid (levels=1)")
     grid = policy.build(config)
-    mol = scf_molecule(config, config.Z, xc, grid, q=q, **scf_kw)
+    mol = scf_molecule(config, config.Z, xc, grid, q=q)
     e_at = atomic_references(
         config, grid,
         lambda single, agrid: scf_molecule(
-            single, single.Z, xc, agrid, q=q, **scf_kw
+            single, single.Z, xc, agrid, q=q
         ).energy["total"],
     )
     resid = mol.scf_history[-1] if mol.scf_history else 0.0

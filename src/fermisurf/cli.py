@@ -15,15 +15,16 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bo import GammaEstimate, GridPolicy, bo_ks, bo_tf, diatomic, gamma_limit
+from .bo import GridPolicy, bo_ks, bo_tf, diatomic, gamma_limit
 from .cache import SolutionCache
 from .eig import EigenError
-from .fitting import FitError
+from .fitting import FitError, powerlaw_fit
 from .grids import GridError
 from .ks_common import SCFError
 from .ks_molecule import scf_molecule
@@ -33,12 +34,17 @@ from .outside import qij_tf
 from .screening import screened_compare
 from .tf_atom import ShootingError, atomic_tf, tf_residual, universal_profile
 from .tf_molecule import ConvergenceError, NuclearConfiguration, solve_tf
-from .xc import XCFunctional, XCValidationError, make_functional
+from .xc import XCValidationError, make_functional
 
 BO_HEADER = "R_min,theory,xc,q,D,grid_h,residual,E_mol,E_atoms,U_R"
+# the BOSample fields of one scan point, in BO_HEADER order
+_BO_FIELDS = ("R_min", "D", "grid_h", "residual", "E_mol", "E_atoms", "U_R")
 
 _SOLVER_ERRORS = (ConvergenceError, SCFError, EigenError, ShootingError,
                   ArithmeticError, FitError)
+
+#: default of a config key that must be given
+REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -51,206 +57,147 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _csv_rows(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+def _write(out: Path, name: str, header: str, rows, summary=None) -> Path:
+    """Write out/name.csv, and out/name.json from `summary`; return the CSV path."""
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    path = out / f"{name}.csv"
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+    if summary is not None:
+        (out / f"{name}.json").write_text(
+            json.dumps(summary, sort_keys=True, indent=1) + "\n"
+        )
+    return path
 
 
-def _load_config(path: str, allowed: dict, required: set) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+def _fields(raw, spec: dict, what: str) -> dict:
+    """Check the JSON object `raw` against `spec` and convert its values.
+
+    `spec` maps each key to (converter, default or REQUIRED). Unknown keys,
+    missing required keys and values a converter rejects are config errors
+    that name the key; an absent or null optional key takes its default.
+    """
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(allowed)
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(raw) - set(spec)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = required - set(raw)
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    fields = {key: default for key, (_, default) in spec.items()}
+    for key, value in raw.items():
+        convert, default = spec[key]
+        if value is None and default is not REQUIRED:
+            continue
+        try:
+            fields[key] = convert(value)
+        # ValueError covers GridError, XCValidationError and a nested ConfigError
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {what} key {key!r}: {exc}") from exc
+    missing = sorted(key for key, value in fields.items() if value is REQUIRED)
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    merged = dict(allowed)
-    merged.update(raw)
-    return merged
+        raise ConfigError(f"missing {what} keys: {missing}")
+    return fields
 
 
-_GRID_KEYS = {"spacing": None, "margin_factor": 6.0, "levels": 1}
+def _floats(value, length=None) -> list:
+    """A JSON list of numbers, of exactly `length` entries if one is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        count = f"{length} " if length else ""
+        raise TypeError(f"expected a list of {count}numbers")
+    return [float(v) for v in value]
 
 
-def _grid_policy(cfg_grid) -> GridPolicy:
-    if not isinstance(cfg_grid, dict):
-        raise ConfigError("'grid' must be an object")
-    unknown = set(cfg_grid) - set(_GRID_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    merged = dict(_GRID_KEYS)
-    merged.update(cfg_grid)
-    if merged["spacing"] is None:
-        raise ConfigError("grid.spacing is required")
-    try:
-        return GridPolicy(
-            spacing=float(merged["spacing"]),
-            margin_factor=float(merged["margin_factor"]),
-            levels=int(merged["levels"]),
-        )
-    except (TypeError, ValueError, GridError) as exc:
-        raise ConfigError(f"bad grid policy: {exc}") from exc
+def _pair(value) -> list:
+    return _floats(value, 2)
 
 
-_XC_KEYS = {"kind": None, "c": None, "beta": None}
+_GRID = {"spacing": (float, REQUIRED), "margin_factor": (float, 6.0), "levels": (int, 1)}
+_XC = {"kind": (str, REQUIRED), "c": (float, None), "beta": (float, None)}
 
 
-def _xc_kwargs(cfg_xc, strict_mode: bool) -> dict:
-    """make_functional keywords for the 'xc' object (picklable for workers)."""
-    if not isinstance(cfg_xc, dict):
-        raise ConfigError("'xc' must be an object")
-    unknown = set(cfg_xc) - set(_XC_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown xc keys: {sorted(unknown)}")
-    kind = cfg_xc.get("kind")
-    if kind is None:
-        raise ConfigError("xc.kind is required")
-    kw = {"kind": str(kind), "strict_mode": strict_mode}
-    if cfg_xc.get("c") is not None:
-        kw["c"] = float(cfg_xc["c"])
-    if cfg_xc.get("beta") is not None:
-        kw["beta"] = float(cfg_xc["beta"])
+def _grid(value) -> GridPolicy:
+    return GridPolicy(**_fields(value, _GRID, "grid"))
+
+
+def _xc(value) -> dict:
+    """make_functional keywords of the 'xc' object, checked by one build."""
+    kw = {k: v for k, v in _fields(value, _XC, "xc").items() if v is not None}
+    make_functional(**kw)
     return kw
-
-
-def _xc_functional(cfg_xc, strict_mode: bool) -> XCFunctional:
-    kw = _xc_kwargs(cfg_xc, strict_mode)
-    try:
-        return make_functional(**kw)
-    except (XCValidationError, ValueError) as exc:
-        raise ConfigError(f"bad xc config: {exc}") from exc
-
-
-def _nuclear_config(cfg) -> NuclearConfiguration:
-    try:
-        return NuclearConfiguration(
-            positions=cfg["positions"], charges=cfg["charges"]
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad nuclear configuration: {exc}") from exc
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_tf_atom(args) -> int:
-    cfg = _load_config(args.config, {"z": None, "fit_window": None}, {"z"})
-    z = float(cfg["z"])
-    if z <= 0:
-        raise ConfigError("z must be positive")
-    sol = atomic_tf(z)
-    window = cfg["fit_window"]
-    if window is None:
-        scale = z ** (-1.0 / 3.0)
-        window = (10.0 * scale, 100.0 * scale)
-    from .fitting import powerlaw_fit
-
+def _cmd_tf_atom(cfg, args, out: Path) -> None:
+    z = cfg["z"]
+    sol = atomic_tf(z)  # rejects z <= 0
+    scale = z ** (-1.0 / 3.0)
+    window = cfg["fit_window"] or (10.0 * scale, 100.0 * scale)
     fit = powerlaw_fit(sol.grid.nodes, np.maximum(sol.phi.values, 1e-300),
-                       window=(float(window[0]), float(window[1])))
+                       window=window)
     e_tf = -sol.energy / z ** (7.0 / 3.0)
     resid = tf_residual(sol.rho.values, sol.phi.values, sol.mu)
     rows = [[z, sol.energy, e_tf, sol.mu, fit.exponent, fit.r_squared,
              float(sol.grid.nodes[1] - sol.grid.nodes[0]), resid]]
-    out = Path(args.out) / "tf_atom.csv"
-    _csv_rows(out, "z,energy,e_tf,mu,tail_exponent,tail_r2,grid_h,residual", rows)
-    print(f"tf-atom z={z:g} energy={sol.energy:.8g} e_tf={e_tf:.8g} -> {out}")
-    return 0
+    path = _write(out, "tf_atom",
+                  "z,energy,e_tf,mu,tail_exponent,tail_r2,grid_h,residual", rows)
+    print(f"tf-atom z={z:g} energy={sol.energy:.8g} e_tf={e_tf:.8g} -> {path}")
 
 
-def _cmd_tf_molecule(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"positions": None, "charges": None, "n": None, "grid": None},
-        {"positions", "charges", "grid"},
-    )
-    config = _nuclear_config(cfg)
-    policy = _grid_policy(cfg["grid"])
-    n = float(cfg["n"]) if cfg["n"] is not None else config.Z
-    if n <= 0:
-        raise ConfigError("n must be positive")
-    grid = policy.build(config)
-    sol = solve_tf(config, n, grid)
+def _cmd_tf_molecule(cfg, args, out: Path) -> None:
+    config = NuclearConfiguration(cfg["positions"], cfg["charges"])
+    n = config.Z if cfg["n"] is None else cfg["n"]
+    grid = cfg["grid"].build(config)
+    sol = solve_tf(config, n, grid)  # rejects n <= 0
     rows = [[config.R_min if config.K > 1 else 0.0, n, sol.energy, sol.mu,
              grid.h, sol.residual, config.U_R]]
-    out = Path(args.out) / "tf_molecule.csv"
-    _csv_rows(out, "R_min,n,energy,mu,grid_h,residual,U_R", rows)
+    path = _write(out, "tf_molecule", "R_min,n,energy,mu,grid_h,residual,U_R", rows)
     print(f"tf-molecule K={config.K} energy={sol.energy:.8g} "
-          f"mu={sol.mu:.6g} -> {out}")
-    return 0
+          f"mu={sol.mu:.6g} -> {path}")
 
 
-def _cmd_ks_atom(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"z": None, "n": None, "xc": None, "q": 2.0, "lmax": 3,
-         "per_ell": 5, "tol": 1e-6},
-        {"z", "xc"},
-    )
-    z = float(cfg["z"])
-    n = float(cfg["n"]) if cfg["n"] is not None else z
-    xc = _xc_functional(cfg["xc"], args.strict_xc)
-    state = scf_atom(z, n, xc, q=float(cfg["q"]), lmax=int(cfg["lmax"]),
-                     per_ell=int(cfg["per_ell"]), tol=float(cfg["tol"]))
+def _cmd_ks_atom(cfg, args, out: Path) -> None:
+    z = cfg["z"]
+    n = z if cfg["n"] is None else cfg["n"]
+    xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
+    state = scf_atom(z, n, xc, q=cfg["q"], lmax=cfg["lmax"],
+                     per_ell=cfg["per_ell"], tol=cfg["tol"])
     resid = state.scf_history[-1] if state.scf_history else 0.0
     grid_h = float(state.rho0.grid.nodes[1] - state.rho0.grid.nodes[0])
     e = state.energy
     rows = [[z, n, xc.name, state.q, e["total"], e["kinetic"], e["external"],
              e["hartree"], e["xc"], grid_h, resid]]
-    out = Path(args.out) / "ks_atom.csv"
-    _csv_rows(out, "z,n,xc,q,total,kinetic,external,hartree,xc_energy,"
-                   "grid_h,residual", rows)
-    print(f"ks-atom z={z:g} n={n:g} total={e['total']:.8g} -> {out}")
-    return 0
+    path = _write(out, "ks_atom", "z,n,xc,q,total,kinetic,external,hartree,"
+                  "xc_energy,grid_h,residual", rows)
+    print(f"ks-atom z={z:g} n={n:g} total={e['total']:.8g} -> {path}")
 
 
-def _cmd_ks_molecule(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"positions": None, "charges": None, "n": None, "xc": None,
-         "q": 2.0, "grid": None, "tol": 1e-6},
-        {"positions", "charges", "xc", "grid"},
-    )
-    config = _nuclear_config(cfg)
-    policy = _grid_policy(cfg["grid"])
-    xc = _xc_functional(cfg["xc"], args.strict_xc)
-    n = float(cfg["n"]) if cfg["n"] is not None else config.Z
-    grid = policy.build(config)
-    state = scf_molecule(config, n, xc, grid, q=float(cfg["q"]),
-                         tol=float(cfg["tol"]))
+def _cmd_ks_molecule(cfg, args, out: Path) -> None:
+    config = NuclearConfiguration(cfg["positions"], cfg["charges"])
+    xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
+    n = config.Z if cfg["n"] is None else cfg["n"]
+    grid = cfg["grid"].build(config)
+    state = scf_molecule(config, n, xc, grid, q=cfg["q"], tol=cfg["tol"])
     resid = state.scf_history[-1] if state.scf_history else 0.0
     e = state.energy
     rows = [[config.R_min if config.K > 1 else 0.0, n, xc.name, state.q,
              e["total"], e["total"] + config.U_R, grid.h, resid, config.U_R]]
-    out = Path(args.out) / "ks_molecule.csv"
-    _csv_rows(out, "R_min,n,xc,q,E_elec,E_total,grid_h,residual,U_R", rows)
-    print(f"ks-molecule K={config.K} E_elec={e['total']:.8g} -> {out}")
-    return 0
+    path = _write(out, "ks_molecule",
+                  "R_min,n,xc,q,E_elec,E_total,grid_h,residual,U_R", rows)
+    print(f"ks-molecule K={config.K} E_elec={e['total']:.8g} -> {path}")
 
 
 def _bo_point(point: dict) -> dict:
     """One scan point; module-level so worker processes can pickle it."""
     config = diatomic(*point["charges"], point["R"])
-    policy = GridPolicy(spacing=point["spacing"],
-                        margin_factor=point["margin_factor"],
-                        levels=point["levels"])
+    policy = GridPolicy(**point["grid"])
 
     def solve():
         if point["theory"] == "tf":
             s = bo_tf(config, policy)
         else:
-            xc = make_functional(**point["xc_kw"])
-            s = bo_ks(config, xc, policy, q=point["q"])
-        return {"R_min": s.R_min, "D": s.D, "grid_h": s.grid_h,
-                "residual": s.residual, "E_mol": s.E_mol,
-                "E_atoms": s.E_atoms, "U_R": s.U_R}
+            s = bo_ks(config, make_functional(**point["xc"]), policy, q=point["q"])
+        return {name: getattr(s, name) for name in _BO_FIELDS}
 
     if point.get("cache_dir"):
         cache = SolutionCache(point["cache_dir"])
@@ -260,40 +207,26 @@ def _bo_point(point: dict) -> dict:
     return solve()
 
 
-def _cmd_bo_scan(args) -> int:
+def _cmd_bo_scan(cfg, args, out: Path) -> None:
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
-    cfg = _load_config(
-        args.config,
-        {"charges": None, "R_values": None, "theory": "tf", "xc": None,
-         "q": 2.0, "grid": None},
-        {"charges", "R_values", "grid"},
-    )
-    charges = [float(z) for z in cfg["charges"]]
-    if len(charges) != 2:
-        raise ConfigError("bo-scan is a diatomic sweep: exactly 2 charges")
-    theory = str(cfg["theory"])
+    theory, q = cfg["theory"], cfg["q"]
     if theory not in ("tf", "ks"):
         raise ConfigError("theory must be 'tf' or 'ks'")
-    xc_kw = {"kind": "zero"}
-    xc_name = ""
-    q = float(cfg["q"])
+    xc, xc_name = {"kind": "zero"}, ""
     if theory == "ks":
         if cfg["xc"] is None:
             raise ConfigError("ks scans need an 'xc' object")
-        xc_name = _xc_functional(cfg["xc"], args.strict_xc).name  # validate early
-        xc_kw = _xc_kwargs(cfg["xc"], args.strict_xc)
-    policy = _grid_policy(cfg["grid"])
-    rs = sorted(float(r) for r in cfg["R_values"])
+        xc = dict(cfg["xc"], strict_mode=args.strict_xc)
+        xc_name = make_functional(**xc).name  # validate early
+    rs = sorted(cfg["R_values"])
     if not rs or any(r <= 0 for r in rs):
         raise ConfigError("R_values must be positive")
 
     cache_dir = args.cache_dir or os.environ.get("FERMISURF_CACHE")
     points = [
-        {"charges": charges, "R": r, "theory": theory, "xc_kw": xc_kw,
-         "q": q, "spacing": policy.spacing,
-         "margin_factor": policy.margin_factor, "levels": policy.levels,
-         "cache_dir": cache_dir}
+        {"charges": cfg["charges"], "R": r, "theory": theory, "xc": xc, "q": q,
+         "grid": asdict(cfg["grid"]), "cache_dir": cache_dir}
         for r in rs
     ]
     if args.workers > 1 and len(points) > 1:
@@ -304,93 +237,59 @@ def _cmd_bo_scan(args) -> int:
 
     rows = [
         [res["R_min"], theory, xc_name, q if theory == "ks" else 0.0,
-         res["D"], res["grid_h"], res["residual"], res["E_mol"],
-         res["E_atoms"], res["U_R"]]
+         *(res[name] for name in _BO_FIELDS[1:])]
         for res in results
     ]
-    out = Path(args.out) / "bo_scan.csv"
-    _csv_rows(out, BO_HEADER, rows)
+    path = _write(out, "bo_scan", BO_HEADER, rows)
     for res in results:
         print(f"bo-scan R={res['R_min']:g} D={res['D']:.8g}")
-    print(f"bo-scan wrote {len(rows)} rows -> {out}")
-    return 0
+    print(f"bo-scan wrote {len(rows)} rows -> {path}")
 
 
-def _cmd_gamma(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"charges": None, "R": 1.0, "l_values": None, "grid": None},
-        {"charges", "l_values", "grid"},
-    )
-    charges = [float(z) for z in cfg["charges"]]
-    if len(charges) != 2:
-        raise ConfigError("gamma handles diatomic base configurations")
-    R = float(cfg["R"])
+def _cmd_gamma(cfg, args, out: Path) -> None:
+    R = cfg["R"]
     if R <= 0:
         raise ConfigError("R must be positive")
-    policy = _grid_policy(cfg["grid"])
-    config = NuclearConfiguration(
-        positions=[[0.0, 0.0, 0.0], [R, 0.0, 0.0]], charges=charges
-    )
-    est: GammaEstimate = gamma_limit(config, cfg["l_values"], policy)
+    config = NuclearConfiguration([[0.0, 0.0, 0.0], [R, 0.0, 0.0]], cfg["charges"])
+    est = gamma_limit(config, cfg["l_values"], cfg["grid"])
     rows = [
         [l, y, s.D, s.grid_h, s.residual]
         for l, y, s in zip(est.l_values, est.ladder, est.samples)
     ]
-    out = Path(args.out) / "gamma.csv"
-    _csv_rows(out, "l,ladder,D,grid_h,residual", rows)
     summary = {"R": est.R, "value": est.value, "error": est.error,
                "model": est.model}
-    (Path(args.out) / "gamma.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n"
-    )
-    print(f"gamma R={R:g} value={est.value:.6g} +- {est.error:.3g} -> {out}")
-    return 0
+    path = _write(out, "gamma", "l,ladder,D,grid_h,residual", rows, summary)
+    print(f"gamma R={R:g} value={est.value:.6g} +- {est.error:.3g} -> {path}")
 
 
-def _cmd_screened(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"positions": None, "charges": None, "r_values": None, "xc": None,
-         "q": 2.0, "grid": None, "eps": 0.5},
-        {"positions", "charges", "r_values", "xc", "grid"},
-    )
-    config = _nuclear_config(cfg)
-    policy = _grid_policy(cfg["grid"])
-    xc = _xc_functional(cfg["xc"], args.strict_xc)
-    grid = policy.build(config)
-    state = scf_molecule(config, config.Z, xc, grid, q=float(cfg["q"]))
+def _cmd_screened(cfg, args, out: Path) -> None:
+    config = NuclearConfiguration(cfg["positions"], cfg["charges"])
+    xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
+    grid = cfg["grid"].build(config)
+    state = scf_molecule(config, config.Z, xc, grid, q=cfg["q"])
     tf_sol = solve_tf(config, config.Z, grid)
-    prof = screened_compare(config, state.rho0, tf_sol.rho,
-                            cfg["r_values"], eps=float(cfg["eps"]))
+    prof = screened_compare(config, state.rho0, tf_sol.rho, cfg["r_values"],
+                            eps=cfg["eps"])
     rows = [
         [r, d, p, pt, grid.h, tf_sol.residual]
         for r, d, p, pt in zip(prof.r_values, prof.sup_diff, prof.sup_phi,
                                prof.sup_phi_tf)
     ]
-    out = Path(args.out) / "screened.csv"
-    _csv_rows(out, "r,sup_diff,sup_phi,sup_phi_tf,grid_h,residual", rows)
+    summary = None
     if prof.fit is not None:
         summary = {"exponent": prof.fit.exponent,
                    "r_squared": prof.fit.r_squared,
                    "window": list(prof.fit.window)}
-        (Path(args.out) / "screened.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=1) + "\n"
-        )
-    print(f"screened {len(rows)} radii -> {out}")
-    return 0
+    path = _write(out, "screened", "r,sup_diff,sup_phi,sup_phi_tf,grid_h,residual",
+                  rows, summary)
+    print(f"screened {len(rows)} radii -> {path}")
 
 
-def _cmd_qij(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"positions": None, "charges": None, "r": None},
-        {"positions", "charges", "r"},
-    )
-    config = _nuclear_config(cfg)
+def _cmd_qij(cfg, args, out: Path) -> None:
+    config = NuclearConfiguration(cfg["positions"], cfg["charges"])
     if config.K < 2:
         raise ConfigError("qij needs at least two nuclei")
-    r = float(cfg["r"])
+    r = cfg["r"]
     if not 0.0 < r <= config.R_min / 2.0:
         raise ConfigError("need 0 < r <= R_min/2")
     atoms = [atomic_tf(float(z)) for z in config.charges]
@@ -402,43 +301,24 @@ def _cmd_qij(args) -> int:
         for i in range(config.K)
         for j in range(i + 1, config.K)
     ]
-    out = Path(args.out) / "qij.csv"
-    _csv_rows(out, "i,j,Q_ij,r,grid_h,residual", rows)
-    print(f"qij K={config.K} r={r:g} -> {out}")
-    return 0
+    path = _write(out, "qij", "i,j,Q_ij,r,grid_h,residual", rows)
+    print(f"qij K={config.K} r={r:g} -> {path}")
 
 
-def _cmd_minsearch(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"charges": None, "xc": None, "q": 2.0, "grid": None,
-         "restarts": 3, "maxiter": 60, "seed": 3},
-        {"charges", "xc", "grid"},
-    )
-    xc = _xc_functional(cfg["xc"], args.strict_xc)
-    policy = _grid_policy(cfg["grid"])
-    res = min_distance_search(
-        [float(z) for z in cfg["charges"]], xc, policy, q=float(cfg["q"]),
-        restarts=int(cfg["restarts"]), maxiter=int(cfg["maxiter"]),
-        seed=int(cfg["seed"]),
-    )
+def _cmd_minsearch(cfg, args, out: Path) -> None:
+    xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
+    res = min_distance_search(cfg["charges"], xc, cfg["grid"], q=cfg["q"],
+                              restarts=cfg["restarts"], maxiter=cfg["maxiter"],
+                              seed=cfg["seed"])
     rows = [[res.R_M, res.E_mol, int(res.converged), res.n_evals,
-             policy.spacing, 0.0]]
-    out = Path(args.out) / "minsearch.csv"
-    _csv_rows(out, "R_M,E_mol,converged,n_evals,grid_h,residual", rows)
-    summary = {
-        "R_M": res.R_M,
-        "E_mol": res.E_mol,
-        "converged": res.converged,
-        "positions": res.config.positions.tolist(),
-        "charges": res.config.charges.tolist(),
-    }
-    (Path(args.out) / "minsearch.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n"
-    )
+             cfg["grid"].spacing, 0.0]]
+    summary = {"R_M": res.R_M, "E_mol": res.E_mol, "converged": res.converged,
+               "positions": res.config.positions.tolist(),
+               "charges": res.config.charges.tolist()}
+    path = _write(out, "minsearch", "R_M,E_mol,converged,n_evals,grid_h,residual",
+                  rows, summary)
     print(f"minsearch R_M={res.R_M:.6g} E={res.E_mol:.8g} "
-          f"converged={res.converged} -> {out}")
-    return 0
+          f"converged={res.converged} -> {path}")
 
 
 def _cmd_selfcheck(args) -> int:
@@ -512,18 +392,43 @@ _FLAGS = {
                         help="enforce the strict admissibility class on xc"),
 }
 
-# handler and the optional flags it reads; None: no config, no flags
+_NUCLEI = {"positions": (list, REQUIRED), "charges": (_floats, REQUIRED)}
+
+# name: (handler, config spec {key: (converter, default or REQUIRED)},
+# optional flags it reads); a None spec reads no config and takes no flags
 _COMMANDS = {
-    "tf-atom": (_cmd_tf_atom, ()),
-    "tf-molecule": (_cmd_tf_molecule, ()),
-    "ks-atom": (_cmd_ks_atom, ("--strict-xc",)),
-    "ks-molecule": (_cmd_ks_molecule, ("--strict-xc",)),
-    "bo-scan": (_cmd_bo_scan, ("--cache", "--workers", "--strict-xc")),
-    "gamma": (_cmd_gamma, ()),
-    "screened": (_cmd_screened, ("--strict-xc",)),
-    "qij": (_cmd_qij, ()),
-    "minsearch": (_cmd_minsearch, ("--strict-xc",)),
-    "selfcheck": (_cmd_selfcheck, None),
+    "tf-atom": (_cmd_tf_atom, {"z": (float, REQUIRED), "fit_window": (_pair, None)}, ()),
+    "tf-molecule": (_cmd_tf_molecule, {
+        **_NUCLEI, "n": (float, None), "grid": (_grid, REQUIRED),
+    }, ()),
+    "ks-atom": (_cmd_ks_atom, {
+        "z": (float, REQUIRED), "n": (float, None), "xc": (_xc, REQUIRED),
+        "q": (float, 2.0), "lmax": (int, 3), "per_ell": (int, 5), "tol": (float, 1e-6),
+    }, ("--strict-xc",)),
+    "ks-molecule": (_cmd_ks_molecule, {
+        **_NUCLEI, "n": (float, None), "xc": (_xc, REQUIRED), "q": (float, 2.0),
+        "grid": (_grid, REQUIRED), "tol": (float, 1e-6),
+    }, ("--strict-xc",)),
+    "bo-scan": (_cmd_bo_scan, {
+        "charges": (_pair, REQUIRED), "R_values": (_floats, REQUIRED),
+        "theory": (str, "tf"), "xc": (_xc, None), "q": (float, 2.0),
+        "grid": (_grid, REQUIRED),
+    }, ("--cache", "--workers", "--strict-xc")),
+    "gamma": (_cmd_gamma, {
+        "charges": (_pair, REQUIRED), "R": (float, 1.0),
+        "l_values": (_floats, REQUIRED), "grid": (_grid, REQUIRED),
+    }, ()),
+    "screened": (_cmd_screened, {
+        **_NUCLEI, "r_values": (_floats, REQUIRED), "xc": (_xc, REQUIRED),
+        "q": (float, 2.0), "grid": (_grid, REQUIRED), "eps": (float, 0.5),
+    }, ("--strict-xc",)),
+    "qij": (_cmd_qij, {**_NUCLEI, "r": (float, REQUIRED)}, ()),
+    "minsearch": (_cmd_minsearch, {
+        "charges": (_floats, REQUIRED), "xc": (_xc, REQUIRED), "q": (float, 2.0),
+        "grid": (_grid, REQUIRED), "restarts": (int, 3), "maxiter": (int, 60),
+        "seed": (int, 3),
+    }, ("--strict-xc",)),
+    "selfcheck": (_cmd_selfcheck, None, ()),
 }
 
 
@@ -534,9 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
+    for name, (_, spec, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if flags is None:
+        if spec is None:
             continue
         p.add_argument("--config", required=True,
                        help="path to the JSON run configuration")
@@ -548,9 +453,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler, spec, _ = _COMMANDS[args.command]
     try:
-        return handler(args)
+        if spec is None:
+            return handler(args)
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        handler(_fields(raw, spec, "config"), args, Path(args.out))
+        return 0
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return 2

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from fermisurf.cli import BO_HEADER, main
+from fermisurf.cli import BO_HEADER, REQUIRED, _COMMANDS, main
 from fermisurf.tf_molecule import ConvergenceError
 
 
@@ -193,3 +195,119 @@ class TestOutputs:
         lines = (tmp_path / "ks_atom.csv").read_text().splitlines()
         total = float(lines[1].split(",")[4])
         assert total == pytest.approx(-2.7233, abs=5e-3)
+
+
+# one valid value per config key, and one of the wrong JSON type; a new
+# subcommand's required keys must be added here to be covered
+_VALID = {
+    "z": 1.0, "charges": [1.0, 1.0], "positions": [[0, 0, 0], [1.4, 0, 0]],
+    "grid": {"spacing": 0.5}, "xc": {"kind": "lda_exchange"}, "R_values": [1.4],
+    "l_values": [1.0, 1.3, 1.6], "r_values": [0.3], "r": 0.5,
+}
+_WRONG = {
+    "z": [1.0], "charges": 1.0, "positions": 1.0, "grid": 0.5,
+    "xc": "lda_exchange", "R_values": 1.0, "l_values": 1.0, "r_values": 0.3,
+    "r": [0.5],
+}
+_SPECS = {name: spec for name, (_, spec, _) in _COMMANDS.items() if spec}
+
+
+def _required(spec):
+    return [key for key, (_, default) in spec.items() if default is REQUIRED]
+
+
+def _rejected(command, payload, tmp_path, capsys, monkeypatch):
+    """Run `command` on `payload` with a handler that must not be reached."""
+
+    def unreachable(*args):
+        raise AssertionError("handler ran on an invalid config")
+
+    _, spec, flags = _COMMANDS[command]
+    monkeypatch.setitem(_COMMANDS, command, (unreachable, spec, flags))
+    cfg = _write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    return err["message"]
+
+
+class TestConfigSpecs:
+    @pytest.mark.parametrize("command", sorted(_SPECS))
+    def test_unknown_key(self, command, tmp_path, capsys, monkeypatch):
+        payload = {key: _VALID[key] for key in _required(_SPECS[command])}
+        payload["bogus"] = 1
+        message = _rejected(command, payload, tmp_path, capsys, monkeypatch)
+        assert "unknown config keys" in message and "bogus" in message
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command in sorted(_SPECS)
+        for key in _required(_SPECS[command])
+    ])
+    def test_wrongly_typed_required_value(self, command, key, tmp_path, capsys,
+                                          monkeypatch):
+        payload = {k: _VALID[k] for k in _required(_SPECS[command])}
+        payload[key] = _WRONG[key]
+        message = _rejected(command, payload, tmp_path, capsys, monkeypatch)
+        assert repr(key) in message
+
+    @pytest.mark.parametrize("window", [[5.0, 50.0, 80.0], [5.0], 5.0])
+    def test_fit_window_takes_exactly_two_numbers(self, window, tmp_path, capsys,
+                                                  monkeypatch):
+        payload = {"z": 1.0, "fit_window": window}
+        message = _rejected("tf-atom", payload, tmp_path, capsys, monkeypatch)
+        assert "'fit_window'" in message
+
+    def test_nested_grid_value_names_the_key(self, tmp_path, capsys, monkeypatch):
+        payload = {"charges": [1.0, 1.0], "R_values": [1.4],
+                   "grid": {"spacing": "fine"}}
+        message = _rejected("bo-scan", payload, tmp_path, capsys, monkeypatch)
+        assert "'grid'" in message and "'spacing'" in message
+
+
+def _run(command, payload, tmp_path):
+    cfg = _write_config(tmp_path / "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+class TestOutputSchemas:
+    pair = {"positions": [[0, 0, 0], [1.4, 0, 0]], "charges": [1.0, 1.0],
+            "grid": {"spacing": 0.5}}
+
+    def test_tf_molecule(self, tmp_path):
+        _run("tf-molecule", self.pair, tmp_path)
+        lines = (tmp_path / "tf_molecule.csv").read_text().splitlines()
+        assert lines[0] == "R_min,n,energy,mu,grid_h,residual,U_R"
+        assert len(lines) == 2
+
+    def test_ks_molecule(self, tmp_path):
+        _run("ks-molecule", {**self.pair, "xc": {"kind": "lda_exchange"}}, tmp_path)
+        lines = (tmp_path / "ks_molecule.csv").read_text().splitlines()
+        assert lines[0] == "R_min,n,xc,q,E_elec,E_total,grid_h,residual,U_R"
+        assert len(lines) == 2
+
+    def test_gamma(self, tmp_path):
+        _run("gamma", {"charges": [1.0, 1.0], "l_values": [1.0, 1.3, 1.6],
+                       "grid": {"spacing": 0.5}}, tmp_path)
+        lines = (tmp_path / "gamma.csv").read_text().splitlines()
+        assert lines[0] == "l,ladder,D,grid_h,residual"
+        assert len(lines) == 4
+        summary = json.loads((tmp_path / "gamma.json").read_text())
+        assert set(summary) == {"R", "value", "error", "model"}
+
+    def test_screened(self, tmp_path):
+        _run("screened", {"positions": [[0, 0, 0]], "charges": [1.0],
+                          "r_values": [0.5, 1.0, 1.5, 2.0],
+                          "xc": {"kind": "lda_exchange"},
+                          "grid": {"spacing": 0.5}}, tmp_path)
+        lines = (tmp_path / "screened.csv").read_text().splitlines()
+        assert lines[0] == "r,sup_diff,sup_phi,sup_phi_tf,grid_h,residual"
+        assert len(lines) == 5
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for command, spec in _SPECS.items():
+        entry = re.search(rf"^- `{command}`: (.*?)(?=^- |^$)", readme, re.M | re.S)
+        assert entry is not None, command
+        for key in spec:
+            assert f"`{key}`" in entry.group(1), (command, key)
