@@ -110,6 +110,13 @@ def _pair(value) -> list:
     return _floats(value, 2)
 
 
+def _window(value) -> list:
+    lo, hi = _pair(value)
+    if not 0.0 < lo < hi:
+        raise ValueError("need 0 < lo < hi")
+    return [lo, hi]
+
+
 _GRID = {"spacing": (float, REQUIRED), "margin_factor": (float, 6.0), "levels": (int, 1)}
 _XC = {"kind": (str, REQUIRED), "c": (float, None), "beta": (float, None)}
 
@@ -264,6 +271,14 @@ def _cmd_gamma(cfg, args, out: Path) -> None:
 
 def _cmd_screened(cfg, args, out: Path) -> None:
     config = NuclearConfiguration(cfg["positions"], cfg["charges"])
+    rs = cfg["r_values"]
+    # screened_compare checks the same window, but only after both solves
+    if not rs or min(rs) <= 0.0 or (
+        config.K >= 2 and max(rs) > config.R_min / 4.0 + 1e-12
+    ):
+        raise ConfigError(
+            "r_values must be positive (and <= R_min/4 for two or more nuclei)"
+        )
     xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
     grid = cfg["grid"].build(config)
     state = scf_molecule(config, config.Z, xc, grid, q=cfg["q"])
@@ -397,7 +412,7 @@ _NUCLEI = {"positions": (list, REQUIRED), "charges": (_floats, REQUIRED)}
 # name: (handler, config spec {key: (converter, default or REQUIRED)},
 # optional flags it reads); a None spec reads no config and takes no flags
 _COMMANDS = {
-    "tf-atom": (_cmd_tf_atom, {"z": (float, REQUIRED), "fit_window": (_pair, None)}, ()),
+    "tf-atom": (_cmd_tf_atom, {"z": (float, REQUIRED), "fit_window": (_window, None)}, ()),
     "tf-molecule": (_cmd_tf_molecule, {
         **_NUCLEI, "n": (float, None), "grid": (_grid, REQUIRED),
     }, ()),

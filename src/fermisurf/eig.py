@@ -2,10 +2,12 @@
 
 A block preconditioned solver (scipy's LOBPCG, preconditioned by the exact
 sine-transform inverse of -1/2 Lap_h + c) converges only the wanted
-states. One guard vector in their orthogonal complement is converged
-loosely; its Ritz value and residual tell `occupied_eigenpairs` whether
-the Fermi-level shell closes inside the occupied states, and the block
-grows until it does. Small boxes can be checked against dense
+states (`lowest_eigenpairs`). One guard vector in their orthogonal
+complement is converged loosely (`guard_eigenpair`); its Ritz value and
+residual tell `occupied_eigenpairs` whether the Fermi-level shell closes
+inside the occupied states, and the block grows until it does. The SCF
+keeps that block size from step to step and runs the guard only on its
+first and its converged step. Small boxes can be checked against dense
 diagonalization.
 """
 
@@ -45,16 +47,21 @@ class EigenError(RuntimeError):
 def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(-1/2 Lap_h + V) psi with psi = 0 outside the box.
 
-    psi is one (nx, ny, nz) array or a (k, nx, ny, nz) block of them.
+    psi is one (nx, ny, nz) array or a (k, nx, ny, nz) block of them. The
+    six neighbours are summed into one float buffer, so an integer psi (as
+    scipy's dense small-problem path passes) still gives a float result.
     """
     h2 = grid.h**2
-    out = (6.0 * psi) / (2.0 * h2) + v * psi
-    out[..., :-1, :, :] -= psi[..., 1:, :, :] / (2.0 * h2)
-    out[..., 1:, :, :] -= psi[..., :-1, :, :] / (2.0 * h2)
-    out[..., :, :-1, :] -= psi[..., :, 1:, :] / (2.0 * h2)
-    out[..., :, 1:, :] -= psi[..., :, :-1, :] / (2.0 * h2)
-    out[..., :, :, :-1] -= psi[..., :, :, 1:] / (2.0 * h2)
-    out[..., :, :, 1:] -= psi[..., :, :, :-1] / (2.0 * h2)
+    out = np.empty(np.shape(psi))
+    out[..., :-1, :, :] = psi[..., 1:, :, :]
+    out[..., -1, :, :] = 0.0
+    out[..., 1:, :, :] += psi[..., :-1, :, :]
+    out[..., :, :-1, :] += psi[..., :, 1:, :]
+    out[..., :, 1:, :] += psi[..., :, :-1, :]
+    out[..., :, :, :-1] += psi[..., :, :, 1:]
+    out[..., :, :, 1:] += psi[..., :, :, :-1]
+    out *= -0.5 / h2
+    out += (v + 3.0 / h2) * psi
     return out
 
 
@@ -87,6 +94,19 @@ def dense_hamiltonian(grid: Grid3D, v: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
+def _preconditioner(grid: Grid3D, v: np.ndarray) -> LinearOperator:
+    """Exact inverse of -1/2 Lap_h + c via sine transforms.
+
+    It kills the stiff Laplacian part of the error in one apply.
+    """
+    c_shift = 1.0 + max(0.0, -float(v.min())) * 0.1
+    lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
+    denom = lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift
+    return _block_operator(
+        grid.shape, lambda b: sine_transform(sine_transform(b) / denom)
+    )
+
+
 def lowest_eigenpairs(
     potential: ScalarField,
     count: int,
@@ -94,21 +114,15 @@ def lowest_eigenpairs(
     maxiter: int = EIG_MAXITER,
     initial: np.ndarray | None = None,
 ):
-    """Lowest `count` eigenpairs to `tol`, plus a loosely converged guard.
+    """Lowest `count` eigenpairs to `tol`.
 
-    LOBPCG iterates only the `count` wanted vectors. A second LOBPCG run
-    then improves one guard vector on the Hamiltonian compressed to their
-    orthogonal complement until its residual norm reaches GUARD_TOL.
-    EigenError is raised if either run misses its tolerance. `initial`
-    holds warm-start columns: the first `count` start the wanted block
-    and a further one starts the guard.
+    LOBPCG iterates only the `count` wanted vectors; EigenError is raised
+    if it misses its tolerance. `initial` holds warm-start columns for the
+    first of them, and only the columns it does not cover start random.
 
-    Returns (pairs, guard, residuals). pairs is a list of (eigenvalue,
+    Returns (pairs, residuals). pairs is a list of (eigenvalue,
     ScalarField) with eigenvalues nondecreasing and orbitals orthonormal
-    under the grid inner product (h^3 sum). guard is (theta, rho, vector):
-    the guard's Ritz value and residual norm on the compressed Hamiltonian,
-    which has an eigenvalue within rho of theta, and the flat vector,
-    normalized and orthogonal to the pairs. residuals holds the norm
+    under the grid inner product (h^3 sum). residuals holds the norm
     |H psi - eps psi| h^(3/2) of each pair, the numbers the residual check
     compared with tol * max(1, max |eps|).
     """
@@ -121,26 +135,20 @@ def lowest_eigenpairs(
     if not np.all(np.isfinite(v)):
         raise GridError("potential must be finite at all nodes")
     n = grid.n_points
-    if count > n - GUARD_ROOM:
-        raise ValueError(f"count must leave {GUARD_ROOM} grid states for the guard")
+    if count > n:
+        raise ValueError("count must not exceed the number of grid points")
     A = hamiltonian_operator(grid, v)
+    M = _preconditioner(grid, v)
 
-    # spectral preconditioner: exact inverse of -1/2 Lap_h + c via sine
-    # transforms; kills the stiff Laplacian part of the error in one apply
-    shape = grid.shape
-    c_shift = 1.0 + max(0.0, -float(v.min())) * 0.1
-    lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in shape)
-    denom = lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift
-    M = _block_operator(shape, lambda b: sine_transform(sine_transform(b) / denom))
-
-    X = np.random.default_rng(EIG_SEED).standard_normal((n, count + 1))
-    if initial is not None:
-        k = min(initial.shape[1], count + 1)
-        X[:, :k] = initial[:, :k]
+    k = 0 if initial is None else min(initial.shape[1], count)
+    start = np.empty((n, count))
+    if k:
+        start[:, :k] = initial[:, :k]
+    if k < count:
+        start[:, k:] = np.random.default_rng(EIG_SEED).standard_normal((n, count - k))
 
     vol = grid.cell_volume
     w = np.sqrt(vol)
-    start = X[:, :count]
     history = []
     for _ in range(EIG_ATTEMPTS):
         with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -180,40 +188,69 @@ def lowest_eigenpairs(
             history,
         )
 
-    # the guard iterates on A compressed to the complement of the wanted
-    # states, so their residuals (up to tol) do not put a floor under its own
+    pairs = [
+        (float(vals[j]), ScalarField(grid=grid, values=vecs[:, j].reshape(grid.shape)))
+        for j in range(count)
+    ]
+    return pairs, residuals
+
+
+def guard_eigenpair(potential: ScalarField, pairs, start: np.ndarray | None = None):
+    """Loosely converged lowest state of H compressed to the complement of pairs.
+
+    LOBPCG improves one guard vector on P H P, P the projector onto the
+    orthogonal complement of the pair orbitals, until its residual norm
+    reaches GUARD_TOL; the compression keeps the pairs' own residuals (up
+    to their tolerance) from putting a floor under the guard's. LOBPCG
+    minimizes the Rayleigh quotient, so a guard started with weight on
+    every state settles on the lowest one it is free to take: the default
+    start is random, and `start` (a flat vector) replaces it. A guard that
+    does not settle raises EigenError with its residual history.
+
+    Returns (theta, rho, vector): the guard's Ritz value and residual norm
+    on P H P, which has an eigenvalue within rho of theta, and the flat
+    vector, normalized and orthogonal to the pairs.
+    """
+    grid, v = potential.grid, potential.values
+    n = grid.n_points
+    if len(pairs) > n - GUARD_ROOM:
+        raise ValueError(f"pairs must leave {GUARD_ROOM} grid states for the guard")
+    A = hamiltonian_operator(grid, v)
+    vecs = np.column_stack([p[1].values.ravel() for p in pairs])
+    vol = grid.cell_volume
+
     def project_out(x):
         return x - vecs @ ((vecs * vol).T @ x)
 
+    # lobpcg keeps its iterates in the complement of Y, so one projection
+    # after H serves there; the reported theta and rho use P H P
     def compressed(x):
-        return project_out(A.matmat(project_out(x)))
+        return project_out(A.matmat(x))
 
     Ac = LinearOperator((n, n), matvec=lambda x: compressed(x.reshape(n, 1)),
                         matmat=compressed, dtype=float)
+    if start is None:
+        x = np.random.default_rng(EIG_SEED).standard_normal((n, 1))
+    else:
+        x = np.array(start, dtype=float).reshape(n, 1)  # lobpcg works in place
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         _, y, rnorms = lobpcg(
-            Ac, X[:, count:], M=M, Y=vecs, tol=0.5 * GUARD_TOL,
+            Ac, x, M=_preconditioner(grid, v), Y=vecs, tol=0.5 * GUARD_TOL,
             maxiter=GUARD_MAXITER, largest=False, retResidualNormsHistory=True,
         )
     y = project_out(y)
     y /= np.sqrt(vol * np.sum(y * y))
-    hy = compressed(y)
+    hy = compressed(project_out(y))
     theta = float(vol * np.sum(y * hy))
     rho = float(np.sqrt(vol * np.sum((hy - theta * y) ** 2)))
-    y = y[:, 0]
     if rho > GUARD_TOL * max(1.0, abs(theta)):
         raise EigenError(
             f"guard vector did not settle (residual {rho:.3e} at Ritz value "
             f"{theta:.8g} after {len(rnorms)} iterations)",
             [float(np.max(r)) for r in rnorms],
         )
-
-    pairs = [
-        (float(vals[j]), ScalarField(grid=grid, values=vecs[:, j].reshape(grid.shape)))
-        for j in range(count)
-    ]
-    return pairs, (theta, rho, y), residuals
+    return theta, rho, y[:, 0]
 
 
 def occupied_eigenpairs(
@@ -221,41 +258,51 @@ def occupied_eigenpairs(
     n: float,
     q: float,
     tol: float,
-    initial: np.ndarray | None = None,
+    solved=None,
+    guard: np.ndarray | None = None,
 ):
     """Eigenpairs and aufbau occupations of the states that hold n electrons.
 
-    Converges the ceil(n / q) lowest states and checks that the Fermi-level
-    shell closes inside them: the guard's lower estimate theta - rho of
-    the next eigenvalue must exceed eps_F + FERMI_DEGENERACY_TOL. While it
-    does not, the block grows by one state and is solved again. LOBPCG
-    minimizes the Rayleigh quotient, so a guard started with weight on
-    every state settles on the lowest one it is free to take. When the
-    block cannot grow (it would leave fewer than GUARD_ROOM grid states),
-    EigenError is raised with the margins theta - rho - eps_F tried; a
-    guard that does not settle raises from lowest_eigenpairs.
+    Starts from the pairs and residuals of `solved`, a lowest_eigenpairs
+    result on this potential, or else solves the ceil(n / q) lowest
+    states from random starts. The Fermi-level shell must close inside
+    the block: the guard's lower estimate theta - rho of the next
+    eigenvalue must exceed eps_F + FERMI_DEGENERACY_TOL. While it does not,
+    the block grows by one state and is solved again, warm-started from
+    the orbitals and the guard. `guard` warm-starts the first guard run
+    (later ones start random). When the block cannot grow (it would leave
+    fewer than GUARD_ROOM grid states), EigenError is raised with the
+    margins theta - rho - eps_F tried; a guard that does not settle raises
+    from guard_eigenpair.
 
-    Returns (pairs, occupations, block, residuals); block holds the
-    orbitals and the guard as columns, the warm start of the next call, and
-    residuals the eigenpair residual norms of lowest_eigenpairs.
+    The SCF keeps the returned block size and runs this check on its first
+    step and on the step it converges at, not on the steps between.
+
+    Returns (pairs, occupations, guard, residuals): guard is the settled
+    guard vector, residuals the eigenpair residual norms of
+    lowest_eigenpairs.
     """
-    count = int(math.ceil(n / q))
+    if solved is None:
+        solved = lowest_eigenpairs(potential, int(math.ceil(n / q)), tol=tol)
+    pairs, residuals = solved
     margins = []
     while True:
-        pairs, (theta, rho, guard), residuals = lowest_eigenpairs(
-            potential, count, tol=tol, initial=initial
-        )
+        count = len(pairs)
         eig = np.array([p[0] for p in pairs])
         occ = aufbau_occupations(eig, np.full(count, float(q)), n)
         eps_f = float(np.max(eig[occ > 0.0]))
+        theta, rho, guard = guard_eigenpair(potential, pairs, guard)
         margins.append(theta - rho - eps_f)
-        initial = np.column_stack([*(p[1].values.ravel() for p in pairs), guard])
         if margins[-1] > FERMI_DEGENERACY_TOL:
-            return pairs, occ, initial, residuals
+            return pairs, occ, guard, residuals
         if count + 1 > potential.grid.n_points - GUARD_ROOM:
             raise EigenError(
                 f"Fermi shell at {eps_f:.8g} Ha does not close inside {count} "
                 f"states: guard {theta:.8g} Ha with residual {rho:.3e}",
                 margins,
             )
-        count += 1
+        initial = np.column_stack([*(p[1].values.ravel() for p in pairs), guard])
+        pairs, residuals = lowest_eigenpairs(
+            potential, count + 1, tol=tol, initial=initial
+        )
+        guard = None

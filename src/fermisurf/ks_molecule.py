@@ -2,20 +2,22 @@
 
 Orbitals come from the sparse eigensolver applied to the effective
 Hamiltonian -1/2 Laplacian + v_eff with v_eff = -V_R + rho * |x|^-1
-- g'(rho); only the occupied states are converged, and a guard vector
-checks that the Fermi-level shell closes inside them. The density is
-Anderson-mixed between sweeps.
+- g'(rho); only the occupied states are converged. A guard vector checks
+that the Fermi-level shell closes inside them on the first step, which
+fixes the block size the later steps solve, and again on the step that
+converges. The density is Anderson-mixed between sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .eig import apply_hamiltonian, occupied_eigenpairs
+from .eig import EIG_SEED, apply_hamiltonian, lowest_eigenpairs, occupied_eigenpairs
 from .grids import Grid3D, ScalarField
-from .ks_common import AndersonMixer, KSState, SCFError
+from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations
 from .poisson import poisson_solve
 from .tf_molecule import (
     NuclearConfiguration,
@@ -29,6 +31,39 @@ SCF_MAX_ITER = 120
 EIG_TOL = 1e-7  # floor of the per-step eigensolver tolerance
 
 
+def _density_start(grid: Grid3D, rho: np.ndarray, count: int) -> np.ndarray:
+    """Start columns of the first eigensolve, sqrt(rho) p_j normalized.
+
+    The monomials p_j = 1, x, y, z, x^2, xy, ... are taken about the
+    charge centre. A tenth of a unit random column is added to each, so
+    every start has weight on the states the monomials miss.
+    """
+    total = rho.sum()
+    axes = [a - np.sum(a * rho) / total for a in np.ix_(*grid.axes())]
+    monomials = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(3), d) for d in itertools.count()
+    )
+    rng = np.random.default_rng(EIG_SEED)
+    root = np.sqrt(rho)
+    cols = np.empty((grid.n_points, count))
+    for j, powers in zip(range(count), monomials):
+        col = root
+        for k in powers:
+            col = col * axes[k]
+        noise = rng.standard_normal(grid.n_points)
+        noise *= 0.1 / np.linalg.norm(noise)
+        cols[:, j] = col.ravel() / np.linalg.norm(col) + noise
+    return cols
+
+
+def _density(grid: Grid3D, pairs, occ) -> np.ndarray:
+    rho = np.zeros(grid.shape)
+    for lam, (eps, orb) in zip(occ, pairs):
+        if lam > 0.0:
+            rho += lam * orb.values**2
+    return rho
+
+
 def scf_molecule(
     config: NuclearConfiguration,
     N: float,
@@ -38,6 +73,16 @@ def scf_molecule(
     tol: float = 1e-6,
 ) -> KSState:
     """Converged molecular KS-LDA state with aufbau occupations.
+
+    The block size, the number of states each eigensolve converges, is
+    SCF state. The first step's eigensolve starts from the initial density
+    and `occupied_eigenpairs` grows the block until the Fermi-level shell
+    closes. The steps between solve that many states with no guard. The
+    step whose density residual falls below `tol` runs the guard again on
+    its own potential, warm-started from the last settled guard vector;
+    the SCF returns only if the shell closes there, and otherwise goes on
+    with the grown block and checks again before it returns. So the
+    returned occupied set was checked on the potential that produced it.
 
     Two residuals per occupied orbital go into meta, both the norm
     |H psi - eps psi| h^(3/2). "stationarity" takes H with the potential
@@ -59,23 +104,34 @@ def scf_molecule(
 
     mixer = AndersonMixer()
     history = []
-    block = None  # orbitals and guard of the last step, a warm start
+    count = int(math.ceil(N / q))  # block size, fixed by the first shell check
+    pairs = guard = None  # the last step's pairs warm-start the next eigensolve
     for it in range(SCF_MAX_ITER):
         u = poisson_solve(ScalarField(grid=grid, values=rho)).values
         v_eff = -v_ext + u - xc.derivative(rho)
         v_field = ScalarField(grid=grid, values=v_eff, kind="potential")
         # loose eigensolves while the density is far from self-consistent
         it_tol = max(EIG_TOL, 0.1 * history[-1]) if history else 1e-4
-        pairs, occ, block, eig_resids = occupied_eigenpairs(
-            v_field, N, q, it_tol, block
+        pairs, eig_resids = lowest_eigenpairs(
+            v_field, count, tol=it_tol,
+            initial=_density_start(grid, rho, count) if pairs is None
+            else np.column_stack([p[1].values.ravel() for p in pairs]),
         )
-        rho_out = np.zeros(grid.shape)
-        for lam, (eps, orb) in zip(occ, pairs):
-            if lam > 0.0:
-                rho_out += lam * orb.values**2
+        occ = aufbau_occupations(np.array([p[0] for p in pairs]), np.full(count, q), N)
+        rho_out = _density(grid, pairs, occ)
         resid = grid.integrate(np.abs(rho_out - rho)) / N
+        closed = False
+        if guard is None or resid < tol:
+            pairs, occ, guard, eig_resids = occupied_eigenpairs(
+                v_field, N, q, it_tol, (pairs, eig_resids), guard
+            )
+            closed = len(pairs) == count
+            if not closed:
+                count = len(pairs)
+                rho_out = _density(grid, pairs, occ)
+                resid = grid.integrate(np.abs(rho_out - rho)) / N
         history.append(resid)
-        if resid < tol:
+        if closed and resid < tol:
             rho = rho_out
             break
         rho = np.maximum(mixer.mix(rho, rho_out), 0.0)

@@ -257,6 +257,28 @@ class TestConfigSpecs:
         message = _rejected("tf-atom", payload, tmp_path, capsys, monkeypatch)
         assert "'fit_window'" in message
 
+    @pytest.mark.parametrize("window", [[50.0, 5.0], [0.0, 5.0], [-1.0, 5.0]])
+    def test_fit_window_must_be_ordered_and_positive(self, window, tmp_path, capsys,
+                                                     monkeypatch):
+        payload = {"z": 1.0, "fit_window": window}
+        message = _rejected("tf-atom", payload, tmp_path, capsys, monkeypatch)
+        assert "'fit_window'" in message
+
+    @pytest.mark.parametrize("r_values", [[0.3, 1.0], [0.0, 0.3], []])
+    def test_screened_radii_checked_before_the_scf(self, r_values, tmp_path, capsys,
+                                                   monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("SCF ran on invalid screening radii")
+
+        monkeypatch.setattr("fermisurf.cli.scf_molecule", unreachable)
+        payload = {key: _VALID[key] for key in _required(_SPECS["screened"])}
+        payload["r_values"] = r_values  # R_min = 1.4 allows r <= 0.35
+        cfg = _write_config(tmp_path / "c.json", payload)
+        assert main(["screened", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "r_values" in err["message"]
+
     def test_nested_grid_value_names_the_key(self, tmp_path, capsys, monkeypatch):
         payload = {"charges": [1.0, 1.0], "R_values": [1.4],
                    "grid": {"spacing": "fine"}}

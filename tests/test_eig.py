@@ -9,6 +9,7 @@ from fermisurf.eig import (
     EigenError,
     apply_hamiltonian,
     dense_hamiltonian,
+    guard_eigenpair,
     lowest_eigenpairs,
     occupied_eigenpairs,
 )
@@ -115,6 +116,51 @@ def _harmonic(half, n):
     return ScalarField(grid=grid, values=0.5 * (X**2 + Y**2 + Z**2))
 
 
+def _levels_1d(grid, omega):
+    """Discrete 1D levels of -1/2 d^2/dx^2 + omega^2 x^2 / 2 on one grid axis."""
+    x = grid.axes()[0]
+    h2 = grid.h**2
+    H = (np.diag(1.0 / h2 + 0.5 * omega**2 * x**2)
+         - np.diag(np.full(x.size - 1, 0.5 / h2), 1)
+         - np.diag(np.full(x.size - 1, 0.5 / h2), -1))
+    return np.linalg.eigvalsh(H)
+
+
+class TestGuard:
+    # anisotropic well, frequencies 1, 0.7, 1.3: above the ground state
+    # come the y-odd, the x-odd and the z-odd levels, and the discrete
+    # spectrum is a sum of 1D levels
+    @pytest.fixture(scope="class")
+    def well(self):
+        grid = Grid3D.cube((0, 0, 0), 5.0, 21)
+        X, Y, Z = grid.meshgrid()
+        field = ScalarField(grid=grid, values=0.5 * (X**2 + 0.49 * Y**2 + 1.69 * Z**2))
+        gauss = np.exp(-0.25 * (X**2 + Y**2 + Z**2))
+        pairs, _ = lowest_eigenpairs(field, 1, initial=gauss.reshape(-1, 1))
+        ex, ey, ez = (_levels_1d(grid, w) for w in (1.0, 0.7, 1.3))
+        levels = {"y_odd": ex[0] + ey[1] + ez[0], "x_odd": ex[1] + ey[0] + ez[0]}
+        return field, pairs, (X * gauss).ravel(), levels
+
+    def test_random_start_finds_lowest_complement_state(self, well):
+        field, pairs, _, levels = well
+        assert levels["y_odd"] == pytest.approx(2.159, abs=1e-3)
+        theta, rho, y = guard_eigenpair(field, pairs)
+        assert abs(theta - levels["y_odd"]) <= rho
+        orbital = pairs[0][1].values.ravel()
+        assert abs(float(np.dot(y, orbital)) * field.grid.cell_volume) < 1e-10
+
+    def test_smooth_start_settles_on_its_own_sector(self, well):
+        # why the guard starts random: LOBPCG keeps a start free of the
+        # lowest complement state almost free of it, and the loose guard
+        # settles on the x-odd level first
+        field, pairs, x_odd, levels = well
+        assert levels["x_odd"] == pytest.approx(2.442, abs=1e-3)
+        noise = np.random.default_rng(3).standard_normal(x_odd.size)
+        start = x_odd / np.linalg.norm(x_odd) + 0.01 * noise / np.linalg.norm(noise)
+        theta, rho, _ = guard_eigenpair(field, pairs, start)
+        assert abs(theta - levels["x_odd"]) <= rho
+
+
 class TestOccupied:
     def test_degenerate_shell_grows_block(self, monkeypatch):
         # N = 4, q = 2: the 1s level holds 2 and the 3-fold p shell the
@@ -129,11 +175,11 @@ class TestOccupied:
 
         monkeypatch.setattr(eig, "lowest_eigenpairs", counting)
         field = _harmonic(5.0, 21)
-        pairs, occ, block, _ = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
+        pairs, occ, guard, _ = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
         assert sizes == [2, 3, 4]
         assert len(pairs) == 4
         assert np.allclose(occ, [2.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-        assert block.shape == (field.grid.n_points, 5)
+        assert guard.shape == (field.grid.n_points,)
 
     def test_closed_shell_keeps_occupied_block(self):
         pairs, occ, *_ = occupied_eigenpairs(_harmonic(5.0, 21), 2.0, 2.0, 1e-8)

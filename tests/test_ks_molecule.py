@@ -113,6 +113,89 @@ class TestDiatomic:
         assert state.n_electrons == pytest.approx(2.0, abs=1e-9)
 
 
+class TestBlockSize:
+    """The block size is SCF state; the guard runs on the first and the converged step."""
+
+    def test_open_shell_atom_converges_with_fractional_p_shell(self, lda):
+        # a block that restarted at ceil(N / q) every step flipped between
+        # 3, 4 and 5 states and kept the SCF from converging
+        cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[6.0])
+        grid = GridPolicy(spacing=0.3).build(cfg)
+        assert grid.shape == (27, 27, 27)
+        state = scf_molecule(cfg, 6.0, lda, grid)
+        assert np.allclose(state.occupations, [2.0, 2.0, 2 / 3, 2 / 3, 2 / 3], atol=1e-12)
+        assert np.ptp(state.eigenvalues[2:]) <= 1e-6
+
+    @staticmethod
+    def _h2(lda):
+        cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0], [1.6, 0.0, 0.0]],
+                                   charges=[1.0, 1.0])
+        return cfg, GridPolicy(spacing=0.4).build(cfg)
+
+    def test_closed_shell_runs_guard_twice(self, lda, monkeypatch):
+        from fermisurf import eig
+
+        runs = []
+        guard = eig.guard_eigenpair
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return guard(*args, **kwargs)
+
+        monkeypatch.setattr(eig, "guard_eigenpair", counting)
+        cfg, grid = self._h2(lda)
+        state = scf_molecule(cfg, 2.0, lda, grid)
+        assert len(state.scf_history) > 2
+        assert len(runs) == 2
+
+    def test_unsettled_guard_at_convergence_raises_with_history(self, lda, monkeypatch):
+        from fermisurf import eig
+
+        runs = []
+        guard = eig.guard_eigenpair
+
+        def one_iteration_at_convergence(*args, **kwargs):
+            runs.append(1)
+            if len(runs) == 2:
+                monkeypatch.setattr(eig, "GUARD_MAXITER", 1)
+            return guard(*args, **kwargs)
+
+        monkeypatch.setattr(eig, "guard_eigenpair", one_iteration_at_convergence)
+        cfg, grid = self._h2(lda)
+        with pytest.raises(eig.EigenError) as exc:
+            scf_molecule(cfg, 2.0, lda, grid)
+        assert len(runs) == 2
+        assert "guard" in str(exc.value)
+        assert exc.value.history
+
+    def test_grown_block_at_convergence_continues_and_checks_again(self, lda, monkeypatch):
+        from fermisurf import ks_molecule
+        from fermisurf.eig import lowest_eigenpairs
+        from fermisurf.ks_common import aufbau_occupations
+
+        sizes = []
+        check = ks_molecule.occupied_eigenpairs
+
+        def grows_once(potential, n, q, tol, solved=None, guard=None):
+            sizes.append(len(solved[0]))
+            pairs, occ, guard, residuals = check(potential, n, q, tol, solved, guard)
+            if len(sizes) == 2:  # the first check at convergence reports one more state
+                pairs, residuals = lowest_eigenpairs(potential, len(pairs) + 1, tol=tol)
+                occ = aufbau_occupations([p[0] for p in pairs], np.full(len(pairs), q), n)
+            return pairs, occ, guard, residuals
+
+        cfg, grid = self._h2(lda)
+        plain = scf_molecule(cfg, 2.0, lda, grid)
+        monkeypatch.setattr(ks_molecule, "occupied_eigenpairs", grows_once)
+        state = scf_molecule(cfg, 2.0, lda, grid)
+        # first step, the stubbed check, then a second check at the grown size
+        assert sizes == [1, 1, 2]
+        assert len(state.scf_history) > len(plain.scf_history)
+        assert state.scf_history[-1] < 1e-6
+        assert state.occupations.tolist() == [2.0]
+        assert state.energy["total"] == pytest.approx(plain.energy["total"], abs=1e-6)
+
+
 class TestContracts:
     def test_rejects_n_above_z(self, lda):
         cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
