@@ -4,8 +4,11 @@ D is the molecular energy minus isolated-atom energies plus the nuclear
 repulsion. The atomic references are solved on grids with the same spacing
 and dimensions as the molecular box (each recentered so its nucleus keeps
 the same sub-cell offset), which cancels the near-cusp quadrature error in
-the difference. The scaling limit Gamma(R) = lim l^7 D^TF(Z, lR) is
-estimated from rescaled solves at increasing l.
+the difference. Each D is one solve at the policy spacing, with no
+extrapolation in h: D converges like h^1.5 for light pairs but like h^0.8
+for (6, 6), so no fixed Richardson order fits. The scaling limit
+Gamma(R) = lim l^7 D^TF(Z, lR) is estimated from rescaled solves at
+increasing l.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ class GridPolicy:
 
     spacing: float
     margin_factor: float = 6.0
-    levels: int = 1  # Richardson refinement levels (1 = single grid)
 
     def __post_init__(self):
-        if self.spacing <= 0.0 or self.levels < 1:
-            raise GridError("spacing and levels must be positive")
+        if self.spacing <= 0.0:
+            raise GridError("spacing must be positive")
         if self.margin_factor < 6.0:
             raise GridError(
                 "margin_factor must be >= 6 (box margin >= 6 z^(-1/3))"
@@ -41,13 +43,13 @@ class GridPolicy:
     def margin(self, config: NuclearConfiguration) -> float:
         return self.margin_factor * config.z_min ** (-1.0 / 3.0)
 
-    def build(self, config: NuclearConfiguration, level: int = 0) -> Grid3D:
+    def build(self, config: NuclearConfiguration) -> Grid3D:
         """Cubic box covering all nuclei with the policy margin.
 
-        Level k halves the spacing k times. The first nucleus is placed
-        on a node so homonuclear sweeps stay comparable across R.
+        The first nucleus is placed on a node so homonuclear sweeps stay
+        comparable across R.
         """
-        h = self.spacing / 2**level
+        h = self.spacing
         m = self.margin(config)
         lo = config.positions.min(axis=0) - m
         hi = config.positions.max(axis=0) + m
@@ -94,15 +96,6 @@ class BOCurve:
         )
 
 
-def _richardson(values, order: float = 2.0):
-    """Extrapolate f(h), f(h/2), ... assuming error ~ h^order."""
-    vals = list(values)
-    k = 2.0**order
-    while len(vals) > 1:
-        vals = [(k * vals[i + 1] - vals[i]) / (k - 1.0) for i in range(len(vals) - 1)]
-    return vals[0]
-
-
 def diatomic(z1: float, z2: float, R: float) -> NuclearConfiguration:
     """Charges z1 at -R/2 and z2 at +R/2 on the x axis."""
     return NuclearConfiguration(
@@ -112,23 +105,17 @@ def diatomic(z1: float, z2: float, R: float) -> NuclearConfiguration:
 
 def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
     """D^TF = E^TF_mol - sum_j E^TF_atom + U_R with matched atomic grids."""
-    ds, emols, eatoms = [], [], []
-    for level in range(policy.levels):
-        grid = policy.build(config, level)
-        sol = solve_tf(config, config.Z, grid)
-        e_at = atomic_references(
-            config, grid,
-            lambda single, agrid: solve_tf(single, single.Z, agrid).energy,
-        )
-        emols.append(sol.energy)
-        eatoms.append(e_at)
-        ds.append(sol.energy - e_at + config.U_R)
-    d = _richardson(ds) if policy.levels > 1 else ds[-1]
+    grid = policy.build(config)
+    sol = solve_tf(config, config.Z, grid)
+    e_at = atomic_references(
+        config, grid,
+        lambda single, agrid: solve_tf(single, single.Z, agrid).energy,
+    )
     return BOSample(
         R_min=config.R_min if config.K > 1 else 0.0,
-        D=d,
-        E_mol=emols[-1],
-        E_atoms=eatoms[-1],
+        D=sol.energy - e_at + config.U_R,
+        E_mol=sol.energy,
+        E_atoms=e_at,
         U_R=config.U_R,
         grid_h=grid.h,
         residual=sol.residual,
@@ -143,8 +130,6 @@ def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
     Every SCF solve (molecule and atomic references) runs at the
     `scf_molecule` defaults with occupation bound q.
     """
-    if policy.levels != 1:
-        raise ValueError("bo_ks solves a single grid (levels=1)")
     grid = policy.build(config)
     mol = scf_molecule(config, config.Z, xc, grid, q=q)
     e_at = atomic_references(

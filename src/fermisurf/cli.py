@@ -2,10 +2,10 @@
 
 Subcommands cover the atomic and molecular solvers, Born-Oppenheimer
 scans, the scaling-limit ladder, screened-potential comparisons, cross
-terms, geometry search, and a self-check. Exit codes: 0 success, 2 config
-error, 3 solver error (structured JSON diagnostics on stderr). Runs are
-deterministic for a given config; floats are emitted with 17 significant
-digits so reruns are byte-identical.
+terms and geometry search. Exit codes: 0 success, 2 config error, 3 solver
+error (structured JSON diagnostics on stderr). Runs are deterministic for
+a given config; floats are emitted with 17 significant digits so reruns
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .ks_radial import scf_atom
 from .minsearch import min_distance_search
 from .outside import qij_tf
 from .screening import screened_compare
-from .tf_atom import ShootingError, atomic_tf, tf_residual, universal_profile
+from .tf_atom import ShootingError, atomic_tf, tf_residual
 from .tf_molecule import ConvergenceError, NuclearConfiguration, solve_tf
 from .xc import XCValidationError, make_functional
 
@@ -117,7 +117,7 @@ def _window(value) -> list:
     return [lo, hi]
 
 
-_GRID = {"spacing": (float, REQUIRED), "margin_factor": (float, 6.0), "levels": (int, 1)}
+_GRID = {"spacing": (float, REQUIRED), "margin_factor": (float, 6.0)}
 _XC = {"kind": (str, REQUIRED), "c": (float, None), "beta": (float, None)}
 
 
@@ -336,68 +336,6 @@ def _cmd_minsearch(cfg, args, out: Path) -> None:
           f"converged={res.converged} -> {path}")
 
 
-def _cmd_selfcheck(args) -> int:
-    import tempfile
-
-    from .grids import Grid3D, ScalarField
-    from .outside import UniformBall
-    from .poisson import poisson_solve
-    from .xc import LDA_EXCHANGE_COEF
-
-    checks = []
-
-    u = universal_profile()
-    checks.append(("universal profile y(0) boundary", abs(u.y(1e-8) - 1.0) < 1e-4))
-
-    grid = Grid3D(origin=(-4.0, -4.0, -4.0), h=0.25, dims=(33, 33, 33))
-    X, Y, Z = grid.meshgrid()
-    rr = np.sqrt(X**2 + Y**2 + Z**2)
-    a, qtot = 1.0, 2.0
-    rho = np.where(rr <= a, qtot / (4.0 / 3.0 * np.pi * a**3), 0.0)
-    field = ScalarField(grid=grid, values=rho)
-    sol = poisson_solve(field)
-    q_disc = grid.integrate(rho)  # staircase ball carries slightly != qtot
-    far = np.abs(rr - 3.0) < 0.05
-    ok = np.allclose(sol.values[far], q_disc / rr[far], rtol=2e-2)
-    checks.append(("uniform-ball Poisson matches point charge outside", ok))
-
-    zero = poisson_solve(ScalarField(grid=grid, values=np.zeros(grid.shape)))
-    checks.append(("zero source gives zero potential",
-                   float(np.max(np.abs(zero.values))) < 1e-12))
-
-    expected = 0.75 * (3.0 / np.pi) ** (1.0 / 3.0)
-    checks.append(("LDA exchange coefficient", abs(LDA_EXCHANGE_COEF - expected) < 1e-15))
-
-    pair = NuclearConfiguration(
-        positions=[[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], charges=[2.0, 2.0]
-    )
-    balls = [UniformBall(z=2.0, a=0.5), UniformBall(z=2.0, a=0.5)]
-    Q = qij_tf(balls, pair, 0.8)
-    checks.append(("uniform balls fully screened: Q = 0", abs(Q[0, 1]) < 1e-12))
-
-    with tempfile.TemporaryDirectory() as d:
-        cache = SolutionCache(d)
-        calls = {"n": 0}
-
-        def thunk():
-            calls["n"] += 1
-            return {"x": 1.25}
-
-        key_inputs = {"a": 1}
-        cache.get_or_solve("selfcheck", key_inputs, thunk)
-        val, hit = cache.get_or_solve("selfcheck", key_inputs, thunk)
-        checks.append(("cache round-trip hit", hit and calls["n"] == 1
-                       and val == {"x": 1.25}))
-
-    failed = [name for name, ok in checks if not ok]
-    for name, ok in checks:
-        print(f"selfcheck: {'ok  ' if ok else 'FAIL'} {name}")
-    if failed:
-        raise ArithmeticError(f"selfcheck failures: {failed}")
-    print(f"selfcheck: {len(checks)} checks passed")
-    return 0
-
-
 _FLAGS = {
     "--cache": dict(dest="cache_dir", default=None,
                     help="cache directory (default: FERMISURF_CACHE or none)"),
@@ -410,7 +348,7 @@ _FLAGS = {
 _NUCLEI = {"positions": (list, REQUIRED), "charges": (_floats, REQUIRED)}
 
 # name: (handler, config spec {key: (converter, default or REQUIRED)},
-# optional flags it reads); a None spec reads no config and takes no flags
+# optional flags it reads)
 _COMMANDS = {
     "tf-atom": (_cmd_tf_atom, {"z": (float, REQUIRED), "fit_window": (_window, None)}, ()),
     "tf-molecule": (_cmd_tf_molecule, {
@@ -443,7 +381,6 @@ _COMMANDS = {
         "grid": (_grid, REQUIRED), "restarts": (int, 3), "maxiter": (int, 60),
         "seed": (int, 3),
     }, ("--strict-xc",)),
-    "selfcheck": (_cmd_selfcheck, None, ()),
 }
 
 
@@ -454,10 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, spec, flags) in _COMMANDS.items():
+    for name, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if spec is None:
-            continue
         p.add_argument("--config", required=True,
                        help="path to the JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
@@ -470,8 +405,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler, spec, _ = _COMMANDS[args.command]
     try:
-        if spec is None:
-            return handler(args)
         try:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:

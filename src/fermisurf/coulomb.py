@@ -1,7 +1,7 @@
-"""Coulomb energies D(f, g) = 1/2 iint f(x) g(y) / |x - y|.
+"""Coulomb potential of a radial density by Newton's theorem.
 
-3D fields go through the grid Poisson solve; radial fields use Newton's
-theorem (a spherical shell acts like a point charge from outside).
+A spherical shell acts like a point charge from outside; 3D fields go
+through the grid Poisson solve in `poisson`.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import GridError, RadialGrid, ScalarField
-from .poisson import poisson_solve
 
 
 def radial_hartree_potential(field: ScalarField) -> np.ndarray:
@@ -23,15 +22,3 @@ def radial_hartree_potential(field: ScalarField) -> np.ndarray:
     # potential from shells outside r: sum of charge/shell-radius
     outer = np.cumsum((contrib / r)[::-1])[::-1] - contrib / r
     return inner / r + outer
-
-
-def coulomb_energy(f: ScalarField, g: ScalarField) -> float:
-    """D(f, g) in Hartree. Fields must share a grid."""
-    if not f.same_grid(g):
-        raise GridError("coulomb_energy needs both fields on the same grid")
-    grid = f.grid
-    if isinstance(grid, RadialGrid):
-        u = radial_hartree_potential(g)
-        return 0.5 * grid.integrate(f.values * u)
-    u = poisson_solve(ScalarField(grid=grid, values=g.values))
-    return 0.5 * grid.integrate(f.values * u.values)

@@ -82,18 +82,6 @@ def hamiltonian_operator(grid: Grid3D, v: np.ndarray) -> LinearOperator:
     return _block_operator(grid.shape, lambda psi: apply_hamiltonian(grid, v, psi))
 
 
-def dense_hamiltonian(grid: Grid3D, v: np.ndarray) -> np.ndarray:
-    """Dense matrix of the same operator; oracle for small boxes only."""
-    n = grid.n_points
-    if n > 4096:
-        raise GridError("dense oracle limited to 16^3 boxes")
-    H = np.zeros((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        H[:, j] = apply_hamiltonian(grid, v, eye[:, j].reshape(grid.shape)).ravel()
-    return 0.5 * (H + H.T)
-
-
 def _preconditioner(grid: Grid3D, v: np.ndarray) -> LinearOperator:
     """Exact inverse of -1/2 Lap_h + c via sine transforms.
 

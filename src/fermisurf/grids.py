@@ -108,6 +108,11 @@ class Grid3D:
         ax = self.axes()
         return np.meshgrid(*ax, indexing="ij")
 
+    def squared_distance(self, point) -> np.ndarray:
+        """|x - point|^2 at every node, summed in x, y, z order."""
+        x, y, z = (a - p for a, p in zip(self.axes(), point))
+        return x[:, None, None] ** 2 + y[None, :, None] ** 2 + z**2
+
     def upper_corner(self) -> np.ndarray:
         return self.origin + self.h * (np.asarray(self.dims) - 1)
 

@@ -1,11 +1,11 @@
 """Outside-model quantities: cross terms Q_ij and the decomposition check.
 
-Q_ij expands the pair interaction of screened nuclei: point-point minus
-two point-cloud terms plus the cloud-cloud energy, where each cloud is
-the (spherical) atomic density restricted to its ball of radius r. The
-decomposition check compares D^TF against the difference of exterior
-energies, with every exterior problem solved on the same 3D staircase
-mask so the boundary-layer error cancels.
+Q_ij is the pair interaction of screened nuclei: each nucleus together
+with its (spherical) atomic density restricted to its ball of radius r.
+For disjoint balls Newton's theorem makes it the product of the two net
+charges over the distance. The decomposition check compares D^TF against
+the difference of exterior energies, with every exterior problem solved
+on the same 3D staircase mask so the boundary-layer error cancels.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .bo import GridPolicy, bo_tf
 from .grids import Grid3D, ScalarField
-from .tf_atom import AtomicTFSolution, atomic_screened_tf, atomic_tf
+from .tf_atom import atomic_screened_tf, atomic_tf
 from .tf_molecule import (
     NuclearConfiguration,
     RegionMask,
@@ -40,25 +40,14 @@ class UniformBall:
         return self.z * (r / self.a) ** 3
 
 
-def charge_within(sol, r: float) -> float:
-    """Charge of a spherical cloud inside radius r (duck-typed)."""
-    if hasattr(sol, "charge_within"):
-        return float(sol.charge_within(r))
-    if isinstance(sol, AtomicTFSolution):
-        nodes = sol.grid.nodes
-        contrib = sol.grid.weights * sol.rho.values
-        return float(np.sum(contrib[nodes <= r]))
-    raise TypeError(f"no spherical charge accessor for {type(sol).__name__}")
-
-
 def qij_tf(atomic_solutions, config: NuclearConfiguration, r: float) -> np.ndarray:
     """Matrix of cross terms Q_ij^TF for screening radius r.
 
-    atomic_solutions: one spherical cloud per nucleus (atomic TF solution
-    or any object with charge_within). Requires r <= R_min/2 so the balls
-    are disjoint; then every cloud acts as a point charge q_j(r) by
-    Newton's theorem and the four terms collapse accordingly. The
-    cloud-cloud term is still evaluated by radial quadrature.
+    atomic_solutions: one spherical cloud per nucleus, each with a
+    charge_within(r) method (an atomic TF solution or a UniformBall).
+    Requires r <= R_min/2 so the balls are disjoint; then each ball acts
+    outside itself as the point charge z_j - q_j(r) by Newton's theorem, so
+    Q_ij = (z_i - q_i)(z_j - q_j) / |R_i - R_j|.
     """
     if config.K >= 2 and r > config.R_min / 2.0 + 1e-12:
         raise ValueError("need r <= R_min/2 (disjoint screening balls)")
@@ -66,32 +55,13 @@ def qij_tf(atomic_solutions, config: NuclearConfiguration, r: float) -> np.ndarr
         raise ValueError("need one spherical cloud per nucleus")
     K = config.K
     Q = np.zeros((K, K))
-    qs = [charge_within(s, r) for s in atomic_solutions]
+    net = [float(z) - s.charge_within(r)
+           for z, s in zip(config.charges, atomic_solutions)]
     for i in range(K):
         for j in range(i + 1, K):
             d = float(np.linalg.norm(config.positions[i] - config.positions[j]))
-            zi, zj = float(config.charges[i]), float(config.charges[j])
-            point_point = zi * zj / d
-            point_cloud = zi * qs[j] / d + zj * qs[i] / d
-            cloud_cloud = _cloud_cloud(atomic_solutions[i], qs[j], d, r)
-            Q[i, j] = Q[j, i] = point_point - point_cloud + cloud_cloud
+            Q[i, j] = Q[j, i] = net[i] * net[j] / d
     return Q
-
-
-def _cloud_cloud(sol_i, q_j: float, d: float, r: float) -> float:
-    """Quadrature of the ball-i density against the ball-j point field."""
-    s = np.geomspace(max(1e-6, r * 1e-5), r, 400)
-    if hasattr(sol_i, "charge_within"):
-        q_cum = np.array([sol_i.charge_within(v) for v in s])
-    else:
-        nodes = sol_i.grid.nodes
-        contrib = np.cumsum(sol_i.grid.weights * sol_i.rho.values)
-        q_cum = np.interp(s, nodes, contrib)
-    shell = np.diff(q_cum, prepend=0.0)
-    # cloud j acts as the point charge q_j at R_j (Newton); the spherical
-    # mean of 1/|x - R_j| over the shell at radius s (< d) is 1/d
-    inv = 1.0 / np.maximum(s, d)
-    return q_j * float(np.sum(shell * inv))
 
 
 @dataclass(frozen=True)
@@ -119,9 +89,7 @@ def _atomic_exterior_energy(
     """Exterior problem for one atom on the shared 3D staircase grid."""
     sol_atom = atomic_tf(single.Z)
     phi_r = atomic_screened_tf(sol_atom, r)
-    X, Y, Z = grid.meshgrid()
-    pos = single.positions[0]
-    dist = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
+    dist = np.sqrt(grid.squared_distance(single.positions[0]))
     mask = RegionMask(config=single, r=r)
     gmask = mask.grid_mask(grid)
     vals = np.interp(dist.ravel(), sol_atom.grid.nodes, phi_r.values).reshape(
@@ -129,7 +97,7 @@ def _atomic_exterior_energy(
     )
     vals = np.where(gmask, vals, 0.0)
     v_field = ScalarField(grid=grid, values=vals, kind="potential")
-    n_j = sol_atom.z - charge_within(sol_atom, r)
+    n_j = sol_atom.z - sol_atom.charge_within(r)
     ext = exterior_tf(v_field, mask, max(n_j, 1e-9))
     return ext.energy
 
@@ -145,10 +113,8 @@ def outside_decomposition_check(
     from the converged molecular solution, with charge bound equal to the
     electron number in A_r; each atomic exterior problem uses the atomic
     screened potential on a matched grid with the same mask radius. D^TF
-    is the BO point on the same single grid (no Richardson levels).
+    is the BO point on the same grid.
     """
-    if policy.levels != 1:
-        raise ValueError("the decomposition check uses a single grid (levels=1)")
     rs = sorted((float(r) for r in r_values), reverse=True)
     d_tf = bo_tf(config, policy).D
     grid = policy.build(config)

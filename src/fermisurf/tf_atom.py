@@ -307,6 +307,11 @@ class AtomicTFSolution:
     def rho_at(self, r):
         return tf_density(self.phi_at(r))
 
+    def charge_within(self, r: float) -> float:
+        """Electron charge inside radius r: the weighted sum over nodes <= r."""
+        contrib = self.grid.weights * self.rho.values
+        return float(np.sum(contrib[self.grid.nodes <= r]))
+
 
 def default_atomic_grid(z: float, n: int = 3001, r_max_factor: float = 2000.0):
     scale = z ** (-1.0 / 3.0)
@@ -379,10 +384,3 @@ def atomic_screened_tf(sol: AtomicTFSolution, r: float) -> ScalarField:
     )
     values = sol.z / nodes - pot_ball
     return ScalarField(grid=grid, values=values, kind="potential")
-
-
-def screened_sup_at(sol: AtomicTFSolution, r: float) -> float:
-    """|Phi_r| evaluated on its own sphere |x| = r (radial sup is the value)."""
-    field = atomic_screened_tf(sol, r)
-    return float(np.abs(np.interp(r, sol.grid.nodes, field.values)))
-

@@ -135,11 +135,9 @@ class RegionMask:
 
     def grid_mask(self, grid: Grid3D) -> np.ndarray:
         """Boolean array, True on nodes belonging to A_r."""
-        X, Y, Z = grid.meshgrid()
         out = np.ones(grid.shape, dtype=bool)
         for pos in self.config.positions:
-            d2 = (X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2
-            out &= d2 > self.r**2
+            out &= grid.squared_distance(pos) > self.r**2
         return out
 
     def sphere_samples(self, j: int) -> np.ndarray:
@@ -180,11 +178,10 @@ def _cube_inv_r_integral(lo: np.ndarray, hi: np.ndarray) -> float:
 
 def external_potential(grid: Grid3D, config: NuclearConfiguration) -> ScalarField:
     """V_R on the grid, with the nucleus-containing cell averaged exactly."""
-    X, Y, Z = grid.meshgrid()
     v = np.zeros(grid.shape)
     h = grid.h
     for pos, z in zip(config.positions, config.charges):
-        d = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
+        d = np.sqrt(grid.squared_distance(pos))
         idx = grid.index_of(pos)
         node = grid.origin + h * np.asarray(idx)
         offset = pos - node
@@ -212,10 +209,9 @@ def check_grid_margin(grid: Grid3D, config: NuclearConfiguration):
 
 def atomic_superposition(grid: Grid3D, config: NuclearConfiguration) -> np.ndarray:
     """Sum of the neutral radial TF atoms: the initial density of 3D solves."""
-    X, Y, Z = grid.meshgrid()
     rho = np.zeros(grid.shape)
     for pos, z in zip(config.positions, config.charges):
-        d = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
+        d = np.sqrt(grid.squared_distance(pos))
         # a box has few distinct nucleus distances; evaluate each once
         r, index = np.unique(np.maximum(d, grid.h / 4.0), return_inverse=True)
         rho += atomic_tf(float(z)).rho_at(r)[index.reshape(d.shape)]

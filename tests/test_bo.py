@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fermisurf.bo as bo
-from fermisurf.bo import GridPolicy, _richardson, bo_tf, diatomic, gamma_limit, tf_sweep
+from fermisurf.bo import GridPolicy, bo_tf, diatomic, gamma_limit, tf_sweep
 from fermisurf.grids import GridError
 from fermisurf.tf_molecule import NuclearConfiguration, matched_atomic_grid, solve_tf
 
@@ -35,20 +35,9 @@ class TestGridPolicy:
         node = grid.origin + grid.h * np.asarray(idx)
         assert np.linalg.norm(node - p) < 1e-10
 
-    def test_levels_halve_spacing(self, pair_11):
-        pol = GridPolicy(spacing=0.4)
-        assert pol.build(pair_11, level=1).h == pytest.approx(0.2)
-
     def test_rejects_thin_margin(self):
         with pytest.raises(GridError):
             GridPolicy(spacing=0.4, margin_factor=2.0)
-
-
-class TestRichardson:
-    def test_exact_on_quadratic_model(self):
-        exact = 3.7
-        vals = [exact + 0.9 * h**2 for h in (0.4, 0.2, 0.1)]
-        assert _richardson(vals) == pytest.approx(exact, abs=1e-12)
 
 
 class TestSurfaces:
@@ -65,12 +54,6 @@ class TestSurfaces:
         assert rs == sorted(rs)
         ds = [s.D for s in curve.samples]
         assert ds[0] > ds[1] > ds[2] > 0.0
-
-    def test_richardson_levels_move_toward_fine_value(self, pair_11):
-        coarse = bo_tf(pair_11, GridPolicy(spacing=0.5))
-        extrap = bo_tf(pair_11, GridPolicy(spacing=0.5, levels=2))
-        fine = bo_tf(pair_11, GridPolicy(spacing=0.125))
-        assert abs(extrap.D - fine.D) < abs(coarse.D - fine.D)
 
 
 class TestAtomicReferences:
@@ -105,14 +88,6 @@ class TestAtomicReferences:
 
 
 class TestKS:
-    def test_rejects_richardson_levels_before_solving(self, monkeypatch, lda):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("bo_ks solved before checking levels")
-
-        monkeypatch.setattr(bo, "scf_molecule", no_solve)
-        with pytest.raises(ValueError, match="levels"):
-            bo.bo_ks(diatomic(1.0, 1.0, 1.4), lda, GridPolicy(spacing=0.5, levels=2))
-
     def test_h2_point_matches_recorded_value(self, lda):
         # D recorded while every SCF step still converged a buffer orbital
         # beside the occupied one; converging only the occupied state with

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fermisurf.cli import BO_HEADER, REQUIRED, _COMMANDS, main
+from fermisurf.cli import BO_HEADER, REQUIRED, _COMMANDS, _GRID, _XC, main
 from fermisurf.tf_molecule import ConvergenceError
 
 
@@ -27,11 +27,6 @@ def bo_config(tmp_path):
 
 
 class TestExitCodes:
-    def test_selfcheck_passes(self, capsys):
-        assert main(["selfcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.json", {"z": 1.0, "bogus": 1})
         assert main(["tf-atom", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -65,7 +60,7 @@ class TestExitCodes:
         assert err["error"] == "solver"
         assert err["type"] == "FitError"
 
-    def test_ks_scan_rejects_richardson_levels(self, tmp_path, capsys):
+    def test_grid_levels_is_an_unknown_key(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path / "ks.json",
             {"charges": [1.0, 1.0], "R_values": [1.4], "theory": "ks",
@@ -74,7 +69,8 @@ class TestExitCodes:
         )
         assert main(["bo-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config" and "levels" in err["message"]
+        assert err["error"] == "config"
+        assert "unknown grid keys" in err["message"] and "levels" in err["message"]
 
     def test_solver_error_reports_history_tail(self, tmp_path, capsys,
                                                monkeypatch):
@@ -209,7 +205,7 @@ _WRONG = {
     "xc": "lda_exchange", "R_values": 1.0, "l_values": 1.0, "r_values": 0.3,
     "r": [0.5],
 }
-_SPECS = {name: spec for name, (_, spec, _) in _COMMANDS.items() if spec}
+_SPECS = {name: spec for name, (_, spec, _) in _COMMANDS.items()}
 
 
 def _required(spec):
@@ -326,6 +322,10 @@ class TestOutputSchemas:
         assert len(lines) == 5
 
 
+def _backticked(text):
+    return set(re.findall(r"`([^`]+)`", text))
+
+
 def test_readme_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for command, spec in _SPECS.items():
@@ -333,3 +333,15 @@ def test_readme_lists_every_config_key():
         assert entry is not None, command
         for key in spec:
             assert f"`{key}`" in entry.group(1), (command, key)
+    # the nested objects list exactly their keys (the xc line also names
+    # the functional kinds)
+    grid = re.search(r"^- the `grid` object: (.*?)(?=^- |^$)", readme, re.M | re.S)
+    assert grid is not None
+    assert _backticked(grid.group(1)) == set(_GRID)
+    xc = re.search(r"^- the `xc` object: (.*?)(?=^- |^$)", readme, re.M | re.S)
+    assert xc is not None
+    kinds = re.search(r"\((.*?)\)", xc.group(1), re.S).group(1)
+    assert _backticked(xc.group(1)) - _backticked(kinds) == set(_XC)
+    subcommands = re.search(r"^Subcommands: (.*?)\.$", readme, re.M | re.S)
+    assert subcommands is not None
+    assert re.findall(r"`([^`]+)`", subcommands.group(1)) == list(_COMMANDS)

@@ -8,13 +8,24 @@ from fermisurf.eig import (
     GUARD_ROOM,
     EigenError,
     apply_hamiltonian,
-    dense_hamiltonian,
     guard_eigenpair,
     lowest_eigenpairs,
     occupied_eigenpairs,
 )
 from fermisurf.grids import Grid3D, GridError, ScalarField
 from fermisurf.tf_molecule import NuclearConfiguration, external_potential
+
+
+def dense_hamiltonian(grid: Grid3D, v: np.ndarray) -> np.ndarray:
+    """Dense matrix of the grid Hamiltonian; oracle for small boxes only."""
+    n = grid.n_points
+    if n > 4096:
+        raise GridError("dense oracle limited to 16^3 boxes")
+    H = np.zeros((n, n))
+    eye = np.eye(n)
+    for j in range(n):
+        H[:, j] = apply_hamiltonian(grid, v, eye[:, j].reshape(grid.shape)).ravel()
+    return 0.5 * (H + H.T)
 
 
 class TestDenseOracle:

@@ -4,7 +4,6 @@ import pytest
 from fermisurf.bo import GridPolicy
 from fermisurf.outside import (
     UniformBall,
-    charge_within,
     outside_decomposition_check,
     qij_tf,
 )
@@ -26,10 +25,12 @@ class TestUniformBall:
         assert ball.charge_within(2.0) == pytest.approx(4.0)
         assert ball.charge_within(5.0) == pytest.approx(4.0)
 
-    def test_duck_typed_accessor_matches_atomic_solution(self):
+
+class TestAtomicChargeWithin:
+    def test_grows_to_the_nuclear_charge(self):
         sol = atomic_tf(2.0)
-        q1 = charge_within(sol, 1.0)
-        q2 = charge_within(sol, 5.0)
+        q1 = sol.charge_within(1.0)
+        q2 = sol.charge_within(5.0)
         assert 0.0 < q1 < q2 <= 2.0 + 1e-6
 
 
@@ -48,6 +49,14 @@ class TestQij:
         q2 = balls[1].charge_within(r)
         Q = qij_tf(balls, pair_cfg, r=r)
         assert Q[0, 1] == pytest.approx((2.0 - q1) * (3.0 - q2) / 2.0, rel=1e-10)
+
+    def test_tf_clouds_act_as_point_charges(self, pair_cfg):
+        sols = [atomic_tf(2.0), atomic_tf(3.0)]
+        r = 0.8
+        q1 = sols[0].charge_within(r)
+        q2 = sols[1].charge_within(r)
+        Q = qij_tf(sols, pair_cfg, r=r)
+        assert Q[0, 1] == pytest.approx((2.0 - q1) * (3.0 - q2) / 2.0, rel=1e-12)
 
     def test_small_radius_recovers_bare_repulsion(self, pair_cfg):
         sols = [atomic_tf(2.0), atomic_tf(3.0)]
@@ -87,8 +96,3 @@ class TestDecomposition:
         assert s.gap < 0.1
         assert s.gap_r7 == pytest.approx(s.gap * 0.6**7, rel=1e-12)
         assert report.gap_r7_decreasing
-
-    def test_rejects_richardson_levels(self):
-        cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[2.0])
-        with pytest.raises(ValueError, match="levels"):
-            outside_decomposition_check(cfg, [0.6], GridPolicy(spacing=0.35, levels=2))

@@ -12,7 +12,6 @@ from fermisurf.tf_atom import (
     _series_y,
     atomic_screened_tf,
     atomic_tf,
-    screened_sup_at,
     slope_energy_constant,
     solve_universal,
     tf_density,
@@ -187,7 +186,10 @@ class TestScreened:
     def test_sup_r4_bounded_by_sommerfeld_scale(self):
         sol = atomic_tf(1.0)
         window = np.geomspace(2.0, 8.0, 6)
-        vals = np.array([screened_sup_at(sol, r) * r**4 for r in window])
+        vals = np.array([
+            abs(np.interp(r, sol.grid.nodes, atomic_screened_tf(sol, r).values)) * r**4
+            for r in window
+        ])
         assert np.all(vals <= SOMMERFELD_C * 1.5)
         assert np.all(vals > 0.0)
 
