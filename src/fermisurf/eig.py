@@ -1,23 +1,30 @@
 """Lowest eigenpairs of -1/2 Lap + V on the 3D box (Dirichlet walls).
 
-A block preconditioned solver (scipy's LOBPCG, preconditioned by the exact
-sine-transform inverse of -1/2 Lap_h + c) converges only the wanted
-states (`lowest_eigenpairs`). One guard vector in their orthogonal
-complement is converged loosely (`guard_eigenpair`); its Ritz value and
-residual tell `occupied_eigenpairs` whether the Fermi-level shell closes
-inside the occupied states, and the block grows until it does. The SCF
-keeps that block size from step to step and runs the guard only on its
-first and its converged step. Small boxes can be checked against dense
-diagonalization.
+`lobpcg` is Knyazev's locally optimal block preconditioned conjugate
+gradient method (SIAM J. Sci. Comput. 23:517, 2001) on (k, n_points) row
+blocks, preconditioned by the exact sine-transform inverse of
+-1/2 Lap_h + c. Each iteration takes the Rayleigh-Ritz pairs of H on the
+span of [X, P, W] from the Gram pair of that basis; a search direction the
+rest of the basis already spans is dropped, as Duersch et al. (SIAM J.
+Sci. Comput. 40:C655, 2018) do, so a block close to the size of the grid
+still iterates. Converged columns stay in X but get no new directions
+(soft locking).
+
+`lowest_eigenpairs` converges only the wanted states. One guard vector,
+the same routine with the wanted orbitals as constraints, is converged
+loosely in their orthogonal complement (`guard_eigenpair`); its Ritz value
+and residual tell `occupied_eigenpairs` whether the Fermi-level shell
+closes inside the wanted states, and the block grows until it does. The
+SCF keeps that block size from step to step and runs the guard only on
+its first and its converged step. Small boxes can be checked against
+dense diagonalization.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .grids import Grid3D, GridError, ScalarField
 from .ks_common import FERMI_DEGENERACY_TOL, aufbau_occupations
@@ -25,10 +32,13 @@ from .poisson import _dst_eigenvalues, sine_transform
 
 EIG_SEED = 7  # random start vectors beyond the warm-start columns
 EIG_MAXITER = 500  # LOBPCG iterations allowed for the wanted states
-EIG_ATTEMPTS = 2  # LOBPCG runs on the wanted states before giving up
 GUARD_TOL = 1e-3  # residual norm (relative above 1 Ha) of a settled guard
 GUARD_MAXITER = 200  # LOBPCG iterations allowed for the guard
-GUARD_ROOM = 5  # grid states scipy's LOBPCG needs to iterate one guard vector
+# Gram eigenvalue, relative to the largest, below which a search direction
+# counts as dependent. It bounds the update coefficients by about 1e3, so
+# H X, updated by the same products as X, stays consistent with it; at 1e-8
+# a degenerate p shell stalled near a residual of 3e-8.
+DROP_TOL = 1e-6
 
 
 class EigenError(RuntimeError):
@@ -47,9 +57,7 @@ class EigenError(RuntimeError):
 def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(-1/2 Lap_h + V) psi with psi = 0 outside the box.
 
-    psi is one (nx, ny, nz) array or a (k, nx, ny, nz) block of them. The
-    six neighbours are summed into one float buffer, so an integer psi (as
-    scipy's dense small-problem path passes) still gives a float result.
+    psi is one (nx, ny, nz) array or a (k, nx, ny, nz) block of them.
     """
     h2 = grid.h**2
     out = np.empty(np.shape(psi))
@@ -65,34 +73,114 @@ def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray) -> np.ndarra
     return out
 
 
-def _block_operator(shape: tuple, apply_block) -> LinearOperator:
-    """LinearOperator on (n, k) columns from a map of (k, *shape) grid blocks."""
-    n = int(np.prod(shape))
-
-    def matmat(x):
-        k = x.shape[1]
-        return apply_block(x.T.reshape(k, *shape)).reshape(k, n).T
-
-    return LinearOperator(
-        (n, n), matvec=lambda x: matmat(x.reshape(n, 1)), matmat=matmat, dtype=float
-    )
-
-
-def hamiltonian_operator(grid: Grid3D, v: np.ndarray) -> LinearOperator:
-    return _block_operator(grid.shape, lambda psi: apply_hamiltonian(grid, v, psi))
-
-
-def _preconditioner(grid: Grid3D, v: np.ndarray) -> LinearOperator:
-    """Exact inverse of -1/2 Lap_h + c via sine transforms.
+def _preconditioner(grid: Grid3D, v: np.ndarray):
+    """Exact inverse of -1/2 Lap_h + c via sine transforms, on (a, n) rows.
 
     It kills the stiff Laplacian part of the error in one apply.
     """
     c_shift = 1.0 + max(0.0, -float(v.min())) * 0.1
     lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
-    denom = lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift
-    return _block_operator(
-        grid.shape, lambda b: sine_transform(sine_transform(b) / denom)
-    )
+    inv = 1.0 / (lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift)
+
+    def apply(r):
+        t = sine_transform(r.reshape(-1, *grid.shape))
+        t *= inv
+        return sine_transform(t).reshape(r.shape)
+
+    return apply
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T for rows much longer than they are many.
+
+    Summed over column chunks that stay in cache: BLAS runs one product
+    with an inner dimension of a whole grid about three times slower.
+    """
+    step = max(512, 2**15 // len(a))
+    g = a[:, :step] @ b[:, :step].T
+    for i in range(step, a.shape[1], step):
+        g += a[:, i : i + step] @ b[:, i : i + step].T
+    return g
+
+
+def _ritz(b: np.ndarray, a: np.ndarray, k: int):
+    """Lowest k pairs of the pencil (a, b) on the well-conditioned part of b.
+
+    b is scaled to unit diagonal and diagonalized; directions whose
+    eigenvalue falls below DROP_TOL times the largest are dependent on the
+    rest of the basis and are dropped, as Duersch et al. do. Returns the
+    Ritz values and the coefficient columns, b-orthonormal.
+    """
+    s = 1.0 / np.sqrt(np.maximum(np.diag(b), np.finfo(float).tiny))
+    d, u = np.linalg.eigh(b * s[:, None] * s)
+    keep = d > DROP_TOL * d[-1]
+    if np.count_nonzero(keep) < k:
+        raise ValueError("start vectors are linearly dependent")
+    t = s[:, None] * (u[:, keep] / np.sqrt(d[keep]))
+    vals, c = np.linalg.eigh(t.T @ (0.5 * (a + a.T)) @ t)
+    return vals[:k], t @ c[:, :k]
+
+
+def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, tol: float, maxiter: int,
+           constraints: np.ndarray | None = None):
+    """Lowest Ritz pairs of H = -1/2 Lap_h + V from the k start rows x.
+
+    Each iteration replaces X by the k lowest Ritz vectors of H on the
+    span of [X, P, W]: W holds the preconditioned residuals of the columns
+    whose residual norm exceeds tol, P the last update of those columns
+    (converged columns stay in X but get neither). The Gram pair of the
+    basis comes from one block product. It stops when no column exceeds
+    tol, or after maxiter iterations. The rows of `constraints`
+    (orthonormal) are projected out of x and of every W, and H acts as
+    Q H Q, Q the projector onto their complement.
+
+    Returns (vals, x, resids, history): ascending Ritz values, orthonormal
+    Ritz rows, the residual norms |H x - val x| taken from the final H x,
+    and the largest residual norm before each iteration.
+    """
+    shape, (k, n) = grid.shape, x.shape
+    y = constraints
+    precond = _preconditioner(grid, v)
+    # each basis row holds a vector and its image: X, then P, then W
+    cur, nxt = np.empty((2, 3 * k, 2, n))
+    r = np.empty((k, n))
+
+    def fill(rows, w):
+        if y is not None:
+            w -= (w @ y.T) @ y
+        rows[:, 0] = w
+        hw = apply_hamiltonian(grid, v, rows[:, 0].reshape(-1, *shape))
+        hw = hw.reshape(w.shape)
+        if y is not None:
+            hw -= (hw @ y.T) @ y
+        rows[:, 1] = hw
+
+    fill(cur[:k], np.array(x, dtype=float))
+    m = k
+    history = []
+    for it in range(maxiter + 1):
+        basis = cur[:m]
+        g = _gram(basis[:, 0], basis.reshape(2 * m, n))
+        vals, c = _ritz(g[:, 0::2], g[:, 1::2], k)
+        coef = np.zeros((m, 2 * k))
+        coef[:, :k] = c
+        coef[k:, k:] = c[k:]  # P: the part of the update outside X
+        np.matmul(coef.T, basis.reshape(m, 2 * n), out=nxt[: 2 * k].reshape(2 * k, 2 * n))
+        cur, nxt = nxt, cur
+        np.multiply(cur[:k, 0], vals[:, None], out=r)
+        r -= cur[:k, 1]
+        resids = np.sqrt(np.einsum("ij,ij->i", r, r))
+        history.append(float(resids.max()))
+        active = resids > tol
+        a = int(np.count_nonzero(active))
+        if it == maxiter or not a:
+            break
+        p = a if it else 0
+        if it and a < k:
+            cur[k : k + a] = cur[k : 2 * k][active]
+        fill(cur[k + p : k + p + a], precond(r if a == k else r[active]))
+        m = k + p + a
+    return vals, cur[:k, 0].copy(), resids, history
 
 
 def lowest_eigenpairs(
@@ -104,9 +192,11 @@ def lowest_eigenpairs(
 ):
     """Lowest `count` eigenpairs to `tol`.
 
-    LOBPCG iterates only the `count` wanted vectors; EigenError is raised
-    if it misses its tolerance. `initial` holds warm-start columns for the
-    first of them, and only the columns it does not cover start random.
+    LOBPCG iterates only the `count` wanted vectors until every residual
+    norm is at most tol / 10; EigenError is raised if the final residuals
+    miss tol * max(1, max |eps|). `initial` holds warm-start columns for
+    the first of them, and only the columns it does not cover start
+    random.
 
     Returns (pairs, residuals). pairs is a list of (eigenvalue,
     ScalarField) with eigenvalues nondecreasing and orbitals orthonormal
@@ -125,59 +215,27 @@ def lowest_eigenpairs(
     n = grid.n_points
     if count > n:
         raise ValueError("count must not exceed the number of grid points")
-    A = hamiltonian_operator(grid, v)
-    M = _preconditioner(grid, v)
 
     k = 0 if initial is None else min(initial.shape[1], count)
-    start = np.empty((n, count))
+    start = np.empty((count, n))
     if k:
-        start[:, :k] = initial[:, :k]
+        start[:k] = initial[:, :k].T
     if k < count:
-        start[:, k:] = np.random.default_rng(EIG_SEED).standard_normal((n, count - k))
+        start[k:] = np.random.default_rng(EIG_SEED).standard_normal((count - k, n))
 
-    vol = grid.cell_volume
-    w = np.sqrt(vol)
-    history = []
-    for _ in range(EIG_ATTEMPTS):
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            # our own residual checks below are the authority, not lobpcg's
-            warnings.simplefilter("ignore", UserWarning)
-            vals, vecs, *rnorms = lobpcg(
-                A, start, M=M, tol=tol * 0.1, maxiter=maxiter, largest=False,
-                retResidualNormsHistory=True,
-            )
-        # scipy solves tiny problems densely and then keeps no history
-        history += [float(np.max(r)) for r in next(iter(rnorms), [])]
-
-        # orthonormalize under the h^3 inner product
-        q, _ = np.linalg.qr(vecs * w)
-        vecs = q / w
-
-        # Rayleigh-Ritz in the orthonormal basis to restore eigen structure
-        Av = A.matmat(vecs)
-        small = (vecs * vol).T @ Av
-        small = 0.5 * (small + small.T)
-        vals, s_vecs = np.linalg.eigh(small)
-        vecs = vecs @ s_vecs
-
-        # residual check on the reported pairs; A (V S) = (A V) S
-        r = Av @ s_vecs - vals * vecs
-        residuals = np.sqrt(np.sum(r * r, axis=0) * vol)
-        best = float(np.max(residuals))
-        if best <= tol * max(1.0, float(np.max(np.abs(vals)))):
-            break
-        # scipy also stops early when its search basis degenerates, which a
-        # restart from the Ritz vectors it reached clears
-        start = vecs
-    else:
+    # unit rows x are orbitals times h^(3/2), so |H x - eps x| is the
+    # reported |H psi - eps psi| h^(3/2)
+    vals, x, residuals, history = lobpcg(grid, v, start, 0.1 * tol, maxiter)
+    best = float(np.max(residuals))
+    if not best <= tol * max(1.0, float(np.max(np.abs(vals)))):  # NaN fails too
         raise EigenError(
             f"eigensolver did not reach residual tolerance (best residual "
-            f"{best:.3e} after {len(history)} iterations)",
+            f"{best:.3e} after {len(history) - 1} iterations)",
             history,
         )
-
+    x /= math.sqrt(grid.cell_volume)
     pairs = [
-        (float(vals[j]), ScalarField(grid=grid, values=vecs[:, j].reshape(grid.shape)))
+        (float(vals[j]), ScalarField(grid=grid, values=x[j].reshape(grid.shape)))
         for j in range(count)
     ]
     return pairs, residuals
@@ -186,59 +244,38 @@ def lowest_eigenpairs(
 def guard_eigenpair(potential: ScalarField, pairs, start: np.ndarray | None = None):
     """Loosely converged lowest state of H compressed to the complement of pairs.
 
-    LOBPCG improves one guard vector on P H P, P the projector onto the
+    LOBPCG improves one guard vector on Q H Q, Q the projector onto the
     orthogonal complement of the pair orbitals, until its residual norm
-    reaches GUARD_TOL; the compression keeps the pairs' own residuals (up
-    to their tolerance) from putting a floor under the guard's. LOBPCG
+    reaches GUARD_TOL / 2; the compression keeps the pairs' own residuals
+    (up to their tolerance) from putting a floor under the guard's. LOBPCG
     minimizes the Rayleigh quotient, so a guard started with weight on
     every state settles on the lowest one it is free to take: the default
     start is random, and `start` (a flat vector) replaces it. A guard that
     does not settle raises EigenError with its residual history.
 
     Returns (theta, rho, vector): the guard's Ritz value and residual norm
-    on P H P, which has an eigenvalue within rho of theta, and the flat
+    on Q H Q, which has an eigenvalue within rho of theta, and the flat
     vector, normalized and orthogonal to the pairs.
     """
     grid, v = potential.grid, potential.values
     n = grid.n_points
-    if len(pairs) > n - GUARD_ROOM:
-        raise ValueError(f"pairs must leave {GUARD_ROOM} grid states for the guard")
-    A = hamiltonian_operator(grid, v)
-    vecs = np.column_stack([p[1].values.ravel() for p in pairs])
-    vol = grid.cell_volume
-
-    def project_out(x):
-        return x - vecs @ ((vecs * vol).T @ x)
-
-    # lobpcg keeps its iterates in the complement of Y, so one projection
-    # after H serves there; the reported theta and rho use P H P
-    def compressed(x):
-        return project_out(A.matmat(x))
-
-    Ac = LinearOperator((n, n), matvec=lambda x: compressed(x.reshape(n, 1)),
-                        matmat=compressed, dtype=float)
+    if len(pairs) + 1 > n:
+        raise ValueError("pairs must leave a grid state for the guard")
+    w = math.sqrt(grid.cell_volume)
+    y = np.stack([p[1].values.ravel() * w for p in pairs])
     if start is None:
-        x = np.random.default_rng(EIG_SEED).standard_normal((n, 1))
+        x = np.random.default_rng(EIG_SEED).standard_normal((1, n))
     else:
-        x = np.array(start, dtype=float).reshape(n, 1)  # lobpcg works in place
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        _, y, rnorms = lobpcg(
-            Ac, x, M=_preconditioner(grid, v), Y=vecs, tol=0.5 * GUARD_TOL,
-            maxiter=GUARD_MAXITER, largest=False, retResidualNormsHistory=True,
-        )
-    y = project_out(y)
-    y /= np.sqrt(vol * np.sum(y * y))
-    hy = compressed(project_out(y))
-    theta = float(vol * np.sum(y * hy))
-    rho = float(np.sqrt(vol * np.sum((hy - theta * y) ** 2)))
-    if rho > GUARD_TOL * max(1.0, abs(theta)):
+        x = np.reshape(start, (1, n))
+    vals, x, rho, history = lobpcg(grid, v, x, 0.5 * GUARD_TOL, GUARD_MAXITER, y)
+    theta, rho = float(vals[0]), float(rho[0])
+    if not rho <= GUARD_TOL * max(1.0, abs(theta)):
         raise EigenError(
             f"guard vector did not settle (residual {rho:.3e} at Ritz value "
-            f"{theta:.8g} after {len(rnorms)} iterations)",
-            [float(np.max(r)) for r in rnorms],
+            f"{theta:.8g} after {len(history) - 1} iterations)",
+            history,
         )
-    return theta, rho, y[:, 0]
+    return theta, rho, x[0] / w
 
 
 def occupied_eigenpairs(
@@ -258,17 +295,17 @@ def occupied_eigenpairs(
     eigenvalue must exceed eps_F + FERMI_DEGENERACY_TOL. While it does not,
     the block grows by one state and is solved again, warm-started from
     the orbitals and the guard. `guard` warm-starts the first guard run
-    (later ones start random). When the block cannot grow (it would leave
-    fewer than GUARD_ROOM grid states), EigenError is raised with the
-    margins theta - rho - eps_F tried; a guard that does not settle raises
-    from guard_eigenpair.
+    (later ones start random). When the block cannot grow (the grown
+    block and its guard would not fit in the grid), EigenError is raised
+    with the margins theta - rho - eps_F tried; a guard that does not
+    settle raises from guard_eigenpair.
 
     The SCF keeps the returned block size and runs this check on its first
     step and on the step it converges at, not on the steps between.
 
-    Returns (pairs, occupations, guard, residuals): guard is the settled
-    guard vector, residuals the eigenpair residual norms of
-    lowest_eigenpairs.
+    Returns (pairs, occupations, guard, residuals, margin): guard is the
+    settled guard vector, residuals the eigenpair residual norms of
+    lowest_eigenpairs, margin the accepted theta - rho - eps_F.
     """
     if solved is None:
         solved = lowest_eigenpairs(potential, int(math.ceil(n / q)), tol=tol)
@@ -282,8 +319,8 @@ def occupied_eigenpairs(
         theta, rho, guard = guard_eigenpair(potential, pairs, guard)
         margins.append(theta - rho - eps_f)
         if margins[-1] > FERMI_DEGENERACY_TOL:
-            return pairs, occ, guard, residuals
-        if count + 1 > potential.grid.n_points - GUARD_ROOM:
+            return pairs, occ, guard, residuals, margins[-1]
+        if count + 2 > potential.grid.n_points:
             raise EigenError(
                 f"Fermi shell at {eps_f:.8g} Ha does not close inside {count} "
                 f"states: guard {theta:.8g} Ha with residual {rho:.3e}",

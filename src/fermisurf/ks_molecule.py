@@ -90,6 +90,9 @@ def scf_molecule(
     "eigen_residual" takes H with the potential of the last step, the one
     the eigensolver was given; it is the eigensolver's own residual check
     and lies within that step's tolerance times max(1, max |eps|).
+    "block_size" is the number of states the last eigensolve converged and
+    "shell_margin" the guard's theta - rho - eps_F of the last shell check,
+    the margin by which the returned occupied set was trusted.
     """
     if N <= 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
@@ -122,7 +125,7 @@ def scf_molecule(
         resid = grid.integrate(np.abs(rho_out - rho)) / N
         closed = False
         if guard is None or resid < tol:
-            pairs, occ, guard, eig_resids = occupied_eigenpairs(
+            pairs, occ, guard, eig_resids, margin = occupied_eigenpairs(
                 v_field, N, q, it_tol, (pairs, eig_resids), guard
             )
             closed = len(pairs) == count
@@ -186,5 +189,7 @@ def scf_molecule(
             "eigen_residual": tuple(
                 float(e) for lam, e in zip(occ, eig_resids) if lam > 1e-12
             ),
+            "block_size": count,
+            "shell_margin": margin,
         },
     )

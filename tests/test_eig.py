@@ -5,7 +5,6 @@ import pytest
 
 from fermisurf import eig
 from fermisurf.eig import (
-    GUARD_ROOM,
     EigenError,
     apply_hamiltonian,
     guard_eigenpair,
@@ -186,7 +185,7 @@ class TestOccupied:
 
         monkeypatch.setattr(eig, "lowest_eigenpairs", counting)
         field = _harmonic(5.0, 21)
-        pairs, occ, guard, _ = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
+        pairs, occ, guard, *_ = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
         assert sizes == [2, 3, 4]
         assert len(pairs) == 4
         assert np.allclose(occ, [2.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
@@ -198,12 +197,47 @@ class TestOccupied:
         assert occ.tolist() == [2.0]
 
     def test_shell_that_cannot_close_raises_with_history(self):
-        # on a 5^3 box the 3-fold shell of states 119-121 straddles the
-        # largest block that leaves GUARD_ROOM states for the guard
+        # the largest block is one state short of the 5^3 grid, so its
+        # shell can only straddle the top pair. The top level of a connected
+        # grid is simple, so two equal bumps at opposite corners make the
+        # pair: one state on each bump, split by tunnelling far below
+        # FERMI_DEGENERACY_TOL
         field = _harmonic(2.0, 5)
-        n = 2.0 * (field.grid.n_points - GUARD_ROOM)
+        v = field.values.copy()
+        v[0, 0, 0] = v[-1, -1, -1] = 100.0
+        field = ScalarField(grid=field.grid, values=v)
+        n = 2.0 * (field.grid.n_points - 1)
         with pytest.raises(EigenError) as exc:
             occupied_eigenpairs(field, n, 2.0, 1e-8)
         assert "does not close" in str(exc.value)
         assert len(exc.value.history) == 1
         assert exc.value.history[0] <= 1e-6
+
+
+class TestLobpcg:
+    def test_block_two_short_of_grid_matches_dense(self):
+        # [X, W, P] has far more rows than the grid has points; the
+        # dependent directions are dropped, not fatal
+        field = _harmonic(2.0, 5)
+        count = field.grid.n_points - 2
+        exact = np.linalg.eigvalsh(dense_hamiltonian(field.grid, field.values))[:count]
+        pairs, residuals = lowest_eigenpairs(field, count, tol=1e-9)
+        assert np.allclose([lam for lam, _ in pairs], exact, rtol=0.0, atol=1e-8)
+        assert np.max(residuals) <= 1e-9 * max(1.0, float(np.max(np.abs(exact))))
+
+    def test_converged_warm_start_takes_one_block_apply(self, monkeypatch):
+        field = _harmonic(5.0, 21)
+        pairs, _ = lowest_eigenpairs(field, 3, tol=1e-8)
+        vectors = []
+        apply = eig.apply_hamiltonian
+
+        def counting(grid, v, psi):
+            vectors.append(len(psi))
+            return apply(grid, v, psi)
+
+        monkeypatch.setattr(eig, "apply_hamiltonian", counting)
+        initial = np.column_stack([orb.values.ravel() for _, orb in pairs])
+        again, _ = lowest_eigenpairs(field, 3, tol=1e-8, initial=initial)
+        assert vectors == [3]
+        assert np.allclose([lam for lam, _ in again], [lam for lam, _ in pairs],
+                           rtol=0.0, atol=1e-12)

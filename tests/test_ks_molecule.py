@@ -80,7 +80,7 @@ class TestDiatomic:
         state, _, _ = h2_state
         res = state.meta["stationarity"]
         assert len(res) >= 1
-        assert max(res) < 1e-3
+        assert max(res) < 1e-6
 
     def test_eigen_residuals_within_last_eigensolve_tolerance(self, h2_state):
         from fermisurf.ks_molecule import EIG_TOL
@@ -107,6 +107,13 @@ class TestDiatomic:
         ]
         assert np.allclose(state.meta["stationarity"], expected, rtol=1e-10, atol=0.0)
 
+    def test_meta_records_block_and_shell_margin(self, h2_state):
+        from fermisurf.ks_common import FERMI_DEGENERACY_TOL
+
+        state, _, _ = h2_state
+        assert state.meta["block_size"] == len(state.orbitals) == 1
+        assert state.meta["shell_margin"] > FERMI_DEGENERACY_TOL
+
     def test_occupations_respect_bound(self, h2_state):
         state, _, _ = h2_state
         assert np.all(state.occupations <= state.q + 1e-12)
@@ -125,6 +132,7 @@ class TestBlockSize:
         state = scf_molecule(cfg, 6.0, lda, grid)
         assert np.allclose(state.occupations, [2.0, 2.0, 2 / 3, 2 / 3, 2 / 3], atol=1e-12)
         assert np.ptp(state.eigenvalues[2:]) <= 1e-6
+        assert state.meta["block_size"] == 5
 
     @staticmethod
     def _h2(lda):
@@ -178,11 +186,11 @@ class TestBlockSize:
 
         def grows_once(potential, n, q, tol, solved=None, guard=None):
             sizes.append(len(solved[0]))
-            pairs, occ, guard, residuals = check(potential, n, q, tol, solved, guard)
+            pairs, occ, guard, residuals, margin = check(potential, n, q, tol, solved, guard)
             if len(sizes) == 2:  # the first check at convergence reports one more state
                 pairs, residuals = lowest_eigenpairs(potential, len(pairs) + 1, tol=tol)
                 occ = aufbau_occupations([p[0] for p in pairs], np.full(len(pairs), q), n)
-            return pairs, occ, guard, residuals
+            return pairs, occ, guard, residuals, margin
 
         cfg, grid = self._h2(lda)
         plain = scf_molecule(cfg, 2.0, lda, grid)
