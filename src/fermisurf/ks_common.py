@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FERMI_DEGENERACY_TOL = 1e-6  # Hartree window treated as degenerate
-MIX_ALPHA = 0.4  # damping of the Anderson step
+MIX_ALPHA = 0.7  # damping of the Anderson step
 MIX_DEPTH = 3  # differences kept by the Anderson mixer
 
 
@@ -86,7 +86,7 @@ def aufbau_occupations(eigenvalues, capacities, n: float,
 
 
 class AndersonMixer:
-    """Anderson acceleration of a density fixed point x = f(x).
+    """Anderson acceleration of a fixed point x = f(x): a density or a potential.
 
     mix(x, fx) returns the next iterate x - dX g + MIX_ALPHA (r - dR g),
     r = fx - x, where the columns of dX and dR are the last MIX_DEPTH

@@ -1,10 +1,12 @@
 """Molecular Thomas-Fermi solver on a 3D box.
 
-The TF minimizer is found as the Anderson-mixed fixed point of
-rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2),   phi = V_R - rho * |x|^-1,
+The TF minimizer is the fixed point of
+rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2),   phi = V_R - u,   u = rho * |x|^-1,
 with the chemical potential mu picked by Brent's method when the particle
-number constraint binds. The same sweep with a region mask solves the
-exterior problem on A_r.
+number constraint binds. The Anderson mixer acts on the Hartree potential
+u, which the Coulomb kernel smooths, rather than on rho: each sweep makes
+one Poisson solve and feeds the density of the mixed u to the next. The
+same sweep with a region mask solves the exterior problem on A_r.
 """
 
 from __future__ import annotations
@@ -262,26 +264,45 @@ def _tf_fixed_point(
     mask: np.ndarray | None,
     rho0: np.ndarray,
 ) -> TFSolution:
-    """Anderson-mixed fixed-point loop shared by the full and exterior problems."""
+    """Anderson-mixed fixed point of the Hartree potential u = P T(u).
+
+    T(u) is the TF density at phi = v_ext - u (mu from `_pick_mu` when
+    constrained, zero off the mask) and P the Poisson solve. Each sweep
+    makes one solve, u_out = P rho, and stops once the density T(u_out)
+    moves rho by less than TF_TOL. Otherwise the first sweep takes
+    u_out and later ones mix u toward it, and rho = T(u) is the next
+    source. Every source after rho0 is a TF density, so it is
+    nonnegative and, when constrained, within the charge bound.
+    """
     vol = grid.cell_volume
-    rho = rho0
+    off_mask = None if mask is None else ~mask
+
+    def density(u):
+        phi = v_ext - u
+        mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
+        rho = tf_density(phi, mu)
+        if off_mask is not None:
+            np.copyto(rho, 0.0, where=off_mask)
+        return rho
+
+    rho, u = rho0, None
     mixer = AndersonMixer()
     history = []
 
-    for it in range(TF_MAX_SWEEPS):
-        phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
-        mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
-        rho_new = tf_density(phi, mu)
-        if mask is not None:
-            np.copyto(rho_new, 0.0, where=~mask)
+    for _ in range(TF_MAX_SWEEPS):
+        u_out = poisson_solve(ScalarField(grid=grid, values=rho)).values
+        rho_new = density(u_out)
         diff = np.subtract(rho_new, rho)
         change = float(np.abs(diff, out=diff).sum()) * vol / max(n_target, 1e-12)
         history.append(change)
         if change < TF_TOL:
             rho = rho_new
             break
-        rho = mixer.mix(rho, rho_new)
-        np.maximum(rho, 0.0, out=rho)
+        if u is None:
+            u, rho = u_out, rho_new
+        else:
+            u = mixer.mix(u, u_out)
+            rho = density(u)
     else:
         raise ConvergenceError(
             f"TF mixing did not reach {TF_TOL:g} in {TF_MAX_SWEEPS} sweeps "

@@ -34,7 +34,7 @@ class TestAndersonMixer:
     def test_first_call_is_plain_damping(self):
         rng = np.random.default_rng(0)
         x, fx = rng.random(7), rng.random(7)
-        assert np.allclose(AndersonMixer().mix(x, fx), x + 0.4 * (fx - x),
+        assert np.allclose(AndersonMixer().mix(x, fx), x + MIX_ALPHA * (fx - x),
                            rtol=0, atol=1e-15)
 
     def test_step_matches_textbook_anderson(self):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermisurf.grids import Grid3D, GridError
+from fermisurf.bo import GridPolicy, diatomic
+from fermisurf.grids import Grid3D, GridError, ScalarField
 from fermisurf.tf_atom import atomic_tf, tf_density
 from fermisurf.tf_molecule import (
     ConvergenceError,
@@ -258,8 +259,6 @@ class TestExterior:
         mask = RegionMask(config=cfg, r=0.6)
         phi_field, sups = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
-        from fermisurf.grids import ScalarField
-
         v_r = ScalarField(grid=grid,
                           values=np.where(gmask, phi_field.values, 0.0),
                           kind="potential")
@@ -279,13 +278,67 @@ class TestExterior:
         mask = RegionMask(config=cfg, r=0.7)
         phi_field, _ = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
-        from fermisurf.grids import ScalarField
-
         v_r = ScalarField(grid=grid,
                           values=np.where(gmask, phi_field.values, 0.0),
                           kind="potential")
         ext = exterior_tf(v_r, mask, 2.0)
         assert np.all(ext.rho.values[~gmask] == 0.0)
+
+    def test_poisson_sources_stay_within_the_charge_bound(self, monkeypatch):
+        # every density the constrained sweep feeds to the Poisson solver
+        # must be a nonnegative density of charge <= bound
+        cfg = diatomic(6.0, 6.0, 2.0)
+        grid = GridPolicy(spacing=0.25).build(cfg)
+        sol = solve_tf(cfg, cfg.Z, grid)
+        mask = RegionMask(config=cfg, r=0.5)
+        phi_field, _ = screened_tf(sol, mask)
+        gmask = mask.grid_mask(grid)
+        v_r = ScalarField(grid=grid, values=np.where(gmask, phi_field.values, 0.0),
+                          kind="potential")
+        bound = float(np.sum(sol.rho.values[gmask])) * grid.cell_volume
+        sources = _record_poisson_sources(monkeypatch)
+        exterior_tf(v_r, mask, bound)
+        assert len(sources) > 2
+        assert min(float(s.min()) for s in sources) >= 0.0
+        assert max(float(s.sum()) * grid.cell_volume for s in sources) <= bound + 1e-10
+
+
+def _record_poisson_sources(monkeypatch):
+    """Copy of every source handed to tf_molecule's Poisson solver."""
+    import fermisurf.tf_molecule as tm
+
+    sources = []
+    solve = tm.poisson_solve
+
+    def recording(source):
+        sources.append(source.values.copy())
+        return solve(source)
+
+    monkeypatch.setattr(tm, "poisson_solve", recording)
+    return sources
+
+
+class TestPoissonCount:
+    # one solve per sweep plus the two closing ones; perfbench's traced
+    # count identity relies on it
+    def test_solve_tf(self, monkeypatch):
+        cfg = NuclearConfiguration(positions=[[-0.5, 0, 0], [0.5, 0, 0]],
+                                   charges=[1.0, 1.0])
+        sources = _record_poisson_sources(monkeypatch)
+        sol = solve_tf(cfg, 1.5, _grid_for(cfg, h=0.4))
+        assert len(sources) == len(sol.history) + 2
+
+    def test_exterior_tf(self, monkeypatch):
+        cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[2.0])
+        grid = _grid_for(cfg, h=0.4)
+        mask = RegionMask(config=cfg, r=0.8)
+        gmask = mask.grid_mask(grid)
+        dist = np.sqrt(grid.squared_distance(cfg.positions[0]))
+        v_r = ScalarField(grid=grid, kind="potential",
+                          values=np.where(gmask, 2.0 / np.maximum(dist, grid.h), 0.0))
+        sources = _record_poisson_sources(monkeypatch)
+        ext = exterior_tf(v_r, mask, 1.0)
+        assert len(sources) == len(ext.history) + 2
 
 
 class TestMatchedGrid:
