@@ -21,7 +21,7 @@ import numpy as np
 from .fitting import PowerLawFit, powerlaw_fit
 from .grids import Grid3D, GridError
 from .ks_molecule import scf_molecule
-from .tf_molecule import NuclearConfiguration, TFSolution, atomic_references, solve_tf
+from .tf_molecule import NuclearConfiguration, atomic_references, solve_tf
 from .xc import XCFunctional
 
 
@@ -105,19 +105,13 @@ def diatomic(z1: float, z2: float, R: float) -> NuclearConfiguration:
 
 def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
     """D^TF = E^TF_mol - sum_j E^TF_atom + U_R with matched atomic grids."""
-    return _bo_tf_point(config, policy)[0]
-
-
-def _bo_tf_point(config: NuclearConfiguration,
-                 policy: GridPolicy) -> tuple[BOSample, TFSolution]:
-    """`bo_tf`'s sample and the molecular solution it was computed from."""
     grid = policy.build(config)
     sol = solve_tf(config, config.Z, grid)
     e_at = atomic_references(
         config, grid,
         lambda single, agrid: solve_tf(single, single.Z, agrid).energy,
     )
-    sample = BOSample(
+    return BOSample(
         R_min=config.R_min if config.K > 1 else 0.0,
         D=sol.energy - e_at + config.U_R,
         E_mol=sol.energy,
@@ -127,7 +121,6 @@ def _bo_tf_point(config: NuclearConfiguration,
         residual=sol.residual,
         grid=grid.descriptor(),
     )
-    return sample, sol
 
 
 def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,

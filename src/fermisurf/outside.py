@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import GridPolicy, _bo_tf_point
+from .bo import GridPolicy, bo_tf
 from .grids import Grid3D, ScalarField
 from .tf_atom import atomic_screened_tf, atomic_tf
 from .tf_molecule import (
@@ -23,6 +23,7 @@ from .tf_molecule import (
     atomic_references,
     exterior_tf,
     screened_tf,
+    solve_tf,
 )
 
 
@@ -112,12 +113,12 @@ def outside_decomposition_check(
     from the converged molecular solution, with charge bound equal to the
     electron number in A_r; each atomic exterior problem uses the atomic
     screened potential on a matched grid with the same mask radius. D^TF
-    is the BO point on the same grid, and its molecular solve is the one
-    screened here.
+    is the BO point on the same grid.
     """
     rs = sorted((float(r) for r in r_values), reverse=True)
-    sample, mol = _bo_tf_point(config, policy)
-    d_tf, grid = sample.D, mol.grid
+    d_tf = bo_tf(config, policy).D
+    grid = policy.build(config)
+    mol = solve_tf(config, config.Z, grid)
 
     samples = []
     for r in rs:

@@ -75,7 +75,7 @@ class TestAndersonMixer:
         assert np.array_equal(out, x + MIX_ALPHA * (fx - x))
 
     def test_output_is_a_fresh_array(self):
-        # callers clamp the returned iterate in place
+        # the mixer keeps its damped step, so plain damping must return a copy
         rng = np.random.default_rng(4)
         mixer = AndersonMixer()
         x = rng.random((3, 4))

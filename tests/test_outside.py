@@ -96,20 +96,3 @@ class TestDecomposition:
         assert s.gap < 0.1
         assert s.gap_r7 == pytest.approx(s.gap * 0.6**7, rel=1e-12)
         assert report.gap_r7_decreasing
-
-    def test_screens_the_molecular_solve_of_its_bo_point(self, monkeypatch):
-        # one unmasked TF solve for the molecule and one for its matched
-        # atom: the BO point's molecular solution is reused, not re-solved
-        import fermisurf.tf_molecule as tm
-
-        unmasked = []
-        fixed_point = tm._tf_fixed_point
-
-        def counting(config, grid, v_ext, n_target, constrained, mask, rho0):
-            unmasked.append(mask is None)
-            return fixed_point(config, grid, v_ext, n_target, constrained, mask, rho0)
-
-        monkeypatch.setattr(tm, "_tf_fixed_point", counting)
-        cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[2.0])
-        outside_decomposition_check(cfg, [0.6], GridPolicy(spacing=0.35))
-        assert sum(unmasked) == 2
