@@ -80,9 +80,6 @@ class BOSample:
 @dataclass(frozen=True)
 class BOCurve:
     charges: tuple
-    theory: str  # "tf" | "ks"
-    xc_name: str
-    q: float
     samples: tuple  # BOSample, sorted by R_min
     fit: PowerLawFit | None = None
 
@@ -90,10 +87,7 @@ class BOCurve:
         rs = np.array([s.R_min for s in self.samples])
         ds = np.array([s.D for s in self.samples])
         fit = powerlaw_fit(rs, ds, window=window)
-        return BOCurve(
-            charges=self.charges, theory=self.theory, xc_name=self.xc_name,
-            q=self.q, samples=self.samples, fit=fit,
-        )
+        return BOCurve(charges=self.charges, samples=self.samples, fit=fit)
 
 
 def diatomic(z1: float, z2: float, R: float) -> NuclearConfiguration:
@@ -157,10 +151,7 @@ def tf_sweep(charges, R_values, policy: GridPolicy) -> BOCurve:
     samples = []
     for R in sorted(R_values):
         samples.append(bo_tf(diatomic(z1, z2, R), policy))
-    return BOCurve(
-        charges=(float(z1), float(z2)), theory="tf", xc_name="", q=0.0,
-        samples=tuple(samples),
-    )
+    return BOCurve(charges=(float(z1), float(z2)), samples=tuple(samples))
 
 
 @dataclass(frozen=True)

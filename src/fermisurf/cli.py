@@ -283,8 +283,7 @@ def _cmd_screened(cfg, args, out: Path) -> None:
     grid = cfg["grid"].build(config)
     state = scf_molecule(config, config.Z, xc, grid, q=cfg["q"])
     tf_sol = solve_tf(config, config.Z, grid)
-    prof = screened_compare(config, state.rho0, tf_sol.rho, cfg["r_values"],
-                            eps=cfg["eps"])
+    prof = screened_compare(config, state.rho0, tf_sol.rho, rs)
     rows = [
         [r, d, p, pt, grid.h, tf_sol.residual]
         for r, d, p, pt in zip(prof.r_values, prof.sup_diff, prof.sup_phi,
@@ -373,7 +372,7 @@ _COMMANDS = {
     }, ()),
     "screened": (_cmd_screened, {
         **_NUCLEI, "r_values": (_floats, REQUIRED), "xc": (_xc, REQUIRED),
-        "q": (float, 2.0), "grid": (_grid, REQUIRED), "eps": (float, 0.5),
+        "q": (float, 2.0), "grid": (_grid, REQUIRED),
     }, ("--strict-xc",)),
     "qij": (_cmd_qij, {**_NUCLEI, "r": (float, REQUIRED)}, ()),
     "minsearch": (_cmd_minsearch, {

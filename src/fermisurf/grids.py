@@ -7,11 +7,11 @@ box for molecules. Fields are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_POINT_BUDGET = 16_000_000
+POINT_BUDGET = 16_000_000  # nodes a Grid3D may hold
 
 
 class GridError(ValueError):
@@ -72,7 +72,6 @@ class Grid3D:
     origin: np.ndarray
     h: float
     dims: tuple
-    point_budget: int = DEFAULT_POINT_BUDGET
 
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float)
@@ -83,8 +82,8 @@ class Grid3D:
         if len(self.dims) != 3 or any(d < 2 for d in self.dims):
             raise GridError("dims must be three integers >= 2")
         n = self.dims[0] * self.dims[1] * self.dims[2]
-        if n > self.point_budget:
-            raise GridError(f"grid has {n} points, budget is {self.point_budget}")
+        if n > POINT_BUDGET:
+            raise GridError(f"grid has {n} points, budget is {POINT_BUDGET}")
         origin.setflags(write=False)
 
     @property
@@ -147,10 +146,10 @@ class Grid3D:
         }
 
     @staticmethod
-    def cube(center, half_extent: float, n: int, **kw) -> "Grid3D":
+    def cube(center, half_extent: float, n: int) -> "Grid3D":
         h = 2.0 * half_extent / (n - 1)
         origin = np.asarray(center, dtype=float) - half_extent
-        return Grid3D(origin=origin, h=h, dims=(n, n, n), **kw)
+        return Grid3D(origin=origin, h=h, dims=(n, n, n))
 
 
 @dataclass(frozen=True)
@@ -179,19 +178,6 @@ class ScalarField:
 
     def integrate(self) -> float:
         return self.grid.integrate(self.values)
-
-    def same_grid(self, other: "ScalarField") -> bool:
-        if type(self.grid) is not type(other.grid):
-            return False
-        if isinstance(self.grid, RadialGrid):
-            return self.grid.nodes.shape == other.grid.nodes.shape and np.array_equal(
-                self.grid.nodes, other.grid.nodes
-            )
-        return (
-            self.grid.dims == other.grid.dims
-            and self.grid.h == other.grid.h
-            and np.array_equal(self.grid.origin, other.grid.origin)
-        )
 
 
 def trilinear_sample(field: ScalarField, points: np.ndarray) -> np.ndarray:

@@ -85,6 +85,27 @@ def aufbau_occupations(eigenvalues, capacities, n: float,
     return occ
 
 
+def ks_energy(grid, rho, v_nuc, v_h, xc, occ, eig) -> dict:
+    """Energy split of a KS state with density rho on `grid`.
+
+    v_nuc is the nuclear attraction (external energy -int v_nuc rho), v_h
+    the Hartree potential of rho. The kinetic energy comes from the band
+    sum: sum lambda eps minus the potential energy int v_eff rho.
+    """
+    external = -grid.integrate(v_nuc * rho)
+    hartree = 0.5 * grid.integrate(v_h * rho)
+    exc = grid.integrate(xc.evaluate(rho))
+    vxc_rho = grid.integrate(xc.derivative(rho) * rho)
+    kinetic = float(np.dot(occ, eig)) - external - 2.0 * hartree + vxc_rho
+    return {
+        "kinetic": kinetic,
+        "external": external,
+        "hartree": hartree,
+        "xc": exc,
+        "total": kinetic + external + hartree - exc,
+    }
+
+
 class AndersonMixer:
     """Anderson acceleration of a fixed point x = f(x): a density or a potential.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .eig import EIG_SEED, apply_hamiltonian, lowest_eigenpairs, occupied_eigenpairs
 from .grids import Grid3D, ScalarField
-from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations
+from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations, ks_energy
 from .poisson import poisson_solve
 from .tf_molecule import (
     NuclearConfiguration,
@@ -157,14 +157,9 @@ def scf_molecule(
         stat_resids.append(float(np.linalg.norm(hpsi - eps * orb.values)) * scale)
 
     eig = np.array([p[0] for p in pairs])
-    external = -grid.integrate(v_ext * rho)
+    # a second solve of the same rho: perfbench's Poisson count identity
+    # (steps + 2 per SCF solve) counts it
     u = poisson_solve(ScalarField(grid=grid, values=rho)).values
-    hartree = 0.5 * grid.integrate(u * rho)
-    exc = grid.integrate(xc.evaluate(rho))
-    vxc_rho = grid.integrate(xc.derivative(rho) * rho)
-    e_sum = float(np.dot(occ, eig))
-    kinetic = e_sum - external - 2.0 * hartree + vxc_rho
-    total = kinetic + external + hartree - exc
 
     keep = occ > 1e-12
     return KSState(
@@ -173,13 +168,7 @@ def scf_molecule(
         eigenvalues=eig[keep],
         q=q,
         rho0=ScalarField(grid=grid, values=rho, kind="density"),
-        energy={
-            "kinetic": kinetic,
-            "external": external,
-            "hartree": hartree,
-            "xc": exc,
-            "total": total,
-        },
+        energy=ks_energy(grid, rho, v_ext, u, xc, occ, eig),
         scf_history=tuple(history),
         meta={
             "config": config.descriptor(),

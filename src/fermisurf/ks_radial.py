@@ -13,8 +13,9 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .coulomb import radial_hartree_potential
 from .grids import GridError, RadialGrid, ScalarField
-from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations
+from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations, ks_energy
 from .tf_atom import atomic_tf
 from .xc import XCFunctional
 
@@ -29,14 +30,6 @@ def default_ks_radial_grid(z: float, r_max: float = 30.0, h: float | None = None
     r = h * np.arange(1, n + 1)
     # rectangle weights: u vanishes at both ends so the rule is adequate
     return RadialGrid(nodes=r, weights=4.0 * np.pi * r**2 * h)
-
-
-def _hartree_uniform(r: np.ndarray, h: float, w: np.ndarray) -> np.ndarray:
-    """Potential of the radial shell density w(s) ds = 4 pi s^2 rho ds."""
-    inner = np.cumsum(w) * h
-    over_s = w / r
-    outer = (np.cumsum(over_s[::-1])[::-1] - over_s) * h
-    return inner / r + outer
 
 
 def _radial_levels(r, h, v_eff, lmax: int, per_ell: int):
@@ -94,8 +87,8 @@ def scf_atom(
     levels = None
     occ = None
     for it in range(SCF_MAX_ITER):
-        w = 4.0 * np.pi * r**2 * rho
-        v_eff = -z / r + _hartree_uniform(r, h, w) - xc.derivative(rho)
+        v_h = radial_hartree_potential(ScalarField(grid=grid, values=rho))
+        v_eff = -z / r + v_h - xc.derivative(rho)
         levels = _radial_levels(r, h, v_eff, lmax, per_ell)
         eig = np.array([lv[0] for lv in levels])
         cap = np.array([q * (2 * lv[1] + 1) for lv in levels])
@@ -121,15 +114,8 @@ def scf_atom(
         raise SCFError("requested N is not bound: positive levels occupied", history)
 
     eig = np.array([lv[0] for lv in levels])
-    w = 4.0 * np.pi * r**2 * rho
-    v_h = _hartree_uniform(r, h, w)
-    e_sum = float(np.dot(occ, eig))
-    external = -grid.integrate((z / r) * rho)
-    hartree = 0.5 * grid.integrate(v_h * rho)
-    exc = grid.integrate(xc.evaluate(rho))
-    vxc_rho = grid.integrate(xc.derivative(rho) * rho)
-    kinetic = e_sum - external - 2.0 * hartree + vxc_rho
-    total = kinetic + external + hartree - exc
+    rho0 = ScalarField(grid=grid, values=rho, kind="density")
+    energy = ks_energy(grid, rho, z / r, radial_hartree_potential(rho0), xc, occ, eig)
 
     keep = occ > 1e-12
     orbitals = tuple(
@@ -141,17 +127,8 @@ def scf_atom(
         occupations=occ[keep],
         eigenvalues=eig[keep],
         q=q,
-        rho0=ScalarField(grid=grid, values=rho, kind="density"),
-        energy={
-            "kinetic": kinetic,
-            "external": external,
-            "hartree": hartree,
-            "xc": exc,
-            "total": total,
-        },
+        rho0=rho0,
+        energy=energy,
         scf_history=tuple(history),
-        meta={
-            "z": z, "N": N, "h": h, "lmax": lmax,
-            "levels_u": tuple((lv[1], lv[2]) for lv, k in zip(levels, keep) if k),
-        },
+        meta={"z": z, "N": N, "h": h, "lmax": lmax},
     )

@@ -134,14 +134,6 @@ def min_distance_search(
             RuntimeWarning,
             stacklevel=2,
         )
-        # fall back to the best accepted evaluation if the optimizer's
-        # incumbent is a penalty value
-        if best.fun >= 1e6 and history:
-            r_best, e_best = min(history, key=lambda t: t[1])
-            cfg = _params_to_config(np.array([r_best]), charges) if K == 2 else None
-            if cfg is not None:
-                return MinSearchResult(cfg, cfg.R_min, e_best, False,
-                                       evals["n"], tuple(history))
     cfg = _params_to_config(best.x, charges)
     return MinSearchResult(
         config=cfg,

@@ -123,7 +123,7 @@ def outside_decomposition_check(
     samples = []
     for r in rs:
         mask = RegionMask(config=config, r=r)
-        phi_field, _ = screened_tf(mol, mask)
+        phi_field = screened_tf(mol, mask)
         gmask = mask.grid_mask(grid)
         v_r = ScalarField(
             grid=grid, values=np.where(gmask, phi_field.values, 0.0),

@@ -59,8 +59,6 @@ class ScreenedProfile:
     sup_diff: tuple  # sup over all spheres of |Phi_r^TF - Phi_r|
     sup_phi: tuple  # sup of |Phi_r| (KS density)
     sup_phi_tf: tuple
-    per_nucleus_diff: tuple  # one tuple per r
-    membership: tuple  # (r, beta, eps) records for the comparison set
     fit: PowerLawFit | None
 
 
@@ -69,7 +67,6 @@ def screened_compare(
     rho_ks: ScalarField,
     rho_tf: ScalarField,
     r_list,
-    eps: float = 0.5,
 ) -> ScreenedProfile:
     """Sphere sups of Phi_r, Phi_r^TF and their difference over r_list.
 
@@ -77,10 +74,10 @@ def screened_compare(
     r values must lie in (0, R_min/4] (the working window) for K >= 2.
     """
     rs = sorted(float(r) for r in r_list)
+    if not rs or rs[0] <= 0.0:
+        raise ValueError("need one or more screening radii, all positive")
     if config.K >= 2 and rs[-1] > config.R_min / 4.0 + 1e-12:
         raise ValueError("screening radii must be <= R_min/4")
-    if rs[0] <= 0.0:
-        raise ValueError("screening radii must be positive")
 
     s_max = rs[-1] * 1.05
     prof_ks = [
@@ -92,7 +89,7 @@ def screened_compare(
         for p in config.positions
     ]
 
-    sup_diff, sup_phi, sup_phi_tf, per_nuc = [], [], [], []
+    sup_diff, sup_phi, sup_phi_tf = [], [], []
     for r in rs:
         q_ks = np.array([p.charge_within(r) for p in prof_ks])
         q_tf = np.array([p.charge_within(r) for p in prof_tf])
@@ -108,7 +105,6 @@ def screened_compare(
             diffs.append(float(np.max(np.abs(phi_tf - phi_ks))))
             phis.append(float(np.max(np.abs(phi_ks))))
             phis_tf.append(float(np.max(np.abs(phi_tf))))
-        per_nuc.append(tuple(diffs))
         sup_diff.append(max(diffs))
         sup_phi.append(max(phis))
         sup_phi_tf.append(max(phis_tf))
@@ -119,15 +115,10 @@ def screened_compare(
         fit = powerlaw_fit(
             np.array([p[0] for p in positive]), np.array([p[1] for p in positive])
         )
-    membership = tuple(
-        (r, float(dv * r ** (4.0 - eps)), eps) for r, dv in zip(rs, sup_diff)
-    )
     return ScreenedProfile(
         r_values=tuple(rs),
         sup_diff=tuple(sup_diff),
         sup_phi=tuple(sup_phi),
         sup_phi_tf=tuple(sup_phi_tf),
-        per_nucleus_diff=tuple(per_nuc),
-        membership=membership,
         fit=fit,
     )

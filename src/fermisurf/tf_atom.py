@@ -367,20 +367,6 @@ def atomic_screened_tf(sol: AtomicTFSolution, r: float) -> ScalarField:
     grid = sol.grid
     if not (0.0 < r <= grid.r_max):
         raise GridError("screening radius must lie inside the grid")
-    nodes = grid.nodes
-    contrib = grid.weights * sol.rho.values
-    inside = nodes <= r
-    q_in_cum = np.cumsum(np.where(inside, contrib, 0.0))
-    q_ball = float(q_in_cum[-1])
-    # potential at s of the density restricted to the ball of radius r:
-    # charge within min(s, r) acts as a point charge; shells between s and r
-    # (when s < r) contribute charge / shell-radius.
-    shell_term = np.where(inside, contrib / nodes, 0.0)
-    outer = np.cumsum(shell_term[::-1])[::-1] - shell_term
-    pot_ball = np.where(
-        nodes >= r,
-        q_ball / nodes,
-        q_in_cum / nodes + outer,
-    )
-    values = sol.z / nodes - pot_ball
+    ball = ScalarField(grid=grid, values=np.where(grid.nodes <= r, sol.rho.values, 0.0))
+    values = sol.z / grid.nodes - radial_hartree_potential(ball)
     return ScalarField(grid=grid, values=values, kind="potential")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .grids import Grid3D, GridError, ScalarField, fibonacci_sphere, trilinear_sample
+from .grids import Grid3D, GridError, ScalarField
 from .ks_common import AndersonMixer
 from .poisson import poisson_solve
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_residual
@@ -117,7 +117,7 @@ class NuclearConfiguration:
 
 @dataclass(frozen=True)
 class RegionMask:
-    """Exterior region A_r = {x : |x - R_j| > r for all j} and its spheres."""
+    """Exterior region A_r = {x : |x - R_j| > r for all j}."""
 
     config: NuclearConfiguration
     r: float
@@ -128,22 +128,12 @@ class RegionMask:
         if self.config.K >= 2 and self.r > self.config.R_min / 2.0 + 1e-12:
             raise ValueError("r must be <= R_min/2 so the spheres are disjoint")
 
-    def membership(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        inside_any = np.zeros(len(pts), dtype=bool)
-        for pos in self.config.positions:
-            inside_any |= np.linalg.norm(pts - pos, axis=1) <= self.r
-        return ~inside_any
-
     def grid_mask(self, grid: Grid3D) -> np.ndarray:
         """Boolean array, True on nodes belonging to A_r."""
         out = np.ones(grid.shape, dtype=bool)
         for pos in self.config.positions:
             out &= grid.squared_distance(pos) > self.r**2
         return out
-
-    def sphere_samples(self, j: int) -> np.ndarray:
-        return fibonacci_sphere(self.config.positions[j], self.r)
 
 
 def _cube_inv_r_integral(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -375,33 +365,16 @@ def exterior_tf(
     return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, gmask, rho0)
 
 
-def screened_tf(sol: TFSolution, mask: RegionMask):
+def screened_tf(sol: TFSolution, mask: RegionMask) -> ScalarField:
     """Screened potential Phi_r = V_R - (rho 1_{A_r^c}) * |x|^-1 on the grid.
 
-    Returns (field, sphere_sups) where sphere_sups[j] is the sup of |Phi_r|
-    over the sampled sphere around nucleus j.
+    Sphere sups of Phi_r are taken by `screening.screened_compare`.
     """
     grid = sol.grid
-    gmask = mask.grid_mask(grid)
-    inner_rho = np.where(gmask, 0.0, sol.rho.values)
-    u = poisson_solve(ScalarField(grid=grid, values=inner_rho))
-    v_ext = external_potential(grid, sol.config).values
-    phi_r = v_ext - u.values
-    field = ScalarField(grid=grid, values=phi_r, kind="potential")
-
-    sups = []
-    for j in range(mask.config.K):
-        pts = mask.sphere_samples(j)
-        vals = _exact_vr(pts, sol.config) - trilinear_sample(u, pts)
-        sups.append(float(np.max(np.abs(vals))))
-    return field, sups
-
-
-def _exact_vr(points: np.ndarray, config: NuclearConfiguration) -> np.ndarray:
-    out = np.zeros(len(points))
-    for pos, z in zip(config.positions, config.charges):
-        out += z / np.maximum(np.linalg.norm(points - pos, axis=1), 1e-12)
-    return out
+    inner_rho = np.where(mask.grid_mask(grid), 0.0, sol.rho.values)
+    u = poisson_solve(ScalarField(grid=grid, values=inner_rho)).values
+    phi_r = external_potential(grid, sol.config).values - u
+    return ScalarField(grid=grid, values=phi_r, kind="potential")
 
 
 def matched_atomic_grid(grid: Grid3D, position: np.ndarray) -> Grid3D:
@@ -416,7 +389,7 @@ def matched_atomic_grid(grid: Grid3D, position: np.ndarray) -> Grid3D:
     center_idx = np.asarray(grid.dims) // 2
     # nucleus sits at the central node plus its original sub-cell offset
     origin = pos - offset - grid.h * center_idx
-    return Grid3D(origin=origin, h=grid.h, dims=grid.dims, point_budget=grid.point_budget)
+    return Grid3D(origin=origin, h=grid.h, dims=grid.dims)
 
 
 def atomic_references(config: NuclearConfiguration, grid: Grid3D, solve_atom) -> float:

@@ -46,7 +46,6 @@ class XCFunctional:
         self._validate_conditions()
 
     def _validate_conditions(self):
-        g = self.evaluate(_SAMPLE_T)
         dg = self.derivative(_SAMPLE_T)
         if abs(self.evaluate(0.0)) > 0.0:
             raise XCValidationError("g(0) = 0 fails")
@@ -55,7 +54,6 @@ class XCFunctional:
         envelope = _SAMPLE_T**self.beta_minus + _SAMPLE_T**self.beta_plus
         if not np.all(np.isfinite(dg / envelope)):
             raise XCValidationError("g' not dominated by t^b- + t^b+")
-        del g
         if self.strict_mode:
             if self.coefficient == 0.0:
                 raise XCValidationError(

@@ -61,16 +61,23 @@ class TestExitCodes:
         assert err["type"] == "FitError"
 
     def test_grid_levels_is_an_unknown_key(self, tmp_path, capsys):
-        cfg = _write_config(
-            tmp_path / "ks.json",
-            {"charges": [1.0, 1.0], "R_values": [1.4], "theory": "ks",
-             "xc": {"kind": "lda_exchange"},
-             "grid": {"spacing": 0.5, "levels": 2}},
-        )
-        assert main(["bo-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config"
-        assert "unknown grid keys" in err["message"] and "levels" in err["message"]
+        # keys that were deleted: grid.levels and screened.eps
+        cases = [
+            ("bo-scan", {"charges": [1.0, 1.0], "R_values": [1.4], "theory": "ks",
+                         "xc": {"kind": "lda_exchange"},
+                         "grid": {"spacing": 0.5, "levels": 2}},
+             "unknown grid keys", "levels"),
+            ("screened", {"positions": [[0, 0, 0]], "charges": [1.0],
+                          "r_values": [0.5], "xc": {"kind": "lda_exchange"},
+                          "grid": {"spacing": 0.5}, "eps": 0.5},
+             "unknown config keys", "eps"),
+        ]
+        for command, payload, what, key in cases:
+            cfg = _write_config(tmp_path / f"{command}.json", payload)
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config"
+            assert what in err["message"] and key in err["message"]
 
     def test_solver_error_reports_history_tail(self, tmp_path, capsys,
                                                monkeypatch):
@@ -331,8 +338,9 @@ def test_readme_lists_every_config_key():
     for command, spec in _SPECS.items():
         entry = re.search(rf"^- `{command}`: (.*?)(?=^- |^$)", readme, re.M | re.S)
         assert entry is not None, command
-        for key in spec:
-            assert f"`{key}`" in entry.group(1), (command, key)
+        # every spec key is listed, and every bare identifier listed is a key
+        named = {k for k in _backticked(entry.group(1)) if k.isidentifier()}
+        assert named == set(spec), command
     # the nested objects list exactly their keys (the xc line also names
     # the functional kinds)
     grid = re.search(r"^- the `grid` object: (.*?)(?=^- |^$)", readme, re.M | re.S)

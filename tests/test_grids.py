@@ -66,7 +66,7 @@ class TestGrid3D:
 
     def test_point_budget_enforced(self):
         with pytest.raises(GridError):
-            Grid3D.cube((0, 0, 0), 1.0, 301, point_budget=1000)
+            Grid3D.cube((0, 0, 0), 1.0, 301)
 
     def test_invalid_spacing(self):
         with pytest.raises(GridError):

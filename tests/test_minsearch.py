@@ -5,6 +5,7 @@ import pytest
 
 from fermisurf.bo import GridPolicy
 from fermisurf.eig import EigenError
+from fermisurf.ks_common import SCFError
 from fermisurf.minsearch import (
     MinSearchResult,
     _config_to_params,
@@ -80,6 +81,26 @@ class TestSearch:
         assert calls["n"] > 2
         assert result.n_evals == calls["n"] - 1
         assert result.R_M == pytest.approx(1.4, abs=0.05)
+
+    def test_only_accepted_energy_is_returned(self, lda, monkeypatch):
+        # every SCF after the first fails: the search still returns the one
+        # accepted evaluation, since Nelder-Mead keeps its best vertex
+        calls = {"n": 0}
+
+        def scf(cfg, n_electrons, xc, grid, **kwargs):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise SCFError("did not converge", [1e-2])
+            return SimpleNamespace(energy={"total": -1.5})
+
+        monkeypatch.setattr("fermisurf.minsearch.scf_molecule", scf)
+        with pytest.warns(RuntimeWarning, match="stagnated"):
+            result = min_distance_search(
+                [1.0, 1.0], lda, GridPolicy(spacing=0.4), restarts=1, maxiter=20,
+            )
+        assert calls["n"] > 2 and result.n_evals == 1
+        assert result.E_mol == result.history[0][1]
+        assert result.R_M == result.history[0][0]
 
     def test_subadditivity_report_for_coarse_pair(self, lda):
         cfg = NuclearConfiguration(

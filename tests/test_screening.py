@@ -96,3 +96,8 @@ class TestScreenedCompare:
         cfg, rho = pair
         with pytest.raises(ValueError):
             screened_compare(cfg, rho, rho, [0.0, 0.2])
+
+    def test_rejects_empty_radii(self, pair):
+        cfg, rho = pair
+        with pytest.raises(ValueError):
+            screened_compare(cfg, rho, rho, [])

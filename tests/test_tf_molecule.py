@@ -87,17 +87,6 @@ class TestRegionMask:
         with pytest.raises(ValueError):
             RegionMask(config=cfg, r=0.6)
 
-    def test_membership_and_spheres(self):
-        cfg = NuclearConfiguration(positions=[[0, 0, 0], [2, 0, 0]],
-                                   charges=[1.0, 1.0])
-        mask = RegionMask(config=cfg, r=0.5)
-        inside = mask.membership(np.array([[0.25, 0, 0], [1.0, 0, 0]]))
-        assert not inside[0] and inside[1]
-        pts = mask.sphere_samples(1)
-        assert pts.shape[0] >= 200
-        d = np.linalg.norm(pts - np.array([2.0, 0, 0]), axis=1)
-        assert np.allclose(d, 0.5, atol=1e-12)
-
 
 class TestExternalPotential:
     def test_cube_average_oracle(self):
@@ -257,7 +246,7 @@ class TestExterior:
         grid = _grid_for(cfg, h=0.3)
         sol = solve_tf(cfg, 2.0, grid)
         mask = RegionMask(config=cfg, r=0.6)
-        phi_field, sups = screened_tf(sol, mask)
+        phi_field = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
         v_r = ScalarField(grid=grid,
                           values=np.where(gmask, phi_field.values, 0.0),
@@ -269,14 +258,13 @@ class TestExterior:
         scale = np.max(sol.rho.values[gmask])
         assert np.max(diff) < 0.05 * scale
         assert ext.mu <= 1e-8
-        assert len(sups) == 1 and sups[0] > 0.0
 
     def test_exterior_density_vanishes_inside(self):
         cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[2.0])
         grid = _grid_for(cfg, h=0.35)
         sol = solve_tf(cfg, 2.0, grid)
         mask = RegionMask(config=cfg, r=0.7)
-        phi_field, _ = screened_tf(sol, mask)
+        phi_field = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
         v_r = ScalarField(grid=grid,
                           values=np.where(gmask, phi_field.values, 0.0),
@@ -291,7 +279,7 @@ class TestExterior:
         grid = GridPolicy(spacing=0.25).build(cfg)
         sol = solve_tf(cfg, cfg.Z, grid)
         mask = RegionMask(config=cfg, r=0.5)
-        phi_field, _ = screened_tf(sol, mask)
+        phi_field = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
         v_r = ScalarField(grid=grid, values=np.where(gmask, phi_field.values, 0.0),
                           kind="potential")
