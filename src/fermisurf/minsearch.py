@@ -69,9 +69,10 @@ def min_distance_search(
     """Search for the KS-LDA energy minimum over nuclear positions.
 
     Returns the best configuration found with its minimal internuclear
-    distance R_M; `converged` is False if every restart stagnated (the
-    result is then the best evaluation, with a warning emitted). A trial
-    geometry whose SCF or eigensolve fails scores a penalty.
+    distance R_M. Restarts stop once the best point comes from a restart
+    that converged; otherwise `converged` is False and a warning is
+    emitted. A trial geometry whose SCF or eigensolve fails scores a
+    penalty.
     """
     charges = np.asarray(charges, dtype=float)
     K = len(charges)
@@ -112,7 +113,6 @@ def min_distance_search(
 
     rng = np.random.default_rng(seed)
     best = None
-    converged = False
     for attempt in range(max(1, restarts)):
         start = x0 if attempt == 0 else x0 * (1.0 + 0.25 * rng.standard_normal(x0.shape))
         start[0] = max(start[0], 2.0 * _HARD_FLOOR)
@@ -125,9 +125,11 @@ def min_distance_search(
         )
         if best is None or res.fun < best.fun:
             best = res
-        if res.success:
-            converged = True
+        # a restart that settles on the penalty plateau above the best
+        # point found so far does not make that point converged
+        if best.success:
             break
+    converged = bool(best.success)
     if not converged:
         warnings.warn(
             "position search stagnated; returning best configuration found",

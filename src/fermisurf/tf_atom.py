@@ -49,16 +49,24 @@ class ShootingError(RuntimeError):
         self.history = [float(v) for v in history]
 
 
-def tf_density(phi, mu: float = 0.0):
+def tf_density(phi, mu: float = 0.0, slope=None):
     """TF density law rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2).
 
     Evaluated as 2^(3/2) t sqrt(t) / (3 pi^2), t = [phi - mu]_+, in one
-    fresh array: a float power costs several times a square root.
+    fresh array: a float power costs several times a square root. If
+    `slope`, an array shaped like phi, is given, d rho / d phi =
+    (3/2) 2^(3/2) sqrt(t) / (3 pi^2) is written into it; rho is the same
+    to the bit either way.
     """
+    c = 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
     t = np.subtract(phi, mu, out=np.empty(np.shape(phi)))
     np.maximum(t, 0.0, out=t)
-    t *= np.sqrt(t)
-    t *= 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
+    if slope is None:
+        t *= np.sqrt(t)
+    else:
+        t *= np.sqrt(t, out=slope)
+        slope *= 1.5 * c
+    t *= c
     return t[()]
 
 

@@ -2,11 +2,12 @@
 
 The TF minimizer is the fixed point of
 rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2),   phi = V_R - u,   u = rho * |x|^-1,
-with the chemical potential mu picked by Brent's method when the particle
-number constraint binds. The Anderson mixer acts on the Hartree potential
-u, which the Coulomb kernel smooths, rather than on rho: each sweep makes
-one Poisson solve and feeds the density of the mixed u to the next. The
-same sweep with a region mask solves the exterior problem on A_r.
+with the chemical potential mu picked by Newton's method on the excess
+charge when the particle number constraint binds. The Anderson mixer acts
+on the Hartree potential u, which the Coulomb kernel smooths, rather than
+on rho: each sweep makes one Poisson solve and feeds the density of the
+mixed u to the next. The same sweep with a region mask solves the
+exterior problem on A_r.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grids import Grid3D, GridError, ScalarField
 from .ks_common import AndersonMixer
@@ -24,11 +24,12 @@ from .tf_atom import atomic_tf, tf_density, tf_energy, tf_residual
 
 TF_TOL = 1e-8  # relative L1 density change per sweep
 TF_MAX_SWEEPS = 400
+PICK_MU_MAX_STEPS = 100  # Newton steps for the chemical potential
 MIN_MARGIN = 6.0  # box margin around a nucleus of charge z, in units of z^(-1/3)
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point mixing failed to converge."""
+    """Fixed-point mixing or the chemical-potential search failed to converge."""
 
     def __init__(self, message: str, history):
         super().__init__(message)
@@ -228,20 +229,34 @@ class TFSolution:
         return self.rho.integrate()
 
 
-def _excess_charge(mu: float, phi: np.ndarray, target: float, cell_vol: float) -> float:
-    """Integral of the TF density at chemical potential mu, minus target."""
-    return tf_density(phi, mu).sum() * cell_vol - target
+def _pick_mu(
+    phi: np.ndarray, target: float, cell_vol: float
+) -> tuple[float, np.ndarray]:
+    """Smallest mu >= 0 with int rho_TF(phi, mu) <= target, and that density.
 
-
-def _pick_mu(phi: np.ndarray, target: float, cell_vol: float) -> float:
-    """Smallest mu >= 0 with integral of the TF density <= target."""
-    if _excess_charge(0.0, phi, target, cell_vol) <= 0.0:
-        return 0.0
-    # phi goes in through args=, not a closure: brentq's wrapper references
-    # itself, so a closure would keep phi alive until the cyclic GC runs
-    return brentq(
-        _excess_charge, 0.0, max(1.0, float(phi.max())),
-        args=(phi, target, cell_vol), xtol=1e-14,
+    Newton's method on the excess charge g(mu) = int rho_TF(phi, mu) - target,
+    started at mu = 0. g is convex and decreasing, so the iterates climb to
+    the root without passing it, and each evaluation of the TF law gives g
+    and its slope. Stops once g <= 0 or the step is below 1e-14 max(1, mu);
+    raises ConvergenceError with the excess history after PICK_MU_MAX_STEPS.
+    """
+    slope = np.empty(np.shape(phi))
+    mu, history = 0.0, []
+    for _ in range(PICK_MU_MAX_STEPS):
+        rho = tf_density(phi, mu, slope=slope)
+        excess = float(rho.sum()) * cell_vol - target
+        history.append(excess)
+        if excess <= 0.0:
+            return mu, rho
+        step = excess / (float(slope.sum()) * cell_vol)
+        if step <= 1e-14 * max(1.0, mu):
+            return mu, rho
+        mu += step
+        del rho  # freed before the next evaluation allocates
+    raise ConvergenceError(
+        f"chemical potential did not settle in {PICK_MU_MAX_STEPS} Newton steps "
+        f"(last excess {history[-1]:.3e})",
+        history,
     )
 
 
@@ -269,8 +284,7 @@ def _tf_fixed_point(
 
     def density(u):
         phi = v_ext - u
-        mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
-        rho = tf_density(phi, mu)
+        rho = _pick_mu(phi, n_target, vol)[1] if constrained else tf_density(phi)
         if off_mask is not None:
             np.copyto(rho, 0.0, where=off_mask)
         return rho
@@ -301,7 +315,7 @@ def _tf_fixed_point(
         )
 
     phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
-    mu = _pick_mu(phi, n_target, vol) if constrained else 0.0
+    mu = _pick_mu(phi, n_target, vol)[0] if constrained else 0.0
     # rho vanishes off the mask, so phi = 0 there makes the residual 0
     residual = tf_residual(rho, phi if mask is None else np.where(mask, phi, 0.0), mu)
     # a second solve of the same rho: perfbench's Poisson count identity

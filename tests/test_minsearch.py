@@ -102,6 +102,26 @@ class TestSearch:
         assert result.E_mol == result.history[0][1]
         assert result.R_M == result.history[0][0]
 
+    def test_plateau_restart_does_not_claim_convergence(self, lda, monkeypatch):
+        # every SCF after the first fails: the second restart settles on the
+        # penalty plateau, but the point returned is the first restart's,
+        # which did not converge
+        calls = {"n": 0}
+
+        def scf(cfg, n_electrons, xc, grid, **kwargs):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise SCFError("did not converge", [1e-2])
+            return SimpleNamespace(energy={"total": -1.5})
+
+        monkeypatch.setattr("fermisurf.minsearch.scf_molecule", scf)
+        with pytest.warns(RuntimeWarning, match="stagnated"):
+            result = min_distance_search(
+                [1.0, 1.0], lda, GridPolicy(spacing=0.4), restarts=2, maxiter=20,
+            )
+        assert result.converged is False
+        assert result.E_mol == result.history[0][1]
+
     def test_subadditivity_report_for_coarse_pair(self, lda):
         cfg = NuclearConfiguration(
             positions=[[0.0, 0.0, 0.0], [1.4, 0.0, 0.0]], charges=[1.0, 1.0]

@@ -219,6 +219,16 @@ class TestDensityKernel:
         assert np.array_equal(got == 0.0, ref == 0.0)
         assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * ref)
 
+    def test_slope_output(self):
+        # the slope is d rho / d phi = (3/2) sqrt(2 [phi - mu]_+) * 2 / (3 pi^2)
+        # and asking for it leaves rho unchanged to the bit
+        phi = np.random.default_rng(5).uniform(-1.0, 4.0, (9, 10, 11))
+        slope = np.full(phi.shape, np.nan)
+        got = tf_density(phi, 0.37, slope=slope)
+        assert np.array_equal(got, tf_density(phi, 0.37))
+        ref = np.sqrt(2.0 * np.maximum(phi - 0.37, 0.0)) / math.pi**2
+        assert np.allclose(slope, ref, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("phi", [2.5, np.array(2.5), -1.0, np.array(-1.0)])
     def test_scalar_and_0d_input(self, phi):
         got = tf_density(phi, 0.25)

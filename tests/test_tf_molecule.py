@@ -15,7 +15,6 @@ from fermisurf.tf_molecule import (
     NuclearConfiguration,
     RegionMask,
     _cube_inv_r_integral,
-    _excess_charge,
     _pick_mu,
     atomic_superposition,
     check_grid_margin,
@@ -215,19 +214,43 @@ class TestPickMu:
     def test_matches_bisection_oracle(self):
         phi = self._phi()
         target = 0.4 * self._charge(phi, 0.0)
-        mu = _pick_mu(phi, target, self.VOL)
+        mu, _ = _pick_mu(phi, target, self.VOL)
         oracle = self._bisect(phi, target)
         assert mu > 0.0
         assert abs(mu - oracle) <= 1e-12 * oracle
-        assert abs(_excess_charge(mu, phi, target, self.VOL)) <= 1e-10 * target
+        assert abs(self._charge(phi, mu) - target) <= 1e-10 * target
+
+    @pytest.mark.parametrize("fraction", [0.4, 1.0])
+    def test_returns_the_density_at_mu(self, fraction):
+        phi = self._phi()
+        mu, rho = _pick_mu(phi, fraction * self._charge(phi, 0.0), self.VOL)
+        assert np.array_equal(rho, tf_density(phi, mu))
+
+    @pytest.mark.parametrize("fraction", [0.9, 0.4, 0.05])
+    def test_binding_mu_does_not_overshoot(self, fraction):
+        # Newton from mu = 0 on the convex excess climbs to the root from
+        # below, so the charge at the returned mu is not short of the target
+        phi = self._phi()
+        target = fraction * self._charge(phi, 0.0)
+        mu, rho = _pick_mu(phi, target, self.VOL)
+        assert mu > 0.0
+        assert rho.sum() * self.VOL >= target - 1e-10 * target
 
     def test_zero_when_unconstrained_charge_fits(self):
         phi = self._phi()
-        assert _pick_mu(phi, self._charge(phi, 0.0), self.VOL) == 0.0
-        assert _pick_mu(phi, 2.0 * self._charge(phi, 0.0), self.VOL) == 0.0
+        assert _pick_mu(phi, self._charge(phi, 0.0), self.VOL)[0] == 0.0
+        assert _pick_mu(phi, 2.0 * self._charge(phi, 0.0), self.VOL)[0] == 0.0
+
+    def test_step_limit_raises_with_history(self, monkeypatch):
+        monkeypatch.setattr("fermisurf.tf_molecule.PICK_MU_MAX_STEPS", 1)
+        phi = self._phi()
+        with pytest.raises(ConvergenceError) as info:
+            _pick_mu(phi, 0.4 * self._charge(phi, 0.0), self.VOL)
+        assert len(info.value.history) > 0
+        assert info.value.history[0] > 0.0
 
     def test_phi_released_on_return(self):
-        # phi must not survive in a reference cycle left by the root finder
+        # phi must not survive in a reference cycle left by the mu search
         phi = self._phi()
         target = 0.4 * self._charge(phi, 0.0)
         ref = weakref.ref(phi)
@@ -306,6 +329,18 @@ def _record_poisson_sources(monkeypatch):
     return sources
 
 
+def _bare_exterior_problem():
+    """Bare z = 2 Coulomb potential on A_r, r = 0.8, on a coarse grid."""
+    cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[2.0])
+    grid = _grid_for(cfg, h=0.4)
+    mask = RegionMask(config=cfg, r=0.8)
+    gmask = mask.grid_mask(grid)
+    dist = np.sqrt(grid.squared_distance(cfg.positions[0]))
+    v_r = ScalarField(grid=grid, kind="potential",
+                      values=np.where(gmask, 2.0 / np.maximum(dist, grid.h), 0.0))
+    return v_r, mask
+
+
 class TestPoissonCount:
     # one solve per sweep plus the two closing ones; perfbench's traced
     # count identity relies on it
@@ -317,16 +352,35 @@ class TestPoissonCount:
         assert len(sources) == len(sol.history) + 2
 
     def test_exterior_tf(self, monkeypatch):
-        cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[2.0])
-        grid = _grid_for(cfg, h=0.4)
-        mask = RegionMask(config=cfg, r=0.8)
-        gmask = mask.grid_mask(grid)
-        dist = np.sqrt(grid.squared_distance(cfg.positions[0]))
-        v_r = ScalarField(grid=grid, kind="potential",
-                          values=np.where(gmask, 2.0 / np.maximum(dist, grid.h), 0.0))
+        v_r, mask = _bare_exterior_problem()
         sources = _record_poisson_sources(monkeypatch)
         ext = exterior_tf(v_r, mask, 1.0)
         assert len(sources) == len(ext.history) + 2
+
+
+class TestPickMuCount:
+    # every constrained mu solve goes through _pick_mu, whose name
+    # perfbench's traced pick_mu span wraps: one per sweep for the Poisson
+    # output, one per mixed sweep after the first, and the closing one
+    def test_exterior_tf(self, monkeypatch):
+        import fermisurf.tf_molecule as tm
+
+        v_r, mask = _bare_exterior_problem()
+        calls = []
+        pick_mu = tm._pick_mu
+
+        def counting(*args):
+            out = pick_mu(*args)
+            calls.append(out[0])
+            return out
+
+        monkeypatch.setattr(tm, "_pick_mu", counting)
+        ext = exterior_tf(v_r, mask, 1.0)
+        sweeps = len(ext.history)
+        assert sweeps >= 2
+        assert len(calls) == 2 * sweeps - 1
+        assert max(calls) > 0.0  # the bound binds, so mu is solved for
+        assert calls[-1] == ext.mu
 
 
 class TestMatchedGrid:
