@@ -1,7 +1,7 @@
 """Thomas-Fermi and Kohn-Sham LDA solvers for Born-Oppenheimer surfaces."""
 
 from .bo import BOCurve, BOSample, GammaEstimate, GridPolicy, bo_ks, bo_tf, gamma_limit, tf_sweep
-from .grids import Grid3D, GridError, RadialGrid, ScalarField
+from .grids import Grid3D, GridError, RadialGrid, ScalarField, SolverError
 from .ks_checks import check_exchange_bound, kinetic_scaling_check
 from .ks_common import KSState, SCFError
 from .ks_molecule import scf_molecule
@@ -38,6 +38,7 @@ __all__ = [
     "RegionMask",
     "SCFError",
     "ScalarField",
+    "SolverError",
     "TFSolution",
     "UniformBall",
     "UniversalTF",

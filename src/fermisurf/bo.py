@@ -74,7 +74,6 @@ class BOSample:
     U_R: float
     grid_h: float
     residual: float
-    grid: dict
 
 
 @dataclass(frozen=True)
@@ -97,24 +96,36 @@ def diatomic(z1: float, z2: float, R: float) -> NuclearConfiguration:
     )
 
 
-def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
-    """D^TF = E^TF_mol - sum_j E^TF_atom + U_R with matched atomic grids."""
+def _bo_sample(config: NuclearConfiguration, policy: GridPolicy, solve) -> BOSample:
+    """D = E_mol - sum_j E_atom + U_R on the policy box, atoms on matched grids.
+
+    solve(config, grid) returns (energy, residual) of one neutral solve; the
+    sample keeps the molecule's residual and only the atomic energies.
+    """
     grid = policy.build(config)
-    sol = solve_tf(config, config.Z, grid)
+    e_mol, residual = solve(config, grid)
     e_at = atomic_references(
-        config, grid,
-        lambda single, agrid: solve_tf(single, single.Z, agrid).energy,
+        config, grid, lambda single, agrid: solve(single, agrid)[0]
     )
     return BOSample(
         R_min=config.R_min if config.K > 1 else 0.0,
-        D=sol.energy - e_at + config.U_R,
-        E_mol=sol.energy,
+        D=e_mol - e_at + config.U_R,
+        E_mol=e_mol,
         E_atoms=e_at,
         U_R=config.U_R,
         grid_h=grid.h,
-        residual=sol.residual,
-        grid=grid.descriptor(),
+        residual=residual,
     )
+
+
+def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
+    """D^TF = E^TF_mol - sum_j E^TF_atom + U_R with matched atomic grids."""
+
+    def solve(cfg, grid):
+        sol = solve_tf(cfg, cfg.Z, grid)
+        return sol.energy, sol.residual
+
+    return _bo_sample(config, policy, solve)
 
 
 def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
@@ -124,25 +135,12 @@ def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
     Every SCF solve (molecule and atomic references) runs at the
     `scf_molecule` defaults with occupation bound q.
     """
-    grid = policy.build(config)
-    mol = scf_molecule(config, config.Z, xc, grid, q=q)
-    e_at = atomic_references(
-        config, grid,
-        lambda single, agrid: scf_molecule(
-            single, single.Z, xc, agrid, q=q
-        ).energy["total"],
-    )
-    resid = mol.scf_history[-1] if mol.scf_history else 0.0
-    return BOSample(
-        R_min=config.R_min if config.K > 1 else 0.0,
-        D=mol.energy["total"] - e_at + config.U_R,
-        E_mol=mol.energy["total"],
-        E_atoms=e_at,
-        U_R=config.U_R,
-        grid_h=grid.h,
-        residual=float(resid),
-        grid=grid.descriptor(),
-    )
+
+    def solve(cfg, grid):
+        state = scf_molecule(cfg, cfg.Z, xc, grid, q=q)
+        return state.energy["total"], state.scf_history[-1]
+
+    return _bo_sample(config, policy, solve)
 
 
 def tf_sweep(charges, R_values, policy: GridPolicy) -> BOCurve:

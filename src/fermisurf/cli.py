@@ -23,25 +23,22 @@ import numpy as np
 from . import __version__
 from .bo import GridPolicy, bo_ks, bo_tf, diatomic, gamma_limit
 from .cache import SolutionCache
-from .eig import EigenError
 from .fitting import FitError, powerlaw_fit
-from .grids import GridError
-from .ks_common import SCFError
+from .grids import GridError, SolverError
 from .ks_molecule import scf_molecule
 from .ks_radial import scf_atom
 from .minsearch import min_distance_search
 from .outside import qij_tf
 from .screening import screened_compare
-from .tf_atom import ShootingError, atomic_tf, tf_residual
-from .tf_molecule import ConvergenceError, NuclearConfiguration, solve_tf
+from .tf_atom import atomic_tf, tf_residual
+from .tf_molecule import NuclearConfiguration, solve_tf
 from .xc import XCValidationError, make_functional
 
 BO_HEADER = "R_min,theory,xc,q,D,grid_h,residual,E_mol,E_atoms,U_R"
 # the BOSample fields of one scan point, in BO_HEADER order
 _BO_FIELDS = ("R_min", "D", "grid_h", "residual", "E_mol", "E_atoms", "U_R")
 
-_SOLVER_ERRORS = (ConvergenceError, SCFError, EigenError, ShootingError,
-                  ArithmeticError, FitError)
+_SOLVER_ERRORS = (SolverError, ArithmeticError, FitError)
 
 #: default of a config key that must be given
 REQUIRED = object()
@@ -257,8 +254,7 @@ def _cmd_gamma(cfg, args, out: Path) -> None:
     R = cfg["R"]
     if R <= 0:
         raise ConfigError("R must be positive")
-    config = NuclearConfiguration([[0.0, 0.0, 0.0], [R, 0.0, 0.0]], cfg["charges"])
-    est = gamma_limit(config, cfg["l_values"], cfg["grid"])
+    est = gamma_limit(diatomic(*cfg["charges"], R), cfg["l_values"], cfg["grid"])
     rows = [
         [l, y, s.D, s.grid_h, s.residual]
         for l, y, s in zip(est.l_values, est.ladder, est.samples)

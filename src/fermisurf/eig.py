@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .grids import Grid3D, GridError, ScalarField
+from .grids import Grid3D, GridError, ScalarField, SolverError
 from .ks_common import FERMI_DEGENERACY_TOL, aufbau_occupations
 from .poisson import _dst_eigenvalues, sine_transform
 
@@ -41,17 +41,13 @@ GUARD_MAXITER = 200  # LOBPCG iterations allowed for the guard
 DROP_TOL = 1e-6
 
 
-class EigenError(RuntimeError):
+class EigenError(SolverError):
     """Eigensolver failure; carries its history.
 
     The history holds the per-iteration maximum residual norm of the block
     when the residual tolerance was missed, and the guard margins
     theta - rho - eps_F tried when a Fermi shell could not be closed.
     """
-
-    def __init__(self, message: str, history):
-        super().__init__(message)
-        self.history = [float(v) for v in history]
 
 
 def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Two discretization carriers are used everywhere: a radial grid for atomic
 quantities (quadrature weights for int 4 pi r^2 f(r) dr) and a uniform 3D
-box for molecules. Fields are immutable after construction.
+box for molecules. Fields are immutable after construction. SolverError,
+the base of every solver's failure, lives here because every solver
+imports this module.
 """
 
 from __future__ import annotations
@@ -16,6 +18,14 @@ POINT_BUDGET = 16_000_000  # nodes a Grid3D may hold
 
 class GridError(ValueError):
     """Contract violation on a grid or field."""
+
+
+class SolverError(RuntimeError):
+    """An iterative or linear solve failed; carries its history as floats."""
+
+    def __init__(self, message: str, history):
+        super().__init__(message)
+        self.history = [float(v) for v in history]
 
 
 @dataclass(frozen=True)
@@ -136,14 +146,6 @@ class Grid3D:
         """Nearest-node index of a point inside the box."""
         idx = np.rint((np.asarray(point, dtype=float) - self.origin) / self.h)
         return tuple(int(i) for i in idx)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "grid3d",
-            "origin": [float(v) for v in self.origin],
-            "h": float(self.h),
-            "dims": list(self.dims),
-        }
 
     @staticmethod
     def cube(center, half_extent: float, n: int) -> "Grid3D":

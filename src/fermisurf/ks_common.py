@@ -11,17 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import SolverError
+
 FERMI_DEGENERACY_TOL = 1e-6  # Hartree window treated as degenerate
 MIX_ALPHA = 0.7  # damping of the Anderson step
 MIX_DEPTH = 3  # differences kept by the Anderson mixer
 
 
-class SCFError(RuntimeError):
+class SCFError(SolverError):
     """Self-consistent loop failed; carries the residual history."""
-
-    def __init__(self, message: str, history):
-        super().__init__(message)
-        self.history = list(history)
 
 
 @dataclass(frozen=True)

@@ -171,9 +171,6 @@ def scf_molecule(
         energy=ks_energy(grid, rho, v_ext, u, xc, occ, eig),
         scf_history=tuple(history),
         meta={
-            "config": config.descriptor(),
-            "N": N,
-            "grid": grid.descriptor(),
             "stationarity": tuple(stat_resids),
             "eigen_residual": tuple(
                 float(e) for lam, e in zip(occ, eig_resids) if lam > 1e-12

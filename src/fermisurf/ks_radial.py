@@ -22,11 +22,10 @@ from .xc import XCFunctional
 SCF_MAX_ITER = 200
 
 
-def default_ks_radial_grid(z: float, r_max: float = 30.0, h: float | None = None):
-    """Uniform radial grid resolving the 1/z core length."""
-    if h is None:
-        h = min(0.01, 0.04 / z)
-    n = int(round(r_max / h))
+def default_ks_radial_grid(z: float):
+    """Uniform radial grid to 30 Bohr; the spacing min(0.01, 0.04/z) resolves 1/z."""
+    h = min(0.01, 0.04 / z)
+    n = int(round(30.0 / h))
     r = h * np.arange(1, n + 1)
     # rectangle weights: u vanishes at both ends so the rule is adequate
     return RadialGrid(nodes=r, weights=4.0 * np.pi * r**2 * h)
@@ -75,7 +74,7 @@ def scf_atom(
         e = {"kinetic": 0.0, "external": 0.0, "hartree": 0.0, "xc": 0.0, "total": 0.0}
         return KSState(
             orbitals=(), occupations=np.zeros(0), eigenvalues=np.zeros(0),
-            q=q, rho0=rho0, energy=e, meta={"z": z, "N": 0.0},
+            q=q, rho0=rho0, energy=e,
         )
 
     # TF profile as the starting density, rescaled to N electrons
@@ -130,5 +129,4 @@ def scf_atom(
         rho0=rho0,
         energy=energy,
         scf_history=tuple(history),
-        meta={"z": z, "N": N, "h": h, "lmax": lmax},
     )

@@ -16,17 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import Grid3D, GridError, ScalarField
+from .grids import Grid3D, GridError, ScalarField, SolverError
 
 CHECK_TOL = 1e-6  # stencil residual bound, relative to max(1, max |4 pi source|)
 
 
-class PoissonError(RuntimeError):
+class PoissonError(SolverError):
     """Linear solve failed to reach the requested residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (final residual {residual:.3e})")
-        self.residual = residual
 
 
 def multipole_boundary(grid: Grid3D, source: np.ndarray):
@@ -146,5 +142,9 @@ def poisson_solve(source: ScalarField) -> ScalarField:
     res = stencil_residual(grid, u, rhs)
     scale = max(1.0, float(rhs.max()), -float(rhs.min()))
     if res > CHECK_TOL * scale:
-        raise PoissonError("direct stencil solve residual above tolerance", res)
+        raise PoissonError(
+            f"direct stencil solve residual above tolerance "
+            f"(final residual {res:.3e})",
+            [res],
+        )
     return ScalarField(grid=grid, values=u, kind="potential")

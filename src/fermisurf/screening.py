@@ -80,34 +80,28 @@ def screened_compare(
         raise ValueError("screening radii must be <= R_min/4")
 
     s_max = rs[-1] * 1.05
-    prof_ks = [
-        nucleus_profile(rho_ks, p, s_max)
-        for p in config.positions
-    ]
-    prof_tf = [
-        nucleus_profile(rho_tf, p, s_max)
-        for p in config.positions
+    profiles = [
+        [nucleus_profile(rho, p, s_max) for p in config.positions]
+        for rho in (rho_ks, rho_tf)
     ]
 
-    sup_diff, sup_phi, sup_phi_tf = [], [], []
+    sups = []  # (sup_diff, sup_phi, sup_phi_tf) per radius
     for r in rs:
-        q_ks = np.array([p.charge_within(r) for p in prof_ks])
-        q_tf = np.array([p.charge_within(r) for p in prof_tf])
-        diffs, phis, phis_tf = [], [], []
-        for j in range(config.K):
-            pts = fibonacci_sphere(config.positions[j], r)
+        # net charge z_j - q_j(r) of each screened nucleus, per density
+        net = [config.charges - np.array([p.charge_within(r) for p in prof])
+               for prof in profiles]
+        per_sphere = []
+        for center in config.positions:
+            pts = fibonacci_sphere(center, r)
             d = np.stack(
                 [np.linalg.norm(pts - p, axis=1) for p in config.positions]
-            )  # (K, sphere samples); row j is identically r
+            )  # (K, sphere samples); the row of `center` is identically r
             d = np.maximum(d, 1e-12)
-            phi_ks = ((config.charges - q_ks)[:, None] / d).sum(axis=0)
-            phi_tf = ((config.charges - q_tf)[:, None] / d).sum(axis=0)
-            diffs.append(float(np.max(np.abs(phi_tf - phi_ks))))
-            phis.append(float(np.max(np.abs(phi_ks))))
-            phis_tf.append(float(np.max(np.abs(phi_tf))))
-        sup_diff.append(max(diffs))
-        sup_phi.append(max(phis))
-        sup_phi_tf.append(max(phis_tf))
+            phi_ks, phi_tf = ((q[:, None] / d).sum(axis=0) for q in net)
+            per_sphere.append((np.max(np.abs(phi_tf - phi_ks)),
+                               np.max(np.abs(phi_ks)), np.max(np.abs(phi_tf))))
+        sups.append([float(max(col)) for col in zip(*per_sphere)])
+    sup_diff, sup_phi, sup_phi_tf = zip(*sups)
 
     fit = None
     positive = [(r, dv) for r, dv in zip(rs, sup_diff) if dv > 0.0]
@@ -117,8 +111,8 @@ def screened_compare(
         )
     return ScreenedProfile(
         r_values=tuple(rs),
-        sup_diff=tuple(sup_diff),
-        sup_phi=tuple(sup_phi),
-        sup_phi_tf=tuple(sup_phi_tf),
+        sup_diff=sup_diff,
+        sup_phi=sup_phi,
+        sup_phi_tf=sup_phi_tf,
         fit=fit,
     )

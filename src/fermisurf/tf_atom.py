@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 
 from .constants import TF_C, TF_LENGTH_B, XI
 from .coulomb import radial_hartree_potential
-from .grids import GridError, RadialGrid, ScalarField
+from .grids import GridError, RadialGrid, ScalarField, SolverError
 
 #: Dimensionless Sommerfeld tail of the universal profile: y -> 144 / x^3.
 Y_TAIL = 144.0
@@ -36,17 +36,13 @@ MATCH_MAXITER = 8
 MATCH_NOISE = 1e-10  # match residuals below this are integration noise
 
 
-class ShootingError(RuntimeError):
+class ShootingError(SolverError):
     """Universal-profile shooting failure; carries its history.
 
     The history holds the match residual max |(y, y')_fwd - (y, y')_bwd|
     at X_MATCH of each Newton iterate; it is empty when the slope bracket
     failed before the match began.
     """
-
-    def __init__(self, message: str, history):
-        super().__init__(message)
-        self.history = [float(v) for v in history]
 
 
 def tf_density(phi, mu: float = 0.0, slope=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid3D, GridError, ScalarField
+from .grids import Grid3D, GridError, ScalarField, SolverError
 from .ks_common import AndersonMixer
 from .poisson import poisson_solve
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_residual
@@ -28,12 +28,8 @@ PICK_MU_MAX_STEPS = 100  # Newton steps for the chemical potential
 MIN_MARGIN = 6.0  # box margin around a nucleus of charge z, in units of z^(-1/3)
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(SolverError):
     """Fixed-point mixing or the chemical-potential search failed to converge."""
-
-    def __init__(self, message: str, history):
-        super().__init__(message)
-        self.history = list(history)
 
 
 @dataclass(frozen=True)
@@ -73,47 +69,32 @@ class NuclearConfiguration:
     def z_max(self) -> float:
         return float(self.charges.max())
 
-    def _pair_distances(self):
-        out = []
-        for i in range(self.K):
-            for j in range(i + 1, self.K):
-                out.append(float(np.linalg.norm(self.positions[i] - self.positions[j])))
-        return out
+    def _pairs(self):
+        """(z_i z_j, |R_i - R_j|) for every pair i < j, in lexicographic order."""
+        return [
+            (float(self.charges[i] * self.charges[j]),
+             float(np.linalg.norm(self.positions[i] - self.positions[j])))
+            for i in range(self.K) for j in range(i + 1, self.K)
+        ]
 
     @property
     def R_min(self) -> float:
-        d = self._pair_distances()
-        return min(d) if d else math.inf
+        return min((d for _, d in self._pairs()), default=math.inf)
 
     @property
     def R_max(self) -> float:
-        d = self._pair_distances()
-        return max(d) if d else 0.0
+        return max((d for _, d in self._pairs()), default=0.0)
 
     @property
     def U_R(self) -> float:
         """Nucleus-nucleus repulsion sum_{i<j} z_i z_j / |R_i - R_j|."""
-        u = 0.0
-        for i in range(self.K):
-            for j in range(i + 1, self.K):
-                u += (
-                    self.charges[i]
-                    * self.charges[j]
-                    / np.linalg.norm(self.positions[i] - self.positions[j])
-                )
-        return float(u)
+        return float(sum(zz / d for zz, d in self._pairs()))
 
     def scaled(self, l: float) -> "NuclearConfiguration":
         """Charges l z_j at positions l^(-1/3) R_j (exact TF covariance)."""
         return NuclearConfiguration(
             positions=self.positions * l ** (-1.0 / 3.0), charges=self.charges * l
         )
-
-    def descriptor(self) -> dict:
-        return {
-            "positions": [[float(v) for v in p] for p in self.positions],
-            "charges": [float(z) for z in self.charges],
-        }
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,15 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fermisurf.cli import BO_HEADER, REQUIRED, _COMMANDS, _GRID, _XC, main
+from fermisurf.eig import EigenError
+from fermisurf.grids import SolverError
+from fermisurf.ks_common import SCFError
+from fermisurf.poisson import PoissonError
+from fermisurf.tf_atom import ShootingError
 from fermisurf.tf_molecule import ConvergenceError
 
 
@@ -124,6 +130,28 @@ class TestExitCodes:
         assert err["type"] == "ShootingError"
         assert 1 <= len(err["history"]) <= 5
         assert all(v > 0.0 for v in err["history"])
+
+    def test_poisson_error_reports_its_residual(self, tmp_path, capsys,
+                                                monkeypatch):
+        # a negative tolerance fails the check of the first Poisson solve
+        monkeypatch.setattr("fermisurf.poisson.CHECK_TOL", -1.0)
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {"positions": [[0, 0, 0]], "charges": [1.0], "grid": {"spacing": 0.5}},
+        )
+        assert main(["tf-molecule", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "PoissonError"
+        assert "final residual" in err["message"]
+        assert len(err["history"]) == 1 and err["history"][0] > 0.0
+
+    @pytest.mark.parametrize("error", [ConvergenceError, SCFError, EigenError,
+                                       ShootingError, PoissonError])
+    def test_solver_errors_share_one_base(self, error):
+        exc = error("failed", [np.float64(0.5), 1])
+        assert isinstance(exc, SolverError)
+        assert exc.history == [0.5, 1.0]
+        assert all(type(v) is float for v in exc.history)
 
     def test_workers_must_be_positive(self, bo_config, tmp_path):
         assert main(["bo-scan", "--config", bo_config,

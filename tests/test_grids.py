@@ -46,12 +46,11 @@ class TestRadialGrid:
 
 
 class TestGrid3D:
-    def test_cube_and_descriptor(self):
+    def test_cube(self):
         grid = Grid3D.cube((0.0, 0.0, 0.0), 2.0, 17)
         assert grid.shape == (17, 17, 17)
-        d = grid.descriptor()
-        assert d["dims"] == [17, 17, 17]
-        assert d["h"] == pytest.approx(grid.h)
+        assert grid.h == pytest.approx(0.25)
+        assert np.allclose(grid.upper_corner(), 2.0)
 
     def test_integrate_constant(self):
         grid = Grid3D.cube((0.0, 0.0, 0.0), 1.0, 9)
