@@ -18,6 +18,12 @@ closes inside the wanted states, and the block grows until it does. The
 SCF keeps that block size from step to step and runs the guard only on
 its first and its converged step. Small boxes can be checked against
 dense diagonalization.
+
+Each solve sets its own preconditioner shift c. The wanted states, bound
+a few Ha deep, take c = 1 + 0.1 max(0, -min V); the guard, which settles
+near 0 Ha on box-continuum states above a neutral system's occupied
+levels, takes GUARD_SHIFT, with which it settles in a fraction of the
+iterations the wanted states' shift needs.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ EIG_SEED = 7  # random start vectors beyond the warm-start columns
 EIG_MAXITER = 500  # LOBPCG iterations allowed for the wanted states
 GUARD_TOL = 1e-3  # residual norm (relative above 1 Ha) of a settled guard
 GUARD_MAXITER = 200  # LOBPCG iterations allowed for the guard
+GUARD_SHIFT = 0.1  # preconditioner shift (Ha) of the guard, which settles near 0
 # Gram eigenvalue, relative to the largest, below which a search direction
 # counts as dependent. It bounds the update coefficients by about 1e3, so
 # H X, updated by the same products as X, stays consistent with it; at 1e-8
@@ -50,31 +57,54 @@ class EigenError(SolverError):
     """
 
 
-def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """(-1/2 Lap_h + V) psi with psi = 0 outside the box.
 
-    psi is one (nx, ny, nz) array or a (k, nx, ny, nz) block of them.
+    psi is one (nx, ny, nz) array or a (k, nx, ny, nz) block of them. The
+    result is written into `out`, an array of psi's shape that stores each
+    vector contiguously and does not overlap psi, when one is given, and
+    returned.
+
+    The neighbours are added in the order +x, -x, +y, -y, +z, -z, each as
+    one shift of the flat vectors: a y or z shift also adds across the
+    face it wraps onto, and that face is put back, so every sum is the one
+    a shift of the 3D array would make.
     """
     h2 = grid.h**2
-    out = np.empty(np.shape(psi))
-    out[..., :-1, :, :] = psi[..., 1:, :, :]
-    out[..., -1, :, :] = 0.0
-    out[..., 1:, :, :] += psi[..., :-1, :, :]
-    out[..., :, :-1, :] += psi[..., :, 1:, :]
-    out[..., :, 1:, :] += psi[..., :, :-1, :]
-    out[..., :, :, :-1] += psi[..., :, :, 1:]
-    out[..., :, :, 1:] += psi[..., :, :, :-1]
+    if out is None:
+        out = np.empty(np.shape(psi))
+    n = grid.n_points
+    o, p = out.reshape(-1, n), np.reshape(psi, (-1, n))
+    if not np.may_share_memory(o, out):
+        raise ValueError("out must store each vector contiguously")
+    plane, row = n // grid.shape[0], grid.shape[2]
+    o[:, :-plane] = p[:, plane:]
+    o[:, -plane:] = 0.0
+    o[:, plane:] += p[:, :-plane]
+    for step, face in ((row, np.s_[..., -1, :]), (-row, np.s_[..., 0, :]),
+                       (1, np.s_[..., -1]), (-1, np.s_[..., 0])):
+        keep = out[face].copy()
+        if step > 0:
+            o[:, :-step] += p[:, step:]
+        else:
+            o[:, -step:] += p[:, :step]
+        out[face] = keep
     out *= -0.5 / h2
     out += (v + 3.0 / h2) * psi
     return out
 
 
-def _preconditioner(grid: Grid3D, v: np.ndarray):
-    """Exact inverse of -1/2 Lap_h + c via sine transforms, on (a, n) rows.
+def _preconditioner(grid: Grid3D, c_shift: float):
+    """Exact inverse of -1/2 Lap_h + c_shift via sine transforms, on (a, n) rows.
 
-    It kills the stiff Laplacian part of the error in one apply.
+    It kills the stiff Laplacian part of the error in one apply. The shift
+    weights the smooth part: LOBPCG converges fastest when -1/2 Lap_h +
+    c_shift is close to H - sigma, sigma a little below the Ritz values
+    sought. `lowest_eigenpairs` passes 1 + 0.1 max(0, -min V), a few Ha,
+    for bound states (the guard's 0.1 Ha there broke the C, N and O
+    atoms); the guard, near 0 Ha on box-continuum states, gets GUARD_SHIFT.
     """
-    c_shift = 1.0 + max(0.0, -float(v.min())) * 0.1
     lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
     inv = 1.0 / (lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift)
 
@@ -117,8 +147,8 @@ def _ritz(b: np.ndarray, a: np.ndarray, k: int):
     return vals[:k], t @ c[:, :k]
 
 
-def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, tol: float, maxiter: int,
-           constraints: np.ndarray | None = None):
+def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: float,
+           maxiter: int, constraints: np.ndarray | None = None):
     """Lowest Ritz pairs of H = -1/2 Lap_h + V from the k start rows x.
 
     Each iteration replaces X by the k lowest Ritz vectors of H on the
@@ -128,7 +158,8 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, tol: float, maxiter: int,
     basis comes from one block product. It stops when no column exceeds
     tol, or after maxiter iterations. The rows of `constraints`
     (orthonormal) are projected out of x and of every W, and H acts as
-    Q H Q, Q the projector onto their complement.
+    Q H Q, Q the projector onto their complement. c_shift is the shift of
+    the preconditioner (see _preconditioner).
 
     Returns (vals, x, resids, history): ascending Ritz values, orthonormal
     Ritz rows, the residual norms |H x - val x| taken from the final H x,
@@ -136,7 +167,7 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, tol: float, maxiter: int,
     """
     shape, (k, n) = grid.shape, x.shape
     y = constraints
-    precond = _preconditioner(grid, v)
+    precond = _preconditioner(grid, c_shift)
     # each basis row holds a vector and its image: X, then P, then W
     cur, nxt = np.empty((2, 3 * k, 2, n))
     r = np.empty((k, n))
@@ -145,11 +176,11 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, tol: float, maxiter: int,
         if y is not None:
             w -= (w @ y.T) @ y
         rows[:, 0] = w
-        hw = apply_hamiltonian(grid, v, rows[:, 0].reshape(-1, *shape))
-        hw = hw.reshape(w.shape)
+        hw = rows[:, 1]
+        apply_hamiltonian(grid, v, rows[:, 0].reshape(-1, *shape),
+                          out=hw.reshape(-1, *shape))
         if y is not None:
             hw -= (hw @ y.T) @ y
-        rows[:, 1] = hw
 
     fill(cur[:k], np.array(x, dtype=float))
     m = k
@@ -221,7 +252,8 @@ def lowest_eigenpairs(
 
     # unit rows x are orbitals times h^(3/2), so |H x - eps x| is the
     # reported |H psi - eps psi| h^(3/2)
-    vals, x, residuals, history = lobpcg(grid, v, start, 0.1 * tol, maxiter)
+    c_shift = 1.0 + max(0.0, -float(v.min())) * 0.1
+    vals, x, residuals, history = lobpcg(grid, v, start, c_shift, 0.1 * tol, maxiter)
     best = float(np.max(residuals))
     if not best <= tol * max(1.0, float(np.max(np.abs(vals)))):  # NaN fails too
         raise EigenError(
@@ -263,7 +295,8 @@ def guard_eigenpair(potential: ScalarField, pairs, start: np.ndarray | None = No
         x = np.random.default_rng(EIG_SEED).standard_normal((1, n))
     else:
         x = np.reshape(start, (1, n))
-    vals, x, rho, history = lobpcg(grid, v, x, 0.5 * GUARD_TOL, GUARD_MAXITER, y)
+    vals, x, rho, history = lobpcg(grid, v, x, GUARD_SHIFT, 0.5 * GUARD_TOL,
+                                   GUARD_MAXITER, y)
     theta, rho = float(vals[0]), float(rho[0])
     if not rho <= GUARD_TOL * max(1.0, abs(theta)):
         raise EigenError(

@@ -97,6 +97,38 @@ class TestContracts:
         singles = np.stack([apply_hamiltonian(grid, v, psi) for psi in block])
         assert np.array_equal(apply_hamiltonian(grid, v, block), singles)
 
+    def test_flat_shifts_match_the_3d_stencil(self):
+        # reference: each neighbour added by a shift of the 3D array, in
+        # the same order, so the sums agree bit for bit
+        grid = Grid3D(origin=(0.0, 0.0, 0.0), h=0.3, dims=(5, 7, 6))
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(grid.shape)
+        block = rng.standard_normal((2, *grid.shape))
+        h2 = grid.h**2
+        ref = np.zeros(block.shape)
+        ref[..., :-1, :, :] = block[..., 1:, :, :]
+        ref[..., 1:, :, :] += block[..., :-1, :, :]
+        ref[..., :, :-1, :] += block[..., :, 1:, :]
+        ref[..., :, 1:, :] += block[..., :, :-1, :]
+        ref[..., :, :, :-1] += block[..., :, :, 1:]
+        ref[..., :, :, 1:] += block[..., :, :, :-1]
+        ref *= -0.5 / h2
+        ref += (v + 3.0 / h2) * block
+        assert np.array_equal(apply_hamiltonian(grid, v, block), ref)
+        assert np.array_equal(apply_hamiltonian(grid, v, block[1]), ref[1])
+
+    def test_apply_into_strided_rows_matches_fresh_array(self):
+        # LOBPCG writes H psi into every other row of its basis block
+        grid = Grid3D.cube((0, 0, 0), 1.0, 9)
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(grid.shape)
+        rows = rng.standard_normal((3, 2, grid.n_points))
+        out = rows[:, 1].reshape(-1, *grid.shape)
+        psi = rows[:, 0].reshape(-1, *grid.shape)
+        fresh = apply_hamiltonian(grid, v, psi)
+        assert apply_hamiltonian(grid, v, psi, out=out) is out
+        assert np.array_equal(rows[:, 1].reshape(fresh.shape), fresh)
+
     def test_stagnation_raises(self):
         grid = Grid3D.cube((0, 0, 0), 3.0, 17)
         X, Y, Z = grid.meshgrid()
@@ -170,6 +202,47 @@ class TestGuard:
         theta, rho, _ = guard_eigenpair(field, pairs, start)
         assert abs(theta - levels["x_odd"]) <= rho
 
+    def test_continuum_guard_matches_dense_complement(self):
+        # a shallow soft Coulomb well on a 12^3 box: one bound state, and
+        # the lowest state of its complement (a box-confined p level) at
+        # about +0.03 Ha, where the guard's own preconditioner shift aims
+        grid = Grid3D.cube((0, 0, 0), 5.5, 12)
+        X, Y, Z = grid.meshgrid()
+        field = ScalarField(grid=grid, values=-0.6 / np.sqrt(X**2 + Y**2 + Z**2 + 1.0))
+        pairs, _ = lowest_eigenpairs(field, 1)
+        u = pairs[0][1].values.ravel() * math.sqrt(grid.cell_volume)
+        q = np.eye(grid.n_points) - np.outer(u, u)
+        # Q H Q on the complement; the pair's own direction is lifted far
+        # above the spectrum
+        compressed = q @ dense_hamiltonian(grid, field.values) @ q + 100.0 * np.outer(u, u)
+        lowest = np.linalg.eigvalsh(compressed)[0]
+        assert abs(lowest) < 0.05
+        theta, rho, y = guard_eigenpair(field, pairs)
+        assert abs(theta - lowest) <= rho
+        assert abs(float(np.dot(y, u)) * math.sqrt(grid.cell_volume)) < 1e-10
+
+
+class TestShifts:
+    def test_wanted_states_and_guard_get_their_own_shift(self, monkeypatch):
+        shifts = []
+        precondition = eig._preconditioner
+
+        def recording(grid, c_shift):
+            shifts.append(c_shift)
+            return precondition(grid, c_shift)
+
+        monkeypatch.setattr(eig, "_preconditioner", recording)
+        # the harmonic well lowered by 2 Ha, so that min V < 0 enters the
+        # wanted states' shift; N = 4 grows the block twice, each solve
+        # followed by a guard
+        field = _harmonic(5.0, 21)
+        field = ScalarField(grid=field.grid, values=field.values - 2.0)
+        pairs, *_ = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
+        assert len(pairs) == 4
+        wanted = 1.0 + 0.1 * max(0.0, -float(field.values.min()))
+        assert wanted == pytest.approx(1.2, abs=1e-12)
+        assert shifts == [wanted, eig.GUARD_SHIFT] * 3
+
 
 class TestOccupied:
     def test_degenerate_shell_grows_block(self, monkeypatch):
@@ -231,9 +304,9 @@ class TestLobpcg:
         vectors = []
         apply = eig.apply_hamiltonian
 
-        def counting(grid, v, psi):
+        def counting(grid, v, psi, **kw):
             vectors.append(len(psi))
-            return apply(grid, v, psi)
+            return apply(grid, v, psi, **kw)
 
         monkeypatch.setattr(eig, "apply_hamiltonian", counting)
         initial = np.column_stack([orb.values.ravel() for _, orb in pairs])
