@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .coulomb import radial_hartree_potential
 from .grids import GridError, RadialGrid, ScalarField
@@ -33,6 +32,8 @@ def default_ks_radial_grid(z: float):
 
 def _radial_levels(r, h, v_eff, lmax: int, per_ell: int):
     """Lowest eigenpairs of -1/2 u'' + (l(l+1)/2r^2 + v) u per ell."""
+    from scipy.linalg import eigh_tridiagonal
+
     levels = []
     off = np.full(len(r) - 1, -0.5 / h**2)
     for ell in range(lmax + 1):

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bo import GridPolicy
 from .eig import EigenError
@@ -110,6 +109,8 @@ def min_distance_search(
         for k in range(2, K):
             x0[1 + 3 * (k - 2)] = (k - 1) * x0[0]
             x0[2 + 3 * (k - 2)] = 0.7 * x0[0]
+
+    from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)
     best = None

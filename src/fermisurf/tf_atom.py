@@ -8,15 +8,24 @@ c meet at X_MATCH, where y and y' must agree. The forward solution alone
 cannot be trusted at large x, because perturbations grow like x^7.77.
 Atomic quantities for any charge follow by the exact scaling
 rho_z(x) = z^2 rho_1(z^(1/3) x).
+
+Both shootings run the in-house DOP853 stepper `solve_ivp` at the end of
+this module: the Runge-Kutta pair of order 8(5,3) with 7th-order dense
+output of Hairer, Norsett & Wanner (Solving Ordinary Differential
+Equations I, 2nd ed., Sec. II.10), with the error norm, step control and
+event rules of scipy.integrate's DOP853. So importing the package needs
+only numpy; scipy loads on the first call to `scf_atom`,
+`min_distance_search` or `gamma_limit`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .constants import TF_C, TF_LENGTH_B, XI
 from .coulomb import radial_hartree_potential
@@ -131,7 +140,6 @@ def _integrate_forward(slope: float, x0: float, x_end: float, dense: bool = Fals
         _rhs,
         (x0, x_end),
         [y0, dy0],
-        method="DOP853",
         rtol=1e-12,
         atol=1e-14,
         events=(hit_zero, blow_up),
@@ -152,7 +160,6 @@ def _integrate_backward(c: float, x_far: float):
         _rhs,
         (x_far, X_MATCH),
         [y0, dy0],
-        method="DOP853",
         rtol=1e-12,
         atol=1e-16,
         dense_output=True,
@@ -190,8 +197,18 @@ class UniversalTF:
 
 
 def _crosses_zero(slope: float) -> bool:
-    """Classify a forward shot: True below the critical slope, False above."""
-    return len(_integrate_forward(slope, X0, X_CLASSIFY).t_events[0]) > 0
+    """Classify a forward shot: True below the critical slope, False above.
+
+    Below it y crosses zero, above it y blows up past 2; a shot that does
+    neither before X_CLASSIFY is too close to the separatrix to classify.
+    """
+    hit_zero, blow_up = _integrate_forward(slope, X0, X_CLASSIFY).t_events
+    if hit_zero.size or blow_up.size:
+        return bool(hit_zero.size)
+    raise ShootingError(
+        f"forward shot with slope {slope!r} neither crossed zero nor blew up "
+        f"before x = {X_CLASSIFY}", []
+    )
 
 
 def _forward_to_match(slope: float):
@@ -214,9 +231,11 @@ def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
 
     Stops when the Newton step is at most tol in B and tol |c| in c, so tol
     bounds the estimated distance of the returned slope from the matched
-    one. Stops early when the match residual stalls at the integrators'
-    noise floor MATCH_NOISE. Raises ShootingError with the residual history
-    when neither happens within MATCH_MAXITER iterates.
+    one. Stops early once the match residual is at the integrators' noise
+    floor MATCH_NOISE, where a Newton step would only follow the noise:
+    backward shots jitter by 1.4e-11 rms at X_MATCH as c moves by 1e-9.
+    Raises ShootingError with the residual history when neither happens
+    within MATCH_MAXITER iterates.
     """
     if x_max < 50.0:
         raise ValueError("x_max must be >= 50")
@@ -238,11 +257,11 @@ def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
 
     slope, c = 0.5 * (lo + hi), TAIL_GUESS
     fwd, bwd = _forward_to_match(slope), _integrate_backward(c, x_max)
-    resid = fwd.sol(X_MATCH) - bwd.sol(X_MATCH)
+    resid = fwd.y[:, -1] - bwd.y[:, -1]
     db, dc = MATCH_STEPS
     jac = np.column_stack((
-        (_forward_to_match(slope + db).sol(X_MATCH) - fwd.sol(X_MATCH)) / db,
-        (bwd.sol(X_MATCH) - _integrate_backward(c + dc, x_max).sol(X_MATCH)) / dc,
+        (_forward_to_match(slope + db).y[:, -1] - fwd.y[:, -1]) / db,
+        (bwd.y[:, -1] - _integrate_backward(c + dc, x_max).y[:, -1]) / dc,
     ))
     history = []
     for _ in range(MATCH_MAXITER):
@@ -250,15 +269,15 @@ def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
         step = -np.linalg.solve(jac, resid)
         if abs(step[0]) <= tol and abs(step[1]) <= tol * abs(c):
             break
-        if len(history) > 1 and MATCH_NOISE >= history[-1] > 0.5 * history[-2]:
-            break  # stalled at the noise floor
+        if history[-1] <= MATCH_NOISE:
+            break  # at the noise floor: the step would be integration noise
         new_slope = slope + step[0]
         if not lo < new_slope < hi:
             new_slope = 0.5 * (slope + (lo if new_slope <= lo else hi))
         s = np.array([new_slope - slope, step[1]])
         slope, c = new_slope, c + step[1]
         fwd, bwd = _forward_to_match(slope), _integrate_backward(c, x_max)
-        new_resid = fwd.sol(X_MATCH) - bwd.sol(X_MATCH)
+        new_resid = fwd.y[:, -1] - bwd.y[:, -1]
         jac += np.outer(new_resid - resid - jac @ s, s) / (s @ s)
         resid = new_resid
     else:
@@ -374,3 +393,338 @@ def atomic_screened_tf(sol: AtomicTFSolution, r: float) -> ScalarField:
     ball = ScalarField(grid=grid, values=np.where(grid.nodes <= r, sol.rho.values, 0.0))
     values = sol.z / grid.nodes - radial_hartree_potential(ball)
     return ScalarField(grid=grid, values=values, kind="potential")
+
+
+# -- DOP853 (see the module docstring) ---------------------------------------
+#
+# Python floats throughout: the profile ODE has two components, where a numpy
+# call costs more than the arithmetic it does. One literal table, as in
+# Hairer's dop853.f: nodes _C; stage rows _A_ROWS as {column: a_ij}, where
+# row 12 holds the weights B and rows 13-15 the stages only the dense output
+# needs; the 5th-order error weights _E5_ROW; B minus the 3rd-order weights,
+# _BHH_ROW; the rows _D_ROWS of the interpolant's top four coefficients.
+
+_C = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1,
+    0.2, 0.777777777777777777777777777778,
+)
+_A_ROWS = (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+)
+_E5_ROW = {
+    0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1,
+}
+# B minus the 3rd-order weights, nonzero only in these columns
+_BHH_ROW = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+            11: 0.220588235294117647058823529412e-1}
+_D_ROWS = (
+    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+)
+
+_N_STAGES = 12
+_A = tuple(tuple(row.get(j, 0.0) for j in range(i)) for i, row in enumerate(_A_ROWS))
+_B = _A[_N_STAGES]
+_E5 = tuple(_E5_ROW.get(j, 0.0) for j in range(_N_STAGES))
+_E3 = tuple(b - _BHH_ROW.get(j, 0.0) for j, b in enumerate(_B))
+_D = tuple(tuple(row.get(j, 0.0) for j in range(16)) for row in _D_ROWS)
+
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # the error estimate is O(h^8)
+_EVENT_TOL = 4.0 * sys.float_info.epsilon
+
+
+@dataclass(frozen=True)
+class ODEResult:
+    """Steps, events and dense output of one `solve_ivp` integration.
+
+    y has one row per component. status is 0 when t_span[1] was reached
+    and 1 when a terminal event stopped the integration at t[-1]. sol is
+    None unless dense output was asked for.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    t_events: list
+    sol: DenseOutput | None
+
+
+def _rms(values) -> float:
+    return math.sqrt(sum(v * v for v in values) / len(values))
+
+
+def _initial_step(fun, t, y, f, span, rtol, atol):
+    """First step length from the Taylor estimate of Hairer et al., Sec. II.4."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(span))
+    h = math.copysign(h0, span)
+    f1 = fun(t + h, [v + h * d for v, d in zip(y, f)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, abs(span))
+
+
+def _rk_stages(fun, t, y, f, h):
+    """The 12 stage derivatives of one step, per component, and y(t + h)."""
+    k = [[v] for v in f]
+    for c, row in zip(_C[1:_N_STAGES], _A[1:_N_STAGES]):
+        arg = [v + h * sum(map(mul, row, kc)) for v, kc in zip(y, k)]
+        for kc, v in zip(k, fun(t + c * h, arg)):
+            kc.append(v)
+    return k, [v + h * sum(map(mul, _B, kc)) for v, kc in zip(y, k)]
+
+
+def _error_norm(k, h, y, y_new, rtol, atol) -> float:
+    """DOP853's combined 5th/3rd-order error estimate in the RMS norm."""
+    e5 = e3 = 0.0
+    for kc, a, b in zip(k, y, y_new):
+        scale = atol + max(abs(a), abs(b)) * rtol
+        e5 += (sum(map(mul, _E5, kc)) / scale) ** 2
+        e3 += (sum(map(mul, _E3, kc)) / scale) ** 2
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+
+
+def _interpolant(fun, t_old, h, y_old, y, k):
+    """Coefficients F_0..F_6 of one step's dense output, per component.
+
+    k holds the 13 stage derivatives of the step (the last is f at its
+    end); the three extra stages are formed here.
+    """
+    k = [list(kc) for kc in k]
+    for c, row in zip(_C[_N_STAGES + 1:], _A[_N_STAGES + 1:]):
+        arg = [v + h * sum(map(mul, row, kc)) for v, kc in zip(y_old, k)]
+        for kc, v in zip(k, fun(t_old + c * h, arg)):
+            kc.append(v)
+    coefs = []
+    for a, b, kc in zip(y_old, y, k):
+        dy = b - a
+        coefs.append([dy, h * kc[0] - dy, 2.0 * dy - h * (kc[_N_STAGES] + kc[0])]
+                     + [h * sum(map(mul, row, kc)) for row in _D])
+    return coefs
+
+
+def _horner(coefs, x):
+    """x (F_0 + (1-x) (F_1 + x (F_2 + (1-x) (F_3 + ...)))); x may be an array."""
+    value = coefs[6] * x
+    for j in range(5, -1, -1):
+        value = (value + coefs[j]) * (x if j % 2 == 0 else 1.0 - x)
+    return value
+
+
+def _step_state(fun, step):
+    """The state on one step from its dense output, as a function of t."""
+    t_old, h, y_old = step[:3]
+    coefs = _interpolant(fun, *step)
+    return lambda t: [v + _horner(c, (t - t_old) / h) for v, c in zip(y_old, coefs)]
+
+
+class DenseOutput:
+    """The 7th-order interpolant of every step of one integration.
+
+    Called like scipy's OdeSolution: a scalar t gives an (n,) state, an
+    array of m points an (n, m) array. A point on a step boundary takes the
+    step that ends there. One searchsorted picks the steps and one Horner
+    pass evaluates them. The three extra stages each step needs are formed
+    on the first call, so an integration whose dense output is never read
+    does not pay for them.
+    """
+
+    def __init__(self, fun, steps, ts):
+        descending = ts[-1] < ts[0]
+        self._fun = fun
+        self._steps = steps[::-1] if descending else steps
+        self._bounds = np.array(ts[::-1] if descending else ts)
+        self._side = "right" if descending else "left"
+        self._table = None
+
+    def _build(self):
+        t_old = np.array([s[0] for s in self._steps])
+        h = np.array([s[1] for s in self._steps])
+        y_old = np.array([s[2] for s in self._steps]).T
+        coefs = np.array([_interpolant(self._fun, *s) for s in self._steps])
+        return t_old, h, y_old, coefs.transpose(2, 1, 0)  # (7, n, steps)
+
+    def __call__(self, t):
+        if self._table is None:
+            self._table = self._build()
+        t_old, h, y_old, coefs = self._table
+        t = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(t)
+        seg = np.searchsorted(self._bounds, ts, side=self._side) - 1
+        np.clip(seg, 0, len(h) - 1, out=seg)
+        y = y_old[:, seg] + _horner(coefs[:, :, seg], (ts - t_old[seg]) / h[seg])
+        return y[:, 0] if t.ndim == 0 else y
+
+
+def _event_fired(g, g_new, direction) -> bool:
+    up, down = g <= 0.0 <= g_new, g >= 0.0 >= g_new
+    return up if direction > 0 else down if direction < 0 else up or down
+
+
+def _event_root(event, state, a, b) -> float:
+    """Bisect event(t, state(t)) = 0 on [a, b] to 4 eps relative, like scipy's brentq."""
+    ga = event(a, state(a))
+    while ga != 0.0 and abs(b - a) > _EVENT_TOL * (1.0 + abs(b)):
+        m = 0.5 * (a + b)
+        gm = event(m, state(m))
+        if (gm < 0.0) == (ga < 0.0):
+            a, ga = m, gm
+        else:
+            b = m
+    return a
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), dense_output=False):
+    """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
+
+    fun takes and returns a sequence of floats. Each event is a function
+    event(t, y) with optional attributes `direction` (only crossings with
+    that sign count) and `terminal` (the integration stops at its root);
+    roots are bisected on the step's dense output. Raises ShootingError
+    when the step size falls below 10 ulp of t, which a singularity of the
+    solution forces.
+    """
+    t, t_end = (float(v) for v in t_span)
+    direction = 1.0 if t_end > t else -1.0
+    y = [float(v) for v in y0]
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
+    ts, ys, steps = [t], [y], []
+    g = [event(t, y) for event in events]
+    t_events = [[] for _ in events]
+    status = 0
+    while status == 0 and direction * (t - t_end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ShootingError(f"integration step fell below 10 ulp at t = {t!r}", [])
+            t_new = t + direction * h_abs
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            k, y_new = _rk_stages(fun, t, y, f, h)
+            err = _error_norm(k, h, y, y_new, rtol, atol)
+            if err < 1.0:
+                factor = _MAX_FACTOR
+                if err > 0.0:
+                    factor = min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            rejected = True
+        f = fun(t_new, y_new)
+        for kc, v in zip(k, f):
+            kc.append(v)
+        step = (t, h, y, y_new, k)
+        if dense_output:
+            steps.append(step)
+        t, y = t_new, y_new
+        g_new = [event(t, y) for event in events]
+        fired = [
+            i for i, event in enumerate(events)
+            if _event_fired(g[i], g_new[i], getattr(event, "direction", 0))
+        ]
+        if fired:
+            state = _step_state(fun, step)
+            roots = sorted(
+                ((_event_root(events[i], state, step[0], t), i) for i in fired),
+                key=lambda root: direction * root[0],
+            )
+            for root, i in roots:
+                t_events[i].append(root)
+                if getattr(events[i], "terminal", False):
+                    status, t, y = 1, root, state(root)
+                    break
+        g = g_new
+        ts.append(t)
+        ys.append(y)
+    return ODEResult(
+        t=np.array(ts),
+        y=np.array(ys).T,
+        status=status,
+        t_events=[np.array(te) for te in t_events],
+        sol=DenseOutput(fun, steps, ts) if dense_output else None,
+    )

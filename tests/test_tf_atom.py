@@ -6,10 +6,16 @@ import pytest
 import fermisurf.tf_atom
 from fermisurf.constants import SOMMERFELD_C, TF_LENGTH_B
 from fermisurf.tf_atom import (
+    MATCH_NOISE,
     X0,
     X_MATCH,
+    ShootingError,
+    _crosses_zero,
+    _integrate_backward,
     _integrate_forward,
+    _rhs,
     _series_y,
+    _tail_y,
     atomic_screened_tf,
     atomic_tf,
     slope_energy_constant,
@@ -50,15 +56,16 @@ class TestUniversalProfile:
         x0, x1 = 4.0, 16.0
         y0, yp0 = 144.0 / x0**3, -3.0 * 144.0 / x0**4
 
-        from scipy.integrate import solve_ivp
-
         def rhs(x, s):
-            return [s[1], s[0] ** 1.5 / np.sqrt(x)]
+            return [s[1], s[0] ** 1.5 / math.sqrt(x)]
 
-        sol = solve_ivp(rhs, (x0, x1), [y0, yp0], rtol=1e-12, atol=1e-14,
-                        dense_output=True)
-        xs = np.linspace(x0, x1, 40)
-        assert np.allclose(sol.sol(xs)[0], 144.0 / xs**3, rtol=1e-8)
+        res = fermisurf.tf_atom.solve_ivp(rhs, (x0, x1), [y0, yp0], rtol=1e-12,
+                                          atol=1e-14, dense_output=True)
+        assert res.status == 0 and res.t[-1] == x1
+        assert np.allclose(res.y[0], 144.0 / res.t**3, rtol=1e-8)
+        # the dense output between step ends stays on it too
+        xs = np.concatenate([np.linspace(a, b, 7)[1:-1] for a, b in zip(res.t, res.t[1:])])
+        assert np.allclose(res.sol(xs)[0], 144.0 / xs**3, rtol=1e-8)
 
     def test_solver_slope_is_bisection_stable(self):
         # the independent oracle: re-run with a tighter tolerance and
@@ -74,6 +81,59 @@ class TestUniversalProfile:
         # shallower slope -> blow-up event; steeper slope -> zero crossing
         assert up.status == 1 and down.status == 1
         assert up.t_events[1].size + down.t_events[0].size >= 2
+
+    def test_stepper_raises_when_the_step_underflows(self):
+        # without the blow-up event the shot runs into the singularity of
+        # y'' = y^(3/2)/sqrt(x), where no step above 10 ulp meets rtol
+        y0 = _series_y(X0, B_REFERENCE + 0.05)
+        with pytest.raises(ShootingError, match="10 ulp"):
+            fermisurf.tf_atom.solve_ivp(_rhs, (X0, 80.0), y0, rtol=1e-12, atol=1e-14)
+
+    def test_shot_firing_no_event_is_not_classified(self, monkeypatch):
+        # at x = 2 a shot near the critical slope has neither crossed zero
+        # nor blown up, so it must not count as above the critical slope
+        monkeypatch.setattr(fermisurf.tf_atom, "X_CLASSIFY", 2.0)
+        with pytest.raises(ShootingError, match="-1.6") as err:
+            _crosses_zero(-1.6)
+        assert err.value.history == []
+        with pytest.raises(ShootingError, match="neither crossed zero nor blew up"):
+            solve_universal()
+
+
+class TestStepper:
+    """The in-house DOP853 against scipy's, which implements the same method."""
+
+    @staticmethod
+    def _scipy_shot(y0, t_span, atol):
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp(_rhs, t_span, list(y0), method="DOP853", rtol=1e-12, atol=atol,
+                         dense_output=True)
+
+    def test_forward_dense_output_matches_scipy(self):
+        u = universal_profile()
+        ref = self._scipy_shot(_series_y(X0, u.slope_B), (X0, X_MATCH), 1e-14)
+        got = _integrate_forward(u.slope_B, X0, X_MATCH, dense=True)
+        xs = np.geomspace(X0, X_MATCH, 1201)[1:]
+        assert np.max(np.abs(got.sol(xs) - ref.sol(xs))) <= 1e-12
+
+    def test_backward_dense_output_matches_scipy(self):
+        # DOP853's error estimate cancels far out, so from the sixth step on
+        # the two step sequences differ by ~4e-10 relative: the shots then
+        # agree to their own noise floor (1.1e-11 measured), not to rounding
+        u = universal_profile()
+        ref = self._scipy_shot(_tail_y(u.x_max, u.tail_c), (u.x_max, X_MATCH), 1e-16)
+        got = _integrate_backward(u.tail_c, u.x_max)
+        xs = np.geomspace(X_MATCH, u.x_max, 1201)[1:]
+        assert np.max(np.abs(got.sol(xs) - ref.sol(xs))) <= MATCH_NOISE
+
+    def test_vectorised_profile_equals_scalar_calls(self):
+        u = universal_profile()
+        xs = np.concatenate([
+            u._fwd.t, u._bwd.t, [X0, X_MATCH, u.x_max],
+            np.geomspace(1e-4, 2.0 * u.x_max, 500),
+        ])
+        assert np.array_equal(u.y(xs), [u.y(x) for x in xs])
 
 
 class TestMatchedShooting:
@@ -92,19 +152,21 @@ class TestMatchedShooting:
         assert abs(near.slope_B - universal_profile().slope_B) <= 1e-12
 
     def test_integration_count(self, monkeypatch):
-        calls = {"n": 0}
+        # counted by the direction of t_span, as the benchmark counts them
+        calls = {"forward": 0, "backward": 0}
         original = fermisurf.tf_atom.solve_ivp
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
+        def counting(fun, t_span, *args, **kwargs):
+            calls["forward" if t_span[1] > t_span[0] else "backward"] += 1
+            return original(fun, t_span, *args, **kwargs)
 
         monkeypatch.setattr(fermisurf.tf_atom, "solve_ivp", counting)
         solve_universal()
-        assert calls["n"] <= 25
+        assert calls["forward"] <= 17
+        assert calls["backward"] <= 5
 
     def test_unreachable_tolerance_stops_at_noise_floor(self):
-        # no slope step can fall below 1e-300; the stalled residual ends it
+        # no slope step can fall below 1e-300; the residual at the noise floor ends it
         u = solve_universal(tol=1e-300)
         assert abs(u.slope_B - universal_profile().slope_B) <= 1e-12
 
