@@ -6,7 +6,14 @@ transform (`sine_transform`, also the eigensolver's preconditioner); the
 solution is the exact stencil solution (residual at rounding level), so no
 iteration control is needed. Boundary values come from the monopole +
 dipole expansion of the source, written on the box faces of a fresh array
-whose interior the solve then fills; no grid-sized array is kept between
+whose interior the solve then fills.
+
+Memory per solve: the output plus two interior-sized arrays. The right-hand
+side 4 pi source is formed on the interior nodes only, both sine transforms
+run as matrix products that ping-pong between those two arrays, the
+division by the stencil eigenvalues is done in place, and the residual
+check is formed in one of them. Beyond these, only face-sized arrays are
+made; the source is never written, and no grid-sized array is kept between
 solves.
 """
 
@@ -70,7 +77,7 @@ def _sine_matrix(n: int) -> np.ndarray:
     return s
 
 
-def sine_transform(a: np.ndarray) -> np.ndarray:
+def sine_transform(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal DST-I along the last three axes of an (..., nx, ny, nz) array.
 
     Three matrix products with the symmetric orthogonal S_n, so the
@@ -80,12 +87,18 @@ def sine_transform(a: np.ndarray) -> np.ndarray:
     FFT; the products were measured faster at every interior length from
     28 to 143 (the paper workloads stay below about 110), and nothing past
     143 was measured.
+
+    Without `out` a is left alone and the transform is a fresh array. With
+    `out`, the products ping-pong between out and a, which must both be
+    C-contiguous and of one shape: the transform lands in out, a is
+    overwritten, and no array is allocated.
     """
     *lead, nx, ny, nz = a.shape
-    out = a @ _sine_matrix(nz)
-    out = _sine_matrix(ny) @ out
-    out = _sine_matrix(nx) @ out.reshape(*lead, nx, ny * nz)
-    return out.reshape(a.shape)
+    b = np.matmul(a, _sine_matrix(nz), out=out)
+    c = np.matmul(_sine_matrix(ny), b, out=None if out is None else a)
+    np.matmul(_sine_matrix(nx), c.reshape(*lead, nx, ny * nz),
+              out=b.reshape(*lead, nx, ny * nz))
+    return b
 
 
 def _dst_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -93,33 +106,43 @@ def _dst_eigenvalues(n: int, h: float) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / h**2
 
 
-def solve_dirichlet(grid: Grid3D, rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def solve_dirichlet(
+    grid: Grid3D, rhs: np.ndarray, u: np.ndarray, work: np.ndarray
+) -> np.ndarray:
     """Solve -Lap_h u = rhs in the interior of u, whose faces hold the data.
 
-    The interior of u is written in place; u is returned.
+    rhs holds the right-hand side on the interior nodes only, and work is
+    a second array of that shape; both are C-contiguous, and the solve
+    overwrites both and allocates no other interior-sized array. The
+    interior of u is written in place; u is returned.
     """
     h2 = grid.h**2
-    f = rhs[1:-1, 1:-1, 1:-1].copy()
     # boundary nodes feed the adjacent interior rows
-    f[0, :, :] += u[0, 1:-1, 1:-1] / h2
-    f[-1, :, :] += u[-1, 1:-1, 1:-1] / h2
-    f[:, 0, :] += u[1:-1, 0, 1:-1] / h2
-    f[:, -1, :] += u[1:-1, -1, 1:-1] / h2
-    f[:, :, 0] += u[1:-1, 1:-1, 0] / h2
-    f[:, :, -1] += u[1:-1, 1:-1, -1] / h2
+    rhs[0, :, :] += u[0, 1:-1, 1:-1] / h2
+    rhs[-1, :, :] += u[-1, 1:-1, 1:-1] / h2
+    rhs[:, 0, :] += u[1:-1, 0, 1:-1] / h2
+    rhs[:, -1, :] += u[1:-1, -1, 1:-1] / h2
+    rhs[:, :, 0] += u[1:-1, 1:-1, 0] / h2
+    rhs[:, :, -1] += u[1:-1, 1:-1, -1] / h2
 
-    t = sine_transform(f)
-    lx, ly, lz = (_dst_eigenvalues(m, grid.h) for m in f.shape)
+    t = sine_transform(rhs, out=work)
+    lx, ly, lz = (_dst_eigenvalues(m, grid.h) for m in t.shape)
     # one x-slab of the stencil eigenvalues at a time: no n^3 denominator
     for i, li in enumerate(lx):
         t[i] /= (li + ly[:, None]) + lz
-    u[1:-1, 1:-1, 1:-1] = sine_transform(t)
+    u[1:-1, 1:-1, 1:-1] = sine_transform(t, out=rhs)
     return u
 
 
-def stencil_residual(grid: Grid3D, u: np.ndarray, rhs: np.ndarray) -> float:
-    """Max-norm interior residual of -Lap_h u - rhs."""
-    lap = u[1:-1, 1:-1, 1:-1] * -6.0
+def stencil_residual(
+    grid: Grid3D, u: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None
+) -> float:
+    """Max-norm interior residual of -Lap_h u - rhs, rhs given on the interior.
+
+    The residual field is formed in `out`, an interior-shaped array, or in
+    a fresh one when out is None.
+    """
+    lap = np.multiply(u[1:-1, 1:-1, 1:-1], -6.0, out=out)
     lap += u[:-2, 1:-1, 1:-1]
     lap += u[2:, 1:-1, 1:-1]
     lap += u[1:-1, :-2, 1:-1]
@@ -127,7 +150,7 @@ def stencil_residual(grid: Grid3D, u: np.ndarray, rhs: np.ndarray) -> float:
     lap += u[1:-1, 1:-1, :-2]
     lap += u[1:-1, 1:-1, 2:]
     lap /= grid.h**2
-    lap += rhs[1:-1, 1:-1, 1:-1]  # -(-Lap_h u - rhs)
+    lap += rhs  # -(-Lap_h u - rhs)
     return max(float(lap.max()), -float(lap.min()))
 
 
@@ -136,11 +159,16 @@ def poisson_solve(source: ScalarField) -> ScalarField:
     grid = source.grid
     if not isinstance(grid, Grid3D):
         raise GridError("poisson_solve expects a 3D field")
-    rhs = 4.0 * np.pi * source.values
-    _, _, _, u = multipole_boundary(grid, source.values)
-    solve_dirichlet(grid, rhs, u)
-    res = stencil_residual(grid, u, rhs)
-    scale = max(1.0, float(rhs.max()), -float(rhs.min()))
+    src = source.values
+    _, _, _, u = multipole_boundary(grid, src)
+    inner = src[1:-1, 1:-1, 1:-1]
+    rhs, work = (np.empty(inner.shape) for _ in range(2))
+    solve_dirichlet(grid, np.multiply(inner, 4.0 * np.pi, out=rhs), u, work)
+    # the solve overwrote rhs; form it again for the check
+    res = stencil_residual(grid, u, np.multiply(inner, 4.0 * np.pi, out=rhs), out=work)
+    del rhs, work  # only the output outlives the check
+    # 4 pi times the source's extremes: the extremes of the full-grid rhs
+    scale = max(1.0, 4.0 * np.pi * float(src.max()), -4.0 * np.pi * float(src.min()))
     if res > CHECK_TOL * scale:
         raise PoissonError(
             f"direct stencil solve residual above tolerance "

@@ -43,6 +43,7 @@ TAIL_GUESS = -13.05  # first tail amplitude (c = -13.0489 at x_max = 1e5)
 MATCH_STEPS = (1e-6, 1e-3)  # finite-difference steps in (B, c)
 MATCH_MAXITER = 8
 MATCH_NOISE = 1e-10  # match residuals below this are integration noise
+DENSITY_BLOCK = 2**14  # elements per cache-sized block of `tf_density`'s t sqrt(t)
 
 
 class ShootingError(SolverError):
@@ -61,17 +62,23 @@ def tf_density(phi, mu: float = 0.0, slope=None):
     fresh array: a float power costs several times a square root. If
     `slope`, an array shaped like phi, is given, d rho / d phi =
     (3/2) 2^(3/2) sqrt(t) / (3 pi^2) is written into it; rho is the same
-    to the bit either way.
+    to the bit either way. Without it, sqrt(t) goes through a scratch of
+    DENSITY_BLOCK elements, one block at a time, made per call.
     """
     c = 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
     t = np.subtract(phi, mu, out=np.empty(np.shape(phi)))
     np.maximum(t, 0.0, out=t)
     if slope is None:
-        t *= np.sqrt(t)
+        flat = t.reshape(-1)
+        scratch = np.empty(min(DENSITY_BLOCK, flat.size))
+        for i in range(0, flat.size, DENSITY_BLOCK):
+            block = flat[i:i + DENSITY_BLOCK]
+            block *= np.sqrt(block, out=scratch[:block.size])
+            block *= c
     else:
         t *= np.sqrt(t, out=slope)
         slope *= 1.5 * c
-    t *= c
+        t *= c
     return t[()]
 
 

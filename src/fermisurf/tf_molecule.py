@@ -13,6 +13,7 @@ exterior problem on A_r.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,7 +249,7 @@ def _tf_fixed_point(
     n_target: float,
     constrained: bool,
     mask: np.ndarray | None,
-    rho0: np.ndarray,
+    start: Callable[[], np.ndarray],
 ) -> TFSolution:
     """Anderson-mixed fixed point of the Hartree potential u = P T(u).
 
@@ -257,8 +258,13 @@ def _tf_fixed_point(
     makes one solve, u_out = P rho, and stops once the density T(u_out)
     moves rho by less than TF_TOL. Otherwise the first sweep takes
     u_out and later ones mix u toward it, and rho = T(u) is the next
-    source. Every source after rho0 is a TF density, so it is
+    source. Every source after the initial one is a TF density, so it is
     nonnegative and, when constrained, within the charge bound.
+
+    start() builds the initial density here, so no caller frame pins it.
+    Between sweeps only v_ext, the current rho and u, and the mixer's
+    2 MIX_DEPTH + 2 history arrays stay alive: every other grid array is
+    dropped once it is last read.
     """
     vol = grid.cell_volume
     off_mask = None if mask is None else ~mask
@@ -270,7 +276,7 @@ def _tf_fixed_point(
             np.copyto(rho, 0.0, where=off_mask)
         return rho
 
-    rho, u = rho0, None
+    rho, u = start(), None
     mixer = AndersonMixer()
     history = []
 
@@ -279,6 +285,7 @@ def _tf_fixed_point(
         rho_new = density(u_out)
         diff = np.subtract(rho_new, rho)
         change = float(np.abs(diff, out=diff).sum()) * vol / max(n_target, 1e-12)
+        del diff
         history.append(change)
         if change < TF_TOL:
             rho = rho_new
@@ -286,7 +293,9 @@ def _tf_fixed_point(
         if u is None:
             u, rho = u_out, rho_new
         else:
+            del rho, rho_new  # the mix reads neither
             u = mixer.mix(u, u_out)
+            del u_out
             rho = density(u)
     else:
         raise ConvergenceError(
@@ -294,6 +303,8 @@ def _tf_fixed_point(
             f"(last change {history[-1]:.3e})",
             history,
         )
+    # the closing solves read only rho and v_ext
+    del mixer, u, u_out, rho_new
 
     phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
     mu = _pick_mu(phi, n_target, vol)[0] if constrained else 0.0
@@ -325,11 +336,15 @@ def solve_tf(
     check_grid_margin(grid, config)
 
     v_ext = external_potential(grid, config).values
-    rho0 = atomic_superposition(grid, config)
-    if n < config.Z:
-        rho0 *= n / config.Z
+
+    def start():
+        rho = atomic_superposition(grid, config)
+        if n < config.Z:
+            rho *= n / config.Z
+        return rho
+
     return _tf_fixed_point(
-        config, grid, v_ext, min(n, config.Z), n < config.Z - 1e-9, None, rho0
+        config, grid, v_ext, min(n, config.Z), n < config.Z - 1e-9, None, start
     )
 
 
@@ -346,18 +361,22 @@ def exterior_tf(
         raise GridError("exterior problem is solved on a 3D grid")
     gmask = mask.grid_mask(grid)
     v_ext = np.where(gmask, v_r.values, 0.0)
-    if float(np.max(np.abs(v_r.values[~gmask]))) > 1e-9 * max(
+    # with no node inside the balls the rule holds vacuously
+    if float(np.max(np.abs(v_r.values[~gmask]), initial=0.0)) > 1e-9 * max(
         1.0, float(np.max(np.abs(v_r.values)))
     ):
         raise GridError("exterior potential must vanish off A_r")
 
-    rho0 = np.where(gmask, tf_density(v_ext), 0.0)
-    s = rho0.sum() * grid.cell_volume
-    if s > charge_bound > 0:
-        rho0 *= charge_bound / s
+    def start():
+        rho = np.where(gmask, tf_density(v_ext), 0.0)
+        s = rho.sum() * grid.cell_volume
+        if s > charge_bound > 0:
+            rho *= charge_bound / s
+        return rho
+
     # the unconstrained charge of an exterior problem is unknown, so mu is
     # always solved against the bound
-    return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, gmask, rho0)
+    return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, gmask, start)
 
 
 def screened_tf(sol: TFSolution, mask: RegionMask) -> ScalarField:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ class TestKernels:
             - 6.0 * u[1:-1, 1:-1, 1:-1]
         ) / grid.h**2
         ref = np.max(np.abs(-lap - rhs[1:-1, 1:-1, 1:-1]))
-        assert stencil_residual(grid, u, rhs) == pytest.approx(ref, rel=1e-12)
+        assert stencil_residual(grid, u, rhs[1:-1, 1:-1, 1:-1]) == pytest.approx(ref, rel=1e-12)
 
     def test_solve_leaves_source_alone_and_repeats_exactly(self):
         grid = Grid3D((-2.0, -1.5, -1.75), 0.25, (17, 15, 19))
@@ -128,8 +129,26 @@ class TestContracts:
         grid = Grid3D.cube((0, 0, 0), 3.0, 33)
         rho, _ = _ball_source(grid, 1.0, 0.8)
         u = poisson_solve(ScalarField(grid=grid, values=rho))
-        res = stencil_residual(grid, u.values, 4.0 * math.pi * rho)
+        res = stencil_residual(grid, u.values, (4.0 * math.pi * rho)[1:-1, 1:-1, 1:-1])
         assert res < 1e-8
+
+    def test_solve_holds_output_and_two_interior_arrays(self):
+        grid = Grid3D.cube((0, 0, 0), 4.0, 33)
+        rho, _ = _ball_source(grid, 1.0, 1.2)
+        source = ScalarField(grid=grid, values=rho)
+        poisson_solve(source)  # the cached sine matrices are not per solve
+        n = grid.dims[0]
+        output, interior, face = 8 * n**3, 8 * (n - 2) ** 3, 8 * n**2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            poisson_solve(source)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # slack: the multipole boundary's face temporaries and numpy's
+        # 64 KiB ufunc buffer for strided operands
+        assert peak <= output + 2 * interior + 16 * face
 
     def test_off_center_dipole_boundary(self):
         # shifted ball: monopole+dipole boundary keeps the far field accurate

@@ -6,6 +6,7 @@ import pytest
 import fermisurf.tf_atom
 from fermisurf.constants import SOMMERFELD_C, TF_LENGTH_B
 from fermisurf.tf_atom import (
+    DENSITY_BLOCK,
     MATCH_NOISE,
     X0,
     X_MATCH,
@@ -290,6 +291,13 @@ class TestDensityKernel:
         assert np.array_equal(got, tf_density(phi, 0.37))
         ref = np.sqrt(2.0 * np.maximum(phi - 0.37, 0.0)) / math.pi**2
         assert np.allclose(slope, ref, rtol=1e-14, atol=0.0)
+
+    def test_blocked_law_matches_the_slope_path_bit_for_bit(self):
+        # the blocked t sqrt(t) over a size that is no multiple of the block
+        n = 3 * DENSITY_BLOCK + 7
+        phi = np.random.default_rng(9).uniform(-1.0, 4.0, n)
+        assert np.array_equal(tf_density(phi, 0.37),
+                              tf_density(phi, 0.37, slope=np.empty(n)))
 
     @pytest.mark.parametrize("phi", [2.5, np.array(2.5), -1.0, np.array(-1.0)])
     def test_scalar_and_0d_input(self, phi):

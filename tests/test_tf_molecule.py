@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fermisurf.bo import GridPolicy, diatomic
 from fermisurf.grids import Grid3D, GridError, ScalarField
+from fermisurf.ks_common import MIX_DEPTH
 from fermisurf.tf_atom import atomic_tf, tf_density
 from fermisurf.tf_molecule import (
     ConvergenceError,
@@ -182,6 +184,24 @@ class TestSolveTF:
         sol = solve_tf(cfg, 1.0, _grid_for(cfg, h=0.4))
         assert sol.residual < 1e-6
 
+    def test_peak_memory_within_the_sweep_budget(self):
+        # v_ext, rho and u, the mixer's history, and one Poisson solve's
+        # output plus two interior arrays (counted here as grid arrays)
+        cfg = NuclearConfiguration(positions=[[-0.5, 0, 0], [0.5, 0, 0]],
+                                   charges=[1.0, 1.0])
+        grid = _grid_for(cfg, h=0.4)
+        solve_tf(cfg, 2.0, grid)  # the universal profile is cached once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve_tf(cfg, 2.0, grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        budget = 3 + (2 * MIX_DEPTH + 2) + 3
+        # half a grid array of slack: face work, ufunc buffers, validity masks
+        assert peak <= (budget + 0.5) * 8 * math.prod(grid.dims)
+
     def test_sweep_limit_raises_with_history(self, monkeypatch):
         monkeypatch.setattr("fermisurf.tf_molecule.TF_MAX_SWEEPS", 3)
         cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[1.0])
@@ -281,6 +301,16 @@ class TestExterior:
         scale = np.max(sol.rho.values[gmask])
         assert np.max(diff) < 0.05 * scale
         assert ext.mu <= 1e-8
+
+    def test_no_node_inside_the_balls(self):
+        # the nucleus sits at a cell centre, sqrt(3) h/2 = 0.43 > r from every
+        # node, so the rule that the potential vanish off A_r holds vacuously
+        cfg = NuclearConfiguration(positions=[[0.25, 0.25, 0.25]], charges=[1.0])
+        grid = Grid3D.cube((0, 0, 0), 6.0, 25)
+        mask = RegionMask(config=cfg, r=0.3)
+        assert mask.grid_mask(grid).all()
+        ext = exterior_tf(external_potential(grid, cfg), mask, 1.0)
+        assert 0.0 < ext.n_electrons <= 1.0 + 1e-10
 
     def test_exterior_density_vanishes_inside(self):
         cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[2.0])
