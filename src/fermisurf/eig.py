@@ -24,6 +24,15 @@ a few Ha deep, take c = 1 + 0.1 max(0, -min V); the guard, which settles
 near 0 Ha on box-continuum states above a neutral system's occupied
 levels, takes GUARD_SHIFT, with which it settles in a fraction of the
 iterations the wanted states' shift needs.
+
+Memory is budgeted per block vector: a LOBPCG solve of k vectors holds
+8k + 1 grid arrays beside its start rows. One basis block holds the 3k
+rows of [X, P, W] and their images under H (6k); the residual rows (k)
+are preconditioned in place, with k rows of work for both sine transforms
+and the constraint projections; apply_hamiltonian adds one scratch. The
+Ritz update overwrites the basis in column chunks, and the Ritz vectors
+come back in the residual rows. So the guard, k = 1, holds 9 grid arrays
+beside the copy of the wanted orbitals it is constrained by.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ GUARD_SHIFT = 0.1  # preconditioner shift (Ha) of the guard, which settles near 
 # H X, updated by the same products as X, stays consistent with it; at 1e-8
 # a degenerate p shell stalled near a residual of 3e-8.
 DROP_TOL = 1e-6
+RITZ_CHUNK = 4096  # columns of the basis per piece of the in-place Ritz update
 
 
 class EigenError(SolverError):
@@ -69,7 +79,9 @@ def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
     The neighbours are added in the order +x, -x, +y, -y, +z, -z, each as
     one shift of the flat vectors: a y or z shift also adds across the
     face it wraps onto, and that face is put back, so every sum is the one
-    a shift of the 3D array would make.
+    a shift of the 3D array would make. The potential term is added one
+    vector at a time through one grid-sized scratch; beyond it and out,
+    only face-sized arrays are made.
     """
     h2 = grid.h**2
     if out is None:
@@ -91,7 +103,12 @@ def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
             o[:, -step:] += p[:, :step]
         out[face] = keep
     out *= -0.5 / h2
-    out += (v + 3.0 / h2) * psi
+    # (v + 3/h^2) psi one vector at a time, through one grid-sized scratch
+    scratch, vf = np.empty(n), np.reshape(v, n)
+    for oj, pj in zip(o, p):
+        np.add(vf, 3.0 / h2, out=scratch)
+        scratch *= pj
+        oj += scratch
     return out
 
 
@@ -104,14 +121,22 @@ def _preconditioner(grid: Grid3D, c_shift: float):
     sought. `lowest_eigenpairs` passes 1 + 0.1 max(0, -min V), a few Ha,
     for bound states (the guard's 0.1 Ha there broke the C, N and O
     atoms); the guard, near 0 Ha on box-continuum states, gets GUARD_SHIFT.
+
+    apply(r, work) overwrites the C-contiguous rows r with their
+    preconditioned images: both transforms ping-pong between r and work,
+    an array of r's shape that it overwrites too. The inverse eigenvalues
+    are formed one x-slab at a time, the same floats a full grid of them
+    would hold, so an apply allocates no grid-sized array.
     """
     lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
-    inv = 1.0 / (lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift)
 
-    def apply(r):
-        t = sine_transform(r.reshape(-1, *grid.shape))
-        t *= inv
-        return sine_transform(t).reshape(r.shape)
+    def apply(r, work):
+        shape = (len(r), *grid.shape)
+        t = sine_transform(r.reshape(shape), out=work.reshape(shape))
+        for i, li in enumerate(lx):
+            t[:, i] *= 1.0 / ((li + ly[:, None]) + lz + c_shift)
+        sine_transform(t, out=r.reshape(shape))
+        return r
 
     return apply
 
@@ -127,6 +152,27 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(step, a.shape[1], step):
         g += a[:, i : i + step] @ b[:, i : i + step].T
     return g
+
+
+def _update_rows(coef: np.ndarray, rows: np.ndarray, scratch: np.ndarray) -> None:
+    """rows[:q] = coef.T @ rows[:m] in place, coef of shape (m, q).
+
+    One column chunk at a time through scratch, a (q, chunk) array: each
+    output column reads only its own input column, and is the same
+    m-term product a single matmul forms, so the rows come out equal to
+    the bit.
+    """
+    m, q = coef.shape
+    step = scratch.shape[1]
+    for i in range(0, rows.shape[1], step):
+        block = rows[:m, i : i + step]
+        out = np.matmul(coef.T, block, out=scratch[:, : block.shape[1]])
+        rows[:q, i : i + step] = out
+
+
+def _project_out(w: np.ndarray, y: np.ndarray, work: np.ndarray) -> None:
+    """w -= (w @ y.T) @ y in place for orthonormal rows y; the product goes in work."""
+    w -= np.matmul(w @ y.T, y, out=work[: len(w)])
 
 
 def _ritz(b: np.ndarray, a: np.ndarray, k: int):
@@ -159,7 +205,15 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     tol, or after maxiter iterations. The rows of `constraints`
     (orthonormal) are projected out of x and of every W, and H acts as
     Q H Q, Q the projector onto their complement. c_shift is the shift of
-    the preconditioner (see _preconditioner).
+    the preconditioner (see _preconditioner). x is read, not written.
+
+    Memory, in grid arrays: 6k for the one basis block, which holds each
+    of the 3k rows of [X, P, W] beside its image under H; k for the
+    residual rows, which the preconditioner transforms in place; k of work
+    for the transforms and the constraint projections; and one scratch
+    inside apply_hamiltonian. So a solve holds at most 8k + 1 grid arrays
+    beside x. The Ritz update overwrites the basis in place
+    (_update_rows), and the Ritz vectors are returned in the residual rows.
 
     Returns (vals, x, resids, history): ascending Ritz values, orthonormal
     Ritz rows, the residual norms |H x - val x| taken from the final H x,
@@ -169,33 +223,31 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     y = constraints
     precond = _preconditioner(grid, c_shift)
     # each basis row holds a vector and its image: X, then P, then W
-    cur, nxt = np.empty((2, 3 * k, 2, n))
-    r = np.empty((k, n))
+    basis = np.empty((3 * k, 2, n))
+    scratch = np.empty((2 * k, min(RITZ_CHUNK, 2 * n)))
+    r, work = np.empty((k, n)), np.empty((k, n))
 
     def fill(rows, w):
-        if y is not None:
-            w -= (w @ y.T) @ y
         rows[:, 0] = w
-        hw = rows[:, 1]
-        apply_hamiltonian(grid, v, rows[:, 0].reshape(-1, *shape),
-                          out=hw.reshape(-1, *shape))
         if y is not None:
-            hw -= (hw @ y.T) @ y
+            _project_out(rows[:, 0], y, work)
+        apply_hamiltonian(grid, v, rows[:, 0].reshape(-1, *shape),
+                          out=rows[:, 1].reshape(-1, *shape))
+        if y is not None:
+            _project_out(rows[:, 1], y, work)
 
-    fill(cur[:k], np.array(x, dtype=float))
+    fill(basis[:k], x)
     m = k
     history = []
     for it in range(maxiter + 1):
-        basis = cur[:m]
-        g = _gram(basis[:, 0], basis.reshape(2 * m, n))
+        g = _gram(basis[:m, 0], basis[:m].reshape(2 * m, n))
         vals, c = _ritz(g[:, 0::2], g[:, 1::2], k)
         coef = np.zeros((m, 2 * k))
         coef[:, :k] = c
         coef[k:, k:] = c[k:]  # P: the part of the update outside X
-        np.matmul(coef.T, basis.reshape(m, 2 * n), out=nxt[: 2 * k].reshape(2 * k, 2 * n))
-        cur, nxt = nxt, cur
-        np.multiply(cur[:k, 0], vals[:, None], out=r)
-        r -= cur[:k, 1]
+        _update_rows(coef, basis.reshape(3 * k, 2 * n), scratch)
+        np.multiply(basis[:k, 0], vals[:, None], out=r)
+        r -= basis[:k, 1]
         resids = np.sqrt(np.einsum("ij,ij->i", r, r))
         history.append(float(resids.max()))
         active = resids > tol
@@ -203,11 +255,18 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
         if it == maxiter or not a:
             break
         p = a if it else 0
-        if it and a < k:
-            cur[k : k + a] = cur[k : 2 * k][active]
-        fill(cur[k + p : k + p + a], precond(r if a == k else r[active]))
+        # gather the active rows of P and of r to the front, in order
+        for i, j in enumerate(np.flatnonzero(active)):
+            if i != j:
+                if it:
+                    basis[k + i] = basis[k + j]
+                r[i] = r[j]
+        fill(basis[k + p : k + p + a], precond(r[:a], work[:a]))
         m = k + p + a
-    return vals, cur[:k, 0].copy(), resids, history
+    # the residual rows take the Ritz vectors: the basis is freed, not copied
+    del work, scratch
+    np.copyto(r, basis[:k, 0])
+    return vals, r, resids, history
 
 
 def lowest_eigenpairs(
@@ -223,7 +282,7 @@ def lowest_eigenpairs(
     norm is at most tol / 10; EigenError is raised if the final residuals
     miss tol * max(1, max |eps|). `initial` holds warm-start columns for
     the first of them, and only the columns it does not cover start
-    random.
+    random; when it covers them all, LOBPCG reads it without a copy.
 
     Returns (pairs, residuals). pairs is a list of (eigenvalue,
     ScalarField) with eigenvalues nondecreasing and orbitals orthonormal
@@ -244,11 +303,13 @@ def lowest_eigenpairs(
         raise ValueError("count must not exceed the number of grid points")
 
     k = 0 if initial is None else min(initial.shape[1], count)
-    start = np.empty((count, n))
-    if k:
-        start[:k] = initial[:, :k].T
-    if k < count:
-        start[k:] = np.random.default_rng(EIG_SEED).standard_normal((count - k, n))
+    if k == count:
+        start = initial[:, :k].T  # lobpcg only reads its start rows
+    else:
+        start = np.empty((count, n))
+        if k:
+            start[:k] = initial[:, :k].T
+        np.random.default_rng(EIG_SEED).standard_normal(out=start[k:])
 
     # unit rows x are orbitals times h^(3/2), so |H x - eps x| is the
     # reported |H psi - eps psi| h^(3/2)
@@ -290,7 +351,8 @@ def guard_eigenpair(potential: ScalarField, pairs, start: np.ndarray | None = No
     if len(pairs) + 1 > n:
         raise ValueError("pairs must leave a grid state for the guard")
     w = math.sqrt(grid.cell_volume)
-    y = np.stack([p[1].values.ravel() * w for p in pairs])
+    y = np.stack([p[1].values.ravel() for p in pairs])
+    y *= w
     if start is None:
         x = np.random.default_rng(EIG_SEED).standard_normal((1, n))
     else:

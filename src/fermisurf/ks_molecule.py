@@ -36,7 +36,9 @@ def _density_start(grid: Grid3D, rho: np.ndarray, count: int) -> np.ndarray:
 
     The monomials p_j = 1, x, y, z, x^2, xy, ... are taken about the
     charge centre. A tenth of a unit random column is added to each, so
-    every start has weight on the states the monomials miss.
+    every start has weight on the states the monomials miss. Each column
+    is stored contiguously (the transpose is C-ordered), its noise is drawn
+    straight into it, and one grid array holds the monomial column.
     """
     total = rho.sum()
     axes = [a - np.sum(a * rho) / total for a in np.ix_(*grid.axes())]
@@ -45,23 +47,46 @@ def _density_start(grid: Grid3D, rho: np.ndarray, count: int) -> np.ndarray:
     )
     rng = np.random.default_rng(EIG_SEED)
     root = np.sqrt(rho)
-    cols = np.empty((grid.n_points, count))
+    cols = np.empty((count, grid.n_points)).T
+    col = np.empty(grid.shape)
     for j, powers in zip(range(count), monomials):
-        col = root
+        term = root
         for k in powers:
-            col = col * axes[k]
-        noise = rng.standard_normal(grid.n_points)
+            term = np.multiply(term, axes[k], out=col)
+        np.divide(term, np.linalg.norm(term), out=col)
+        noise = rng.standard_normal(out=cols[:, j])
         noise *= 0.1 / np.linalg.norm(noise)
-        cols[:, j] = col.ravel() / np.linalg.norm(col) + noise
+        noise += col.ravel()
     return cols
 
 
 def _density(grid: Grid3D, pairs, occ) -> np.ndarray:
     rho = np.zeros(grid.shape)
+    term = np.empty(grid.shape)
     for lam, (eps, orb) in zip(occ, pairs):
         if lam > 0.0:
-            rho += lam * orb.values**2
+            rho += np.multiply(np.square(orb.values, out=term), lam, out=term)
     return rho
+
+
+def _effective_potential(grid: Grid3D, rho: np.ndarray, v_ext: np.ndarray,
+                         xc: XCFunctional) -> np.ndarray:
+    """v_eff = -v_ext + u - g'(rho), u the Hartree potential of rho.
+
+    u is dropped once it is added, before the xc term is formed.
+    """
+    u = poisson_solve(ScalarField(grid=grid, values=rho)).values
+    v = np.negative(v_ext)
+    v += u
+    del u
+    v -= xc.derivative(rho)
+    return v
+
+
+def _residual(grid: Grid3D, rho_out: np.ndarray, rho: np.ndarray, n: float) -> float:
+    """Density residual int |rho_out - rho| / n."""
+    diff = np.subtract(rho_out, rho)
+    return grid.integrate(np.abs(diff, out=diff)) / n
 
 
 def scf_molecule(
@@ -93,6 +118,16 @@ def scf_molecule(
     "block_size" is the number of states the last eigensolve converged and
     "shell_margin" the guard's theta - rho - eps_F of the last shell check,
     the margin by which the returned occupied set was trusted.
+
+    Memory, in grid arrays, with k the block size and M = MIX_DEPTH.
+    Between steps the SCF holds v_ext, rho, the mixer's 2M + 2 history
+    arrays, the k orbitals and the guard vector. A step forms v_eff (the
+    Hartree potential u is dropped once added), stacks the k warm-start
+    columns and drops the orbitals they copy, and runs one eigensolve of
+    8k + 1 arrays (see `eig`). A shell check adds rho_out, a constraint copy
+    of the k orbitals and the guard's 9. rho_out is dropped once mixed, and
+    the stationarity pass reuses two arrays for every orbital. So a step
+    peaks near max(13 + 9k, 22 + 2k) arrays; H2 (k = 1) peaks at 24.4.
     """
     if N <= 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
@@ -110,19 +145,21 @@ def scf_molecule(
     count = int(math.ceil(N / q))  # block size, fixed by the first shell check
     pairs = guard = None  # the last step's pairs warm-start the next eigensolve
     for it in range(SCF_MAX_ITER):
-        u = poisson_solve(ScalarField(grid=grid, values=rho)).values
-        v_eff = -v_ext + u - xc.derivative(rho)
-        v_field = ScalarField(grid=grid, values=v_eff, kind="potential")
+        v_field = ScalarField(grid=grid, values=_effective_potential(grid, rho, v_ext, xc),
+                              kind="potential")
+        if pairs is None:
+            initial = _density_start(grid, rho, count)
+        else:
+            # the warm-start columns replace the pairs they copy
+            initial = np.stack([p[1].values.ravel() for p in pairs]).T
+            pairs = None
         # loose eigensolves while the density is far from self-consistent
         it_tol = max(EIG_TOL, 0.1 * history[-1]) if history else 1e-4
-        pairs, eig_resids = lowest_eigenpairs(
-            v_field, count, tol=it_tol,
-            initial=_density_start(grid, rho, count) if pairs is None
-            else np.column_stack([p[1].values.ravel() for p in pairs]),
-        )
+        pairs, eig_resids = lowest_eigenpairs(v_field, count, tol=it_tol, initial=initial)
+        del initial
         occ = aufbau_occupations(np.array([p[0] for p in pairs]), np.full(count, q), N)
         rho_out = _density(grid, pairs, occ)
-        resid = grid.integrate(np.abs(rho_out - rho)) / N
+        resid = _residual(grid, rho_out, rho, N)
         closed = False
         if guard is None or resid < tol:
             pairs, occ, guard, eig_resids, margin = occupied_eigenpairs(
@@ -131,30 +168,37 @@ def scf_molecule(
             closed = len(pairs) == count
             if not closed:
                 count = len(pairs)
+                del rho_out
                 rho_out = _density(grid, pairs, occ)
-                resid = grid.integrate(np.abs(rho_out - rho)) / N
+                resid = _residual(grid, rho_out, rho, N)
+        del v_field
         history.append(resid)
         if closed and resid < tol:
             rho = rho_out
             break
-        rho = np.maximum(mixer.mix(rho, rho_out), 0.0)
+        rho = mixer.mix(rho, rho_out)
+        del rho_out
+        np.maximum(rho, 0.0, out=rho)
     else:
         raise SCFError(
             f"molecular SCF did not reach {tol:g} in {SCF_MAX_ITER} iterations "
             f"(last residual {history[-1]:.3e})",
             history,
         )
+    del mixer, rho_out
 
     # stationarity of every occupied orbital under the converged potential
-    u = poisson_solve(ScalarField(grid=grid, values=rho)).values
-    v_eff = -v_ext + u - xc.derivative(rho)
+    v_eff = _effective_potential(grid, rho, v_ext, xc)
     scale = math.sqrt(grid.cell_volume)
     stat_resids = []
+    hpsi, term = np.empty((2, *grid.shape))
     for lam, (eps, orb) in zip(occ, pairs):
         if lam <= 1e-12:
             continue
-        hpsi = apply_hamiltonian(grid, v_eff, orb.values)
-        stat_resids.append(float(np.linalg.norm(hpsi - eps * orb.values)) * scale)
+        apply_hamiltonian(grid, v_eff, orb.values, out=hpsi)
+        hpsi -= np.multiply(orb.values, eps, out=term)
+        stat_resids.append(float(np.linalg.norm(hpsi)) * scale)
+    del v_eff, hpsi, term
 
     eig = np.array([p[0] for p in pairs])
     # a second solve of the same rho: perfbench's Poisson count identity

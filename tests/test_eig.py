@@ -314,3 +314,46 @@ class TestLobpcg:
         assert vectors == [3]
         assert np.allclose([lam for lam, _ in again], [lam for lam, _ in pairs],
                            rtol=0.0, atol=1e-12)
+
+
+class TestInPlaceKernels:
+    """The in-place LOBPCG kernels give the floats of their fresh-array forms."""
+
+    @pytest.mark.parametrize("m, q", [(6, 4), (2, 4)])
+    def test_chunked_ritz_update_matches_one_matmul(self, m, q):
+        # 2n = 10000 is not a multiple of the 4096-column chunk; m < q is
+        # the first iteration, whose basis holds X only
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((max(m, q) + 1, 10000))
+        coef = rng.standard_normal((m, q))
+        expected = coef.T @ rows[:m]
+        tail = rows[q:].copy()
+        eig._update_rows(coef, rows, np.empty((q, 4096)))
+        assert np.array_equal(rows[:q], expected)
+        assert np.array_equal(rows[q:], tail)
+
+    def test_in_place_preconditioner_matches_fresh_arrays(self):
+        from fermisurf.poisson import _dst_eigenvalues, sine_transform
+
+        grid = Grid3D(origin=(0.0, 0.0, 0.0), h=0.3, dims=(5, 7, 6))
+        rng = np.random.default_rng(13)
+        r = rng.standard_normal((3, grid.n_points))
+        c_shift = 1.3
+        lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
+        inv = 1.0 / (lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift)
+        t = sine_transform(r.reshape(-1, *grid.shape))
+        t *= inv
+        fresh = sine_transform(t).reshape(r.shape)
+        rows, work = r.copy(), np.empty_like(r)
+        assert eig._preconditioner(grid, c_shift)(rows, work) is rows
+        assert np.array_equal(rows, fresh)
+
+    def test_guard_leaves_its_start_unchanged(self):
+        # the constraint projection runs in the basis rows, not in the start
+        field = _harmonic(5.0, 21)
+        pairs, _ = lowest_eigenpairs(field, 1)
+        rng = np.random.default_rng(14)
+        start = rng.standard_normal(field.grid.n_points) + pairs[0][1].values.ravel()
+        kept = start.copy()
+        guard_eigenpair(field, pairs, start)
+        assert np.array_equal(start, kept)

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fermisurf.bo import GridPolicy
+from fermisurf.bo import GridPolicy, diatomic
+from fermisurf.ks_common import MIX_DEPTH
 from fermisurf.ks_molecule import scf_molecule
 from fermisurf.ks_radial import scf_atom
 from fermisurf.tf_molecule import NuclearConfiguration
@@ -210,3 +214,26 @@ class TestContracts:
         grid = GridPolicy(spacing=0.4).build(cfg)
         with pytest.raises(ValueError):
             scf_molecule(cfg, 2.0, lda, grid)
+
+
+class TestMemory:
+    def test_second_solve_peak_within_the_step_budget(self, lda):
+        cfg = diatomic(1.0, 1.0, 1.4)
+        grid = GridPolicy(spacing=0.5).build(cfg)
+        assert grid.shape == (31, 31, 31)
+        scf_molecule(cfg, 2.0, lda, grid)  # the universal profile is cached once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scf_molecule(cfg, 2.0, lda, grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the converged step's guard: v_ext, rho, rho_out, v_eff, the mixer's
+        # history, the guard's start and the occupied block (count = 1)
+        # held by the SCF, the block again as the guard's constraints, and
+        # one k = 1 LOBPCG solve (8k + 1: basis, residual, work, H scratch)
+        count, k = 1, 1
+        budget = 4 + (2 * MIX_DEPTH + 2) + 1 + 2 * count + (8 * k + 1)
+        # one grid array of slack: the Ritz scratch, face arrays, masks
+        assert peak <= (budget + 1) * 8 * math.prod(grid.dims)
