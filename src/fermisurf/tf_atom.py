@@ -55,31 +55,31 @@ class ShootingError(SolverError):
     """
 
 
-def tf_density(phi, mu: float = 0.0, slope=None):
+def tf_density(phi, mu: float = 0.0, slope_sum: bool = False):
     """TF density law rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2).
 
     Evaluated as 2^(3/2) t sqrt(t) / (3 pi^2), t = [phi - mu]_+, in one
-    fresh array: a float power costs several times a square root. If
-    `slope`, an array shaped like phi, is given, d rho / d phi =
-    (3/2) 2^(3/2) sqrt(t) / (3 pi^2) is written into it; rho is the same
-    to the bit either way. Without it, sqrt(t) goes through a scratch of
-    DENSITY_BLOCK elements, one block at a time, made per call.
+    fresh array: a float power costs several times a square root. sqrt(t)
+    goes through a scratch of DENSITY_BLOCK elements, one block at a time,
+    made per call. With `slope_sum`, (rho, s) is returned, s the sum over
+    the nodes of the slope d rho / d phi = (3/2) 2^(3/2) sqrt(t) / (3 pi^2),
+    summed block by block from the same scratch, so no slope array is made
+    and rho is the same to the bit.
     """
     c = 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
     t = np.subtract(phi, mu, out=np.empty(np.shape(phi)))
     np.maximum(t, 0.0, out=t)
-    if slope is None:
-        flat = t.reshape(-1)
-        scratch = np.empty(min(DENSITY_BLOCK, flat.size))
-        for i in range(0, flat.size, DENSITY_BLOCK):
-            block = flat[i:i + DENSITY_BLOCK]
-            block *= np.sqrt(block, out=scratch[:block.size])
-            block *= c
-    else:
-        t *= np.sqrt(t, out=slope)
-        slope *= 1.5 * c
-        t *= c
-    return t[()]
+    flat = t.reshape(-1)
+    scratch = np.empty(min(DENSITY_BLOCK, flat.size))
+    roots = 0.0
+    for i in range(0, flat.size, DENSITY_BLOCK):
+        block = flat[i:i + DENSITY_BLOCK]
+        root = np.sqrt(block, out=scratch[:block.size])
+        block *= root
+        block *= c
+        if slope_sum:
+            roots += float(root.sum())
+    return (t[()], 1.5 * c * roots) if slope_sum else t[()]
 
 
 def tf_residual(rho: np.ndarray, phi: np.ndarray, mu: float) -> float:

@@ -221,16 +221,17 @@ def _pick_mu(
     the root without passing it, and each evaluation of the TF law gives g
     and its slope. Stops once g <= 0 or the step is below 1e-14 max(1, mu);
     raises ConvergenceError with the excess history after PICK_MU_MAX_STEPS.
+    The slope is summed block by block inside `tf_density`, so beside phi
+    an evaluation holds only the density.
     """
-    slope = np.empty(np.shape(phi))
     mu, history = 0.0, []
     for _ in range(PICK_MU_MAX_STEPS):
-        rho = tf_density(phi, mu, slope=slope)
+        rho, slope = tf_density(phi, mu, slope_sum=True)
         excess = float(rho.sum()) * cell_vol - target
         history.append(excess)
         if excess <= 0.0:
             return mu, rho
-        step = excess / (float(slope.sum()) * cell_vol)
+        step = excess / (slope * cell_vol)
         if step <= 1e-14 * max(1.0, mu):
             return mu, rho
         mu += step

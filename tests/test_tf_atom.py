@@ -283,21 +283,25 @@ class TestDensityKernel:
         assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * ref)
 
     def test_slope_output(self):
-        # the slope is d rho / d phi = (3/2) sqrt(2 [phi - mu]_+) * 2 / (3 pi^2)
-        # and asking for it leaves rho unchanged to the bit
-        phi = np.random.default_rng(5).uniform(-1.0, 4.0, (9, 10, 11))
-        slope = np.full(phi.shape, np.nan)
-        got = tf_density(phi, 0.37, slope=slope)
+        # the slope is d rho / d phi = (3/2) sqrt(2 [phi - mu]_+) * 2 / (3 pi^2),
+        # summed over the nodes; asking for it leaves rho unchanged to the bit.
+        # The size is no multiple of the block, so the sum spans a part block
+        phi = np.random.default_rng(5).uniform(-1.0, 4.0, (33, 34, 35))
+        got, slope = tf_density(phi, 0.37, slope_sum=True)
         assert np.array_equal(got, tf_density(phi, 0.37))
         ref = np.sqrt(2.0 * np.maximum(phi - 0.37, 0.0)) / math.pi**2
-        assert np.allclose(slope, ref, rtol=1e-14, atol=0.0)
+        assert slope == pytest.approx(float(ref.sum()), rel=1e-13, abs=0.0)
 
     def test_blocked_law_matches_the_slope_path_bit_for_bit(self):
         # the blocked t sqrt(t) over a size that is no multiple of the block
+        # gives the floats of the whole-array law t *= sqrt(t); t *= c
         n = 3 * DENSITY_BLOCK + 7
         phi = np.random.default_rng(9).uniform(-1.0, 4.0, n)
-        assert np.array_equal(tf_density(phi, 0.37),
-                              tf_density(phi, 0.37, slope=np.empty(n)))
+        t = np.maximum(phi - 0.37, 0.0)
+        t *= np.sqrt(t)
+        t *= 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
+        assert np.array_equal(tf_density(phi, 0.37), t)
+        assert np.array_equal(tf_density(phi, 0.37, slope_sum=True)[0], t)
 
     @pytest.mark.parametrize("phi", [2.5, np.array(2.5), -1.0, np.array(-1.0)])
     def test_scalar_and_0d_input(self, phi):

@@ -186,21 +186,24 @@ class TestSolveTF:
 
     def test_peak_memory_within_the_sweep_budget(self):
         # v_ext, rho and u, the mixer's history, and one Poisson solve's
-        # output plus two interior arrays (counted here as grid arrays)
+        # output plus two interior arrays (counted here as grid arrays); the
+        # constrained case (n = 1.5 < Z) sets mu by Newton steps on the
+        # charge and must fit the same budget
         cfg = NuclearConfiguration(positions=[[-0.5, 0, 0], [0.5, 0, 0]],
                                    charges=[1.0, 1.0])
         grid = _grid_for(cfg, h=0.4)
         solve_tf(cfg, 2.0, grid)  # the universal profile is cached once
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            solve_tf(cfg, 2.0, grid)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
         budget = 3 + (2 * MIX_DEPTH + 2) + 3
-        # half a grid array of slack: face work, ufunc buffers, validity masks
-        assert peak <= (budget + 0.5) * 8 * math.prod(grid.dims)
+        for n in (2.0, 1.5):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                solve_tf(cfg, n, grid)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            # half a grid array of slack: face work, ufunc buffers, validity masks
+            assert peak <= (budget + 0.5) * 8 * math.prod(grid.dims), n
 
     def test_sweep_limit_raises_with_history(self, monkeypatch):
         monkeypatch.setattr("fermisurf.tf_molecule.TF_MAX_SWEEPS", 3)
