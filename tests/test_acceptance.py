@@ -96,7 +96,9 @@ def _slope_bisection_oracle():
         return res.t_events[0].size > 0
 
     lo, hi = -2.0, -1.0  # hits zero at lo, blows up at hi
-    for _ in range(60):
+    # 34 halvings leave a 2^-34 = 5.8e-11 bracket, far under the 4.95e-9
+    # the RK45 shots themselves put between the oracle and B
+    for _ in range(34):
         mid = 0.5 * (lo + hi)
         if hits_zero(mid):
             lo = mid
