@@ -83,18 +83,22 @@ def aufbau_occupations(eigenvalues, capacities, n: float,
     return occ
 
 
-def ks_energy(grid, rho, v_nuc, v_h, xc, occ, eig) -> dict:
+def ks_energy(grid, rho, v_nuc, v_h, v_in, xc, occ, eig) -> dict:
     """Energy split of a KS state with density rho on `grid`.
 
-    v_nuc is the nuclear attraction (external energy -int v_nuc rho), v_h
-    the Hartree potential of rho. The kinetic energy comes from the band
-    sum: sum lambda eps minus the potential energy int v_eff rho.
+    rho is the density of the orbitals, which are eigenfunctions of the
+    effective potential v_in with eigenvalues eig. v_nuc is the nuclear
+    attraction (external energy -int v_nuc rho), v_h the Hartree potential
+    of rho. The kinetic energy is the orbitals' own, sum lambda eps minus
+    int v_in rho (up to the eigen residual), so the total is the KS
+    functional of the returned orbitals, and its error is second order in
+    the SCF residual (the Harris-Foulkes argument: Harris, Phys. Rev. B
+    31:1770, 1985; Foulkes and Haydock, Phys. Rev. B 39:12520, 1989).
     """
     external = -grid.integrate(v_nuc * rho)
     hartree = 0.5 * grid.integrate(v_h * rho)
     exc = grid.integrate(xc.evaluate(rho))
-    vxc_rho = grid.integrate(xc.derivative(rho) * rho)
-    kinetic = float(np.dot(occ, eig)) - external - 2.0 * hartree + vxc_rho
+    kinetic = float(np.dot(occ, eig)) - grid.integrate(v_in * rho)
     return {
         "kinetic": kinetic,
         "external": external,

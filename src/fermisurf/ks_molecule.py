@@ -171,11 +171,11 @@ def scf_molecule(
                 del rho_out
                 rho_out = _density(grid, pairs, occ)
                 resid = _residual(grid, rho_out, rho, N)
-        del v_field
         history.append(resid)
         if closed and resid < tol:
             rho = rho_out
             break
+        del v_field
         rho = mixer.mix(rho, rho_out)
         del rho_out
         np.maximum(rho, 0.0, out=rho)
@@ -186,6 +186,7 @@ def scf_molecule(
             history,
         )
     del mixer, rho_out
+    v_in = v_field.values  # the potential the returned orbitals solve
 
     # stationarity of every occupied orbital under the converged potential
     v_eff = _effective_potential(grid, rho, v_ext, xc)
@@ -212,7 +213,7 @@ def scf_molecule(
         eigenvalues=eig[keep],
         q=q,
         rho0=ScalarField(grid=grid, values=rho, kind="density"),
-        energy=ks_energy(grid, rho, v_ext, u, xc, occ, eig),
+        energy=ks_energy(grid, rho, v_ext, u, v_in, xc, occ, eig),
         scf_history=tuple(history),
         meta={
             "stationarity": tuple(stat_resids),

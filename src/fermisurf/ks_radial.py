@@ -115,7 +115,7 @@ def scf_atom(
 
     eig = np.array([lv[0] for lv in levels])
     rho0 = ScalarField(grid=grid, values=rho, kind="density")
-    energy = ks_energy(grid, rho, z / r, radial_hartree_potential(rho0), xc, occ, eig)
+    energy = ks_energy(grid, rho, z / r, radial_hartree_potential(rho0), v_eff, xc, occ, eig)
 
     keep = occ > 1e-12
     orbitals = tuple(

@@ -237,3 +237,27 @@ class TestMemory:
         budget = 4 + (2 * MIX_DEPTH + 2) + 1 + 2 * count + (8 * k + 1)
         # one grid array of slack: the Ritz scratch, face arrays, masks
         assert peak <= (budget + 1) * 8 * math.prod(grid.dims)
+
+
+class TestVariationalEnergy:
+    """The total is the KS functional of the returned orbitals.
+
+    Its error is second order in the SCF residual, so the default tol
+    already gives the converged total: the band-sum form with the output
+    potential stopped 5.9e-7 Ha (C) and 3.9e-8 Ha (H2) short of it.
+    """
+
+    @pytest.mark.parametrize("cfg, n, h", [
+        (NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[6.0]), 6.0, 0.3),
+        (diatomic(1.0, 1.0, 1.4), 2.0, 0.35),  # the benchmark's H2 point
+    ], ids=["C", "H2"])
+    def test_default_tol_total_matches_tight_tol(self, lda, cfg, n, h):
+        grid = GridPolicy(spacing=h).build(cfg)
+        loose, tight = (scf_molecule(cfg, n, lda, grid, tol=t).energy["total"]
+                        for t in (1e-6, 1e-10))
+        assert abs(loose - tight) <= 1e-8
+
+    def test_radial_atom_default_tol_total_matches_tight_tol(self, lda):
+        loose, tight = (scf_atom(6.0, 6.0, lda, tol=t).energy["total"]
+                        for t in (1e-6, 1e-10))
+        assert abs(loose - tight) <= 1e-8
