@@ -26,12 +26,13 @@ levels, takes GUARD_SHIFT, with which it settles in a fraction of the
 iterations the wanted states' shift needs.
 
 Memory is budgeted per block vector: a LOBPCG solve of k vectors holds
-8k + 1 grid arrays beside its start rows. One basis block holds the 3k
+8k + 2 grid arrays beside its start rows. One basis block holds the 3k
 rows of [X, P, W] and their images under H (6k); the residual rows (k)
 are preconditioned in place, with k rows of work for both sine transforms
-and the constraint projections; apply_hamiltonian adds one scratch. The
-Ritz update overwrites the basis in column chunks, and the Ritz vectors
-come back in the residual rows. So the guard, k = 1, holds 9 grid arrays
+and the constraint projections; the preconditioner keeps one grid of
+inverse eigenvalues, and apply_hamiltonian adds one scratch. The Ritz
+update overwrites the basis in column chunks, and the Ritz vectors come
+back in the residual rows. So the guard, k = 1, holds 10 grid arrays
 beside the copy of the wanted orbitals it is constrained by.
 """
 
@@ -55,7 +56,7 @@ GUARD_SHIFT = 0.1  # preconditioner shift (Ha) of the guard, which settles near 
 # H X, updated by the same products as X, stays consistent with it; at 1e-8
 # a degenerate p shell stalled near a residual of 3e-8.
 DROP_TOL = 1e-6
-RITZ_CHUNK = 4096  # columns of the basis per piece of the in-place Ritz update
+RITZ_SCRATCH = 2**14  # elements of the scratch the in-place Ritz update goes through
 
 
 class EigenError(SolverError):
@@ -124,17 +125,18 @@ def _preconditioner(grid: Grid3D, c_shift: float):
 
     apply(r, work) overwrites the C-contiguous rows r with their
     preconditioned images: both transforms ping-pong between r and work,
-    an array of r's shape that it overwrites too. The inverse eigenvalues
-    are formed one x-slab at a time, the same floats a full grid of them
-    would hold, so an apply allocates no grid-sized array.
+    an array of r's shape that it overwrites too, so an apply allocates no
+    grid-sized array. The grid of inverse eigenvalues is made once per
+    solve: formed per apply, one x-slab at a time, it took 15 times as
+    long as the one multiply by the stored grid.
     """
     lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
+    inv = 1.0 / (lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift)
 
     def apply(r, work):
         shape = (len(r), *grid.shape)
         t = sine_transform(r.reshape(shape), out=work.reshape(shape))
-        for i, li in enumerate(lx):
-            t[:, i] *= 1.0 / ((li + ly[:, None]) + lz + c_shift)
+        t *= inv
         sine_transform(t, out=r.reshape(shape))
         return r
 
@@ -210,10 +212,11 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     Memory, in grid arrays: 6k for the one basis block, which holds each
     of the 3k rows of [X, P, W] beside its image under H; k for the
     residual rows, which the preconditioner transforms in place; k of work
-    for the transforms and the constraint projections; and one scratch
-    inside apply_hamiltonian. So a solve holds at most 8k + 1 grid arrays
-    beside x. The Ritz update overwrites the basis in place
-    (_update_rows), and the Ritz vectors are returned in the residual rows.
+    for the transforms and the constraint projections; one for the
+    preconditioner's inverse eigenvalues; and one scratch inside
+    apply_hamiltonian. So a solve holds at most 8k + 2 grid arrays beside
+    x. The Ritz update overwrites the basis in place (_update_rows), and
+    the Ritz vectors are returned in the residual rows.
 
     Returns (vals, x, resids, history): ascending Ritz values, orthonormal
     Ritz rows, the residual norms |H x - val x| taken from the final H x,
@@ -224,7 +227,7 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     precond = _preconditioner(grid, c_shift)
     # each basis row holds a vector and its image: X, then P, then W
     basis = np.empty((3 * k, 2, n))
-    scratch = np.empty((2 * k, min(RITZ_CHUNK, 2 * n)))
+    scratch = np.empty((2 * k, min(max(1, RITZ_SCRATCH // (2 * k)), 2 * n)))
     r, work = np.empty((k, n)), np.empty((k, n))
 
     def fill(rows, w):
@@ -264,7 +267,7 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
         fill(basis[k + p : k + p + a], precond(r[:a], work[:a]))
         m = k + p + a
     # the residual rows take the Ritz vectors: the basis is freed, not copied
-    del work, scratch
+    del work, scratch, precond
     np.copyto(r, basis[:k, 0])
     return vals, r, resids, history
 

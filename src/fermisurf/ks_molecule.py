@@ -124,10 +124,10 @@ def scf_molecule(
     arrays, the k orbitals and the guard vector. A step forms v_eff (the
     Hartree potential u is dropped once added), stacks the k warm-start
     columns and drops the orbitals they copy, and runs one eigensolve of
-    8k + 1 arrays (see `eig`). A shell check adds rho_out, a constraint copy
-    of the k orbitals and the guard's 9. rho_out is dropped once mixed, and
-    the stationarity pass reuses two arrays for every orbital. So a step
-    peaks near max(13 + 9k, 22 + 2k) arrays; H2 (k = 1) peaks at 24.4.
+    8k + 2 arrays (see `eig`). A shell check adds rho_out, a constraint copy
+    of the k orbitals and the guard's 10. rho_out is dropped once mixed,
+    and the stationarity pass reuses two arrays for every orbital. So a
+    step peaks near max(14 + 9k, 23 + 2k) arrays; H2 (k = 1) peaks at 25.4.
     """
     if N <= 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
@@ -185,7 +185,7 @@ def scf_molecule(
             f"(last residual {history[-1]:.3e})",
             history,
         )
-    del mixer, rho_out
+    del mixer
     v_in = v_field.values  # the potential the returned orbitals solve
 
     # stationarity of every occupied orbital under the converged potential

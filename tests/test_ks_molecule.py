@@ -232,9 +232,10 @@ class TestMemory:
         # the converged step's guard: v_ext, rho, rho_out, v_eff, the mixer's
         # history, the guard's start and the occupied block (count = 1)
         # held by the SCF, the block again as the guard's constraints, and
-        # one k = 1 LOBPCG solve (8k + 1: basis, residual, work, H scratch)
+        # one k = 1 LOBPCG solve (8k + 2: basis, residual rows, work, the
+        # preconditioner's inverse eigenvalues, H scratch)
         count, k = 1, 1
-        budget = 4 + (2 * MIX_DEPTH + 2) + 1 + 2 * count + (8 * k + 1)
+        budget = 4 + (2 * MIX_DEPTH + 2) + 1 + 2 * count + (8 * k + 2)
         # one grid array of slack: the Ritz scratch, face arrays, masks
         assert peak <= (budget + 1) * 8 * math.prod(grid.dims)
 
