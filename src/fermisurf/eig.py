@@ -266,7 +266,7 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
                 r[i] = r[j]
         fill(basis[k + p : k + p + a], precond(r[:a], work[:a]))
         m = k + p + a
-    # the residual rows take the Ritz vectors: the basis is freed, not copied
+    # the Ritz vectors go into the residual rows, so returning them allocates nothing
     del work, scratch, precond
     np.copyto(r, basis[:k, 0])
     return vals, r, resids, history

@@ -127,7 +127,8 @@ def scf_molecule(
     8k + 2 arrays (see `eig`). A shell check adds rho_out, a constraint copy
     of the k orbitals and the guard's 10. rho_out is dropped once mixed,
     and the stationarity pass reuses two arrays for every orbital. So a
-    step peaks near max(14 + 9k, 23 + 2k) arrays; H2 (k = 1) peaks at 25.4.
+    step peaks near max(14 + 9k, 23 + 2k) arrays; H2 (k = 1) read 25.6 on
+    a 31^3 box.
     """
     if N <= 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")

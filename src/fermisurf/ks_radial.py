@@ -115,7 +115,8 @@ def scf_atom(
 
     eig = np.array([lv[0] for lv in levels])
     rho0 = ScalarField(grid=grid, values=rho, kind="density")
-    energy = ks_energy(grid, rho, z / r, radial_hartree_potential(rho0), v_eff, xc, occ, eig)
+    v_h = radial_hartree_potential(rho0)
+    energy = ks_energy(grid, rho, z / r, v_h, v_eff, xc, occ, eig)
 
     keep = occ > 1e-12
     orbitals = tuple(
