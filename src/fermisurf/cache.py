@@ -22,7 +22,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 ENV_VAR = "FERMISURF_CACHE"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -50,6 +49,8 @@ def source_fingerprint() -> str:
 
 
 def cache_key(solver_id: str, inputs) -> str:
+    import scipy
+
     numerics = {
         "sources": source_fingerprint(),
         "numpy": np.__version__,

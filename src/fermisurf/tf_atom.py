@@ -12,16 +12,15 @@ rho_z(x) = z^2 rho_1(z^(1/3) x).
 Both shootings run the in-house DOP853 stepper `solve_ivp` at the end of
 this module: the Runge-Kutta pair of order 8(5,3) with 7th-order dense
 output of Hairer, Norsett & Wanner (Solving Ordinary Differential
-Equations I, 2nd ed., Sec. II.10), with the error norm, step control and
-event rules of scipy.integrate's DOP853. So importing the package needs
-only numpy; scipy loads on the first call to `scf_atom`,
-`min_distance_search` or `gamma_limit`.
+Equations I, 2nd ed., Sec. II.10), with the error norm and step control
+of scipy.integrate's DOP853 and a stop rule in place of its events. So
+importing the package needs only numpy; scipy loads on the first call
+to `scf_atom`, `min_distance_search` or `gamma_limit`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from operator import mul
 
@@ -130,26 +129,13 @@ def _rhs(x, state):
 
 def _integrate_forward(slope: float, x0: float, x_end: float, dense: bool = False):
     y0, dy0 = _series_y(x0, slope)
-
-    def hit_zero(x, s):
-        return s[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    def blow_up(x, s):
-        return s[0] - 2.0
-
-    blow_up.terminal = True
-    blow_up.direction = 1
-
     return solve_ivp(
         _rhs,
         (x0, x_end),
         [y0, dy0],
         rtol=1e-12,
         atol=1e-14,
-        events=(hit_zero, blow_up),
+        stop=lambda s: 1 if s[0] <= 0.0 else 2 if s[0] >= 2.0 else 0,  # 1 hit zero, 2 blew up
         dense_output=dense,
     )
 
@@ -209,9 +195,9 @@ def _crosses_zero(slope: float) -> bool:
     Below it y crosses zero, above it y blows up past 2; a shot that does
     neither before X_CLASSIFY is too close to the separatrix to classify.
     """
-    hit_zero, blow_up = _integrate_forward(slope, X0, X_CLASSIFY).t_events
-    if hit_zero.size or blow_up.size:
-        return bool(hit_zero.size)
+    status = _integrate_forward(slope, X0, X_CLASSIFY).status
+    if status:
+        return status == 1
     raise ShootingError(
         f"forward shot with slope {slope!r} neither crossed zero nor blew up "
         f"before x = {X_CLASSIFY}", []
@@ -220,7 +206,7 @@ def _crosses_zero(slope: float) -> bool:
 
 def _forward_to_match(slope: float):
     fwd = _integrate_forward(slope, X0, X_MATCH, dense=True)
-    if fwd.t[-1] < X_MATCH:
+    if fwd.status:
         raise ShootingError("forward integration terminated before the match point", [])
     return fwd
 
@@ -510,22 +496,20 @@ _D = tuple(tuple(row.get(j, 0.0) for j in range(16)) for row in _D_ROWS)
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # the error estimate is O(h^8)
-_EVENT_TOL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class ODEResult:
-    """Steps, events and dense output of one `solve_ivp` integration.
+    """Steps and dense output of one `solve_ivp` integration.
 
-    y has one row per component. status is 0 when t_span[1] was reached
-    and 1 when a terminal event stopped the integration at t[-1]. sol is
-    None unless dense output was asked for.
+    y has one row per component. status is 0 when t_span[1] was reached,
+    else the nonzero value the stop rule returned at t[-1], where it ended
+    the integration. sol is None unless dense output was asked for.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: int
-    t_events: list
     sol: DenseOutput | None
 
 
@@ -598,13 +582,6 @@ def _horner(coefs, x):
     return value
 
 
-def _step_state(fun, step):
-    """The state on one step from its dense output, as a function of t."""
-    t_old, h, y_old = step[:3]
-    coefs = _interpolant(fun, *step)
-    return lambda t: [v + _horner(c, (t - t_old) / h) for v, c in zip(y_old, coefs)]
-
-
 class DenseOutput:
     """The 7th-order interpolant of every step of one integration.
 
@@ -643,33 +620,15 @@ class DenseOutput:
         return y[:, 0] if t.ndim == 0 else y
 
 
-def _event_fired(g, g_new, direction) -> bool:
-    up, down = g <= 0.0 <= g_new, g >= 0.0 >= g_new
-    return up if direction > 0 else down if direction < 0 else up or down
-
-
-def _event_root(event, state, a, b) -> float:
-    """Bisect event(t, state(t)) = 0 on [a, b] to 4 eps relative, like scipy's brentq."""
-    ga = event(a, state(a))
-    while ga != 0.0 and abs(b - a) > _EVENT_TOL * (1.0 + abs(b)):
-        m = 0.5 * (a + b)
-        gm = event(m, state(m))
-        if (gm < 0.0) == (ga < 0.0):
-            a, ga = m, gm
-        else:
-            b = m
-    return a
-
-
-def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), dense_output=False):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, stop=None, dense_output=False):
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
 
-    fun takes and returns a sequence of floats. Each event is a function
-    event(t, y) with optional attributes `direction` (only crossings with
-    that sign count) and `terminal` (the integration stops at its root);
-    roots are bisected on the step's dense output. Raises ShootingError
-    when the step size falls below 10 ulp of t, which a singularity of the
-    solution forces.
+    fun takes and returns a sequence of floats. stop, if given, is called
+    as stop(y) on the end state of each accepted step; the integration ends
+    after the first step where it returns nonzero, and that value is the
+    result's status. status 0 means t_span[1] was reached. Raises
+    ShootingError when the step size falls below 10 ulp of t, which a
+    singularity of the solution forces.
     """
     t, t_end = (float(v) for v in t_span)
     direction = 1.0 if t_end > t else -1.0
@@ -677,8 +636,6 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), dense_output=False):
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_end - t, rtol, atol)
     ts, ys, steps = [t], [y], []
-    g = [event(t, y) for event in events]
-    t_events = [[] for _ in events]
     status = 0
     while status == 0 and direction * (t - t_end) < 0.0:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -705,33 +662,16 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=(), dense_output=False):
         f = fun(t_new, y_new)
         for kc, v in zip(k, f):
             kc.append(v)
-        step = (t, h, y, y_new, k)
         if dense_output:
-            steps.append(step)
+            steps.append((t, h, y, y_new, k))
         t, y = t_new, y_new
-        g_new = [event(t, y) for event in events]
-        fired = [
-            i for i, event in enumerate(events)
-            if _event_fired(g[i], g_new[i], getattr(event, "direction", 0))
-        ]
-        if fired:
-            state = _step_state(fun, step)
-            roots = sorted(
-                ((_event_root(events[i], state, step[0], t), i) for i in fired),
-                key=lambda root: direction * root[0],
-            )
-            for root, i in roots:
-                t_events[i].append(root)
-                if getattr(events[i], "terminal", False):
-                    status, t, y = 1, root, state(root)
-                    break
-        g = g_new
         ts.append(t)
         ys.append(y)
+        if stop is not None:
+            status = stop(y)
     return ODEResult(
         t=np.array(ts),
         y=np.array(ys).T,
         status=status,
-        t_events=[np.array(te) for te in t_events],
         sol=DenseOutput(fun, steps, ts) if dense_output else None,
     )

@@ -1,8 +1,8 @@
-"""`import fermisurf` and the universal profile need only numpy.
+"""`import fermisurf`, the CLI module and the universal profile need only numpy.
 
 scipy loads on the first call that uses it (`scf_atom`, `min_distance_search`,
-`gamma_limit`), so every CLI run and benchmark process starts without it. A
-fresh interpreter checks this, because the test session has scipy loaded.
+`gamma_limit`, `cache_key`), so every CLI run starts without it. A fresh
+interpreter checks this, because the test session has scipy loaded.
 """
 
 import json
@@ -13,15 +13,14 @@ from pathlib import Path
 
 import fermisurf
 
-HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special", "scipy.sparse")
-
 
 def test_profile_setup_loads_no_scipy_subpackage():
+    # top-level scipy too: any subpackage import would load it
     src = str(Path(fermisurf.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import json, sys, fermisurf; fermisurf.universal_profile(); "
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+        "import json, sys, fermisurf.cli; fermisurf.universal_profile(); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)

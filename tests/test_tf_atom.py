@@ -79,12 +79,13 @@ class TestUniversalProfile:
         # slopes off the separatrix blow up or hit zero: bracketing premise
         up = _integrate_forward(B_REFERENCE + 0.05, 1e-6, 60.0)
         down = _integrate_forward(B_REFERENCE - 0.05, 1e-6, 60.0)
-        # shallower slope -> blow-up event; steeper slope -> zero crossing
-        assert up.status == 1 and down.status == 1
-        assert up.t_events[1].size + down.t_events[0].size >= 2
+        # shallower slope -> blows up past 2 (status 2, near x = 4.96);
+        # steeper slope -> crosses zero (status 1, near x = 2.16)
+        assert up.status == 2 and up.y[0, -1] >= 2.0
+        assert down.status == 1 and down.y[0, -1] <= 0.0
 
     def test_stepper_raises_when_the_step_underflows(self):
-        # without the blow-up event the shot runs into the singularity of
+        # without the blow-up stop rule the shot runs into the singularity of
         # y'' = y^(3/2)/sqrt(x), where no step above 10 ulp meets rtol
         y0 = _series_y(X0, B_REFERENCE + 0.05)
         with pytest.raises(ShootingError, match="10 ulp"):
@@ -102,7 +103,7 @@ class TestUniversalProfile:
 
 
 class TestStepper:
-    """The in-house DOP853 against scipy's, which implements the same method."""
+    """The in-house DOP853: its stop rule, and its steps against scipy's DOP853."""
 
     @staticmethod
     def _scipy_shot(y0, t_span, atol):
@@ -127,6 +128,20 @@ class TestStepper:
         got = _integrate_backward(u.tail_c, u.x_max)
         xs = np.geomspace(X_MATCH, u.x_max, 1201)[1:]
         assert np.max(np.abs(got.sol(xs) - ref.sol(xs))) <= MATCH_NOISE
+
+    def test_stop_rule_ends_after_the_first_step_it_flags(self):
+        # on the exact solution 144/x^3 the rule flags every step end past
+        # x = 10; the run ends at the first of them, and every step up to
+        # there is the unstopped run's
+        x0, x1 = 4.0, 16.0
+        y0 = [144.0 / x0**3, -3.0 * 144.0 / x0**4]
+        full = fermisurf.tf_atom.solve_ivp(_rhs, (x0, x1), y0, rtol=1e-12, atol=1e-14)
+        cut = fermisurf.tf_atom.solve_ivp(_rhs, (x0, x1), y0, rtol=1e-12, atol=1e-14,
+                                          stop=lambda s: 7 if s[0] < 144.0 / 10.0**3 else 0)
+        assert full.status == 0 and cut.status == 7
+        assert cut.t[-2] < 10.0 <= cut.t[-1] < x1
+        n = cut.t.size
+        assert np.array_equal(cut.t, full.t[:n]) and np.array_equal(cut.y, full.y[:, :n])
 
     def test_vectorised_profile_equals_scalar_calls(self):
         u = universal_profile()

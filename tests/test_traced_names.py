@@ -7,6 +7,7 @@ from its path and only its tables are read; no tracer is installed.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,11 @@ def test_traced_function_resolves(span, owner, attr, only_in):
 def test_traced_method_resolves(span, owner, cls, method):
     module = importlib.import_module(f"fermisurf.{owner}")
     assert callable(getattr(getattr(module, cls, None), method, None)), span
+
+
+def test_solve_ivp_keeps_the_t_span_parameter():
+    # spans.py binds solve_ivp's arguments and reads args["t_span"] to count
+    # forward and backward integrations; a rename would fail every traced run
+    from fermisurf.tf_atom import solve_ivp
+
+    assert "t_span" in inspect.signature(solve_ivp).parameters
