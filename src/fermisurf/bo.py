@@ -21,7 +21,7 @@ import numpy as np
 from .fitting import PowerLawFit, powerlaw_fit
 from .grids import Grid3D, GridError
 from .ks_molecule import scf_molecule
-from .tf_molecule import NuclearConfiguration, atomic_references, solve_tf
+from .tf_molecule import MIN_MARGIN, NuclearConfiguration, atomic_references, solve_tf
 from .xc import XCFunctional
 
 
@@ -30,14 +30,15 @@ class GridPolicy:
     """How to build boxes for a configuration: spacing plus margin rule."""
 
     spacing: float
-    margin_factor: float = 6.0
+    margin_factor: float = MIN_MARGIN
 
     def __post_init__(self):
         if self.spacing <= 0.0:
             raise GridError("spacing must be positive")
-        if self.margin_factor < 6.0:
+        if self.margin_factor < MIN_MARGIN:
             raise GridError(
-                "margin_factor must be >= 6 (box margin >= 6 z^(-1/3))"
+                f"margin_factor must be >= {MIN_MARGIN:g} "
+                f"(box margin >= {MIN_MARGIN:g} z^(-1/3))"
             )
 
     def margin(self, config: NuclearConfiguration) -> float:

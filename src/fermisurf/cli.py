@@ -31,7 +31,7 @@ from .minsearch import min_distance_search
 from .outside import qij_tf
 from .screening import screened_compare
 from .tf_atom import atomic_tf, tf_residual
-from .tf_molecule import NuclearConfiguration, solve_tf
+from .tf_molecule import MIN_MARGIN, NuclearConfiguration, solve_tf
 from .xc import XCValidationError, make_functional
 
 BO_HEADER = "R_min,theory,xc,q,D,grid_h,residual,E_mol,E_atoms,U_R"
@@ -114,7 +114,7 @@ def _window(value) -> list:
     return [lo, hi]
 
 
-_GRID = {"spacing": (float, REQUIRED), "margin_factor": (float, 6.0)}
+_GRID = {"spacing": (float, REQUIRED), "margin_factor": (float, MIN_MARGIN)}
 _XC = {"kind": (str, REQUIRED), "c": (float, None), "beta": (float, None)}
 
 

@@ -125,11 +125,11 @@ class Grid3D:
     def upper_corner(self) -> np.ndarray:
         return self.origin + self.h * (np.asarray(self.dims) - 1)
 
-    def contains(self, point, margin: float = 0.0) -> bool:
+    def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         return bool(
-            np.all(p - self.origin >= margin - 1e-12)
-            and np.all(self.upper_corner() - p >= margin - 1e-12)
+            np.all(p - self.origin >= -1e-12)
+            and np.all(self.upper_corner() - p >= -1e-12)
         )
 
     def min_face_distance(self, point) -> float:

@@ -91,11 +91,9 @@ def _atomic_exterior_energy(
     phi_r = atomic_screened_tf(sol_atom, r)
     dist = np.sqrt(grid.squared_distance(single.positions[0]))
     mask = RegionMask(config=single, r=r)
-    gmask = mask.grid_mask(grid)
     vals = np.interp(dist.ravel(), sol_atom.grid.nodes, phi_r.values).reshape(
         grid.shape
     )
-    vals = np.where(gmask, vals, 0.0)
     v_field = ScalarField(grid=grid, values=vals, kind="potential")
     n_j = sol_atom.z - sol_atom.charge_within(r)
     ext = exterior_tf(v_field, mask, max(n_j, 1e-9))
@@ -125,12 +123,8 @@ def outside_decomposition_check(
         mask = RegionMask(config=config, r=r)
         phi_field = screened_tf(mol, mask)
         gmask = mask.grid_mask(grid)
-        v_r = ScalarField(
-            grid=grid, values=np.where(gmask, phi_field.values, 0.0),
-            kind="potential",
-        )
         bound = float(np.sum(mol.rho.values[gmask])) * grid.cell_volume
-        ext_mol = exterior_tf(v_r, mask, bound)
+        ext_mol = exterior_tf(phi_field, mask, bound)
         e_atoms = atomic_references(
             config, grid,
             lambda single, agrid: _atomic_exterior_energy(single, agrid, r),

@@ -12,10 +12,12 @@ rho_z(x) = z^2 rho_1(z^(1/3) x).
 Both shootings run the in-house DOP853 stepper `solve_ivp` at the end of
 this module: the Runge-Kutta pair of order 8(5,3) with 7th-order dense
 output of Hairer, Norsett & Wanner (Solving Ordinary Differential
-Equations I, 2nd ed., Sec. II.10), with the error norm and step control
-of scipy.integrate's DOP853 and a stop rule in place of its events. So
-importing the package needs only numpy; scipy loads on the first call
-to `scf_atom`, `min_distance_search` or `gamma_limit`.
+Equations I, 2nd ed., Sec. II.10), with the initial step, error norm and
+step control of scipy.integrate's DOP853. Every integration keeps its
+dense output. A bracketing shot stops once y <= 0 or y' > 0, and the
+Newton match stops once its residual is at the integrators' noise
+floor. So importing the package needs only numpy; scipy loads on the
+first call to `scf_atom`, `min_distance_search` or `gamma_limit`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ MATCH_BASIN = 1e-4  # slope bracket width from which the match converges
 TAIL_GUESS = -13.05  # first tail amplitude (c = -13.0489 at x_max = 1e5)
 MATCH_STEPS = (1e-6, 1e-3)  # finite-difference steps in (B, c)
 MATCH_MAXITER = 8
-MATCH_NOISE = 1e-10  # match residuals below this are integration noise
+MATCH_NOISE = 1e-10  # the match stops at a residual below this: integration noise
 DENSITY_BLOCK = 2**14  # elements per cache-sized block of `tf_density`'s t sqrt(t)
 
 
@@ -127,7 +129,7 @@ def _rhs(x, state):
     return [state[1], y**1.5 / math.sqrt(x)]
 
 
-def _integrate_forward(slope: float, x0: float, x_end: float, dense: bool = False):
+def _integrate_forward(slope: float, x0: float, x_end: float):
     y0, dy0 = _series_y(x0, slope)
     return solve_ivp(
         _rhs,
@@ -135,8 +137,7 @@ def _integrate_forward(slope: float, x0: float, x_end: float, dense: bool = Fals
         [y0, dy0],
         rtol=1e-12,
         atol=1e-14,
-        stop=lambda s: 1 if s[0] <= 0.0 else 2 if s[0] >= 2.0 else 0,  # 1 hit zero, 2 blew up
-        dense_output=dense,
+        stop=lambda s: 1 if s[0] <= 0.0 else 2 if s[1] > 0.0 else 0,  # 1 hit zero, 2 turned up
     )
 
 
@@ -155,7 +156,6 @@ def _integrate_backward(c: float, x_far: float):
         [y0, dy0],
         rtol=1e-12,
         atol=1e-16,
-        dense_output=True,
     )
 
 
@@ -192,7 +192,8 @@ class UniversalTF:
 def _crosses_zero(slope: float) -> bool:
     """Classify a forward shot: True below the critical slope, False above.
 
-    Below it y crosses zero, above it y blows up past 2; a shot that does
+    Below it y crosses zero; above it y' turns positive, and since
+    y'' >= 0 keeps y' nondecreasing, y then blows up. A shot that does
     neither before X_CLASSIFY is too close to the separatrix to classify.
     """
     status = _integrate_forward(slope, X0, X_CLASSIFY).status
@@ -205,35 +206,31 @@ def _crosses_zero(slope: float) -> bool:
 
 
 def _forward_to_match(slope: float):
-    fwd = _integrate_forward(slope, X0, X_MATCH, dense=True)
+    fwd = _integrate_forward(slope, X0, X_MATCH)
     if fwd.status:
         raise ShootingError("forward integration terminated before the match point", [])
     return fwd
 
 
-def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
+def solve_universal(x_max: float = 1e5) -> UniversalTF:
     """Matched shooting solution of the universal TF equation.
 
     Bracket phase: a forward shot below the critical slope crosses zero,
-    one above it blows up. Bisection on that dichotomy narrows
+    one above it turns upward (y' > 0). Bisection on that dichotomy narrows
     SLOPE_BRACKET to MATCH_BASIN (12 shots). Match phase: Newton on (B, c)
     for y_fwd = y_bwd and y'_fwd = y'_bwd at X_MATCH, the backward shot
     starting on the tail at x_max. The Jacobian is formed once by finite
     differences and then updated by Broyden; every slope iterate stays
     inside the bracket.
 
-    Stops when the Newton step is at most tol in B and tol |c| in c, so tol
-    bounds the estimated distance of the returned slope from the matched
-    one. Stops early once the match residual is at the integrators' noise
-    floor MATCH_NOISE, where a Newton step would only follow the noise:
-    backward shots jitter by 1.4e-11 rms at X_MATCH as c moves by 1e-9.
-    Raises ShootingError with the residual history when neither happens
-    within MATCH_MAXITER iterates.
+    Stops at the first iterate whose match residual is at the integrators'
+    noise floor MATCH_NOISE, where a Newton step would only follow the
+    noise: backward shots jitter by 1.4e-11 rms at X_MATCH as c moves by
+    1e-9. Raises ShootingError with the residual history when no iterate
+    reaches it within MATCH_MAXITER.
     """
     if x_max < 50.0:
         raise ValueError("x_max must be >= 50")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
 
     lo, hi = SLOPE_BRACKET
     while hi - lo > MATCH_BASIN:
@@ -259,11 +256,9 @@ def solve_universal(x_max: float = 1e5, tol: float = 1e-11) -> UniversalTF:
     history = []
     for _ in range(MATCH_MAXITER):
         history.append(np.max(np.abs(resid)))
-        step = -np.linalg.solve(jac, resid)
-        if abs(step[0]) <= tol and abs(step[1]) <= tol * abs(c):
-            break
         if history[-1] <= MATCH_NOISE:
-            break  # at the noise floor: the step would be integration noise
+            break  # at the noise floor: a step would be integration noise
+        step = -np.linalg.solve(jac, resid)
         new_slope = slope + step[0]
         if not lo < new_slope < hi:
             new_slope = 0.5 * (slope + (lo if new_slope <= lo else hi))
@@ -504,13 +499,13 @@ class ODEResult:
 
     y has one row per component. status is 0 when t_span[1] was reached,
     else the nonzero value the stop rule returned at t[-1], where it ended
-    the integration. sol is None unless dense output was asked for.
+    the integration. sol interpolates every step.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: int
-    sol: DenseOutput | None
+    sol: DenseOutput
 
 
 def _rms(values) -> float:
@@ -620,15 +615,16 @@ class DenseOutput:
         return y[:, 0] if t.ndim == 0 else y
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, stop=None, dense_output=False):
+def solve_ivp(fun, t_span, y0, *, rtol, atol, stop=None):
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
 
     fun takes and returns a sequence of floats. stop, if given, is called
     as stop(y) on the end state of each accepted step; the integration ends
     after the first step where it returns nonzero, and that value is the
-    result's status. status 0 means t_span[1] was reached. Raises
-    ShootingError when the step size falls below 10 ulp of t, which a
-    singularity of the solution forces.
+    result's status. status 0 means t_span[1] was reached. The result keeps
+    every step for its dense output, whose extra stages are formed only
+    when it is first called. Raises ShootingError when the step size falls
+    below 10 ulp of t, which a singularity of the solution forces.
     """
     t, t_end = (float(v) for v in t_span)
     direction = 1.0 if t_end > t else -1.0
@@ -662,8 +658,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, stop=None, dense_output=False):
         f = fun(t_new, y_new)
         for kc, v in zip(k, f):
             kc.append(v)
-        if dense_output:
-            steps.append((t, h, y, y_new, k))
+        steps.append((t, h, y, y_new, k))
         t, y = t_new, y_new
         ts.append(t)
         ys.append(y)
@@ -673,5 +668,5 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, stop=None, dense_output=False):
         t=np.array(ts),
         y=np.array(ys).T,
         status=status,
-        sol=DenseOutput(fun, steps, ts) if dense_output else None,
+        sol=DenseOutput(fun, steps, ts),
     )

@@ -7,6 +7,7 @@ import fermisurf.tf_atom
 from fermisurf.constants import SOMMERFELD_C, TF_LENGTH_B
 from fermisurf.tf_atom import (
     DENSITY_BLOCK,
+    MATCH_MAXITER,
     MATCH_NOISE,
     X0,
     X_MATCH,
@@ -60,32 +61,26 @@ class TestUniversalProfile:
         def rhs(x, s):
             return [s[1], s[0] ** 1.5 / math.sqrt(x)]
 
-        res = fermisurf.tf_atom.solve_ivp(rhs, (x0, x1), [y0, yp0], rtol=1e-12,
-                                          atol=1e-14, dense_output=True)
+        res = fermisurf.tf_atom.solve_ivp(rhs, (x0, x1), [y0, yp0], rtol=1e-12, atol=1e-14)
         assert res.status == 0 and res.t[-1] == x1
         assert np.allclose(res.y[0], 144.0 / res.t**3, rtol=1e-8)
         # the dense output between step ends stays on it too
         xs = np.concatenate([np.linspace(a, b, 7)[1:-1] for a, b in zip(res.t, res.t[1:])])
         assert np.allclose(res.sol(xs)[0], 144.0 / xs**3, rtol=1e-8)
 
-    def test_solver_slope_is_bisection_stable(self):
-        # the independent oracle: re-run with a tighter tolerance and
-        # confirm the slope moved by less than the coarse tolerance
-        coarse = solve_universal(tol=1e-6)
-        fine = solve_universal(tol=1e-9)
-        assert abs(coarse.slope_B - fine.slope_B) < 2e-6
-
     def test_forward_integration_leaves_separatrix_off_slope(self):
         # slopes off the separatrix blow up or hit zero: bracketing premise
         up = _integrate_forward(B_REFERENCE + 0.05, 1e-6, 60.0)
         down = _integrate_forward(B_REFERENCE - 0.05, 1e-6, 60.0)
-        # shallower slope -> blows up past 2 (status 2, near x = 4.96);
+        # shallower slope -> y' turns positive, so y blows up (status 2 at the
+        # first step end with y' > 0, near x = 1.69, long before y reaches 2);
         # steeper slope -> crosses zero (status 1, near x = 2.16)
-        assert up.status == 2 and up.y[0, -1] >= 2.0
+        assert up.status == 2 and up.y[1, -2] <= 0.0 < up.y[1, -1]
+        assert 0.0 < up.y[0, -1] < 2.0
         assert down.status == 1 and down.y[0, -1] <= 0.0
 
     def test_stepper_raises_when_the_step_underflows(self):
-        # without the blow-up stop rule the shot runs into the singularity of
+        # without the stop rule the shot runs into the singularity of
         # y'' = y^(3/2)/sqrt(x), where no step above 10 ulp meets rtol
         y0 = _series_y(X0, B_REFERENCE + 0.05)
         with pytest.raises(ShootingError, match="10 ulp"):
@@ -115,7 +110,7 @@ class TestStepper:
     def test_forward_dense_output_matches_scipy(self):
         u = universal_profile()
         ref = self._scipy_shot(_series_y(X0, u.slope_B), (X0, X_MATCH), 1e-14)
-        got = _integrate_forward(u.slope_B, X0, X_MATCH, dense=True)
+        got = _integrate_forward(u.slope_B, X0, X_MATCH)
         xs = np.geomspace(X0, X_MATCH, 1201)[1:]
         assert np.max(np.abs(got.sol(xs) - ref.sol(xs))) <= 1e-12
 
@@ -181,10 +176,15 @@ class TestMatchedShooting:
         assert calls["forward"] <= 17
         assert calls["backward"] <= 5
 
-    def test_unreachable_tolerance_stops_at_noise_floor(self):
-        # no slope step can fall below 1e-300; the residual at the noise floor ends it
-        u = solve_universal(tol=1e-300)
-        assert abs(u.slope_B - universal_profile().slope_B) <= 1e-12
+    def test_match_without_noise_floor_wanders_in_the_noise(self, monkeypatch):
+        # with no floor to stop at, the iterates after the fourth only follow
+        # the integrators' noise, and the match raises with that history
+        monkeypatch.setattr(fermisurf.tf_atom, "MATCH_NOISE", 0.0)
+        with pytest.raises(ShootingError, match="not converged") as err:
+            solve_universal()
+        history = err.value.history
+        assert len(history) == MATCH_MAXITER
+        assert max(history[4:]) <= 1e-10
 
     def test_series_branch_matches_pointwise_series(self):
         u = universal_profile()

@@ -307,7 +307,7 @@ class TestExterior:
 
     def test_no_node_inside_the_balls(self):
         # the nucleus sits at a cell centre, sqrt(3) h/2 = 0.43 > r from every
-        # node, so the rule that the potential vanish off A_r holds vacuously
+        # node, so A_r holds every node and the whole potential is read
         cfg = NuclearConfiguration(positions=[[0.25, 0.25, 0.25]], charges=[1.0])
         grid = Grid3D.cube((0, 0, 0), 6.0, 25)
         mask = RegionMask(config=cfg, r=0.3)
