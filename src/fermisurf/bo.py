@@ -33,8 +33,10 @@ class GridPolicy:
     margin_factor: float = MIN_MARGIN
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise GridError("spacing must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise GridError("spacing must be positive and finite")
+        if not math.isfinite(self.margin_factor):
+            raise GridError("margin_factor must be finite")
         if self.margin_factor < MIN_MARGIN:
             raise GridError(
                 f"margin_factor must be >= {MIN_MARGIN:g} "

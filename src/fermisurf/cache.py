@@ -1,5 +1,7 @@
 """Content-addressed on-disk result cache.
 
+A cache lives in the directory its caller names; the package picks no
+default (the CLI's `bo-scan` takes it from --cache or FERMISURF_CACHE).
 Keys are SHA-256 hashes of the solver id, the canonical JSON of the numeric
 inputs and a fingerprint of the numerics: a SHA-256 of the package's .py
 sources (computed once per process), the numpy and scipy versions, and the
@@ -23,15 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-ENV_VAR = "FERMISURF_CACHE"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "fermisurf"
 
 
 def canonical_json(obj) -> str:
@@ -85,8 +79,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
 class SolutionCache:
     """Directory-backed cache mapping keys to JSON scalar entries."""
 
-    def __init__(self, directory: Path | str | None = None):
-        self.directory = Path(directory) if directory else default_cache_dir()
+    def __init__(self, directory: Path | str):
+        self.directory = Path(directory)
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"

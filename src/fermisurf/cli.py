@@ -224,8 +224,8 @@ def _cmd_bo_scan(cfg, args, out: Path) -> None:
         xc = dict(cfg["xc"], strict_mode=args.strict_xc)
         xc_name = make_functional(**xc).name  # validate early
     rs = sorted(cfg["R_values"])
-    if not rs or any(r <= 0 for r in rs):
-        raise ConfigError("R_values must be positive")
+    if not rs or not all(0.0 < r < np.inf for r in rs):
+        raise ConfigError("R_values must be positive and finite")
 
     cache_dir = args.cache_dir or os.environ.get("FERMISURF_CACHE")
     points = [
@@ -252,8 +252,8 @@ def _cmd_bo_scan(cfg, args, out: Path) -> None:
 
 def _cmd_gamma(cfg, args, out: Path) -> None:
     R = cfg["R"]
-    if R <= 0:
-        raise ConfigError("R must be positive")
+    if not 0.0 < R < np.inf:
+        raise ConfigError("R must be positive and finite")
     est = gamma_limit(diatomic(*cfg["charges"], R), cfg["l_values"], cfg["grid"])
     rows = [
         [l, y, s.D, s.grid_h, s.residual]

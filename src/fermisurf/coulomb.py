@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridError, RadialGrid, ScalarField
+from .grids import GridError, RadialGrid
 
 
-def radial_hartree_potential(field: ScalarField) -> np.ndarray:
-    """(f * |x|^-1)(r) for a spherically symmetric f, by Newton's theorem."""
-    grid = field.grid
+def radial_hartree_potential(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
+    """(f * |x|^-1)(r) for a spherically symmetric f on grid, by Newton's theorem."""
     if not isinstance(grid, RadialGrid):
-        raise GridError("radial field expected")
+        raise GridError("radial grid expected")
     r = grid.nodes
-    contrib = grid.weights * field.values  # per-node charge
+    contrib = grid.weights * f  # per-node charge
     inner = np.cumsum(contrib)  # charge within r (inclusive)
     # potential from shells outside r: sum of charge/shell-radius
     outer = np.cumsum((contrib / r)[::-1])[::-1] - contrib / r

@@ -17,7 +17,9 @@ and residual tell `occupied_eigenpairs` whether the Fermi-level shell
 closes inside the wanted states, and the block grows until it does. The
 SCF keeps that block size from step to step and runs the guard only on
 its first and its converged step. Small boxes can be checked against
-dense diagonalization.
+dense diagonalization. The entry points take the grid and the potential
+as a plain (nx, ny, nz) array; orbitals travel as one (k, nx, ny, nz)
+block, LOBPCG's own returned rows reshaped, and warm starts as rows.
 
 Each solve sets its own preconditioner shift c. The wanted states, bound
 a few Ha deep, take c = 1 + 0.1 max(0, -min V); the guard, which settles
@@ -42,11 +44,11 @@ import math
 
 import numpy as np
 
-from .grids import Grid3D, GridError, ScalarField, SolverError
+from .grids import Grid3D, GridError, SolverError
 from .ks_common import FERMI_DEGENERACY_TOL, aufbau_occupations
 from .poisson import _dst_eigenvalues, sine_transform
 
-EIG_SEED = 7  # random start vectors beyond the warm-start columns
+EIG_SEED = 7  # random start vectors beyond the warm-start rows
 EIG_MAXITER = 500  # LOBPCG iterations allowed for the wanted states
 GUARD_TOL = 1e-3  # residual norm (relative above 1 Ha) of a settled guard
 GUARD_MAXITER = 200  # LOBPCG iterations allowed for the guard
@@ -273,45 +275,46 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
 
 
 def lowest_eigenpairs(
-    potential: ScalarField,
+    grid: Grid3D,
+    v: np.ndarray,
     count: int,
     tol: float = 1e-7,
     maxiter: int = EIG_MAXITER,
     initial: np.ndarray | None = None,
 ):
-    """Lowest `count` eigenpairs to `tol`.
+    """Lowest `count` eigenpairs of -1/2 Lap_h + v on grid to `tol`.
 
     LOBPCG iterates only the `count` wanted vectors until every residual
     norm is at most tol / 10; EigenError is raised if the final residuals
-    miss tol * max(1, max |eps|). `initial` holds warm-start columns for
-    the first of them, and only the columns it does not cover start
-    random; when it covers them all, LOBPCG reads it without a copy.
+    miss tol * max(1, max |eps|). `initial` holds warm-start rows, one
+    vector per row (flat or of the grid's shape), for the first of them,
+    and only the rows it does not cover start random; when it covers them
+    all, LOBPCG reads it without a copy.
 
-    Returns (pairs, residuals). pairs is a list of (eigenvalue,
-    ScalarField) with eigenvalues nondecreasing and orbitals orthonormal
-    under the grid inner product (h^3 sum). residuals holds the norm
-    |H psi - eps psi| h^(3/2) of each pair, the numbers the residual check
-    compared with tol * max(1, max |eps|).
+    Returns (eps, orbitals, residuals). eps holds the eigenvalues,
+    nondecreasing. orbitals is one (count, nx, ny, nz) block, a view of
+    the rows LOBPCG returns, orthonormal under the grid inner product
+    (h^3 sum). residuals holds the norm |H psi - eps psi| h^(3/2) of each
+    pair, the numbers the residual check compared with
+    tol * max(1, max |eps|).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    grid = potential.grid
     if not isinstance(grid, Grid3D):
-        raise GridError("lowest_eigenpairs expects a 3D potential")
-    v = potential.values
+        raise GridError("lowest_eigenpairs expects a 3D grid")
     if not np.all(np.isfinite(v)):
         raise GridError("potential must be finite at all nodes")
     n = grid.n_points
     if count > n:
         raise ValueError("count must not exceed the number of grid points")
 
-    k = 0 if initial is None else min(initial.shape[1], count)
+    k = 0 if initial is None else min(len(initial), count)
     if k == count:
-        start = initial[:, :k].T  # lobpcg only reads its start rows
+        start = np.reshape(initial[:k], (k, n))  # lobpcg only reads its start rows
     else:
         start = np.empty((count, n))
         if k:
-            start[:k] = initial[:, :k].T
+            start[:k] = np.reshape(initial[:k], (k, n))
         np.random.default_rng(EIG_SEED).standard_normal(out=start[k:])
 
     # unit rows x are orbitals times h^(3/2), so |H x - eps x| is the
@@ -326,36 +329,32 @@ def lowest_eigenpairs(
             history,
         )
     x /= math.sqrt(grid.cell_volume)
-    pairs = [
-        (float(vals[j]), ScalarField(grid=grid, values=x[j].reshape(grid.shape)))
-        for j in range(count)
-    ]
-    return pairs, residuals
+    return vals, x.reshape(count, *grid.shape), residuals
 
 
-def guard_eigenpair(potential: ScalarField, pairs, start: np.ndarray | None = None):
-    """Loosely converged lowest state of H compressed to the complement of pairs.
+def guard_eigenpair(grid: Grid3D, v: np.ndarray, orbitals: np.ndarray,
+                    start: np.ndarray | None = None):
+    """Loosely converged lowest state of H compressed to the complement of orbitals.
 
     LOBPCG improves one guard vector on Q H Q, Q the projector onto the
-    orthogonal complement of the pair orbitals, until its residual norm
-    reaches GUARD_TOL / 2; the compression keeps the pairs' own residuals
-    (up to their tolerance) from putting a floor under the guard's. LOBPCG
-    minimizes the Rayleigh quotient, so a guard started with weight on
-    every state settles on the lowest one it is free to take: the default
-    start is random, and `start` (a flat vector) replaces it. A guard that
-    does not settle raises EigenError with its residual history.
+    orthogonal complement of the (k, nx, ny, nz) orbital block, until its
+    residual norm reaches GUARD_TOL / 2; the compression keeps the
+    orbitals' own residuals (up to their tolerance) from putting a floor
+    under the guard's. LOBPCG minimizes the Rayleigh quotient, so a guard
+    started with weight on every state settles on the lowest one it is
+    free to take: the default start is random, and `start` (a flat vector)
+    replaces it. A guard that does not settle raises EigenError with its
+    residual history.
 
     Returns (theta, rho, vector): the guard's Ritz value and residual norm
     on Q H Q, which has an eigenvalue within rho of theta, and the flat
-    vector, normalized and orthogonal to the pairs.
+    vector, normalized and orthogonal to the orbitals.
     """
-    grid, v = potential.grid, potential.values
     n = grid.n_points
-    if len(pairs) + 1 > n:
-        raise ValueError("pairs must leave a grid state for the guard")
+    if len(orbitals) + 1 > n:
+        raise ValueError("orbitals must leave a grid state for the guard")
     w = math.sqrt(grid.cell_volume)
-    y = np.stack([p[1].values.ravel() for p in pairs])
-    y *= w
+    y = np.reshape(orbitals, (len(orbitals), n)) * w
     if start is None:
         x = np.random.default_rng(EIG_SEED).standard_normal((1, n))
     else:
@@ -373,55 +372,53 @@ def guard_eigenpair(potential: ScalarField, pairs, start: np.ndarray | None = No
 
 
 def occupied_eigenpairs(
-    potential: ScalarField,
+    grid: Grid3D,
+    v: np.ndarray,
     n: float,
     q: float,
     tol: float,
-    solved=None,
+    solved,
     guard: np.ndarray | None = None,
 ):
     """Eigenpairs and aufbau occupations of the states that hold n electrons.
 
-    Starts from the pairs and residuals of `solved`, a lowest_eigenpairs
-    result on this potential, or else solves the ceil(n / q) lowest
-    states from random starts. The Fermi-level shell must close inside
-    the block: the guard's lower estimate theta - rho of the next
-    eigenvalue must exceed eps_F + FERMI_DEGENERACY_TOL. While it does not,
-    the block grows by one state and is solved again, warm-started from
-    the orbitals and the guard. `guard` warm-starts the first guard run
-    (later ones start random). When the block cannot grow (the grown
-    block and its guard would not fit in the grid), EigenError is raised
-    with the margins theta - rho - eps_F tried; a guard that does not
-    settle raises from guard_eigenpair.
+    Starts from `solved`, the (eps, orbitals, residuals) of a
+    lowest_eigenpairs result on this potential. The Fermi-level shell must
+    close inside the block: the guard's lower estimate theta - rho of the
+    next eigenvalue must exceed eps_F + FERMI_DEGENERACY_TOL. While it
+    does not, the block grows by one state and is solved again,
+    warm-started from the orbital rows and the guard. `guard` warm-starts
+    the first guard run (later ones start random). When the block cannot
+    grow (the grown block and its guard would not fit in the grid),
+    EigenError is raised with the margins theta - rho - eps_F tried; a
+    guard that does not settle raises from guard_eigenpair.
 
     The SCF keeps the returned block size and runs this check on its first
     step and on the step it converges at, not on the steps between.
 
-    Returns (pairs, occupations, guard, residuals, margin): guard is the
-    settled guard vector, residuals the eigenpair residual norms of
-    lowest_eigenpairs, margin the accepted theta - rho - eps_F.
+    Returns (eps, orbitals, residuals, occupations, guard, margin): the
+    lowest_eigenpairs result of the accepted block, its aufbau
+    occupations, the settled guard vector and the accepted
+    theta - rho - eps_F.
     """
-    if solved is None:
-        solved = lowest_eigenpairs(potential, int(math.ceil(n / q)), tol=tol)
-    pairs, residuals = solved
+    eps, orbitals, residuals = solved
     margins = []
     while True:
-        count = len(pairs)
-        eig = np.array([p[0] for p in pairs])
-        occ = aufbau_occupations(eig, np.full(count, float(q)), n)
-        eps_f = float(np.max(eig[occ > 0.0]))
-        theta, rho, guard = guard_eigenpair(potential, pairs, guard)
+        count = len(eps)
+        occ = aufbau_occupations(eps, np.full(count, float(q)), n)
+        eps_f = float(np.max(eps[occ > 0.0]))
+        theta, rho, guard = guard_eigenpair(grid, v, orbitals, guard)
         margins.append(theta - rho - eps_f)
         if margins[-1] > FERMI_DEGENERACY_TOL:
-            return pairs, occ, guard, residuals, margins[-1]
-        if count + 2 > potential.grid.n_points:
+            return eps, orbitals, residuals, occ, guard, margins[-1]
+        if count + 2 > grid.n_points:
             raise EigenError(
                 f"Fermi shell at {eps_f:.8g} Ha does not close inside {count} "
                 f"states: guard {theta:.8g} Ha with residual {rho:.3e}",
                 margins,
             )
-        initial = np.column_stack([*(p[1].values.ravel() for p in pairs), guard])
-        pairs, residuals = lowest_eigenpairs(
-            potential, count + 1, tol=tol, initial=initial
+        initial = np.concatenate([orbitals.reshape(count, -1), guard[None]])
+        eps, orbitals, residuals = lowest_eigenpairs(
+            grid, v, count + 1, tol=tol, initial=initial
         )
         guard = None

@@ -32,13 +32,13 @@ EIG_TOL = 1e-7  # floor of the per-step eigensolver tolerance
 
 
 def _density_start(grid: Grid3D, rho: np.ndarray, count: int) -> np.ndarray:
-    """Start columns of the first eigensolve, sqrt(rho) p_j normalized.
+    """Start rows of the first eigensolve, sqrt(rho) p_j normalized.
 
     The monomials p_j = 1, x, y, z, x^2, xy, ... are taken about the
-    charge centre. A tenth of a unit random column is added to each, so
-    every start has weight on the states the monomials miss. Each column
-    is stored contiguously (the transpose is C-ordered), its noise is drawn
-    straight into it, and one grid array holds the monomial column.
+    charge centre. A tenth of a unit random vector is added to each, so
+    every start has weight on the states the monomials miss. Returns
+    (count, n_points) rows; each row's noise is drawn straight into it,
+    and one grid array holds the monomial term.
     """
     total = rho.sum()
     axes = [a - np.sum(a * rho) / total for a in np.ix_(*grid.axes())]
@@ -47,25 +47,26 @@ def _density_start(grid: Grid3D, rho: np.ndarray, count: int) -> np.ndarray:
     )
     rng = np.random.default_rng(EIG_SEED)
     root = np.sqrt(rho)
-    cols = np.empty((count, grid.n_points)).T
+    rows = np.empty((count, grid.n_points))
     col = np.empty(grid.shape)
-    for j, powers in zip(range(count), monomials):
+    for row, powers in zip(rows, monomials):
         term = root
         for k in powers:
             term = np.multiply(term, axes[k], out=col)
         np.divide(term, np.linalg.norm(term), out=col)
-        noise = rng.standard_normal(out=cols[:, j])
+        noise = rng.standard_normal(out=row)
         noise *= 0.1 / np.linalg.norm(noise)
         noise += col.ravel()
-    return cols
+    return rows
 
 
-def _density(grid: Grid3D, pairs, occ) -> np.ndarray:
+def _density(grid: Grid3D, orbitals: np.ndarray, occ) -> np.ndarray:
+    """sum_j occ_j psi_j^2 over the (k, nx, ny, nz) orbital block."""
     rho = np.zeros(grid.shape)
     term = np.empty(grid.shape)
-    for lam, (eps, orb) in zip(occ, pairs):
+    for lam, orb in zip(occ, orbitals):
         if lam > 0.0:
-            rho += np.multiply(np.square(orb.values, out=term), lam, out=term)
+            rho += np.multiply(np.square(orb, out=term), lam, out=term)
     return rho
 
 
@@ -75,7 +76,7 @@ def _effective_potential(grid: Grid3D, rho: np.ndarray, v_ext: np.ndarray,
 
     u is dropped once it is added, before the xc term is formed.
     """
-    u = poisson_solve(ScalarField(grid=grid, values=rho)).values
+    u = poisson_solve(grid, rho)
     v = np.negative(v_ext)
     v += u
     del u
@@ -122,13 +123,13 @@ def scf_molecule(
     Memory, in grid arrays, with k the block size and M = MIX_DEPTH.
     Between steps the SCF holds v_ext, rho, the mixer's 2M + 2 history
     arrays, the k orbitals and the guard vector. A step forms v_eff (the
-    Hartree potential u is dropped once added), stacks the k warm-start
-    columns and drops the orbitals they copy, and runs one eigensolve of
-    8k + 2 arrays (see `eig`). A shell check adds rho_out, a constraint copy
-    of the k orbitals and the guard's 10. rho_out is dropped once mixed,
-    and the stationarity pass reuses two arrays for every orbital. So a
-    step peaks near max(14 + 9k, 23 + 2k) arrays; H2 (k = 1) read 25.6 on
-    a 31^3 box.
+    Hartree potential u is dropped once added), copies the (k, nx, ny, nz)
+    orbital block as the k warm-start rows and drops the block, and runs
+    one eigensolve of 8k + 2 arrays (see `eig`). A shell check adds
+    rho_out, a constraint copy of the k orbitals and the guard's 10.
+    rho_out is dropped once mixed, and the stationarity pass reuses two
+    arrays for every orbital. So a step peaks near max(14 + 9k, 23 + 2k)
+    arrays; H2 (k = 1) read 25.6 on a 31^3 box.
     """
     if N <= 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
@@ -136,7 +137,7 @@ def scf_molecule(
         raise ValueError("need N <= Z (existence regime)")
     check_grid_margin(grid, config)
 
-    v_ext = external_potential(grid, config).values
+    v_ext = external_potential(grid, config)
 
     rho = atomic_superposition(grid, config)
     rho *= N / grid.integrate(rho)
@@ -144,39 +145,40 @@ def scf_molecule(
     mixer = AndersonMixer()
     history = []
     count = int(math.ceil(N / q))  # block size, fixed by the first shell check
-    pairs = guard = None  # the last step's pairs warm-start the next eigensolve
+    orbitals = guard = None  # the last step's orbitals warm-start the next eigensolve
     for it in range(SCF_MAX_ITER):
-        v_field = ScalarField(grid=grid, values=_effective_potential(grid, rho, v_ext, xc),
-                              kind="potential")
-        if pairs is None:
+        v = _effective_potential(grid, rho, v_ext, xc)
+        if orbitals is None:
             initial = _density_start(grid, rho, count)
         else:
-            # the warm-start columns replace the pairs they copy
-            initial = np.stack([p[1].values.ravel() for p in pairs]).T
-            pairs = None
+            # a fresh copy, and the block dropped: passing the block itself
+            # raised an H2 point's peak RSS by up to 1.8 MB
+            initial = orbitals.copy()
+            orbitals = None
         # loose eigensolves while the density is far from self-consistent
         it_tol = max(EIG_TOL, 0.1 * history[-1]) if history else 1e-4
-        pairs, eig_resids = lowest_eigenpairs(v_field, count, tol=it_tol, initial=initial)
+        eps, orbitals, eig_resids = lowest_eigenpairs(grid, v, count, tol=it_tol,
+                                                      initial=initial)
         del initial
-        occ = aufbau_occupations(np.array([p[0] for p in pairs]), np.full(count, q), N)
-        rho_out = _density(grid, pairs, occ)
+        occ = aufbau_occupations(eps, np.full(count, q), N)
+        rho_out = _density(grid, orbitals, occ)
         resid = _residual(grid, rho_out, rho, N)
         closed = False
         if guard is None or resid < tol:
-            pairs, occ, guard, eig_resids, margin = occupied_eigenpairs(
-                v_field, N, q, it_tol, (pairs, eig_resids), guard
+            eps, orbitals, eig_resids, occ, guard, margin = occupied_eigenpairs(
+                grid, v, N, q, it_tol, (eps, orbitals, eig_resids), guard
             )
-            closed = len(pairs) == count
+            closed = len(eps) == count
             if not closed:
-                count = len(pairs)
+                count = len(eps)
                 del rho_out
-                rho_out = _density(grid, pairs, occ)
+                rho_out = _density(grid, orbitals, occ)
                 resid = _residual(grid, rho_out, rho, N)
         history.append(resid)
         if closed and resid < tol:
             rho = rho_out
             break
-        del v_field
+        del v
         rho = mixer.mix(rho, rho_out)
         del rho_out
         np.maximum(rho, 0.0, out=rho)
@@ -187,34 +189,34 @@ def scf_molecule(
             history,
         )
     del mixer
-    v_in = v_field.values  # the potential the returned orbitals solve
 
     # stationarity of every occupied orbital under the converged potential
     v_eff = _effective_potential(grid, rho, v_ext, xc)
     scale = math.sqrt(grid.cell_volume)
     stat_resids = []
     hpsi, term = np.empty((2, *grid.shape))
-    for lam, (eps, orb) in zip(occ, pairs):
+    for lam, e, orb in zip(occ, eps, orbitals):
         if lam <= 1e-12:
             continue
-        apply_hamiltonian(grid, v_eff, orb.values, out=hpsi)
-        hpsi -= np.multiply(orb.values, eps, out=term)
+        apply_hamiltonian(grid, v_eff, orb, out=hpsi)
+        hpsi -= np.multiply(orb, e, out=term)
         stat_resids.append(float(np.linalg.norm(hpsi)) * scale)
     del v_eff, hpsi, term
 
-    eig = np.array([p[0] for p in pairs])
     # a second solve of the same rho: perfbench's Poisson count identity
     # (steps + 2 per SCF solve) counts it
-    u = poisson_solve(ScalarField(grid=grid, values=rho)).values
+    u = poisson_solve(grid, rho)
 
     keep = occ > 1e-12
     return KSState(
-        orbitals=tuple(p[1] for p, k in zip(pairs, keep) if k),
+        orbitals=tuple(ScalarField(grid=grid, values=orb)
+                       for orb, k in zip(orbitals, keep) if k),
         occupations=occ[keep],
-        eigenvalues=eig[keep],
+        eigenvalues=eps[keep],
         q=q,
         rho0=ScalarField(grid=grid, values=rho, kind="density"),
-        energy=ks_energy(grid, rho, v_ext, u, v_in, xc, occ, eig),
+        # v, the potential of the last step, is the one the orbitals solve
+        energy=ks_energy(grid, rho, v_ext, u, v, xc, occ, eps),
         scf_history=tuple(history),
         meta={
             "stationarity": tuple(stat_resids),

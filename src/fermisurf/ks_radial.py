@@ -87,7 +87,7 @@ def scf_atom(
     levels = None
     occ = None
     for it in range(SCF_MAX_ITER):
-        v_h = radial_hartree_potential(ScalarField(grid=grid, values=rho))
+        v_h = radial_hartree_potential(grid, rho)
         v_eff = -z / r + v_h - xc.derivative(rho)
         levels = _radial_levels(r, h, v_eff, lmax, per_ell)
         eig = np.array([lv[0] for lv in levels])
@@ -115,7 +115,7 @@ def scf_atom(
 
     eig = np.array([lv[0] for lv in levels])
     rho0 = ScalarField(grid=grid, values=rho, kind="density")
-    v_h = radial_hartree_potential(rho0)
+    v_h = radial_hartree_potential(grid, rho)
     energy = ks_energy(grid, rho, z / r, v_h, v_eff, xc, occ, eig)
 
     keep = occ > 1e-12

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bo import GridPolicy, bo_tf
-from .grids import Grid3D, ScalarField
+from .grids import Grid3D
 from .tf_atom import atomic_screened_tf, atomic_tf
 from .tf_molecule import (
     NuclearConfiguration,
@@ -91,12 +91,9 @@ def _atomic_exterior_energy(
     phi_r = atomic_screened_tf(sol_atom, r)
     dist = np.sqrt(grid.squared_distance(single.positions[0]))
     mask = RegionMask(config=single, r=r)
-    vals = np.interp(dist.ravel(), sol_atom.grid.nodes, phi_r.values).reshape(
-        grid.shape
-    )
-    v_field = ScalarField(grid=grid, values=vals, kind="potential")
+    v_r = np.interp(dist, sol_atom.grid.nodes, phi_r)
     n_j = sol_atom.z - sol_atom.charge_within(r)
-    ext = exterior_tf(v_field, mask, max(n_j, 1e-9))
+    ext = exterior_tf(grid, v_r, mask, max(n_j, 1e-9))
     return ext.energy
 
 
@@ -121,10 +118,10 @@ def outside_decomposition_check(
     samples = []
     for r in rs:
         mask = RegionMask(config=config, r=r)
-        phi_field = screened_tf(mol, mask)
+        phi_r = screened_tf(mol, mask)
         gmask = mask.grid_mask(grid)
         bound = float(np.sum(mol.rho.values[gmask])) * grid.cell_volume
-        ext_mol = exterior_tf(phi_field, mask, bound)
+        ext_mol = exterior_tf(grid, phi_r, mask, bound)
         e_atoms = atomic_references(
             config, grid,
             lambda single, agrid: _atomic_exterior_energy(single, agrid, r),

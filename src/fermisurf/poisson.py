@@ -6,7 +6,9 @@ transform (`sine_transform`, also the eigensolver's preconditioner); the
 solution is the exact stencil solution (residual at rounding level), so no
 iteration control is needed. Boundary values come from the monopole +
 dipole expansion of the source, written on the box faces of a fresh array
-whose interior the solve then fills.
+whose interior the solve then fills. `poisson_solve(grid, source)` takes
+the source as a plain array of the grid's shape and returns the potential
+as one.
 
 Memory per solve: the output plus two interior-sized arrays. The right-hand
 side 4 pi source is formed on the interior nodes only, both sine transforms
@@ -23,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import Grid3D, GridError, ScalarField, SolverError
+from .grids import Grid3D, GridError, SolverError
 
 CHECK_TOL = 1e-6  # stencil residual bound, relative to max(1, max |4 pi source|)
 
@@ -154,25 +156,28 @@ def stencil_residual(
     return max(float(lap.max()), -float(lap.min()))
 
 
-def poisson_solve(source: ScalarField) -> ScalarField:
-    """Potential u with -Lap u = 4 pi source and multipole boundary values."""
-    grid = source.grid
+def poisson_solve(grid: Grid3D, source: np.ndarray) -> np.ndarray:
+    """Potential u with -Lap u = 4 pi source and multipole boundary values.
+
+    source is one value per node of grid and is not written; u is a fresh
+    array of the grid's shape. A residual above CHECK_TOL times
+    max(1, max |4 pi source|), or a NaN in it, raises PoissonError.
+    """
     if not isinstance(grid, Grid3D):
-        raise GridError("poisson_solve expects a 3D field")
-    src = source.values
-    _, _, _, u = multipole_boundary(grid, src)
-    inner = src[1:-1, 1:-1, 1:-1]
+        raise GridError("poisson_solve expects a 3D grid")
+    _, _, _, u = multipole_boundary(grid, source)
+    inner = source[1:-1, 1:-1, 1:-1]
     rhs, work = (np.empty(inner.shape) for _ in range(2))
     solve_dirichlet(grid, np.multiply(inner, 4.0 * np.pi, out=rhs), u, work)
     # the solve overwrote rhs; form it again for the check
     res = stencil_residual(grid, u, np.multiply(inner, 4.0 * np.pi, out=rhs), out=work)
     del rhs, work  # only the output outlives the check
     # 4 pi times the source's extremes: the extremes of the full-grid rhs
-    scale = max(1.0, 4.0 * np.pi * float(src.max()), -4.0 * np.pi * float(src.min()))
-    if res > CHECK_TOL * scale:
+    scale = max(1.0, 4.0 * np.pi * float(source.max()), -4.0 * np.pi * float(source.min()))
+    if not res <= CHECK_TOL * scale:  # NaN fails too
         raise PoissonError(
             f"direct stencil solve residual above tolerance "
             f"(final residual {res:.3e})",
             [res],
         )
-    return ScalarField(grid=grid, values=u, kind="potential")
+    return u

@@ -356,13 +356,12 @@ def atomic_tf(z: float, grid: RadialGrid | None = None) -> AtomicTFSolution:
             f"grid captures only {charge / z:.4%} of the charge; extend r_max"
         )
 
-    rho_f = ScalarField(grid=grid, values=rho, kind="density")
-    energy = tf_energy(grid, rho, z / r, radial_hartree_potential(rho_f))
+    energy = tf_energy(grid, rho, z / r, radial_hartree_potential(grid, rho))
 
     return AtomicTFSolution(
         z=z,
         grid=grid,
-        rho=rho_f,
+        rho=ScalarField(grid=grid, values=rho, kind="density"),
         phi=ScalarField(grid=grid, values=phi, kind="potential"),
         energy=energy,
         mu=0.0,
@@ -370,17 +369,16 @@ def atomic_tf(z: float, grid: RadialGrid | None = None) -> AtomicTFSolution:
     )
 
 
-def atomic_screened_tf(sol: AtomicTFSolution, r: float) -> ScalarField:
+def atomic_screened_tf(sol: AtomicTFSolution, r: float) -> np.ndarray:
     """Screened potential z/|x| minus the Coulomb field of the charge inside r.
 
-    Evaluated on the solution's radial grid via Newton's theorem.
+    Evaluated at the nodes of the solution's radial grid via Newton's theorem.
     """
     grid = sol.grid
     if not (0.0 < r <= grid.r_max):
         raise GridError("screening radius must lie inside the grid")
-    ball = ScalarField(grid=grid, values=np.where(grid.nodes <= r, sol.rho.values, 0.0))
-    values = sol.z / grid.nodes - radial_hartree_potential(ball)
-    return ScalarField(grid=grid, values=values, kind="potential")
+    ball = np.where(grid.nodes <= r, sol.rho.values, 0.0)
+    return sol.z / grid.nodes - radial_hartree_potential(grid, ball)
 
 
 # -- DOP853 (see the module docstring) ---------------------------------------

@@ -49,6 +49,9 @@ class NuclearConfiguration:
             raise ValueError("positions must be K x 3")
         if chg.shape != (pos.shape[0],) or np.any(chg <= 0.0):
             raise ValueError("need one positive charge per nucleus")
+        for name, a in (("positions", pos), ("charges", chg)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         if self.K >= 2 and self.R_min <= 0.0:
             raise ValueError("nuclei must be at distinct positions")
         pos.setflags(write=False)
@@ -151,7 +154,7 @@ def _cube_inv_r_integral(lo: np.ndarray, hi: np.ndarray) -> float:
     return total
 
 
-def external_potential(grid: Grid3D, config: NuclearConfiguration) -> ScalarField:
+def external_potential(grid: Grid3D, config: NuclearConfiguration) -> np.ndarray:
     """V_R on the grid, with the nucleus-containing cell averaged exactly."""
     v = np.zeros(grid.shape)
     h = grid.h
@@ -169,7 +172,7 @@ def external_potential(grid: Grid3D, config: NuclearConfiguration) -> ScalarFiel
             lo = node - h / 2 - pos
             hi = node + h / 2 - pos
             v[idx] += z * _cube_inv_r_integral(lo, hi) / h**3
-    return ScalarField(grid=grid, values=v, kind="potential")
+    return v
 
 
 def check_grid_margin(grid: Grid3D, config: NuclearConfiguration):
@@ -282,7 +285,7 @@ def _tf_fixed_point(
     history = []
 
     for _ in range(TF_MAX_SWEEPS):
-        u_out = poisson_solve(ScalarField(grid=grid, values=rho)).values
+        u_out = poisson_solve(grid, rho)
         rho_new = density(u_out)
         diff = np.subtract(rho_new, rho)
         change = float(np.abs(diff, out=diff).sum()) * vol / max(n_target, 1e-12)
@@ -307,13 +310,13 @@ def _tf_fixed_point(
     # the closing solves read only rho and v_ext
     del mixer, u, u_out, rho_new
 
-    phi = v_ext - poisson_solve(ScalarField(grid=grid, values=rho)).values
+    phi = v_ext - poisson_solve(grid, rho)
     mu = _pick_mu(phi, n_target, vol)[0] if constrained else 0.0
     # rho vanishes off the mask, so phi = 0 there makes the residual 0
     residual = tf_residual(rho, phi if mask is None else np.where(mask, phi, 0.0), mu)
     # a second solve of the same rho: perfbench's Poisson count identity
     # (sweeps + 2 per TF solve) counts it
-    u = poisson_solve(ScalarField(grid=grid, values=rho)).values
+    u = poisson_solve(grid, rho)
     return TFSolution(
         config=config,
         grid=grid,
@@ -336,7 +339,7 @@ def solve_tf(
         raise ValueError("particle number must be positive")
     check_grid_margin(grid, config)
 
-    v_ext = external_potential(grid, config).values
+    v_ext = external_potential(grid, config)
 
     def start():
         rho = atomic_superposition(grid, config)
@@ -350,21 +353,22 @@ def solve_tf(
 
 
 def exterior_tf(
-    v_r: ScalarField,
+    grid: Grid3D,
+    v_r: np.ndarray,
     mask: RegionMask,
     charge_bound: float,
 ) -> TFSolution:
     """TF minimizer over densities supported on A_r with int rho <= charge_bound.
 
-    The potential is 1_{A_r} v_r: the values of v_r off A_r are not read.
+    v_r holds one value per node of grid. The potential is 1_{A_r} v_r: the
+    values of v_r off A_r are not read.
     """
     if charge_bound <= 0.0:
         raise ValueError("charge bound must be positive")
-    grid = v_r.grid
     if not isinstance(grid, Grid3D):
         raise GridError("exterior problem is solved on a 3D grid")
     gmask = mask.grid_mask(grid)
-    v_ext = np.where(gmask, v_r.values, 0.0)
+    v_ext = np.where(gmask, v_r, 0.0)
 
     def start():
         rho = np.where(gmask, tf_density(v_ext), 0.0)
@@ -378,16 +382,15 @@ def exterior_tf(
     return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, gmask, start)
 
 
-def screened_tf(sol: TFSolution, mask: RegionMask) -> ScalarField:
-    """Screened potential Phi_r = V_R - (rho 1_{A_r^c}) * |x|^-1 on the grid.
+def screened_tf(sol: TFSolution, mask: RegionMask) -> np.ndarray:
+    """Screened potential Phi_r = V_R - (rho 1_{A_r^c}) * |x|^-1 on sol.grid.
 
     Sphere sups of Phi_r are taken by `screening.screened_compare`.
     """
     grid = sol.grid
     inner_rho = np.where(mask.grid_mask(grid), 0.0, sol.rho.values)
-    u = poisson_solve(ScalarField(grid=grid, values=inner_rho)).values
-    phi_r = external_potential(grid, sol.config).values - u
-    return ScalarField(grid=grid, values=phi_r, kind="potential")
+    u = poisson_solve(grid, inner_rho)
+    return external_potential(grid, sol.config) - u
 
 
 def matched_atomic_grid(grid: Grid3D, position: np.ndarray) -> Grid3D:

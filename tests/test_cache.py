@@ -93,8 +93,3 @@ class TestStore:
             results = list(ex.map(_concurrent_worker, [str(tmp_path)] * 8))
         assert all(s == {"e": -2.0} for s, _ in results)
         assert SolutionCache(tmp_path).get(cache_key("tf", {"z": 9.0})) == {"e": -2.0}
-
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FERMISURF_CACHE", str(tmp_path / "envcache"))
-        cache = SolutionCache()
-        assert cache.directory == tmp_path / "envcache"

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +155,33 @@ class TestExitCodes:
         assert exc.history == [0.5, 1.0]
         assert all(type(v) is float for v in exc.history)
 
+    @pytest.mark.parametrize("command, change, field", [
+        ("tf-molecule", {"positions": [[math.inf, 0, 0]]}, "positions"),
+        ("tf-molecule", {"positions": [[math.nan, 0, 0]]}, "positions"),
+        ("tf-molecule", {"charges": [math.nan]}, "charges"),
+        ("tf-molecule", {"grid": {"spacing": math.inf}}, "spacing"),
+        ("tf-molecule", {"grid": {"spacing": 0.5, "margin_factor": math.inf}},
+         "margin_factor"),
+        ("bo-scan", {"R_values": [math.inf]}, "R_values"),
+    ])
+    def test_non_finite_input_is_a_config_error(self, command, change, field,
+                                                tmp_path, capsys):
+        # JSON's Infinity and NaN parse to floats; each is refused up front
+        # with the field's name, not by a failed cast deep in a solve
+        base = {
+            "tf-molecule": {"positions": [[0, 0, 0]], "charges": [1.0],
+                            "grid": {"spacing": 0.5}},
+            "bo-scan": {"charges": [1.0, 1.0], "R_values": [1.4],
+                        "grid": {"spacing": 0.5}},
+        }[command]
+        cfg = _write_config(tmp_path / "c.json", {**base, **change})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert field in err["message"]
+
     def test_workers_must_be_positive(self, bo_config, tmp_path):
         assert main(["bo-scan", "--config", bo_config,
                      "--out", str(tmp_path), "--workers", "0"]) == 2
@@ -196,6 +225,13 @@ class TestOutputs:
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "bo_scan.csv").read_bytes() == \
             (out2 / "bo_scan.csv").read_bytes()
+
+    def test_bo_scan_reads_the_cache_directory_from_the_env_var(self, bo_config,
+                                                                tmp_path, monkeypatch):
+        cache = tmp_path / "envcache"
+        monkeypatch.setenv("FERMISURF_CACHE", str(cache))
+        assert main(["bo-scan", "--config", bo_config, "--out", str(tmp_path)]) == 0
+        assert len(list(cache.rglob("*.json"))) == 2  # one per scan point
 
     def test_parallel_workers_match_serial(self, bo_config, tmp_path):
         out1, out2 = tmp_path / "serial", tmp_path / "par"

@@ -11,7 +11,7 @@ from fermisurf.eig import (
     lowest_eigenpairs,
     occupied_eigenpairs,
 )
-from fermisurf.grids import Grid3D, GridError, ScalarField
+from fermisurf.grids import Grid3D, GridError
 from fermisurf.tf_molecule import NuclearConfiguration, external_potential
 
 
@@ -34,10 +34,7 @@ class TestDenseOracle:
         v = 0.5 * (X**2 + Y**2 + Z**2) - 1.0
         H = dense_hamiltonian(grid, v)
         exact = np.linalg.eigvalsh(H)[:4]
-        pairs, *_ = lowest_eigenpairs(
-            ScalarField(grid=grid, values=v), 4, tol=1e-9, maxiter=2000
-        )
-        got = np.array([lam for lam, _ in pairs])
+        got, *_ = lowest_eigenpairs(grid, v, 4, tol=1e-9, maxiter=2000)
         assert np.allclose(got, exact, rtol=1e-8, atol=1e-10)
 
     def test_dense_oracle_size_guard(self):
@@ -51,17 +48,17 @@ class TestPhysicalOracles:
         grid = Grid3D.cube((0, 0, 0), 6.0, 49)
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
-        pairs, *_ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
-        assert pairs[0][0] == pytest.approx(1.5, abs=2e-2)
+        eps, *_ = lowest_eigenpairs(grid, v, 1, tol=1e-7)
+        assert eps[0] == pytest.approx(1.5, abs=2e-2)
 
     def test_hydrogen_ground_state_refines_to_half(self):
         cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
         vals = []
         for n, half in ((41, 7.0), (81, 7.0)):
             grid = Grid3D.cube((0, 0, 0), half, n)
-            v = -external_potential(grid, cfg).values
-            pairs, *_ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 1, tol=1e-7)
-            vals.append(pairs[0][0])
+            v = -external_potential(grid, cfg)
+            eps, *_ = lowest_eigenpairs(grid, v, 1, tol=1e-7)
+            vals.append(eps[0])
         # O(h^2) approach to -0.5 from below
         assert abs(vals[1] + 0.5) < abs(vals[0] + 0.5)
         assert vals[1] == pytest.approx(-0.5, abs=5e-3)
@@ -72,11 +69,11 @@ class TestContracts:
         grid = Grid3D.cube((0, 0, 0), 5.0, 33)
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
-        pairs, *_ = lowest_eigenpairs(ScalarField(grid=grid, values=v), 4, tol=1e-7)
+        _, orbitals, _ = lowest_eigenpairs(grid, v, 4, tol=1e-7)
         vol = grid.cell_volume
-        for i, (_, fi) in enumerate(pairs):
-            for j, (_, fj) in enumerate(pairs):
-                ov = float(np.sum(fi.values * fj.values)) * vol
+        for i, fi in enumerate(orbitals):
+            for j, fj in enumerate(orbitals):
+                ov = float(np.sum(fi * fj)) * vol
                 assert ov == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
     def test_apply_hamiltonian_symmetric(self):
@@ -134,28 +131,27 @@ class TestContracts:
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
         with pytest.raises(EigenError) as exc:
-            lowest_eigenpairs(ScalarField(grid=grid, values=v), 3,
-                              tol=1e-14, maxiter=2)
+            lowest_eigenpairs(grid, v, 3, tol=1e-14, maxiter=2)
         assert exc.value.history
 
     def test_rejects_nonfinite_potential(self):
-        # bypass ScalarField's own construction check to exercise the
-        # solver-side guard
         grid = Grid3D.cube((0, 0, 0), 1.0, 7)
         v = np.zeros(grid.shape)
         v[0, 0, 0] = math.inf
-        field = ScalarField.__new__(ScalarField)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(field, "values", v)
-        object.__setattr__(field, "kind", "potential")
         with pytest.raises(GridError):
-            lowest_eigenpairs(field, 1)
+            lowest_eigenpairs(grid, v, 1)
 
 
 def _harmonic(half, n):
     grid = Grid3D.cube((0, 0, 0), half, n)
     X, Y, Z = grid.meshgrid()
-    return ScalarField(grid=grid, values=0.5 * (X**2 + Y**2 + Z**2))
+    return grid, 0.5 * (X**2 + Y**2 + Z**2)
+
+
+def _occupied(grid, v, n, q, tol):
+    """occupied_eigenpairs from a first solve of the ceil(n / q) lowest states."""
+    first = eig.lowest_eigenpairs(grid, v, math.ceil(n / q), tol=tol)
+    return occupied_eigenpairs(grid, v, n, q, tol, first)
 
 
 def _levels_1d(grid, omega):
@@ -176,30 +172,30 @@ class TestGuard:
     def well(self):
         grid = Grid3D.cube((0, 0, 0), 5.0, 21)
         X, Y, Z = grid.meshgrid()
-        field = ScalarField(grid=grid, values=0.5 * (X**2 + 0.49 * Y**2 + 1.69 * Z**2))
+        v = 0.5 * (X**2 + 0.49 * Y**2 + 1.69 * Z**2)
         gauss = np.exp(-0.25 * (X**2 + Y**2 + Z**2))
-        pairs, _ = lowest_eigenpairs(field, 1, initial=gauss.reshape(-1, 1))
+        _, orbitals, _ = lowest_eigenpairs(grid, v, 1, initial=gauss.reshape(1, -1))
         ex, ey, ez = (_levels_1d(grid, w) for w in (1.0, 0.7, 1.3))
         levels = {"y_odd": ex[0] + ey[1] + ez[0], "x_odd": ex[1] + ey[0] + ez[0]}
-        return field, pairs, (X * gauss).ravel(), levels
+        return grid, v, orbitals, (X * gauss).ravel(), levels
 
     def test_random_start_finds_lowest_complement_state(self, well):
-        field, pairs, _, levels = well
+        grid, v, orbitals, _, levels = well
         assert levels["y_odd"] == pytest.approx(2.159, abs=1e-3)
-        theta, rho, y = guard_eigenpair(field, pairs)
+        theta, rho, y = guard_eigenpair(grid, v, orbitals)
         assert abs(theta - levels["y_odd"]) <= rho
-        orbital = pairs[0][1].values.ravel()
-        assert abs(float(np.dot(y, orbital)) * field.grid.cell_volume) < 1e-10
+        orbital = orbitals[0].ravel()
+        assert abs(float(np.dot(y, orbital)) * grid.cell_volume) < 1e-10
 
     def test_smooth_start_settles_on_its_own_sector(self, well):
         # why the guard starts random: LOBPCG keeps a start free of the
         # lowest complement state almost free of it, and the loose guard
         # settles on the x-odd level first
-        field, pairs, x_odd, levels = well
+        grid, v, orbitals, x_odd, levels = well
         assert levels["x_odd"] == pytest.approx(2.442, abs=1e-3)
         noise = np.random.default_rng(3).standard_normal(x_odd.size)
         start = x_odd / np.linalg.norm(x_odd) + 0.01 * noise / np.linalg.norm(noise)
-        theta, rho, _ = guard_eigenpair(field, pairs, start)
+        theta, rho, _ = guard_eigenpair(grid, v, orbitals, start)
         assert abs(theta - levels["x_odd"]) <= rho
 
     def test_continuum_guard_matches_dense_complement(self):
@@ -208,16 +204,16 @@ class TestGuard:
         # about +0.03 Ha, where the guard's own preconditioner shift aims
         grid = Grid3D.cube((0, 0, 0), 5.5, 12)
         X, Y, Z = grid.meshgrid()
-        field = ScalarField(grid=grid, values=-0.6 / np.sqrt(X**2 + Y**2 + Z**2 + 1.0))
-        pairs, _ = lowest_eigenpairs(field, 1)
-        u = pairs[0][1].values.ravel() * math.sqrt(grid.cell_volume)
+        v = -0.6 / np.sqrt(X**2 + Y**2 + Z**2 + 1.0)
+        _, orbitals, _ = lowest_eigenpairs(grid, v, 1)
+        u = orbitals[0].ravel() * math.sqrt(grid.cell_volume)
         q = np.eye(grid.n_points) - np.outer(u, u)
         # Q H Q on the complement; the pair's own direction is lifted far
         # above the spectrum
-        compressed = q @ dense_hamiltonian(grid, field.values) @ q + 100.0 * np.outer(u, u)
+        compressed = q @ dense_hamiltonian(grid, v) @ q + 100.0 * np.outer(u, u)
         lowest = np.linalg.eigvalsh(compressed)[0]
         assert abs(lowest) < 0.05
-        theta, rho, y = guard_eigenpair(field, pairs)
+        theta, rho, y = guard_eigenpair(grid, v, orbitals)
         assert abs(theta - lowest) <= rho
         assert abs(float(np.dot(y, u)) * math.sqrt(grid.cell_volume)) < 1e-10
 
@@ -235,11 +231,11 @@ class TestShifts:
         # the harmonic well lowered by 2 Ha, so that min V < 0 enters the
         # wanted states' shift; N = 4 grows the block twice, each solve
         # followed by a guard
-        field = _harmonic(5.0, 21)
-        field = ScalarField(grid=field.grid, values=field.values - 2.0)
-        pairs, *_ = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
-        assert len(pairs) == 4
-        wanted = 1.0 + 0.1 * max(0.0, -float(field.values.min()))
+        grid, v = _harmonic(5.0, 21)
+        v -= 2.0
+        eps, *_ = _occupied(grid, v, 4.0, 2.0, 1e-8)
+        assert len(eps) == 4
+        wanted = 1.0 + 0.1 * max(0.0, -float(v.min()))
         assert wanted == pytest.approx(1.2, abs=1e-12)
         assert shifts == [wanted, eig.GUARD_SHIFT] * 3
 
@@ -252,21 +248,21 @@ class TestOccupied:
         sizes = []
         solve = eig.lowest_eigenpairs
 
-        def counting(potential, count, **kw):
+        def counting(grid, v, count, **kw):
             sizes.append(count)
-            return solve(potential, count, **kw)
+            return solve(grid, v, count, **kw)
 
         monkeypatch.setattr(eig, "lowest_eigenpairs", counting)
-        field = _harmonic(5.0, 21)
-        pairs, occ, guard, *_ = occupied_eigenpairs(field, 4.0, 2.0, 1e-8)
+        grid, v = _harmonic(5.0, 21)
+        eps, _, _, occ, guard, _ = _occupied(grid, v, 4.0, 2.0, 1e-8)
         assert sizes == [2, 3, 4]
-        assert len(pairs) == 4
+        assert len(eps) == 4
         assert np.allclose(occ, [2.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-        assert guard.shape == (field.grid.n_points,)
+        assert guard.shape == (grid.n_points,)
 
     def test_closed_shell_keeps_occupied_block(self):
-        pairs, occ, *_ = occupied_eigenpairs(_harmonic(5.0, 21), 2.0, 2.0, 1e-8)
-        assert len(pairs) == 1
+        eps, _, _, occ, *_ = _occupied(*_harmonic(5.0, 21), 2.0, 2.0, 1e-8)
+        assert len(eps) == 1
         assert occ.tolist() == [2.0]
 
     def test_shell_that_cannot_close_raises_with_history(self):
@@ -275,13 +271,11 @@ class TestOccupied:
         # grid is simple, so two equal bumps at opposite corners make the
         # pair: one state on each bump, split by tunnelling far below
         # FERMI_DEGENERACY_TOL
-        field = _harmonic(2.0, 5)
-        v = field.values.copy()
+        grid, v = _harmonic(2.0, 5)
         v[0, 0, 0] = v[-1, -1, -1] = 100.0
-        field = ScalarField(grid=field.grid, values=v)
-        n = 2.0 * (field.grid.n_points - 1)
+        n = 2.0 * (grid.n_points - 1)
         with pytest.raises(EigenError) as exc:
-            occupied_eigenpairs(field, n, 2.0, 1e-8)
+            _occupied(grid, v, n, 2.0, 1e-8)
         assert "does not close" in str(exc.value)
         assert len(exc.value.history) == 1
         assert exc.value.history[0] <= 1e-6
@@ -291,16 +285,16 @@ class TestLobpcg:
     def test_block_two_short_of_grid_matches_dense(self):
         # [X, W, P] has far more rows than the grid has points; the
         # dependent directions are dropped, not fatal
-        field = _harmonic(2.0, 5)
-        count = field.grid.n_points - 2
-        exact = np.linalg.eigvalsh(dense_hamiltonian(field.grid, field.values))[:count]
-        pairs, residuals = lowest_eigenpairs(field, count, tol=1e-9)
-        assert np.allclose([lam for lam, _ in pairs], exact, rtol=0.0, atol=1e-8)
+        grid, v = _harmonic(2.0, 5)
+        count = grid.n_points - 2
+        exact = np.linalg.eigvalsh(dense_hamiltonian(grid, v))[:count]
+        eps, _, residuals = lowest_eigenpairs(grid, v, count, tol=1e-9)
+        assert np.allclose(eps, exact, rtol=0.0, atol=1e-8)
         assert np.max(residuals) <= 1e-9 * max(1.0, float(np.max(np.abs(exact))))
 
     def test_converged_warm_start_takes_one_block_apply(self, monkeypatch):
-        field = _harmonic(5.0, 21)
-        pairs, _ = lowest_eigenpairs(field, 3, tol=1e-8)
+        grid, v = _harmonic(5.0, 21)
+        eps, orbitals, _ = lowest_eigenpairs(grid, v, 3, tol=1e-8)
         vectors = []
         apply = eig.apply_hamiltonian
 
@@ -309,11 +303,9 @@ class TestLobpcg:
             return apply(grid, v, psi, **kw)
 
         monkeypatch.setattr(eig, "apply_hamiltonian", counting)
-        initial = np.column_stack([orb.values.ravel() for _, orb in pairs])
-        again, _ = lowest_eigenpairs(field, 3, tol=1e-8, initial=initial)
+        again, *_ = lowest_eigenpairs(grid, v, 3, tol=1e-8, initial=orbitals)
         assert vectors == [3]
-        assert np.allclose([lam for lam, _ in again], [lam for lam, _ in pairs],
-                           rtol=0.0, atol=1e-12)
+        assert np.allclose(again, eps, rtol=0.0, atol=1e-12)
 
 
 class TestInPlaceKernels:
@@ -350,10 +342,10 @@ class TestInPlaceKernels:
 
     def test_guard_leaves_its_start_unchanged(self):
         # the constraint projection runs in the basis rows, not in the start
-        field = _harmonic(5.0, 21)
-        pairs, _ = lowest_eigenpairs(field, 1)
+        grid, v = _harmonic(5.0, 21)
+        _, orbitals, _ = lowest_eigenpairs(grid, v, 1)
         rng = np.random.default_rng(14)
-        start = rng.standard_normal(field.grid.n_points) + pairs[0][1].values.ravel()
+        start = rng.standard_normal(grid.n_points) + orbitals[0].ravel()
         kept = start.copy()
-        guard_eigenpair(field, pairs, start)
+        guard_eigenpair(grid, v, orbitals, start)
         assert np.array_equal(start, kept)

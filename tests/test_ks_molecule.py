@@ -102,7 +102,7 @@ class TestDiatomic:
 
         state, cfg, grid = h2_state
         rho = state.rho0.values
-        v = (-external_potential(grid, cfg).values + poisson_solve(state.rho0).values
+        v = (-external_potential(grid, cfg) + poisson_solve(grid, rho)
              - lda.derivative(rho))
         expected = [
             float(np.linalg.norm(apply_hamiltonian(grid, v, o.values) - e * o.values))
@@ -188,13 +188,14 @@ class TestBlockSize:
         sizes = []
         check = ks_molecule.occupied_eigenpairs
 
-        def grows_once(potential, n, q, tol, solved=None, guard=None):
+        def grows_once(grid, v, n, q, tol, solved, guard=None):
             sizes.append(len(solved[0]))
-            pairs, occ, guard, residuals, margin = check(potential, n, q, tol, solved, guard)
+            eps, orbitals, residuals, occ, guard, margin = check(grid, v, n, q, tol,
+                                                                 solved, guard)
             if len(sizes) == 2:  # the first check at convergence reports one more state
-                pairs, residuals = lowest_eigenpairs(potential, len(pairs) + 1, tol=tol)
-                occ = aufbau_occupations([p[0] for p in pairs], np.full(len(pairs), q), n)
-            return pairs, occ, guard, residuals, margin
+                eps, orbitals, residuals = lowest_eigenpairs(grid, v, len(eps) + 1, tol=tol)
+                occ = aufbau_occupations(eps, np.full(len(eps), q), n)
+            return eps, orbitals, residuals, occ, guard, margin
 
         cfg, grid = self._h2(lda)
         plain = scf_molecule(cfg, 2.0, lda, grid)

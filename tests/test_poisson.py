@@ -6,8 +6,9 @@ import pytest
 from scipy.fft import dstn
 from scipy.special import erf
 
-from fermisurf.grids import Grid3D, GridError, RadialGrid, ScalarField
+from fermisurf.grids import Grid3D, GridError, RadialGrid
 from fermisurf.poisson import (
+    PoissonError,
     multipole_boundary,
     poisson_solve,
     sine_transform,
@@ -25,19 +26,19 @@ class TestUniformBall:
     def test_newton_outside_and_center(self):
         grid = Grid3D.cube((0, 0, 0), 4.0, 65)
         rho, r = _ball_source(grid, 2.0, 1.0)
-        u = poisson_solve(ScalarField(grid=grid, values=rho))
+        u = poisson_solve(grid, rho)
         q_disc = grid.integrate(rho)
         # pointwise Newton check outside the support
         far = (r > 2.0) & (r < 3.5)
-        assert np.allclose(u.values[far], q_disc / r[far], rtol=2e-2)
+        assert np.allclose(u[far], q_disc / r[far], rtol=2e-2)
         # center value 3q/(2a)
         center = tuple(np.array(grid.dims) // 2)
-        assert u.values[center] == pytest.approx(1.5 * q_disc / 1.0, rel=2e-2)
+        assert u[center] == pytest.approx(1.5 * q_disc / 1.0, rel=2e-2)
 
     def test_zero_source(self):
         grid = Grid3D.cube((0, 0, 0), 2.0, 17)
-        u = poisson_solve(ScalarField(grid=grid, values=np.zeros(grid.shape)))
-        assert np.max(np.abs(u.values)) < 1e-12
+        u = poisson_solve(grid, np.zeros(grid.shape))
+        assert np.max(np.abs(u)) < 1e-12
 
 
 class TestGaussianOracle:
@@ -47,12 +48,12 @@ class TestGaussianOracle:
         X, Y, Z = grid.meshgrid()
         r = np.sqrt(X**2 + Y**2 + Z**2)
         rho = np.exp(-0.5 * r**2) / (2.0 * math.pi) ** 1.5
-        u = poisson_solve(ScalarField(grid=grid, values=rho))
+        u = poisson_solve(grid, rho)
         r_safe = np.maximum(r, 1e-10)
         exact = erf(r_safe / math.sqrt(2.0)) / r_safe
         exact[r < 1e-10] = math.sqrt(2.0 / math.pi)
         inner = r < 4.0
-        assert np.max(np.abs(u.values[inner] - exact[inner])) < 5e-3
+        assert np.max(np.abs(u[inner] - exact[inner])) < 5e-3
 
 
 class TestSineTransform:
@@ -116,33 +117,32 @@ class TestKernels:
     def test_solve_leaves_source_alone_and_repeats_exactly(self):
         grid = Grid3D((-2.0, -1.5, -1.75), 0.25, (17, 15, 19))
         values = self._source(grid, 3)
-        source = ScalarField(grid=grid, values=values.copy())
-        first = poisson_solve(source)
-        second = poisson_solve(source)
-        assert np.array_equal(source.values, values)
-        assert np.array_equal(first.values, second.values)
-        assert first.values is not second.values
+        source = values.copy()
+        first = poisson_solve(grid, source)
+        second = poisson_solve(grid, source)
+        assert np.array_equal(source, values)
+        assert np.array_equal(first, second)
+        assert first is not second
 
 
 class TestContracts:
     def test_stencil_residual_at_rounding_level(self):
         grid = Grid3D.cube((0, 0, 0), 3.0, 33)
         rho, _ = _ball_source(grid, 1.0, 0.8)
-        u = poisson_solve(ScalarField(grid=grid, values=rho))
-        res = stencil_residual(grid, u.values, (4.0 * math.pi * rho)[1:-1, 1:-1, 1:-1])
+        u = poisson_solve(grid, rho)
+        res = stencil_residual(grid, u, (4.0 * math.pi * rho)[1:-1, 1:-1, 1:-1])
         assert res < 1e-8
 
     def test_solve_holds_output_and_two_interior_arrays(self):
         grid = Grid3D.cube((0, 0, 0), 4.0, 33)
         rho, _ = _ball_source(grid, 1.0, 1.2)
-        source = ScalarField(grid=grid, values=rho)
-        poisson_solve(source)  # the cached sine matrices are not per solve
+        poisson_solve(grid, rho)  # the cached sine matrices are not per solve
         n = grid.dims[0]
         output, interior, face = 8 * n**3, 8 * (n - 2) ** 3, 8 * n**2
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            poisson_solve(source)
+            poisson_solve(grid, rho)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -157,12 +157,19 @@ class TestContracts:
         r1 = np.sqrt((X - 0.6) ** 2 + Y**2 + Z**2)
         rho = np.where(r1 <= 0.5, 1.0, 0.0)
         q = grid.integrate(rho)
-        u = poisson_solve(ScalarField(grid=grid, values=rho))
+        u = poisson_solve(grid, rho)
         far = (r1 > 1.5) & (r1 < 3.0)
-        assert np.allclose(u.values[far], q / r1[far], rtol=3e-2)
+        assert np.allclose(u[far], q / r1[far], rtol=3e-2)
 
     def test_rejects_radial_fields(self):
         grid = RadialGrid.logarithmic(1e-4, 5.0, 51)
-        f = ScalarField(grid=grid, values=np.ones(51))
         with pytest.raises(GridError):
-            poisson_solve(f)
+            poisson_solve(grid, np.ones(51))
+
+    def test_nan_source_fails_the_residual_check(self):
+        # no wrapper vets the source, so the check itself must reject NaN
+        grid = Grid3D.cube((0, 0, 0), 2.0, 17)
+        rho, _ = _ball_source(grid, 1.0, 0.8)
+        rho[8, 8, 8] = np.nan
+        with pytest.raises(PoissonError, match="final residual nan"):
+            poisson_solve(grid, rho)

@@ -248,7 +248,7 @@ class TestScreened:
         outside = nodes > r_cut
         oracle = float(np.sum(contrib[outside] / nodes[outside]))
         phi_at = np.interp(r_cut, nodes, sol.phi.values)
-        scr_at = np.interp(r_cut, nodes, phi_r.values)
+        scr_at = np.interp(r_cut, nodes, phi_r)
         assert scr_at - phi_at == pytest.approx(oracle, rel=1e-3)
         del k
 
@@ -256,7 +256,7 @@ class TestScreened:
         sol = atomic_tf(1.0)
         r_cut = 1e-3
         scr = atomic_screened_tf(sol, r_cut)
-        at = np.interp(r_cut, sol.grid.nodes, scr.values)
+        at = np.interp(r_cut, sol.grid.nodes, scr)
         # almost no charge inside: Phi(r) ~ z/r minus the full-cloud potential
         # at the origin offset; dominated by z/r
         assert at == pytest.approx(1.0 / r_cut, rel=5e-2)
@@ -265,7 +265,7 @@ class TestScreened:
         sol = atomic_tf(1.0)
         window = np.geomspace(2.0, 8.0, 6)
         vals = np.array([
-            abs(np.interp(r, sol.grid.nodes, atomic_screened_tf(sol, r).values)) * r**4
+            abs(np.interp(r, sol.grid.nodes, atomic_screened_tf(sol, r))) * r**4
             for r in window
         ])
         assert np.all(vals <= SOMMERFELD_C * 1.5)

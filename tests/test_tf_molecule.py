@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermisurf.bo import GridPolicy, diatomic
-from fermisurf.grids import Grid3D, GridError, ScalarField
+from fermisurf.grids import Grid3D, GridError
 from fermisurf.ks_common import MIX_DEPTH
 from fermisurf.tf_atom import atomic_tf, tf_density
 from fermisurf.tf_molecule import (
@@ -107,7 +107,7 @@ class TestExternalPotential:
         X, Y, Z = grid.meshgrid()
         r = np.sqrt(X**2 + Y**2 + Z**2)
         far = r > 2.0
-        assert np.allclose(v.values[far], 2.0 / r[far], rtol=1e-6)
+        assert np.allclose(v[far], 2.0 / r[far], rtol=1e-6)
 
     def test_margin_check(self):
         cfg = NuclearConfiguration(positions=[[0, 0, 0]], charges=[1.0])
@@ -292,13 +292,11 @@ class TestExterior:
         grid = _grid_for(cfg, h=0.3)
         sol = solve_tf(cfg, 2.0, grid)
         mask = RegionMask(config=cfg, r=0.6)
-        phi_field = screened_tf(sol, mask)
+        phi_r = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
-        v_r = ScalarField(grid=grid,
-                          values=np.where(gmask, phi_field.values, 0.0),
-                          kind="potential")
+        v_r = np.where(gmask, phi_r, 0.0)
         bound = float(np.sum(sol.rho.values[gmask])) * grid.cell_volume
-        ext = exterior_tf(v_r, mask, bound)
+        ext = exterior_tf(grid, v_r, mask, bound)
         # the exterior minimizer reproduces the molecular density on A_r
         diff = np.abs(ext.rho.values - sol.rho.values)[gmask]
         scale = np.max(sol.rho.values[gmask])
@@ -312,7 +310,7 @@ class TestExterior:
         grid = Grid3D.cube((0, 0, 0), 6.0, 25)
         mask = RegionMask(config=cfg, r=0.3)
         assert mask.grid_mask(grid).all()
-        ext = exterior_tf(external_potential(grid, cfg), mask, 1.0)
+        ext = exterior_tf(grid, external_potential(grid, cfg), mask, 1.0)
         assert 0.0 < ext.n_electrons <= 1.0 + 1e-10
 
     def test_exterior_density_vanishes_inside(self):
@@ -320,12 +318,10 @@ class TestExterior:
         grid = _grid_for(cfg, h=0.35)
         sol = solve_tf(cfg, 2.0, grid)
         mask = RegionMask(config=cfg, r=0.7)
-        phi_field = screened_tf(sol, mask)
+        phi_r = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
-        v_r = ScalarField(grid=grid,
-                          values=np.where(gmask, phi_field.values, 0.0),
-                          kind="potential")
-        ext = exterior_tf(v_r, mask, 2.0)
+        v_r = np.where(gmask, phi_r, 0.0)
+        ext = exterior_tf(grid, v_r, mask, 2.0)
         assert np.all(ext.rho.values[~gmask] == 0.0)
 
     def test_poisson_sources_stay_within_the_charge_bound(self, monkeypatch):
@@ -335,13 +331,12 @@ class TestExterior:
         grid = GridPolicy(spacing=0.25).build(cfg)
         sol = solve_tf(cfg, cfg.Z, grid)
         mask = RegionMask(config=cfg, r=0.5)
-        phi_field = screened_tf(sol, mask)
+        phi_r = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
-        v_r = ScalarField(grid=grid, values=np.where(gmask, phi_field.values, 0.0),
-                          kind="potential")
+        v_r = np.where(gmask, phi_r, 0.0)
         bound = float(np.sum(sol.rho.values[gmask])) * grid.cell_volume
         sources = _record_poisson_sources(monkeypatch)
-        exterior_tf(v_r, mask, bound)
+        exterior_tf(grid, v_r, mask, bound)
         assert len(sources) > 2
         assert min(float(s.min()) for s in sources) >= 0.0
         assert max(float(s.sum()) * grid.cell_volume for s in sources) <= bound + 1e-10
@@ -354,9 +349,9 @@ def _record_poisson_sources(monkeypatch):
     sources = []
     solve = tm.poisson_solve
 
-    def recording(source):
-        sources.append(source.values.copy())
-        return solve(source)
+    def recording(grid, source):
+        sources.append(source.copy())
+        return solve(grid, source)
 
     monkeypatch.setattr(tm, "poisson_solve", recording)
     return sources
@@ -369,9 +364,8 @@ def _bare_exterior_problem():
     mask = RegionMask(config=cfg, r=0.8)
     gmask = mask.grid_mask(grid)
     dist = np.sqrt(grid.squared_distance(cfg.positions[0]))
-    v_r = ScalarField(grid=grid, kind="potential",
-                      values=np.where(gmask, 2.0 / np.maximum(dist, grid.h), 0.0))
-    return v_r, mask
+    v_r = np.where(gmask, 2.0 / np.maximum(dist, grid.h), 0.0)
+    return grid, v_r, mask
 
 
 class TestPoissonCount:
@@ -385,9 +379,9 @@ class TestPoissonCount:
         assert len(sources) == len(sol.history) + 2
 
     def test_exterior_tf(self, monkeypatch):
-        v_r, mask = _bare_exterior_problem()
+        grid, v_r, mask = _bare_exterior_problem()
         sources = _record_poisson_sources(monkeypatch)
-        ext = exterior_tf(v_r, mask, 1.0)
+        ext = exterior_tf(grid, v_r, mask, 1.0)
         assert len(sources) == len(ext.history) + 2
 
 
@@ -398,7 +392,7 @@ class TestPickMuCount:
     def test_exterior_tf(self, monkeypatch):
         import fermisurf.tf_molecule as tm
 
-        v_r, mask = _bare_exterior_problem()
+        grid, v_r, mask = _bare_exterior_problem()
         calls = []
         pick_mu = tm._pick_mu
 
@@ -408,7 +402,7 @@ class TestPickMuCount:
             return out
 
         monkeypatch.setattr(tm, "_pick_mu", counting)
-        ext = exterior_tf(v_r, mask, 1.0)
+        ext = exterior_tf(grid, v_r, mask, 1.0)
         sweeps = len(ext.history)
         assert sweeps >= 2
         assert len(calls) == 2 * sweeps - 1

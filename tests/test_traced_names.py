@@ -1,13 +1,16 @@
 """The functions perfbench/spans.py traces by name must exist in the package.
 
 spans.py skips a traced name the package no longer has, so a rename would
-make that layer's metrics read 0 without any error. The module is loaded
-from its path and only its tables are read; no tracer is installed.
+make that layer's metrics read 0 without any error; its hooks read the
+traced calls' arguments by parameter name, so those names must stay too.
+The module is loaded from its path and only its tables and hook sources
+are read; no tracer is installed.
 """
 
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -47,9 +50,28 @@ def test_traced_method_resolves(span, owner, cls, method):
     assert callable(getattr(getattr(module, cls, None), method, None)), span
 
 
-def test_solve_ivp_keeps_the_t_span_parameter():
-    # spans.py binds solve_ivp's arguments and reads args["t_span"] to count
-    # forward and backward integrations; a rename would fail every traced run
-    from fermisurf.tf_atom import solve_ivp
+def _hook_reads():
+    """(owner, attr, name) for every argument a hook reads of a traced function.
 
-    assert "t_span" in inspect.signature(solve_ivp).parameters
+    A hook reads its bound arguments as args["name"] or args.get("name", ...).
+    """
+    reads = []
+    for key, hook in vars(SPANS.Tracer).items():
+        if not key.startswith("_after_"):
+            continue
+        source = inspect.getsource(hook)
+        names = sorted(set(re.findall(r'args(?:\[|\.get\()"(\w+)"', source)))
+        for span, owner, attr, _ in SPANS.SPANS:
+            if span == key[len("_after_"):] and (owner, attr) not in STALE:
+                reads += [pytest.param(owner, attr, name, id=f"{attr}-{name}")
+                          for name in names]
+    return reads
+
+
+@pytest.mark.parametrize("owner, attr, name", _hook_reads())
+def test_hook_reads_parameters_of_its_traced_function(owner, attr, name):
+    # spans.py binds a traced call's arguments and its hooks read them by
+    # name: a renamed t_span fails every traced run, and a renamed psi makes
+    # eig.h_applies count 1 per call instead of k with no error
+    function = getattr(importlib.import_module(f"fermisurf.{owner}"), attr)
+    assert name in inspect.signature(function).parameters, f"{owner}.{attr}: {name}"
