@@ -1,8 +1,9 @@
-"""The scaling limit Gamma(R) = lim_l l^7 D^TF(Z, lR) is charge independent.
+"""Two ladders for the scaling limit Gamma(R) = lim_l l^7 D^TF(Z, lR).
 
-Builds two extrapolation ladders with different base charges. Their
-estimates agree within the reported extrapolation error, illustrating that
-the limit depends only on the geometry.
+Builds two extrapolation ladders with base charges (1,1) and (2,2). Exact
+TF scaling maps one onto the other, so their estimates agreeing within the
+reported extrapolation error checks that scaling, not that Gamma is the
+same for all charges.
 """
 
 from fermisurf import GridPolicy, NuclearConfiguration, gamma_limit

@@ -85,10 +85,10 @@ class BOCurve:
     samples: tuple  # BOSample, sorted by R_min
     fit: PowerLawFit | None = None
 
-    def with_fit(self, window=None) -> "BOCurve":
+    def with_fit(self) -> "BOCurve":
         rs = np.array([s.R_min for s in self.samples])
         ds = np.array([s.D for s in self.samples])
-        fit = powerlaw_fit(rs, ds, window=window)
+        fit = powerlaw_fit(rs, ds)
         return BOCurve(charges=self.charges, samples=self.samples, fit=fit)
 
 

@@ -4,13 +4,15 @@ A cache lives in the directory its caller names; the package picks no
 default (the CLI's `bo-scan` takes it from --cache or FERMISURF_CACHE).
 Keys are SHA-256 hashes of the solver id, the canonical JSON of the numeric
 inputs and a fingerprint of the numerics: a SHA-256 of the package's .py
-sources (computed once per process), the numpy and scipy versions, and the
-BLAS/OpenMP thread variables, whose values move D in its last digits. Any
-change to the code or the libraries therefore misses instead of serving a
-stale result. Each entry is one JSON file of scalars with their digest;
-writes go through a temp file and atomic rename so concurrent identical
-runs leave one valid entry. Scalars whose recorded digest no longer
-matches are treated as a miss with a warning.
+sources (computed once per process), the numpy version, and the
+BLAS/OpenMP thread variables, whose values move D in its last digits. No
+cached solve loads scipy, so its version is not part of the key. Any
+change to the code or to numpy therefore misses instead of serving a stale
+result. Each entry is one JSON file of scalars with their digest; writes
+go through a temp file and atomic rename so concurrent identical runs
+leave one valid entry. An entry is served only if it is a JSON object
+whose "scalars_sha256" is the digest of its "scalars"; anything else is a
+miss with a warning.
 """
 
 from __future__ import annotations
@@ -43,12 +45,9 @@ def source_fingerprint() -> str:
 
 
 def cache_key(solver_id: str, inputs) -> str:
-    import scipy
-
     numerics = {
         "sources": source_fingerprint(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
     }
     payload = canonical_json(
@@ -92,15 +91,17 @@ class SolutionCache:
             return None
         try:
             entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            valid = (isinstance(entry, dict) and "scalars" in entry
+                     and entry.get("scalars_sha256") == _digest(entry["scalars"]))
+        # ValueError: malformed JSON, or a NaN scalar that has no digest
+        except (OSError, ValueError) as exc:
             warnings.warn(f"cache entry unreadable, treating as miss: {exc}",
                           RuntimeWarning, stacklevel=2)
             return None
-        if entry.get("scalars_sha256"):
-            if _digest(entry["scalars"]) != entry["scalars_sha256"]:
-                warnings.warn("cache scalar digest mismatch, treating as miss",
-                              RuntimeWarning, stacklevel=2)
-                return None
+        if not valid:
+            warnings.warn("cache entry fails its scalar digest, treating as miss",
+                          RuntimeWarning, stacklevel=2)
+            return None
         return entry["scalars"]
 
     def put(self, key: str, scalars) -> None:

@@ -134,7 +134,7 @@ def _xc(value) -> dict:
 
 def _cmd_tf_atom(cfg, args, out: Path) -> None:
     z = cfg["z"]
-    sol = atomic_tf(z)  # rejects z <= 0
+    sol = atomic_tf(z)  # rejects a non-positive or non-finite z
     scale = z ** (-1.0 / 3.0)
     window = cfg["fit_window"] or (10.0 * scale, 100.0 * scale)
     fit = powerlaw_fit(sol.grid.nodes, np.maximum(sol.phi.values, 1e-300),
@@ -152,7 +152,7 @@ def _cmd_tf_molecule(cfg, args, out: Path) -> None:
     config = NuclearConfiguration(cfg["positions"], cfg["charges"])
     n = config.Z if cfg["n"] is None else cfg["n"]
     grid = cfg["grid"].build(config)
-    sol = solve_tf(config, n, grid)  # rejects n <= 0
+    sol = solve_tf(config, n, grid)  # rejects a non-positive or non-finite n
     rows = [[config.R_min if config.K > 1 else 0.0, n, sol.energy, sol.mu,
              grid.h, sol.residual, config.U_R]]
     path = _write(out, "tf_molecule", "R_min,n,energy,mu,grid_h,residual,U_R", rows)

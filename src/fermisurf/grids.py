@@ -9,6 +9,7 @@ imports this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,10 @@ class Grid3D:
         origin = np.asarray(self.origin, dtype=float)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.h <= 0.0:
-            raise GridError("grid spacing must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise GridError("grid spacing h must be positive and finite")
+        if not np.all(np.isfinite(origin)):
+            raise GridError("grid origin must be finite")
         if len(self.dims) != 3 or any(d < 2 for d in self.dims):
             raise GridError("dims must be three integers >= 2")
         n = self.dims[0] * self.dims[1] * self.dims[2]

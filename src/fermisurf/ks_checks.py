@@ -17,7 +17,6 @@ from .xc import XCFunctional, exchange_energy
 
 @dataclass(frozen=True)
 class ExchangeBoundReport:
-    eps_values: tuple
     margins: tuple  # rhs - E_xc of the normalized functional, per eps
     passed: bool
 
@@ -39,7 +38,6 @@ def check_exchange_bound(state: KSState, xc: XCFunctional, eps_values) -> Exchan
         c_eps = max(1.0, eps ** -1.5)
         margins.append(eps * rho53 + 2.0 * c_eps * tr_gamma - lhs)
     return ExchangeBoundReport(
-        eps_values=tuple(float(e) for e in eps_values),
         margins=tuple(margins),
         passed=bool(all(m >= 0.0 for m in margins)),
     )

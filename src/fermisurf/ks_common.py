@@ -1,4 +1,5 @@
-"""Pieces shared by the radial and 3D Kohn-Sham solvers.
+"""Pieces shared by the self-consistent loops: the radial and 3D Kohn-Sham
+SCFs and, for the mixer and the density change, the molecular TF sweep.
 
 Occupations follow the aufbau rule for the extended model: levels fill to
 their capacity in increasing eigenvalue order, with fractional weights
@@ -48,12 +49,12 @@ class KSState:
         return float(self.occupations.sum())
 
 
-def aufbau_occupations(eigenvalues, capacities, n: float,
-                       tol: float = FERMI_DEGENERACY_TOL) -> np.ndarray:
+def aufbau_occupations(eigenvalues, capacities, n: float) -> np.ndarray:
     """Fill levels of given capacities with n particles, lowest first.
 
-    Levels within `tol` of the Fermi level share the remaining weight in
-    proportion to capacity (deterministic, symmetry preserving).
+    Levels within FERMI_DEGENERACY_TOL of the Fermi level share the
+    remaining weight in proportion to capacity (deterministic, symmetry
+    preserving).
     """
     eig = np.asarray(eigenvalues, dtype=float)
     cap = np.asarray(capacities, dtype=float)
@@ -67,7 +68,7 @@ def aufbau_occupations(eigenvalues, capacities, n: float,
         # group levels degenerate with the current one
         group = [order[i]]
         while i + len(group) < len(order) and (
-            eig[order[i + len(group)]] - eig[group[0]] <= tol
+            eig[order[i + len(group)]] - eig[group[0]] <= FERMI_DEGENERACY_TOL
         ):
             group.append(order[i + len(group)])
         group_cap = cap[group].sum()
@@ -81,6 +82,12 @@ def aufbau_occupations(eigenvalues, capacities, n: float,
             f"could not place {remaining:g} particles: spectrum exhausted", []
         )
     return occ
+
+
+def density_change(grid, new: np.ndarray, old: np.ndarray, n: float) -> float:
+    """int |new - old| / n on a radial or 3D grid: the change one sweep makes."""
+    diff = np.subtract(new, old)
+    return grid.integrate(np.abs(diff, out=diff)) / n
 
 
 def ks_energy(grid, rho, v_nuc, v_h, v_in, xc, occ, eig) -> dict:

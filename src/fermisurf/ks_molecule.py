@@ -17,7 +17,8 @@ import numpy as np
 
 from .eig import EIG_SEED, apply_hamiltonian, lowest_eigenpairs, occupied_eigenpairs
 from .grids import Grid3D, ScalarField
-from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations, ks_energy
+from .ks_common import (AndersonMixer, KSState, SCFError, aufbau_occupations,
+                        density_change, ks_energy)
 from .poisson import poisson_solve
 from .tf_molecule import (
     NuclearConfiguration,
@@ -84,12 +85,6 @@ def _effective_potential(grid: Grid3D, rho: np.ndarray, v_ext: np.ndarray,
     return v
 
 
-def _residual(grid: Grid3D, rho_out: np.ndarray, rho: np.ndarray, n: float) -> float:
-    """Density residual int |rho_out - rho| / n."""
-    diff = np.subtract(rho_out, rho)
-    return grid.integrate(np.abs(diff, out=diff)) / n
-
-
 def scf_molecule(
     config: NuclearConfiguration,
     N: float,
@@ -131,10 +126,12 @@ def scf_molecule(
     arrays for every orbital. So a step peaks near max(14 + 9k, 23 + 2k)
     arrays; H2 (k = 1) read 25.6 on a 31^3 box.
     """
-    if N <= 0.0:
+    if not N > 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
     if N > config.Z + 1e-12:
         raise ValueError("need N <= Z (existence regime)")
+    if not 0.0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
     check_grid_margin(grid, config)
 
     v_ext = external_potential(grid, config)
@@ -162,7 +159,7 @@ def scf_molecule(
         del initial
         occ = aufbau_occupations(eps, np.full(count, q), N)
         rho_out = _density(grid, orbitals, occ)
-        resid = _residual(grid, rho_out, rho, N)
+        resid = density_change(grid, rho_out, rho, N)
         closed = False
         if guard is None or resid < tol:
             eps, orbitals, eig_resids, occ, guard, margin = occupied_eigenpairs(
@@ -173,7 +170,7 @@ def scf_molecule(
                 count = len(eps)
                 del rho_out
                 rho_out = _density(grid, orbitals, occ)
-                resid = _residual(grid, rho_out, rho, N)
+                resid = density_change(grid, rho_out, rho, N)
         history.append(resid)
         if closed and resid < tol:
             rho = rho_out

@@ -14,7 +14,8 @@ import numpy as np
 
 from .coulomb import radial_hartree_potential
 from .grids import GridError, RadialGrid, ScalarField
-from .ks_common import AndersonMixer, KSState, SCFError, aufbau_occupations, ks_energy
+from .ks_common import (AndersonMixer, KSState, SCFError, aufbau_occupations,
+                        density_change, ks_energy)
 from .tf_atom import atomic_tf
 from .xc import XCFunctional
 
@@ -58,9 +59,10 @@ def scf_atom(
     tol: float = 1e-6,
 ) -> KSState:
     """Self-consistent radial KS-LDA atom with fractional occupations."""
-    if z <= 0.0 or q <= 0.0:
-        raise ValueError("z and q must be positive")
-    if N < 0.0 or N > z + 1e-12:
+    for name, value in (("z", z), ("q", q)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    if not 0.0 <= N <= z + 1e-12:
         raise ValueError("need 0 <= N <= z (existence regime)")
     if grid is None:
         grid = default_ks_radial_grid(z)
@@ -97,7 +99,7 @@ def scf_atom(
         for lam, (eps, ell, u) in zip(occ, levels):
             if lam > 0.0:
                 rho_out += lam * u**2 / (4.0 * np.pi * r**2)
-        resid = grid.integrate(np.abs(rho_out - rho)) / N
+        resid = density_change(grid, rho_out, rho, N)
         history.append(resid)
         if resid < tol:
             rho = rho_out
@@ -110,10 +112,9 @@ def scf_atom(
             history,
         )
 
-    if np.any((occ > 1e-9) & (np.array([lv[0] for lv in levels]) > 0.0)):
+    if np.any((occ > 1e-9) & (eig > 0.0)):
         raise SCFError("requested N is not bound: positive levels occupied", history)
 
-    eig = np.array([lv[0] for lv in levels])
     rho0 = ScalarField(grid=grid, values=rho, kind="density")
     v_h = radial_hartree_potential(grid, rho)
     energy = ks_energy(grid, rho, z / r, v_h, v_eff, xc, occ, eig)

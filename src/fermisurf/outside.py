@@ -67,9 +67,7 @@ def qij_tf(atomic_solutions, config: NuclearConfiguration, r: float) -> np.ndarr
 @dataclass(frozen=True)
 class OutsideSample:
     r: float
-    exterior_mol: float
-    exterior_atoms: float
-    decomposition: float  # exterior_mol - sum exterior_atoms
+    decomposition: float  # molecular minus summed atomic exterior energies
     gap: float
     gap_r7: float
 
@@ -131,8 +129,6 @@ def outside_decomposition_check(
         samples.append(
             OutsideSample(
                 r=r,
-                exterior_mol=ext_mol.energy,
-                exterior_atoms=e_atoms,
                 decomposition=decomp,
                 gap=gap,
                 gap_r7=gap * r**7,

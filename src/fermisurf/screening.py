@@ -26,7 +26,6 @@ PROFILE_S_MIN = 1e-3
 class NucleusProfile:
     """Spherically averaged density and cumulative charge around a nucleus."""
 
-    center: np.ndarray
     s: np.ndarray  # radii
     rho_bar: np.ndarray
     q_cum: np.ndarray  # charge inside radius s
@@ -37,7 +36,6 @@ class NucleusProfile:
 
 def nucleus_profile(rho: ScalarField, center, s_max: float) -> NucleusProfile:
     """Average a 3D density over spheres around `center` (Fibonacci lattice)."""
-    center = np.asarray(center, dtype=float)
     s = np.geomspace(PROFILE_S_MIN, s_max, PROFILE_RADII)
     rho_bar = np.empty(PROFILE_RADII)
     for k, sk in enumerate(s):
@@ -48,7 +46,7 @@ def nucleus_profile(rho: ScalarField, center, s_max: float) -> NucleusProfile:
     # trapezoid cumulative; the first shell is extended to s = 0
     q[0] = shell[0] * s[0] / 3.0
     q[1:] = q[0] + np.cumsum(0.5 * (shell[1:] + shell[:-1]) * np.diff(s))
-    return NucleusProfile(center=center, s=s, rho_bar=rho_bar, q_cum=q)
+    return NucleusProfile(s=s, rho_bar=rho_bar, q_cum=q)
 
 
 @dataclass(frozen=True)

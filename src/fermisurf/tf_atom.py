@@ -335,8 +335,8 @@ def atomic_tf(z: float, grid: RadialGrid | None = None) -> AtomicTFSolution:
     Energy is evaluated by quadrature of the TF functional; the exact
     scaling E(z) = z^(7/3) E(1) is inherited from the universal profile.
     """
-    if z <= 0.0:
-        raise ValueError("z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("z must be positive and finite")
     if grid is None:
         grid = default_atomic_grid(z)
     scale = z ** (-1.0 / 3.0)

@@ -6,8 +6,8 @@ with the chemical potential mu picked by Newton's method on the excess
 charge when the particle number constraint binds. The Anderson mixer acts
 on the Hartree potential u, which the Coulomb kernel smooths, rather than
 on rho: each sweep makes one Poisson solve and feeds the density of the
-mixed u to the next. The same sweep with a region mask solves the
-exterior problem on A_r.
+mixed u to the next. The same sweep solves the exterior problem on A_r,
+whose potential vanishes off A_r.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid3D, GridError, ScalarField, SolverError
-from .ks_common import AndersonMixer
+from .ks_common import AndersonMixer, density_change
 from .poisson import poisson_solve
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_residual
 
@@ -109,8 +109,8 @@ class RegionMask:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError("exclusion radius must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError("exclusion radius r must be positive and finite")
         if self.config.K >= 2 and self.r > self.config.R_min / 2.0 + 1e-12:
             raise ValueError("r must be <= R_min/2 so the spheres are disjoint")
 
@@ -252,17 +252,16 @@ def _tf_fixed_point(
     v_ext: np.ndarray,
     n_target: float,
     constrained: bool,
-    mask: np.ndarray | None,
     start: Callable[[], np.ndarray],
 ) -> TFSolution:
     """Anderson-mixed fixed point of the Hartree potential u = P T(u).
 
     T(u) is the TF density at phi = v_ext - u (mu from `_pick_mu` when
-    constrained, zero off the mask) and P the Poisson solve. Each sweep
-    makes one solve, u_out = P rho, and stops once the density T(u_out)
-    moves rho by less than TF_TOL. Otherwise the first sweep takes
-    u_out and later ones mix u toward it, and rho = T(u) is the next
-    source. Every source after the initial one is a TF density, so it is
+    constrained) and P the Poisson solve. Each sweep makes one solve,
+    u_out = P rho, and stops once the density T(u_out) moves rho by less
+    than TF_TOL (`density_change`). Otherwise the first sweep takes u_out
+    and later ones mix u toward it, and rho = T(u) is the next source.
+    Every source after the initial one is a TF density, so it is
     nonnegative and, when constrained, within the charge bound.
 
     start() builds the initial density here, so no caller frame pins it.
@@ -271,14 +270,10 @@ def _tf_fixed_point(
     dropped once it is last read.
     """
     vol = grid.cell_volume
-    off_mask = None if mask is None else ~mask
 
     def density(u):
         phi = v_ext - u
-        rho = _pick_mu(phi, n_target, vol)[1] if constrained else tf_density(phi)
-        if off_mask is not None:
-            np.copyto(rho, 0.0, where=off_mask)
-        return rho
+        return _pick_mu(phi, n_target, vol)[1] if constrained else tf_density(phi)
 
     rho, u = start(), None
     mixer = AndersonMixer()
@@ -287,9 +282,7 @@ def _tf_fixed_point(
     for _ in range(TF_MAX_SWEEPS):
         u_out = poisson_solve(grid, rho)
         rho_new = density(u_out)
-        diff = np.subtract(rho_new, rho)
-        change = float(np.abs(diff, out=diff).sum()) * vol / max(n_target, 1e-12)
-        del diff
+        change = density_change(grid, rho_new, rho, n_target)
         history.append(change)
         if change < TF_TOL:
             rho = rho_new
@@ -312,8 +305,7 @@ def _tf_fixed_point(
 
     phi = v_ext - poisson_solve(grid, rho)
     mu = _pick_mu(phi, n_target, vol)[0] if constrained else 0.0
-    # rho vanishes off the mask, so phi = 0 there makes the residual 0
-    residual = tf_residual(rho, phi if mask is None else np.where(mask, phi, 0.0), mu)
+    residual = tf_residual(rho, phi, mu)
     # a second solve of the same rho: perfbench's Poisson count identity
     # (sweeps + 2 per TF solve) counts it
     u = poisson_solve(grid, rho)
@@ -335,8 +327,8 @@ def solve_tf(
     grid: Grid3D,
 ) -> TFSolution:
     """Molecular TF minimizer with particle number constraint int rho <= n."""
-    if n <= 0.0:
-        raise ValueError("particle number must be positive")
+    if not 0.0 < n < math.inf:
+        raise ValueError("particle number n must be positive and finite")
     check_grid_margin(grid, config)
 
     v_ext = external_potential(grid, config)
@@ -348,7 +340,7 @@ def solve_tf(
         return rho
 
     return _tf_fixed_point(
-        config, grid, v_ext, min(n, config.Z), n < config.Z - 1e-9, None, start
+        config, grid, v_ext, min(n, config.Z), n < config.Z - 1e-9, start
     )
 
 
@@ -361,25 +353,26 @@ def exterior_tf(
     """TF minimizer over densities supported on A_r with int rho <= charge_bound.
 
     v_r holds one value per node of grid. The potential is 1_{A_r} v_r: the
-    values of v_r off A_r are not read.
+    values of v_r off A_r are not read. The potential alone keeps rho on A_r:
+    u = P rho > 0 (a nonnegative source with positive monopole faces), so
+    phi = -u < 0 off A_r and the TF density is exactly 0 there.
     """
-    if charge_bound <= 0.0:
-        raise ValueError("charge bound must be positive")
+    if not 0.0 < charge_bound < math.inf:
+        raise ValueError("charge_bound must be positive and finite")
     if not isinstance(grid, Grid3D):
         raise GridError("exterior problem is solved on a 3D grid")
-    gmask = mask.grid_mask(grid)
-    v_ext = np.where(gmask, v_r, 0.0)
+    v_ext = np.where(mask.grid_mask(grid), v_r, 0.0)
 
     def start():
-        rho = np.where(gmask, tf_density(v_ext), 0.0)
+        rho = tf_density(v_ext)
         s = rho.sum() * grid.cell_volume
-        if s > charge_bound > 0:
+        if s > charge_bound:
             rho *= charge_bound / s
         return rho
 
     # the unconstrained charge of an exterior problem is unknown, so mu is
     # always solved against the bound
-    return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, gmask, start)
+    return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, start)
 
 
 def screened_tf(sol: TFSolution, mask: RegionMask) -> np.ndarray:

@@ -79,6 +79,24 @@ class TestStore:
         with pytest.warns(RuntimeWarning, match="digest"):
             assert cache.get(key) is None
 
+    @pytest.mark.parametrize("entry", [
+        [],
+        {},
+        {"scalars_sha256": "x"},
+        {"scalars": {"e": 1.0}},
+        {"scalars": {"e": 1.0}, "scalars_sha256": "0" * 64},
+        {"scalars": {"e": float("nan")}, "scalars_sha256": "0" * 64},
+    ])
+    def test_entry_without_its_digest_is_a_miss(self, entry, tmp_path):
+        # JSON of the wrong shape, or with scalars that have no digest, is a
+        # miss, never a traceback or an unchecked hit
+        cache = SolutionCache(tmp_path)
+        key = cache_key("tf", {"z": 6.0})
+        cache.put(key, {"e": 1.0})
+        cache._path(key).write_text(json.dumps(entry))
+        with pytest.warns(RuntimeWarning, match="treating as miss"):
+            assert cache.get(key) is None
+
     def test_unparseable_sidecar_is_a_miss(self, tmp_path):
         cache = SolutionCache(tmp_path)
         key = cache_key("tf", {"z": 5.0})

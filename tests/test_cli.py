@@ -182,6 +182,34 @@ class TestExitCodes:
         assert err["error"] == "config"
         assert field in err["message"]
 
+    @pytest.mark.parametrize("command, change, key", [
+        ("tf-atom", {"z": math.nan}, "z"),
+        ("tf-atom", {"z": math.inf}, "z"),
+        ("ks-atom", {"n": math.nan}, "n"),
+        ("tf-molecule", {"n": math.nan}, "n"),
+        ("ks-molecule", {"q": 0.0}, "q"),
+        ("ks-molecule", {"q": math.nan}, "q"),
+        ("ks-molecule", {"n": math.nan}, "n"),
+    ])
+    def test_bad_physical_input_is_a_config_error(self, command, change, key,
+                                                  tmp_path, capsys):
+        # each solver names its parameter; its N is the config's n, so the
+        # key is matched regardless of case
+        xc = {"kind": "lda_exchange"}
+        base = {
+            "tf-atom": {"z": 1.0},
+            "ks-atom": {"z": 1.0, "xc": xc},
+            "tf-molecule": {"positions": [[0, 0, 0]], "charges": [1.0],
+                            "grid": {"spacing": 0.5}},
+            "ks-molecule": {"positions": [[0, 0, 0]], "charges": [1.0],
+                            "xc": xc, "grid": {"spacing": 0.5}},
+        }[command]
+        cfg = _write_config(tmp_path / "c.json", {**base, **change})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert re.search(rf"\b{key}\b", err["message"], re.IGNORECASE)
+
     def test_workers_must_be_positive(self, bo_config, tmp_path):
         assert main(["bo-scan", "--config", bo_config,
                      "--out", str(tmp_path), "--workers", "0"]) == 2

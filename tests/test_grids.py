@@ -71,6 +71,14 @@ class TestGrid3D:
         with pytest.raises(GridError):
             Grid3D(origin=(0, 0, 0), h=-0.1, dims=(5, 5, 5))
 
+    @pytest.mark.parametrize("origin, h, field", [
+        ((0, 0, 0), math.nan, "spacing"),
+        ((0, math.nan, 0), 0.1, "origin"),
+    ])
+    def test_non_finite_spacing_or_origin(self, origin, h, field):
+        with pytest.raises(GridError, match=field):
+            Grid3D(origin=origin, h=h, dims=(5, 5, 5))
+
 
 class TestScalarField:
     def test_density_rejects_negative_values(self):

@@ -1,8 +1,8 @@
 """`import fermisurf`, the CLI module and the universal profile need only numpy.
 
 scipy loads on the first call that uses it (`scf_atom`, `min_distance_search`,
-`gamma_limit`, `cache_key`), so every CLI run starts without it. A fresh
-interpreter checks this, because the test session has scipy loaded.
+`gamma_limit`), so every CLI run starts without it. A fresh interpreter checks
+this, because the test session has scipy loaded.
 """
 
 import json
@@ -14,14 +14,32 @@ from pathlib import Path
 import fermisurf
 
 
-def test_profile_setup_loads_no_scipy_subpackage():
+def _scipy_modules_after(code: str) -> list:
+    """scipy modules loaded once `code` has run in a fresh interpreter."""
     # top-level scipy too: any subpackage import would load it
     src = str(Path(fermisurf.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import json, sys, fermisurf.cli; fermisurf.universal_profile(); "
+    code += (
+        "; import json, sys; "
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == []
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_profile_setup_loads_no_scipy_subpackage():
+    assert _scipy_modules_after("import fermisurf.cli; fermisurf.universal_profile()") == []
+
+
+def test_cached_bo_point_loads_no_scipy(tmp_path):
+    # the cache key leaves out scipy's version because no BO point uses
+    # scipy; a change that brings scipy into one must put it back in the key
+    cfg = tmp_path / "bo.json"
+    cfg.write_text(json.dumps({"charges": [1.0, 1.0], "R_values": [1.4],
+                               "theory": "tf", "grid": {"spacing": 0.5}}))
+    argv = ["bo-scan", "--config", str(cfg), "--out", str(tmp_path),
+            "--cache", str(tmp_path / "cache")]
+    code = f"import fermisurf.cli; assert fermisurf.cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == []
+    assert list((tmp_path / "cache").rglob("*.json"))

@@ -336,10 +336,14 @@ class TestExterior:
         v_r = np.where(gmask, phi_r, 0.0)
         bound = float(np.sum(sol.rho.values[gmask])) * grid.cell_volume
         sources = _record_poisson_sources(monkeypatch)
-        exterior_tf(grid, v_r, mask, bound)
+        ext = exterior_tf(grid, v_r, mask, bound)
         assert len(sources) > 2
         assert min(float(s.min()) for s in sources) >= 0.0
         assert max(float(s.sum()) * grid.cell_volume for s in sources) <= bound + 1e-10
+        # no mask is applied to rho: u > 0 makes phi < 0 off A_r, where the
+        # potential vanishes, so the TF density is exactly 0 there
+        assert ext.phi.values[~gmask].max() < 0.0
+        assert np.all(ext.rho.values[~gmask] == 0.0)
 
 
 def _record_poisson_sources(monkeypatch):
