@@ -99,22 +99,14 @@ def diatomic(z1: float, z2: float, R: float) -> NuclearConfiguration:
     )
 
 
-def _bo_sample(config: NuclearConfiguration, policy: GridPolicy, solve) -> BOSample:
-    """D = E_mol - sum_j E_atom + U_R on the policy box, atoms on matched grids.
-
-    solve(config, grid) returns (energy, residual) of one neutral solve; the
-    sample keeps the molecule's residual and only the atomic energies.
-    """
-    grid = policy.build(config)
-    e_mol, residual = solve(config, grid)
-    e_at = atomic_references(
-        config, grid, lambda single, agrid: solve(single, agrid)[0]
-    )
+def _bo_sample(config: NuclearConfiguration, grid: Grid3D, e_mol: float,
+               residual: float, e_atoms: float) -> BOSample:
+    """D = E_mol - sum_j E_atom + U_R; the sample keeps the molecule's residual."""
     return BOSample(
         R_min=config.R_min if config.K > 1 else 0.0,
-        D=e_mol - e_at + config.U_R,
+        D=e_mol - e_atoms + config.U_R,
         E_mol=e_mol,
-        E_atoms=e_at,
+        E_atoms=e_atoms,
         U_R=config.U_R,
         grid_h=grid.h,
         residual=residual,
@@ -128,7 +120,33 @@ def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
         sol = solve_tf(cfg, cfg.Z, grid)
         return sol.energy, sol.residual
 
-    return _bo_sample(config, policy, solve)
+    grid = policy.build(config)
+    e_mol, residual = solve(config, grid)
+    e_atoms = sum(res[0] for _, res in atomic_references(config, grid, solve))
+    return _bo_sample(config, grid, e_mol, residual, e_atoms)
+
+
+def _superposed(grid: Grid3D, references, energies: list) -> np.ndarray:
+    """Sum of the reference densities on grid; their energies go to `energies`.
+
+    references yields (matched grid, (energy, density)) per nucleus, as
+    `atomic_references` does. A matched grid has grid's spacing and dims
+    and lies a whole number of nodes off it, so each density is added by
+    an index shift, and the nodes of grid outside it get 0. Each density is
+    dropped once added; the sum is allocated after the first reference is
+    solved, so that solve's peak does not hold it.
+    """
+    rho = None
+    for agrid, (energy, rho_atom) in references:
+        energies.append(energy)
+        if rho is None:
+            rho = np.zeros(grid.shape)
+        shift = np.rint((agrid.origin - grid.origin) / grid.h).astype(int)
+        dst = tuple(slice(max(s, 0), n + min(s, 0)) for s, n in zip(shift, grid.shape))
+        src = tuple(slice(max(-s, 0), n - max(s, 0)) for s, n in zip(shift, grid.shape))
+        rho[dst] += rho_atom[src]
+        del rho_atom
+    return rho
 
 
 def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
@@ -136,14 +154,26 @@ def bo_ks(config: NuclearConfiguration, xc: XCFunctional, policy: GridPolicy,
     """D = E_mol - sum_j E_atom + U_R in KS-LDA, matched atomic grids.
 
     Every SCF solve (molecule and atomic references) runs at the
-    `scf_molecule` defaults with occupation bound q.
+    `scf_molecule` defaults with occupation bound q. The atomic references
+    are solved first, and the molecule's SCF starts from the sum of their
+    converged densities (`_superposed`) instead of superposed TF atoms: a
+    TF atom's density diverges like r^(-3/2) at the nucleus and decays like
+    r^(-6), a poor start for light atoms. Nuclei that share one reference
+    each get its density. The start is the one grid array the references
+    leave behind, and it becomes the SCF's own density.
     """
+    grid = policy.build(config)
 
-    def solve(cfg, grid):
-        state = scf_molecule(cfg, cfg.Z, xc, grid, q=q)
-        return state.energy["total"], state.scf_history[-1]
+    def solve_atom(single, agrid):
+        state = scf_molecule(single, single.Z, xc, agrid, q=q)
+        return state.energy["total"], state.rho0.values
 
-    return _bo_sample(config, policy, solve)
+    e_atoms = []
+    # the start is passed on, not held here: the SCF drops it after one mix
+    state = scf_molecule(config, config.Z, xc, grid, q=q, rho=_superposed(
+        grid, atomic_references(config, grid, solve_atom), e_atoms))
+    return _bo_sample(config, grid, state.energy["total"], state.scf_history[-1],
+                      sum(e_atoms))
 
 
 def tf_sweep(charges, R_values, policy: GridPolicy) -> BOCurve:
@@ -203,7 +233,11 @@ def gamma_limit(unit_config: NuclearConfiguration, l_values,
     """
     ls = sorted(float(v) for v in l_values)
     if len(ls) < 3:
-        raise ValueError("need at least 3 l values")
+        raise ValueError("l_values needs at least 3 entries")
+    # a non-positive l makes a complex power, a repeated one a zero
+    # division, in the ladder extrapolation
+    if not all(0.0 < l < math.inf for l in ls) or len(set(ls)) < len(ls):
+        raise ValueError("l_values must be positive, finite and distinct")
     ladder = []
     samples = []
     for l in ls:

@@ -21,6 +21,11 @@ dense diagonalization. The entry points take the grid and the potential
 as a plain (nx, ny, nz) array; orbitals travel as one (k, nx, ny, nz)
 block, LOBPCG's own returned rows reshaped, and warm starts as rows.
 
+The preconditioner runs in float32: LOBPCG uses it only to choose search
+directions, which the Rayleigh-Ritz step then weighs in float64, so its
+rounding at about 1e-7 relative moves no converged pair beyond the
+residual tolerance. Residuals, Ritz steps and H psi stay float64.
+
 Each solve sets its own preconditioner shift c. The wanted states, bound
 a few Ha deep, take c = 1 + 0.1 max(0, -min V); the guard, which settles
 near 0 Ha on box-continuum states above a neutral system's occupied
@@ -28,14 +33,15 @@ levels, takes GUARD_SHIFT, with which it settles in a fraction of the
 iterations the wanted states' shift needs.
 
 Memory is budgeted per block vector: a LOBPCG solve of k vectors holds
-8k + 2 grid arrays beside its start rows. One basis block holds the 3k
+8k + 1.5 grid arrays beside its start rows. One basis block holds the 3k
 rows of [X, P, W] and their images under H (6k); the residual rows (k)
 are preconditioned in place, with k rows of work for both sine transforms
-and the constraint projections; the preconditioner keeps one grid of
-inverse eigenvalues, and apply_hamiltonian adds one scratch. The Ritz
-update overwrites the basis in column chunks, and the Ritz vectors come
-back in the residual rows. So the guard, k = 1, holds 10 grid arrays
-beside the copy of the wanted orbitals it is constrained by.
+(as two float32 blocks) and the constraint projections; the
+preconditioner keeps one float32 grid of inverse eigenvalues, half an
+array, and apply_hamiltonian adds one scratch. The Ritz update overwrites
+the basis in column chunks, and the Ritz vectors come back in the
+residual rows. So the guard, k = 1, holds 9.5 grid arrays; it reads the
+wanted orbitals it is constrained by in place.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ GUARD_SHIFT = 0.1  # preconditioner shift (Ha) of the guard, which settles near 
 # H X, updated by the same products as X, stays consistent with it; at 1e-8
 # a degenerate p shell stalled near a residual of 3e-8.
 DROP_TOL = 1e-6
+# Ritz values this close (relative above 1 Ha) form one degenerate cluster
+DEGENERATE_TOL = 1e-12
 RITZ_SCRATCH = 2**14  # elements of the scratch the in-place Ritz update goes through
 
 
@@ -116,7 +124,7 @@ def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
 
 
 def _preconditioner(grid: Grid3D, c_shift: float):
-    """Exact inverse of -1/2 Lap_h + c_shift via sine transforms, on (a, n) rows.
+    """Inverse of -1/2 Lap_h + c_shift via float32 sine transforms, on (a, n) rows.
 
     It kills the stiff Laplacian part of the error in one apply. The shift
     weights the smooth part: LOBPCG converges fastest when -1/2 Lap_h +
@@ -125,21 +133,30 @@ def _preconditioner(grid: Grid3D, c_shift: float):
     for bound states (the guard's 0.1 Ha there broke the C, N and O
     atoms); the guard, near 0 Ha on box-continuum states, gets GUARD_SHIFT.
 
-    apply(r, work) overwrites the C-contiguous rows r with their
-    preconditioned images: both transforms ping-pong between r and work,
-    an array of r's shape that it overwrites too, so an apply allocates no
-    grid-sized array. The grid of inverse eigenvalues is made once per
-    solve: formed per apply, one x-slab at a time, it took 15 times as
-    long as the one multiply by the stored grid.
+    apply(r, work) overwrites the C-contiguous float64 rows r with their
+    preconditioned images. work, a C-contiguous float64 array of r's shape
+    that it overwrites too, is viewed as two float32 blocks of r's shape:
+    r is rounded into the first, both transforms ping-pong between them,
+    and the image is copied back into r, so an apply allocates no
+    grid-sized array. The float32 products take about half the time of the
+    float64 ones, and the rounding only perturbs the search directions.
+    The grid of inverse eigenvalues is made once per solve, in float32
+    from float32 axis terms: formed per apply, one x-slab at a time, it
+    took 15 times as long as the one multiply by the stored grid.
     """
+    f32 = np.float32
     lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
-    inv = 1.0 / (lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift)
+    inv = (lx + c_shift).astype(f32)[:, None, None] + ly.astype(f32)[:, None] + lz.astype(f32)
+    np.reciprocal(inv, out=inv)
 
     def apply(r, work):
         shape = (len(r), *grid.shape)
-        t = sine_transform(r.reshape(shape), out=work.reshape(shape))
+        lo, hi = work.reshape(-1).view(f32).reshape(2, *shape)
+        np.copyto(lo, r.reshape(shape))
+        t = sine_transform(lo, out=hi)
         t *= inv
-        sine_transform(t, out=r.reshape(shape))
+        sine_transform(t, out=lo)
+        np.copyto(r.reshape(shape), lo)
         return r
 
     return apply
@@ -174,9 +191,14 @@ def _update_rows(coef: np.ndarray, rows: np.ndarray, scratch: np.ndarray) -> Non
         rows[:q, i : i + step] = out
 
 
-def _project_out(w: np.ndarray, y: np.ndarray, work: np.ndarray) -> None:
-    """w -= (w @ y.T) @ y in place for orthonormal rows y; the product goes in work."""
-    w -= np.matmul(w @ y.T, y, out=work[: len(w)])
+def _project_out(w: np.ndarray, y: np.ndarray, work: np.ndarray, vol: float) -> None:
+    """w -= vol (w @ y.T) @ y in place, for rows y orthonormal under vol times the dot.
+
+    The product goes in work.
+    """
+    c = w @ y.T
+    c *= vol
+    w -= np.matmul(c, y, out=work[: len(w)])
 
 
 def _ritz(b: np.ndarray, a: np.ndarray, k: int):
@@ -184,8 +206,12 @@ def _ritz(b: np.ndarray, a: np.ndarray, k: int):
 
     b is scaled to unit diagonal and diagonalized; directions whose
     eigenvalue falls below DROP_TOL times the largest are dependent on the
-    rest of the basis and are dropped, as Duersch et al. do. Returns the
-    Ritz values and the coefficient columns, b-orthonormal.
+    rest of the basis and are dropped, as Duersch et al. do. The Ritz
+    vectors of a degenerate cluster are fixed only up to a rotation; the
+    one closest to the current X (the first k basis rows) is taken, so a
+    converged warm start comes back as it went in rather than with its
+    residuals mixed. Returns the Ritz values and the coefficient columns,
+    b-orthonormal.
     """
     s = 1.0 / np.sqrt(np.maximum(np.diag(b), np.finfo(float).tiny))
     d, u = np.linalg.eigh(b * s[:, None] * s)
@@ -194,7 +220,14 @@ def _ritz(b: np.ndarray, a: np.ndarray, k: int):
         raise ValueError("start vectors are linearly dependent")
     t = s[:, None] * (u[:, keep] / np.sqrt(d[keep]))
     vals, c = np.linalg.eigh(t.T @ (0.5 * (a + a.T)) @ t)
-    return vals[:k], t @ c[:, :k]
+    vals, c = vals[:k], t @ c[:, :k]
+    gaps = np.diff(vals) > DEGENERATE_TOL * np.maximum(1.0, np.abs(vals[1:]))
+    for j in np.split(np.arange(k), np.flatnonzero(gaps) + 1):
+        if len(j) > 1:
+            # the rotation Q maximizing trace(X_j^T V_j Q), V_j the cluster's vectors
+            u, _, wt = np.linalg.svd(b[j] @ c[:, j])
+            c[:, j] = c[:, j] @ (u @ wt).T
+    return vals, c
 
 
 def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: float,
@@ -206,17 +239,18 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     whose residual norm exceeds tol, P the last update of those columns
     (converged columns stay in X but get neither). The Gram pair of the
     basis comes from one block product. It stops when no column exceeds
-    tol, or after maxiter iterations. The rows of `constraints`
-    (orthonormal) are projected out of x and of every W, and H acts as
-    Q H Q, Q the projector onto their complement. c_shift is the shift of
-    the preconditioner (see _preconditioner). x is read, not written.
+    tol, or after maxiter iterations. The rows of `constraints`, orthonormal
+    under the grid inner product (h^3 sum) as the orbitals are, are read in
+    place and projected out of x and of every W, and H acts as Q H Q, Q the
+    projector onto their complement. c_shift is the shift of the
+    preconditioner (see _preconditioner). x is read, not written.
 
     Memory, in grid arrays: 6k for the one basis block, which holds each
     of the 3k rows of [X, P, W] beside its image under H; k for the
     residual rows, which the preconditioner transforms in place; k of work
-    for the transforms and the constraint projections; one for the
-    preconditioner's inverse eigenvalues; and one scratch inside
-    apply_hamiltonian. So a solve holds at most 8k + 2 grid arrays beside
+    for the transforms and the constraint projections; half of one for
+    the preconditioner's float32 inverse eigenvalues; and one scratch inside
+    apply_hamiltonian. So a solve holds at most 8k + 1.5 grid arrays beside
     x. The Ritz update overwrites the basis in place (_update_rows), and
     the Ritz vectors are returned in the residual rows.
 
@@ -225,7 +259,7 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     and the largest residual norm before each iteration.
     """
     shape, (k, n) = grid.shape, x.shape
-    y = constraints
+    y, vol = constraints, grid.cell_volume
     precond = _preconditioner(grid, c_shift)
     # each basis row holds a vector and its image: X, then P, then W
     basis = np.empty((3 * k, 2, n))
@@ -235,11 +269,11 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     def fill(rows, w):
         rows[:, 0] = w
         if y is not None:
-            _project_out(rows[:, 0], y, work)
+            _project_out(rows[:, 0], y, work, vol)
         apply_hamiltonian(grid, v, rows[:, 0].reshape(-1, *shape),
                           out=rows[:, 1].reshape(-1, *shape))
         if y is not None:
-            _project_out(rows[:, 1], y, work)
+            _project_out(rows[:, 1], y, work, vol)
 
     fill(basis[:k], x)
     m = k
@@ -337,14 +371,14 @@ def guard_eigenpair(grid: Grid3D, v: np.ndarray, orbitals: np.ndarray,
     """Loosely converged lowest state of H compressed to the complement of orbitals.
 
     LOBPCG improves one guard vector on Q H Q, Q the projector onto the
-    orthogonal complement of the (k, nx, ny, nz) orbital block, until its
-    residual norm reaches GUARD_TOL / 2; the compression keeps the
-    orbitals' own residuals (up to their tolerance) from putting a floor
-    under the guard's. LOBPCG minimizes the Rayleigh quotient, so a guard
-    started with weight on every state settles on the lowest one it is
-    free to take: the default start is random, and `start` (a flat vector)
-    replaces it. A guard that does not settle raises EigenError with its
-    residual history.
+    orthogonal complement of the (k, nx, ny, nz) orbital block, which it
+    reads in place, until its residual norm reaches GUARD_TOL / 2; the
+    compression keeps the orbitals' own residuals (up to their tolerance)
+    from putting a floor under the guard's. LOBPCG minimizes the Rayleigh
+    quotient, so a guard started with weight on every state settles on the
+    lowest one it is free to take: the default start is random, and
+    `start` (a flat vector) replaces it. A guard that does not settle
+    raises EigenError with its residual history.
 
     Returns (theta, rho, vector): the guard's Ritz value and residual norm
     on Q H Q, which has an eigenvalue within rho of theta, and the flat
@@ -353,14 +387,12 @@ def guard_eigenpair(grid: Grid3D, v: np.ndarray, orbitals: np.ndarray,
     n = grid.n_points
     if len(orbitals) + 1 > n:
         raise ValueError("orbitals must leave a grid state for the guard")
-    w = math.sqrt(grid.cell_volume)
-    y = np.reshape(orbitals, (len(orbitals), n)) * w
     if start is None:
         x = np.random.default_rng(EIG_SEED).standard_normal((1, n))
     else:
         x = np.reshape(start, (1, n))
     vals, x, rho, history = lobpcg(grid, v, x, GUARD_SHIFT, 0.5 * GUARD_TOL,
-                                   GUARD_MAXITER, y)
+                                   GUARD_MAXITER, np.reshape(orbitals, (len(orbitals), n)))
     theta, rho = float(vals[0]), float(rho[0])
     if not rho <= GUARD_TOL * max(1.0, abs(theta)):
         raise EigenError(
@@ -368,7 +400,7 @@ def guard_eigenpair(grid: Grid3D, v: np.ndarray, orbitals: np.ndarray,
             f"{theta:.8g} after {len(history) - 1} iterations)",
             history,
         )
-    return theta, rho, x[0] / w
+    return theta, rho, x[0] / math.sqrt(grid.cell_volume)
 
 
 def occupied_eigenpairs(

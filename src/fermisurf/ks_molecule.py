@@ -92,8 +92,15 @@ def scf_molecule(
     grid: Grid3D,
     q: float = 2.0,
     tol: float = 1e-6,
+    rho: np.ndarray | None = None,
 ) -> KSState:
     """Converged molecular KS-LDA state with aufbau occupations.
+
+    The SCF starts from `rho`, a nonnegative density on grid, or by default
+    from superposed TF atoms; either is renormalized to N. A given rho is
+    taken over, not copied: it becomes the SCF's first density and is
+    written. `bo_ks` passes the superposed densities of the point's
+    matched atomic references.
 
     The block size, the number of states each eigensolve converges, is
     SCF state. The first step's eigensolve starts from the initial density
@@ -120,11 +127,11 @@ def scf_molecule(
     arrays, the k orbitals and the guard vector. A step forms v_eff (the
     Hartree potential u is dropped once added), copies the (k, nx, ny, nz)
     orbital block as the k warm-start rows and drops the block, and runs
-    one eigensolve of 8k + 2 arrays (see `eig`). A shell check adds
-    rho_out, a constraint copy of the k orbitals and the guard's 10.
+    one eigensolve of 8k + 1.5 arrays (see `eig`). A shell check adds
+    rho_out and the guard's 9.5; the guard reads the k orbitals in place.
     rho_out is dropped once mixed, and the stationarity pass reuses two
-    arrays for every orbital. So a step peaks near max(14 + 9k, 23 + 2k)
-    arrays; H2 (k = 1) read 25.6 on a 31^3 box.
+    arrays for every orbital. So a step peaks near max(13.5 + 9k, 22.5 + k)
+    arrays; H2 (k = 1) read 24.1 on a 31^3 box.
     """
     if not N > 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
@@ -136,7 +143,10 @@ def scf_molecule(
 
     v_ext = external_potential(grid, config)
 
-    rho = atomic_superposition(grid, config)
+    if rho is None:
+        rho = atomic_superposition(grid, config)
+    elif np.shape(rho) != grid.shape:
+        raise ValueError("rho must have the grid's shape")
     rho *= N / grid.integrate(rho)
 
     mixer = AndersonMixer()

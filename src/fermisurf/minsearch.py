@@ -176,12 +176,12 @@ def subadditivity_check(
     cfg = result.config
     if cfg.K != 2:
         raise ValueError("subadditivity split implemented for diatomics")
-    e_parts = atomic_references(
+    e_parts = sum(e for _, e in atomic_references(
         cfg, policy.build(cfg),
         lambda single, agrid: scf_molecule(
             single, single.Z, xc, agrid, q=q
         ).energy["total"],
-    )
+    ))
     gap = result.E_mol - e_parts
     return SubadditivityReport(
         charges=tuple(float(z) for z in cfg.charges),

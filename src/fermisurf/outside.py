@@ -120,10 +120,10 @@ def outside_decomposition_check(
         gmask = mask.grid_mask(grid)
         bound = float(np.sum(mol.rho.values[gmask])) * grid.cell_volume
         ext_mol = exterior_tf(grid, phi_r, mask, bound)
-        e_atoms = atomic_references(
+        e_atoms = sum(e for _, e in atomic_references(
             config, grid,
             lambda single, agrid: _atomic_exterior_energy(single, agrid, r),
-        )
+        ))
         decomp = ext_mol.energy - e_atoms
         gap = abs(d_tf - decomp)
         samples.append(

@@ -2,7 +2,8 @@
 
 The 7-point stencil system with Dirichlet boundary data is solved directly
 by diagonalizing the stencil with the orthonormal type-I discrete sine
-transform (`sine_transform`, also the eigensolver's preconditioner); the
+transform (`sine_transform`, also the eigensolver's preconditioner, which
+runs it in float32; every Poisson solve runs it in float64); the
 solution is the exact stencil solution (residual at rounding level), so no
 iteration control is needed. Boundary values come from the monopole +
 dipole expansion of the source, written on the box faces of a fresh array
@@ -69,12 +70,15 @@ def multipole_boundary(grid: Grid3D, source: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _sine_matrix(n: int) -> np.ndarray:
-    """Read-only S_n[j, k] = sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n."""
+def _sine_matrix(n: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only S_n[j, k] = sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n.
+
+    Formed in float64 and rounded once to dtype.
+    """
     k = np.arange(1, n + 1)
     # reduce j k mod 2(n+1) in integers so sin sees an argument below 2 pi
     m = np.outer(k, k) % (2 * (n + 1))
-    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * m / (n + 1))
+    s = (np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * m / (n + 1))).astype(dtype, copy=False)
     s.flags.writeable = False
     return s
 
@@ -90,15 +94,20 @@ def sine_transform(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     28 to 143 (the paper workloads stay below about 110), and nothing past
     143 was measured.
 
+    The products run in a's floating dtype (an integer a promotes to
+    float64): float64 for every Poisson solve, float32 in the eigensolver's
+    preconditioner.
+
     Without `out` a is left alone and the transform is a fresh array. With
     `out`, the products ping-pong between out and a, which must both be
-    C-contiguous and of one shape: the transform lands in out, a is
-    overwritten, and no array is allocated.
+    C-contiguous and of one shape and dtype: the transform lands in out, a
+    is overwritten, and no array is allocated.
     """
     *lead, nx, ny, nz = a.shape
-    b = np.matmul(a, _sine_matrix(nz), out=out)
-    c = np.matmul(_sine_matrix(ny), b, out=None if out is None else a)
-    np.matmul(_sine_matrix(nx), c.reshape(*lead, nx, ny * nz),
+    dt = np.promote_types(a.dtype, np.float32)
+    b = np.matmul(a, _sine_matrix(nz, dt), out=out)
+    c = np.matmul(_sine_matrix(ny, dt), b, out=None if out is None else a)
+    np.matmul(_sine_matrix(nx, dt), c.reshape(*lead, nx, ny * nz),
               out=b.reshape(*lead, nx, ny * nz))
     return b
 

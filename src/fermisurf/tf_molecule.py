@@ -401,20 +401,22 @@ def matched_atomic_grid(grid: Grid3D, position: np.ndarray) -> Grid3D:
     return Grid3D(origin=origin, h=grid.h, dims=grid.dims)
 
 
-def atomic_references(config: NuclearConfiguration, grid: Grid3D, solve_atom) -> float:
-    """Sum over the nuclei of solve_atom(single-nucleus config, matched grid).
+def atomic_references(config: NuclearConfiguration, grid: Grid3D, solve_atom):
+    """solve_atom(single-nucleus config, matched grid) for each nucleus, in order.
 
-    Nuclei with the same charge and sub-cell offset have identical matched
-    problems, so each distinct one is solved once per call.
+    A generator of (matched grid, result), one pair per nucleus. Nuclei
+    with the same charge and sub-cell offset have identical matched
+    problems, so each distinct one is solved once per call; its result is
+    held only until the last nucleus that shares it has been handed it.
     """
-    total = 0.0
+    agrids = [matched_atomic_grid(grid, pos) for pos in config.positions]
+    # pos - origin is the central node plus the nucleus' sub-cell offset
+    keys = [(float(z), tuple(np.round((pos - agrid.origin) / grid.h, 9) + 0.0))
+            for pos, z, agrid in zip(config.positions, config.charges, agrids)]
     solved = {}
-    for pos, z in zip(config.positions, config.charges):
-        agrid = matched_atomic_grid(grid, pos)
-        # pos - origin is the central node plus the nucleus' sub-cell offset
-        key = (float(z), tuple(np.round((pos - agrid.origin) / grid.h, 9) + 0.0))
+    for i, (pos, z, agrid, key) in enumerate(zip(config.positions, config.charges,
+                                                 agrids, keys)):
         if key not in solved:
             single = NuclearConfiguration(positions=[pos], charges=[z])
             solved[key] = solve_atom(single, agrid)
-        total += solved[key]
-    return total
+        yield agrid, (solved[key] if key in keys[i + 1 :] else solved.pop(key))

@@ -4,6 +4,7 @@ import pytest
 import fermisurf.bo as bo
 from fermisurf.bo import GridPolicy, bo_tf, diatomic, gamma_limit, tf_sweep
 from fermisurf.grids import GridError
+from fermisurf.ks_molecule import scf_molecule
 from fermisurf.tf_molecule import NuclearConfiguration, matched_atomic_grid, solve_tf
 
 
@@ -87,13 +88,60 @@ class TestAtomicReferences:
         assert calls == [2, 1, 1]
 
 
+def _recorded_bo_ks(config, lda, spacing):
+    """bo_ks, with each scf_molecule call kept as [K, copy of its start or None, state]."""
+    runs = []
+    real = bo.scf_molecule
+
+    def recording(cfg, *args, **kwargs):
+        start = kwargs.get("rho")
+        runs.append([cfg.K, None if start is None else start.copy()])
+        runs[-1].append(real(cfg, *args, **kwargs))
+        return runs[-1][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bo, "scf_molecule", recording)
+        sample = bo.bo_ks(config, lda, GridPolicy(spacing=spacing))
+    return sample, runs
+
+
 class TestKS:
-    def test_h2_point_matches_recorded_value(self, lda):
+    @pytest.fixture(scope="class")
+    def h2_point(self, lda):
+        # R = 1.4 = 4h: both nuclei sit on nodes and share one reference
+        return _recorded_bo_ks(diatomic(1.0, 1.0, 1.4), lda, 0.35)
+
+    def test_h2_point_matches_recorded_value(self, h2_point):
         # D recorded while every SCF step still converged a buffer orbital
         # beside the occupied one; converging only the occupied state with
         # a checked guard must not move it beyond the SCF noise
-        s = bo.bo_ks(diatomic(1.0, 1.0, 1.4), lda, GridPolicy(spacing=0.35))
+        s, _ = h2_point
         assert s.D == pytest.approx(-0.2259201260764, abs=1e-6)
+
+    def test_shared_reference_starts_both_nuclei(self, h2_point):
+        _, runs = h2_point
+        assert [k for k, _, _ in runs] == [1, 2]  # one atomic solve, then the molecule
+        start = runs[1][1]
+        cfg = diatomic(1.0, 1.0, 1.4)
+        grid = GridPolicy(spacing=0.35).build(cfg)
+        # one electron at each nucleus, each the reference's density
+        assert grid.integrate(start) == pytest.approx(2.0, rel=1e-3)
+        peaks = [start[grid.index_of(p)] for p in cfg.positions]
+        assert peaks[0] == pytest.approx(peaks[1], rel=1e-4)
+        assert peaks[0] == pytest.approx(start.max(), rel=1e-4)
+
+    @pytest.mark.parametrize("charges, R", [((1.0, 1.0), 1.4), ((1.0, 2.0), 2.0)])
+    def test_matched_atom_start_keeps_D_and_saves_steps(self, lda, charges, R):
+        cfg = diatomic(*charges, R)
+        s, runs = _recorded_bo_ks(cfg, lda, 0.5)
+        ((_, start, mol),) = [run for run in runs if run[0] == 2]
+        grid = GridPolicy(spacing=0.5).build(cfg)
+        assert start is not None and start.shape == grid.shape
+        # the same point with the molecule started from superposed TF atoms
+        tf_start = scf_molecule(cfg, cfg.Z, lda, grid)
+        assert s.D == pytest.approx(tf_start.energy["total"] - s.E_atoms + cfg.U_R,
+                                    rel=0.0, abs=1e-9)
+        assert len(mol.scf_history) <= len(tf_start.scf_history)
 
 
 class TestGamma:

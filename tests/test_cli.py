@@ -210,6 +210,20 @@ class TestExitCodes:
         assert err["error"] == "config"
         assert re.search(rf"\b{key}\b", err["message"], re.IGNORECASE)
 
+    @pytest.mark.parametrize("l_values", [
+        [-1.0, 2.0, 3.0], [0.0, 1.3, 1.6], [1.0, 1.3, math.nan], [1.0, 1.3, math.inf],
+        [1.0, 1.0, 1.0], [1.0, 1.3, 1.3],
+    ])
+    def test_gamma_l_values_domain(self, l_values, tmp_path, capsys):
+        # a non-positive l raised a TypeError (a complex power) and repeated
+        # ones a ZeroDivisionError in the ladder extrapolation, after the solves
+        cfg = _write_config(tmp_path / "c.json", {
+            "charges": [1.0, 1.0], "l_values": l_values, "grid": {"spacing": 0.5}})
+        assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "l_values" in err["message"]
+
     def test_workers_must_be_positive(self, bo_config, tmp_path):
         assert main(["bo-scan", "--config", bo_config,
                      "--out", str(tmp_path), "--workers", "0"]) == 2

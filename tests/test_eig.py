@@ -325,20 +325,33 @@ class TestInPlaceKernels:
         assert np.array_equal(rows[q:], tail)
 
     def test_in_place_preconditioner_matches_fresh_arrays(self):
+        # the apply rounds the rows to float32, transforms them in the two
+        # float32 halves of its work rows and copies the image back: the
+        # floats of the fresh-array float32 form, in r's own float64 rows
         from fermisurf.poisson import _dst_eigenvalues, sine_transform
 
+        f32 = np.float32
         grid = Grid3D(origin=(0.0, 0.0, 0.0), h=0.3, dims=(5, 7, 6))
         rng = np.random.default_rng(13)
         r = rng.standard_normal((3, grid.n_points))
         c_shift = 1.3
         lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
-        inv = 1.0 / (lx[:, None, None] + ly[None, :, None] + lz[None, None, :] + c_shift)
-        t = sine_transform(r.reshape(-1, *grid.shape))
+        inv = 1.0 / ((lx + c_shift).astype(f32)[:, None, None] + ly.astype(f32)[:, None]
+                     + lz.astype(f32))
+        t = sine_transform(r.astype(f32).reshape(-1, *grid.shape))
         t *= inv
         fresh = sine_transform(t).reshape(r.shape)
+        assert inv.dtype == t.dtype == fresh.dtype == f32
         rows, work = r.copy(), np.empty_like(r)
         assert eig._preconditioner(grid, c_shift)(rows, work) is rows
-        assert np.array_equal(rows, fresh)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, fresh.astype(float))
+        # float32 only perturbs the search directions: the float64 form
+        # agrees to about float32's rounding
+        t64 = sine_transform(r.reshape(-1, *grid.shape))
+        t64 /= lx[:, None, None] + ly[:, None] + lz + c_shift
+        exact = sine_transform(t64).reshape(r.shape)
+        assert np.max(np.abs(rows - exact)) <= 1e-6 * np.max(np.abs(exact))
 
     def test_guard_leaves_its_start_unchanged(self):
         # the constraint projection runs in the basis rows, not in the start

@@ -34,12 +34,14 @@ def test_profile_setup_loads_no_scipy_subpackage():
 
 def test_cached_bo_point_loads_no_scipy(tmp_path):
     # the cache key leaves out scipy's version because no BO point uses
-    # scipy; a change that brings scipy into one must put it back in the key
-    cfg = tmp_path / "bo.json"
-    cfg.write_text(json.dumps({"charges": [1.0, 1.0], "R_values": [1.4],
-                               "theory": "tf", "grid": {"spacing": 0.5}}))
-    argv = ["bo-scan", "--config", str(cfg), "--out", str(tmp_path),
-            "--cache", str(tmp_path / "cache")]
-    code = f"import fermisurf.cli; assert fermisurf.cli.main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == []
-    assert list((tmp_path / "cache").rglob("*.json"))
+    # scipy; a change that brings scipy into one, such as a KS start from
+    # radial atoms, must put it back in the key
+    for theory, extra in (("tf", {}), ("ks", {"xc": {"kind": "lda_exchange"}})):
+        cfg, out = tmp_path / f"{theory}.json", tmp_path / theory
+        cfg.write_text(json.dumps({"charges": [1.0, 1.0], "R_values": [1.4],
+                                   "theory": theory, "grid": {"spacing": 0.5}, **extra}))
+        argv = ["bo-scan", "--config", str(cfg), "--out", str(out),
+                "--cache", str(out / "cache")]
+        code = f"import fermisurf.cli; assert fermisurf.cli.main({argv!r}) == 0"
+        assert _scipy_modules_after(code) == [], theory
+        assert list((out / "cache").rglob("*.json")), theory

@@ -216,6 +216,12 @@ class TestContracts:
         with pytest.raises(ValueError):
             scf_molecule(cfg, 2.0, lda, grid)
 
+    def test_rejects_a_start_density_off_the_grid(self, lda):
+        cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
+        grid = GridPolicy(spacing=0.4).build(cfg)
+        with pytest.raises(ValueError, match="rho"):
+            scf_molecule(cfg, 1.0, lda, grid, rho=np.ones(grid.n_points))
+
 
 class TestMemory:
     def test_second_solve_peak_within_the_step_budget(self, lda):
@@ -232,11 +238,12 @@ class TestMemory:
             tracemalloc.stop()
         # the converged step's guard: v_ext, rho, rho_out, v_eff, the mixer's
         # history, the guard's start and the occupied block (count = 1)
-        # held by the SCF, the block again as the guard's constraints, and
-        # one k = 1 LOBPCG solve (8k + 2: basis, residual rows, work, the
-        # preconditioner's inverse eigenvalues, H scratch)
+        # held by the SCF, which the guard reads in place as its
+        # constraints, and one k = 1 LOBPCG solve (8k + 1.5: basis, residual
+        # rows, work, the preconditioner's float32 inverse eigenvalues, H
+        # scratch)
         count, k = 1, 1
-        budget = 4 + (2 * MIX_DEPTH + 2) + 1 + 2 * count + (8 * k + 2)
+        budget = 4 + (2 * MIX_DEPTH + 2) + 1 + count + (8 * k + 1.5)
         # one grid array of slack: the Ritz scratch, face arrays, masks
         assert peak <= (budget + 1) * 8 * math.prod(grid.dims)
 

@@ -66,6 +66,25 @@ class TestSineTransform:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(sine_transform(out) - a)) <= 1e-12 * np.max(np.abs(a))
 
+    def test_runs_in_its_input_dtype(self):
+        # the eigensolver's float32 preconditioner shares the transform; a
+        # float64 input still gives the float64 products to the bit, and
+        # every Poisson solve stays float64
+        def s(n):
+            k = np.arange(1, n + 1)
+            return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
+
+        a = np.random.default_rng(5).standard_normal((2, 7, 9, 8))
+        # a float32 transform first, so the float32 matrices are cached
+        assert sine_transform(a.astype(np.float32)).dtype == np.float32
+        expected = (s(7) @ (s(9) @ (a @ s(8))).reshape(2, 7, 72)).reshape(a.shape)
+        out = sine_transform(a)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, expected)
+        assert sine_transform(np.ones(a.shape, int)).dtype == np.float64
+        grid = Grid3D((-1.0, -1.0, -1.0), 0.25, (9, 11, 10))
+        assert poisson_solve(grid, np.ones(grid.shape)).dtype == np.float64
+
 
 class TestKernels:
     """The lean kernels against direct full-grid evaluations."""
