@@ -21,7 +21,13 @@ import numpy as np
 from .fitting import PowerLawFit, powerlaw_fit
 from .grids import Grid3D, GridError
 from .ks_molecule import scf_molecule
-from .tf_molecule import MIN_MARGIN, NuclearConfiguration, atomic_references, solve_tf
+from .tf_molecule import (
+    MIN_MARGIN,
+    NuclearConfiguration,
+    TFSolution,
+    atomic_references,
+    solve_tf,
+)
 from .xc import XCFunctional
 
 
@@ -113,15 +119,31 @@ def _bo_sample(config: NuclearConfiguration, grid: Grid3D, e_mol: float,
     )
 
 
-def bo_tf(config: NuclearConfiguration, policy: GridPolicy) -> BOSample:
-    """D^TF = E^TF_mol - sum_j E^TF_atom + U_R with matched atomic grids."""
+def bo_tf(config: NuclearConfiguration, policy: GridPolicy,
+          molecule: TFSolution | None = None) -> BOSample:
+    """D^TF = E^TF_mol - sum_j E^TF_atom + U_R with matched atomic grids.
+
+    molecule, when given, is the neutral molecule's `solve_tf` solution on
+    policy.build(config), and its energy is used instead of a second
+    solve; a solution for another configuration or grid is a ValueError.
+    """
 
     def solve(cfg, grid):
         sol = solve_tf(cfg, cfg.Z, grid)
         return sol.energy, sol.residual
 
     grid = policy.build(config)
-    e_mol, residual = solve(config, grid)
+    if molecule is None:
+        e_mol, residual = solve(config, grid)
+    else:
+        mc, mg = molecule.config, molecule.grid
+        if not (np.array_equal(mc.positions, config.positions)
+                and np.array_equal(mc.charges, config.charges)):
+            raise ValueError("molecule was solved for another configuration")
+        if not (mg.h == grid.h and mg.dims == grid.dims
+                and np.array_equal(mg.origin, grid.origin)):
+            raise ValueError("molecule was solved on another grid than policy.build(config)")
+        e_mol, residual = molecule.energy, molecule.residual
     e_atoms = sum(res[0] for _, res in atomic_references(config, grid, solve))
     return _bo_sample(config, grid, e_mol, residual, e_atoms)
 

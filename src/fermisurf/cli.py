@@ -107,6 +107,33 @@ def _pair(value) -> list:
     return _floats(value, 2)
 
 
+def _integer(value) -> int:
+    """An integral number; int() would truncate 1.5 to 1."""
+    if isinstance(value, int):
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
+def _at_least(low: int):
+    def convert(value) -> int:
+        number = _integer(value)
+        if number < low:
+            raise ValueError(f"must be >= {low}, got {number}")
+        return number
+
+    return convert
+
+
+def _positive(value) -> float:
+    number = float(value)
+    if not 0.0 < number < np.inf:
+        raise ValueError(f"must be positive and finite, got {value!r}")
+    return number
+
+
 def _window(value) -> list:
     lo, hi = _pair(value)
     if not 0.0 < lo < hi:
@@ -351,11 +378,12 @@ _COMMANDS = {
     }, ()),
     "ks-atom": (_cmd_ks_atom, {
         "z": (float, REQUIRED), "n": (float, None), "xc": (_xc, REQUIRED),
-        "q": (float, 2.0), "lmax": (int, 3), "per_ell": (int, 5), "tol": (float, 1e-6),
+        "q": (float, 2.0), "lmax": (_at_least(0), 3), "per_ell": (_at_least(1), 5),
+        "tol": (_positive, 1e-6),
     }, ("--strict-xc",)),
     "ks-molecule": (_cmd_ks_molecule, {
         **_NUCLEI, "n": (float, None), "xc": (_xc, REQUIRED), "q": (float, 2.0),
-        "grid": (_grid, REQUIRED), "tol": (float, 1e-6),
+        "grid": (_grid, REQUIRED), "tol": (_positive, 1e-6),
     }, ("--strict-xc",)),
     "bo-scan": (_cmd_bo_scan, {
         "charges": (_pair, REQUIRED), "R_values": (_floats, REQUIRED),
@@ -373,8 +401,8 @@ _COMMANDS = {
     "qij": (_cmd_qij, {**_NUCLEI, "r": (float, REQUIRED)}, ()),
     "minsearch": (_cmd_minsearch, {
         "charges": (_floats, REQUIRED), "xc": (_xc, REQUIRED), "q": (float, 2.0),
-        "grid": (_grid, REQUIRED), "restarts": (int, 3), "maxiter": (int, 60),
-        "seed": (int, 3),
+        "grid": (_grid, REQUIRED), "restarts": (_integer, 3), "maxiter": (_integer, 60),
+        "seed": (_integer, 3),
     }, ("--strict-xc",)),
 }
 

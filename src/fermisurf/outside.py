@@ -6,6 +6,13 @@ For disjoint balls Newton's theorem makes it the product of the two net
 charges over the distance. The decomposition check compares D^TF against
 the difference of exterior energies, with every exterior problem solved
 on the same 3D staircase mask so the boundary-layer error cancels.
+
+The check solves the molecule once: the same solution gives the BO point
+D^TF (`bo_tf`'s molecule argument) and every screened potential. Each
+exterior problem starts from the density it converges to. The molecular
+one starts from the molecular density, whose restriction to A_r is its
+minimizer (see `exterior_tf`); each atomic one starts from its radial
+atom's density sampled on the grid.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .tf_molecule import (
     NuclearConfiguration,
     RegionMask,
     atomic_references,
+    atomic_superposition,
     exterior_tf,
     screened_tf,
     solve_tf,
@@ -84,14 +92,20 @@ def _atomic_exterior_energy(
     grid: Grid3D,
     r: float,
 ) -> float:
-    """Exterior problem for one atom on the shared 3D staircase grid."""
+    """Exterior problem for one atom on the shared 3D staircase grid.
+
+    The sweep starts from the radial atom's density sampled on the grid:
+    the potential is that atom's screened potential, so the density's
+    restriction to A_r is near the minimizer.
+    """
     sol_atom = atomic_tf(single.Z)
     phi_r = atomic_screened_tf(sol_atom, r)
     dist = np.sqrt(grid.squared_distance(single.positions[0]))
     mask = RegionMask(config=single, r=r)
     v_r = np.interp(dist, sol_atom.grid.nodes, phi_r)
     n_j = sol_atom.z - sol_atom.charge_within(r)
-    ext = exterior_tf(grid, v_r, mask, max(n_j, 1e-9))
+    ext = exterior_tf(grid, v_r, mask, max(n_j, 1e-9),
+                      start=lambda: atomic_superposition(grid, single))
     return ext.energy
 
 
@@ -106,12 +120,12 @@ def outside_decomposition_check(
     from the converged molecular solution, with charge bound equal to the
     electron number in A_r; each atomic exterior problem uses the atomic
     screened potential on a matched grid with the same mask radius. D^TF
-    is the BO point on the same grid.
+    is the BO point on the same grid, made from the same molecular solve.
     """
     rs = sorted((float(r) for r in r_values), reverse=True)
-    d_tf = bo_tf(config, policy).D
     grid = policy.build(config)
     mol = solve_tf(config, config.Z, grid)
+    d_tf = bo_tf(config, policy, molecule=mol).D
 
     samples = []
     for r in rs:
@@ -119,7 +133,8 @@ def outside_decomposition_check(
         phi_r = screened_tf(mol, mask)
         gmask = mask.grid_mask(grid)
         bound = float(np.sum(mol.rho.values[gmask])) * grid.cell_volume
-        ext_mol = exterior_tf(grid, phi_r, mask, bound)
+        # the restriction of mol.rho to A_r is this problem's minimizer
+        ext_mol = exterior_tf(grid, phi_r, mask, bound, start=lambda: mol.rho.values)
         e_atoms = sum(e for _, e in atomic_references(
             config, grid,
             lambda single, agrid: _atomic_exterior_energy(single, agrid, r),

@@ -349,6 +349,7 @@ def exterior_tf(
     v_r: np.ndarray,
     mask: RegionMask,
     charge_bound: float,
+    start: Callable[[], np.ndarray] | None = None,
 ) -> TFSolution:
     """TF minimizer over densities supported on A_r with int rho <= charge_bound.
 
@@ -356,6 +357,27 @@ def exterior_tf(
     values of v_r off A_r are not read. The potential alone keeps rho on A_r:
     u = P rho > 0 (a nonnegative source with positive monopole faces), so
     phi = -u < 0 off A_r and the TF density is exactly 0 there.
+
+    start, when given, is a zero-argument callable that returns a grid
+    density, as `_tf_fixed_point`'s start does. The sweep starts from its
+    restriction to A_r, scaled down to the charge bound if it holds more.
+    Without it the sweep starts from T(v_r), the TF density of the
+    unscreened potential.
+
+    A start near the answer saves sweeps. When v_r is the screened
+    potential Phi_r of a molecular minimizer rho_mol and the bound is
+    rho_mol's charge on A_r, the restriction of rho_mol to A_r is the fixed
+    point: on A_r, Phi_r minus the potential of that restriction is the
+    molecular phi, whose TF density is rho_mol, and off A_r the density is
+    0. This is the outside-model argument behind the screening estimates
+    (Solovej, Ann. Math. 158:509, 2003). The first density change is then
+    rho_mol's own one-sweep change on A_r, and the sweep stops there when
+    that is below TF_TOL.
+
+    The callable runs inside the solve, and its result is dropped once
+    restricted. A start built in the call (a superposition of atoms, say)
+    must be built there, not by the caller and passed in as an array: a
+    caller frame would pin it for the whole solve.
     """
     if not 0.0 < charge_bound < math.inf:
         raise ValueError("charge_bound must be positive and finite")
@@ -363,8 +385,12 @@ def exterior_tf(
         raise GridError("exterior problem is solved on a 3D grid")
     v_ext = np.where(mask.grid_mask(grid), v_r, 0.0)
 
-    def start():
-        rho = tf_density(v_ext)
+    def restricted():
+        if start is None:
+            rho = tf_density(v_ext)  # 0 off A_r, where v_ext is 0
+        else:
+            # the mask is formed again rather than held through the solve
+            rho = np.where(mask.grid_mask(grid), start(), 0.0)
         s = rho.sum() * grid.cell_volume
         if s > charge_bound:
             rho *= charge_bound / s
@@ -372,7 +398,7 @@ def exterior_tf(
 
     # the unconstrained charge of an exterior problem is unknown, so mu is
     # always solved against the bound
-    return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, start)
+    return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, restricted)
 
 
 def screened_tf(sol: TFSolution, mask: RegionMask) -> np.ndarray:

@@ -388,6 +388,50 @@ class TestConfigSpecs:
         assert err["error"] == "config"
         assert "r_values" in err["message"]
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("ks-atom", "lmax", -1),
+        ("ks-atom", "per_ell", 0),
+        ("ks-atom", "per_ell", -2),
+        ("ks-atom", "tol", 0.0),
+        ("ks-atom", "tol", -1.0),
+        ("ks-atom", "tol", math.inf),
+        ("ks-atom", "tol", math.nan),
+        ("ks-molecule", "tol", 0.0),
+        ("ks-molecule", "tol", -1e-6),
+        ("ks-molecule", "tol", math.inf),
+    ])
+    def test_value_outside_its_domain_names_the_key(self, command, key, value,
+                                                    tmp_path, capsys, monkeypatch):
+        # lmax = -1 had exited 3 with an exhausted spectrum, per_ell = 0 with
+        # scipy's message that names no key, and tol = 0 after 200 SCF steps
+        payload = {k: _VALID[k] for k in _required(_SPECS[command])}
+        payload[key] = value
+        message = _rejected(command, payload, tmp_path, capsys, monkeypatch)
+        assert repr(key) in message
+
+    @pytest.mark.parametrize("command, key", [
+        ("ks-atom", "lmax"), ("ks-atom", "per_ell"), ("minsearch", "restarts"),
+        ("minsearch", "maxiter"), ("minsearch", "seed"),
+    ])
+    def test_integer_keys_take_integral_numbers_only(self, command, key, tmp_path,
+                                                     capsys, monkeypatch):
+        # int() had truncated 1.5 to 1, so lmax = 1.5 ran with lmax 1
+        payload = {k: _VALID[k] for k in _required(_SPECS[command])}
+        for bad in (1.5, 2.000001, math.inf):
+            payload[key] = bad
+            message = _rejected(command, payload, tmp_path, capsys, monkeypatch)
+            assert repr(key) in message
+        seen = []
+        _, spec, flags = _COMMANDS[command]
+        monkeypatch.setitem(_COMMANDS, command,
+                            (lambda cfg, *args: seen.append(cfg[key]), spec, flags))
+        for good in (2, 2.0, 12345678901234567891):
+            payload[key] = good
+            cfg = _write_config(tmp_path / "c.json", payload)
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert seen == [2, 2, 12345678901234567891]
+        assert all(type(v) is int for v in seen)
+
     def test_nested_grid_value_names_the_key(self, tmp_path, capsys, monkeypatch):
         payload = {"charges": [1.0, 1.0], "R_values": [1.4],
                    "grid": {"spacing": "fine"}}

@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fermisurf.bo import GridPolicy
+import fermisurf.bo as bo
+import fermisurf.outside as outside
+from fermisurf.bo import GridPolicy, bo_tf, diatomic
 from fermisurf.outside import (
     UniformBall,
     outside_decomposition_check,
     qij_tf,
 )
 from fermisurf.tf_atom import atomic_tf
-from fermisurf.tf_molecule import NuclearConfiguration
+from fermisurf.tf_molecule import NuclearConfiguration, solve_tf
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +100,45 @@ class TestDecomposition:
         assert s.gap < 0.1
         assert s.gap_r7 == pytest.approx(s.gap * 0.6**7, rel=1e-12)
         assert report.gap_r7_decreasing
+
+
+_PAIR = diatomic(2.0, 2.0, 2.0)
+_POLICY = GridPolicy(spacing=0.5)
+
+
+@pytest.fixture(scope="module")
+def counted_check():
+    """The decomposition of a (2, 2) pair, with its molecular TF solves counted."""
+    molecular = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (outside, bo):
+            solve = module.solve_tf
+
+            def counting(config, n, grid, solve=solve):
+                if config.K == _PAIR.K:
+                    molecular.append(config)
+                return solve(config, n, grid)
+
+            mp.setattr(module, "solve_tf", counting)
+        report = outside_decomposition_check(_PAIR, [0.6, 0.5], _POLICY)
+    return report, molecular
+
+
+class TestOneMolecularSolve:
+    def test_the_molecule_is_solved_once(self, counted_check):
+        _, molecular = counted_check
+        assert len(molecular) == 1
+
+    def test_D_is_the_bo_point(self, counted_check):
+        report, _ = counted_check
+        assert report.D_tf == bo_tf(_PAIR, _POLICY).D
+
+    def test_bo_tf_rejects_another_molecule(self):
+        mol = solve_tf(_PAIR, _PAIR.Z, _POLICY.build(_PAIR))
+        with pytest.raises(ValueError, match="configuration"):
+            bo_tf(_PAIR, _POLICY, molecule=replace(mol, config=diatomic(2.0, 2.0, 2.1)))
+        with pytest.raises(ValueError, match="configuration"):
+            bo_tf(_PAIR, _POLICY, molecule=replace(mol, config=diatomic(2.0, 3.0, 2.0)))
+        other = GridPolicy(spacing=0.5, margin_factor=7.0).build(_PAIR)
+        with pytest.raises(ValueError, match="grid"):
+            bo_tf(_PAIR, _POLICY, molecule=replace(mol, grid=other))
