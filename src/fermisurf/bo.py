@@ -56,10 +56,13 @@ class GridPolicy:
         """Cubic box covering all nuclei with the policy margin.
 
         The first nucleus is placed on a node so homonuclear sweeps stay
-        comparable across R.
+        comparable across R. A spacing above the margin is refused: the
+        margin band would then hold no interior node.
         """
         h = self.spacing
         m = self.margin(config)
+        if h > m:
+            raise GridError(f"spacing {h:g} exceeds the box margin {m:.3g}")
         lo = config.positions.min(axis=0) - m
         hi = config.positions.max(axis=0) + m
         center = 0.5 * (lo + hi)

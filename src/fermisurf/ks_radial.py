@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .coulomb import radial_hartree_potential
-from .grids import GridError, RadialGrid, ScalarField
+from .grids import RadialGrid, ScalarField
 from .ks_common import (AndersonMixer, KSState, SCFError, aufbau_occupations,
                         density_change, ks_energy)
 from .tf_atom import atomic_tf
@@ -52,24 +52,20 @@ def scf_atom(
     z: float,
     N: float,
     xc: XCFunctional,
-    grid: RadialGrid | None = None,
     q: float = 2.0,
     lmax: int = 3,
     per_ell: int = 5,
     tol: float = 1e-6,
 ) -> KSState:
-    """Self-consistent radial KS-LDA atom with fractional occupations."""
+    """Self-consistent radial KS-LDA atom on `default_ks_radial_grid(z)`."""
     for name, value in (("z", z), ("q", q)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
     if not 0.0 <= N <= z + 1e-12:
         raise ValueError("need 0 <= N <= z (existence regime)")
-    if grid is None:
-        grid = default_ks_radial_grid(z)
+    grid = default_ks_radial_grid(z)
     r = grid.nodes
     h = float(r[1] - r[0])
-    if not np.allclose(np.diff(r), h):
-        raise GridError("radial KS solver needs a uniform grid")
 
     if N == 0.0:
         zero = np.zeros_like(r)

@@ -14,14 +14,15 @@ this module: the Runge-Kutta pair of order 8(5,3) with 7th-order dense
 output of Hairer, Norsett & Wanner (Solving Ordinary Differential
 Equations I, 2nd ed., Sec. II.10), with the initial step, error norm and
 step control of scipy.integrate's DOP853. Every integration keeps its
-dense output. A bracketing shot stops once y <= 0 or y' > 0, and the
-Newton match stops once its residual is at the integrators' noise
-floor. So importing the package needs only numpy; scipy loads on the
-first call to `scf_atom`, `min_distance_search` or `gamma_limit`.
+dense output. The match starts from the known B and c, a forward shot
+stops once it leaves the separatrix (y <= 0 or y' > 0), and the match
+stops once its residual is at the integrators' noise floor. So importing
+the package needs only numpy; scipy loads on the first call to `scf_atom`, `min_distance_search` or `gamma_limit`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -37,9 +38,9 @@ Y_TAIL = 144.0
 
 X0 = 1e-3  # start of the forward integration; the series covers [0, X0)
 X_MATCH = 5.0  # where the forward and backward shootings meet
-SLOPE_BRACKET = (-1.8, -1.4)  # straddles the critical initial slope
-X_CLASSIFY = 80.0  # a forward shot crosses zero or blows up before here
-MATCH_BASIN = 1e-4  # slope bracket width from which the match converges
+# first critical slope, J. P. Boyd, J. Comput. Appl. Math. 244:90 (2013);
+# ten digits, so every x_max >= 5e3 lands on the same slope to 1e-12
+SLOPE_GUESS = -1.5880710226
 TAIL_GUESS = -13.05  # first tail amplitude (c = -13.0489 at x_max = 1e5)
 MATCH_STEPS = (1e-6, 1e-3)  # finite-difference steps in (B, c)
 MATCH_MAXITER = 8
@@ -51,8 +52,8 @@ class ShootingError(SolverError):
     """Universal-profile shooting failure; carries its history.
 
     The history holds the match residual max |(y, y')_fwd - (y, y')_bwd|
-    at X_MATCH of each Newton iterate; it is empty when the slope bracket
-    failed before the match began.
+    at X_MATCH of each Newton iterate; it is empty when a shot failed
+    before the first residual was formed.
     """
 
 
@@ -129,16 +130,25 @@ def _rhs(x, state):
     return [state[1], y**1.5 / math.sqrt(x)]
 
 
-def _integrate_forward(slope: float, x0: float, x_end: float):
-    y0, dy0 = _series_y(x0, slope)
-    return solve_ivp(
+def _forward_to_match(slope: float):
+    """Forward shot to X_MATCH; raises once it hits zero or turns up.
+
+    y'' >= 0 keeps y' nondecreasing, so a shot with y' > 0 can only blow up.
+    """
+    y0, dy0 = _series_y(X0, slope)
+    fwd = solve_ivp(
         _rhs,
-        (x0, x_end),
+        (X0, X_MATCH),
         [y0, dy0],
         rtol=1e-12,
         atol=1e-14,
         stop=lambda s: 1 if s[0] <= 0.0 else 2 if s[1] > 0.0 else 0,  # 1 hit zero, 2 turned up
     )
+    if fwd.status:
+        what = "hit zero" if fwd.status == 1 else "turned up"
+        raise ShootingError(f"forward shot with slope {slope!r} {what} at x = "
+                            f"{fwd.t[-1]:.3g}, before the match point", [])
+    return fwd
 
 
 def _tail_y(x, c):
@@ -189,39 +199,16 @@ class UniversalTF:
         return out if np.ndim(x) else float(out[0])
 
 
-def _crosses_zero(slope: float) -> bool:
-    """Classify a forward shot: True below the critical slope, False above.
-
-    Below it y crosses zero; above it y' turns positive, and since
-    y'' >= 0 keeps y' nondecreasing, y then blows up. A shot that does
-    neither before X_CLASSIFY is too close to the separatrix to classify.
-    """
-    status = _integrate_forward(slope, X0, X_CLASSIFY).status
-    if status:
-        return status == 1
-    raise ShootingError(
-        f"forward shot with slope {slope!r} neither crossed zero nor blew up "
-        f"before x = {X_CLASSIFY}", []
-    )
-
-
-def _forward_to_match(slope: float):
-    fwd = _integrate_forward(slope, X0, X_MATCH)
-    if fwd.status:
-        raise ShootingError("forward integration terminated before the match point", [])
-    return fwd
-
-
 def solve_universal(x_max: float = 1e5) -> UniversalTF:
     """Matched shooting solution of the universal TF equation.
 
-    Bracket phase: a forward shot below the critical slope crosses zero,
-    one above it turns upward (y' > 0). Bisection on that dichotomy narrows
-    SLOPE_BRACKET to MATCH_BASIN (12 shots). Match phase: Newton on (B, c)
-    for y_fwd = y_bwd and y'_fwd = y'_bwd at X_MATCH, the backward shot
-    starting on the tail at x_max. The Jacobian is formed once by finite
-    differences and then updated by Broyden; every slope iterate stays
-    inside the bracket.
+    Newton on (B, c) for y_fwd = y_bwd and y'_fwd = y'_bwd at X_MATCH, the
+    backward shot starting on the tail at x_max. It starts from the known
+    values SLOPE_GUESS and TAIL_GUESS, 1.2e-11 and 1.1e-3 from the answer,
+    so the first residual is 1.3e-5 and no bracket on B is needed. The
+    Jacobian is formed once by finite differences and then updated by
+    Broyden. A slope iterate whose forward shot leaves the separatrix
+    before X_MATCH raises ShootingError.
 
     Stops at the first iterate whose match residual is at the integrators'
     noise floor MATCH_NOISE, where a Newton step would only follow the
@@ -232,20 +219,7 @@ def solve_universal(x_max: float = 1e5) -> UniversalTF:
     if x_max < 50.0:
         raise ValueError("x_max must be >= 50")
 
-    lo, hi = SLOPE_BRACKET
-    while hi - lo > MATCH_BASIN:
-        mid = 0.5 * (lo + hi)
-        if _crosses_zero(mid):
-            lo = mid
-        else:
-            hi = mid
-    # an end the bisection never moved has not been classified yet
-    if (lo == SLOPE_BRACKET[0] and not _crosses_zero(lo)) or (
-        hi == SLOPE_BRACKET[1] and _crosses_zero(hi)
-    ):
-        raise ShootingError("initial bracket does not straddle the critical slope", [])
-
-    slope, c = 0.5 * (lo + hi), TAIL_GUESS
+    slope, c = SLOPE_GUESS, TAIL_GUESS
     fwd, bwd = _forward_to_match(slope), _integrate_backward(c, x_max)
     resid = fwd.y[:, -1] - bwd.y[:, -1]
     db, dc = MATCH_STEPS
@@ -259,14 +233,10 @@ def solve_universal(x_max: float = 1e5) -> UniversalTF:
         if history[-1] <= MATCH_NOISE:
             break  # at the noise floor: a step would be integration noise
         step = -np.linalg.solve(jac, resid)
-        new_slope = slope + step[0]
-        if not lo < new_slope < hi:
-            new_slope = 0.5 * (slope + (lo if new_slope <= lo else hi))
-        s = np.array([new_slope - slope, step[1]])
-        slope, c = new_slope, c + step[1]
+        slope, c = slope + step[0], c + step[1]
         fwd, bwd = _forward_to_match(slope), _integrate_backward(c, x_max)
         new_resid = fwd.y[:, -1] - bwd.y[:, -1]
-        jac += np.outer(new_resid - resid - jac @ s, s) / (s @ s)
+        jac += np.outer(new_resid - resid - jac @ step, step) / (step @ step)
         resid = new_resid
     else:
         raise ShootingError(
@@ -282,14 +252,10 @@ def solve_universal(x_max: float = 1e5) -> UniversalTF:
     )
 
 
-_UNIVERSAL_CACHE: dict = {}
-
-
+@functools.cache
 def universal_profile() -> UniversalTF:
-    """Module-level cached universal profile at default settings."""
-    if "u" not in _UNIVERSAL_CACHE:
-        _UNIVERSAL_CACHE["u"] = solve_universal()
-    return _UNIVERSAL_CACHE["u"]
+    """The universal profile at default settings, solved once per process."""
+    return solve_universal()
 
 
 def slope_energy_constant(slope_B: float) -> float:

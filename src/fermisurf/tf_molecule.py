@@ -349,7 +349,7 @@ def exterior_tf(
     v_r: np.ndarray,
     mask: RegionMask,
     charge_bound: float,
-    start: Callable[[], np.ndarray] | None = None,
+    start: Callable[[], np.ndarray],
 ) -> TFSolution:
     """TF minimizer over densities supported on A_r with int rho <= charge_bound.
 
@@ -358,11 +358,9 @@ def exterior_tf(
     u = P rho > 0 (a nonnegative source with positive monopole faces), so
     phi = -u < 0 off A_r and the TF density is exactly 0 there.
 
-    start, when given, is a zero-argument callable that returns a grid
-    density, as `_tf_fixed_point`'s start does. The sweep starts from its
-    restriction to A_r, scaled down to the charge bound if it holds more.
-    Without it the sweep starts from T(v_r), the TF density of the
-    unscreened potential.
+    start is a zero-argument callable that returns a grid density, as
+    `_tf_fixed_point`'s start does. The sweep starts from its restriction
+    to A_r, scaled down to the charge bound if it holds more.
 
     A start near the answer saves sweeps. When v_r is the screened
     potential Phi_r of a molecular minimizer rho_mol and the bound is
@@ -386,11 +384,8 @@ def exterior_tf(
     v_ext = np.where(mask.grid_mask(grid), v_r, 0.0)
 
     def restricted():
-        if start is None:
-            rho = tf_density(v_ext)  # 0 off A_r, where v_ext is 0
-        else:
-            # the mask is formed again rather than held through the solve
-            rho = np.where(mask.grid_mask(grid), start(), 0.0)
+        # the mask is formed again rather than held through the solve
+        rho = np.where(mask.grid_mask(grid), start(), 0.0)
         s = rho.sum() * grid.cell_volume
         if s > charge_bound:
             rho *= charge_bound / s

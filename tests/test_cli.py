@@ -12,7 +12,7 @@ from fermisurf.eig import EigenError
 from fermisurf.grids import SolverError
 from fermisurf.ks_common import SCFError
 from fermisurf.poisson import PoissonError
-from fermisurf.tf_atom import ShootingError
+from fermisurf.tf_atom import ShootingError, universal_profile
 from fermisurf.tf_molecule import ConvergenceError
 
 
@@ -123,9 +123,10 @@ class TestExitCodes:
 
     def test_shooting_error_reports_history_tail(self, tmp_path, capsys,
                                                  monkeypatch):
-        # one match iterate cannot close the 1e-4 slope bracket to 1e-11
+        # the first residual is 1.3e-5, mostly TAIL_GUESS's 1.1e-3 error in
+        # c; one match iterate cannot bring it down to the noise floor
         monkeypatch.setattr("fermisurf.tf_atom.MATCH_MAXITER", 1)
-        monkeypatch.setattr("fermisurf.tf_atom._UNIVERSAL_CACHE", {})
+        universal_profile.cache_clear()
         cfg = _write_config(tmp_path / "c.json", {"z": 1.0})
         assert main(["tf-atom", "--config", cfg, "--out", str(tmp_path)]) == 3
         err = json.loads(capsys.readouterr().err)
@@ -181,6 +182,24 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert field in err["message"]
+
+    @pytest.mark.parametrize("charges, spacing", [
+        ([1.0, 1.0], 12.0), ([6.0, 6.0], 6.0), ([1.0, 1.0], 50.0), ([6.0, 6.0], 50.0),
+    ])
+    def test_spacing_coarser_than_the_margin_is_a_config_error(self, charges, spacing,
+                                                               tmp_path, capsys):
+        # margins 6 and 3.30: with no interior node in the margin band the
+        # (1, 1) box ended in a TF-mixing error and the (6, 6) one in
+        # overflow warnings
+        cfg = _write_config(tmp_path / "c.json", {
+            "positions": [[-0.7, 0, 0], [0.7, 0, 0]], "charges": charges,
+            "grid": {"spacing": spacing}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["tf-molecule", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "spacing" in err["message"]
 
     @pytest.mark.parametrize("command, change, key", [
         ("tf-atom", {"z": math.nan}, "z"),

@@ -12,9 +12,8 @@ from fermisurf.tf_atom import (
     X0,
     X_MATCH,
     ShootingError,
-    _crosses_zero,
+    _forward_to_match,
     _integrate_backward,
-    _integrate_forward,
     _rhs,
     _series_y,
     _tail_y,
@@ -69,15 +68,14 @@ class TestUniversalProfile:
         assert np.allclose(res.sol(xs)[0], 144.0 / xs**3, rtol=1e-8)
 
     def test_forward_integration_leaves_separatrix_off_slope(self):
-        # slopes off the separatrix blow up or hit zero: bracketing premise
-        up = _integrate_forward(B_REFERENCE + 0.05, 1e-6, 60.0)
-        down = _integrate_forward(B_REFERENCE - 0.05, 1e-6, 60.0)
-        # shallower slope -> y' turns positive, so y blows up (status 2 at the
-        # first step end with y' > 0, near x = 1.69, long before y reaches 2);
-        # steeper slope -> crosses zero (status 1, near x = 2.16)
-        assert up.status == 2 and up.y[1, -2] <= 0.0 < up.y[1, -1]
-        assert 0.0 < up.y[0, -1] < 2.0
-        assert down.status == 1 and down.y[0, -1] <= 0.0
+        # the forward guard: a slope 0.05 off the separatrix leaves it before
+        # X_MATCH, so the shot cannot be matched and raises with no history.
+        # Shallower -> y' turns positive near x = 1.69, so y blows up;
+        # steeper -> y crosses zero near x = 2.16
+        for slope, what in ((B_REFERENCE + 0.05, "turned up"), (B_REFERENCE - 0.05, "hit zero")):
+            with pytest.raises(ShootingError, match=f"{what} at x = [12]\\.") as err:
+                _forward_to_match(slope)
+            assert err.value.history == []
 
     def test_stepper_raises_when_the_step_underflows(self):
         # without the stop rule the shot runs into the singularity of
@@ -86,15 +84,19 @@ class TestUniversalProfile:
         with pytest.raises(ShootingError, match="10 ulp"):
             fermisurf.tf_atom.solve_ivp(_rhs, (X0, 80.0), y0, rtol=1e-12, atol=1e-14)
 
-    def test_shot_firing_no_event_is_not_classified(self, monkeypatch):
-        # at x = 2 a shot near the critical slope has neither crossed zero
-        # nor blown up, so it must not count as above the critical slope
-        monkeypatch.setattr(fermisurf.tf_atom, "X_CLASSIFY", 2.0)
-        with pytest.raises(ShootingError, match="-1.6") as err:
-            _crosses_zero(-1.6)
-        assert err.value.history == []
-        with pytest.raises(ShootingError, match="neither crossed zero nor blew up"):
+    @pytest.mark.parametrize("guess", [-1.587, -1.589])
+    def test_match_converges_from_a_start_1e3_off(self, guess, monkeypatch):
+        # the match needs no bracket: a start 1e-3 off the known slope, about
+        # 1e8 times SLOPE_GUESS's own error, converges within MATCH_MAXITER
+        # (7 iterates measured)
+        monkeypatch.setattr(fermisurf.tf_atom, "SLOPE_GUESS", guess)
+        assert abs(solve_universal().slope_B - B_LITERATURE) <= 1e-11
+
+    def test_start_off_the_separatrix_raises_from_the_forward_guard(self, monkeypatch):
+        monkeypatch.setattr(fermisurf.tf_atom, "SLOPE_GUESS", B_REFERENCE + 0.05)
+        with pytest.raises(ShootingError, match="turned up") as err:
             solve_universal()
+        assert err.value.history == []
 
 
 class TestStepper:
@@ -110,7 +112,7 @@ class TestStepper:
     def test_forward_dense_output_matches_scipy(self):
         u = universal_profile()
         ref = self._scipy_shot(_series_y(X0, u.slope_B), (X0, X_MATCH), 1e-14)
-        got = _integrate_forward(u.slope_B, X0, X_MATCH)
+        got = _forward_to_match(u.slope_B)
         xs = np.geomspace(X0, X_MATCH, 1201)[1:]
         assert np.max(np.abs(got.sol(xs) - ref.sol(xs))) <= 1e-12
 
@@ -173,8 +175,10 @@ class TestMatchedShooting:
 
         monkeypatch.setattr(fermisurf.tf_atom, "solve_ivp", counting)
         solve_universal()
-        assert calls["forward"] <= 17
-        assert calls["backward"] <= 5
+        # the first shot pair, the Jacobian's pair and one pair per iterate:
+        # three residuals (1.3e-5, 1.4e-10, 1.4e-11) from the known start
+        assert calls["forward"] <= 4
+        assert calls["backward"] <= 4
 
     def test_match_without_noise_floor_wanders_in_the_noise(self, monkeypatch):
         # with no floor to stop at, the iterates after the fourth only follow

@@ -297,7 +297,8 @@ class TestExterior:
         gmask = mask.grid_mask(grid)
         v_r = np.where(gmask, phi_r, 0.0)
         bound = float(np.sum(sol.rho.values[gmask])) * grid.cell_volume
-        ext = exterior_tf(grid, v_r, mask, bound)
+        # started from T(v_r), the TF density of the unscreened potential
+        ext = exterior_tf(grid, v_r, mask, bound, start=lambda: tf_density(v_r))
         # the exterior minimizer reproduces the molecular density on A_r
         diff = np.abs(ext.rho.values - sol.rho.values)[gmask]
         scale = np.max(sol.rho.values[gmask])
@@ -311,7 +312,8 @@ class TestExterior:
         grid = Grid3D.cube((0, 0, 0), 6.0, 25)
         mask = RegionMask(config=cfg, r=0.3)
         assert mask.grid_mask(grid).all()
-        ext = exterior_tf(grid, external_potential(grid, cfg), mask, 1.0)
+        v = external_potential(grid, cfg)
+        ext = exterior_tf(grid, v, mask, 1.0, start=lambda: tf_density(v))
         assert 0.0 < ext.n_electrons <= 1.0 + 1e-10
 
     def test_exterior_density_vanishes_inside(self):
@@ -322,7 +324,7 @@ class TestExterior:
         phi_r = screened_tf(sol, mask)
         gmask = mask.grid_mask(grid)
         v_r = np.where(gmask, phi_r, 0.0)
-        ext = exterior_tf(grid, v_r, mask, 2.0)
+        ext = exterior_tf(grid, v_r, mask, 2.0, start=lambda: tf_density(v_r))
         assert np.all(ext.rho.values[~gmask] == 0.0)
 
     def test_poisson_sources_stay_within_the_charge_bound(self, monkeypatch):
@@ -337,7 +339,7 @@ class TestExterior:
         v_r = np.where(gmask, phi_r, 0.0)
         bound = float(np.sum(sol.rho.values[gmask])) * grid.cell_volume
         sources = _record_poisson_sources(monkeypatch)
-        ext = exterior_tf(grid, v_r, mask, bound)
+        ext = exterior_tf(grid, v_r, mask, bound, start=lambda: tf_density(v_r))
         assert len(sources) > 2
         assert min(float(s.min()) for s in sources) >= 0.0
         assert max(float(s.sum()) * grid.cell_volume for s in sources) <= bound + 1e-10
@@ -359,12 +361,13 @@ class TestExterior:
         mask = RegionMask(config=cfg, r=0.5)
         phi_r = screened_tf(sol, mask)
         bound = float(np.sum(sol.rho.values[mask.grid_mask(grid)])) * grid.cell_volume
-        cold = exterior_tf(grid, phi_r, mask, bound)
+        cold = exterior_tf(grid, phi_r, mask, bound,
+                           start=lambda: atomic_superposition(grid, cfg))
         warm = exterior_tf(grid, phi_r, mask, bound, start=lambda: sol.rho.values)
         assert len(warm.history) <= 2 < len(cold.history)
         # both solves stop once a sweep moves rho by less than TF_TOL of its
         # charge, and the energy is stationary at the minimizer; measured
-        # gap 7.8e-10 Ha, about 4e-3 TF_TOL |E|
+        # gap 7.0e-10 Ha, about 3e-3 TF_TOL |E|
         assert abs(warm.energy - cold.energy) <= TF_TOL * abs(cold.energy)
 
     def test_start_is_restricted_and_scaled_to_the_bound(self, monkeypatch):
@@ -427,7 +430,7 @@ class TestPoissonCount:
     def test_exterior_tf(self, monkeypatch):
         grid, v_r, mask = _bare_exterior_problem()
         sources = _record_poisson_sources(monkeypatch)
-        ext = exterior_tf(grid, v_r, mask, 1.0)
+        ext = exterior_tf(grid, v_r, mask, 1.0, start=lambda: tf_density(v_r))
         assert len(sources) == len(ext.history) + 2
 
 
@@ -448,7 +451,7 @@ class TestPickMuCount:
             return out
 
         monkeypatch.setattr(tm, "_pick_mu", counting)
-        ext = exterior_tf(grid, v_r, mask, 1.0)
+        ext = exterior_tf(grid, v_r, mask, 1.0, start=lambda: tf_density(v_r))
         sweeps = len(ext.history)
         assert sweeps >= 2
         assert len(calls) == 2 * sweeps - 1
