@@ -103,8 +103,26 @@ def _floats(value, length=None) -> list:
     return [float(v) for v in value]
 
 
-def _pair(value) -> list:
-    return _floats(value, 2)
+def _positives(value, length=None) -> list:
+    """A nonempty JSON list of positive finite numbers (see `_floats`)."""
+    numbers = _floats(value, length)
+    if not numbers or not all(0.0 < v < np.inf for v in numbers):
+        raise ValueError("expected positive finite numbers")
+    return numbers
+
+
+def _charge_pair(value) -> list:
+    return _positives(value, 2)
+
+
+def _positions(value) -> list:
+    """A nonempty JSON list of finite [x, y, z] points."""
+    if not isinstance(value, list) or not value:
+        raise TypeError("expected a list of [x, y, z] points")
+    points = [_floats(p, 3) for p in value]
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    return points
 
 
 def _integer(value) -> int:
@@ -134,8 +152,15 @@ def _positive(value) -> float:
     return number
 
 
+def _nonnegative(value) -> float:
+    number = float(value)
+    if not 0.0 <= number < np.inf:
+        raise ValueError(f"must be nonnegative and finite, got {value!r}")
+    return number
+
+
 def _window(value) -> list:
-    lo, hi = _pair(value)
+    lo, hi = _floats(value, 2)
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     return [lo, hi]
@@ -161,7 +186,7 @@ def _xc(value) -> dict:
 
 def _cmd_tf_atom(cfg, args, out: Path) -> None:
     z = cfg["z"]
-    sol = atomic_tf(z)  # rejects a non-positive or non-finite z
+    sol = atomic_tf(z)
     scale = z ** (-1.0 / 3.0)
     window = cfg["fit_window"] or (10.0 * scale, 100.0 * scale)
     fit = powerlaw_fit(sol.grid.nodes, np.maximum(sol.phi.values, 1e-300),
@@ -179,7 +204,7 @@ def _cmd_tf_molecule(cfg, args, out: Path) -> None:
     config = NuclearConfiguration(cfg["positions"], cfg["charges"])
     n = config.Z if cfg["n"] is None else cfg["n"]
     grid = cfg["grid"].build(config)
-    sol = solve_tf(config, n, grid)  # rejects a non-positive or non-finite n
+    sol = solve_tf(config, n, grid)
     rows = [[config.R_min if config.K > 1 else 0.0, n, sol.energy, sol.mu,
              grid.h, sol.residual, config.U_R]]
     path = _write(out, "tf_molecule", "R_min,n,energy,mu,grid_h,residual,U_R", rows)
@@ -190,6 +215,8 @@ def _cmd_tf_molecule(cfg, args, out: Path) -> None:
 def _cmd_ks_atom(cfg, args, out: Path) -> None:
     z = cfg["z"]
     n = z if cfg["n"] is None else cfg["n"]
+    if n > z:
+        raise ConfigError("n must be <= z (existence regime)")
     xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
     state = scf_atom(z, n, xc, q=cfg["q"], lmax=cfg["lmax"],
                      per_ell=cfg["per_ell"], tol=cfg["tol"])
@@ -207,6 +234,8 @@ def _cmd_ks_molecule(cfg, args, out: Path) -> None:
     config = NuclearConfiguration(cfg["positions"], cfg["charges"])
     xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
     n = config.Z if cfg["n"] is None else cfg["n"]
+    if n > config.Z:
+        raise ConfigError("n must be <= the sum of the charges (existence regime)")
     grid = cfg["grid"].build(config)
     state = scf_molecule(config, n, xc, grid, q=cfg["q"], tol=cfg["tol"])
     resid = state.scf_history[-1] if state.scf_history else 0.0
@@ -251,8 +280,6 @@ def _cmd_bo_scan(cfg, args, out: Path) -> None:
         xc = dict(cfg["xc"], strict_mode=args.strict_xc)
         xc_name = make_functional(**xc).name  # validate early
     rs = sorted(cfg["R_values"])
-    if not rs or not all(0.0 < r < np.inf for r in rs):
-        raise ConfigError("R_values must be positive and finite")
 
     cache_dir = args.cache_dir or os.environ.get("FERMISURF_CACHE")
     points = [
@@ -279,8 +306,6 @@ def _cmd_bo_scan(cfg, args, out: Path) -> None:
 
 def _cmd_gamma(cfg, args, out: Path) -> None:
     R = cfg["R"]
-    if not 0.0 < R < np.inf:
-        raise ConfigError("R must be positive and finite")
     est = gamma_limit(diatomic(*cfg["charges"], R), cfg["l_values"], cfg["grid"])
     rows = [
         [l, y, s.D, s.grid_h, s.residual]
@@ -296,12 +321,8 @@ def _cmd_screened(cfg, args, out: Path) -> None:
     config = NuclearConfiguration(cfg["positions"], cfg["charges"])
     rs = cfg["r_values"]
     # screened_compare checks the same window, but only after both solves
-    if not rs or min(rs) <= 0.0 or (
-        config.K >= 2 and max(rs) > config.R_min / 4.0 + 1e-12
-    ):
-        raise ConfigError(
-            "r_values must be positive (and <= R_min/4 for two or more nuclei)"
-        )
+    if config.K >= 2 and max(rs) > config.R_min / 4.0 + 1e-12:
+        raise ConfigError("r_values must be <= R_min/4 for two or more nuclei")
     xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
     grid = cfg["grid"].build(config)
     state = scf_molecule(config, config.Z, xc, grid, q=cfg["q"])
@@ -325,10 +346,10 @@ def _cmd_screened(cfg, args, out: Path) -> None:
 def _cmd_qij(cfg, args, out: Path) -> None:
     config = NuclearConfiguration(cfg["positions"], cfg["charges"])
     if config.K < 2:
-        raise ConfigError("qij needs at least two nuclei")
+        raise ConfigError("qij needs at least two positions")
     r = cfg["r"]
-    if not 0.0 < r <= config.R_min / 2.0:
-        raise ConfigError("need 0 < r <= R_min/2")
+    if r > config.R_min / 2.0:
+        raise ConfigError("need r <= R_min/2")
     atoms = [atomic_tf(float(z)) for z in config.charges]
     Q = qij_tf(atoms, config, r)
     grid_h = float(atoms[0].grid.nodes[1] - atoms[0].grid.nodes[0])
@@ -343,6 +364,8 @@ def _cmd_qij(cfg, args, out: Path) -> None:
 
 
 def _cmd_minsearch(cfg, args, out: Path) -> None:
+    if len(cfg["charges"]) < 2:
+        raise ConfigError("minsearch needs at least two charges")
     xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
     res = min_distance_search(cfg["charges"], xc, cfg["grid"], q=cfg["q"],
                               restarts=cfg["restarts"], maxiter=cfg["maxiter"],
@@ -367,42 +390,42 @@ _FLAGS = {
                         help="enforce the strict admissibility class on xc"),
 }
 
-_NUCLEI = {"positions": (list, REQUIRED), "charges": (_floats, REQUIRED)}
+_NUCLEI = {"positions": (_positions, REQUIRED), "charges": (_positives, REQUIRED)}
 
 # name: (handler, config spec {key: (converter, default or REQUIRED)},
 # optional flags it reads)
 _COMMANDS = {
-    "tf-atom": (_cmd_tf_atom, {"z": (float, REQUIRED), "fit_window": (_window, None)}, ()),
+    "tf-atom": (_cmd_tf_atom, {"z": (_positive, REQUIRED), "fit_window": (_window, None)}, ()),
     "tf-molecule": (_cmd_tf_molecule, {
-        **_NUCLEI, "n": (float, None), "grid": (_grid, REQUIRED),
+        **_NUCLEI, "n": (_positive, None), "grid": (_grid, REQUIRED),
     }, ()),
     "ks-atom": (_cmd_ks_atom, {
-        "z": (float, REQUIRED), "n": (float, None), "xc": (_xc, REQUIRED),
-        "q": (float, 2.0), "lmax": (_at_least(0), 3), "per_ell": (_at_least(1), 5),
+        "z": (_positive, REQUIRED), "n": (_nonnegative, None), "xc": (_xc, REQUIRED),
+        "q": (_positive, 2.0), "lmax": (_at_least(0), 3), "per_ell": (_at_least(1), 5),
         "tol": (_positive, 1e-6),
     }, ("--strict-xc",)),
     "ks-molecule": (_cmd_ks_molecule, {
-        **_NUCLEI, "n": (float, None), "xc": (_xc, REQUIRED), "q": (float, 2.0),
+        **_NUCLEI, "n": (_positive, None), "xc": (_xc, REQUIRED), "q": (_positive, 2.0),
         "grid": (_grid, REQUIRED), "tol": (_positive, 1e-6),
     }, ("--strict-xc",)),
     "bo-scan": (_cmd_bo_scan, {
-        "charges": (_pair, REQUIRED), "R_values": (_floats, REQUIRED),
-        "theory": (str, "tf"), "xc": (_xc, None), "q": (float, 2.0),
+        "charges": (_charge_pair, REQUIRED), "R_values": (_positives, REQUIRED),
+        "theory": (str, "tf"), "xc": (_xc, None), "q": (_positive, 2.0),
         "grid": (_grid, REQUIRED),
     }, ("--cache", "--workers", "--strict-xc")),
     "gamma": (_cmd_gamma, {
-        "charges": (_pair, REQUIRED), "R": (float, 1.0),
+        "charges": (_charge_pair, REQUIRED), "R": (_positive, 1.0),
         "l_values": (_floats, REQUIRED), "grid": (_grid, REQUIRED),
     }, ()),
     "screened": (_cmd_screened, {
-        **_NUCLEI, "r_values": (_floats, REQUIRED), "xc": (_xc, REQUIRED),
-        "q": (float, 2.0), "grid": (_grid, REQUIRED),
+        **_NUCLEI, "r_values": (_positives, REQUIRED), "xc": (_xc, REQUIRED),
+        "q": (_positive, 2.0), "grid": (_grid, REQUIRED),
     }, ("--strict-xc",)),
-    "qij": (_cmd_qij, {**_NUCLEI, "r": (float, REQUIRED)}, ()),
+    "qij": (_cmd_qij, {**_NUCLEI, "r": (_positive, REQUIRED)}, ()),
     "minsearch": (_cmd_minsearch, {
-        "charges": (_floats, REQUIRED), "xc": (_xc, REQUIRED), "q": (float, 2.0),
-        "grid": (_grid, REQUIRED), "restarts": (_integer, 3), "maxiter": (_integer, 60),
-        "seed": (_integer, 3),
+        "charges": (_positives, REQUIRED), "xc": (_xc, REQUIRED), "q": (_positive, 2.0),
+        "grid": (_grid, REQUIRED), "restarts": (_at_least(1), 3),
+        "maxiter": (_at_least(1), 60), "seed": (_at_least(0), 3),
     }, ("--strict-xc",)),
 }
 

@@ -8,6 +8,7 @@ split equally among levels tied at the Fermi energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .grids import SolverError
 FERMI_DEGENERACY_TOL = 1e-6  # Hartree window treated as degenerate
 MIX_ALPHA = 0.7  # damping of the Anderson step
 MIX_DEPTH = 3  # differences kept by the Anderson mixer
+GRAM_TOL = 1e-12  # smallest Cholesky pivot of the mixer's scaled difference Gram
 
 
 class SCFError(SolverError):
@@ -123,46 +125,114 @@ class AndersonMixer:
     iterate and residual differences and g minimises |r - dR g| (Pulay,
     CPL 73:393, 1980; Walker & Ni, SIAM J. Numer. Anal. 49:1715, 2011).
     dX enters only as dU = dX + MIX_ALPHA dR, the difference of successive
-    damped steps x + MIX_ALPHA r. dU and dR live in two (MIX_DEPTH, n) ring
-    arrays whose oldest row the next difference overwrites, and the Gram
-    matrix dR^T dR is updated by one row per call, so a call costs
-    O(MIX_DEPTH n). The first call, a singular system or a non-finite step
-    gives plain damping x + MIX_ALPHA r. The output is a fresh array of
-    x's shape.
+    damped steps d = x + MIX_ALPHA r, so the output is the combination
+    sum_i a_i d_i of the last MIX_DEPTH + 1 damped steps with a = e_new -
+    D g, D the (m, m - 1) successive-difference matrix.
+
+    The mixer keeps those steps and their residuals in two rings of
+    MIX_DEPTH + 1 slots, 2 MIX_DEPTH + 2 arrays of x's size in all (the
+    damped steps as one (MIX_DEPTH + 1, n) block), and the residual Gram
+    matrix G_ij = r_i . r_j. A call writes r and d into the slots of the
+    oldest step (three elementwise passes), forms the newest row of G from
+    one dot product per held residual, solves the small system D^T G D g =
+    D^T G e_new, and makes the output in one matrix-vector product that
+    reads the damped block. The difference form took two more
+    subtractions, a second product and a closing subtraction. Beyond the
+    rings a call allocates only its output, a fresh array of x's shape.
+
+    The first call, a difference system singular to working precision or
+    a non-finite output gives plain damping x + MIX_ALPHA r (a copy: the
+    damped step stays in the ring). D^T G D is formed from G, whose
+    entries carry rounding of about eps |r_i| |r_j|; scaled by the sizes
+    of the residuals each difference is taken from, |r_j| + |r_j+1|, its
+    entries are known to about eps. The scaled system is solved by
+    Cholesky, whose pivot j is the squared distance of the j-th scaled
+    difference from the span of the earlier ones. A pivot at or below
+    GRAM_TOL = 1e-12, some 4500 eps, means that difference is linearly
+    dependent on the others to within that rounding, so g would be noise:
+    the step is refused. Two equal residual differences (an exactly
+    singular system) and a residual change of 1e-10 on a residual of 1
+    both fall under the rule.
     """
 
     def __init__(self):
-        self._damped = None  # previous damped step and residual, flattened
-        self._r = None
-        self._du = self._dr = None  # ring arrays, allocated on first use
-        self._gram = np.zeros((MIX_DEPTH, MIX_DEPTH))
-        self._stored = 0  # differences held, at most MIX_DEPTH
+        self._d = self._r = None  # ring arrays, allocated on first use
+        self._gram = np.zeros((MIX_DEPTH + 1, MIX_DEPTH + 1))
+        self._calls = 0
 
     def mix(self, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
         shape = np.shape(x)
         x = np.asarray(x, dtype=float).ravel()
-        r = np.asarray(fx, dtype=float).ravel() - x
-        damped = MIX_ALPHA * r
-        damped += x
-        # damped stays with the mixer, so plain damping returns a copy
-        if self._damped is None:
-            # two arrays: one (2, MIX_DEPTH, n) block raised peak RSS by ~2%
-            self._du, self._dr = (np.empty((MIX_DEPTH, x.size)) for _ in range(2))
-            self._damped, self._r = damped, r
-            return damped.reshape(shape).copy()
-        k = self._stored % MIX_DEPTH  # the oldest row once the ring is full
-        np.subtract(damped, self._damped, out=self._du[k])
-        np.subtract(r, self._r, out=self._dr[k])
-        self._damped, self._r = damped, r
-        self._stored += 1
-        m = min(self._stored, MIX_DEPTH)
-        self._gram[k, :m] = self._gram[:m, k] = self._dr[:m] @ self._dr[k]
-        try:
-            g = np.linalg.solve(self._gram[:m, :m], self._dr[:m] @ r)
-        except np.linalg.LinAlgError:
-            return damped.reshape(shape).copy()
-        out = g @ self._du[:m]
-        np.subtract(damped, out, out=out)
-        if not np.all(np.isfinite(out)):
-            return damped.reshape(shape).copy()
-        return out.reshape(shape)
+        fx = np.asarray(fx, dtype=float).ravel()
+        if self._d is None:
+            # the residuals as separate arrays: a second (MIX_DEPTH + 1, n)
+            # block raised a TF run's peak RSS by 0.4 MB (glibc's heap grew
+            # in later repetitions), and one (2, MIX_DEPTH, n) block had by ~2%
+            self._d = np.empty((MIX_DEPTH + 1, x.size))
+            self._r = [np.empty(x.size) for _ in range(MIX_DEPTH + 1)]
+        k = self._calls % (MIX_DEPTH + 1)  # the oldest slot once the ring is full
+        r = np.subtract(fx, x, out=self._r[k])
+        np.multiply(r, MIX_ALPHA, out=self._d[k])
+        self._d[k] += x
+        self._calls += 1
+        m = min(self._calls, MIX_DEPTH + 1)  # steps held, in slots 0..m-1
+        self._gram[k, :m] = self._gram[:m, k] = [row @ r for row in self._r[:m]]
+        coef = self._weights(k, m)
+        if coef is not None:
+            out = coef @ self._d[:m]
+            if math.isfinite(out.sum()):  # one NaN or inf makes the sum so
+                return out.reshape(shape)
+        return self._d[k].reshape(shape).copy()  # plain damping
+
+    def _weights(self, k: int, m: int):
+        """Weights a of the m held damped steps, by slot; None for plain damping."""
+        if m == 1:
+            return None
+        order = [(k - m + 1 + j) % (MIX_DEPTH + 1) for j in range(m)]  # oldest first
+        g = self._gram[np.ix_(order, order)]
+        # the successive residual differences r_j+1 - r_j: their Gram matrix,
+        # and their products with the newest residual
+        a = g[1:, 1:] - g[1:, :-1] - g[:-1, 1:] + g[:-1, :-1]
+        b = g[1:, -1] - g[:-1, -1]
+        norms = np.sqrt(np.diag(g))
+        scale = norms[:-1] + norms[1:]  # |r_j| + |r_j+1| per difference
+        if not scale.min() > 0.0:  # NaN fails too
+            return None
+        y = _cholesky_solve(a / np.outer(scale, scale), b / scale, GRAM_TOL)
+        if y is None:
+            return None
+        step = y / scale
+        w = np.zeros(m)
+        w[-1] = 1.0
+        w[:-1] += step
+        w[1:] -= step
+        coef = np.zeros(m)
+        coef[order] = w
+        return coef
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray, tol: float):
+    """y with a y = b for a small symmetric a, or None if a pivot is <= tol.
+
+    Cholesky factorization a = L L^T on Python floats, for the mixer's at
+    most MIX_DEPTH rows. Pivot j, L_jj^2, is the squared distance of the
+    j-th column from the span of the earlier ones in a's inner product.
+    No LAPACK routine is called: a LAPACK eigenvalue check here loaded
+    code pages that raised a TF run's resident set by 0.6 MB.
+    """
+    n = len(b)
+    a = a.tolist()
+    low = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = a[j][j] - sum(v * v for v in low[j][:j])
+        if not pivot > tol:  # NaN fails too
+            return None
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            low[i][j] = (a[i][j] - sum(p * q for p, q in zip(low[i][:j], low[j][:j]))) / low[j][j]
+    y = b.tolist()
+    for j in range(n):  # L z = b
+        y[j] = (y[j] - sum(low[j][i] * y[i] for i in range(j))) / low[j][j]
+    for j in reversed(range(n)):  # L^T y = z
+        y[j] = (y[j] - sum(low[i][j] * y[i] for i in range(j + 1, n))) / low[j][j]
+    return np.array(y)

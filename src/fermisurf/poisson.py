@@ -6,18 +6,23 @@ transform (`sine_transform`, also the eigensolver's preconditioner, which
 runs it in float32; every Poisson solve runs it in float64); the
 solution is the exact stencil solution (residual at rounding level), so no
 iteration control is needed. Boundary values come from the monopole +
-dipole expansion of the source, written on the box faces of a fresh array
-whose interior the solve then fills. `poisson_solve(grid, source)` takes
-the source as a plain array of the grid's shape and returns the potential
-as one.
+dipole expansion of the source about the box centre, a point fixed by the
+grid, written on the box faces of a fresh array whose interior the solve
+then fills. So the boundary data, and with them the whole solve, are
+linear in the source: P(a) + P(b) = P(a + b) up to rounding, which the
+exterior TF problems rely on (`tf_molecule.exterior_tf`). An expansion
+about each source's own charge centre is not linear, and missed that
+identity by 1.5e-5 Ha on a box whose second nucleus is off a node.
+`poisson_solve(grid, source)` takes the source as a plain array of the
+grid's shape and returns the potential as one.
 
 Memory per solve: the output plus two interior-sized arrays. The right-hand
 side 4 pi source is formed on the interior nodes only, both sine transforms
 run as matrix products that ping-pong between those two arrays, the
-division by the stencil eigenvalues is done in place, and the residual
-check is formed in one of them. Beyond these, only face-sized arrays are
-made; the source is never written, and no grid-sized array is kept between
-solves.
+division by the stencil eigenvalues is done in place, one x-slab at a
+time through one reused (ny, nz) denominator, and the residual check is
+formed in one of them. Beyond these, only face-sized arrays are made; the
+source is never written, and no grid-sized array is kept between solves.
 """
 
 from __future__ import annotations
@@ -38,35 +43,47 @@ class PoissonError(SolverError):
 def multipole_boundary(grid: Grid3D, source: np.ndarray):
     """Monopole + dipole potential of the source on the box faces.
 
-    Returns (q, center, dipole, u). The moments come from two reductions
-    of the source (over z, and over x and y). u is a fresh grid array that
-    holds the potential on the six faces only: its interior is left unset
-    for `solve_dirichlet` to fill.
+    Both moments are taken about the box centre c = (origin + upper
+    corner) / 2, a property of the grid, so q and the dipole p, and with
+    them the face values, are linear in the source. Returns (q, p, u); c
+    is the grid's and is not returned. The moments come from one pass
+    over the source: a BLAS product of its (nx ny, nz) rows with the
+    columns 1 and z - c_z gives each row's sum and z moment. u is a fresh
+    grid array that holds q/r + p.x/r^3 (x measured from c) on the six
+    faces only, formed from 1/r as (q + p.x/r^2)/r: its interior is left
+    unset for `solve_dirichlet` to fill. A quadrupole about the same c
+    would keep the expansion linear.
     """
+    nx, ny, nz = grid.shape
     vol = grid.cell_volume
-    xs, ys, zs = grid.axes()
-    s_xy = source.sum(axis=2)
-    s_z = source.sum(axis=(0, 1))
-    s_x, s_y = s_xy.sum(axis=1), s_xy.sum(axis=0)
-    q = float(s_x.sum()) * vol
-    if abs(q) > 1e-300:
-        center = np.array([s_x @ xs, s_y @ ys, s_z @ zs]) * vol / q
-    else:
-        center = 0.5 * (grid.origin + grid.upper_corner())
-    # dipole about `center`
+    c = 0.5 * (grid.origin + grid.upper_corner())
+    xs, ys, zs = (a - ca for a, ca in zip(grid.axes(), c))
+    cols = np.stack([np.ones(nz), zs], axis=1)
+    rows = (source.reshape(nx * ny, nz) @ cols).reshape(nx, ny, 2)
+    s_xy = rows[:, :, 0]
+    q = float(s_xy.sum()) * vol
     dip = np.array([
-        s_x @ (xs - center[0]), s_y @ (ys - center[1]), s_z @ (zs - center[2])
+        s_xy.sum(axis=1) @ xs, s_xy.sum(axis=0) @ ys, rows[:, :, 1].sum()
     ]) * vol
 
     u = np.empty(grid.shape)
-    X, Y, Z = np.ix_(xs - center[0], ys - center[1], zs - center[2])
+    X, Y, Z = np.ix_(xs, ys, zs)
     for axis in range(3):
         for side in (0, -1):
             face = tuple(side if a == axis else slice(None) for a in range(3))
             x, y, z = X[face], Y[face], Z[face]
-            r = np.maximum(np.sqrt(x * x + y * y + z * z), 1e-12)
-            u[face] = q / r + (dip[0] * x + dip[1] * y + dip[2] * z) / r**3
-    return q, center, dip, u
+            # 1/r once, then q/r + (p.x)/r^3 as (q + (p.x)/r^2)/r; the box
+            # centre lies inside the box, so r > 0 on every face
+            inv_r = x * x + y * y + z * z
+            np.sqrt(inv_r, out=inv_r)
+            np.divide(1.0, inv_r, out=inv_r)
+            val = dip[0] * x + dip[1] * y + dip[2] * z
+            val *= inv_r
+            val *= inv_r
+            val += q
+            val *= inv_r
+            u[face] = val
+    return q, dip, u
 
 
 @lru_cache(maxsize=None)
@@ -138,9 +155,12 @@ def solve_dirichlet(
 
     t = sine_transform(rhs, out=work)
     lx, ly, lz = (_dst_eigenvalues(m, grid.h) for m in t.shape)
-    # one x-slab of the stencil eigenvalues at a time: no n^3 denominator
-    for i, li in enumerate(lx):
-        t[i] /= (li + ly[:, None]) + lz
+    # one x-slab of the stencil eigenvalues at a time, in one reused (ny, nz)
+    # denominator: no n^3 denominator
+    lyz = ly[:, None] + lz
+    den = np.empty_like(lyz)
+    for ti, li in zip(t, lx.tolist()):
+        ti /= np.add(lyz, li, out=den)
     u[1:-1, 1:-1, 1:-1] = sine_transform(t, out=rhs)
     return u
 
@@ -174,7 +194,7 @@ def poisson_solve(grid: Grid3D, source: np.ndarray) -> np.ndarray:
     """
     if not isinstance(grid, Grid3D):
         raise GridError("poisson_solve expects a 3D grid")
-    _, _, _, u = multipole_boundary(grid, source)
+    _, _, u = multipole_boundary(grid, source)
     inner = source[1:-1, 1:-1, 1:-1]
     rhs, work = (np.empty(inner.shape) for _ in range(2))
     solve_dirichlet(grid, np.multiply(inner, 4.0 * np.pi, out=rhs), u, work)

@@ -45,7 +45,7 @@ TAIL_GUESS = -13.05  # first tail amplitude (c = -13.0489 at x_max = 1e5)
 MATCH_STEPS = (1e-6, 1e-3)  # finite-difference steps in (B, c)
 MATCH_MAXITER = 8
 MATCH_NOISE = 1e-10  # the match stops at a residual below this: integration noise
-DENSITY_BLOCK = 2**14  # elements per cache-sized block of `tf_density`'s t sqrt(t)
+DENSITY_BLOCK = 2**14  # elements per cache-sized block of `tf_law`'s t sqrt(t)
 
 
 class ShootingError(SolverError):
@@ -60,16 +60,23 @@ class ShootingError(SolverError):
 def tf_density(phi, mu: float = 0.0, slope_sum: bool = False):
     """TF density law rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2).
 
-    Evaluated as 2^(3/2) t sqrt(t) / (3 pi^2), t = [phi - mu]_+, in one
-    fresh array: a float power costs several times a square root. sqrt(t)
-    goes through a scratch of DENSITY_BLOCK elements, one block at a time,
-    made per call. With `slope_sum`, (rho, s) is returned, s the sum over
-    the nodes of the slope d rho / d phi = (3/2) 2^(3/2) sqrt(t) / (3 pi^2),
-    summed block by block from the same scratch, so no slope array is made
-    and rho is the same to the bit.
+    Evaluated by `tf_law` on phi - mu, formed in one fresh array. With
+    `slope_sum`, (rho, s) is returned, s the sum over the nodes of the
+    slope d rho / d phi = (3/2) 2^(3/2) sqrt(t) / (3 pi^2), summed block by
+    block, so no slope array is made and rho is the same to the bit.
+    """
+    return tf_law(np.subtract(phi, mu, out=np.empty(np.shape(phi))), slope_sum)
+
+
+def tf_law(t: np.ndarray, slope_sum: bool = False):
+    """The TF law of `tf_density` applied in place to t = phi - mu.
+
+    t is clipped to [t]_+ and turned into 2^(3/2) t sqrt(t) / (3 pi^2): a
+    float power costs several times a square root. sqrt(t) goes through a
+    scratch of DENSITY_BLOCK elements, one block at a time, made per call.
+    Returns t (a scalar for a 0-d t), or (t, slope sum) as `tf_density`.
     """
     c = 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
-    t = np.subtract(phi, mu, out=np.empty(np.shape(phi)))
     np.maximum(t, 0.0, out=t)
     flat = t.reshape(-1)
     scratch = np.empty(min(DENSITY_BLOCK, flat.size))

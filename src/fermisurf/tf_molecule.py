@@ -21,7 +21,7 @@ import numpy as np
 from .grids import Grid3D, GridError, ScalarField, SolverError
 from .ks_common import AndersonMixer, density_change
 from .poisson import poisson_solve
-from .tf_atom import atomic_tf, tf_density, tf_energy, tf_residual
+from .tf_atom import atomic_tf, tf_density, tf_energy, tf_law, tf_residual
 
 TF_TOL = 1e-8  # relative L1 density change per sweep
 TF_MAX_SWEEPS = 400
@@ -48,7 +48,7 @@ class NuclearConfiguration:
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be K x 3")
         if chg.shape != (pos.shape[0],) or np.any(chg <= 0.0):
-            raise ValueError("need one positive charge per nucleus")
+            raise ValueError("charges must hold one positive charge per nucleus")
         for name, a in (("positions", pos), ("charges", chg)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite")
@@ -272,8 +272,9 @@ def _tf_fixed_point(
     vol = grid.cell_volume
 
     def density(u):
-        phi = v_ext - u
-        return _pick_mu(phi, n_target, vol)[1] if constrained else tf_density(phi)
+        if constrained:
+            return _pick_mu(v_ext - u, n_target, vol)[1]
+        return tf_law(np.subtract(v_ext, u))  # phi = v_ext - u in its own array
 
     rho, u = start(), None
     mixer = AndersonMixer()
@@ -368,9 +369,15 @@ def exterior_tf(
     point: on A_r, Phi_r minus the potential of that restriction is the
     molecular phi, whose TF density is rho_mol, and off A_r the density is
     0. This is the outside-model argument behind the screening estimates
-    (Solovej, Ann. Math. 158:509, 2003). The first density change is then
-    rho_mol's own one-sweep change on A_r, and the sweep stops there when
-    that is below TF_TOL.
+    (Solovej, Ann. Math. 158:509, 2003). It holds on every box, because
+    `poisson_solve` is linear in its source: Phi_r - P(rho_mol 1_{A_r}) =
+    V - P(rho_mol) up to rounding. So the start is exact up to the
+    molecule's own self-consistency. The first density change is rho_mol's
+    own one-sweep change on A_r, and the sweep stops there when that is
+    below TF_TOL. A TF solution stops once one sweep moves rho by less than
+    TF_TOL, but its next sweep can move it by about 10 times its last
+    recorded change; where that is above TF_TOL, the constrained sweep
+    takes several more sweeps to close the gap.
 
     The callable runs inside the solve, and its result is dropped once
     restricted. A start built in the call (a superposition of atoms, say)

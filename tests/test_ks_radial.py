@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,26 @@ class TestAndersonMixer:
         assert all(o.shape == x.shape for o in outs)
         assert len({id(o) for o in outs}) == len(outs)
         assert not any(np.shares_memory(a, b) for a in outs for b in outs if a is not b)
+
+    def test_steady_state_call_allocates_only_its_output(self):
+        # the damped steps and residuals are written into the rings, so a
+        # call past the first MIX_DEPTH + 1 makes one x-sized array, its
+        # output; the slack is one face of the 31^3 box
+        rng = np.random.default_rng(5)
+        shape = (31, 31, 31)
+        mixer = AndersonMixer()
+        for _ in range(MIX_DEPTH + 2):
+            mixer.mix(rng.random(shape), rng.random(shape))
+        x, fx = rng.random(shape), rng.random(shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = mixer.mix(x, fx)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == shape
+        assert peak <= out.nbytes + 8 * 31 * 31
 
     def test_beats_plain_damping_on_linear_contraction(self):
         rng = np.random.default_rng(2)
