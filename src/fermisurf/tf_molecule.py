@@ -20,7 +20,7 @@ import numpy as np
 
 from .grids import Grid3D, GridError, ScalarField, SolverError
 from .ks_common import AndersonMixer, density_change
-from .poisson import poisson_solve
+from .poisson import mirror_axes, poisson_solve
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_law, tf_residual
 
 TF_TOL = 1e-8  # relative L1 density change per sweep
@@ -268,6 +268,21 @@ def _tf_fixed_point(
     Between sweeps only v_ext, the current rho and u, and the mixer's
     2 MIX_DEPTH + 2 history arrays stay alive: every other grid array is
     dropped once it is last read.
+
+    Mirror symmetry is tested once, on v_ext and the start density
+    (`mirror_axes`), and every Poisson solve here, the two closing ones
+    included, runs on the odd sine modes of each axis about whose
+    box-centre plane both are symmetric. Every iterate keeps the symmetry
+    up to rounding: the TF law is pointwise, `_pick_mu` returns a scalar,
+    the solve of a symmetric source is symmetric, and the mixer's output
+    is a linear combination of its inputs. So does the limit: the TF
+    minimizer is unique (Lieb and Simon, Adv. Math. 23:22, 1977), so it
+    has every symmetry of v_ext. On-axis diatomics on `GridPolicy` boxes
+    are symmetric in y and z; an atom on the central node, or equal
+    charges placed symmetrically about it, in x too. Should an iterate
+    lose the symmetry, its solve's residual check, which reads the full
+    source, raises PoissonError once the part the odd modes dropped passes
+    the check's tolerance.
     """
     vol = grid.cell_volume
 
@@ -277,11 +292,12 @@ def _tf_fixed_point(
         return tf_law(np.subtract(v_ext, u))  # phi = v_ext - u in its own array
 
     rho, u = start(), None
+    mirror = mirror_axes(v_ext, rho)
     mixer = AndersonMixer()
     history = []
 
     for _ in range(TF_MAX_SWEEPS):
-        u_out = poisson_solve(grid, rho)
+        u_out = poisson_solve(grid, rho, mirror)
         rho_new = density(u_out)
         change = density_change(grid, rho_new, rho, n_target)
         history.append(change)
@@ -304,12 +320,12 @@ def _tf_fixed_point(
     # the closing solves read only rho and v_ext
     del mixer, u, u_out, rho_new
 
-    phi = v_ext - poisson_solve(grid, rho)
+    phi = v_ext - poisson_solve(grid, rho, mirror)
     mu = _pick_mu(phi, n_target, vol)[0] if constrained else 0.0
     residual = tf_residual(rho, phi, mu)
     # a second solve of the same rho: perfbench's Poisson count identity
     # (sweeps + 2 per TF solve) counts it
-    u = poisson_solve(grid, rho)
+    u = poisson_solve(grid, rho, mirror)
     return TFSolution(
         config=config,
         grid=grid,

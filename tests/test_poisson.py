@@ -9,6 +9,7 @@ from scipy.special import erf
 from fermisurf.grids import Grid3D, GridError, RadialGrid
 from fermisurf.poisson import (
     PoissonError,
+    mirror_axes,
     multipole_boundary,
     poisson_solve,
     sine_transform,
@@ -201,3 +202,66 @@ class TestContracts:
         rho[8, 8, 8] = np.nan
         with pytest.raises(PoissonError, match="final residual nan"):
             poisson_solve(grid, rho)
+
+
+class TestMirror:
+    """Odd-sine-mode solves of sources symmetric about the box centre."""
+
+    # interior lengths 15, 12 and 17: odd and even, on a non-cubic box
+    GRID = Grid3D((-2.0, -1.625, -2.25), 0.25, (17, 14, 19))
+
+    @classmethod
+    def _symmetric_source(cls, axes):
+        """An off-centre blob made exactly symmetric along `axes`."""
+        grid = cls.GRID
+        X, Y, Z = grid.meshgrid()
+        src = np.exp(-((X - 0.5) ** 2 + 1.5 * (Y + 0.4) ** 2 + 0.7 * (Z - 0.3) ** 2))
+        for axis in axes:
+            src = src + np.flip(src, axis)  # a + b == b + a: exactly symmetric
+        return src
+
+    @pytest.mark.parametrize("axes", [(1, 2), (0, 1, 2)])
+    def test_matches_the_full_solve(self, axes):
+        grid = self.GRID
+        src = self._symmetric_source(axes)
+        mirror = tuple(a in axes for a in range(3))
+        assert mirror_axes(src) == mirror
+        full = poisson_solve(grid, src)
+        odd = poisson_solve(grid, src, mirror)
+        assert np.max(np.abs(odd - full)) <= 1e-13 * np.max(np.abs(full))
+        rhs = (4.0 * math.pi * src)[1:-1, 1:-1, 1:-1]
+        res = stencil_residual(grid, odd, rhs)
+        assert res <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_detection_tolerates_rounding_and_refuses_real_asymmetry(self):
+        src = self._symmetric_source((0, 1, 2))
+        rng = np.random.default_rng(7)
+        rounded = src * (1.0 + 4e-16 * rng.standard_normal(src.shape))
+        assert np.max(np.abs(rounded - np.flip(rounded))) > 0.0
+        assert mirror_axes(rounded) == (True, True, True)
+        # 1e-9 of the largest value at a node off the x mirror plane only
+        bumped = src.copy()
+        cy, cz = (n // 2 for n in src.shape[1:])
+        assert src.shape[1] % 2 == 0  # y has no central node: bump a pair
+        bumped[2, cy - 1 : cy + 1, cz] += 1e-9 * np.max(src)
+        assert mirror_axes(bumped) == (False, True, True)
+        # every array must be symmetric for an axis to count
+        assert mirror_axes(src, bumped) == (False, True, True)
+
+    def test_mirrored_solve_holds_output_and_two_interior_arrays(self):
+        grid = Grid3D.cube((0, 0, 0), 4.0, 33)
+        rho, _ = _ball_source(grid, 1.0, 1.2)
+        mirror = (True, True, True)
+        assert mirror_axes(rho) == mirror
+        poisson_solve(grid, rho, mirror)  # the cached odd columns are not per solve
+        n = grid.dims[0]
+        output, interior, face = 8 * n**3, 8 * (n - 2) ** 3, 8 * n**2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            poisson_solve(grid, rho, mirror)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the same slack as the full solve's budget
+        assert peak <= output + 2 * interior + 16 * face

@@ -415,9 +415,9 @@ def _record_poisson_sources(monkeypatch):
     sources = []
     solve = tm.poisson_solve
 
-    def recording(grid, source):
+    def recording(grid, source, *mirror):
         sources.append(source.copy())
-        return solve(grid, source)
+        return solve(grid, source, *mirror)
 
     monkeypatch.setattr(tm, "poisson_solve", recording)
     return sources
@@ -474,6 +474,63 @@ class TestPickMuCount:
         assert len(calls) == 2 * sweeps - 1
         assert max(calls) > 0.0  # the bound binds, so mu is solved for
         assert calls[-1] == ext.mu
+
+
+class TestMirroredSolves:
+    """Odd-mode Poisson solves at spacings whose nodes are not dyadic.
+
+    Each problem is solved twice: with the mirror detection as it is, and
+    with detection forced to find no axis, which is the full transform.
+    """
+
+    @staticmethod
+    def _both_ways(monkeypatch, solve):
+        import fermisurf.tf_molecule as tm
+
+        detect, found = tm.mirror_axes, []
+
+        def recording(*arrays):
+            found.append(detect(*arrays))
+            return found[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(tm, "mirror_axes", recording)
+            mirrored = solve()
+        with monkeypatch.context() as m:
+            m.setattr(tm, "mirror_axes", lambda *arrays: (False, False, False))
+            full = solve()
+        return mirrored, full, found
+
+    def test_on_axis_exterior_problem(self, monkeypatch):
+        # (6, 6) at R = 2, h = 0.3: the molecule and its exterior problem
+        # on A_r, r = 0.5, whose staircase mask comes from the grid nodes
+        cfg = diatomic(6.0, 6.0, 2.0)
+        grid = GridPolicy(spacing=0.3).build(cfg)
+        mask = RegionMask(config=cfg, r=0.5)
+
+        def solve():
+            mol = solve_tf(cfg, cfg.Z, grid)
+            bound = float(np.sum(mol.rho.values[mask.grid_mask(grid)])) * grid.cell_volume
+            ext = exterior_tf(grid, screened_tf(mol, mask), mask, bound,
+                              start=lambda: mol.rho.values)
+            return mol.energy, ext.energy
+
+        mirrored, full, found = self._both_ways(monkeypatch, solve)
+        assert found == [(False, True, True)] * 2
+        assert np.max(np.abs(np.subtract(mirrored, full))) <= 1e-10
+
+    @pytest.mark.parametrize("second, axes", [
+        ([0.7, 0.0, 0.0], (False, True, True)),
+        ([0.5, 0.4, 0.3], (False, False, False)),  # off the x axis
+    ])
+    def test_solve_tf(self, monkeypatch, second, axes):
+        cfg = NuclearConfiguration(positions=[[-0.7, 0.0, 0.0], second],
+                                   charges=[1.0, 2.0])
+        grid = GridPolicy(spacing=0.35).build(cfg)
+        mirrored, full, found = self._both_ways(
+            monkeypatch, lambda: solve_tf(cfg, cfg.Z, grid).energy)
+        assert found == [axes]
+        assert abs(mirrored - full) <= 1e-10
 
 
 class TestMatchedGrid:
