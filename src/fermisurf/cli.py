@@ -218,8 +218,7 @@ def _cmd_ks_atom(cfg, args, out: Path) -> None:
     if n > z:
         raise ConfigError("n must be <= z (existence regime)")
     xc = make_functional(**cfg["xc"], strict_mode=args.strict_xc)
-    state = scf_atom(z, n, xc, q=cfg["q"], lmax=cfg["lmax"],
-                     per_ell=cfg["per_ell"], tol=cfg["tol"])
+    state = scf_atom(z, n, xc, q=cfg["q"], tol=cfg["tol"])
     resid = state.scf_history[-1] if state.scf_history else 0.0
     grid_h = float(state.rho0.grid.nodes[1] - state.rho0.grid.nodes[0])
     e = state.energy
@@ -288,7 +287,7 @@ def _cmd_bo_scan(cfg, args, out: Path) -> None:
         for r in rs
     ]
     if args.workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(points))) as pool:
             results = list(pool.map(_bo_point, points))
     else:
         results = [_bo_point(p) for p in points]
@@ -401,8 +400,7 @@ _COMMANDS = {
     }, ()),
     "ks-atom": (_cmd_ks_atom, {
         "z": (_positive, REQUIRED), "n": (_nonnegative, None), "xc": (_xc, REQUIRED),
-        "q": (_positive, 2.0), "lmax": (_at_least(0), 3), "per_ell": (_at_least(1), 5),
-        "tol": (_positive, 1e-6),
+        "q": (_positive, 2.0), "tol": (_positive, 1e-6),
     }, ("--strict-xc",)),
     "ks-molecule": (_cmd_ks_molecule, {
         **_NUCLEI, "n": (_positive, None), "xc": (_xc, REQUIRED), "q": (_positive, 2.0),

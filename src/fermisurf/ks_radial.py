@@ -4,6 +4,14 @@ The spherically averaged problem splits into one tridiagonal eigenproblem
 per angular momentum ell on a uniform grid in r, with u(r) = r R(r) and
 Dirichlet ends. Occupations are filled aufbau over the merged (eps, ell)
 spectrum with capacity q (2 ell + 1) per level.
+
+The basis sizes itself: each SCF step grows the number of levels solved
+per ell until aufbau leaves the highest solved level of every ell empty,
+and adds ell + 1 while the last ell's lowest level holds electrons. That
+is exact. Each ell's matrix is unreduced tridiagonal, so its levels are
+simple, and raising ell adds a positive diagonal, so by Weyl the k-th
+level of ell + 1 lies above the k-th level of ell. Every level left out
+thus lies above an empty one and would take no electrons.
 """
 
 from __future__ import annotations
@@ -31,32 +39,37 @@ def default_ks_radial_grid(z: float):
     return RadialGrid(nodes=r, weights=4.0 * np.pi * r**2 * h)
 
 
-def _radial_levels(r, h, v_eff, lmax: int, per_ell: int):
-    """Lowest eigenpairs of -1/2 u'' + (l(l+1)/2r^2 + v) u per ell."""
+def _radial_levels(r, h, v_eff, counts: list, q: float, N: float):
+    """Lowest eigenpairs of -1/2 u'' + (l(l+1)/2r^2 + v) u per ell, filled aufbau.
+
+    counts[ell] levels are solved for each ell; counts is SCF state and
+    grows in place by the rule in the module docstring. Returns the
+    (eps, ell, u) levels, their eigenvalues and their occupations.
+    """
     from scipy.linalg import eigh_tridiagonal
 
-    levels = []
     off = np.full(len(r) - 1, -0.5 / h**2)
-    for ell in range(lmax + 1):
-        diag = 1.0 / h**2 + 0.5 * ell * (ell + 1) / r**2 + v_eff
-        vals, vecs = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, per_ell - 1)
-        )
-        for k in range(per_ell):
-            u = vecs[:, k] / math.sqrt(h)  # normalize int u^2 dr = 1
-            levels.append((float(vals[k]), ell, u))
-    return levels
+    while True:
+        levels = []
+        for ell, count in enumerate(counts):
+            diag = 1.0 / h**2 + 0.5 * ell * (ell + 1) / r**2 + v_eff
+            vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                          select_range=(0, count - 1))
+            # normalize int u^2 dr = 1
+            levels += [(float(e), ell, u / math.sqrt(h)) for e, u in zip(vals, vecs.T)]
+        eig = np.array([lv[0] for lv in levels])
+        cap = np.array([q * (2 * lv[1] + 1) for lv in levels])
+        occ = aufbau_occupations(eig, cap, min(N, cap.sum()))  # too few levels: all full
+        top = np.cumsum(counts) - 1  # each ell's highest solved level
+        grow = occ[top] > 0.0
+        add = int(occ[top[-1] - counts[-1] + 1] > 0.0)  # the last ell's lowest level
+        if not (grow.any() or add):
+            return levels, eig, occ
+        counts[:] = [c + int(g) for c, g in zip(counts, grow)] + [1] * add
 
 
-def scf_atom(
-    z: float,
-    N: float,
-    xc: XCFunctional,
-    q: float = 2.0,
-    lmax: int = 3,
-    per_ell: int = 5,
-    tol: float = 1e-6,
-) -> KSState:
+def scf_atom(z: float, N: float, xc: XCFunctional, q: float = 2.0,
+             tol: float = 1e-6) -> KSState:
     """Self-consistent radial KS-LDA atom on `default_ks_radial_grid(z)`."""
     for name, value in (("z", z), ("q", q)):
         if not 0.0 < value < math.inf:
@@ -82,15 +95,11 @@ def scf_atom(
 
     mixer = AndersonMixer()
     history = []
-    levels = None
-    occ = None
+    counts = [1, 1]  # levels solved per ell, grown by _radial_levels
     for it in range(SCF_MAX_ITER):
         v_h = radial_hartree_potential(grid, rho)
         v_eff = -z / r + v_h - xc.derivative(rho)
-        levels = _radial_levels(r, h, v_eff, lmax, per_ell)
-        eig = np.array([lv[0] for lv in levels])
-        cap = np.array([q * (2 * lv[1] + 1) for lv in levels])
-        occ = aufbau_occupations(eig, cap, N)
+        levels, eig, occ = _radial_levels(r, h, v_eff, counts, q, N)
         rho_out = np.zeros_like(r)
         for lam, (eps, ell, u) in zip(occ, levels):
             if lam > 0.0:

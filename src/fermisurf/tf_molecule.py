@@ -426,7 +426,7 @@ def screened_tf(sol: TFSolution, mask: RegionMask) -> np.ndarray:
     """
     grid = sol.grid
     inner_rho = np.where(mask.grid_mask(grid), 0.0, sol.rho.values)
-    u = poisson_solve(grid, inner_rho)
+    u = poisson_solve(grid, inner_rho, mirror_axes(inner_rho))
     return external_potential(grid, sol.config) - u
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermisurf.cli import BO_HEADER, REQUIRED, _COMMANDS, _GRID, _XC, main
+from fermisurf.cli import BO_HEADER, REQUIRED, _BO_FIELDS, _COMMANDS, _GRID, _XC, main
 from fermisurf.eig import EigenError
 from fermisurf.grids import SolverError
 from fermisurf.ks_common import SCFError
@@ -302,6 +302,32 @@ class TestOutputs:
         assert (out1 / "bo_scan.csv").read_bytes() == \
             (out2 / "bo_scan.csv").read_bytes()
 
+    def test_worker_pool_is_no_larger_than_the_scan(self, bo_config, tmp_path,
+                                                     monkeypatch):
+        # fork starts every worker at the first submit, so --workers 3 on this
+        # two-point scan had forked a third process with nothing to do
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("fermisurf.cli.ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("fermisurf.cli._bo_point",
+                            lambda point: dict.fromkeys(_BO_FIELDS, point["R"]))
+        assert main(["bo-scan", "--config", bo_config, "--out", str(tmp_path),
+                     "--workers", "3"]) == 0
+        assert sizes == [2]
+
     def test_qij_csv(self, tmp_path):
         cfg = _write_config(
             tmp_path / "c.json",
@@ -408,9 +434,6 @@ class TestConfigSpecs:
         assert "r_values" in err["message"]
 
     @pytest.mark.parametrize("command, key, value", [
-        ("ks-atom", "lmax", -1),
-        ("ks-atom", "per_ell", 0),
-        ("ks-atom", "per_ell", -2),
         ("ks-atom", "tol", 0.0),
         ("ks-atom", "tol", -1.0),
         ("ks-atom", "tol", math.inf),
@@ -421,20 +444,18 @@ class TestConfigSpecs:
     ])
     def test_value_outside_its_domain_names_the_key(self, command, key, value,
                                                     tmp_path, capsys, monkeypatch):
-        # lmax = -1 had exited 3 with an exhausted spectrum, per_ell = 0 with
-        # scipy's message that names no key, and tol = 0 after 200 SCF steps
+        # tol = 0 had exited 3 after 200 SCF steps
         payload = {k: _VALID[k] for k in _required(_SPECS[command])}
         payload[key] = value
         message = _rejected(command, payload, tmp_path, capsys, monkeypatch)
         assert repr(key) in message
 
     @pytest.mark.parametrize("command, key", [
-        ("ks-atom", "lmax"), ("ks-atom", "per_ell"), ("minsearch", "restarts"),
-        ("minsearch", "maxiter"), ("minsearch", "seed"),
+        ("minsearch", "restarts"), ("minsearch", "maxiter"), ("minsearch", "seed"),
     ])
     def test_integer_keys_take_integral_numbers_only(self, command, key, tmp_path,
                                                      capsys, monkeypatch):
-        # int() had truncated 1.5 to 1, so lmax = 1.5 ran with lmax 1
+        # int() had truncated 1.5 to 1, so restarts = 1.5 ran one restart
         payload = {k: _VALID[k] for k in _required(_SPECS[command])}
         for bad in (1.5, 2.000001, math.inf):
             payload[key] = bad

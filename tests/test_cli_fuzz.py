@@ -70,7 +70,7 @@ def _strategy(key, k):
     if key == "l_values":  # distinct numbers nine times in ten
         return _mostly(st.lists(st.sampled_from(IN_DOMAIN), min_size=3, max_size=3,
                                 unique=True), _list(_number, 3))
-    if key in ("lmax", "per_ell", "restarts", "maxiter", "seed"):
+    if key in ("restarts", "maxiter", "seed"):
         return _integer
     return {"grid": _grid, "xc": _xc,
             "theory": st.sampled_from(["tf", "ks", "ks", "dft"])}.get(key, _value)
@@ -106,9 +106,8 @@ def _solver_stubs(failure):
         on_grid(config, grid)
         return done(SimpleNamespace(energy=-1.0, mu=0.0, residual=0.0, rho=None))
 
-    def scf_atom(z, n, xc, q, lmax, per_ell, tol):
+    def scf_atom(z, n, xc, q, tol):
         assert _positive(z, q, tol) and 0.0 <= n <= z
-        assert type(lmax) is int and lmax >= 0 and type(per_ell) is int and per_ell >= 1
         grid = SimpleNamespace(nodes=np.array([0.0, 0.1]))
         energy = dict.fromkeys(["total", "kinetic", "external", "hartree", "xc"], -1.0)
         return done(SimpleNamespace(scf_history=(1e-7,), rho0=SimpleNamespace(grid=grid),

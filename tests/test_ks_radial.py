@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fermisurf.ks_common import MIX_ALPHA, MIX_DEPTH, AndersonMixer, aufbau_occupations
-from fermisurf.ks_radial import scf_atom
+from fermisurf.ks_radial import _radial_levels, scf_atom
+from fermisurf.tf_atom import atomic_tf
 from fermisurf.xc import make_functional
 
 
@@ -172,3 +173,37 @@ class TestAtoms:
     def test_rejects_overcharged(self, lda):
         with pytest.raises(ValueError):
             scf_atom(2.0, 3.0, lda)
+
+
+class TestBasisSizing:
+    def test_cs_tf_potential_sizes_its_basis(self):
+        # the z = 55 TF potential, on a grid coarser than the default: its
+        # sixth s level holds the 55th electron, one s level more than the
+        # fixed basis of five levels per ell had solved
+        from scipy.linalg import eigh_tridiagonal
+
+        h = 0.004
+        r = h * np.arange(1, int(round(30.0 / h)) + 1)
+        v = -atomic_tf(55.0).phi_at(r)
+        counts = [1, 1]
+        levels, eig, occ = _radial_levels(r, h, v, counts, 2.0, 55.0)
+        ells = np.array([lv[1] for lv in levels])
+        assert np.count_nonzero(occ[ells == 0] > 0.0) == 6
+        top = np.cumsum(counts) - 1
+        assert np.all(occ[top] == 0.0)  # each ell's highest solved level
+        assert occ[top[-1] - counts[-1] + 1] == 0.0  # the last ell's lowest
+        # a generous fixed basis: ten levels for each ell <= 6
+        off = np.full(len(r) - 1, -0.5 / h**2)
+        ref_eig, ref_ell = [], []
+        for ell in range(7):
+            diag = 1.0 / h**2 + 0.5 * ell * (ell + 1) / r**2 + v
+            ref_eig += list(eigh_tridiagonal(diag, off, eigvals_only=True,
+                                             select="i", select_range=(0, 9)))
+            ref_ell += [ell] * 10
+        ref_ell = np.array(ref_ell)
+        ref_occ = aufbau_occupations(np.array(ref_eig), 2.0 * (2 * ref_ell + 1), 55.0)
+        for ell in range(7):
+            got, want = occ[ells == ell], ref_occ[ref_ell == ell]
+            n = np.count_nonzero(want)
+            assert np.count_nonzero(got) == n
+            assert np.allclose(got[:n], want[:n], rtol=0.0, atol=1e-12)

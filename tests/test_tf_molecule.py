@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fermisurf.bo import GridPolicy, diatomic
 from fermisurf.grids import Grid3D, GridError
 from fermisurf.ks_common import MIX_DEPTH
-from fermisurf.poisson import poisson_solve
+from fermisurf.poisson import mirror_axes, poisson_solve
 from fermisurf.tf_atom import atomic_tf, tf_density
 from fermisurf.tf_molecule import (
     ConvergenceError,
@@ -387,6 +387,22 @@ class TestExterior:
         split = screened_tf(sol, mask) - outer
         assert np.max(np.abs(split - sol.phi.values)[gmask]) <= 1e-10
 
+    @pytest.mark.parametrize("charges, R, spacing, mirror", [
+        ((6.0, 6.0), 2.0, 0.25, (True, True, True)),  # criterion 9's box
+        ((1.0, 1.0), 1.4, 0.5, (False, True, True)),  # second nucleus off a node
+    ])
+    def test_mirrored_screened_potential_matches_the_full_solve(self, charges, R,
+                                                                spacing, mirror):
+        cfg = diatomic(*charges, R)
+        grid = GridPolicy(spacing=spacing).build(cfg)
+        sol = solve_tf(cfg, cfg.Z, grid)
+        mask = RegionMask(config=cfg, r=0.5)
+        inner = np.where(mask.grid_mask(grid), 0.0, sol.rho.values)
+        assert mirror_axes(inner) == mirror
+        full = external_potential(grid, cfg) - poisson_solve(grid, inner)
+        gap = np.max(np.abs(screened_tf(sol, mask) - full))
+        assert gap <= 1e-13 * np.max(np.abs(full))
+
     def test_start_is_restricted_and_scaled_to_the_bound(self, monkeypatch):
         # a start that is 1 everywhere, inside the balls too, with more
         # charge than the bound: the first Poisson source is its restriction
@@ -516,7 +532,8 @@ class TestMirroredSolves:
             return mol.energy, ext.energy
 
         mirrored, full, found = self._both_ways(monkeypatch, solve)
-        assert found == [(False, True, True)] * 2
+        # the molecule, its screened potential and the exterior problem
+        assert found == [(False, True, True)] * 3
         assert np.max(np.abs(np.subtract(mirrored, full))) <= 1e-10
 
     @pytest.mark.parametrize("second, axes", [
