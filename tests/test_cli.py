@@ -69,8 +69,12 @@ class TestExitCodes:
         assert err["type"] == "FitError"
 
     def test_grid_levels_is_an_unknown_key(self, tmp_path, capsys):
-        # keys that were deleted: grid.levels and screened.eps
+        # keys that were deleted: grid.levels, screened.eps and ks-atom's
+        # lmax and per_ell, which the radial basis now sizes itself
+        ks_atom = {"z": 1.0, "xc": {"kind": "lda_exchange"}}
         cases = [
+            ("ks-atom", {**ks_atom, "lmax": 3}, "unknown config keys", "lmax"),
+            ("ks-atom", {**ks_atom, "per_ell": 5}, "unknown config keys", "per_ell"),
             ("bo-scan", {"charges": [1.0, 1.0], "R_values": [1.4], "theory": "ks",
                          "xc": {"kind": "lda_exchange"},
                          "grid": {"spacing": 0.5, "levels": 2}},
