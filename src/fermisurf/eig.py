@@ -19,7 +19,27 @@ SCF keeps that block size from step to step and runs the guard only on
 its first and its converged step. Small boxes can be checked against
 dense diagonalization. The entry points take the grid and the potential
 as a plain (nx, ny, nz) array; orbitals travel as one (k, nx, ny, nz)
-block, LOBPCG's own returned rows reshaped, and warm starts as rows.
+block and warm starts as rows.
+
+Mirror-parity sectors. When v is symmetric about the box-centre plane of
+an axis with an odd number of nodes, H commutes with that reflection, so
+its eigenvectors can be taken even or odd under it. A sector is one
+parity per mirrored axis, up to 8, and the wanted states are solved per
+sector on its folded grid: (n + 1) // 2 nodes along an even axis, from
+the centre plane on, and (n - 1) // 2 along an odd one, past it (Kronik
+et al., Phys. Status Solidi B 243:1063, 2006, reduce real-space grids by
+point-group symmetry the same way). Off-plane values are stored times
+sqrt 2, so plain dot products and norms of folded rows are those of the
+full vectors and LOBPCG runs unchanged on each folded operator. An odd
+axis is then an ordinary Dirichlet half box for `apply_hamiltonian` and
+the preconditioner (sine modes S_m of the half length m); an even axis
+adds a sqrt 2 coupling between the centre plane and its neighbour, and
+its preconditioner takes the odd sine modes of S_n, folded the same way.
+A problem with no mirrored axis has one sector, the box, FULL. Warm-start
+rows pick their sectors (the one holding most of a row's weight), so the
+SCF's first start monomials and a grown block's guard set the counts per
+sector. The orbitals come back unfolded, each exactly even or odd, and
+the guard stays one vector on the whole box, constrained by them.
 
 The preconditioner runs in float32: LOBPCG uses it only to choose search
 directions, which the Rayleigh-Ritz step then weighs in float64, so its
@@ -33,26 +53,30 @@ levels, takes GUARD_SHIFT, with which it settles in a fraction of the
 iterations the wanted states' shift needs.
 
 Memory is budgeted per block vector: a LOBPCG solve of k vectors holds
-8k + 1.5 grid arrays beside its start rows. One basis block holds the 3k
-rows of [X, P, W] and their images under H (6k); the residual rows (k)
-are preconditioned in place, with k rows of work for both sine transforms
+8k + 1.5 grid arrays beside its start rows, arrays of the sector's
+folded grid for the wanted states. One basis block holds the 3k rows of
+[X, P, W] and their images under H (6k); the residual rows (k) are
+preconditioned in place, with k rows of work for both sine transforms
 (as two float32 blocks) and the constraint projections; the
 preconditioner keeps one float32 grid of inverse eigenvalues, half an
 array, and apply_hamiltonian adds one scratch. The Ritz update overwrites
 the basis in column chunks, and the Ritz vectors come back in the
-residual rows. So the guard, k = 1, holds 9.5 grid arrays; it reads the
-wanted orbitals it is constrained by in place.
+residual rows. So the guard, k = 1, holds 9.5 arrays of the box; it
+reads the wanted orbitals it is constrained by in place. The sectors are
+solved one after another, and the unfolded orbitals, k arrays of the
+box, are formed once the last of them is done.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .grids import Grid3D, GridError, SolverError
 from .ks_common import FERMI_DEGENERACY_TOL, aufbau_occupations
-from .poisson import _dst_eigenvalues, sine_transform
+from .poisson import _axis_products, _dst_eigenvalues, _sine_columns
 
 EIG_SEED = 7  # random start vectors beyond the warm-start rows
 EIG_MAXITER = 500  # LOBPCG iterations allowed for the wanted states
@@ -67,6 +91,8 @@ DROP_TOL = 1e-6
 # Ritz values this close (relative above 1 Ha) form one degenerate cluster
 DEGENERATE_TOL = 1e-12
 RITZ_SCRATCH = 2**14  # elements of the scratch the in-place Ritz update goes through
+FULL = (0, 0, 0)  # the one sector of a problem with no mirrored axis
+SQRT_HALF = math.sqrt(0.5)
 
 
 class EigenError(SolverError):
@@ -78,14 +104,114 @@ class EigenError(SolverError):
     """
 
 
+def _sectors(mirror) -> list:
+    """Every sector of the mirrored axes, the all-even one first.
+
+    A sector holds one parity per axis: +1 (even) or -1 (odd) under the
+    reflection about the box-centre plane of a mirrored axis, 0 for an
+    axis that is not mirrored. With no mirrored axis the one sector is FULL.
+    """
+    return list(itertools.product(*((1, -1) if m else (0,) for m in mirror)))
+
+
+def _folded_shape(shape: tuple, sector: tuple) -> tuple:
+    """The sector's folded grid: (n + 1) // 2 nodes along an even axis, (n - 1) // 2 along an odd one."""
+    return tuple((n + p) // 2 if p else n for n, p in zip(shape, sector))
+
+
+def _half(a: np.ndarray, sector: tuple) -> np.ndarray:
+    """The nodes of the grid array a that the sector's folded grid keeps, as a view.
+
+    Along a mirrored axis with centre node c these run from c on for an
+    even sector and from c + 1 on for an odd one, whose vectors are 0 on
+    the centre plane.
+    """
+    return a[tuple(slice(n // 2 + (p < 0), None) if p else slice(None)
+                   for n, p in zip(a.shape, sector))]
+
+
+def _fold(a: np.ndarray, sector: tuple) -> np.ndarray:
+    """The component of the grid array a in the sector, on its folded grid.
+
+    Along a mirrored axis with centre node c, node j >= 1 past the centre
+    holds (a[c + j] + p a[c - j]) / sqrt 2 and an even sector's node 0
+    holds a[c]. The off-plane factor sqrt 2 makes the fold an isometry on
+    the sector's vectors, so plain dot products and norms of folded
+    vectors are those of the full ones; `_unfold` is its inverse there.
+    """
+    for axis, p in enumerate(sector):
+        if p:
+            b = np.moveaxis(a, axis, 0)
+            c = b.shape[0] // 2
+            half = (np.add if p > 0 else np.subtract)(b[c + 1 :], b[c - 1 :: -1])
+            half *= SQRT_HALF
+            if p > 0:
+                half = np.concatenate([b[c : c + 1], half])
+            a = np.moveaxis(half, 0, axis)
+    return a
+
+
+def _unfold(a: np.ndarray, sector: tuple, out: np.ndarray) -> None:
+    """Write into the grid array out the vector of the sector whose fold is a.
+
+    The sector's mirrored axes, at least one, are unfolded one at a time,
+    the last of them into out. Each mirror image is an exact copy of its
+    node, negated in an odd sector, so the unfolded vector has the
+    sector's parities to the bit.
+    """
+    axes = [axis for axis, p in enumerate(sector) if p]
+    for i, axis in enumerate(reversed(axes)):
+        p = sector[axis]
+        b = np.moveaxis(a, axis, 0)
+        c = b.shape[0] - (p > 0)  # the centre node of the unfolded axis
+        if i == len(axes) - 1:
+            full = np.moveaxis(out, axis, 0)
+        else:
+            full = np.empty((2 * c + 1, *b.shape[1:]))
+        np.multiply(b[1:] if p > 0 else b, SQRT_HALF, out=full[c + 1 :])
+        if p > 0:
+            full[c] = b[0]
+            full[c - 1 :: -1] = full[c + 1 :]
+        else:
+            full[c] = 0.0
+            np.negative(full[c + 1 :], out=full[c - 1 :: -1])
+        a = np.moveaxis(full, 0, axis)
+
+
+def _classify(a: np.ndarray, sectors: list):
+    """(sector, fold) for the sector that holds most of the grid array a's weight.
+
+    The sectors' weights |fold|^2 add up to |a|^2, so the search stops at
+    the first sector that holds more than half; a tie goes to the earlier
+    sector.
+    """
+    total, best = float(np.vdot(a, a)), None
+    for s in sectors:
+        f = _fold(a, s)
+        w = float(np.vdot(f, f))
+        if best is None or w > best[0]:
+            best = (w, s, f)
+        if w > 0.5 * total:
+            break
+    return best[1], best[2]
+
+
 def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None, sector: tuple = FULL) -> np.ndarray:
     """(-1/2 Lap_h + V) psi with psi = 0 outside the box.
 
-    psi is one (nx, ny, nz) array or a (k, nx, ny, nz) block of them. The
-    result is written into `out`, an array of psi's shape that stores each
-    vector contiguously and does not overlap psi, when one is given, and
-    returned.
+    psi is one array or a (k, ...) block of them on the sector's folded
+    grid (`_fold`), and v the potential there (`_half`); the FULL sector's
+    grid is the box. The result is written into `out`, an array of psi's
+    shape that stores each vector contiguously and does not overlap psi,
+    when one is given, and returned.
+
+    An odd axis of the sector is an ordinary Dirichlet half box: its
+    centre plane, where the vector is 0, lies just outside the fold. An
+    even axis keeps the centre plane as its node 0, whose mirror image of
+    node 1 is node 1 itself; with the fold's sqrt 2 scaling this makes the
+    coupling of nodes 0 and 1 sqrt 2 instead of 1, and the operator stays
+    symmetric.
 
     The neighbours are added in the order +x, -x, +y, -y, +z, -z, each as
     one shift of the flat vectors: a y or z shift also adds across the
@@ -97,12 +223,15 @@ def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
     h2 = grid.h**2
     if out is None:
         out = np.empty(np.shape(psi))
-    n = grid.n_points
+    shape = _folded_shape(grid.shape, sector)
+    n = math.prod(shape)
     o, p = out.reshape(-1, n), np.reshape(psi, (-1, n))
     if not np.may_share_memory(o, out):
         raise ValueError("out must store each vector contiguously")
-    plane, row = n // grid.shape[0], grid.shape[2]
-    o[:, :-plane] = p[:, plane:]
+    plane, row = n // shape[0], shape[2]
+    # a ufunc, not an assignment: numpy copies the whole source of an
+    # assignment whose bounds overlap out's, as LOBPCG's interleaved rows do
+    np.positive(p[:, plane:], out=o[:, :-plane])
     o[:, -plane:] = 0.0
     o[:, plane:] += p[:, :-plane]
     for step, face in ((row, np.s_[..., -1, :]), (-row, np.s_[..., 0, :]),
@@ -113,6 +242,11 @@ def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
         else:
             o[:, -step:] += p[:, :step]
         out[face] = keep
+    for axis in (axis for axis, parity in enumerate(sector) if parity > 0):
+        o3, p3 = o.reshape(-1, *shape), p.reshape(-1, *shape)
+        centre, near = ((slice(None),) * (axis + 1) + (j,) for j in (0, 1))
+        o3[centre] += (math.sqrt(2.0) - 1.0) * p3[near]
+        o3[near] += (math.sqrt(2.0) - 1.0) * p3[centre]
     out *= -0.5 / h2
     # (v + 3/h^2) psi one vector at a time, through one grid-sized scratch
     scratch, vf = np.empty(n), np.reshape(v, n)
@@ -123,7 +257,7 @@ def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
     return out
 
 
-def _preconditioner(grid: Grid3D, c_shift: float):
+def _preconditioner(grid: Grid3D, c_shift: float, sector: tuple = FULL):
     """Inverse of -1/2 Lap_h + c_shift via float32 sine transforms, on (a, n) rows.
 
     It kills the stiff Laplacian part of the error in one apply. The shift
@@ -132,6 +266,13 @@ def _preconditioner(grid: Grid3D, c_shift: float):
     sought. `lowest_eigenpairs` passes 1 + 0.1 max(0, -min V), a few Ha,
     for bound states (the guard's 0.1 Ha there broke the C, N and O
     atoms); the guard, near 0 Ha on box-continuum states, gets GUARD_SHIFT.
+
+    The rows live on the sector's folded grid, on which -1/2 Lap_h is
+    diagonal in a product basis too: an unmirrored axis of length n takes
+    the sine modes S_n, an odd axis, a Dirichlet half box of length m,
+    takes S_m, and an even axis takes the odd modes of S_n folded as the
+    sector folds its vectors (`_sine_columns`), with the odd-mode
+    eigenvalues.
 
     apply(r, work) overwrites the C-contiguous float64 rows r with their
     preconditioned images. work, a C-contiguous float64 array of r's shape
@@ -144,19 +285,30 @@ def _preconditioner(grid: Grid3D, c_shift: float):
     from float32 axis terms: formed per apply, one x-slab at a time, it
     took 15 times as long as the one multiply by the stored grid.
     """
-    f32 = np.float32
-    lx, ly, lz = (0.5 * _dst_eigenvalues(m, grid.h) for m in grid.shape)
+    f32 = np.dtype(np.float32)
+    shape = _folded_shape(grid.shape, sector)
+    cols, lams = [], []
+    for n, m, p in zip(grid.shape, shape, sector):
+        if p > 0:
+            cols.append(_sine_columns(n, True, True, f32))
+            lams.append(0.5 * _dst_eigenvalues(n, grid.h)[0::2])
+        else:
+            cols.append(_sine_columns(m, False, False, f32))
+            lams.append(0.5 * _dst_eigenvalues(m, grid.h))
+    lx, ly, lz = lams
     inv = (lx + c_shift).astype(f32)[:, None, None] + ly.astype(f32)[:, None] + lz.astype(f32)
     np.reciprocal(inv, out=inv)
+    # the forward transform is C^T along each axis, the inverse C, both z, y, x
+    forward = [(axis, cols[axis][::-1]) for axis in (2, 1, 0)]
+    inverse = [(axis, cols[axis]) for axis in (2, 1, 0)]
 
     def apply(r, work):
-        shape = (len(r), *grid.shape)
-        lo, hi = work.reshape(-1).view(f32).reshape(2, *shape)
-        np.copyto(lo, r.reshape(shape))
-        t = sine_transform(lo, out=hi)
+        rows = (len(r), *shape)
+        lo, hi = work.reshape(-1).view(f32).reshape(2, *rows)
+        np.copyto(lo, r.reshape(rows))
+        t = _axis_products(lo, forward, hi, lo)
         t *= inv
-        sine_transform(t, out=lo)
-        np.copyto(r.reshape(shape), lo)
+        np.copyto(r.reshape(rows), _axis_products(t, inverse, lo, t))
         return r
 
     return apply
@@ -231,8 +383,12 @@ def _ritz(b: np.ndarray, a: np.ndarray, k: int):
 
 
 def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: float,
-           maxiter: int, constraints: np.ndarray | None = None):
+           maxiter: int, constraints: np.ndarray | None = None, sector: tuple = FULL):
     """Lowest Ritz pairs of H = -1/2 Lap_h + V from the k start rows x.
+
+    x, v and the returned rows live on the sector's folded grid (`_fold`;
+    `apply_hamiltonian`), and "grid array" below means an array of that
+    grid; the FULL sector's grid is the box.
 
     Each iteration replaces X by the k lowest Ritz vectors of H on the
     span of [X, P, W]: W holds the preconditioned residuals of the columns
@@ -258,9 +414,9 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     Ritz rows, the residual norms |H x - val x| taken from the final H x,
     and the largest residual norm before each iteration.
     """
-    shape, (k, n) = grid.shape, x.shape
+    shape, (k, n) = _folded_shape(grid.shape, sector), x.shape
     y, vol = constraints, grid.cell_volume
-    precond = _preconditioner(grid, c_shift)
+    precond = _preconditioner(grid, c_shift, sector)
     # each basis row holds a vector and its image: X, then P, then W
     basis = np.empty((3 * k, 2, n))
     scratch = np.empty((2 * k, min(max(1, RITZ_SCRATCH // (2 * k)), 2 * n)))
@@ -271,7 +427,7 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
         if y is not None:
             _project_out(rows[:, 0], y, work, vol)
         apply_hamiltonian(grid, v, rows[:, 0].reshape(-1, *shape),
-                          out=rows[:, 1].reshape(-1, *shape))
+                          out=rows[:, 1].reshape(-1, *shape), sector=sector)
         if y is not None:
             _project_out(rows[:, 1], y, work, vol)
 
@@ -315,22 +471,35 @@ def lowest_eigenpairs(
     tol: float = 1e-7,
     maxiter: int = EIG_MAXITER,
     initial: np.ndarray | None = None,
+    mirror: tuple = (False, False, False),
 ):
     """Lowest `count` eigenpairs of -1/2 Lap_h + v on grid to `tol`.
+
+    mirror says, per axis, that v is symmetric about the box-centre plane
+    (`poisson.mirror_axes`); a mirrored axis must have an odd number of
+    nodes, so that the plane holds one. H then commutes with each such
+    reflection, and every eigenvector can be taken even or odd under it.
+    Each sector, one parity per mirrored axis (`_sectors`), is solved on
+    its own folded grid, which holds about 1/2 of the box per mirrored
+    axis; with no mirrored axis the one sector is the box.
 
     LOBPCG iterates only the `count` wanted vectors until every residual
     norm is at most tol / 10; EigenError is raised if the final residuals
     miss tol * max(1, max |eps|). `initial` holds warm-start rows, one
-    vector per row (flat or of the grid's shape), for the first of them,
-    and only the rows it does not cover start random; when it covers them
-    all, LOBPCG reads it without a copy.
+    vector per row (flat or of the grid's shape), for the first of them;
+    each row goes to the sector that holds most of its weight, folded
+    there (`_classify`), and so sets how many states that sector solves.
+    The rows it does not cover start random in the all-even sector. With
+    no mirrored axis and every row covered, LOBPCG reads `initial` without
+    a copy.
 
     Returns (eps, orbitals, residuals). eps holds the eigenvalues,
-    nondecreasing. orbitals is one (count, nx, ny, nz) block, a view of
-    the rows LOBPCG returns, orthonormal under the grid inner product
-    (h^3 sum). residuals holds the norm |H psi - eps psi| h^(3/2) of each
-    pair, the numbers the residual check compared with
-    tol * max(1, max |eps|).
+    nondecreasing. orbitals is one (count, nx, ny, nz) block, orthonormal
+    under the grid inner product (h^3 sum): with no mirrored axis a view
+    of the rows LOBPCG returns, and otherwise the sectors' rows unfolded
+    to the box (`_unfold`), each with its sector's parities exactly.
+    residuals holds the norm |H psi - eps psi| h^(3/2) of each pair, the
+    numbers the residual check compared with tol * max(1, max |eps|).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -341,29 +510,61 @@ def lowest_eigenpairs(
     n = grid.n_points
     if count > n:
         raise ValueError("count must not exceed the number of grid points")
+    if any(m and d % 2 == 0 for m, d in zip(mirror, grid.shape)):
+        raise GridError("a mirrored axis must have an odd number of nodes")
 
+    sectors = _sectors(mirror)
     k = 0 if initial is None else min(len(initial), count)
-    if k == count:
-        start = np.reshape(initial[:k], (k, n))  # lobpcg only reads its start rows
-    else:
-        start = np.empty((count, n))
-        if k:
-            start[:k] = np.reshape(initial[:k], (k, n))
-        np.random.default_rng(EIG_SEED).standard_normal(out=start[k:])
+    warm = {s: [] for s in sectors}
+    for row in initial[:k] if k else ():
+        s, folded = _classify(np.reshape(row, grid.shape), sectors)
+        warm[s].append(folded)
+    counts = {s: len(warm[s]) for s in sectors}
+    counts[sectors[0]] += count - k
 
     # unit rows x are orbitals times h^(3/2), so |H x - eps x| is the
     # reported |H psi - eps psi| h^(3/2)
     c_shift = 1.0 + max(0.0, -float(v.min())) * 0.1
-    vals, x, residuals, history = lobpcg(grid, v, start, c_shift, 0.1 * tol, maxiter)
+    parts = []  # (sector, vals, rows, residuals, history) per solved sector
+    for s in (s for s in sectors if counts[s]):
+        shape = _folded_shape(grid.shape, s)
+        if counts[s] > math.prod(shape):
+            raise ValueError(f"count must not exceed the number of grid points "
+                             f"of sector {s}")
+        if s == FULL and k == count:
+            start = np.reshape(initial[:k], (k, n))  # lobpcg only reads its start rows
+        else:
+            start = np.empty((counts[s], math.prod(shape)))
+            for row, folded in zip(start, warm[s]):
+                np.copyto(row.reshape(shape), folded)
+            np.random.default_rng(EIG_SEED).standard_normal(out=start[len(warm[s]):])
+        warm[s] = None
+        vals, x, residuals, history = lobpcg(grid, np.ascontiguousarray(_half(v, s)), start,
+                                             c_shift, 0.1 * tol, maxiter, sector=s)
+        del start
+        x /= math.sqrt(grid.cell_volume)
+        parts.append((s, vals, x, residuals, history))
+
+    eps = np.concatenate([part[1] for part in parts])
+    residuals = np.concatenate([part[3] for part in parts])
+    bound = tol * max(1.0, float(np.max(np.abs(eps))))
     best = float(np.max(residuals))
-    if not best <= tol * max(1.0, float(np.max(np.abs(vals)))):  # NaN fails too
+    if not best <= bound:  # NaN fails too
+        history = next(part[4] for part in parts if not float(np.max(part[3])) <= bound)
         raise EigenError(
             f"eigensolver did not reach residual tolerance (best residual "
             f"{best:.3e} after {len(history) - 1} iterations)",
             history,
         )
-    x /= math.sqrt(grid.cell_volume)
-    return vals, x.reshape(count, *grid.shape), residuals
+    if sectors == [FULL]:  # LOBPCG's rows, ascending, are the orbitals
+        return eps, x.reshape(count, *grid.shape), residuals
+    order = np.argsort(eps, kind="stable")
+    rows = [(s, row.reshape(_folded_shape(grid.shape, s))) for s, _, x, _, _ in parts
+            for row in x]
+    orbitals = np.empty((count, *grid.shape))
+    for out, j in zip(orbitals, order):
+        _unfold(rows[j][1], rows[j][0], out)
+    return eps[order], orbitals, residuals[order]
 
 
 def guard_eigenpair(grid: Grid3D, v: np.ndarray, orbitals: np.ndarray,
@@ -411,15 +612,20 @@ def occupied_eigenpairs(
     tol: float,
     solved,
     guard: np.ndarray | None = None,
+    mirror: tuple = (False, False, False),
 ):
     """Eigenpairs and aufbau occupations of the states that hold n electrons.
 
     Starts from `solved`, the (eps, orbitals, residuals) of a
-    lowest_eigenpairs result on this potential. The Fermi-level shell must
-    close inside the block: the guard's lower estimate theta - rho of the
-    next eigenvalue must exceed eps_F + FERMI_DEGENERACY_TOL. While it
-    does not, the block grows by one state and is solved again,
-    warm-started from the orbital rows and the guard. `guard` warm-starts
+    lowest_eigenpairs result on this potential with the mirrored axes
+    `mirror`. The Fermi-level shell must close inside the block: the
+    guard's lower estimate theta - rho of the next eigenvalue must exceed
+    eps_F + FERMI_DEGENERACY_TOL. The guard is one vector on the whole
+    box, constrained by the orbitals as they are, so it checks the block
+    whichever sectors hold it. While the shell does not close, the block
+    grows by one state and is solved again, warm-started from the orbital
+    rows and the guard; the new state goes to the sector that holds most
+    of the guard's weight. `guard` warm-starts
     the first guard run (later ones start random). When the block cannot
     grow (the grown block and its guard would not fit in the grid),
     EigenError is raised with the margins theta - rho - eps_F tried; a
@@ -451,6 +657,6 @@ def occupied_eigenpairs(
             )
         initial = np.concatenate([orbitals.reshape(count, -1), guard[None]])
         eps, orbitals, residuals = lowest_eigenpairs(
-            grid, v, count + 1, tol=tol, initial=initial
+            grid, v, count + 1, tol=tol, initial=initial, mirror=mirror
         )
         guard = None

@@ -5,7 +5,9 @@ Hamiltonian -1/2 Laplacian + v_eff with v_eff = -V_R + rho * |x|^-1
 - g'(rho); only the occupied states are converged. A guard vector checks
 that the Fermi-level shell closes inside them on the first step, which
 fixes the block size the later steps solve, and again on the step that
-converges. The density is Anderson-mixed between sweeps.
+converges. The density is Anderson-mixed between sweeps. A problem
+symmetric about box-centre planes is solved in mirror-parity sectors on
+the folded grid, with mirrored Hartree solves (`scf_molecule`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .eig import EIG_SEED, apply_hamiltonian, lowest_eigenpairs, occupied_eigenp
 from .grids import Grid3D, ScalarField
 from .ks_common import (AndersonMixer, KSState, SCFError, aufbau_occupations,
                         density_change, ks_energy)
-from .poisson import poisson_solve
+from .poisson import mirror_axes, poisson_solve
 from .tf_molecule import (
     NuclearConfiguration,
     atomic_superposition,
@@ -72,12 +74,13 @@ def _density(grid: Grid3D, orbitals: np.ndarray, occ) -> np.ndarray:
 
 
 def _effective_potential(grid: Grid3D, rho: np.ndarray, v_ext: np.ndarray,
-                         xc: XCFunctional) -> np.ndarray:
+                         xc: XCFunctional, mirror: tuple) -> np.ndarray:
     """v_eff = -v_ext + u - g'(rho), u the Hartree potential of rho.
 
-    u is dropped once it is added, before the xc term is formed.
+    u is solved with the mirrored axes `mirror` and dropped once it is
+    added, before the xc term is formed.
     """
-    u = poisson_solve(grid, rho)
+    u = poisson_solve(grid, rho, mirror)
     v = np.negative(v_ext)
     v += u
     del u
@@ -122,16 +125,35 @@ def scf_molecule(
     "shell_margin" the guard's theta - rho - eps_F of the last shell check,
     the margin by which the returned occupied set was trusted.
 
-    Memory, in grid arrays, with k the block size and M = MIX_DEPTH.
-    Between steps the SCF holds v_ext, rho, the mixer's 2M + 2 history
-    arrays, the k orbitals and the guard vector. A step forms v_eff (the
-    Hartree potential u is dropped once added), copies the (k, nx, ny, nz)
-    orbital block as the k warm-start rows and drops the block, and runs
-    one eigensolve of 8k + 1.5 arrays (see `eig`). A shell check adds
-    rho_out and the guard's 9.5; the guard reads the k orbitals in place.
-    rho_out is dropped once mixed, and the stationarity pass reuses two
-    arrays for every orbital. So a step peaks near max(13.5 + 9k, 22.5 + k)
-    arrays; H2 (k = 1) read 24.1 on a 31^3 box.
+    Mirror symmetry is tested once, on v_ext and the start density
+    (`poisson.mirror_axes`), and only an axis with an odd number of nodes
+    counts, since its centre plane must hold nodes (every `GridPolicy`
+    box has odd axes). The eigensolves then run per mirror-parity sector
+    on the folded grid (`eig`), and every Poisson solve, the closing one
+    included, takes the same mirror flags. The symmetry holds throughout:
+    each orbital comes back exactly even or odd, so each output density
+    is symmetric to the bit, and the mixer combines symmetric densities.
+    At the first step each start monomial, taken about the charge
+    centre, which lies on every mirrored plane, picks its sector: H2 gets
+    one state in (+, +, +), and a homonuclear pair with two states gets
+    sigma_g there and sigma_u in (-, +, +). A shell check grows the block
+    in the sector that holds most of the guard's weight.
+
+    Memory, in grid arrays of the box, with k the block size and M =
+    MIX_DEPTH. Between steps the SCF holds v_ext, rho, the mixer's 2M + 2
+    history arrays, the k orbitals and the guard vector. A step forms
+    v_eff (the Hartree potential u is dropped once added), copies the
+    (k, nx, ny, nz) orbital block as the k warm-start rows and drops the
+    block, and runs one eigensolve of 8k + 1.5 arrays (see `eig`). With m
+    mirrored axes those are arrays of a sector's folded grid, about 2^-m
+    of the box, and the folded start rows and potential add about k + 1
+    more of them. A shell check adds rho_out and the guard's 9.5 arrays of
+    the box; the guard reads the k orbitals in place. rho_out is dropped
+    once mixed, and the stationarity pass reuses two arrays for every
+    orbital. So a step peaks near max(13.5 + 9k, 22.5 + k) arrays with no
+    mirrored axis, and near max(12 + k + (9k + 2.5) 2^-m, 22.5 + k) with
+    m of them; H2 (k = 1, mirrored in x, y and z) read 24.2 on a 31^3
+    box, where the guard's shell checks set the peak.
     """
     if not N > 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
@@ -148,13 +170,15 @@ def scf_molecule(
     elif np.shape(rho) != grid.shape:
         raise ValueError("rho must have the grid's shape")
     rho *= N / grid.integrate(rho)
+    # an axis folds only if its centre plane holds nodes
+    mirror = tuple(m and d % 2 == 1 for m, d in zip(mirror_axes(v_ext, rho), grid.shape))
 
     mixer = AndersonMixer()
     history = []
     count = int(math.ceil(N / q))  # block size, fixed by the first shell check
     orbitals = guard = None  # the last step's orbitals warm-start the next eigensolve
     for it in range(SCF_MAX_ITER):
-        v = _effective_potential(grid, rho, v_ext, xc)
+        v = _effective_potential(grid, rho, v_ext, xc, mirror)
         if orbitals is None:
             initial = _density_start(grid, rho, count)
         else:
@@ -165,7 +189,7 @@ def scf_molecule(
         # loose eigensolves while the density is far from self-consistent
         it_tol = max(EIG_TOL, 0.1 * history[-1]) if history else 1e-4
         eps, orbitals, eig_resids = lowest_eigenpairs(grid, v, count, tol=it_tol,
-                                                      initial=initial)
+                                                      initial=initial, mirror=mirror)
         del initial
         occ = aufbau_occupations(eps, np.full(count, q), N)
         rho_out = _density(grid, orbitals, occ)
@@ -173,7 +197,7 @@ def scf_molecule(
         closed = False
         if guard is None or resid < tol:
             eps, orbitals, eig_resids, occ, guard, margin = occupied_eigenpairs(
-                grid, v, N, q, it_tol, (eps, orbitals, eig_resids), guard
+                grid, v, N, q, it_tol, (eps, orbitals, eig_resids), guard, mirror
             )
             closed = len(eps) == count
             if not closed:
@@ -198,7 +222,7 @@ def scf_molecule(
     del mixer
 
     # stationarity of every occupied orbital under the converged potential
-    v_eff = _effective_potential(grid, rho, v_ext, xc)
+    v_eff = _effective_potential(grid, rho, v_ext, xc, mirror)
     scale = math.sqrt(grid.cell_volume)
     stat_resids = []
     hpsi, term = np.empty((2, *grid.shape))
@@ -212,7 +236,7 @@ def scf_molecule(
 
     # a second solve of the same rho: perfbench's Poisson count identity
     # (steps + 2 per SCF solve) counts it
-    u = poisson_solve(grid, rho)
+    u = poisson_solve(grid, rho, mirror)
 
     keep = occ > 1e-12
     return KSState(

@@ -43,20 +43,25 @@ def _radial_levels(r, h, v_eff, counts: list, q: float, N: float):
     """Lowest eigenpairs of -1/2 u'' + (l(l+1)/2r^2 + v) u per ell, filled aufbau.
 
     counts[ell] levels are solved for each ell; counts is SCF state and
-    grows in place by the rule in the module docstring. Returns the
+    grows in place by the rule in the module docstring. A growth pass
+    solves again only the ell whose count changed. Returns the
     (eps, ell, u) levels, their eigenvalues and their occupations.
     """
     from scipy.linalg import eigh_tridiagonal
 
     off = np.full(len(r) - 1, -0.5 / h**2)
+    solved = {}  # ell -> (count, its levels), as last solved
     while True:
         levels = []
         for ell, count in enumerate(counts):
-            diag = 1.0 / h**2 + 0.5 * ell * (ell + 1) / r**2 + v_eff
-            vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                          select_range=(0, count - 1))
-            # normalize int u^2 dr = 1
-            levels += [(float(e), ell, u / math.sqrt(h)) for e, u in zip(vals, vecs.T)]
+            if solved.get(ell, (0,))[0] != count:
+                diag = 1.0 / h**2 + 0.5 * ell * (ell + 1) / r**2 + v_eff
+                vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                              select_range=(0, count - 1))
+                # normalize int u^2 dr = 1
+                solved[ell] = (count, [(float(e), ell, u / math.sqrt(h))
+                                       for e, u in zip(vals, vecs.T)])
+            levels += solved[ell][1]
         eig = np.array([lv[0] for lv in levels])
         cap = np.array([q * (2 * lv[1] + 1) for lv in levels])
         occ = aufbau_occupations(eig, cap, min(N, cap.sum()))  # too few levels: all full

@@ -2,10 +2,10 @@
 
 The 7-point stencil system with Dirichlet boundary data is solved directly
 by diagonalizing the stencil with the orthonormal type-I discrete sine
-transform (`sine_transform`, also the eigensolver's preconditioner, which
-runs it in float32; every Poisson solve runs it in float64); the
-solution is the exact stencil solution (residual at rounding level), so no
-iteration control is needed. Boundary values come from the monopole +
+transform (`sine_transform`, whose products the eigensolver's
+preconditioner also makes, in float32; every Poisson solve runs them in
+float64); the solution is the exact stencil solution (residual at
+rounding level), so no iteration control is needed. Boundary values come from the monopole +
 dipole expansion of the source about the box centre, a point fixed by the
 grid, written on the box faces of a fresh array whose interior the solve
 then fills. So the boundary data, and with them the whole solve, are
@@ -26,10 +26,11 @@ alone: with C = S_n[:, 0::2] the forward transform along it is C^T, the
 inverse C, and the division takes the odd eigenvalues. The forward
 transform takes the mirrored axes first and the inverse takes them last,
 so the products in between run on the halved lengths. The caller states
-the symmetry (`tf_molecule` tests it once per TF solve with
-`mirror_axes`); a source that breaks it is solved as if symmetrized, and
-the residual check, which reads the full source, raises once the part
-the odd modes dropped passes CHECK_TOL.
+the symmetry (`tf_molecule` tests it once per TF solve, and
+`ks_molecule` once per SCF, with `mirror_axes`); a source that breaks it
+is solved as if symmetrized, and the residual check, which reads the
+full source, raises once the part the odd modes dropped passes
+CHECK_TOL.
 
 Memory per solve: the output plus two interior-sized arrays. The right-hand
 side 4 pi source is formed on the interior nodes only, both sine transforms
@@ -132,8 +133,8 @@ def sine_transform(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     143 was measured.
 
     The products run in a's floating dtype (an integer a promotes to
-    float64): float64 for every Poisson solve, float32 in the eigensolver's
-    preconditioner.
+    float64): float64 for every Poisson solve; the eigensolver's
+    preconditioner makes the same products in float32 (`_sine_columns`).
 
     Without `out` a is left alone and the transform is a fresh array. With
     `out`, the products ping-pong between out and a, which must both be
@@ -182,18 +183,26 @@ def _leading(buf: np.ndarray | None, shape: tuple) -> np.ndarray | None:
 
 
 @lru_cache(maxsize=None)
-def _sine_columns(n: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only float64 (C, C^T): the forward transform is C^T, its inverse C.
+def _sine_columns(n: int, odd: bool, folded: bool = False,
+                  dtype: np.dtype = np.dtype(np.float64)) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (C, C^T): the forward transform is C^T, its inverse C.
 
     C = S_n, or for odd its (n + 1) // 2 odd-mode columns S_n[:, 0::2]:
     C^T a is then the DST-I of a vector a symmetric under j <-> n + 1 - j,
-    whose even modes vanish. Both are stored C-contiguous: a transposed
-    view as the last product's left factor took twice as long.
+    whose even modes vanish. folded (with odd, n odd) keeps only the rows
+    from the centre row (n - 1) // 2 on, those past it times sqrt 2: a
+    square orthogonal C whose columns are the odd modes of an even vector
+    as the eigensolver's sectors fold it (`eig`). Formed in float64 and
+    rounded once to dtype. Both are stored C-contiguous: a transposed view
+    as the last product's left factor took twice as long.
     """
-    s = _sine_matrix(n, np.dtype(np.float64))
     if not odd:
+        s = _sine_matrix(n, np.dtype(dtype))
         return s, s
-    c = np.ascontiguousarray(s[:, 0::2])
+    c = _sine_matrix(n, np.dtype(np.float64))[:, 0::2]
+    if folded:
+        c = c[n // 2 :] * np.sqrt([1.0] + [2.0] * (n // 2))[:, None]
+    c = np.ascontiguousarray(c, dtype=dtype)
     ct = np.ascontiguousarray(c.T)
     c.flags.writeable = False
     ct.flags.writeable = False

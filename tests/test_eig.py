@@ -223,9 +223,9 @@ class TestShifts:
         shifts = []
         precondition = eig._preconditioner
 
-        def recording(grid, c_shift):
+        def recording(grid, c_shift, *sector):
             shifts.append(c_shift)
-            return precondition(grid, c_shift)
+            return precondition(grid, c_shift, *sector)
 
         monkeypatch.setattr(eig, "_preconditioner", recording)
         # the harmonic well lowered by 2 Ha, so that min V < 0 enters the
@@ -362,3 +362,118 @@ class TestInPlaceKernels:
         kept = start.copy()
         guard_eigenpair(grid, v, orbitals, start)
         assert np.array_equal(start, kept)
+
+
+def _anisotropic(half, n):
+    """The well of frequencies 1, 0.7 and 1.3, mirror-symmetric in x, y and z."""
+    grid = Grid3D.cube((0, 0, 0), half, n)
+    X, Y, Z = grid.meshgrid()
+    return grid, 0.5 * (X**2 + 0.49 * Y**2 + 1.69 * Z**2)
+
+
+class TestSectors:
+    """Mirror-parity sectors solved on their folded grids."""
+
+    MIRROR = (True, True, True)
+
+    def test_sectored_pairs_and_density_match_full_box(self):
+        # Gaussians times 1, y, x, z, y^2 and xy put one start in each of
+        # the sectors of the six lowest levels (1.47 up to 3.13 Ha)
+        grid, v = _anisotropic(5.0, 21)
+        X, Y, Z = grid.meshgrid()
+        gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
+        initial = np.stack([gauss * m for m in (1.0, Y, X, Z, Y * Y, X * Y)])
+        tol = 1e-8
+        full_eps, full, _ = lowest_eigenpairs(grid, v, 6, tol=tol)
+        eps, orbitals, residuals = lowest_eigenpairs(grid, v, 6, tol=tol, initial=initial,
+                                                     mirror=self.MIRROR)
+        assert np.all(np.diff(eps) >= 0.0)
+        assert np.allclose(eps, full_eps, rtol=0.0, atol=tol)
+        assert np.max(residuals) <= tol * max(1.0, float(np.max(np.abs(eps))))
+        vol = grid.cell_volume
+        gram = orbitals.reshape(6, -1) @ orbitals.reshape(6, -1).T * vol
+        assert np.allclose(gram, np.eye(6), rtol=0.0, atol=1e-12)
+        rho, rho_full = (np.einsum("kxyz,kxyz->xyz", o, o) for o in (orbitals, full))
+        assert np.max(np.abs(rho - rho_full)) <= tol * np.max(rho_full)
+        # every orbital has its sector's parities exactly
+        for orb in orbitals:
+            for axis in range(3):
+                mirrored = np.flip(orb, axis)
+                assert np.array_equal(mirrored, orb) or np.array_equal(mirrored, -orb)
+
+    def test_block_spanning_sectors_matches_dense(self):
+        # a random mirror-symmetric potential has no degenerate levels; the
+        # dense eigenvectors, perturbed, start the ten lowest in their sectors
+        grid = Grid3D.cube((0, 0, 0), 2.0, 9)
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal(grid.shape)
+        for axis in range(3):
+            v = v + np.flip(v, axis)
+        vals, vecs = np.linalg.eigh(dense_hamiltonian(grid, v))
+        count = 10
+        initial = vecs[:, :count].T + 1e-3 * rng.standard_normal((count, grid.n_points))
+        eps, orbitals, _ = lowest_eigenpairs(grid, v, count, tol=1e-9, initial=initial,
+                                             mirror=self.MIRROR)
+        assert np.allclose(eps, vals[:count], rtol=0.0, atol=1e-8)
+        sectors = {tuple(int(np.array_equal(np.flip(o, a), o)) for a in range(3))
+                   for o in orbitals}
+        assert len(sectors) >= 4
+        overlaps = np.abs(orbitals.reshape(count, -1) @ vecs[:, :count]) * grid.cell_volume**0.5
+        assert np.allclose(np.diag(overlaps), 1.0, rtol=0.0, atol=1e-7)
+
+    def test_first_count_in_wrong_sector_is_grown_by_the_guard(self):
+        # N = 4, q = 2 fills the ground state (+,+,+) and the y-odd level
+        # (+,-,+); the first block starts in (+,+,+) and the z-odd sector
+        # (+,+,-) instead, so the guard finds the y-odd level below eps_F
+        # and the block grows there
+        grid, v = _anisotropic(5.0, 21)
+        X, Y, Z = grid.meshgrid()
+        gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
+        tol = 1e-8
+        first = lowest_eigenpairs(grid, v, 2, tol=tol, initial=np.stack([gauss, Z * gauss]),
+                                  mirror=self.MIRROR)
+        eps, orbitals, _, occ, _, margin = occupied_eigenpairs(grid, v, 4.0, 2.0, tol, first,
+                                                               mirror=self.MIRROR)
+        full_eps, full_orbitals, _, full_occ, *_ = _occupied(grid, v, 4.0, 2.0, tol)
+        assert len(eps) == 3 and margin > 0.0
+        assert occ.tolist() == [2.0, 2.0, 0.0] and full_occ.tolist() == [2.0, 2.0]
+        assert np.allclose(eps[:2], full_eps, rtol=0.0, atol=tol)
+        rho = np.einsum("k,kxyz,kxyz->xyz", occ, orbitals, orbitals)
+        rho_full = np.einsum("k,kxyz,kxyz->xyz", full_occ, full_orbitals, full_orbitals)
+        assert np.max(np.abs(rho - rho_full)) <= 10 * tol * np.max(rho_full)
+
+    def test_even_length_axis_is_refused(self):
+        grid = Grid3D(origin=(0.0, 0.0, 0.0), h=0.5, dims=(9, 9, 10))
+        with pytest.raises(GridError, match="odd"):
+            lowest_eigenpairs(grid, np.zeros(grid.shape), 1, mirror=(False, False, True))
+
+    def test_sectored_solve_holds_8k_plus_one_and_a_half_folded_arrays(self, monkeypatch):
+        # two states in the (+,+,+) sector of a 61^3 box: LOBPCG works on
+        # its 31^3 folded grid, and its peak is the k = 2 budget of that grid
+        import tracemalloc
+
+        grid, v = _anisotropic(6.0, 61)
+        X, Y, Z = grid.meshgrid()
+        gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
+        initial = np.stack([gauss, (X * X - Y * Y) * gauss])
+        del X, Y, Z, gauss
+        peaks = []
+        solve = eig.lobpcg
+
+        def measured(grid, v, x, *args, **kw):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = solve(grid, v, x, *args, **kw)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before, x.shape))
+            return result
+
+        monkeypatch.setattr(eig, "lobpcg", measured)
+        tracemalloc.start()
+        try:
+            lowest_eigenpairs(grid, v, 2, tol=1e-6, initial=initial, mirror=self.MIRROR)
+        finally:
+            tracemalloc.stop()
+        ((peak, (k, n)),) = peaks
+        assert (k, n) == (2, 31**3)
+        # the Ritz scratch, the Gram pair and face arrays fit in one array of slack
+        assert peak <= (8 * k + 1.5 + 1) * 8 * n

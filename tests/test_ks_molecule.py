@@ -25,6 +25,27 @@ def hydrogen_state(lda):
 
 
 @pytest.fixture(scope="module")
+def mirrored_h2_state(lda):
+    # nuclei at -2h and +2h about the box's centre node: every axis folds,
+    # and each SCF step's wanted states are solved in the (+,+,+) sector
+    from fermisurf import ks_molecule
+
+    cfg = diatomic(1.0, 1.0, 1.2)
+    grid = GridPolicy(spacing=0.3).build(cfg)
+    flags = set()
+    solve = ks_molecule.lowest_eigenpairs
+
+    def recording(grid, v, count, **kw):
+        flags.add(kw["mirror"])
+        return solve(grid, v, count, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks_molecule, "lowest_eigenpairs", recording)
+        state = scf_molecule(cfg, 2.0, lda, grid)
+    return state, flags
+
+
+@pytest.fixture(scope="module")
 def h2_state(lda):
     # separation is a multiple of the spacing so both nuclei sit on nodes
     cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]],
@@ -86,6 +107,27 @@ class TestDiatomic:
         assert len(res) >= 1
         assert max(res) < 1e-6
 
+    def test_mirrored_stationarity_residuals_reported(self, mirrored_h2_state):
+        # the SCF stops on the density change alone, so the folded warm
+        # starts must not leave the returned orbitals off stationarity
+        state, flags = mirrored_h2_state
+        assert flags == {(True, True, True)}
+        res = state.meta["stationarity"]
+        assert len(res) >= 1
+        assert max(res) < 1e-6
+
+    def test_mirrored_eigen_residuals_within_last_eigensolve_tolerance(self, mirrored_h2_state):
+        from fermisurf.ks_molecule import EIG_TOL
+
+        state, _ = mirrored_h2_state
+        res = state.meta["eigen_residual"]
+        assert len(res) == len(state.orbitals) == len(state.meta["stationarity"])
+        tol = max(EIG_TOL, 0.1 * state.scf_history[-2])
+        assert max(res) <= tol * max(1.0, float(np.max(np.abs(state.eigenvalues))))
+        rho = state.rho0.values
+        for axis in range(3):  # the unfolded density is symmetric to the bit
+            assert np.array_equal(np.flip(rho, axis), rho)
+
     def test_eigen_residuals_within_last_eigensolve_tolerance(self, h2_state):
         from fermisurf.ks_molecule import EIG_TOL
 
@@ -97,13 +139,17 @@ class TestDiatomic:
 
     def test_stationarity_uses_potential_of_returned_density(self, h2_state, lda):
         from fermisurf.eig import apply_hamiltonian
-        from fermisurf.poisson import poisson_solve
+        from fermisurf.poisson import mirror_axes, poisson_solve
         from fermisurf.tf_molecule import external_potential
 
         state, cfg, grid = h2_state
         rho = state.rho0.values
-        v = (-external_potential(grid, cfg) + poisson_solve(grid, rho)
-             - lda.derivative(rho))
+        v_ext = external_potential(grid, cfg)
+        # the bond lies on the box's centre line in x, so the SCF solves
+        # its Hartree potentials mirrored in y and z
+        mirror = mirror_axes(v_ext, rho)
+        assert mirror == (False, True, True)
+        v = -v_ext + poisson_solve(grid, rho, mirror) - lda.derivative(rho)
         expected = [
             float(np.linalg.norm(apply_hamiltonian(grid, v, o.values) - e * o.values))
             * grid.cell_volume**0.5
@@ -188,10 +234,10 @@ class TestBlockSize:
         sizes = []
         check = ks_molecule.occupied_eigenpairs
 
-        def grows_once(grid, v, n, q, tol, solved, guard=None):
+        def grows_once(grid, v, n, q, tol, solved, guard=None, mirror=(False,) * 3):
             sizes.append(len(solved[0]))
             eps, orbitals, residuals, occ, guard, margin = check(grid, v, n, q, tol,
-                                                                 solved, guard)
+                                                                 solved, guard, mirror)
             if len(sizes) == 2:  # the first check at convergence reports one more state
                 eps, orbitals, residuals = lowest_eigenpairs(grid, v, len(eps) + 1, tol=tol)
                 occ = aufbau_occupations(eps, np.full(len(eps), q), n)
@@ -207,6 +253,64 @@ class TestBlockSize:
         assert state.scf_history[-1] < 1e-6
         assert state.occupations.tolist() == [2.0]
         assert state.energy["total"] == pytest.approx(plain.energy["total"], abs=1e-6)
+
+
+class TestNoSector:
+    """Problems with no mirrored odd-length axis take the full box, as before sectors.
+
+    The fingerprints were recorded before the eigensolver had sectors: the
+    SCF residual history and the eigen residual follow every iteration
+    of the run, so they pin its path far below the energy's noise.
+    """
+
+    @staticmethod
+    def _solve(monkeypatch, lda, cfg, n, grid):
+        from fermisurf import ks_molecule
+
+        flags = set()
+        solve, poisson = ks_molecule.lowest_eigenpairs, ks_molecule.poisson_solve
+
+        def eigensolve(grid, v, count, **kw):
+            flags.add(kw["mirror"])
+            return solve(grid, v, count, **kw)
+
+        def poisson_solve(grid, source, mirror):
+            flags.add(mirror)
+            return poisson(grid, source, mirror)
+
+        monkeypatch.setattr(ks_molecule, "lowest_eigenpairs", eigensolve)
+        monkeypatch.setattr(ks_molecule, "poisson_solve", poisson_solve)
+        state = scf_molecule(cfg, n, lda, grid)
+        assert flags == {(False, False, False)}
+        return state
+
+    @pytest.mark.parametrize("case", ["off_axis", "even_length"])
+    def test_takes_no_sector_and_keeps_its_path(self, lda, monkeypatch, case):
+        from fermisurf.grids import Grid3D
+
+        if case == "off_axis":
+            # no box-centre plane is a mirror plane of the pair
+            cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0], [0.8, 0.7, 0.3]],
+                                       charges=[1.0, 1.0])
+            n, grid = 2.0, GridPolicy(spacing=0.5).build(cfg)
+            history = [0.6803149437694838, 0.1832612305688068, 0.014954155392809736,
+                       0.0016997150040634883, 0.0005854609352581072, 1.8789968589385935e-05,
+                       4.469082303105304e-06, 5.852779008457312e-07]
+            residual, total = 2.938238824796624e-08, -1.8633913125301953
+        else:
+            # an atom at the centre of an even box: symmetric about every
+            # centre plane, but no plane holds nodes
+            cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
+            n, grid = 1.0, Grid3D(origin=(-6.75,) * 3, h=0.5, dims=(28, 28, 28))
+            history = [0.4426484663048128, 0.13967022760570508, 0.0032605737241794028,
+                       0.0009635369098099156, 0.0005375970890624056, 1.6963746805866584e-05,
+                       4.1557703204323095e-06, 2.065363637482829e-06, 3.0644514846933886e-07]
+            residual, total = 1.5408088229966176e-08, -0.38310266513780544
+        state = self._solve(monkeypatch, lda, cfg, n, grid)
+        assert len(state.scf_history) == len(history)
+        assert np.allclose(state.scf_history, history, rtol=1e-6, atol=0.0)
+        assert state.meta["eigen_residual"] == pytest.approx((residual,), rel=1e-6)
+        assert state.energy["total"] == pytest.approx(total, rel=1e-12)
 
 
 class TestContracts:

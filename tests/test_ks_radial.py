@@ -176,6 +176,41 @@ class TestAtoms:
 
 
 class TestBasisSizing:
+    def test_growth_passes_solve_only_the_changed_ell(self, monkeypatch):
+        # on the z = 55 TF potential the passes grow counts from [1, 1] to
+        # [7, 6, 4, 2, 1]; each pass solves again only the ell whose count
+        # changed, and every level is the one a fresh solve at the final
+        # counts gives, to the bit
+        import scipy.linalg
+
+        h = 0.004
+        r = h * np.arange(1, int(round(30.0 / h)) + 1)
+        v = -atomic_tf(55.0).phi_at(r)
+        solve = scipy.linalg.eigh_tridiagonal
+        calls = []
+
+        def counting(diag, off, **kw):
+            calls.append(kw["select_range"][1] + 1)
+            return solve(diag, off, **kw)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+        counts = [1, 1]
+        levels, eig, occ = _radial_levels(r, h, v, counts, 2.0, 55.0)
+        assert counts == [7, 6, 4, 2, 1]
+        # every pass solving every ell took 29 calls here
+        assert len(calls) == 20
+        monkeypatch.undo()
+        off = np.full(len(r) - 1, -0.5 / h**2)
+        fresh = []
+        for ell, count in enumerate(counts):
+            diag = 1.0 / h**2 + 0.5 * ell * (ell + 1) / r**2 + v
+            vals, vecs = solve(diag, off, select="i", select_range=(0, count - 1))
+            fresh += [(float(e), ell, u / np.sqrt(h)) for e, u in zip(vals, vecs.T)]
+        assert len(levels) == len(fresh)
+        for (e, ell, u), (e0, ell0, u0) in zip(levels, fresh):
+            assert (e, ell) == (e0, ell0) and np.array_equal(u, u0)
+        assert np.array_equal(eig, [lv[0] for lv in fresh])
+
     def test_cs_tf_potential_sizes_its_basis(self):
         # the z = 55 TF potential, on a grid coarser than the default: its
         # sixth s level holds the 55th electron, one s level more than the
