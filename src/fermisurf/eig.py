@@ -279,21 +279,19 @@ def _preconditioner(grid: Grid3D, c_shift: float, sector: tuple = FULL):
     that it overwrites too, is viewed as two float32 blocks of r's shape:
     r is rounded into the first, both transforms ping-pong between them,
     and the image is copied back into r, so an apply allocates no
-    grid-sized array. The float32 products take about half the time of the
-    float64 ones, and the rounding only perturbs the search directions.
-    The grid of inverse eigenvalues is made once per solve, in float32
-    from float32 axis terms: formed per apply, one x-slab at a time, it
-    took 15 times as long as the one multiply by the stored grid.
+    grid-sized array; the float32 rounding only perturbs the search
+    directions. The grid of inverse eigenvalues is made once per solve,
+    in float32 from float32 axis terms (CHANGES.md has the timings).
     """
     f32 = np.dtype(np.float32)
     shape = _folded_shape(grid.shape, sector)
     cols, lams = [], []
     for n, m, p in zip(grid.shape, shape, sector):
         if p > 0:
-            cols.append(_sine_columns(n, True, True, f32))
+            cols.append(_sine_columns(n, True, f32))
             lams.append(0.5 * _dst_eigenvalues(n, grid.h)[0::2])
         else:
-            cols.append(_sine_columns(m, False, False, f32))
+            cols.append(_sine_columns(m, False, f32))
             lams.append(0.5 * _dst_eigenvalues(m, grid.h))
     lx, ly, lz = lams
     inv = (lx + c_shift).astype(f32)[:, None, None] + ly.astype(f32)[:, None] + lz.astype(f32)

@@ -157,6 +157,45 @@ class Grid3D:
         return Grid3D(origin=origin, h=h, dims=(n, n, n))
 
 
+def fold_weights(n: int) -> np.ndarray:
+    """Weights of nodes n // 2 to n - 1, a mirrored axis' fold: 2, but 1 on a centre node."""
+    return np.array([1.0] * (n % 2) + [2.0] * (n // 2))
+
+
+def weighted_sum(a: np.ndarray, weights) -> float:
+    """Sum of a, each node weighed by the product of its per-axis weights."""
+    for w in reversed(weights):
+        a = np.reshape(a, (-1, w.size)) @ w
+    return float(a[0])
+
+
+class FoldedGrid:
+    """The fold of a Grid3D along its mirrored axes, a stand-in for the grid.
+
+    Along a mirrored axis of n nodes the fold keeps nodes n // 2 to n - 1,
+    from the centre plane to the outer face. A grid array symmetric about
+    those planes is determined by its fold a[index], and `integrate`
+    weighs each node by its `fold_weights` to give the grid integral.
+    """
+
+    def __init__(self, grid: Grid3D, mirror):
+        self.grid, self.mirror = grid, tuple(bool(m) for m in mirror)
+        self.h, self.cell_volume = grid.h, grid.cell_volume
+        self.index = tuple(slice(n // 2, None) if m else slice(None)
+                           for n, m in zip(grid.shape, self.mirror))
+        self.shape = tuple(n - n // 2 if m else n for n, m in zip(grid.shape, self.mirror))
+        self.weights = tuple(fold_weights(n) if m else np.ones(n)
+                             for n, m in zip(grid.shape, self.mirror))
+
+    def axes(self):
+        return tuple(a[s] for a, s in zip(self.grid.axes(), self.index))
+
+    squared_distance = Grid3D.squared_distance  # on the fold's own axes
+
+    def integrate(self, values: np.ndarray) -> float:
+        return weighted_sum(values, self.weights) * self.cell_volume
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """One real value per grid node: a density (Bohr^-3) or potential (Ha)."""

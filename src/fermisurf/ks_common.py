@@ -136,26 +136,26 @@ class AndersonMixer:
     oldest step (three elementwise passes), forms the newest row of G from
     one dot product per held residual, solves the small system D^T G D g =
     D^T G e_new, and makes the output in one matrix-vector product that
-    reads the damped block. The difference form took two more
-    subtractions, a second product and a closing subtraction. Beyond the
-    rings a call allocates only its output, a fresh array of x's shape.
+    reads the damped block. Beyond the rings a call allocates only its
+    output, a fresh array of x's shape.
+
+    `weights`, one vector per axis of x (a `FoldedGrid`'s), weigh G's dot
+    products by the product of a node's weights, so a fold mixes as its
+    grid array would: each ring residual is stored times sqrt(w) up to a
+    common factor, which g does not see.
 
     The first call, a difference system singular to working precision or
     a non-finite output gives plain damping x + MIX_ALPHA r (a copy: the
-    damped step stays in the ring). D^T G D is formed from G, whose
-    entries carry rounding of about eps |r_i| |r_j|; scaled by the sizes
-    of the residuals each difference is taken from, |r_j| + |r_j+1|, its
-    entries are known to about eps. The scaled system is solved by
-    Cholesky, whose pivot j is the squared distance of the j-th scaled
-    difference from the span of the earlier ones. A pivot at or below
-    GRAM_TOL = 1e-12, some 4500 eps, means that difference is linearly
-    dependent on the others to within that rounding, so g would be noise:
-    the step is refused. Two equal residual differences (an exactly
-    singular system) and a residual change of 1e-10 on a residual of 1
-    both fall under the rule.
+    damped step stays in the ring). D^T G D, scaled by the sizes of the
+    residuals each difference is taken from, |r_j| + |r_j+1|, has entries
+    known to about eps, and is solved by Cholesky, whose pivot j is the
+    squared distance of the j-th scaled difference from the span of the
+    earlier ones. A pivot at or below GRAM_TOL = 1e-12, some 4500 eps,
+    means g would be rounding noise, and the step is refused.
     """
 
-    def __init__(self):
+    def __init__(self, weights=None):
+        self._root = None if weights is None else [np.sqrt(w / w.max()) for w in weights]
         self._d = self._r = None  # ring arrays, allocated on first use
         self._gram = np.zeros((MIX_DEPTH + 1, MIX_DEPTH + 1))
         self._calls = 0
@@ -165,15 +165,16 @@ class AndersonMixer:
         x = np.asarray(x, dtype=float).ravel()
         fx = np.asarray(fx, dtype=float).ravel()
         if self._d is None:
-            # the residuals as separate arrays: a second (MIX_DEPTH + 1, n)
-            # block raised a TF run's peak RSS by 0.4 MB (glibc's heap grew
-            # in later repetitions), and one (2, MIX_DEPTH, n) block had by ~2%
+            # separate residual arrays: a second block raised peak RSS (CHANGES.md)
             self._d = np.empty((MIX_DEPTH + 1, x.size))
             self._r = [np.empty(x.size) for _ in range(MIX_DEPTH + 1)]
         k = self._calls % (MIX_DEPTH + 1)  # the oldest slot once the ring is full
         r = np.subtract(fx, x, out=self._r[k])
         np.multiply(r, MIX_ALPHA, out=self._d[k])
         self._d[k] += x
+        for axis, root in enumerate(self._root or ()):
+            for i in np.flatnonzero(root != 1.0):
+                r.reshape(shape)[(slice(None),) * axis + (i,)] *= root[i]
         self._calls += 1
         m = min(self._calls, MIX_DEPTH + 1)  # steps held, in slots 0..m-1
         self._gram[k, :m] = self._gram[:m, k] = [row @ r for row in self._r[:m]]
@@ -217,8 +218,8 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray, tol: float):
     Cholesky factorization a = L L^T on Python floats, for the mixer's at
     most MIX_DEPTH rows. Pivot j, L_jj^2, is the squared distance of the
     j-th column from the span of the earlier ones in a's inner product.
-    No LAPACK routine is called: a LAPACK eigenvalue check here loaded
-    code pages that raised a TF run's resident set by 0.6 MB.
+    No LAPACK routine is called: loading its code pages raised a TF run's
+    resident set (CHANGES.md).
     """
     n = len(b)
     a = a.tolist()

@@ -21,7 +21,7 @@ from .eig import EIG_SEED, apply_hamiltonian, lowest_eigenpairs, occupied_eigenp
 from .grids import Grid3D, ScalarField
 from .ks_common import (AndersonMixer, KSState, SCFError, aufbau_occupations,
                         density_change, ks_energy)
-from .poisson import mirror_axes, poisson_solve
+from .poisson import fold, mirror_axes, poisson_solve, unfold
 from .tf_molecule import (
     NuclearConfiguration,
     atomic_superposition,
@@ -73,14 +73,19 @@ def _density(grid: Grid3D, orbitals: np.ndarray, occ) -> np.ndarray:
     return rho
 
 
+def _hartree(grid: Grid3D, rho: np.ndarray, mirror: tuple) -> np.ndarray:
+    """The Hartree potential of the grid density rho, solved on its fold."""
+    return unfold(grid, poisson_solve(grid, fold(grid, rho, mirror), mirror), mirror)
+
+
 def _effective_potential(grid: Grid3D, rho: np.ndarray, v_ext: np.ndarray,
                          xc: XCFunctional, mirror: tuple) -> np.ndarray:
     """v_eff = -v_ext + u - g'(rho), u the Hartree potential of rho.
 
-    u is solved with the mirrored axes `mirror` and dropped once it is
-    added, before the xc term is formed.
+    u is solved on the fold along `mirror` (`_hartree`) and dropped once
+    it is added, before the xc term is formed.
     """
-    u = poisson_solve(grid, rho, mirror)
+    u = _hartree(grid, rho, mirror)
     v = np.negative(v_ext)
     v += u
     del u
@@ -130,7 +135,9 @@ def scf_molecule(
     counts, since its centre plane must hold nodes (every `GridPolicy`
     box has odd axes). The eigensolves then run per mirror-parity sector
     on the folded grid (`eig`), and every Poisson solve, the closing one
-    included, takes the same mirror flags. The symmetry holds throughout:
+    included, runs on the fold along the same axes (`poisson.fold`, whose
+    guard refuses a density that breaks the symmetry, and
+    `poisson.unfold`). The symmetry holds throughout:
     each orbital comes back exactly even or odd, so each output density
     is symmetric to the bit, and the mixer combines symmetric densities.
     At the first step each start monomial, taken about the charge
@@ -152,8 +159,7 @@ def scf_molecule(
     once mixed, and the stationarity pass reuses two arrays for every
     orbital. So a step peaks near max(13.5 + 9k, 22.5 + k) arrays with no
     mirrored axis, and near max(12 + k + (9k + 2.5) 2^-m, 22.5 + k) with
-    m of them; H2 (k = 1, mirrored in x, y and z) read 24.2 on a 31^3
-    box, where the guard's shell checks set the peak.
+    m of them.
     """
     if not N > 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
@@ -182,8 +188,7 @@ def scf_molecule(
         if orbitals is None:
             initial = _density_start(grid, rho, count)
         else:
-            # a fresh copy, and the block dropped: passing the block itself
-            # raised an H2 point's peak RSS by up to 1.8 MB
+            # a fresh copy, the block dropped: passing it raised peak RSS (CHANGES.md)
             initial = orbitals.copy()
             orbitals = None
         # loose eigensolves while the density is far from self-consistent
@@ -236,7 +241,7 @@ def scf_molecule(
 
     # a second solve of the same rho: perfbench's Poisson count identity
     # (steps + 2 per SCF solve) counts it
-    u = poisson_solve(grid, rho, mirror)
+    u = _hartree(grid, rho, mirror)
 
     keep = occ > 1e-12
     return KSState(

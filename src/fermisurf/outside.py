@@ -87,26 +87,26 @@ class OutsideReport:
     gap_r7_decreasing: bool
 
 
-def _atomic_exterior_energy(
-    single: NuclearConfiguration,
-    grid: Grid3D,
-    r: float,
-) -> float:
-    """Exterior problem for one atom on the shared 3D staircase grid.
+class _AtomicExterior:
+    """One atom's exterior problems on the shared 3D staircase grid, by radius.
 
-    The sweep starts from the radial atom's density sampled on the grid:
-    the potential is that atom's screened potential, so the density's
-    restriction to A_r is near the minimizer.
+    The nucleus' distances and the start, the radial atom's density sampled
+    on the grid, are built once for every radius. The potential is that
+    atom's screened potential, so the start's restriction to A_r is near
+    the minimizer.
     """
-    sol_atom = atomic_tf(single.Z)
-    phi_r = atomic_screened_tf(sol_atom, r)
-    dist = np.sqrt(grid.squared_distance(single.positions[0]))
-    mask = RegionMask(config=single, r=r)
-    v_r = np.interp(dist, sol_atom.grid.nodes, phi_r)
-    n_j = sol_atom.z - sol_atom.charge_within(r)
-    ext = exterior_tf(grid, v_r, mask, max(n_j, 1e-9),
-                      start=lambda: atomic_superposition(grid, single))
-    return ext.energy
+
+    def __init__(self, single: NuclearConfiguration, grid: Grid3D):
+        self.single, self.grid = single, grid
+        self.atom = atomic_tf(single.Z)
+        self.dist = np.sqrt(grid.squared_distance(single.positions[0]))
+        self.start = atomic_superposition(grid, single)
+
+    def energy(self, r: float) -> float:
+        v_r = np.interp(self.dist, self.atom.grid.nodes, atomic_screened_tf(self.atom, r))
+        n_j = self.atom.z - self.atom.charge_within(r)
+        return exterior_tf(self.grid, v_r, RegionMask(config=self.single, r=r),
+                           max(n_j, 1e-9), start=lambda: self.start).energy
 
 
 def outside_decomposition_check(
@@ -127,6 +127,9 @@ def outside_decomposition_check(
     mol = solve_tf(config, config.Z, grid)
     d_tf = bo_tf(config, policy, molecule=mol).D
 
+    # one exterior problem per distinct matched atom and radius
+    atoms = [atom for _, atom in atomic_references(config, grid, _AtomicExterior)]
+    distinct = {id(atom): atom for atom in atoms}
     samples = []
     for r in rs:
         mask = RegionMask(config=config, r=r)
@@ -135,10 +138,8 @@ def outside_decomposition_check(
         bound = float(np.sum(mol.rho.values[gmask])) * grid.cell_volume
         # the restriction of mol.rho to A_r is this problem's minimizer
         ext_mol = exterior_tf(grid, phi_r, mask, bound, start=lambda: mol.rho.values)
-        e_atoms = sum(e for _, e in atomic_references(
-            config, grid,
-            lambda single, agrid: _atomic_exterior_energy(single, agrid, r),
-        ))
+        energies = {key: atom.energy(r) for key, atom in distinct.items()}
+        e_atoms = sum(energies[id(atom)] for atom in atoms)
         decomp = ext_mol.energy - e_atoms
         gap = abs(d_tf - decomp)
         samples.append(

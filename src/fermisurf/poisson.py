@@ -4,54 +4,36 @@ The 7-point stencil system with Dirichlet boundary data is solved directly
 by diagonalizing the stencil with the orthonormal type-I discrete sine
 transform (`sine_transform`, whose products the eigensolver's
 preconditioner also makes, in float32; every Poisson solve runs them in
-float64); the solution is the exact stencil solution (residual at
-rounding level), so no iteration control is needed. Boundary values come from the monopole +
-dipole expansion of the source about the box centre, a point fixed by the
-grid, written on the box faces of a fresh array whose interior the solve
-then fills. So the boundary data, and with them the whole solve, are
-linear in the source: P(a) + P(b) = P(a + b) up to rounding, which the
-exterior TF problems rely on (`tf_molecule.exterior_tf`). An expansion
-about each source's own charge centre is not linear, and missed that
-identity by 1.5e-5 Ha on a box whose second nucleus is off a node.
-`poisson_solve(grid, source, mirror)` takes the source as a plain array
-of the grid's shape and returns the potential as one.
+float64), so the solution is exact up to rounding. Boundary values come
+from the monopole + dipole expansion of the source about the box centre, a
+point fixed by the grid, so the whole solve is linear in its source:
+P(a) + P(b) = P(a + b) up to rounding, which the exterior TF problems rely
+on (`tf_molecule.exterior_tf`).
 
-Mirror-symmetric sources. Sine mode k of a length-n axis keeps its sign
-under j <-> n + 1 - j when k is odd and flips it when k is even, so the
-DST-I of a vector with that mirror symmetry has no even modes. A source
-symmetric about a box-centre plane has symmetric boundary data too (the
-multipole's centre is the box centre), so the whole right-hand side is
-symmetric and that axis can be solved on its (n + 1) // 2 odd modes
-alone: with C = S_n[:, 0::2] the forward transform along it is C^T, the
-inverse C, and the division takes the odd eigenvalues. The forward
-transform takes the mirrored axes first and the inverse takes them last,
-so the products in between run on the halved lengths. The caller states
-the symmetry (`tf_molecule` tests it once per TF solve, and
-`ks_molecule` once per SCF, with `mirror_axes`); a source that breaks it
-is solved as if symmetrized, and the residual check, which reads the
-full source, raises once the part the odd modes dropped passes
-CHECK_TOL.
+The fold. `poisson_solve(grid, source, mirror)` takes and returns the
+plain values of fields symmetric about the box-centre plane of each axis
+`mirror` marks, on the fold of grid along those axes (`grids.FoldedGrid`;
+the grid itself with none). Its moments weigh each node by
+`grids.fold_weights`, a mirrored axis has no dipole and only its outer
+face and is transformed on its odd sine modes (`_fold_products`), and the
+residual check reflects the stencil at the centre plane, so it checks
+every node of the symmetric field. Callers holding grid arrays `fold` the
+source, which refuses what the residual check of the full solve would
+refuse, and `unfold` the result.
 
-Memory per solve: the output plus two interior-sized arrays. The right-hand
-side 4 pi source is formed on the interior nodes only, both sine transforms
-run as matrix products that ping-pong between those two arrays (a mirrored
-axis' smaller products in views of their leading elements), the
-division by the stencil eigenvalues is done in place, one x-slab at a
-time through one reused (ny, nz) denominator, and the residual check is
-formed in one of them. Beyond these, only face-sized arrays are made; the
-source is never written, and no grid-sized array is kept between solves.
-The sine matrices, the odd columns and the stencil eigenvalues are cached
-read-only per length (and spacing).
+Memory per solve: the output plus two arrays of the fold's interior, in
+which the right-hand side, both sine transforms and the residual check
+run; beyond these only face-sized arrays are made. The sine matrices and
+stencil eigenvalues are cached read-only per length (and spacing).
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .grids import Grid3D, GridError, SolverError
+from .grids import FoldedGrid, Grid3D, GridError, SolverError, fold_weights
 
 CHECK_TOL = 1e-6  # stencil residual bound, relative to max(1, max |4 pi source|)
 MIRROR_TOL = 1e-12  # mirror asymmetry bound, relative to max |a| (about 4500 eps)
@@ -61,40 +43,42 @@ class PoissonError(SolverError):
     """Linear solve failed to reach the requested residual."""
 
 
-def multipole_boundary(grid: Grid3D, source: np.ndarray):
-    """Monopole + dipole potential of the source on the box faces.
+def multipole_boundary(grid: Grid3D, source: np.ndarray,
+                       mirror: tuple[bool, bool, bool] = (False, False, False)):
+    """Monopole + dipole potential of the source on the faces of the fold.
 
-    Both moments are taken about the box centre c = (origin + upper
-    corner) / 2, a property of the grid, so q and the dipole p, and with
-    them the face values, are linear in the source. Returns (q, p, u); c
-    is the grid's and is not returned. The moments come from one pass
-    over the source: a BLAS product of its (nx ny, nz) rows with the
-    columns 1 and z - c_z gives each row's sum and z moment. u is a fresh
-    grid array that holds q/r + p.x/r^3 (x measured from c) on the six
-    faces only, formed from 1/r as (q + p.x/r^2)/r: its interior is left
-    unset for `solve_dirichlet` to fill. A quadrupole about the same c
-    would keep the expansion linear.
+    source is given on the fold of grid along mirror (`FoldedGrid`). Both
+    moments are taken with the fold's weights about the box centre c, a
+    property of the grid, so q, the dipole p (0 along a mirrored axis) and
+    the face values are linear in the source. Returns (q, p, u). The
+    moments come from one BLAS product of the source's rows with the
+    columns w_z and w_z (z - c_z). u is a fresh fold array that holds
+    q/r + p.x/r^3 (x measured from c) on the fold's faces only, formed as
+    (q + p.x/r^2)/r; its interior is left for `solve_dirichlet` to fill.
     """
-    nx, ny, nz = grid.shape
+    fg = FoldedGrid(grid, mirror)
+    nx, ny, nz = fg.shape
     vol = grid.cell_volume
     c = 0.5 * (grid.origin + grid.upper_corner())
-    xs, ys, zs = (a - ca for a, ca in zip(grid.axes(), c))
-    cols = np.stack([np.ones(nz), zs], axis=1)
+    xs, ys, zs = (a - ca for a, ca in zip(fg.axes(), c))
+    wx, wy, wz = fg.weights
+    cols = np.stack([wz, wz * zs], axis=1)
     rows = (source.reshape(nx * ny, nz) @ cols).reshape(nx, ny, 2)
+    rows *= (wx[:, None] * wy)[:, :, None]  # each row's x and y weights
     s_xy = rows[:, :, 0]
     q = float(s_xy.sum()) * vol
     dip = np.array([
         s_xy.sum(axis=1) @ xs, s_xy.sum(axis=0) @ ys, rows[:, :, 1].sum()
     ]) * vol
+    dip[list(fg.mirror)] = 0.0
 
-    u = np.empty(grid.shape)
+    u = np.empty(fg.shape)
     X, Y, Z = np.ix_(xs, ys, zs)
     for axis in range(3):
-        for side in (0, -1):
+        for side in (-1,) if fg.mirror[axis] else (0, -1):
             face = tuple(side if a == axis else slice(None) for a in range(3))
             x, y, z = X[face], Y[face], Z[face]
-            # 1/r once, then q/r + (p.x)/r^3 as (q + (p.x)/r^2)/r; the box
-            # centre lies inside the box, so r > 0 on every face
+            # 1/r once; the box centre is inside the box, so r > 0 on every face
             inv_r = x * x + y * y + z * z
             np.sqrt(inv_r, out=inv_r)
             np.divide(1.0, inv_r, out=inv_r)
@@ -127,10 +111,7 @@ def sine_transform(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Three matrix products with the symmetric orthogonal S_n, so the
     transform is its own inverse. Dense products beat an FFT here because
     a length-n DST-I is an FFT of length 2(n+1), which on these boxes has
-    large prime factors. The cost grows as n^4 against n^3 log n for the
-    FFT; the products were measured faster at every interior length from
-    28 to 143 (the paper workloads stay below about 110), and nothing past
-    143 was measured.
+    large prime factors (CHANGES.md lists the lengths measured).
 
     The products run in a's floating dtype (an integer a promotes to
     float64): float64 for every Poisson solve; the eigensolver's
@@ -150,63 +131,66 @@ def sine_transform(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _axis_products(a, steps, ping, pong):
-    """Matrix products along the last three axes of a, one axis per step.
+    """Square matrix products along the last three axes of a, one axis per step.
 
     Each step is (axis, (L, L^T)) with axis 0, 1 or 2 of the last three:
-    along it a becomes L a, which takes its length from L.shape[1] to
-    L.shape[0]. Along axis 2 this is the product a L^T, so L^T must be
-    C-contiguous too. The products land in ping, pong and ping again, each
-    in a C-contiguous view of the leading elements of that buffer; a pong
-    of None makes the second product a fresh array. Every product must fit
-    in the buffer it lands in, and each reads only the other buffer, so a
-    may itself be pong.
+    along it a becomes L a. Along axis 2 this is the product a L^T, so L^T
+    must be C-contiguous too. The products land in ping, pong and ping
+    again, C-contiguous arrays of a's shape; a pong of None makes the
+    second product a fresh array. Each product reads only the other
+    buffer, so a may itself be pong.
     """
     for i, (axis, (left, right)) in enumerate(steps):
-        *lead, nx, ny, nz = a.shape
         buf = pong if i == 1 else ping
         if axis == 2:
-            a = np.matmul(a, right, out=_leading(buf, (*lead, nx, ny, right.shape[1])))
+            a = np.matmul(a, right, out=buf)
         elif axis == 1:
-            a = np.matmul(left, a, out=_leading(buf, (*lead, nx, left.shape[0], nz)))
+            a = np.matmul(left, a, out=buf)
         else:
-            a = np.matmul(left, a.reshape(*lead, nx, ny * nz),
-                          out=_leading(buf, (*lead, left.shape[0], ny * nz)))
-            a = a.reshape(*lead, left.shape[0], ny, nz)
+            *lead, nx, ny, nz = a.shape
+            flat = None if buf is None else buf.reshape(*lead, nx, ny * nz)
+            a = np.matmul(left, a.reshape(*lead, nx, ny * nz), out=flat).reshape(a.shape)
     return a
 
 
-def _leading(buf: np.ndarray | None, shape: tuple) -> np.ndarray | None:
-    """The first prod(shape) elements of the C-contiguous buf, in that shape."""
-    if buf is None:
-        return None
-    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+def _frozen_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only C-contiguous copies of m and m^T."""
+    m = np.ascontiguousarray(m)
+    mt = np.ascontiguousarray(m.T)
+    m.flags.writeable = mt.flags.writeable = False
+    return m, mt
 
 
 @lru_cache(maxsize=None)
-def _sine_columns(n: int, odd: bool, folded: bool = False,
+def _sine_columns(n: int, folded: bool,
                   dtype: np.dtype = np.dtype(np.float64)) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (C, C^T): the forward transform is C^T, its inverse C.
 
-    C = S_n, or for odd its (n + 1) // 2 odd-mode columns S_n[:, 0::2]:
-    C^T a is then the DST-I of a vector a symmetric under j <-> n + 1 - j,
-    whose even modes vanish. folded (with odd, n odd) keeps only the rows
-    from the centre row (n - 1) // 2 on, those past it times sqrt 2: a
-    square orthogonal C whose columns are the odd modes of an even vector
-    as the eigensolver's sectors fold it (`eig`). Formed in float64 and
-    rounded once to dtype. Both are stored C-contiguous: a transposed view
-    as the last product's left factor took twice as long.
+    C = S_n, or for folded the (n + 1) // 2 odd-mode columns S_n[:, 0::2]
+    on the rows from n // 2 on, each row times the square root of its
+    `fold_weights`: a square orthogonal C, the odd modes folded as the
+    eigensolver's sectors fold their vectors (`eig`). Formed in float64
+    and rounded once to dtype; both are stored C-contiguous.
     """
-    if not odd:
+    if not folded:
         s = _sine_matrix(n, np.dtype(dtype))
         return s, s
-    c = _sine_matrix(n, np.dtype(np.float64))[:, 0::2]
-    if folded:
-        c = c[n // 2 :] * np.sqrt([1.0] + [2.0] * (n // 2))[:, None]
-    c = np.ascontiguousarray(c, dtype=dtype)
-    ct = np.ascontiguousarray(c.T)
-    c.flags.writeable = False
-    ct.flags.writeable = False
-    return c, ct
+    c = _sine_matrix(n, np.dtype(np.float64))[n // 2 :, 0::2]
+    return _frozen_pair((c * np.sqrt(fold_weights(n))[:, None]).astype(dtype))
+
+
+@lru_cache(maxsize=None)
+def _fold_products(n: int) -> tuple[tuple, tuple]:
+    """Read-only ((F, F^T), (B, B^T)) of a mirrored interior axis of length n.
+
+    F maps the plain values on rows n // 2 on of a vector symmetric under
+    j <-> n + 1 - j to its odd-mode coefficients, and B maps them back:
+    F = C^T diag(sqrt w) and B = diag(1 / sqrt w) C, C the folded columns
+    of `_sine_columns` and w the `fold_weights`.
+    """
+    c = _sine_columns(n, True)[0]
+    root = np.sqrt(fold_weights(n))[:, None]
+    return _frozen_pair((c * root).T), _frozen_pair(c / root)
 
 
 @lru_cache(maxsize=None)
@@ -239,6 +223,27 @@ def mirror_axes(*arrays: np.ndarray) -> tuple[bool, bool, bool]:
                  for axis in range(3))
 
 
+def _interior(mirror) -> tuple:
+    """A fold array's interior: all but the faces, the outer one only on a mirrored axis."""
+    return tuple(slice(0 if m else 1, -1) for m in mirror)
+
+
+def _lines(u: np.ndarray, mirror, axis: int) -> np.ndarray:
+    """u along axis, whole and moved first, on the interior of the other axes."""
+    inner = _interior(mirror)
+    return np.moveaxis(u[tuple(slice(None) if a == axis else s for a, s in enumerate(inner))],
+                       axis, 0)
+
+
+def _boundary_rows(grid: Grid3D, rhs: np.ndarray, u: np.ndarray, mirror) -> None:
+    """Add to rhs, on the fold's interior, u's face data over h^2 in the rows they feed."""
+    for axis, m in enumerate(mirror):
+        lines, r = _lines(u, mirror, axis), np.moveaxis(rhs, axis, 0)
+        if not m:
+            r[0] += lines[0] / grid.h**2
+        r[-1] += lines[-1] / grid.h**2
+
+
 def solve_dirichlet(
     grid: Grid3D,
     rhs: np.ndarray,
@@ -248,66 +253,57 @@ def solve_dirichlet(
 ) -> np.ndarray:
     """Solve -Lap_h u = rhs in the interior of u, whose faces hold the data.
 
-    rhs holds the right-hand side on the interior nodes only, and work is
-    a second array of that shape; both are C-contiguous, and the solve
-    overwrites both and allocates no other interior-sized array. The
-    interior of u is written in place; u is returned.
+    u is an array on the fold of grid along mirror (`FoldedGrid`). rhs
+    holds the right-hand side on u's interior nodes (`_interior`) and work
+    is a second C-contiguous array of that shape; the solve overwrites
+    both, allocates no other interior-sized array and writes u's interior.
 
-    mirror[i] True says that rhs, once the boundary rows are added, is
-    symmetric under j <-> n + 1 - j along axis i. That axis is then
-    transformed on its (n + 1) // 2 odd sine modes only (`_sine_columns`),
-    which is the solve of the symmetrized right-hand side; its even modes
-    are taken as 0 without being formed. An axis that is not mirrored uses
-    the full S_n, and the all-False solve makes `sine_transform`'s products
-    in its z, y, x order. Every intermediate is a view into rhs or work.
+    A mirrored axis is transformed on its odd sine modes (`_fold_products`)
+    and any other axis by the full S_n, each transform z, then y, then x.
     """
-    h2 = grid.h**2
-    # boundary nodes feed the adjacent interior rows
-    rhs[0, :, :] += u[0, 1:-1, 1:-1] / h2
-    rhs[-1, :, :] += u[-1, 1:-1, 1:-1] / h2
-    rhs[:, 0, :] += u[1:-1, 0, 1:-1] / h2
-    rhs[:, -1, :] += u[1:-1, -1, 1:-1] / h2
-    rhs[:, :, 0] += u[1:-1, 1:-1, 0] / h2
-    rhs[:, :, -1] += u[1:-1, 1:-1, -1] / h2
-
-    cols = [_sine_columns(n, odd) for n, odd in zip(rhs.shape, mirror)]
-    # the forward transform C^T (its step takes (C, C^T) reversed) shrinks
-    # the mirrored axes, so it takes them first, and its inverse C expands
-    # them, so it takes them last; with no mirrored axis both run z, y, x
-    forward = sorted((2, 1, 0), key=lambda axis: not mirror[axis])
-    inverse = sorted((2, 1, 0), key=lambda axis: mirror[axis])
-    t = _axis_products(rhs, [(axis, cols[axis][::-1]) for axis in forward], work, rhs)
-    lx, ly, lz = (_dst_eigenvalues(n, grid.h)[:: 2 if odd else 1]
-                  for n, odd in zip(rhs.shape, mirror))
+    _boundary_rows(grid, rhs, u, mirror)
+    pairs = [_fold_products(n - 2) if m else (_sine_columns(n - 2, False),) * 2
+             for n, m in zip(grid.shape, mirror)]
+    t = _axis_products(rhs, [(axis, pairs[axis][0]) for axis in (2, 1, 0)], work, rhs)
+    lx, ly, lz = (_dst_eigenvalues(n - 2, grid.h)[:: 2 if m else 1]
+                  for n, m in zip(grid.shape, mirror))
     # one x-slab of the stencil eigenvalues at a time, in one reused (ny, nz)
     # denominator: no n^3 denominator
     lyz = ly[:, None] + lz
     den = np.empty_like(lyz)
     for ti, li in zip(t, lx.tolist()):
         ti /= np.add(lyz, li, out=den)
-    u[1:-1, 1:-1, 1:-1] = _axis_products(
-        t, [(axis, cols[axis]) for axis in inverse], rhs, work)
+    u[_interior(mirror)] = _axis_products(
+        t, [(axis, pairs[axis][1]) for axis in (2, 1, 0)], rhs, work)
     return u
 
 
 def stencil_residual(
-    grid: Grid3D, u: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None
+    grid: Grid3D,
+    u: np.ndarray,
+    rhs: np.ndarray,
+    out: np.ndarray | None = None,
+    mirror: tuple[bool, bool, bool] = (False, False, False),
 ) -> float:
-    """Max-norm interior residual of -Lap_h u - rhs, rhs given on the interior.
+    """h^2 times the max-norm interior residual of -Lap_h u - f.
 
-    The residual field is formed in `out`, an interior-shaped array, or in
-    a fresh one when out is None.
+    u is an array on the fold of grid along mirror, and rhs holds h^2 f on
+    its interior nodes, so no division by h^2 is made: -6 u, the six
+    neighbours and rhs are accumulated in out, an interior-shaped array
+    that does not overlap rhs (fresh when None). A mirrored axis reflects
+    the stencil at its centre plane, the neighbour below the fold's first
+    row being its mirror image, so the check covers every node of the
+    symmetric field and gives the full field's residual.
     """
-    lap = np.multiply(u[1:-1, 1:-1, 1:-1], -6.0, out=out)
-    lap += u[:-2, 1:-1, 1:-1]
-    lap += u[2:, 1:-1, 1:-1]
-    lap += u[1:-1, :-2, 1:-1]
-    lap += u[1:-1, 2:, 1:-1]
-    lap += u[1:-1, 1:-1, :-2]
-    lap += u[1:-1, 1:-1, 2:]
-    lap /= grid.h**2
-    lap += rhs  # -(-Lap_h u - rhs)
-    return max(float(lap.max()), -float(lap.min()))
+    r = np.multiply(u[_interior(mirror)], -6.0, out=out)
+    for axis, m in enumerate(mirror):
+        lines, ra = _lines(u, mirror, axis), np.moveaxis(r, axis, 0)
+        ra += lines[2 - m :]  # the neighbour above
+        ra[m:] += lines[:-2]  # the neighbour below
+        if m:  # reflected at the centre plane
+            ra[0] += lines[grid.shape[axis] % 2]
+    r += rhs
+    return max(float(r.max()), -float(r.min()))
 
 
 def poisson_solve(
@@ -317,23 +313,24 @@ def poisson_solve(
 ) -> np.ndarray:
     """Potential u with -Lap u = 4 pi source and multipole boundary values.
 
-    source is one value per node of grid and is not written; u is a fresh
-    array of the grid's shape. A residual above CHECK_TOL times
-    max(1, max |4 pi source|), or a NaN in it, raises PoissonError.
-
-    mirror says, per axis, that the source is mirror-symmetric about the
-    box centre (`mirror_axes`), and the solve runs on that axis' odd sine
-    modes (`solve_dirichlet`). It is not tested here; a source that breaks
-    it fails the residual check once the dropped part passes CHECK_TOL.
+    source holds the plain values on the fold of grid along mirror
+    (`FoldedGrid`) of a source symmetric about the mirrored centre planes,
+    and is not written; u is a fresh array of that shape. A residual above
+    CHECK_TOL max(1, max |4 pi source|), or a NaN in it, raises
+    PoissonError; the check compares h^2 times both (`stencil_residual`).
     """
     if not isinstance(grid, Grid3D):
         raise GridError("poisson_solve expects a 3D grid")
-    _, _, u = multipole_boundary(grid, source)
-    inner = source[1:-1, 1:-1, 1:-1]
+    if np.shape(source) != FoldedGrid(grid, mirror).shape:
+        raise GridError("source must hold one value per node of the fold")
+    _, _, u = multipole_boundary(grid, source, mirror)
+    inner = source[_interior(mirror)]
     rhs, work = (np.empty(inner.shape) for _ in range(2))
     solve_dirichlet(grid, np.multiply(inner, 4.0 * np.pi, out=rhs), u, work, mirror)
-    # the solve overwrote rhs; form it again for the check
-    res = stencil_residual(grid, u, np.multiply(inner, 4.0 * np.pi, out=rhs), out=work)
+    h2 = grid.h**2
+    # the solve overwrote both arrays; the check forms h^2 4 pi source in one
+    res = stencil_residual(grid, u, np.multiply(inner, 4.0 * np.pi * h2, out=rhs),
+                           work, mirror) / h2
     del rhs, work  # only the output outlives the check
     # 4 pi times the source's extremes: the extremes of the full-grid rhs
     scale = max(1.0, 4.0 * np.pi * float(source.max()), -4.0 * np.pi * float(source.min()))
@@ -344,3 +341,61 @@ def poisson_solve(
             [res],
         )
     return u
+
+
+def fold(grid: Grid3D, source: np.ndarray, mirror) -> np.ndarray:
+    """The fold along mirror of the grid array source, symmetrized, for `poisson_solve`.
+
+    The solve of the symmetrized source leaves the residual 4 pi a_-
+    against source, a_- its antisymmetric part, plus the rows a_-'s
+    boundary data feed; above CHECK_TOL max(1, 4 pi max |source|), or NaN,
+    it raises PoissonError, as the full solve's check would. With no
+    mirrored axis source itself is returned.
+    """
+    if not any(mirror):
+        return source
+    sym = source
+    for axis, n in enumerate(grid.shape):
+        if mirror[axis]:
+            b = np.moveaxis(sym, axis, 0)
+            half = np.add(b[n // 2 :], b[(n - 1) // 2 :: -1])
+            half *= 0.5
+            sym = np.moveaxis(half, 0, axis)
+    sym = np.ascontiguousarray(sym)
+    d = unfold(grid, sym, mirror)
+    d -= source  # minus the antisymmetric part a_-
+    bound = CHECK_TOL * max(1.0, 4.0 * np.pi * float(source.max()),
+                            -4.0 * np.pi * float(source.min()))
+    # first a bound on it: |a_-| <= g puts a_-'s dipole within g N vol (half
+    # diagonal), its faces within that over r^2, and 3 faces feed a corner row
+    half = 0.5 * (grid.upper_corner() - grid.origin)
+    reach = 3.0 * grid.n_points * grid.cell_volume * np.linalg.norm(half) / (half.min() * grid.h) ** 2
+    if max(float(d.max()), -float(d.min())) * (4.0 * np.pi + reach) <= bound:
+        return sym
+    # the residual of the symmetrized solve: 4 pi a_- and a_-'s boundary rows
+    r = np.multiply(d[1:-1, 1:-1, 1:-1], 4.0 * np.pi)
+    _boundary_rows(grid, r, multipole_boundary(grid, d)[2], (False,) * 3)
+    gap = max(float(r.max()), -float(r.min()))  # a NaN stays NaN
+    if not gap <= bound:
+        raise PoissonError(f"source breaks its mirror symmetry (residual {gap:.3e})", [gap])
+    return sym
+
+
+def unfold(grid: Grid3D, a: np.ndarray, mirror) -> np.ndarray:
+    """The grid array, symmetric about each mirrored axis' centre plane, whose fold is a.
+
+    Each mirror image is an exact copy of its node. With no mirrored axis a
+    itself is returned.
+    """
+    if not any(mirror):
+        return a
+    out = np.empty(grid.shape)
+    index = list(FoldedGrid(grid, mirror).index)
+    out[tuple(index)] = a
+    for axis, n in enumerate(grid.shape):
+        if mirror[axis]:
+            index[axis] = slice(None)
+            b = np.moveaxis(out[tuple(index)], axis, 0)
+            # a ufunc: an assignment copies a source whose bounds overlap out's
+            np.positive(b[: (n - 1) // 2 : -1], out=b[: n // 2])
+    return out

@@ -31,7 +31,7 @@ import numpy as np
 
 from .constants import TF_C, TF_LENGTH_B, XI
 from .coulomb import radial_hartree_potential
-from .grids import GridError, RadialGrid, ScalarField, SolverError
+from .grids import GridError, RadialGrid, ScalarField, SolverError, weighted_sum
 
 #: Dimensionless Sommerfeld tail of the universal profile: y -> 144 / x^3.
 Y_TAIL = 144.0
@@ -57,38 +57,45 @@ class ShootingError(SolverError):
     """
 
 
-def tf_density(phi, mu: float = 0.0, slope_sum: bool = False):
+def tf_density(phi, mu: float = 0.0, slope_sum=False):
     """TF density law rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2).
 
     Evaluated by `tf_law` on phi - mu, formed in one fresh array. With
     `slope_sum`, (rho, s) is returned, s the sum over the nodes of the
     slope d rho / d phi = (3/2) 2^(3/2) sqrt(t) / (3 pi^2), summed block by
     block, so no slope array is made and rho is the same to the bit.
+    slope_sum may instead be one weight vector per axis of phi: each node's
+    slope is then weighed by the product of its weights (`FoldedGrid`).
     """
     return tf_law(np.subtract(phi, mu, out=np.empty(np.shape(phi))), slope_sum)
 
 
-def tf_law(t: np.ndarray, slope_sum: bool = False):
+def tf_law(t: np.ndarray, slope_sum=False):
     """The TF law of `tf_density` applied in place to t = phi - mu.
 
     t is clipped to [t]_+ and turned into 2^(3/2) t sqrt(t) / (3 pi^2): a
     float power costs several times a square root. sqrt(t) goes through a
-    scratch of DENSITY_BLOCK elements, one block at a time, made per call.
-    Returns t (a scalar for a 0-d t), or (t, slope sum) as `tf_density`.
+    scratch of about DENSITY_BLOCK elements, whole rows of t's last axis at
+    a time; the slope is summed per row. Returns t (a scalar for a 0-d t),
+    or (t, slope sum) as `tf_density`.
     """
     c = 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
     np.maximum(t, 0.0, out=t)
-    flat = t.reshape(-1)
-    scratch = np.empty(min(DENSITY_BLOCK, flat.size))
-    roots = 0.0
-    for i in range(0, flat.size, DENSITY_BLOCK):
-        block = flat[i:i + DENSITY_BLOCK]
-        root = np.sqrt(block, out=scratch[:block.size])
+    rows = t.reshape(-1, t.shape[-1] if t.ndim else 1)
+    k = max(1, DENSITY_BLOCK // rows.shape[1])
+    scratch = np.empty((min(k, len(rows)), rows.shape[1]))
+    weights = (np.ones(len(rows)), np.ones(rows.shape[1])) if slope_sum is True else slope_sum
+    sums = np.empty(len(rows))
+    for i in range(0, len(rows), k):
+        block = rows[i:i + k]
+        root = np.sqrt(block, out=scratch[:len(block)])
         block *= root
         block *= c
-        if slope_sum:
-            roots += float(root.sum())
-    return (t[()], 1.5 * c * roots) if slope_sum else t[()]
+        if weights is not False:
+            sums[i:i + k] = root @ weights[-1]
+    if weights is False:
+        return t[()]
+    return t[()], 1.5 * c * weighted_sum(sums, weights[:-1])
 
 
 def tf_residual(rho: np.ndarray, phi: np.ndarray, mu: float) -> float:

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid3D, GridError, ScalarField, SolverError
+from .grids import FoldedGrid, Grid3D, GridError, ScalarField, SolverError, weighted_sum
 from .ks_common import AndersonMixer, density_change
-from .poisson import mirror_axes, poisson_solve
+from .poisson import fold, mirror_axes, poisson_solve, unfold
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_law, tf_residual
 
 TF_TOL = 1e-8  # relative L1 density change per sweep
@@ -186,7 +186,10 @@ def check_grid_margin(grid: Grid3D, config: NuclearConfiguration):
 
 
 def atomic_superposition(grid: Grid3D, config: NuclearConfiguration) -> np.ndarray:
-    """Sum of the neutral radial TF atoms: the initial density of 3D solves."""
+    """Sum of the neutral radial TF atoms: the initial density of 3D solves.
+
+    On a `FoldedGrid` the densities are those of the grid's nodes to the bit.
+    """
     rho = np.zeros(grid.shape)
     for pos, z in zip(config.positions, config.charges):
         d = np.sqrt(grid.squared_distance(pos))
@@ -215,7 +218,7 @@ class TFSolution:
 
 
 def _pick_mu(
-    phi: np.ndarray, target: float, cell_vol: float
+    phi: np.ndarray, target: float, cell_vol: float, weights=None
 ) -> tuple[float, np.ndarray]:
     """Smallest mu >= 0 with int rho_TF(phi, mu) <= target, and that density.
 
@@ -225,12 +228,13 @@ def _pick_mu(
     and its slope. Stops once g <= 0 or the step is below 1e-14 max(1, mu);
     raises ConvergenceError with the excess history after PICK_MU_MAX_STEPS.
     The slope is summed block by block inside `tf_density`, so beside phi
-    an evaluation holds only the density.
+    an evaluation holds only the density. `weights` weigh phi's nodes (a fold's).
     """
     mu, history = 0.0, []
     for _ in range(PICK_MU_MAX_STEPS):
-        rho, slope = tf_density(phi, mu, slope_sum=True)
-        excess = float(rho.sum()) * cell_vol - target
+        rho, slope = tf_density(phi, mu, slope_sum=weights or True)
+        charge = float(rho.sum()) if weights is None else weighted_sum(rho, weights)
+        excess = charge * cell_vol - target
         history.append(excess)
         if excess <= 0.0:
             return mu, rho
@@ -252,7 +256,7 @@ def _tf_fixed_point(
     v_ext: np.ndarray,
     n_target: float,
     constrained: bool,
-    start: Callable[[], np.ndarray],
+    start: Callable[[FoldedGrid], np.ndarray],
 ) -> TFSolution:
     """Anderson-mixed fixed point of the Hartree potential u = P T(u).
 
@@ -262,44 +266,37 @@ def _tf_fixed_point(
     than TF_TOL (`density_change`). Otherwise the first sweep takes u_out
     and later ones mix u toward it, and rho = T(u) is the next source.
     Every source after the initial one is a TF density, so it is
-    nonnegative and, when constrained, within the charge bound.
+    nonnegative and, when constrained, within the charge bound. Two closing
+    solves of the last rho give phi and the energy's u.
 
-    start() builds the initial density here, so no caller frame pins it.
-    Between sweeps only v_ext, the current rho and u, and the mixer's
-    2 MIX_DEPTH + 2 history arrays stay alive: every other grid array is
-    dropped once it is last read.
-
-    Mirror symmetry is tested once, on v_ext and the start density
-    (`mirror_axes`), and every Poisson solve here, the two closing ones
-    included, runs on the odd sine modes of each axis about whose
-    box-centre plane both are symmetric. Every iterate keeps the symmetry
-    up to rounding: the TF law is pointwise, `_pick_mu` returns a scalar,
-    the solve of a symmetric source is symmetric, and the mixer's output
-    is a linear combination of its inputs. So does the limit: the TF
-    minimizer is unique (Lieb and Simon, Adv. Math. 23:22, 1977), so it
-    has every symmetry of v_ext. On-axis diatomics on `GridPolicy` boxes
-    are symmetric in y and z; an atom on the central node, or equal
-    charges placed symmetrically about it, in x too. Should an iterate
-    lose the symmetry, its solve's residual check, which reads the full
-    source, raises PoissonError once the part the odd modes dropped passes
-    the check's tolerance.
+    The fold. The TF minimizer is unique (Lieb and Simon, Adv. Math. 23:22,
+    1977), so it has every mirror symmetry of v_ext, and the sweep runs on
+    the fold of grid along the axes `mirror_axes(v_ext)` picks
+    (`FoldedGrid`): v_ext's plain values, the start that start(folded)
+    builds there, rho, u, the TF law, `_pick_mu`, `density_change`, the
+    mixer and every Poisson solve. Integrals and the mixer's Gram matrix
+    weigh each node by 2 per mirrored axis whose centre plane it is off.
+    Only rho and phi are unfolded, into the TFSolution. Between sweeps
+    only v_ext, its fold, rho, u and the mixer's 2 MIX_DEPTH + 2 history
+    arrays stay alive, all but v_ext on the fold.
     """
-    vol = grid.cell_volume
+    mirror = mirror_axes(v_ext)
+    folded = FoldedGrid(grid, mirror)
+    v = np.ascontiguousarray(v_ext[folded.index])
 
     def density(u):
         if constrained:
-            return _pick_mu(v_ext - u, n_target, vol)[1]
-        return tf_law(np.subtract(v_ext, u))  # phi = v_ext - u in its own array
+            return _pick_mu(v - u, n_target, folded.cell_volume, folded.weights)[1]
+        return tf_law(np.subtract(v, u))  # phi = v - u in its own array
 
-    rho, u = start(), None
-    mirror = mirror_axes(v_ext, rho)
-    mixer = AndersonMixer()
+    rho, u = start(folded), None
+    mixer = AndersonMixer(folded.weights)
     history = []
 
     for _ in range(TF_MAX_SWEEPS):
         u_out = poisson_solve(grid, rho, mirror)
         rho_new = density(u_out)
-        change = density_change(grid, rho_new, rho, n_target)
+        change = density_change(folded, rho_new, rho, n_target)
         history.append(change)
         if change < TF_TOL:
             rho = rho_new
@@ -317,22 +314,22 @@ def _tf_fixed_point(
             f"(last change {history[-1]:.3e})",
             history,
         )
-    # the closing solves read only rho and v_ext
+    # the closing solves read only rho and v
     del mixer, u, u_out, rho_new
 
-    phi = v_ext - poisson_solve(grid, rho, mirror)
-    mu = _pick_mu(phi, n_target, vol)[0] if constrained else 0.0
+    phi = v - poisson_solve(grid, rho, mirror)
+    mu = _pick_mu(phi, n_target, folded.cell_volume, folded.weights)[0] if constrained else 0.0
     residual = tf_residual(rho, phi, mu)
     # a second solve of the same rho: perfbench's Poisson count identity
     # (sweeps + 2 per TF solve) counts it
-    u = poisson_solve(grid, rho, mirror)
+    energy = tf_energy(folded, rho, v, poisson_solve(grid, rho, mirror))
     return TFSolution(
         config=config,
         grid=grid,
-        rho=ScalarField(grid=grid, values=rho, kind="density"),
-        phi=ScalarField(grid=grid, values=phi, kind="potential"),
+        rho=ScalarField(grid=grid, values=unfold(grid, rho, mirror), kind="density"),
+        phi=ScalarField(grid=grid, values=unfold(grid, phi, mirror), kind="potential"),
         mu=mu,
-        energy=tf_energy(grid, rho, v_ext, u),
+        energy=energy,
         residual=residual,
         history=tuple(history),
     )
@@ -350,8 +347,9 @@ def solve_tf(
 
     v_ext = external_potential(grid, config)
 
-    def start():
-        rho = atomic_superposition(grid, config)
+    def start(folded):
+        # v_ext and the superposition are symmetric exactly when config is
+        rho = atomic_superposition(folded, config)
         if n < config.Z:
             rho *= n / config.Z
         return rho
@@ -375,30 +373,22 @@ def exterior_tf(
     u = P rho > 0 (a nonnegative source with positive monopole faces), so
     phi = -u < 0 off A_r and the TF density is exactly 0 there.
 
-    start is a zero-argument callable that returns a grid density, as
-    `_tf_fixed_point`'s start does. The sweep starts from its restriction
-    to A_r, scaled down to the charge bound if it holds more.
+    start is a zero-argument callable that returns a grid density. The
+    sweep starts from its restriction to A_r, scaled down to the charge
+    bound if it holds more, on the fold `_tf_fixed_point` picks from the
+    potential (a start that breaks its symmetry gives its fold).
 
-    A start near the answer saves sweeps. When v_r is the screened
-    potential Phi_r of a molecular minimizer rho_mol and the bound is
-    rho_mol's charge on A_r, the restriction of rho_mol to A_r is the fixed
-    point: on A_r, Phi_r minus the potential of that restriction is the
-    molecular phi, whose TF density is rho_mol, and off A_r the density is
-    0. This is the outside-model argument behind the screening estimates
-    (Solovej, Ann. Math. 158:509, 2003). It holds on every box, because
-    `poisson_solve` is linear in its source: Phi_r - P(rho_mol 1_{A_r}) =
-    V - P(rho_mol) up to rounding. So the start is exact up to the
-    molecule's own self-consistency. The first density change is rho_mol's
-    own one-sweep change on A_r, and the sweep stops there when that is
-    below TF_TOL. A TF solution stops once one sweep moves rho by less than
-    TF_TOL, but its next sweep can move it by about 10 times its last
-    recorded change; where that is above TF_TOL, the constrained sweep
-    takes several more sweeps to close the gap.
+    When v_r is the screened potential Phi_r of a molecular minimizer
+    rho_mol and the bound is rho_mol's charge on A_r, the restriction of
+    rho_mol to A_r is the fixed point: on A_r, Phi_r minus the potential of
+    that restriction is the molecular phi, whose TF density is rho_mol
+    (the outside-model argument of Solovej, Ann. Math. 158:509, 2003). It
+    holds on every box because `poisson_solve` is linear in its source, so
+    that start is exact up to the molecule's own self-consistency.
 
     The callable runs inside the solve, and its result is dropped once
-    restricted. A start built in the call (a superposition of atoms, say)
-    must be built there, not by the caller and passed in as an array: a
-    caller frame would pin it for the whole solve.
+    restricted: a start built by the caller and passed in as an array
+    would be pinned by the caller's frame for the whole solve.
     """
     if not 0.0 < charge_bound < math.inf:
         raise ValueError("charge_bound must be positive and finite")
@@ -406,10 +396,10 @@ def exterior_tf(
         raise GridError("exterior problem is solved on a 3D grid")
     v_ext = np.where(mask.grid_mask(grid), v_r, 0.0)
 
-    def restricted():
-        # the mask is formed again rather than held through the solve
-        rho = np.where(mask.grid_mask(grid), start(), 0.0)
-        s = rho.sum() * grid.cell_volume
+    def restricted(folded):
+        # the mask is formed again, on the fold, rather than held through the solve
+        rho = np.where(mask.grid_mask(folded), start()[folded.index], 0.0)
+        s = folded.integrate(rho)
         if s > charge_bound:
             rho *= charge_bound / s
         return rho
@@ -426,8 +416,10 @@ def screened_tf(sol: TFSolution, mask: RegionMask) -> np.ndarray:
     """
     grid = sol.grid
     inner_rho = np.where(mask.grid_mask(grid), 0.0, sol.rho.values)
-    u = poisson_solve(grid, inner_rho, mirror_axes(inner_rho))
-    return external_potential(grid, sol.config) - u
+    mirror = mirror_axes(inner_rho)
+    u = poisson_solve(grid, fold(grid, inner_rho, mirror), mirror)
+    del inner_rho
+    return external_potential(grid, sol.config) - unfold(grid, u, mirror)
 
 
 def matched_atomic_grid(grid: Grid3D, position: np.ndarray) -> Grid3D:

@@ -139,17 +139,18 @@ class TestDiatomic:
 
     def test_stationarity_uses_potential_of_returned_density(self, h2_state, lda):
         from fermisurf.eig import apply_hamiltonian
-        from fermisurf.poisson import mirror_axes, poisson_solve
+        from fermisurf.poisson import fold, mirror_axes, poisson_solve, unfold
         from fermisurf.tf_molecule import external_potential
 
         state, cfg, grid = h2_state
         rho = state.rho0.values
         v_ext = external_potential(grid, cfg)
         # the bond lies on the box's centre line in x, so the SCF solves
-        # its Hartree potentials mirrored in y and z
+        # its Hartree potentials on the fold along y and z
         mirror = mirror_axes(v_ext, rho)
         assert mirror == (False, True, True)
-        v = -v_ext + poisson_solve(grid, rho, mirror) - lda.derivative(rho)
+        u = unfold(grid, poisson_solve(grid, fold(grid, rho, mirror), mirror), mirror)
+        v = -v_ext + u - lda.derivative(rho)
         expected = [
             float(np.linalg.norm(apply_hamiltonian(grid, v, o.values) - e * o.values))
             * grid.cell_volume**0.5

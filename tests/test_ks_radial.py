@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fermisurf.grids import FoldedGrid, Grid3D
 from fermisurf.ks_common import MIX_ALPHA, MIX_DEPTH, AndersonMixer, aufbau_occupations
 from fermisurf.ks_radial import _radial_levels, scf_atom
 from fermisurf.tf_atom import atomic_tf
@@ -106,6 +107,32 @@ class TestAndersonMixer:
             tracemalloc.stop()
         assert out.shape == shape
         assert peak <= out.nbytes + 8 * 31 * 31
+
+    @pytest.mark.parametrize("mirror", [(False, True, True), (True, True, True)])
+    def test_weights_mix_a_fold_as_its_grid_array(self, mirror):
+        # symmetric grid arrays and their folds: the weighted mixer on the
+        # folds takes the plain mixer's coefficients on the grid arrays
+        grid = Grid3D((-2.0, -1.625, -2.25), 0.25, (17, 14, 19))  # odd and even axes
+        fg = FoldedGrid(grid, mirror)
+        rng = np.random.default_rng(6)
+
+        def symmetric():
+            a = rng.standard_normal(grid.shape)
+            for axis in (i for i, m in enumerate(mirror) if m):
+                a = a + np.flip(a, axis)
+            return a
+
+        plain, weighted = AndersonMixer(), AndersonMixer(fg.weights)
+        for call in range(2 * MIX_DEPTH + 2):
+            x, fx = symmetric(), symmetric()
+            out = plain.mix(x, fx)
+            out_fold = weighted.mix(x[fg.index], fx[fg.index])
+            k, m = call % (MIX_DEPTH + 1), min(call + 1, MIX_DEPTH + 1)
+            a, b = plain._weights(k, m), weighted._weights(k, m)
+            assert (a is None) == (b is None) == (call == 0)
+            if call:
+                assert np.allclose(b, a, rtol=1e-10, atol=1e-12), call
+            assert np.max(np.abs(out_fold - out[fg.index])) <= 1e-12 * np.max(np.abs(out))
 
     def test_beats_plain_damping_on_linear_contraction(self):
         rng = np.random.default_rng(2)

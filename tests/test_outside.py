@@ -124,6 +124,29 @@ def counted_check():
     return report, molecular
 
 
+class TestAtomicExteriors:
+    def test_each_distinct_atom_is_solved_once_per_radius_from_one_start(self, monkeypatch):
+        # both nuclei of the pair sit on nodes, so they share one matched
+        # atomic problem: per radius one molecular and one atomic exterior
+        # solve, and the atom's start is built once for both radii
+        calls = {"exterior": [], "start": 0}
+        exterior, start = outside.exterior_tf, outside.atomic_superposition
+
+        def counting_exterior(grid, v_r, mask, bound, start):
+            calls["exterior"].append((mask.config.K, mask.r))
+            return exterior(grid, v_r, mask, bound, start=start)
+
+        def counting_start(grid, config):
+            calls["start"] += 1
+            return start(grid, config)
+
+        monkeypatch.setattr(outside, "exterior_tf", counting_exterior)
+        monkeypatch.setattr(outside, "atomic_superposition", counting_start)
+        outside_decomposition_check(_PAIR, [0.6, 0.5], _POLICY)
+        assert sorted(calls["exterior"]) == [(1, 0.5), (1, 0.6), (2, 0.5), (2, 0.6)]
+        assert calls["start"] == 1
+
+
 class TestOneMolecularSolve:
     def test_the_molecule_is_solved_once(self, counted_check):
         _, molecular = counted_check

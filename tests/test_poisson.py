@@ -6,14 +6,17 @@ import pytest
 from scipy.fft import dstn
 from scipy.special import erf
 
-from fermisurf.grids import Grid3D, GridError, RadialGrid
+from fermisurf.grids import FoldedGrid, Grid3D, GridError, RadialGrid
 from fermisurf.poisson import (
+    CHECK_TOL,
     PoissonError,
+    fold,
     mirror_axes,
     multipole_boundary,
     poisson_solve,
     sine_transform,
     stencil_residual,
+    unfold,
 )
 
 
@@ -130,7 +133,11 @@ class TestKernels:
             - 6.0 * u[1:-1, 1:-1, 1:-1]
         ) / grid.h**2
         ref = np.max(np.abs(-lap - rhs[1:-1, 1:-1, 1:-1]))
-        assert stencil_residual(grid, u, rhs[1:-1, 1:-1, 1:-1]) == pytest.approx(ref, rel=1e-12)
+        # the check takes h^2 times the right-hand side and returns h^2
+        # times the residual: no division by h^2
+        h2 = grid.h**2
+        got = stencil_residual(grid, u, h2 * rhs[1:-1, 1:-1, 1:-1])
+        assert got == pytest.approx(h2 * ref, rel=1e-12)
 
     def test_solve_leaves_source_alone_and_repeats_exactly(self):
         grid = Grid3D((-2.0, -1.5, -1.75), 0.25, (17, 15, 19))
@@ -148,8 +155,9 @@ class TestContracts:
         grid = Grid3D.cube((0, 0, 0), 3.0, 33)
         rho, _ = _ball_source(grid, 1.0, 0.8)
         u = poisson_solve(grid, rho)
-        res = stencil_residual(grid, u, (4.0 * math.pi * rho)[1:-1, 1:-1, 1:-1])
-        assert res < 1e-8
+        h2 = grid.h**2
+        res = stencil_residual(grid, u, (4.0 * math.pi * h2 * rho)[1:-1, 1:-1, 1:-1])
+        assert res < 1e-8 * h2
 
     def test_solve_holds_output_and_two_interior_arrays(self):
         grid = Grid3D.cube((0, 0, 0), 4.0, 33)
@@ -205,7 +213,7 @@ class TestContracts:
 
 
 class TestMirror:
-    """Odd-sine-mode solves of sources symmetric about the box centre."""
+    """Solves on the fold of sources symmetric about the box centre."""
 
     # interior lengths 15, 12 and 17: odd and even, on a non-cubic box
     GRID = Grid3D((-2.0, -1.625, -2.25), 0.25, (17, 14, 19))
@@ -227,11 +235,86 @@ class TestMirror:
         mirror = tuple(a in axes for a in range(3))
         assert mirror_axes(src) == mirror
         full = poisson_solve(grid, src)
-        odd = poisson_solve(grid, src, mirror)
+        folded = poisson_solve(grid, fold(grid, src, mirror), mirror)
+        assert folded.shape == FoldedGrid(grid, mirror).shape
+        odd = unfold(grid, folded, mirror)
         assert np.max(np.abs(odd - full)) <= 1e-13 * np.max(np.abs(full))
-        rhs = (4.0 * math.pi * src)[1:-1, 1:-1, 1:-1]
+        h2 = grid.h**2
+        rhs = (4.0 * math.pi * h2 * src)[1:-1, 1:-1, 1:-1]
         res = stencil_residual(grid, odd, rhs)
         assert res <= 1e-12 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("axes", [(1, 2), (0, 1, 2)])
+    def test_folded_residual_is_the_full_residual(self, axes):
+        # a random symmetric field and right-hand side, far from any
+        # solution: the reflected stencil must give the full residual
+        grid = self.GRID
+        mirror = tuple(a in axes for a in range(3))
+        rng = np.random.default_rng(4)
+        u, f = rng.standard_normal((2, *grid.shape))
+        for axis in axes:
+            u, f = u + np.flip(u, axis), f + np.flip(f, axis)
+        fg = FoldedGrid(grid, mirror)
+        inner = tuple(slice(0 if m else 1, -1) for m in mirror)
+        folded = stencil_residual(grid, u[fg.index], f[fg.index][inner], mirror=mirror)
+        assert folded == pytest.approx(stencil_residual(grid, u, f[1:-1, 1:-1, 1:-1]),
+                                       rel=1e-12)
+
+    @classmethod
+    def _antisymmetric(cls, dipole):
+        """A field odd in y with max |.| = 1; its y dipole vanishes unless `dipole`."""
+        grid = cls.GRID
+        X, Y, Z = grid.meshgrid()
+        y = Y - 0.5 * (grid.origin[1] + grid.upper_corner()[1])
+        ys = np.unique(np.abs(y))
+        # y (y^2 - s) has no first moment over the y nodes
+        odd = np.tanh(y) if dipole else y * (y**2 - np.sum(ys**4) / np.sum(ys**2))
+        odd = odd * np.exp(-(X - 0.5) ** 2 - Z**2)
+        return odd / np.max(np.abs(odd))
+
+    @pytest.mark.parametrize("axes", [(1,), (0, 1, 2)])
+    @pytest.mark.parametrize("dipole", [False, True])
+    def test_fold_refuses_what_the_residual_check_refused(self, axes, dipole):
+        # the solve of a symmetrized source leaves the residual 4 pi a_-
+        # plus the rows fed by the boundary data of a_-, and the full
+        # solve's check refuses it above CHECK_TOL max(1, 4 pi max |a|):
+        # fold must refuse at that same bound
+        grid = self.GRID
+        mirror = tuple(a in axes for a in range(3))
+        src = self._symmetric_source((0, 1, 2))
+        src *= 0.5 / (4.0 * math.pi * np.max(src))  # 4 pi max |a| < 1: scale 1
+        odd = self._antisymmetric(dipole)
+        # oracle: that residual per unit of odd is -Lap_h of odd's potential
+        # with its faces set to 0
+        v = poisson_solve(grid, odd)
+        v[[0, -1]] = v[:, [0, -1]] = v[:, :, [0, -1]] = 0.0
+        h2 = grid.h**2
+        per_unit = stencil_residual(grid, v, np.zeros(tuple(n - 2 for n in grid.shape))) / h2
+        inner = 4.0 * math.pi * np.max(np.abs(odd[1:-1, 1:-1, 1:-1]))
+        if dipole:
+            assert per_unit > 2.0 * inner  # the boundary rows dominate
+        else:
+            assert per_unit == pytest.approx(inner, rel=1e-6)
+        eps = CHECK_TOL / per_unit
+        assert 4.0 * math.pi * np.max(np.abs(src + eps * odd)) < 1.0
+        below = fold(grid, src + 0.999 * eps * odd, mirror)
+        # the symmetrization drops the antisymmetric part
+        assert np.max(np.abs(below - fold(grid, src, mirror))) <= 1e-15
+        poisson_solve(grid, below, mirror)
+        with pytest.raises(PoissonError, match="mirror symmetry"):
+            fold(grid, src + 1.001 * eps * odd, mirror)
+
+    def test_fold_refuses_nan(self):
+        bad = self._symmetric_source((0, 1, 2))
+        bad[1, 2, 3] = np.nan
+        with pytest.raises(PoissonError, match="residual nan"):
+            fold(self.GRID, bad, (True, True, True))
+
+    def test_solve_refuses_a_source_off_the_fold(self):
+        grid = self.GRID
+        src = self._symmetric_source((0, 1, 2))
+        with pytest.raises(GridError, match="fold"):
+            poisson_solve(grid, src, (True, True, True))
 
     def test_detection_tolerates_rounding_and_refuses_real_asymmetry(self):
         src = self._symmetric_source((0, 1, 2))
@@ -253,15 +336,17 @@ class TestMirror:
         rho, _ = _ball_source(grid, 1.0, 1.2)
         mirror = (True, True, True)
         assert mirror_axes(rho) == mirror
-        poisson_solve(grid, rho, mirror)  # the cached odd columns are not per solve
-        n = grid.dims[0]
-        output, interior, face = 8 * n**3, 8 * (n - 2) ** 3, 8 * n**2
+        half = fold(grid, rho, mirror)
+        poisson_solve(grid, half, mirror)  # the cached fold matrices are not per solve
+        n, m = grid.dims[0], half.shape[0]
+        # the output and the interior arrays on the fold, (n + 1) // 2 and
+        # (n - 1) // 2 nodes per axis; the face slack of the full solve
+        output, interior, face = 8 * m**3, 8 * (m - 1) ** 3, 8 * n**2
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            poisson_solve(grid, rho, mirror)
+            poisson_solve(grid, half, mirror)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # the same slack as the full solve's budget
         assert peak <= output + 2 * interior + 16 * face

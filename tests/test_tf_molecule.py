@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermisurf.bo import GridPolicy, diatomic
-from fermisurf.grids import Grid3D, GridError
+from fermisurf.grids import FoldedGrid, Grid3D, GridError
 from fermisurf.ks_common import MIX_DEPTH
-from fermisurf.poisson import mirror_axes, poisson_solve
+from fermisurf.poisson import mirror_axes, poisson_solve, unfold
 from fermisurf.tf_atom import atomic_tf, tf_density
 from fermisurf.tf_molecule import (
     ConvergenceError,
@@ -206,6 +206,45 @@ class TestSolveTF:
                 tracemalloc.stop()
             # half a grid array of slack: face work, ufunc buffers, validity masks
             assert peak <= (budget + 0.5) * 8 * math.prod(grid.dims), n
+
+    def test_mirrored_solve_holds_folded_arrays_between_sweeps(self, monkeypatch):
+        # H2 about the box centre is mirrored in x, y and z. At each sweep's
+        # Poisson solve only v_ext, the grid input, is a grid array: its
+        # fold, rho, u and the mixer's history are folded. The peak holds
+        # the grid input and the two grid outputs rho and phi beside the
+        # sweep budget above, counted in folded arrays
+        import fermisurf.tf_molecule as tm
+
+        cfg = NuclearConfiguration(positions=[[-0.5, 0, 0], [0.5, 0, 0]],
+                                   charges=[1.0, 1.0])
+        grid = _grid_for(cfg, h=0.4)
+        assert mirror_axes(external_potential(grid, cfg)) == (True, True, True)
+        solve_tf(cfg, 2.0, grid)  # the universal profile and fold matrices are cached once
+        full = 8 * math.prod(grid.dims)
+        folded = 8 * math.prod(FoldedGrid(grid, (True, True, True)).shape)
+        held, solve = [], tm.poisson_solve
+
+        def recording(grid, source, mirror):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return solve(grid, source, mirror)
+
+        monkeypatch.setattr(tm, "poisson_solve", recording)
+        budget = 3 + (2 * MIX_DEPTH + 2) + 3
+        for n in (2.0, 1.5):
+            held.clear()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                sol = solve_tf(cfg, n, grid)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert len(sol.history) > MIX_DEPTH + 2
+            # half a grid array of slack, as above: face work, ufunc
+            # buffers, validity masks and the interpreter's free lists
+            between = max(held) - before
+            assert between <= full + (3 + 2 * MIX_DEPTH + 2) * folded + full / 2, n
+            assert peak <= 3 * full + budget * folded + full / 2, n
 
     def test_sweep_limit_raises_with_history(self, monkeypatch):
         monkeypatch.setattr("fermisurf.tf_molecule.TF_MAX_SWEEPS", 3)
@@ -425,15 +464,18 @@ class TestExterior:
 
 
 def _record_poisson_sources(monkeypatch):
-    """Copy of every source handed to tf_molecule's Poisson solver."""
+    """Every source handed to tf_molecule's Poisson solver, as a grid array.
+
+    A folded source is recorded unfolded, so the checks read every node.
+    """
     import fermisurf.tf_molecule as tm
 
     sources = []
     solve = tm.poisson_solve
 
-    def recording(grid, source, *mirror):
-        sources.append(source.copy())
-        return solve(grid, source, *mirror)
+    def recording(grid, source, mirror=(False, False, False)):
+        sources.append(np.array(unfold(grid, source, mirror)))
+        return solve(grid, source, mirror)
 
     monkeypatch.setattr(tm, "poisson_solve", recording)
     return sources
@@ -548,6 +590,27 @@ class TestMirroredSolves:
             monkeypatch, lambda: solve_tf(cfg, cfg.Z, grid).energy)
         assert found == [axes]
         assert abs(mirrored - full) <= 1e-10
+
+
+    @pytest.mark.parametrize("charges, R, spacing, axes", [
+        ((2.0,), 0.0, 0.35, (True, True, True)),  # an atom on the central node
+        ((1.0, 1.0), 1.4, 0.5, (False, True, True)),  # H2, second nucleus off a node
+    ])
+    def test_folded_fixed_point_matches_the_full_box(self, monkeypatch, charges, R,
+                                                     spacing, axes):
+        cfg = (NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=charges)
+               if R == 0.0 else diatomic(*charges, R))
+        grid = GridPolicy(spacing=spacing).build(cfg)
+        if R:
+            assert not np.allclose((cfg.positions[1] - grid.origin) / grid.h % 1.0, 0.0)
+        folded, full, found = self._both_ways(monkeypatch,
+                                              lambda: solve_tf(cfg, cfg.Z, grid))
+        assert found == [axes]
+        assert len(folded.history) == len(full.history)
+        assert abs(folded.energy - full.energy) <= 1e-12 * abs(full.energy)
+        for name in ("rho", "phi"):
+            a, b = getattr(folded, name).values, getattr(full, name).values
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
 
 class TestMatchedGrid:
