@@ -175,7 +175,8 @@ class FoldedGrid:
     Along a mirrored axis of n nodes the fold keeps nodes n // 2 to n - 1,
     from the centre plane to the outer face. A grid array symmetric about
     those planes is determined by its fold a[index], and `integrate`
-    weighs each node by its `fold_weights` to give the grid integral.
+    weighs each node by its `fold_weights` to give the grid integral. With
+    no mirrored axis the fold is the grid, and `integrate` is the grid's.
     """
 
     def __init__(self, grid: Grid3D, mirror):
@@ -193,6 +194,8 @@ class FoldedGrid:
     squared_distance = Grid3D.squared_distance  # on the fold's own axes
 
     def integrate(self, values: np.ndarray) -> float:
+        if not any(self.mirror):
+            return self.grid.integrate(values)
         return weighted_sum(values, self.weights) * self.cell_volume
 
 

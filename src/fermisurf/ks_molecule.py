@@ -6,8 +6,8 @@ Hamiltonian -1/2 Laplacian + v_eff with v_eff = -V_R + rho * |x|^-1
 that the Fermi-level shell closes inside them on the first step, which
 fixes the block size the later steps solve, and again on the step that
 converges. The density is Anderson-mixed between sweeps. A problem
-symmetric about box-centre planes is solved in mirror-parity sectors on
-the folded grid, with mirrored Hartree solves (`scf_molecule`).
+symmetric about box-centre planes keeps its SCF on the fold of the box
+and solves its eigenproblem in mirror-parity sectors (`scf_molecule`).
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import math
 import numpy as np
 
 from .eig import EIG_SEED, apply_hamiltonian, lowest_eigenpairs, occupied_eigenpairs
-from .grids import Grid3D, ScalarField
+from .grids import FoldedGrid, Grid3D, ScalarField
 from .ks_common import (AndersonMixer, KSState, SCFError, aufbau_occupations,
                         density_change, ks_energy)
-from .poisson import fold, mirror_axes, poisson_solve, unfold
+from .poisson import mirror_axes, poisson_solve, unfold
 from .tf_molecule import (
     NuclearConfiguration,
     atomic_superposition,
@@ -63,29 +63,28 @@ def _density_start(grid: Grid3D, rho: np.ndarray, count: int) -> np.ndarray:
     return rows
 
 
-def _density(grid: Grid3D, orbitals: np.ndarray, occ) -> np.ndarray:
-    """sum_j occ_j psi_j^2 over the (k, nx, ny, nz) orbital block."""
-    rho = np.zeros(grid.shape)
-    term = np.empty(grid.shape)
+def _density(folded: FoldedGrid, orbitals: np.ndarray, occ) -> np.ndarray:
+    """sum_j occ_j psi_j^2 on the fold, over the (k, nx, ny, nz) orbital block.
+
+    Only the fold's nodes of each unfolded orbital are squared; each
+    orbital is exactly even or odd, so this is the fold of a density
+    symmetric to the bit.
+    """
+    rho = np.zeros(folded.shape)
+    term = np.empty(folded.shape)
     for lam, orb in zip(occ, orbitals):
         if lam > 0.0:
-            rho += np.multiply(np.square(orb, out=term), lam, out=term)
+            rho += np.multiply(np.square(orb[folded.index], out=term), lam, out=term)
     return rho
 
 
-def _hartree(grid: Grid3D, rho: np.ndarray, mirror: tuple) -> np.ndarray:
-    """The Hartree potential of the grid density rho, solved on its fold."""
-    return unfold(grid, poisson_solve(grid, fold(grid, rho, mirror), mirror), mirror)
+def _effective_potential(folded: FoldedGrid, rho: np.ndarray, v_ext: np.ndarray,
+                         xc: XCFunctional) -> np.ndarray:
+    """v_eff = -v_ext + u - g'(rho) on the fold, u the Hartree potential of rho.
 
-
-def _effective_potential(grid: Grid3D, rho: np.ndarray, v_ext: np.ndarray,
-                         xc: XCFunctional, mirror: tuple) -> np.ndarray:
-    """v_eff = -v_ext + u - g'(rho), u the Hartree potential of rho.
-
-    u is solved on the fold along `mirror` (`_hartree`) and dropped once
-    it is added, before the xc term is formed.
+    u is dropped once it is added, before the xc term is formed.
     """
-    u = _hartree(grid, rho, mirror)
+    u = poisson_solve(folded.grid, rho, folded.mirror)
     v = np.negative(v_ext)
     v += u
     del u
@@ -106,7 +105,8 @@ def scf_molecule(
 
     The SCF starts from `rho`, a nonnegative density on grid, or by default
     from superposed TF atoms; either is renormalized to N. A given rho is
-    taken over, not copied: it becomes the SCF's first density and is
+    taken over, not copied: it is renormalized in place, and its fold (rho
+    itself with no mirrored axis) becomes the SCF's first density and is
     written. `bo_ks` passes the superposed densities of the point's
     matched atomic references.
 
@@ -133,33 +133,39 @@ def scf_molecule(
     Mirror symmetry is tested once, on v_ext and the start density
     (`poisson.mirror_axes`), and only an axis with an odd number of nodes
     counts, since its centre plane must hold nodes (every `GridPolicy`
-    box has odd axes). The eigensolves then run per mirror-parity sector
-    on the folded grid (`eig`), and every Poisson solve, the closing one
-    included, runs on the fold along the same axes (`poisson.fold`, whose
-    guard refuses a density that breaks the symmetry, and
-    `poisson.unfold`). The symmetry holds throughout:
-    each orbital comes back exactly even or odd, so each output density
-    is symmetric to the bit, and the mixer combines symmetric densities.
-    At the first step each start monomial, taken about the charge
+    box has odd axes). The SCF then runs on the fold along those axes
+    (`grids.FoldedGrid`), as the TF fixed point does: v_ext's values, rho,
+    rho_out, the Hartree potential, v_eff, the mixer, `density_change`,
+    `ks_energy` and every Poisson solve, the closing ones included, with
+    integrals and the mixer's Gram matrix weighing nodes by
+    `grids.fold_weights`. The eigensolves run per mirror-parity sector on
+    their own folded grids (`eig`) and return the orbitals unfolded, each
+    exactly even or odd, so the squares of their fold's nodes give the
+    fold of a density symmetric to the bit. Only v_eff, once per step for
+    the eigensolves and once for the stationarity pass, and the returned
+    rho are unfolded. The first step's start rows are formed on the box
+    before the fold is taken. Each start monomial, taken about the charge
     centre, which lies on every mirrored plane, picks its sector: H2 gets
     one state in (+, +, +), and a homonuclear pair with two states gets
     sigma_g there and sigma_u in (-, +, +). A shell check grows the block
     in the sector that holds most of the guard's weight.
 
-    Memory, in grid arrays of the box, with k the block size and M =
-    MIX_DEPTH. Between steps the SCF holds v_ext, rho, the mixer's 2M + 2
-    history arrays, the k orbitals and the guard vector. A step forms
-    v_eff (the Hartree potential u is dropped once added), copies the
-    (k, nx, ny, nz) orbital block as the k warm-start rows and drops the
-    block, and runs one eigensolve of 8k + 1.5 arrays (see `eig`). With m
-    mirrored axes those are arrays of a sector's folded grid, about 2^-m
-    of the box, and the folded start rows and potential add about k + 1
-    more of them. A shell check adds rho_out and the guard's 9.5 arrays of
-    the box; the guard reads the k orbitals in place. rho_out is dropped
-    once mixed, and the stationarity pass reuses two arrays for every
-    orbital. So a step peaks near max(13.5 + 9k, 22.5 + k) arrays with no
-    mirrored axis, and near max(12 + k + (9k + 2.5) 2^-m, 22.5 + k) with
-    m of them.
+    Memory, in grid arrays of the box, with k the block size, M =
+    MIX_DEPTH and m mirrored axes; a fold array is about 2^-m of the box.
+    Between steps the SCF holds, on the fold, v_ext's values, rho and the
+    mixer's 2M + 2 history arrays, and on the box the k orbitals and the
+    guard vector. A step forms v_eff on the fold (the Hartree potential u
+    is dropped once added) and its unfolded copy (v_eff itself with no
+    mirrored axis), copies the (k, nx, ny, nz) orbital block as the k
+    warm-start rows and drops the block, and runs one eigensolve of 8k +
+    1.5 arrays (see `eig`), of a sector's folded grid, about 2^-m of the
+    box, to which the folded start rows and potential add about k + 1. A
+    shell check adds rho_out on the fold and the guard's 9.5 arrays of the
+    box; the guard reads the k orbitals in place. rho_out is dropped once
+    mixed, and the stationarity pass reuses two arrays of the box for
+    every orbital. So a step peaks near max(13.5 + 9k, 22.5 + k) arrays
+    with no mirrored axis, and near max(2 + k + (9k + 13.5) 2^-m, 11.5 + k
+    + 12 2^-m) with m of them.
     """
     if not N > 0.0:
         raise ValueError("N must be positive (use the trivial state for N = 0)")
@@ -178,38 +184,41 @@ def scf_molecule(
     rho *= N / grid.integrate(rho)
     # an axis folds only if its centre plane holds nodes
     mirror = tuple(m and d % 2 == 1 for m, d in zip(mirror_axes(v_ext, rho), grid.shape))
-
-    mixer = AndersonMixer()
-    history = []
     count = int(math.ceil(N / q))  # block size, fixed by the first shell check
+    initial = _density_start(grid, rho, count)
+    folded = FoldedGrid(grid, mirror)
+    v_ext, rho = (np.ascontiguousarray(a[folded.index]) for a in (v_ext, rho))
+
+    mixer = AndersonMixer(folded.weights)
+    history = []
     orbitals = guard = None  # the last step's orbitals warm-start the next eigensolve
     for it in range(SCF_MAX_ITER):
-        v = _effective_potential(grid, rho, v_ext, xc, mirror)
-        if orbitals is None:
-            initial = _density_start(grid, rho, count)
-        else:
+        v = _effective_potential(folded, rho, v_ext, xc)
+        v_box = unfold(grid, v, mirror)  # the eigensolvers' potential
+        if orbitals is not None:
             # a fresh copy, the block dropped: passing it raised peak RSS (CHANGES.md)
             initial = orbitals.copy()
             orbitals = None
         # loose eigensolves while the density is far from self-consistent
         it_tol = max(EIG_TOL, 0.1 * history[-1]) if history else 1e-4
-        eps, orbitals, eig_resids = lowest_eigenpairs(grid, v, count, tol=it_tol,
+        eps, orbitals, eig_resids = lowest_eigenpairs(grid, v_box, count, tol=it_tol,
                                                       initial=initial, mirror=mirror)
         del initial
         occ = aufbau_occupations(eps, np.full(count, q), N)
-        rho_out = _density(grid, orbitals, occ)
-        resid = density_change(grid, rho_out, rho, N)
+        rho_out = _density(folded, orbitals, occ)
+        resid = density_change(folded, rho_out, rho, N)
         closed = False
         if guard is None or resid < tol:
             eps, orbitals, eig_resids, occ, guard, margin = occupied_eigenpairs(
-                grid, v, N, q, it_tol, (eps, orbitals, eig_resids), guard, mirror
+                grid, v_box, N, q, it_tol, (eps, orbitals, eig_resids), guard, mirror
             )
             closed = len(eps) == count
             if not closed:
                 count = len(eps)
                 del rho_out
-                rho_out = _density(grid, orbitals, occ)
-                resid = density_change(grid, rho_out, rho, N)
+                rho_out = _density(folded, orbitals, occ)
+                resid = density_change(folded, rho_out, rho, N)
+        del v_box
         history.append(resid)
         if closed and resid < tol:
             rho = rho_out
@@ -227,7 +236,7 @@ def scf_molecule(
     del mixer
 
     # stationarity of every occupied orbital under the converged potential
-    v_eff = _effective_potential(grid, rho, v_ext, xc, mirror)
+    v_eff = unfold(grid, _effective_potential(folded, rho, v_ext, xc), mirror)
     scale = math.sqrt(grid.cell_volume)
     stat_resids = []
     hpsi, term = np.empty((2, *grid.shape))
@@ -241,7 +250,7 @@ def scf_molecule(
 
     # a second solve of the same rho: perfbench's Poisson count identity
     # (steps + 2 per SCF solve) counts it
-    u = _hartree(grid, rho, mirror)
+    u = poisson_solve(grid, rho, mirror)
 
     keep = occ > 1e-12
     return KSState(
@@ -250,9 +259,9 @@ def scf_molecule(
         occupations=occ[keep],
         eigenvalues=eps[keep],
         q=q,
-        rho0=ScalarField(grid=grid, values=rho, kind="density"),
+        rho0=ScalarField(grid=grid, values=unfold(grid, rho, mirror), kind="density"),
         # v, the potential of the last step, is the one the orbitals solve
-        energy=ks_energy(grid, rho, v_ext, u, v, xc, occ, eps),
+        energy=ks_energy(folded, rho, v_ext, u, v, xc, occ, eps),
         scf_history=tuple(history),
         meta={
             "stationarity": tuple(stat_resids),

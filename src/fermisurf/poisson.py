@@ -17,9 +17,11 @@ the grid itself with none). Its moments weigh each node by
 `grids.fold_weights`, a mirrored axis has no dipole and only its outer
 face and is transformed on its odd sine modes (`_fold_products`), and the
 residual check reflects the stencil at the centre plane, so it checks
-every node of the symmetric field. Callers holding grid arrays `fold` the
-source, which refuses what the residual check of the full solve would
-refuse, and `unfold` the result.
+every node of the symmetric field. The solve reads only the fold, so the
+symmetry is the caller's: a caller holding a grid array picks the axes
+with `mirror_axes`, passes the slice a[FoldedGrid(grid, mirror).index]
+and `unfold`s the result; the TF fixed points and the KS SCF keep their
+iterates on the fold throughout.
 
 Memory per solve: the output plus two arrays of the fold's interior, in
 which the right-hand side, both sine transforms and the residual check
@@ -341,44 +343,6 @@ def poisson_solve(
             [res],
         )
     return u
-
-
-def fold(grid: Grid3D, source: np.ndarray, mirror) -> np.ndarray:
-    """The fold along mirror of the grid array source, symmetrized, for `poisson_solve`.
-
-    The solve of the symmetrized source leaves the residual 4 pi a_-
-    against source, a_- its antisymmetric part, plus the rows a_-'s
-    boundary data feed; above CHECK_TOL max(1, 4 pi max |source|), or NaN,
-    it raises PoissonError, as the full solve's check would. With no
-    mirrored axis source itself is returned.
-    """
-    if not any(mirror):
-        return source
-    sym = source
-    for axis, n in enumerate(grid.shape):
-        if mirror[axis]:
-            b = np.moveaxis(sym, axis, 0)
-            half = np.add(b[n // 2 :], b[(n - 1) // 2 :: -1])
-            half *= 0.5
-            sym = np.moveaxis(half, 0, axis)
-    sym = np.ascontiguousarray(sym)
-    d = unfold(grid, sym, mirror)
-    d -= source  # minus the antisymmetric part a_-
-    bound = CHECK_TOL * max(1.0, 4.0 * np.pi * float(source.max()),
-                            -4.0 * np.pi * float(source.min()))
-    # first a bound on it: |a_-| <= g puts a_-'s dipole within g N vol (half
-    # diagonal), its faces within that over r^2, and 3 faces feed a corner row
-    half = 0.5 * (grid.upper_corner() - grid.origin)
-    reach = 3.0 * grid.n_points * grid.cell_volume * np.linalg.norm(half) / (half.min() * grid.h) ** 2
-    if max(float(d.max()), -float(d.min())) * (4.0 * np.pi + reach) <= bound:
-        return sym
-    # the residual of the symmetrized solve: 4 pi a_- and a_-'s boundary rows
-    r = np.multiply(d[1:-1, 1:-1, 1:-1], 4.0 * np.pi)
-    _boundary_rows(grid, r, multipole_boundary(grid, d)[2], (False,) * 3)
-    gap = max(float(r.max()), -float(r.min()))  # a NaN stays NaN
-    if not gap <= bound:
-        raise PoissonError(f"source breaks its mirror symmetry (residual {gap:.3e})", [gap])
-    return sym
 
 
 def unfold(grid: Grid3D, a: np.ndarray, mirror) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grids import FoldedGrid, Grid3D, GridError, ScalarField, SolverError, weighted_sum
 from .ks_common import AndersonMixer, density_change
-from .poisson import fold, mirror_axes, poisson_solve, unfold
+from .poisson import mirror_axes, poisson_solve, unfold
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_law, tf_residual
 
 TF_TOL = 1e-8  # relative L1 density change per sweep
@@ -417,7 +417,7 @@ def screened_tf(sol: TFSolution, mask: RegionMask) -> np.ndarray:
     grid = sol.grid
     inner_rho = np.where(mask.grid_mask(grid), 0.0, sol.rho.values)
     mirror = mirror_axes(inner_rho)
-    u = poisson_solve(grid, fold(grid, inner_rho, mirror), mirror)
+    u = poisson_solve(grid, inner_rho[FoldedGrid(grid, mirror).index], mirror)
     del inner_rho
     return external_potential(grid, sol.config) - unfold(grid, u, mirror)
 

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,25 +29,35 @@ def hydrogen_state(lda):
     return scf_molecule(cfg, 1.0, lda, grid)
 
 
+def _mirrored_h2():
+    # nuclei at -2h and +2h about the box's centre node: every axis folds
+    cfg = diatomic(1.0, 1.0, 1.2)
+    return cfg, GridPolicy(spacing=0.3).build(cfg)
+
+
 @pytest.fixture(scope="module")
 def mirrored_h2_state(lda):
-    # nuclei at -2h and +2h about the box's centre node: every axis folds,
-    # and each SCF step's wanted states are solved in the (+,+,+) sector
+    # each SCF step's wanted states are solved in the (+,+,+) sector; also
+    # returns the eigensolves' mirror flags and the Poisson sources' shapes
     from fermisurf import ks_molecule
 
-    cfg = diatomic(1.0, 1.0, 1.2)
-    grid = GridPolicy(spacing=0.3).build(cfg)
-    flags = set()
-    solve = ks_molecule.lowest_eigenpairs
+    cfg, grid = _mirrored_h2()
+    flags, shapes = set(), set()
+    solve, poisson = ks_molecule.lowest_eigenpairs, ks_molecule.poisson_solve
 
     def recording(grid, v, count, **kw):
         flags.add(kw["mirror"])
         return solve(grid, v, count, **kw)
 
+    def recording_poisson(grid, source, mirror):
+        shapes.add(np.shape(source))
+        return poisson(grid, source, mirror)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ks_molecule, "lowest_eigenpairs", recording)
+        mp.setattr(ks_molecule, "poisson_solve", recording_poisson)
         state = scf_molecule(cfg, 2.0, lda, grid)
-    return state, flags
+    return state, flags, shapes
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +125,7 @@ class TestDiatomic:
     def test_mirrored_stationarity_residuals_reported(self, mirrored_h2_state):
         # the SCF stops on the density change alone, so the folded warm
         # starts must not leave the returned orbitals off stationarity
-        state, flags = mirrored_h2_state
+        state, flags, _ = mirrored_h2_state
         assert flags == {(True, True, True)}
         res = state.meta["stationarity"]
         assert len(res) >= 1
@@ -119,7 +134,7 @@ class TestDiatomic:
     def test_mirrored_eigen_residuals_within_last_eigensolve_tolerance(self, mirrored_h2_state):
         from fermisurf.ks_molecule import EIG_TOL
 
-        state, _ = mirrored_h2_state
+        state, _, _ = mirrored_h2_state
         res = state.meta["eigen_residual"]
         assert len(res) == len(state.orbitals) == len(state.meta["stationarity"])
         tol = max(EIG_TOL, 0.1 * state.scf_history[-2])
@@ -127,6 +142,21 @@ class TestDiatomic:
         rho = state.rho0.values
         for axis in range(3):  # the unfolded density is symmetric to the bit
             assert np.array_equal(np.flip(rho, axis), rho)
+
+    def test_mirrored_scf_matches_the_full_box(self, mirrored_h2_state, lda, monkeypatch):
+        # the same SCF with no axis folded: the fold changes only rounding
+        from fermisurf import ks_molecule
+        from fermisurf.grids import FoldedGrid
+
+        state, _, shapes = mirrored_h2_state
+        cfg, grid = _mirrored_h2()
+        assert shapes == {FoldedGrid(grid, (True,) * 3).shape}
+        monkeypatch.setattr(ks_molecule, "mirror_axes", lambda *arrays: (False,) * 3)
+        full = scf_molecule(cfg, 2.0, lda, grid)
+        assert len(full.scf_history) == len(state.scf_history)
+        assert state.energy["total"] == pytest.approx(full.energy["total"], abs=1e-12)
+        rho = full.rho0.values
+        assert np.max(np.abs(state.rho0.values - rho)) <= 1e-9 * np.max(rho)
 
     def test_eigen_residuals_within_last_eigensolve_tolerance(self, h2_state):
         from fermisurf.ks_molecule import EIG_TOL
@@ -139,18 +169,20 @@ class TestDiatomic:
 
     def test_stationarity_uses_potential_of_returned_density(self, h2_state, lda):
         from fermisurf.eig import apply_hamiltonian
-        from fermisurf.poisson import fold, mirror_axes, poisson_solve, unfold
+        from fermisurf.grids import FoldedGrid
+        from fermisurf.poisson import mirror_axes, poisson_solve, unfold
         from fermisurf.tf_molecule import external_potential
 
         state, cfg, grid = h2_state
         rho = state.rho0.values
         v_ext = external_potential(grid, cfg)
-        # the bond lies on the box's centre line in x, so the SCF solves
-        # its Hartree potentials on the fold along y and z
+        # the bond lies on the box's centre line in x, so the SCF forms its
+        # potentials on the fold along y and z and unfolds them
         mirror = mirror_axes(v_ext, rho)
         assert mirror == (False, True, True)
-        u = unfold(grid, poisson_solve(grid, fold(grid, rho, mirror), mirror), mirror)
-        v = -v_ext + u - lda.derivative(rho)
+        fold = FoldedGrid(grid, mirror).index
+        u = poisson_solve(grid, rho[fold], mirror)
+        v = unfold(grid, -v_ext[fold] + u - lda.derivative(rho[fold]), mirror)
         expected = [
             float(np.linalg.norm(apply_hamiltonian(grid, v, o.values) - e * o.values))
             * grid.cell_volume**0.5
@@ -256,37 +288,68 @@ class TestBlockSize:
         assert state.energy["total"] == pytest.approx(plain.energy["total"], abs=1e-6)
 
 
+# one SCF in a fresh interpreter, which prints its fingerprint and the
+# mirror flags of every eigensolve and Poisson solve as JSON
+_NO_SECTOR_RUN = """
+import json
+
+from fermisurf import ks_molecule
+from fermisurf.grids import Grid3D
+from fermisurf.tf_molecule import NuclearConfiguration
+from fermisurf.xc import make_functional
+
+flags = set()
+solve, poisson = ks_molecule.lowest_eigenpairs, ks_molecule.poisson_solve
+
+
+def eigensolve(grid, v, count, **kw):
+    flags.add(kw["mirror"])
+    return solve(grid, v, count, **kw)
+
+
+def poisson_solve(grid, source, mirror):
+    flags.add(mirror)
+    return poisson(grid, source, mirror)
+
+
+ks_molecule.lowest_eigenpairs, ks_molecule.poisson_solve = eigensolve, poisson_solve
+state = ks_molecule.scf_molecule(
+    NuclearConfiguration(positions={positions!r}, charges={charges!r}), {n!r},
+    make_functional("lda_exchange"), Grid3D(origin={origin!r}, h={h!r}, dims={dims!r}))
+print(json.dumps({{"flags": sorted(flags), "history": state.scf_history,
+                  "residual": state.meta["eigen_residual"],
+                  "total": state.energy["total"]}}))
+"""
+
+
 class TestNoSector:
     """Problems with no mirrored odd-length axis take the full box, as before sectors.
 
-    The fingerprints were recorded before the eigensolver had sectors: the
-    SCF residual history and the eigen residual follow every iteration
-    of the run, so they pin its path far below the energy's noise.
+    The SCF residual history and the eigen residual follow every iteration
+    of the run, so they pin its path far below the energy's noise. They
+    also follow the rounding of BLAS products, which changes with the
+    thread count, so each case runs in a subprocess with BLAS at one
+    thread, where the fingerprints were recorded.
     """
 
     @staticmethod
-    def _solve(monkeypatch, lda, cfg, n, grid):
-        from fermisurf import ks_molecule
+    def _solve(cfg, n, grid):
+        import fermisurf
 
-        flags = set()
-        solve, poisson = ks_molecule.lowest_eigenpairs, ks_molecule.poisson_solve
-
-        def eigensolve(grid, v, count, **kw):
-            flags.add(kw["mirror"])
-            return solve(grid, v, count, **kw)
-
-        def poisson_solve(grid, source, mirror):
-            flags.add(mirror)
-            return poisson(grid, source, mirror)
-
-        monkeypatch.setattr(ks_molecule, "lowest_eigenpairs", eigensolve)
-        monkeypatch.setattr(ks_molecule, "poisson_solve", poisson_solve)
-        state = scf_molecule(cfg, n, lda, grid)
-        assert flags == {(False, False, False)}
-        return state
+        src = str(Path(fermisurf.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = _NO_SECTOR_RUN.format(
+            positions=cfg.positions.tolist(), charges=cfg.charges.tolist(), n=n,
+            origin=grid.origin.tolist(), h=grid.h, dims=grid.dims)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        run = json.loads(out.stdout.splitlines()[-1])
+        assert run["flags"] == [[False, False, False]]
+        return run
 
     @pytest.mark.parametrize("case", ["off_axis", "even_length"])
-    def test_takes_no_sector_and_keeps_its_path(self, lda, monkeypatch, case):
+    def test_takes_no_sector_and_keeps_its_path(self, case):
         from fermisurf.grids import Grid3D
 
         if case == "off_axis":
@@ -294,24 +357,24 @@ class TestNoSector:
             cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0], [0.8, 0.7, 0.3]],
                                        charges=[1.0, 1.0])
             n, grid = 2.0, GridPolicy(spacing=0.5).build(cfg)
-            history = [0.6803149437694838, 0.1832612305688068, 0.014954155392809736,
-                       0.0016997150040634883, 0.0005854609352581072, 1.8789968589385935e-05,
-                       4.469082303105304e-06, 5.852779008457312e-07]
-            residual, total = 2.938238824796624e-08, -1.8633913125301953
+            history = [0.6803149437691614, 0.18326123057183724, 0.014954155277226013,
+                       0.001699714861031318, 0.0005854609158466443, 1.878996059019378e-05,
+                       4.469078425109079e-06, 5.852773268203731e-07]
+            residual, total = 2.9381937634601582e-08, -1.8633913125301953
         else:
             # an atom at the centre of an even box: symmetric about every
             # centre plane, but no plane holds nodes
             cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
             n, grid = 1.0, Grid3D(origin=(-6.75,) * 3, h=0.5, dims=(28, 28, 28))
-            history = [0.4426484663048128, 0.13967022760570508, 0.0032605737241794028,
-                       0.0009635369098099156, 0.0005375970890624056, 1.6963746805866584e-05,
-                       4.1557703204323095e-06, 2.065363637482829e-06, 3.0644514846933886e-07]
-            residual, total = 1.5408088229966176e-08, -0.38310266513780544
-        state = self._solve(monkeypatch, lda, cfg, n, grid)
-        assert len(state.scf_history) == len(history)
-        assert np.allclose(state.scf_history, history, rtol=1e-6, atol=0.0)
-        assert state.meta["eigen_residual"] == pytest.approx((residual,), rel=1e-6)
-        assert state.energy["total"] == pytest.approx(total, rel=1e-12)
+            history = [0.4426484663035297, 0.13967022756825007, 0.0032605738383794953,
+                       0.00096353695239421, 0.0005375971255356157, 1.696373772113656e-05,
+                       4.1557783925332806e-06, 2.0653676986017187e-06, 3.0644462175769725e-07]
+            residual, total = 1.5408107027000888e-08, -0.38310266513780544
+        run = self._solve(cfg, n, grid)
+        assert len(run["history"]) == len(history)
+        assert np.allclose(run["history"], history, rtol=1e-6, atol=0.0)
+        assert run["residual"] == pytest.approx([residual], rel=1e-6)
+        assert run["total"] == pytest.approx(total, rel=1e-12)
 
 
 class TestContracts:
@@ -330,27 +393,43 @@ class TestContracts:
 
 class TestMemory:
     def test_second_solve_peak_within_the_step_budget(self, lda):
+        from fermisurf import ks_molecule
+        from fermisurf.grids import FoldedGrid
+
         cfg = diatomic(1.0, 1.0, 1.4)
         grid = GridPolicy(spacing=0.5).build(cfg)
         assert grid.shape == (31, 31, 31)
         scf_molecule(cfg, 2.0, lda, grid)  # the universal profile is cached once
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            scf_molecule(cfg, 2.0, lda, grid)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # the converged step's guard: v_ext, rho, rho_out, v_eff, the mixer's
-        # history, the guard's start and the occupied block (count = 1)
-        # held by the SCF, which the guard reads in place as its
-        # constraints, and one k = 1 LOBPCG solve (8k + 1.5: basis, residual
-        # rows, work, the preconditioner's float32 inverse eigenvalues, H
-        # scratch)
+        flags, poisson = set(), ks_molecule.poisson_solve
+
+        def recording(grid, source, mirror):
+            flags.add(mirror)
+            return poisson(grid, source, mirror)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ks_molecule, "poisson_solve", recording)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                scf_molecule(cfg, 2.0, lda, grid)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        # the nuclei lie off the x centre plane, so the SCF folds in y and z
+        assert flags == {(False, True, True)}
+        box = math.prod(grid.dims)
+        fold = math.prod(FoldedGrid(grid, (False, True, True)).shape) / box
+        # the converged step's guard. On the fold: v_ext's values, rho,
+        # rho_out, v_eff and the mixer's history. On the box: v_eff's
+        # unfolded copy, the eigensolvers' potential; the occupied block
+        # (count = 1) held by the SCF, which the guard reads in place as its
+        # constraints; the guard's start; and one k = 1 LOBPCG solve (8k +
+        # 1.5: basis, residual rows, work, the preconditioner's float32
+        # inverse eigenvalues, H scratch)
         count, k = 1, 1
-        budget = 4 + (2 * MIX_DEPTH + 2) + 1 + count + (8 * k + 1.5)
+        budget = (4 + 2 * MIX_DEPTH + 2) * fold + 1 + count + 1 + (8 * k + 1.5)
         # one grid array of slack: the Ritz scratch, face arrays, masks
-        assert peak <= (budget + 1) * 8 * math.prod(grid.dims)
+        assert peak <= (budget + 1) * 8 * box
 
 
 class TestVariationalEnergy:

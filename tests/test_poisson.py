@@ -8,9 +8,7 @@ from scipy.special import erf
 
 from fermisurf.grids import FoldedGrid, Grid3D, GridError, RadialGrid
 from fermisurf.poisson import (
-    CHECK_TOL,
     PoissonError,
-    fold,
     mirror_axes,
     multipole_boundary,
     poisson_solve,
@@ -204,12 +202,14 @@ class TestContracts:
             poisson_solve(grid, np.ones(51))
 
     def test_nan_source_fails_the_residual_check(self):
-        # no wrapper vets the source, so the check itself must reject NaN
+        # no wrapper vets the source, so the check itself must reject NaN,
+        # on the box and on its fold in x, y and z
         grid = Grid3D.cube((0, 0, 0), 2.0, 17)
         rho, _ = _ball_source(grid, 1.0, 0.8)
-        rho[8, 8, 8] = np.nan
-        with pytest.raises(PoissonError, match="final residual nan"):
-            poisson_solve(grid, rho)
+        rho[8, 8, 8] = np.nan  # the centre node, which every fold keeps
+        for mirror in [(False,) * 3, (True,) * 3]:
+            with pytest.raises(PoissonError, match="final residual nan"):
+                poisson_solve(grid, rho[FoldedGrid(grid, mirror).index], mirror)
 
 
 class TestMirror:
@@ -235,7 +235,7 @@ class TestMirror:
         mirror = tuple(a in axes for a in range(3))
         assert mirror_axes(src) == mirror
         full = poisson_solve(grid, src)
-        folded = poisson_solve(grid, fold(grid, src, mirror), mirror)
+        folded = poisson_solve(grid, src[FoldedGrid(grid, mirror).index], mirror)
         assert folded.shape == FoldedGrid(grid, mirror).shape
         odd = unfold(grid, folded, mirror)
         assert np.max(np.abs(odd - full)) <= 1e-13 * np.max(np.abs(full))
@@ -259,56 +259,6 @@ class TestMirror:
         folded = stencil_residual(grid, u[fg.index], f[fg.index][inner], mirror=mirror)
         assert folded == pytest.approx(stencil_residual(grid, u, f[1:-1, 1:-1, 1:-1]),
                                        rel=1e-12)
-
-    @classmethod
-    def _antisymmetric(cls, dipole):
-        """A field odd in y with max |.| = 1; its y dipole vanishes unless `dipole`."""
-        grid = cls.GRID
-        X, Y, Z = grid.meshgrid()
-        y = Y - 0.5 * (grid.origin[1] + grid.upper_corner()[1])
-        ys = np.unique(np.abs(y))
-        # y (y^2 - s) has no first moment over the y nodes
-        odd = np.tanh(y) if dipole else y * (y**2 - np.sum(ys**4) / np.sum(ys**2))
-        odd = odd * np.exp(-(X - 0.5) ** 2 - Z**2)
-        return odd / np.max(np.abs(odd))
-
-    @pytest.mark.parametrize("axes", [(1,), (0, 1, 2)])
-    @pytest.mark.parametrize("dipole", [False, True])
-    def test_fold_refuses_what_the_residual_check_refused(self, axes, dipole):
-        # the solve of a symmetrized source leaves the residual 4 pi a_-
-        # plus the rows fed by the boundary data of a_-, and the full
-        # solve's check refuses it above CHECK_TOL max(1, 4 pi max |a|):
-        # fold must refuse at that same bound
-        grid = self.GRID
-        mirror = tuple(a in axes for a in range(3))
-        src = self._symmetric_source((0, 1, 2))
-        src *= 0.5 / (4.0 * math.pi * np.max(src))  # 4 pi max |a| < 1: scale 1
-        odd = self._antisymmetric(dipole)
-        # oracle: that residual per unit of odd is -Lap_h of odd's potential
-        # with its faces set to 0
-        v = poisson_solve(grid, odd)
-        v[[0, -1]] = v[:, [0, -1]] = v[:, :, [0, -1]] = 0.0
-        h2 = grid.h**2
-        per_unit = stencil_residual(grid, v, np.zeros(tuple(n - 2 for n in grid.shape))) / h2
-        inner = 4.0 * math.pi * np.max(np.abs(odd[1:-1, 1:-1, 1:-1]))
-        if dipole:
-            assert per_unit > 2.0 * inner  # the boundary rows dominate
-        else:
-            assert per_unit == pytest.approx(inner, rel=1e-6)
-        eps = CHECK_TOL / per_unit
-        assert 4.0 * math.pi * np.max(np.abs(src + eps * odd)) < 1.0
-        below = fold(grid, src + 0.999 * eps * odd, mirror)
-        # the symmetrization drops the antisymmetric part
-        assert np.max(np.abs(below - fold(grid, src, mirror))) <= 1e-15
-        poisson_solve(grid, below, mirror)
-        with pytest.raises(PoissonError, match="mirror symmetry"):
-            fold(grid, src + 1.001 * eps * odd, mirror)
-
-    def test_fold_refuses_nan(self):
-        bad = self._symmetric_source((0, 1, 2))
-        bad[1, 2, 3] = np.nan
-        with pytest.raises(PoissonError, match="residual nan"):
-            fold(self.GRID, bad, (True, True, True))
 
     def test_solve_refuses_a_source_off_the_fold(self):
         grid = self.GRID
@@ -336,7 +286,7 @@ class TestMirror:
         rho, _ = _ball_source(grid, 1.0, 1.2)
         mirror = (True, True, True)
         assert mirror_axes(rho) == mirror
-        half = fold(grid, rho, mirror)
+        half = np.ascontiguousarray(rho[FoldedGrid(grid, mirror).index])
         poisson_solve(grid, half, mirror)  # the cached fold matrices are not per solve
         n, m = grid.dims[0], half.shape[0]
         # the output and the interior arrays on the fold, (n + 1) // 2 and

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fermisurf.bo import GridPolicy, diatomic
 from fermisurf.grids import FoldedGrid, Grid3D, GridError
 from fermisurf.ks_common import MIX_DEPTH
-from fermisurf.poisson import mirror_axes, poisson_solve, unfold
+from fermisurf.poisson import CHECK_TOL, mirror_axes, poisson_solve, stencil_residual, unfold
 from fermisurf.tf_atom import atomic_tf, tf_density
 from fermisurf.tf_molecule import (
     ConvergenceError,
@@ -441,6 +441,13 @@ class TestExterior:
         full = external_potential(grid, cfg) - poisson_solve(grid, inner)
         gap = np.max(np.abs(screened_tf(sol, mask) - full))
         assert gap <= 1e-13 * np.max(np.abs(full))
+        # the fold's potential, unfolded, solves the stencil system of the
+        # whole box and its source within the Poisson solve's own bound
+        u = poisson_solve(grid, inner[FoldedGrid(grid, mirror).index], mirror)
+        h2 = grid.h**2
+        res = stencil_residual(grid, unfold(grid, u, mirror),
+                               (4.0 * math.pi * h2 * inner)[1:-1, 1:-1, 1:-1])
+        assert res <= CHECK_TOL * h2 * max(1.0, 4.0 * math.pi * np.max(inner))
 
     def test_start_is_restricted_and_scaled_to_the_bound(self, monkeypatch):
         # a start that is 1 everywhere, inside the balls too, with more
