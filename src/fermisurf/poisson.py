@@ -23,14 +23,29 @@ with `mirror_axes`, passes the slice a[FoldedGrid(grid, mirror).index]
 and `unfold`s the result; the TF fixed points and the KS SCF keep their
 iterates on the fold throughout.
 
+The plan. Everything a solve on one fold reads besides its source, the
+fold's shape and weights, the moment columns, each face node's offsets
+from the box centre and 1/r, the interior and neighbour index tuples, the
+sine-transform pairs and the stencil-eigenvalue sums, is built once per
+(dims, h, mirror) by `_plan`, read-only, and kept in a small LRU cache.
+Offsets from the centre are h (k - (n - 1)/2), so the plan does not
+depend on the origin: a molecule's box and its matched atomic grids share
+one, and a translated box gives the same solve to the bit. The three
+stages, `multipole_boundary`, `solve_dirichlet` and `stencil_residual`,
+are called through this module's namespace, once each per solve.
+
 Memory per solve: the output plus two arrays of the fold's interior, in
 which the right-hand side, both sine transforms and the residual check
-run; beyond these only face-sized arrays are made. The sine matrices and
-stencil eigenvalues are cached read-only per length (and spacing).
+run; beyond these only face-sized arrays and block buffers of at most
+BLOCK values are made. Between solves the cache holds the plans, whose
+arrays are face-sized (the largest, each face node's offsets, 1/r and
+index, five values per face node), and the sine matrices and stencil
+eigenvalues, cached read-only per length (and spacing).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,40 +71,29 @@ def multipole_boundary(grid: Grid3D, source: np.ndarray,
     moments come from one BLAS product of the source's rows with the
     columns w_z and w_z (z - c_z). u is a fresh fold array that holds
     q/r + p.x/r^3 (x measured from c) on the fold's faces only, formed as
-    (q + p.x/r^2)/r; its interior is left for `solve_dirichlet` to fill.
+    (q + p.x/r^2)/r on all face nodes at once; its interior is left for
+    `solve_dirichlet` to fill.
     """
-    fg = FoldedGrid(grid, mirror)
-    nx, ny, nz = fg.shape
+    plan = _plan(grid.dims, grid.h, _key(mirror))
+    nx, ny, nz = plan.shape
     vol = grid.cell_volume
-    c = 0.5 * (grid.origin + grid.upper_corner())
-    xs, ys, zs = (a - ca for a, ca in zip(fg.axes(), c))
-    wx, wy, wz = fg.weights
-    cols = np.stack([wz, wz * zs], axis=1)
-    rows = (source.reshape(nx * ny, nz) @ cols).reshape(nx, ny, 2)
-    rows *= (wx[:, None] * wy)[:, :, None]  # each row's x and y weights
+    rows = (source.reshape(nx * ny, nz) @ plan.cols).reshape(nx, ny, 2)
+    rows *= plan.wxy  # each row's x and y weights
     s_xy = rows[:, :, 0]
     q = float(s_xy.sum()) * vol
     dip = np.array([
-        s_xy.sum(axis=1) @ xs, s_xy.sum(axis=0) @ ys, rows[:, :, 1].sum()
+        s_xy.sum(axis=1) @ plan.xs, s_xy.sum(axis=0) @ plan.ys, rows[:, :, 1].sum()
     ]) * vol
-    dip[list(fg.mirror)] = 0.0
+    dip[list(plan.mirror)] = 0.0
 
-    u = np.empty(fg.shape)
-    X, Y, Z = np.ix_(xs, ys, zs)
-    for axis in range(3):
-        for side in (-1,) if fg.mirror[axis] else (0, -1):
-            face = tuple(side if a == axis else slice(None) for a in range(3))
-            x, y, z = X[face], Y[face], Z[face]
-            # 1/r once; the box centre is inside the box, so r > 0 on every face
-            inv_r = x * x + y * y + z * z
-            np.sqrt(inv_r, out=inv_r)
-            np.divide(1.0, inv_r, out=inv_r)
-            val = dip[0] * x + dip[1] * y + dip[2] * z
-            val *= inv_r
-            val *= inv_r
-            val += q
-            val *= inv_r
-            u[face] = val
+    u = np.empty(plan.shape)
+    index, x, y, z, inv_r = plan.faces
+    val = dip[0] * x + dip[1] * y + dip[2] * z
+    val *= inv_r
+    val *= inv_r
+    val += q
+    val *= inv_r
+    u.reshape(-1)[index] = val
     return q, dip, u
 
 
@@ -225,25 +229,116 @@ def mirror_axes(*arrays: np.ndarray) -> tuple[bool, bool, bool]:
                  for axis in range(3))
 
 
-def _interior(mirror) -> tuple:
-    """A fold array's interior: all but the faces, the outer one only on a mirrored axis."""
-    return tuple(slice(0 if m else 1, -1) for m in mirror)
+def _key(mirror) -> tuple[bool, bool, bool]:
+    return tuple(bool(m) for m in mirror)
 
 
-def _lines(u: np.ndarray, mirror, axis: int) -> np.ndarray:
-    """u along axis, whole and moved first, on the interior of the other axes."""
-    inner = _interior(mirror)
-    return np.moveaxis(u[tuple(slice(None) if a == axis else s for a, s in enumerate(inner))],
-                       axis, 0)
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _boundary_rows(grid: Grid3D, rhs: np.ndarray, u: np.ndarray, mirror) -> None:
-    """Add to rhs, on the fold's interior, u's face data over h^2 in the rows they feed."""
+@dataclass(frozen=True)
+class _Plan:
+    """Everything a solve on one fold reads but does not compute from its source.
+
+    A fold array has `shape`; its interior (`interior`, the nodes the
+    stencil solves for) has `inner_shape`, all but the faces, the outer
+    one only on a mirrored axis. Offsets from the box centre are
+    h (k - (n - 1)/2) along each grid axis of n nodes, so the plan depends
+    on the grid's dims and h only.
+
+    - multipole_boundary: `cols`, the moment columns (w_z, w_z (z - c_z));
+      `wxy`, the x times y row weights; `xs` and `ys`, the x and y offsets;
+      `faces`, the flat index of every face node of the fold and its
+      x, y, z offsets and 1/r.
+    - solve_dirichlet: `rows`, per face the (rhs index, u index) of the
+      rows it feeds; `forward` and `inverse`, the `_axis_products` steps;
+      `lx` (a column, one row per interior x-slab) and `lyz`, the stencil
+      eigenvalues along x and the sums ly + lz; `slabs`, the x-slabs divided at a time.
+    - stencil_residual: `ox`, u's first interior x-plane; `planes`, the
+      x-planes accumulated at a time; `neighbours`, per axis the flat
+      shift of u's neighbour above and, on a mirrored axis, the centre
+      plane, the index of the plane reflected onto it and whether the
+      shift below wraps onto it.
+    """
+
+    shape: tuple
+    mirror: tuple
+    interior: tuple
+    inner_shape: tuple
+    cols: np.ndarray
+    wxy: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    faces: tuple
+    rows: tuple
+    forward: tuple
+    inverse: tuple
+    lx: np.ndarray
+    lyz: np.ndarray
+    slabs: int
+    ox: int
+    planes: int
+    neighbours: tuple
+
+
+BLOCK = 8192  # values in a block buffer of the solve or the check (at least one x-plane)
+
+
+@lru_cache(maxsize=8)
+def _plan(dims: tuple, h: float, mirror: tuple) -> _Plan:
+    """The read-only `_Plan` of the fold of a (dims, h) grid along mirror."""
+    folded = [n - n // 2 if m else n for n, m in zip(dims, mirror)]
+    interior = tuple(slice(0 if m else 1, -1) for m in mirror)
+    inner_shape = tuple(f - 1 if m else f - 2 for f, m in zip(folded, mirror))
+    xs, ys, zs = (h * (np.arange(n) - (n - 1) / 2)[n - f :] for n, f in zip(dims, folded))
+    wx, wy, wz = (fold_weights(n) if m else np.ones(n) for n, m in zip(dims, mirror))
+    cols = np.stack([wz, wz * zs], axis=1)
+    wxy = (wx[:, None] * wy)[:, :, None]
+
+    on_face, rows = np.zeros(folded, dtype=bool), []
     for axis, m in enumerate(mirror):
-        lines, r = _lines(u, mirror, axis), np.moveaxis(rhs, axis, 0)
-        if not m:
-            r[0] += lines[0] / grid.h**2
-        r[-1] += lines[-1] / grid.h**2
+        for side in (-1,) if m else (0, -1):
+            at = (slice(None),) * axis + (side,)
+            on_face[at] = True
+            rows.append((at, tuple(side if a == axis else s for a, s in enumerate(interior))))
+    index = np.flatnonzero(on_face)
+    i, j, k = np.unravel_index(index, folded)
+    x, y, z = xs[i], ys[j], zs[k]
+    # 1/r once; the box centre is inside the box, so r > 0 on every face
+    inv_r = x * x + y * y + z * z
+    np.sqrt(inv_r, out=inv_r)
+    np.divide(1.0, inv_r, out=inv_r)
+
+    pairs = [_fold_products(n - 2) if m else (_sine_columns(n - 2, False),) * 2
+             for n, m in zip(dims, mirror)]
+    lx, ly, lz = (_dst_eigenvalues(n - 2, h)[:: 2 if m else 1] for n, m in zip(dims, mirror))
+    lyz = ly[:, None] + lz
+
+    nx, ny, nz = folded
+    neighbours = []
+    for axis, (m, d) in enumerate(zip(mirror, (ny * nz, nz, 1))):
+        # a mirrored axis' centre plane and u's plane n % 2 (n the grid's
+        # length), its neighbour below: along y and z the flat shift wraps
+        # onto the centre plane, along x it stops short of it (u's first plane)
+        centre = (slice(None),) * axis + (0,)
+        image = (slice(None),) * axis + (dims[axis] % 2,)
+        neighbours.append((d, centre, image, axis > 0) if m else (d, None, None, False))
+
+    _frozen(cols, wxy, xs, ys, lyz)
+    return _Plan(
+        shape=tuple(folded), mirror=mirror, interior=interior, inner_shape=inner_shape,
+        cols=cols, wxy=wxy, xs=xs, ys=ys, faces=_frozen(index, x, y, z, inv_r),
+        rows=tuple(rows),
+        forward=tuple((axis, pairs[axis][0]) for axis in (2, 1, 0)),
+        inverse=tuple((axis, pairs[axis][1]) for axis in (2, 1, 0)),
+        lx=lx[:, None, None], lyz=lyz,
+        slabs=max(1, min(len(lx), BLOCK // max(1, lyz.size))),
+        ox=0 if mirror[0] else 1, planes=max(1, min(len(lx), BLOCK // (ny * nz))),
+        neighbours=tuple(neighbours),
+    )
 
 
 def solve_dirichlet(
@@ -256,27 +351,27 @@ def solve_dirichlet(
     """Solve -Lap_h u = rhs in the interior of u, whose faces hold the data.
 
     u is an array on the fold of grid along mirror (`FoldedGrid`). rhs
-    holds the right-hand side on u's interior nodes (`_interior`) and work
-    is a second C-contiguous array of that shape; the solve overwrites
-    both, allocates no other interior-sized array and writes u's interior.
+    holds the right-hand side on u's interior nodes and work is a second
+    C-contiguous array of that shape; the solve overwrites both, allocates
+    no other interior-sized array and writes u's interior.
 
     A mirrored axis is transformed on its odd sine modes (`_fold_products`)
     and any other axis by the full S_n, each transform z, then y, then x.
+    The stencil eigenvalue sums divide a block of x-slabs at a time,
+    formed in one buffer of at most BLOCK values (or one slab).
     """
-    _boundary_rows(grid, rhs, u, mirror)
-    pairs = [_fold_products(n - 2) if m else (_sine_columns(n - 2, False),) * 2
-             for n, m in zip(grid.shape, mirror)]
-    t = _axis_products(rhs, [(axis, pairs[axis][0]) for axis in (2, 1, 0)], work, rhs)
-    lx, ly, lz = (_dst_eigenvalues(n - 2, grid.h)[:: 2 if m else 1]
-                  for n, m in zip(grid.shape, mirror))
-    # one x-slab of the stencil eigenvalues at a time, in one reused (ny, nz)
-    # denominator: no n^3 denominator
-    lyz = ly[:, None] + lz
-    den = np.empty_like(lyz)
-    for ti, li in zip(t, lx.tolist()):
-        ti /= np.add(lyz, li, out=den)
-    u[_interior(mirror)] = _axis_products(
-        t, [(axis, pairs[axis][1]) for axis in (2, 1, 0)], rhs, work)
+    plan = _plan(grid.dims, grid.h, _key(mirror))
+    h2 = grid.h**2
+    for at, face in plan.rows:  # the face data over h^2, in the rows they feed
+        rhs[at] += u[face] / h2
+    t = _axis_products(rhs, plan.forward, work, rhs)
+    den = np.empty((plan.slabs, *plan.lyz.shape))
+    for i in range(0, len(t), plan.slabs):
+        ti, d = t[i : i + plan.slabs], den[: len(t) - i]
+        # ly + lz, then + lx: one broadcast operand, so at most one ufunc buffer
+        np.copyto(d, plan.lyz)
+        ti /= np.add(d, plan.lx[i : i + plan.slabs], out=d)
+    u[plan.interior] = _axis_products(t, plan.inverse, rhs, work)
     return u
 
 
@@ -291,21 +386,45 @@ def stencil_residual(
 
     u is an array on the fold of grid along mirror, and rhs holds h^2 f on
     its interior nodes, so no division by h^2 is made: -6 u, the six
-    neighbours and rhs are accumulated in out, an interior-shaped array
-    that does not overlap rhs (fresh when None). A mirrored axis reflects
-    the stencil at its centre plane, the neighbour below the fold's first
-    row being its mirror image, so the check covers every node of the
+    neighbours and rhs are accumulated, in that order, and the residual
+    lands in out, an interior-shaped C-contiguous array that does not
+    overlap rhs (fresh when None).
+
+    The stencil runs on u's own layout, a block of whole interior x-planes
+    at a time in one buffer of at most BLOCK values (or one plane): each
+    neighbour is one contiguous flat shift of u (+-1, +-n_z, +-n_y n_z),
+    and only the block's face nodes, which are not copied out, read a
+    wrapped value. A mirrored axis reflects the stencil at its centre
+    plane, the neighbour below the fold's first row being its mirror
+    image: the value a shift wraps onto that plane is put back and the
+    reflected plane added instead, so the check covers every node of the
     symmetric field and gives the full field's residual.
     """
-    r = np.multiply(u[_interior(mirror)], -6.0, out=out)
-    for axis, m in enumerate(mirror):
-        lines, ra = _lines(u, mirror, axis), np.moveaxis(r, axis, 0)
-        ra += lines[2 - m :]  # the neighbour above
-        ra[m:] += lines[:-2]  # the neighbour below
-        if m:  # reflected at the centre plane
-            ra[0] += lines[grid.shape[axis] % 2]
-    r += rhs
-    return max(float(r.max()), -float(r.min()))
+    plan = _plan(grid.dims, grid.h, _key(mirror))
+    flat = np.ascontiguousarray(u).reshape(-1)
+    u3 = flat.reshape(plan.shape)
+    out = np.empty(plan.inner_shape) if out is None else out
+    _, ny, nz = plan.shape
+    yz = (slice(None), *plan.interior[1:])
+    buf = np.empty(plan.planes * ny * nz)
+    for p0 in range(0, len(out), plan.planes):
+        p1 = min(p0 + plan.planes, len(out))
+        lo, hi = (plan.ox + p0) * ny * nz, (plan.ox + p1) * ny * nz
+        r = np.multiply(flat[lo:hi], -6.0, out=buf[: hi - lo])
+        r3, block = r.reshape(-1, ny, nz), u3[plan.ox + p0 : plan.ox + p1]
+        for d, centre, image, wraps in plan.neighbours:
+            r += flat[lo + d : hi + d]  # the neighbour above
+            keep = r3[centre].copy() if wraps else None
+            first = max(0, d - lo)  # along x, u's first plane has none below
+            r[first:] += flat[lo + first - d : hi - d]  # the neighbour below
+            if wraps:  # a mirrored y or z: the wrapped values out, the image in
+                r3[centre] = keep
+                r3[centre] += block[image]
+            elif image is not None and p0 == 0:  # a mirrored x: the first block's plane 0
+                r3[centre] += u3[image]
+        np.copyto(out[p0:p1], r3[yz])
+        out[p0:p1] += rhs[p0:p1]
+    return max(float(out.max()), -float(out.min()))
 
 
 def poisson_solve(
@@ -323,11 +442,12 @@ def poisson_solve(
     """
     if not isinstance(grid, Grid3D):
         raise GridError("poisson_solve expects a 3D grid")
-    if np.shape(source) != FoldedGrid(grid, mirror).shape:
+    plan = _plan(grid.dims, grid.h, _key(mirror))
+    if np.shape(source) != plan.shape:
         raise GridError("source must hold one value per node of the fold")
     _, _, u = multipole_boundary(grid, source, mirror)
-    inner = source[_interior(mirror)]
-    rhs, work = (np.empty(inner.shape) for _ in range(2))
+    inner = source[plan.interior]
+    rhs, work = (np.empty(plan.inner_shape) for _ in range(2))
     solve_dirichlet(grid, np.multiply(inner, 4.0 * np.pi, out=rhs), u, work, mirror)
     h2 = grid.h**2
     # the solve overwrote both arrays; the check forms h^2 4 pi source in one

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grids import FoldedGrid, Grid3D, GridError, ScalarField, SolverError, weighted_sum
 from .ks_common import AndersonMixer, density_change
-from .poisson import mirror_axes, poisson_solve, unfold
+from .poisson import MIRROR_TOL, mirror_axes, poisson_solve, unfold
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_law, tf_residual
 
 TF_TOL = 1e-8  # relative L1 density change per sweep
@@ -155,24 +155,52 @@ def _cube_inv_r_integral(lo: np.ndarray, hi: np.ndarray) -> float:
 
 
 def external_potential(grid: Grid3D, config: NuclearConfiguration) -> np.ndarray:
-    """V_R on the grid, with the nucleus-containing cell averaged exactly."""
+    """V_R on the grid, with the nucleus-containing cell averaged exactly.
+
+    On a `FoldedGrid` the values are those of the grid's nodes to the bit:
+    a nucleus' cell average applies where its node lies in the fold.
+    """
+    box = grid.grid if isinstance(grid, FoldedGrid) else grid
+    first = np.subtract(box.shape, grid.shape)  # the fold's first node of box
     v = np.zeros(grid.shape)
-    h = grid.h
+    h = box.h
     for pos, z in zip(config.positions, config.charges):
         d = np.sqrt(grid.squared_distance(pos))
-        idx = grid.index_of(pos)
-        node = grid.origin + h * np.asarray(idx)
+        idx = box.index_of(pos)
+        node = box.origin + h * np.asarray(idx)
         offset = pos - node
-        contained = np.all(np.abs(offset) <= h / 2 + 1e-12) and grid.contains(pos)
+        at = tuple(int(i) for i in np.subtract(idx, first))
+        contained = (np.all(np.abs(offset) <= h / 2 + 1e-12) and box.contains(pos)
+                     and min(at) >= 0)
         if contained:
-            d[idx] = np.inf  # replaced by the cell average below
+            d[at] = np.inf  # replaced by the cell average below
         with np.errstate(divide="ignore"):
             v += z / d
         if contained:
             lo = node - h / 2 - pos
             hi = node + h / 2 - pos
-            v[idx] += z * _cube_inv_r_integral(lo, hi) / h**3
+            v[at] += z * _cube_inv_r_integral(lo, hi) / h**3
     return v
+
+
+def nuclear_mirror_axes(grid: Grid3D, config: NuclearConfiguration) -> tuple[bool, bool, bool]:
+    """For each axis, whether config is symmetric about grid's box-centre plane.
+
+    An axis counts when each nucleus' image across the plane is a nucleus
+    of equal charge, positions compared in node units to MIRROR_TOL (so to
+    1e-12 h). V_R and the atomic superposition are then symmetric about
+    the plane up to rounding, which is what `mirror_axes` finds on them.
+    """
+    s = (config.positions - grid.origin) / grid.h
+    same_charge = config.charges[:, None] == config.charges[None, :]
+
+    def symmetric(axis):
+        image = s.copy()
+        image[:, axis] = (grid.dims[axis] - 1) - s[:, axis]
+        close = np.all(np.abs(image[:, None, :] - s[None, :, :]) <= MIRROR_TOL, axis=2)
+        return bool(np.all(np.any(close & same_charge, axis=1)))
+
+    return tuple(symmetric(axis) for axis in range(3))
 
 
 def check_grid_margin(grid: Grid3D, config: NuclearConfiguration):
@@ -253,7 +281,8 @@ def _pick_mu(
 def _tf_fixed_point(
     config: NuclearConfiguration,
     grid: Grid3D,
-    v_ext: np.ndarray,
+    v: np.ndarray,
+    mirror: tuple[bool, bool, bool],
     n_target: float,
     constrained: bool,
     start: Callable[[FoldedGrid], np.ndarray],
@@ -271,18 +300,16 @@ def _tf_fixed_point(
 
     The fold. The TF minimizer is unique (Lieb and Simon, Adv. Math. 23:22,
     1977), so it has every mirror symmetry of v_ext, and the sweep runs on
-    the fold of grid along the axes `mirror_axes(v_ext)` picks
-    (`FoldedGrid`): v_ext's plain values, the start that start(folded)
-    builds there, rho, u, the TF law, `_pick_mu`, `density_change`, the
-    mixer and every Poisson solve. Integrals and the mixer's Gram matrix
-    weigh each node by 2 per mirrored axis whose centre plane it is off.
-    Only rho and phi are unfolded, into the TFSolution. Between sweeps
-    only v_ext, its fold, rho, u and the mixer's 2 MIX_DEPTH + 2 history
-    arrays stay alive, all but v_ext on the fold.
+    the fold of grid along the axes `mirror` marks, which the caller picks
+    from v_ext's symmetry (`FoldedGrid`). v holds v_ext's plain values on
+    that fold; the start that start(folded) builds there, rho, u, the TF
+    law, `_pick_mu`, `density_change`, the mixer and every Poisson solve
+    stay on it. Integrals and the mixer's Gram matrix weigh each node by 2
+    per mirrored axis whose centre plane it is off. Only rho and phi are
+    unfolded, into the TFSolution. Between sweeps only v, rho, u and the
+    mixer's 2 MIX_DEPTH + 2 history arrays stay alive, all on the fold.
     """
-    mirror = mirror_axes(v_ext)
     folded = FoldedGrid(grid, mirror)
-    v = np.ascontiguousarray(v_ext[folded.index])
 
     def density(u):
         if constrained:
@@ -344,8 +371,9 @@ def solve_tf(
     if not 0.0 < n < math.inf:
         raise ValueError("particle number n must be positive and finite")
     check_grid_margin(grid, config)
-
-    v_ext = external_potential(grid, config)
+    # V_R only on the fold its mirror planes give: the full box is never formed
+    mirror = nuclear_mirror_axes(grid, config)
+    v = external_potential(FoldedGrid(grid, mirror), config)
 
     def start(folded):
         # v_ext and the superposition are symmetric exactly when config is
@@ -355,7 +383,7 @@ def solve_tf(
         return rho
 
     return _tf_fixed_point(
-        config, grid, v_ext, min(n, config.Z), n < config.Z - 1e-9, start
+        config, grid, v, mirror, min(n, config.Z), n < config.Z - 1e-9, start
     )
 
 
@@ -375,7 +403,7 @@ def exterior_tf(
 
     start is a zero-argument callable that returns a grid density. The
     sweep starts from its restriction to A_r, scaled down to the charge
-    bound if it holds more, on the fold `_tf_fixed_point` picks from the
+    bound if it holds more, on the fold that `mirror_axes` picks from the
     potential (a start that breaks its symmetry gives its fold).
 
     When v_r is the screened potential Phi_r of a molecular minimizer
@@ -395,6 +423,9 @@ def exterior_tf(
     if not isinstance(grid, Grid3D):
         raise GridError("exterior problem is solved on a 3D grid")
     v_ext = np.where(mask.grid_mask(grid), v_r, 0.0)
+    mirror = mirror_axes(v_ext)
+    v = np.ascontiguousarray(v_ext[FoldedGrid(grid, mirror).index])
+    del v_ext  # the sweep reads only the fold
 
     def restricted(folded):
         # the mask is formed again, on the fold, rather than held through the solve
@@ -406,7 +437,7 @@ def exterior_tf(
 
     # the unconstrained charge of an exterior problem is unknown, so mu is
     # always solved against the bound
-    return _tf_fixed_point(mask.config, grid, v_ext, charge_bound, True, restricted)
+    return _tf_fixed_point(mask.config, grid, v, mirror, charge_bound, True, restricted)
 
 
 def screened_tf(sol: TFSolution, mask: RegionMask) -> np.ndarray:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from scipy.fft import dstn
 from scipy.special import erf
 
 from fermisurf.grids import FoldedGrid, Grid3D, GridError, RadialGrid
+import fermisurf.poisson as poisson
 from fermisurf.poisson import (
     PoissonError,
+    _plan,
     mirror_axes,
     multipole_boundary,
     poisson_solve,
@@ -300,3 +304,65 @@ class TestMirror:
         finally:
             tracemalloc.stop()
         assert peak <= output + 2 * interior + 16 * face
+
+
+class TestStages:
+    """poisson_solve's three stages, which the benchmark times by name."""
+
+    @pytest.mark.parametrize("axes", [(), (1, 2), (0, 1, 2)])
+    def test_each_stage_runs_once_per_solve(self, monkeypatch, axes):
+        # called through the module namespace, so a wrapper there sees them
+        counts = Counter()
+        for name in ("multipole_boundary", "solve_dirichlet", "stencil_residual"):
+            def counted(*args, _stage=getattr(poisson, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _stage(*args, **kwargs)
+            monkeypatch.setattr(poisson, name, counted)
+        grid = TestMirror.GRID
+        mirror = tuple(a in axes for a in range(3))
+        src = TestMirror._symmetric_source(axes)[FoldedGrid(grid, mirror).index]
+        for _ in range(2):
+            poisson_solve(grid, src, mirror)
+        assert counts == {"multipole_boundary": 2, "solve_dirichlet": 2, "stencil_residual": 2}
+
+
+class TestPlan:
+    """The solve plan cached per (dims, h, mirror)."""
+
+    MIRRORS = [(False, False, False), (False, True, True), (True, True, True)]
+
+    @pytest.mark.parametrize("mirror", MIRRORS)
+    def test_translated_box_gives_the_same_solve(self, mirror):
+        # a spacing whose nodes are not dyadic and a shift that is no node
+        # offset: the offsets from the box centre are h (k - (n - 1)/2) on
+        # both boxes, so one plan serves both and the solves agree to the bit
+        grid = Grid3D((-2.4, -1.95, -2.7), 0.3, (17, 14, 19))
+        moved = Grid3D(grid.origin + np.array([0.0371, -0.1234, 0.2718]), grid.h, grid.dims)
+        src = np.random.default_rng(8).random(FoldedGrid(grid, mirror).shape)
+        assert np.array_equal(poisson_solve(grid, src, mirror),
+                              poisson_solve(moved, src, mirror))
+
+    @pytest.mark.parametrize("mirror", MIRRORS)
+    def test_plan_arrays_are_read_only(self, mirror):
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+
+        plan = _plan((17, 14, 19), 0.25, mirror)
+        found = [a for f in dataclasses.fields(plan) for a in arrays(getattr(plan, f.name))]
+        assert len(found) >= 10
+        for a in found:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0
+
+    def test_cache_stays_within_its_bound(self):
+        bound = _plan.cache_info().maxsize
+        assert bound is not None
+        for n in range(9, 9 + bound + 3):
+            grid = Grid3D((0.0, 0.0, 0.0), 0.25, (n, 8, 10))
+            poisson_solve(grid, np.ones(grid.shape))
+            assert _plan.cache_info().currsize <= bound

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import tracemalloc
 import weakref
 
@@ -25,6 +26,7 @@ from fermisurf.tf_molecule import (
     exterior_tf,
     external_potential,
     matched_atomic_grid,
+    nuclear_mirror_axes,
     screened_tf,
     solve_tf,
 )
@@ -544,25 +546,33 @@ class TestPickMuCount:
 class TestMirroredSolves:
     """Odd-mode Poisson solves at spacings whose nodes are not dyadic.
 
-    Each problem is solved twice: with the mirror detection as it is, and
-    with detection forced to find no axis, which is the full transform.
+    Each problem is solved twice: with the mirror detection as it is
+    (`nuclear_mirror_axes` for a molecule, `mirror_axes` for the screened
+    and exterior potentials), and with both forced to find no axis, which
+    is the full transform.
     """
 
-    @staticmethod
-    def _both_ways(monkeypatch, solve):
+    DETECTORS = ("mirror_axes", "nuclear_mirror_axes")
+
+    @classmethod
+    def _both_ways(cls, monkeypatch, solve):
         import fermisurf.tf_molecule as tm
 
-        detect, found = tm.mirror_axes, []
+        found = []
 
-        def recording(*arrays):
-            found.append(detect(*arrays))
-            return found[-1]
+        def recording(detect):
+            def record(*args):
+                found.append(detect(*args))
+                return found[-1]
+            return record
 
         with monkeypatch.context() as m:
-            m.setattr(tm, "mirror_axes", recording)
+            for name in cls.DETECTORS:
+                m.setattr(tm, name, recording(getattr(tm, name)))
             mirrored = solve()
         with monkeypatch.context() as m:
-            m.setattr(tm, "mirror_axes", lambda *arrays: (False, False, False))
+            for name in cls.DETECTORS:
+                m.setattr(tm, name, lambda *args: (False, False, False))
             full = solve()
         return mirrored, full, found
 
@@ -618,6 +628,66 @@ class TestMirroredSolves:
         for name in ("rho", "phi"):
             a, b = getattr(folded, name).values, getattr(full, name).values
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+def _benchmark_boxes():
+    """(config, grid) of every box the benchmark's three workloads solve on.
+
+    The inputs of perfbench/workloads.py at seeds 0-3: each R is scaled by
+    a factor uniform in [0.97, 1.03] drawn from random.Random(seed) (seed
+    0 keeps it), and each molecule's box comes with its nuclei's matched
+    atomic grids.
+    """
+    workloads = [((6.0, 6.0), [0.25, 0.4375, 0.625, 0.8125, 1.0], 0.125),  # tf_teller_sweep
+                 ((1.0, 1.0), [1.4], 0.35),  # ks_h2_point
+                 ((6.0, 6.0), [2.0], 0.25)]  # tf_exterior_decomp
+    for seed in range(4):
+        for charges, Rs, h in workloads:
+            rng = random.Random(seed)  # one generator per workload
+            for R in Rs if seed == 0 else [R * (1.0 + rng.uniform(-0.03, 0.03)) for R in Rs]:
+                cfg = diatomic(*charges, R)
+                grid = GridPolicy(spacing=h).build(cfg)
+                yield cfg, grid
+                for pos, z in zip(cfg.positions, cfg.charges):
+                    yield (NuclearConfiguration(positions=[pos], charges=[z]),
+                           matched_atomic_grid(grid, pos))
+
+
+class TestNuclearMirrorAxes:
+    """The configuration rule against the detection on the potential itself."""
+
+    def test_matches_the_potential_on_every_benchmark_box(self):
+        seen = set()
+        for cfg, grid in _benchmark_boxes():
+            rule = nuclear_mirror_axes(grid, cfg)
+            assert rule == mirror_axes(external_potential(grid, cfg)), (cfg, grid)
+            seen.add(rule)
+        # symmetric pairs, off-node pairs and on-node atoms all occur
+        assert {(True, True, True), (False, True, True)} <= seen
+
+    @pytest.mark.parametrize("positions, charges, axes", [
+        ([[-0.6, 0.0, 0.0], [0.77, 0.0, 0.0]], [1.0, 3.0], (False, True, True)),  # off node
+        ([[-0.7, 0.0, 0.0], [0.7, 0.0, 0.0]], [2.0, 2.0], (True, True, True)),
+        ([[-0.7, 0.0, 0.0], [0.7, 0.0, 0.0]], [2.0, 3.0], (False, True, True)),
+    ])
+    def test_pairs(self, positions, charges, axes):
+        cfg = NuclearConfiguration(positions=positions, charges=charges)
+        grid = _grid_for(cfg)
+        assert nuclear_mirror_axes(grid, cfg) == axes
+        assert mirror_axes(external_potential(grid, cfg)) == axes
+
+    @pytest.mark.parametrize("mirror", [(True, True, True), (False, True, True),
+                                        (True, False, False)])
+    def test_folded_potential_is_the_box_potential(self, mirror):
+        # one nucleus on a node inside every fold, one whose node lies
+        # outside the x fold: each fold value is the box value to the bit
+        cfg = NuclearConfiguration(positions=[[0.35, 0.0, 0.0], [-0.52, 0.11, 0.0]],
+                                   charges=[1.0, 2.0])
+        grid = _grid_for(cfg)
+        folded = FoldedGrid(grid, mirror)
+        v = external_potential(folded, cfg)
+        assert v.shape == folded.shape
+        assert np.array_equal(v, external_potential(grid, cfg)[folded.index])
 
 
 class TestMatchedGrid:
