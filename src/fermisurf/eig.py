@@ -473,13 +473,13 @@ def lowest_eigenpairs(
 ):
     """Lowest `count` eigenpairs of -1/2 Lap_h + v on grid to `tol`.
 
-    mirror says, per axis, that v is symmetric about the box-centre plane
-    (`poisson.mirror_axes`); a mirrored axis must have an odd number of
-    nodes, so that the plane holds one. H then commutes with each such
-    reflection, and every eigenvector can be taken even or odd under it.
-    Each sector, one parity per mirrored axis (`_sectors`), is solved on
-    its own folded grid, which holds about 1/2 of the box per mirrored
-    axis; with no mirrored axis the one sector is the box.
+    mirror says, per axis, that v is symmetric about the box-centre plane;
+    a mirrored axis must have an odd number of nodes, so that the plane
+    holds one. H then commutes with each such reflection, and every
+    eigenvector can be taken even or odd under it. Each sector, one parity
+    per mirrored axis (`_sectors`), is solved on its own folded grid, which
+    holds about 1/2 of the box per mirrored axis; with no mirrored axis the
+    one sector is the box.
 
     LOBPCG iterates only the `count` wanted vectors until every residual
     norm is at most tol / 10; EigenError is raised if the final residuals

@@ -21,12 +21,13 @@ from .eig import EIG_SEED, apply_hamiltonian, lowest_eigenpairs, occupied_eigenp
 from .grids import FoldedGrid, Grid3D, ScalarField
 from .ks_common import (AndersonMixer, KSState, SCFError, aufbau_occupations,
                         density_change, ks_energy)
-from .poisson import mirror_axes, poisson_solve, unfold
+from .poisson import poisson_solve, unfold
 from .tf_molecule import (
     NuclearConfiguration,
     atomic_superposition,
     check_grid_margin,
     external_potential,
+    nuclear_mirror_axes,
 )
 from .xc import XCFunctional
 
@@ -107,8 +108,10 @@ def scf_molecule(
     from superposed TF atoms; either is renormalized to N. A given rho is
     taken over, not copied: it is renormalized in place, and its fold (rho
     itself with no mirrored axis) becomes the SCF's first density and is
-    written. `bo_ks` passes the superposed densities of the point's
-    matched atomic references.
+    written. A rho that breaks the mirror symmetry is folded by taking its
+    slice, so the SCF starts from the symmetric density that agrees with
+    it on the fold. `bo_ks` passes the superposed densities of the
+    point's matched atomic references.
 
     The block size, the number of states each eigensolve converges, is
     SCF state. The first step's eigensolve starts from the initial density
@@ -130,25 +133,25 @@ def scf_molecule(
     "shell_margin" the guard's theta - rho - eps_F of the last shell check,
     the margin by which the returned occupied set was trusted.
 
-    Mirror symmetry is tested once, on v_ext and the start density
-    (`poisson.mirror_axes`), and only an axis with an odd number of nodes
-    counts, since its centre plane must hold nodes (every `GridPolicy`
-    box has odd axes). The SCF then runs on the fold along those axes
-    (`grids.FoldedGrid`), as the TF fixed point does: v_ext's values, rho,
-    rho_out, the Hartree potential, v_eff, the mixer, `density_change`,
-    `ks_energy` and every Poisson solve, the closing ones included, with
-    integrals and the mixer's Gram matrix weighing nodes by
-    `grids.fold_weights`. The eigensolves run per mirror-parity sector on
-    their own folded grids (`eig`) and return the orbitals unfolded, each
-    exactly even or odd, so the squares of their fold's nodes give the
-    fold of a density symmetric to the bit. Only v_eff, once per step for
-    the eigensolves and once for the stationarity pass, and the returned
-    rho are unfolded. The first step's start rows are formed on the box
-    before the fold is taken. Each start monomial, taken about the charge
-    centre, which lies on every mirrored plane, picks its sector: H2 gets
-    one state in (+, +, +), and a homonuclear pair with two states gets
-    sigma_g there and sigma_u in (-, +, +). A shell check grows the block
-    in the sector that holds most of the guard's weight.
+    The SCF folds along the mirror planes of config
+    (`tf_molecule.nuclear_mirror_axes`) whose axis has an odd number of
+    nodes, since the plane must hold nodes (every `GridPolicy` box has odd
+    axes). It runs on that fold (`grids.FoldedGrid`), as the TF fixed point
+    does: v_ext's values, rho, rho_out, the Hartree potential, v_eff, the
+    mixer, `density_change`, `ks_energy` and every Poisson solve, the
+    closing ones included, with integrals and the mixer's Gram matrix
+    weighing nodes by `grids.fold_weights`. The eigensolves run per
+    mirror-parity sector on their own folded grids (`eig`) and return the
+    orbitals unfolded, each exactly even or odd, so the squares of their
+    fold's nodes give the fold of a density symmetric to the bit. Only
+    v_eff, once per step for the eigensolves and once for the stationarity
+    pass, and the returned rho are unfolded. The first step's start rows
+    are formed on the box before the fold is taken. Each start monomial,
+    taken about the charge centre, which lies on every mirrored plane,
+    picks its sector: H2 gets one state in (+, +, +), and a homonuclear
+    pair with two states gets sigma_g there and sigma_u in (-, +, +). A
+    shell check grows the block in the sector that holds most of the
+    guard's weight.
 
     Memory, in grid arrays of the box, with k the block size, M =
     MIX_DEPTH and m mirrored axes; a fold array is about 2^-m of the box.
@@ -175,19 +178,20 @@ def scf_molecule(
         raise ValueError("q must be positive and finite")
     check_grid_margin(grid, config)
 
-    v_ext = external_potential(grid, config)
+    # an axis folds only if its centre plane holds nodes
+    mirror = tuple(m and d % 2 == 1
+                   for m, d in zip(nuclear_mirror_axes(grid, config), grid.shape))
+    folded = FoldedGrid(grid, mirror)
+    v_ext = external_potential(folded, config)
 
     if rho is None:
         rho = atomic_superposition(grid, config)
     elif np.shape(rho) != grid.shape:
         raise ValueError("rho must have the grid's shape")
     rho *= N / grid.integrate(rho)
-    # an axis folds only if its centre plane holds nodes
-    mirror = tuple(m and d % 2 == 1 for m, d in zip(mirror_axes(v_ext, rho), grid.shape))
     count = int(math.ceil(N / q))  # block size, fixed by the first shell check
     initial = _density_start(grid, rho, count)
-    folded = FoldedGrid(grid, mirror)
-    v_ext, rho = (np.ascontiguousarray(a[folded.index]) for a in (v_ext, rho))
+    rho = np.ascontiguousarray(rho[folded.index])
 
     mixer = AndersonMixer(folded.weights)
     history = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bo import GridPolicy, bo_tf
-from .grids import Grid3D
+from .grids import FoldedGrid, Grid3D
 from .tf_atom import atomic_screened_tf, atomic_tf
 from .tf_molecule import (
     NuclearConfiguration,
@@ -90,23 +90,32 @@ class OutsideReport:
 class _AtomicExterior:
     """One atom's exterior problems on the shared 3D staircase grid, by radius.
 
-    The nucleus' distances and the start, the radial atom's density sampled
-    on the grid, are built once for every radius. The potential is that
-    atom's screened potential, so the start's restriction to A_r is near
-    the minimizer.
+    The nucleus' distances and the start, the radial atom's density
+    sampled on the grid, are built on the fold `exterior_tf` hands over,
+    once for every radius. The potential is that atom's screened
+    potential, so the start's restriction to A_r is near the minimizer.
     """
 
     def __init__(self, single: NuclearConfiguration, grid: Grid3D):
         self.single, self.grid = single, grid
         self.atom = atomic_tf(single.Z)
-        self.dist = np.sqrt(grid.squared_distance(single.positions[0]))
-        self.start = atomic_superposition(grid, single)
+        self.folds = {}  # mirror flags -> (distances, start) on that fold
+
+    def _on(self, folded: FoldedGrid):
+        if folded.mirror not in self.folds:
+            dist = np.sqrt(folded.squared_distance(self.single.positions[0]))
+            self.folds[folded.mirror] = dist, atomic_superposition(folded, self.single)
+        return self.folds[folded.mirror]
 
     def energy(self, r: float) -> float:
-        v_r = np.interp(self.dist, self.atom.grid.nodes, atomic_screened_tf(self.atom, r))
+        screened = atomic_screened_tf(self.atom, r)
+
+        def v_r(folded):
+            return np.interp(self._on(folded)[0], self.atom.grid.nodes, screened)
+
         n_j = self.atom.z - self.atom.charge_within(r)
         return exterior_tf(self.grid, v_r, RegionMask(config=self.single, r=r),
-                           max(n_j, 1e-9), start=lambda: self.start).energy
+                           max(n_j, 1e-9), start=lambda folded: self._on(folded)[1]).energy
 
 
 def outside_decomposition_check(
@@ -133,11 +142,10 @@ def outside_decomposition_check(
     samples = []
     for r in rs:
         mask = RegionMask(config=config, r=r)
-        phi_r = screened_tf(mol, mask)
-        gmask = mask.grid_mask(grid)
-        bound = float(np.sum(mol.rho.values[gmask])) * grid.cell_volume
+        bound = float(np.sum(mol.rho.values[mask.grid_mask(grid)])) * grid.cell_volume
         # the restriction of mol.rho to A_r is this problem's minimizer
-        ext_mol = exterior_tf(grid, phi_r, mask, bound, start=lambda: mol.rho.values)
+        ext_mol = exterior_tf(grid, lambda folded: screened_tf(mol, mask, folded), mask,
+                              bound, start=lambda folded: mol.rho.values[folded.index])
         energies = {key: atom.energy(r) for key, atom in distinct.items()}
         e_atoms = sum(energies[id(atom)] for atom in atoms)
         decomp = ext_mol.energy - e_atoms

@@ -18,10 +18,8 @@ the grid itself with none). Its moments weigh each node by
 face and is transformed on its odd sine modes (`_fold_products`), and the
 residual check reflects the stencil at the centre plane, so it checks
 every node of the symmetric field. The solve reads only the fold, so the
-symmetry is the caller's: a caller holding a grid array picks the axes
-with `mirror_axes`, passes the slice a[FoldedGrid(grid, mirror).index]
-and `unfold`s the result; the TF fixed points and the KS SCF keep their
-iterates on the fold throughout.
+symmetry is the caller's (`tf_molecule.nuclear_mirror_axes`); `unfold`
+returns a fold array to the box.
 
 The plan. Everything a solve on one fold reads besides its source, the
 fold's shape and weights, the moment columns, each face node's offsets
@@ -53,7 +51,6 @@ import numpy as np
 from .grids import FoldedGrid, Grid3D, GridError, SolverError, fold_weights
 
 CHECK_TOL = 1e-6  # stencil residual bound, relative to max(1, max |4 pi source|)
-MIRROR_TOL = 1e-12  # mirror asymmetry bound, relative to max |a| (about 4500 eps)
 
 
 class PoissonError(SolverError):
@@ -206,27 +203,6 @@ def _dst_eigenvalues(n: int, h: float) -> np.ndarray:
     lam = (2.0 - 2.0 * np.cos(np.pi * k / (n + 1))) / h**2
     lam.flags.writeable = False
     return lam
-
-
-def mirror_axes(*arrays: np.ndarray) -> tuple[bool, bool, bool]:
-    """For each axis, whether every array is mirror-symmetric about the box centre.
-
-    An axis counts when max |a - a reversed along it| <= MIRROR_TOL max |a|
-    for each array a: a grid array is then symmetric under i <-> n - 1 - i
-    up to rounding, and so is its interior under j <-> n + 1 - j. Only
-    half of each axis is compared, and one difference array is formed at
-    a time.
-    """
-    def gap(a, axis):
-        b = np.moveaxis(a, axis, 0)
-        k = b.shape[0] // 2
-        d = np.subtract(b[:k], b[: -k - 1 : -1])  # first k rows - last k reversed
-        return float(np.abs(d, out=d).max(initial=0.0))
-
-    tols = [MIRROR_TOL * max(float(a.max()), -float(a.min())) for a in arrays]
-    # a NaN gap or tolerance compares False: no mirrored axis
-    return tuple(all(gap(a, axis) <= tol for a, tol in zip(arrays, tols))
-                 for axis in range(3))
 
 
 def _key(mirror) -> tuple[bool, bool, bool]:

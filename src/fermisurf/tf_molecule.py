@@ -20,13 +20,14 @@ import numpy as np
 
 from .grids import FoldedGrid, Grid3D, GridError, ScalarField, SolverError, weighted_sum
 from .ks_common import AndersonMixer, density_change
-from .poisson import MIRROR_TOL, mirror_axes, poisson_solve, unfold
+from .poisson import poisson_solve, unfold
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_law, tf_residual
 
 TF_TOL = 1e-8  # relative L1 density change per sweep
 TF_MAX_SWEEPS = 400
 PICK_MU_MAX_STEPS = 100  # Newton steps for the chemical potential
 MIN_MARGIN = 6.0  # box margin around a nucleus of charge z, in units of z^(-1/3)
+MIRROR_TOL = 1e-12  # relative rounding allowance of mirror images and sphere ties
 
 
 class ConvergenceError(SolverError):
@@ -115,10 +116,17 @@ class RegionMask:
             raise ValueError("r must be <= R_min/2 so the spheres are disjoint")
 
     def grid_mask(self, grid: Grid3D) -> np.ndarray:
-        """Boolean array, True on nodes belonging to A_r."""
+        """Boolean array, True on nodes belonging to A_r.
+
+        A_r is open, and a node with |x - R_j|^2 <= r^2 (1 + MIRROR_TOL)
+        counts as on the sphere: a node and its mirror image, whose
+        distances differ by rounding only, fall on the same side. So the
+        mask has the mirror symmetries of config (`nuclear_mirror_axes`).
+        """
         out = np.ones(grid.shape, dtype=bool)
+        tie = self.r**2 * (1.0 + MIRROR_TOL)
         for pos in self.config.positions:
-            out &= grid.squared_distance(pos) > self.r**2
+            out &= grid.squared_distance(pos) > tie
         return out
 
 
@@ -188,8 +196,11 @@ def nuclear_mirror_axes(grid: Grid3D, config: NuclearConfiguration) -> tuple[boo
 
     An axis counts when each nucleus' image across the plane is a nucleus
     of equal charge, positions compared in node units to MIRROR_TOL (so to
-    1e-12 h). V_R and the atomic superposition are then symmetric about
-    the plane up to rounding, which is what `mirror_axes` finds on them.
+    1e-12 h). This is the one rule by which every solve picks the axes it
+    folds (`grids.FoldedGrid`): V_R, the atomic superposition and every
+    `RegionMask` of config then share the symmetry, and so does the TF
+    minimizer, which is unique (Lieb and Simon, Adv. Math. 23:22, 1977).
+    The KS SCF folds those of the axes whose centre plane holds nodes.
     """
     s = (config.positions - grid.origin) / grid.h
     same_charge = config.charges[:, None] == config.charges[None, :]
@@ -280,9 +291,8 @@ def _pick_mu(
 
 def _tf_fixed_point(
     config: NuclearConfiguration,
-    grid: Grid3D,
+    folded: FoldedGrid,
     v: np.ndarray,
-    mirror: tuple[bool, bool, bool],
     n_target: float,
     constrained: bool,
     start: Callable[[FoldedGrid], np.ndarray],
@@ -298,18 +308,16 @@ def _tf_fixed_point(
     nonnegative and, when constrained, within the charge bound. Two closing
     solves of the last rho give phi and the energy's u.
 
-    The fold. The TF minimizer is unique (Lieb and Simon, Adv. Math. 23:22,
-    1977), so it has every mirror symmetry of v_ext, and the sweep runs on
-    the fold of grid along the axes `mirror` marks, which the caller picks
-    from v_ext's symmetry (`FoldedGrid`). v holds v_ext's plain values on
-    that fold; the start that start(folded) builds there, rho, u, the TF
-    law, `_pick_mu`, `density_change`, the mixer and every Poisson solve
-    stay on it. Integrals and the mixer's Gram matrix weigh each node by 2
+    The fold. The sweep runs on folded, the fold of the box along the
+    mirror planes of config (`nuclear_mirror_axes`), which the minimizer
+    shares. v holds v_ext's plain values on that fold; the start that
+    start(folded) builds there, rho, u, the TF law, `_pick_mu`,
+    `density_change`, the mixer and every Poisson solve stay on it. Integrals and the mixer's Gram matrix weigh each node by 2
     per mirrored axis whose centre plane it is off. Only rho and phi are
     unfolded, into the TFSolution. Between sweeps only v, rho, u and the
     mixer's 2 MIX_DEPTH + 2 history arrays stay alive, all on the fold.
     """
-    folded = FoldedGrid(grid, mirror)
+    grid, mirror = folded.grid, folded.mirror
 
     def density(u):
         if constrained:
@@ -371,50 +379,48 @@ def solve_tf(
     if not 0.0 < n < math.inf:
         raise ValueError("particle number n must be positive and finite")
     check_grid_margin(grid, config)
-    # V_R only on the fold its mirror planes give: the full box is never formed
-    mirror = nuclear_mirror_axes(grid, config)
-    v = external_potential(FoldedGrid(grid, mirror), config)
+    # V_R only on the fold: the full box is never formed
+    folded = FoldedGrid(grid, nuclear_mirror_axes(grid, config))
+    v = external_potential(folded, config)
 
     def start(folded):
-        # v_ext and the superposition are symmetric exactly when config is
         rho = atomic_superposition(folded, config)
         if n < config.Z:
             rho *= n / config.Z
         return rho
 
-    return _tf_fixed_point(
-        config, grid, v, mirror, min(n, config.Z), n < config.Z - 1e-9, start
-    )
+    return _tf_fixed_point(config, folded, v, min(n, config.Z), n < config.Z - 1e-9, start)
 
 
 def exterior_tf(
     grid: Grid3D,
-    v_r: np.ndarray,
+    v_r: Callable[[FoldedGrid], np.ndarray],
     mask: RegionMask,
     charge_bound: float,
-    start: Callable[[], np.ndarray],
+    start: Callable[[FoldedGrid], np.ndarray],
 ) -> TFSolution:
     """TF minimizer over densities supported on A_r with int rho <= charge_bound.
 
-    v_r holds one value per node of grid. The potential is 1_{A_r} v_r: the
-    values of v_r off A_r are not read. The potential alone keeps rho on A_r:
-    u = P rho > 0 (a nonnegative source with positive monopole faces), so
-    phi = -u < 0 off A_r and the TF density is exactly 0 there.
-
-    start is a zero-argument callable that returns a grid density. The
-    sweep starts from its restriction to A_r, scaled down to the charge
-    bound if it holds more, on the fold that `mirror_axes` picks from the
-    potential (a start that breaks its symmetry gives its fold).
+    The problem has the mirror symmetries of mask.config, and is solved
+    on the fold of grid along them (`nuclear_mirror_axes`). v_r and start
+    are callables of that fold, each returning one value per node of it:
+    v_r(folded) the potential and start(folded) the start density. The
+    potential is 1_{A_r} v_r: the values of v_r off A_r are not read. The
+    potential alone keeps rho on A_r: u = P rho > 0 (a nonnegative source
+    with positive monopole faces), so phi = -u < 0 off A_r and the TF
+    density is exactly 0 there. The sweep starts from the start's
+    restriction to A_r, scaled down to the charge bound if it holds more.
 
     When v_r is the screened potential Phi_r of a molecular minimizer
-    rho_mol and the bound is rho_mol's charge on A_r, the restriction of
-    rho_mol to A_r is the fixed point: on A_r, Phi_r minus the potential of
-    that restriction is the molecular phi, whose TF density is rho_mol
-    (the outside-model argument of Solovej, Ann. Math. 158:509, 2003). It
-    holds on every box because `poisson_solve` is linear in its source, so
-    that start is exact up to the molecule's own self-consistency.
+    rho_mol (`screened_tf`) and the bound is rho_mol's charge on A_r, the
+    restriction of rho_mol to A_r is the fixed point: on A_r, Phi_r minus
+    the potential of that restriction is the molecular phi, whose TF
+    density is rho_mol (the outside-model argument of Solovej, Ann. Math.
+    158:509, 2003). It holds on every box because `poisson_solve` is
+    linear in its source, so that start is exact up to the molecule's own
+    self-consistency.
 
-    The callable runs inside the solve, and its result is dropped once
+    start runs inside the solve, and its result is dropped once
     restricted: a start built by the caller and passed in as an array
     would be pinned by the caller's frame for the whole solve.
     """
@@ -422,14 +428,12 @@ def exterior_tf(
         raise ValueError("charge_bound must be positive and finite")
     if not isinstance(grid, Grid3D):
         raise GridError("exterior problem is solved on a 3D grid")
-    v_ext = np.where(mask.grid_mask(grid), v_r, 0.0)
-    mirror = mirror_axes(v_ext)
-    v = np.ascontiguousarray(v_ext[FoldedGrid(grid, mirror).index])
-    del v_ext  # the sweep reads only the fold
+    folded = FoldedGrid(grid, nuclear_mirror_axes(grid, mask.config))
+    v = np.where(mask.grid_mask(folded), v_r(folded), 0.0)
 
     def restricted(folded):
-        # the mask is formed again, on the fold, rather than held through the solve
-        rho = np.where(mask.grid_mask(folded), start()[folded.index], 0.0)
+        # the mask is formed again rather than held through the solve
+        rho = np.where(mask.grid_mask(folded), start(folded), 0.0)
         s = folded.integrate(rho)
         if s > charge_bound:
             rho *= charge_bound / s
@@ -437,20 +441,24 @@ def exterior_tf(
 
     # the unconstrained charge of an exterior problem is unknown, so mu is
     # always solved against the bound
-    return _tf_fixed_point(mask.config, grid, v, mirror, charge_bound, True, restricted)
+    return _tf_fixed_point(mask.config, folded, v, charge_bound, True, restricted)
 
 
-def screened_tf(sol: TFSolution, mask: RegionMask) -> np.ndarray:
-    """Screened potential Phi_r = V_R - (rho 1_{A_r^c}) * |x|^-1 on sol.grid.
+def screened_tf(sol: TFSolution, mask: RegionMask, folded: FoldedGrid) -> np.ndarray:
+    """Screened potential Phi_r = V_R - (rho 1_{A_r^c}) * |x|^-1 on a fold of sol.grid.
 
-    Sphere sups of Phi_r are taken by `screening.screened_compare`.
+    folded is a fold of sol.grid along mirror planes of sol.config, such
+    as the one `exterior_tf` hands its v_r, or the whole box with none;
+    Phi_r is formed on its nodes only. `outside.outside_decomposition_check`
+    solves the molecular exterior problems in this potential.
     """
     grid = sol.grid
-    inner_rho = np.where(mask.grid_mask(grid), 0.0, sol.rho.values)
-    mirror = mirror_axes(inner_rho)
-    u = poisson_solve(grid, inner_rho[FoldedGrid(grid, mirror).index], mirror)
+    inner_rho = np.where(mask.grid_mask(folded), 0.0, sol.rho.values[folded.index])
+    u = poisson_solve(grid, inner_rho, folded.mirror)
     del inner_rho
-    return external_potential(grid, sol.config) - unfold(grid, u, mirror)
+    phi = external_potential(folded, sol.config)
+    phi -= u
+    return phi
 
 
 def matched_atomic_grid(grid: Grid3D, position: np.ndarray) -> Grid3D:

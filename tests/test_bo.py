@@ -144,6 +144,50 @@ class TestKS:
         assert len(mol.scf_history) <= len(tf_start.scf_history)
 
 
+class TestBondAxis:
+    """D and the folds follow the bond from x to y and z.
+
+    The fold code branches per axis: the residual check's x shift stops
+    short of the centre plane, while the y and z shifts wrap onto it.
+    Each solve's fold flags are recorded and rolled back to the x bond.
+    """
+
+    @staticmethod
+    def _check(monkeypatch, module, pair, point):
+        """point(pair) with the bond along x, y and z, each solve's folds recorded."""
+        rule, Ds, folds = module.nuclear_mirror_axes, [], []
+        for axis in range(3):
+            flags = []
+
+            def recording(grid, config):
+                flags.append(rule(grid, config))
+                return flags[-1]
+
+            rolled = NuclearConfiguration(positions=np.roll(pair.positions, axis, axis=1),
+                                          charges=pair.charges)  # x -> axis
+            with monkeypatch.context() as m:
+                m.setattr(module, "nuclear_mirror_axes", recording)
+                Ds.append(point(rolled))
+            folds.append([tuple(np.roll(f, -axis)) for f in flags])
+        assert np.ptp(Ds) <= 1e-10
+        assert (False, True, True) in folds[0]  # the molecule's bond axis is not folded
+        assert folds[1] == folds[0] and folds[2] == folds[0]
+
+    def test_tf(self, monkeypatch):
+        # (1, 2) with both nuclei on nodes; 1.8e-15 Ha spread measured
+        import fermisurf.tf_molecule as tm
+
+        self._check(monkeypatch, tm, diatomic(1.0, 2.0, 1.5),
+                    lambda cfg: bo_tf(cfg, GridPolicy(spacing=0.25)).D)
+
+    def test_ks(self, lda, monkeypatch):
+        # H2 with its second nucleus off a node; 6.2e-15 Ha spread measured
+        import fermisurf.ks_molecule as km
+
+        self._check(monkeypatch, km, diatomic(1.0, 1.0, 1.43),
+                    lambda cfg: bo.bo_ks(cfg, lda, GridPolicy(spacing=0.35)).D)
+
+
 class TestGamma:
     def test_ladder_monotone_and_positive(self, pair_11):
         unit = NuclearConfiguration(positions=[[0, 0, 0], [1.0, 0, 0]],

@@ -151,12 +151,29 @@ class TestDiatomic:
         state, _, shapes = mirrored_h2_state
         cfg, grid = _mirrored_h2()
         assert shapes == {FoldedGrid(grid, (True,) * 3).shape}
-        monkeypatch.setattr(ks_molecule, "mirror_axes", lambda *arrays: (False,) * 3)
+        monkeypatch.setattr(ks_molecule, "nuclear_mirror_axes", lambda *args: (False,) * 3)
         full = scf_molecule(cfg, 2.0, lda, grid)
         assert len(full.scf_history) == len(state.scf_history)
         assert state.energy["total"] == pytest.approx(full.energy["total"], abs=1e-12)
         rho = full.rho0.values
         assert np.max(np.abs(state.rho0.values - rho)) <= 1e-9 * np.max(rho)
+
+    def test_asymmetric_start_is_folded_by_its_slice(self, mirrored_h2_state, lda):
+        # a start bumped off the x mirror plane only: the SCF takes its
+        # fold, so it runs the symmetric problem and lands where the
+        # default start does
+        from fermisurf.tf_molecule import atomic_superposition
+
+        state, _, _ = mirrored_h2_state
+        cfg, grid = _mirrored_h2()
+        X, Y, Z = grid.meshgrid()
+        rho = atomic_superposition(grid, cfg) * (1.0 + 0.3 * np.exp(-((X - 0.9) ** 2 + Y**2 + Z**2)))
+        assert not np.array_equal(np.flip(rho, 0), rho)
+        bumped = scf_molecule(cfg, 2.0, lda, grid, rho=rho)
+        rho0 = bumped.rho0.values
+        for axis in range(3):
+            assert np.array_equal(np.flip(rho0, axis), rho0)
+        assert bumped.energy["total"] == pytest.approx(state.energy["total"], abs=1e-6)
 
     def test_eigen_residuals_within_last_eigensolve_tolerance(self, h2_state):
         from fermisurf.ks_molecule import EIG_TOL
@@ -170,7 +187,7 @@ class TestDiatomic:
     def test_stationarity_uses_potential_of_returned_density(self, h2_state, lda):
         from fermisurf.eig import apply_hamiltonian
         from fermisurf.grids import FoldedGrid
-        from fermisurf.poisson import mirror_axes, poisson_solve, unfold
+        from fermisurf.poisson import poisson_solve, unfold
         from fermisurf.tf_molecule import external_potential
 
         state, cfg, grid = h2_state
@@ -178,8 +195,8 @@ class TestDiatomic:
         v_ext = external_potential(grid, cfg)
         # the bond lies on the box's centre line in x, so the SCF forms its
         # potentials on the fold along y and z and unfolds them
-        mirror = mirror_axes(v_ext, rho)
-        assert mirror == (False, True, True)
+        mirror = (False, True, True)
+        assert tuple(np.array_equal(np.flip(rho, axis), rho) for axis in range(3)) == mirror
         fold = FoldedGrid(grid, mirror).index
         u = poisson_solve(grid, rho[fold], mirror)
         v = unfold(grid, -v_ext[fold] + u - lda.derivative(rho[fold]), mirror)

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from fermisurf.bo import GridPolicy, diatomic
 from fermisurf.grids import FoldedGrid, Grid3D, GridError
 from fermisurf.ks_common import MIX_DEPTH
-from fermisurf.poisson import CHECK_TOL, mirror_axes, poisson_solve, stencil_residual, unfold
+from fermisurf.poisson import CHECK_TOL, poisson_solve, stencil_residual, unfold
 from fermisurf.tf_atom import atomic_tf, tf_density
 from fermisurf.tf_molecule import (
+    MIRROR_TOL,
     ConvergenceError,
     NuclearConfiguration,
     RegionMask,
@@ -40,6 +41,23 @@ def _grid_for(config, h=0.35, margin=6.5):
     half = float(np.max(hi - center))
     n = 2 * int(math.ceil(half / h)) + 1
     return Grid3D(origin=center - h * (n - 1) / 2.0, h=h, dims=(n, n, n))
+
+
+def _sliced(a):
+    """A grid array as `exterior_tf` takes its potential and start: a callable of the fold."""
+    return lambda folded: a[folded.index]
+
+
+def _box_screened(sol, mask):
+    """The screened potential on the whole box, with no axis folded."""
+    return screened_tf(sol, mask, FoldedGrid(sol.grid, (False, False, False)))
+
+
+def _flip_symmetric(a, tol=0.0):
+    """Per axis, whether a equals its reversal along that axis to tol max |a|."""
+    scale = tol * float(np.max(np.abs(a)))
+    return tuple(bool(np.max(np.abs(np.subtract(a, np.flip(a, axis), dtype=float))) <= scale)
+                 for axis in range(3))
 
 
 class TestNuclearConfiguration:
@@ -220,7 +238,7 @@ class TestSolveTF:
         cfg = NuclearConfiguration(positions=[[-0.5, 0, 0], [0.5, 0, 0]],
                                    charges=[1.0, 1.0])
         grid = _grid_for(cfg, h=0.4)
-        assert mirror_axes(external_potential(grid, cfg)) == (True, True, True)
+        assert nuclear_mirror_axes(grid, cfg) == (True, True, True)
         solve_tf(cfg, 2.0, grid)  # the universal profile and fold matrices are cached once
         full = 8 * math.prod(grid.dims)
         folded = 8 * math.prod(FoldedGrid(grid, (True, True, True)).shape)
@@ -335,12 +353,12 @@ class TestExterior:
         grid = _grid_for(cfg, h=0.3)
         sol = solve_tf(cfg, 2.0, grid)
         mask = RegionMask(config=cfg, r=0.6)
-        phi_r = screened_tf(sol, mask)
+        phi_r = _box_screened(sol, mask)
         gmask = mask.grid_mask(grid)
         v_r = np.where(gmask, phi_r, 0.0)
         bound = float(np.sum(sol.rho.values[gmask])) * grid.cell_volume
         # started from T(v_r), the TF density of the unscreened potential
-        ext = exterior_tf(grid, v_r, mask, bound, start=lambda: tf_density(v_r))
+        ext = exterior_tf(grid, _sliced(v_r), mask, bound, start=_sliced(tf_density(v_r)))
         # the exterior minimizer reproduces the molecular density on A_r
         diff = np.abs(ext.rho.values - sol.rho.values)[gmask]
         scale = np.max(sol.rho.values[gmask])
@@ -355,7 +373,7 @@ class TestExterior:
         mask = RegionMask(config=cfg, r=0.3)
         assert mask.grid_mask(grid).all()
         v = external_potential(grid, cfg)
-        ext = exterior_tf(grid, v, mask, 1.0, start=lambda: tf_density(v))
+        ext = exterior_tf(grid, _sliced(v), mask, 1.0, start=_sliced(tf_density(v)))
         assert 0.0 < ext.n_electrons <= 1.0 + 1e-10
 
     def test_exterior_density_vanishes_inside(self):
@@ -363,10 +381,10 @@ class TestExterior:
         grid = _grid_for(cfg, h=0.35)
         sol = solve_tf(cfg, 2.0, grid)
         mask = RegionMask(config=cfg, r=0.7)
-        phi_r = screened_tf(sol, mask)
+        phi_r = _box_screened(sol, mask)
         gmask = mask.grid_mask(grid)
         v_r = np.where(gmask, phi_r, 0.0)
-        ext = exterior_tf(grid, v_r, mask, 2.0, start=lambda: tf_density(v_r))
+        ext = exterior_tf(grid, _sliced(v_r), mask, 2.0, start=_sliced(tf_density(v_r)))
         assert np.all(ext.rho.values[~gmask] == 0.0)
 
     def test_poisson_sources_stay_within_the_charge_bound(self, monkeypatch):
@@ -376,12 +394,12 @@ class TestExterior:
         grid = GridPolicy(spacing=0.25).build(cfg)
         sol = solve_tf(cfg, cfg.Z, grid)
         mask = RegionMask(config=cfg, r=0.5)
-        phi_r = screened_tf(sol, mask)
+        phi_r = _box_screened(sol, mask)
         gmask = mask.grid_mask(grid)
         v_r = np.where(gmask, phi_r, 0.0)
         bound = float(np.sum(sol.rho.values[gmask])) * grid.cell_volume
         sources = _record_poisson_sources(monkeypatch)
-        ext = exterior_tf(grid, v_r, mask, bound, start=lambda: tf_density(v_r))
+        ext = exterior_tf(grid, _sliced(v_r), mask, bound, start=_sliced(tf_density(v_r)))
         assert len(sources) > 2
         assert min(float(s.min()) for s in sources) >= 0.0
         assert max(float(s.sum()) * grid.cell_volume for s in sources) <= bound + 1e-10
@@ -401,11 +419,14 @@ class TestExterior:
         grid = GridPolicy(spacing=0.25).build(cfg)
         sol = solve_tf(cfg, cfg.Z, grid)
         mask = RegionMask(config=cfg, r=0.5)
-        phi_r = screened_tf(sol, mask)
         bound = float(np.sum(sol.rho.values[mask.grid_mask(grid)])) * grid.cell_volume
+
+        def phi_r(folded):
+            return screened_tf(sol, mask, folded)
+
         cold = exterior_tf(grid, phi_r, mask, bound,
-                           start=lambda: atomic_superposition(grid, cfg))
-        warm = exterior_tf(grid, phi_r, mask, bound, start=lambda: sol.rho.values)
+                           start=lambda folded: atomic_superposition(folded, cfg))
+        warm = exterior_tf(grid, phi_r, mask, bound, start=_sliced(sol.rho.values))
         assert len(warm.history) <= 2 < len(cold.history)
         # both solves stop once a sweep moves rho by less than TF_TOL of its
         # charge, and the energy is stationary at the minimizer; measured
@@ -425,7 +446,7 @@ class TestExterior:
         mask = RegionMask(config=cfg, r=0.5)
         gmask = mask.grid_mask(grid)
         outer = poisson_solve(grid, np.where(gmask, sol.rho.values, 0.0))
-        split = screened_tf(sol, mask) - outer
+        split = _box_screened(sol, mask) - outer
         assert np.max(np.abs(split - sol.phi.values)[gmask]) <= 1e-10
 
     @pytest.mark.parametrize("charges, R, spacing, mirror", [
@@ -438,18 +459,43 @@ class TestExterior:
         grid = GridPolicy(spacing=spacing).build(cfg)
         sol = solve_tf(cfg, cfg.Z, grid)
         mask = RegionMask(config=cfg, r=0.5)
+        assert nuclear_mirror_axes(grid, cfg) == mirror
         inner = np.where(mask.grid_mask(grid), 0.0, sol.rho.values)
-        assert mirror_axes(inner) == mirror
+        # the inner density has the nuclei's symmetry to the bit, and no other
+        assert _flip_symmetric(inner) == mirror
         full = external_potential(grid, cfg) - poisson_solve(grid, inner)
-        gap = np.max(np.abs(screened_tf(sol, mask) - full))
-        assert gap <= 1e-13 * np.max(np.abs(full))
+        fold = FoldedGrid(grid, mirror)
+        phi_r = screened_tf(sol, mask, fold)
+        assert phi_r.shape == fold.shape
+        assert np.max(np.abs(phi_r - full[fold.index])) <= 1e-13 * np.max(np.abs(full))
         # the fold's potential, unfolded, solves the stencil system of the
         # whole box and its source within the Poisson solve's own bound
-        u = poisson_solve(grid, inner[FoldedGrid(grid, mirror).index], mirror)
+        u = poisson_solve(grid, inner[fold.index], mirror)
         h2 = grid.h**2
         res = stencil_residual(grid, unfold(grid, u, mirror),
                                (4.0 * math.pi * h2 * inner)[1:-1, 1:-1, 1:-1])
         assert res <= CHECK_TOL * h2 * max(1.0, 4.0 * math.pi * np.max(inner))
+
+    def test_screened_potential_on_the_fold_holds_under_two_box_arrays(self):
+        # (6, 6) at R = 2 on a 33^3 box, folded in y and z: the inner
+        # density, the Poisson solve and V_R are all formed on the fold.
+        # Formed on the box and sliced, the peak was 4.28 box arrays
+        cfg = diatomic(6.0, 6.0, 2.0)
+        grid = GridPolicy(spacing=0.3).build(cfg)
+        assert grid.shape == (33, 33, 33)
+        sol = solve_tf(cfg, cfg.Z, grid)
+        mask = RegionMask(config=cfg, r=0.5)
+        folded = FoldedGrid(grid, nuclear_mirror_axes(grid, cfg))
+        assert folded.mirror == (False, True, True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            phi_r = screened_tf(sol, mask, folded)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert phi_r.shape == folded.shape
+        assert peak < 2 * 8 * math.prod(grid.shape)  # 1.55 measured
 
     def test_start_is_restricted_and_scaled_to_the_bound(self, monkeypatch):
         # a start that is 1 everywhere, inside the balls too, with more
@@ -459,12 +505,12 @@ class TestExterior:
         gmask = mask.grid_mask(grid)
         calls = []
 
-        def start():
+        def start(folded):
             calls.append(None)
-            return np.ones(grid.shape)
+            return np.ones(folded.shape)
 
         sources = _record_poisson_sources(monkeypatch)
-        exterior_tf(grid, v_r, mask, 1.0, start=start)
+        exterior_tf(grid, _sliced(v_r), mask, 1.0, start=start)
         assert len(calls) == 1
         first = sources[0]
         assert np.all(first[~gmask] == 0.0)
@@ -514,7 +560,7 @@ class TestPoissonCount:
     def test_exterior_tf(self, monkeypatch):
         grid, v_r, mask = _bare_exterior_problem()
         sources = _record_poisson_sources(monkeypatch)
-        ext = exterior_tf(grid, v_r, mask, 1.0, start=lambda: tf_density(v_r))
+        ext = exterior_tf(grid, _sliced(v_r), mask, 1.0, start=_sliced(tf_density(v_r)))
         assert len(sources) == len(ext.history) + 2
 
 
@@ -535,7 +581,7 @@ class TestPickMuCount:
             return out
 
         monkeypatch.setattr(tm, "_pick_mu", counting)
-        ext = exterior_tf(grid, v_r, mask, 1.0, start=lambda: tf_density(v_r))
+        ext = exterior_tf(grid, _sliced(v_r), mask, 1.0, start=_sliced(tf_density(v_r)))
         sweeps = len(ext.history)
         assert sweeps >= 2
         assert len(calls) == 2 * sweeps - 1
@@ -546,33 +592,26 @@ class TestPickMuCount:
 class TestMirroredSolves:
     """Odd-mode Poisson solves at spacings whose nodes are not dyadic.
 
-    Each problem is solved twice: with the mirror detection as it is
-    (`nuclear_mirror_axes` for a molecule, `mirror_axes` for the screened
-    and exterior potentials), and with both forced to find no axis, which
-    is the full transform.
+    Each problem is solved twice: with the mirror rule as it is
+    (`nuclear_mirror_axes`), and with it forced to find no axis, which is
+    the full transform.
     """
 
-    DETECTORS = ("mirror_axes", "nuclear_mirror_axes")
-
-    @classmethod
-    def _both_ways(cls, monkeypatch, solve):
+    @staticmethod
+    def _both_ways(monkeypatch, solve):
         import fermisurf.tf_molecule as tm
 
-        found = []
+        found, rule = [], tm.nuclear_mirror_axes
 
-        def recording(detect):
-            def record(*args):
-                found.append(detect(*args))
-                return found[-1]
-            return record
+        def recording(*args):
+            found.append(rule(*args))
+            return found[-1]
 
         with monkeypatch.context() as m:
-            for name in cls.DETECTORS:
-                m.setattr(tm, name, recording(getattr(tm, name)))
+            m.setattr(tm, "nuclear_mirror_axes", recording)
             mirrored = solve()
         with monkeypatch.context() as m:
-            for name in cls.DETECTORS:
-                m.setattr(tm, name, lambda *args: (False, False, False))
+            m.setattr(tm, "nuclear_mirror_axes", lambda *args: (False, False, False))
             full = solve()
         return mirrored, full, found
 
@@ -586,13 +625,14 @@ class TestMirroredSolves:
         def solve():
             mol = solve_tf(cfg, cfg.Z, grid)
             bound = float(np.sum(mol.rho.values[mask.grid_mask(grid)])) * grid.cell_volume
-            ext = exterior_tf(grid, screened_tf(mol, mask), mask, bound,
-                              start=lambda: mol.rho.values)
+            ext = exterior_tf(grid, lambda folded: screened_tf(mol, mask, folded), mask,
+                              bound, start=_sliced(mol.rho.values))
             return mol.energy, ext.energy
 
         mirrored, full, found = self._both_ways(monkeypatch, solve)
-        # the molecule, its screened potential and the exterior problem
-        assert found == [(False, True, True)] * 3
+        # the molecule and the exterior problem, whose fold the screened
+        # potential is formed on
+        assert found == [(False, True, True)] * 2
         assert np.max(np.abs(np.subtract(mirrored, full))) <= 1e-10
 
     @pytest.mark.parametrize("second, axes", [
@@ -654,16 +694,36 @@ def _benchmark_boxes():
 
 
 class TestNuclearMirrorAxes:
-    """The configuration rule against the detection on the potential itself."""
+    """The configuration rule against the flips of the arrays it folds."""
 
     def test_matches_the_potential_on_every_benchmark_box(self):
         seen = set()
         for cfg, grid in _benchmark_boxes():
             rule = nuclear_mirror_axes(grid, cfg)
-            assert rule == mirror_axes(external_potential(grid, cfg)), (cfg, grid)
+            v = external_potential(grid, cfg)
+            assert rule == _flip_symmetric(v, MIRROR_TOL), (cfg, grid)
             seen.add(rule)
         # symmetric pairs, off-node pairs and on-node atoms all occur
         assert {(True, True, True), (False, True, True)} <= seen
+
+    @pytest.mark.parametrize("r", [0.5, 0.4, 0.3])
+    def test_region_masks_have_the_rule_symmetry(self, r):
+        # a node at distance r within rounding is on the sphere, so it and
+        # its mirror image are left out together. With A_r = {d^2 > r^2}
+        # alone, seeds 1 and 3 of the decomposition's on-node atom put one
+        # of six nodes at exactly 2h = 0.5 inside and its image outside.
+        # An asymmetric pair's mask can be symmetric by chance (no node
+        # between a ball and its image's), so only the rule's axes are checked
+        checked = 0
+        for cfg, grid in _benchmark_boxes():
+            if cfg.K >= 2 and r > cfg.R_min / 2.0:
+                continue  # the balls would overlap: no such mask
+            mask = RegionMask(config=cfg, r=r).grid_mask(grid)
+            flips = _flip_symmetric(mask)
+            for axis, mirrored in enumerate(nuclear_mirror_axes(grid, cfg)):
+                assert flips[axis] or not mirrored, (cfg, grid, axis)
+            checked += 1
+        assert checked >= 40
 
     @pytest.mark.parametrize("positions, charges, axes", [
         ([[-0.6, 0.0, 0.0], [0.77, 0.0, 0.0]], [1.0, 3.0], (False, True, True)),  # off node
@@ -674,7 +734,7 @@ class TestNuclearMirrorAxes:
         cfg = NuclearConfiguration(positions=positions, charges=charges)
         grid = _grid_for(cfg)
         assert nuclear_mirror_axes(grid, cfg) == axes
-        assert mirror_axes(external_potential(grid, cfg)) == axes
+        assert _flip_symmetric(external_potential(grid, cfg), MIRROR_TOL) == axes
 
     @pytest.mark.parametrize("mirror", [(True, True, True), (False, True, True),
                                         (True, False, False)])
