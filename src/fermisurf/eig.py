@@ -10,36 +10,35 @@ Sci. Comput. 40:C655, 2018) do, so a block close to the size of the grid
 still iterates. Converged columns stay in X but get no new directions
 (soft locking).
 
-`lowest_eigenpairs` converges only the wanted states. One guard vector,
-the same routine with the wanted orbitals as constraints, is converged
-loosely in their orthogonal complement (`guard_eigenpair`); its Ritz value
-and residual tell `occupied_eigenpairs` whether the Fermi-level shell
-closes inside the wanted states, and the block grows until it does. The
-SCF keeps that block size from step to step and runs the guard only on
-its first and its converged step. Small boxes can be checked against
-dense diagonalization. The entry points take the grid and the potential
-as a plain (nx, ny, nz) array; orbitals travel as one (k, nx, ny, nz)
-block and warm starts as rows.
+`lowest_eigenpairs` converges only the wanted states. A guard vector, the
+same routine with the wanted orbitals as constraints, is converged loosely
+in their orthogonal complement (`guard_eigenpair`); its Ritz value and
+residual tell `occupied_eigenpairs` whether the Fermi-level shell closes
+inside the wanted states, and the block grows until it does. The SCF keeps
+that block size from step to step and runs the guard only on its first and
+its converged step. Small boxes can be checked against dense
+diagonalization.
 
 Mirror-parity sectors. When v is symmetric about the box-centre plane of
 an axis with an odd number of nodes, H commutes with that reflection, so
-its eigenvectors can be taken even or odd under it. A sector is one
-parity per mirrored axis, up to 8, and the wanted states are solved per
-sector on its folded grid: (n + 1) // 2 nodes along an even axis, from
-the centre plane on, and (n - 1) // 2 along an odd one, past it (Kronik
-et al., Phys. Status Solidi B 243:1063, 2006, reduce real-space grids by
-point-group symmetry the same way). Off-plane values are stored times
-sqrt 2, so plain dot products and norms of folded rows are those of the
-full vectors and LOBPCG runs unchanged on each folded operator. An odd
-axis is then an ordinary Dirichlet half box for `apply_hamiltonian` and
-the preconditioner (sine modes S_m of the half length m); an even axis
-adds a sqrt 2 coupling between the centre plane and its neighbour, and
-its preconditioner takes the odd sine modes of S_n, folded the same way.
-A problem with no mirrored axis has one sector, the box, FULL. Warm-start
-rows pick their sectors (the one holding most of a row's weight), so the
-SCF's first start monomials and a grown block's guard set the counts per
-sector. The orbitals come back unfolded, each exactly even or odd, and
-the guard stays one vector on the whole box, constrained by them.
+its eigenvectors can be taken even or odd under it. A sector is one parity
+per mirrored axis, up to 8 (Kronik et al., Phys. Status Solidi B 243:1063,
+2006, reduce real-space grids by point-group symmetry the same way). The
+potential and the orbitals travel as plain values on the fold of the box
+(`grids.FoldedGrid`), each orbital with its sector; an orbital odd along an
+axis is 0 on that axis' centre plane. LOBPCG runs per sector on the
+sector's folded grid, the fold less the centre plane of each odd axis,
+with off-plane values stored times sqrt 2 (`_rows`), so plain dot products
+and norms of its rows are those of the full vectors and LOBPCG runs
+unchanged on each folded operator. An odd axis is then an ordinary
+Dirichlet half box for `apply_hamiltonian` and the preconditioner (sine
+modes S_m of the half length m); an even axis adds a sqrt 2 coupling
+between the centre plane and its neighbour, and its preconditioner takes
+the odd sine modes of S_n, folded the same way. H is block-diagonal over
+the sectors, so the lowest state outside the block is the lowest of the
+sectors' own: the guard runs once per sector, constrained by that
+sector's orbitals. A problem with no mirrored axis has one sector, the
+box, FULL.
 
 The preconditioner runs in float32: LOBPCG uses it only to choose search
 directions, which the Rayleigh-Ritz step then weighs in float64, so its
@@ -51,20 +50,6 @@ a few Ha deep, take c = 1 + 0.1 max(0, -min V); the guard, which settles
 near 0 Ha on box-continuum states above a neutral system's occupied
 levels, takes GUARD_SHIFT, with which it settles in a fraction of the
 iterations the wanted states' shift needs.
-
-Memory is budgeted per block vector: a LOBPCG solve of k vectors holds
-8k + 1.5 grid arrays beside its start rows, arrays of the sector's
-folded grid for the wanted states. One basis block holds the 3k rows of
-[X, P, W] and their images under H (6k); the residual rows (k) are
-preconditioned in place, with k rows of work for both sine transforms
-(as two float32 blocks) and the constraint projections; the
-preconditioner keeps one float32 grid of inverse eigenvalues, half an
-array, and apply_hamiltonian adds one scratch. The Ritz update overwrites
-the basis in column chunks, and the Ritz vectors come back in the
-residual rows. So the guard, k = 1, holds 9.5 arrays of the box; it
-reads the wanted orbitals it is constrained by in place. The sectors are
-solved one after another, and the unfolded orbitals, k arrays of the
-box, are formed once the last of them is done.
 """
 
 from __future__ import annotations
@@ -74,7 +59,7 @@ import math
 
 import numpy as np
 
-from .grids import Grid3D, GridError, SolverError
+from .grids import FoldedGrid, Grid3D, GridError, SolverError, weighted_sum
 from .ks_common import FERMI_DEGENERACY_TOL, aufbau_occupations
 from .poisson import _axis_products, _dst_eigenvalues, _sine_columns
 
@@ -92,7 +77,7 @@ DROP_TOL = 1e-6
 DEGENERATE_TOL = 1e-12
 RITZ_SCRATCH = 2**14  # elements of the scratch the in-place Ritz update goes through
 FULL = (0, 0, 0)  # the one sector of a problem with no mirrored axis
-SQRT_HALF = math.sqrt(0.5)
+SQRT_HALF, SQRT_TWO = math.sqrt(0.5), math.sqrt(2.0)
 
 
 class EigenError(SolverError):
@@ -119,76 +104,57 @@ def _folded_shape(shape: tuple, sector: tuple) -> tuple:
     return tuple((n + p) // 2 if p else n for n, p in zip(shape, sector))
 
 
-def _half(a: np.ndarray, sector: tuple) -> np.ndarray:
-    """The nodes of the grid array a that the sector's folded grid keeps, as a view.
+def _nodes(sector: tuple) -> tuple:
+    """Index of the sector's folded grid in the fold of a (..., fold) array.
 
-    Along a mirrored axis with centre node c these run from c on for an
-    even sector and from c + 1 on for an odd one, whose vectors are 0 on
-    the centre plane.
+    An odd axis leaves out its centre plane, where the sector's vectors are 0.
     """
-    return a[tuple(slice(n // 2 + (p < 0), None) if p else slice(None)
-                   for n, p in zip(a.shape, sector))]
+    return (..., *(slice(1, None) if p < 0 else slice(None) for p in sector))
 
 
-def _fold(a: np.ndarray, sector: tuple) -> np.ndarray:
-    """The component of the grid array a in the sector, on its folded grid.
+def _scale(a: np.ndarray, sector: tuple, factor: float) -> np.ndarray:
+    """a, on the sector's folded grid, times factor per mirrored axis a node is off the plane of.
 
-    Along a mirrored axis with centre node c, node j >= 1 past the centre
-    holds (a[c + j] + p a[c - j]) / sqrt 2 and an even sector's node 0
-    holds a[c]. The off-plane factor sqrt 2 makes the fold an isometry on
-    the sector's vectors, so plain dot products and norms of folded
-    vectors are those of the full ones; `_unfold` is its inverse there.
+    In place; a may have leading axes.
     """
     for axis, p in enumerate(sector):
         if p:
-            b = np.moveaxis(a, axis, 0)
-            c = b.shape[0] // 2
-            half = (np.add if p > 0 else np.subtract)(b[c + 1 :], b[c - 1 :: -1])
-            half *= SQRT_HALF
-            if p > 0:
-                half = np.concatenate([b[c : c + 1], half])
-            a = np.moveaxis(half, 0, axis)
+            np.moveaxis(a, axis - 3, 0)[int(p > 0):] *= factor
     return a
 
 
-def _unfold(a: np.ndarray, sector: tuple, out: np.ndarray) -> None:
-    """Write into the grid array out the vector of the sector whose fold is a.
+def _rows(a: np.ndarray, sector: tuple) -> np.ndarray:
+    """The sector's LOBPCG rows of the fold arrays a: a fresh array, or a itself for FULL.
 
-    The sector's mirrored axes, at least one, are unfolded one at a time,
-    the last of them into out. Each mirror image is an exact copy of its
-    node, negated in an odd sector, so the unfolded vector has the
-    sector's parities to the bit.
+    Off-plane values are stored times sqrt 2, so plain dot products and
+    norms of the rows are those of the full vectors.
     """
-    axes = [axis for axis, p in enumerate(sector) if p]
-    for i, axis in enumerate(reversed(axes)):
-        p = sector[axis]
-        b = np.moveaxis(a, axis, 0)
-        c = b.shape[0] - (p > 0)  # the centre node of the unfolded axis
-        if i == len(axes) - 1:
-            full = np.moveaxis(out, axis, 0)
-        else:
-            full = np.empty((2 * c + 1, *b.shape[1:]))
-        np.multiply(b[1:] if p > 0 else b, SQRT_HALF, out=full[c + 1 :])
-        if p > 0:
-            full[c] = b[0]
-            full[c - 1 :: -1] = full[c + 1 :]
-        else:
-            full[c] = 0.0
-            np.negative(full[c + 1 :], out=full[c - 1 :: -1])
-        a = np.moveaxis(full, 0, axis)
+    return _scale(a[_nodes(sector)].copy(), sector, SQRT_TWO) if any(sector) else a
 
 
-def _classify(a: np.ndarray, sectors: list):
+def _plain(x: np.ndarray, sector: tuple, out: np.ndarray) -> None:
+    """Write into the fold arrays out the vectors whose sector's rows are x (`_rows`)."""
+    out.fill(0.0)  # an odd axis' centre plane
+    view = out[_nodes(sector)]
+    np.copyto(view, x.reshape(view.shape))
+    _scale(view, sector, SQRT_HALF)
+
+
+def _classify(a: np.ndarray, sectors: list, folded: FoldedGrid):
     """(sector, fold) for the sector that holds most of the grid array a's weight.
 
-    The sectors' weights |fold|^2 add up to |a|^2, so the search stops at
-    the first sector that holds more than half; a tie goes to the earlier
-    sector.
+    A sector's component of a is (a + p flip(a)) / 2 along each of its
+    mirrored axes, p its parity there, and its fold is taken on `folded`.
+    The sectors' weights add up to |a|^2, so the search stops at the first
+    sector that holds more than half; a tie goes to the earlier sector.
     """
     total, best = float(np.vdot(a, a)), None
     for s in sectors:
-        f = _fold(a, s)
-        w = float(np.vdot(f, f))
+        f = a
+        for axis, p in enumerate(s):
+            f = 0.5 * (f + p * np.flip(f, axis)) if p else f
+        f = np.ascontiguousarray(f[folded.index])
+        w = weighted_sum(f * f, folded.weights)
         if best is None or w > best[0]:
             best = (w, s, f)
         if w > 0.5 * total:
@@ -201,10 +167,10 @@ def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
     """(-1/2 Lap_h + V) psi with psi = 0 outside the box.
 
     psi is one array or a (k, ...) block of them on the sector's folded
-    grid (`_fold`), and v the potential there (`_half`); the FULL sector's
-    grid is the box. The result is written into `out`, an array of psi's
-    shape that stores each vector contiguously and does not overlap psi,
-    when one is given, and returned.
+    grid (`_rows`), and v the potential there; the FULL sector's grid is
+    the box. The result is written into `out`, an array of psi's shape
+    that stores each vector contiguously and does not overlap psi, when
+    one is given, and returned.
 
     An odd axis of the sector is an ordinary Dirichlet half box: its
     centre plane, where the vector is 0, lies just outside the fold. An
@@ -384,7 +350,7 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
            maxiter: int, constraints: np.ndarray | None = None, sector: tuple = FULL):
     """Lowest Ritz pairs of H = -1/2 Lap_h + V from the k start rows x.
 
-    x, v and the returned rows live on the sector's folded grid (`_fold`;
+    x, v and the returned rows live on the sector's folded grid (`_rows`;
     `apply_hamiltonian`), and "grid array" below means an array of that
     grid; the FULL sector's grid is the box.
 
@@ -399,14 +365,12 @@ def lobpcg(grid: Grid3D, v: np.ndarray, x: np.ndarray, c_shift: float, tol: floa
     projector onto their complement. c_shift is the shift of the
     preconditioner (see _preconditioner). x is read, not written.
 
-    Memory, in grid arrays: 6k for the one basis block, which holds each
-    of the 3k rows of [X, P, W] beside its image under H; k for the
-    residual rows, which the preconditioner transforms in place; k of work
-    for the transforms and the constraint projections; half of one for
-    the preconditioner's float32 inverse eigenvalues; and one scratch inside
-    apply_hamiltonian. So a solve holds at most 8k + 1.5 grid arrays beside
-    x. The Ritz update overwrites the basis in place (_update_rows), and
-    the Ritz vectors are returned in the residual rows.
+    A solve holds at most 8k + 1.5 grid arrays beside x: the rows of
+    [X, P, W] beside their images under H (6k), the residual rows (k) and
+    their work rows (k), the preconditioner's float32 inverse eigenvalues
+    and apply_hamiltonian's scratch. The Ritz update overwrites the basis
+    in place (_update_rows), and the Ritz vectors are returned in the
+    residual rows.
 
     Returns (vals, x, resids, history): ascending Ritz values, orthonormal
     Ritz rows, the residual norms |H x - val x| taken from the final H x,
@@ -468,55 +432,60 @@ def lowest_eigenpairs(
     count: int,
     tol: float = 1e-7,
     maxiter: int = EIG_MAXITER,
-    initial: np.ndarray | None = None,
+    initial=None,
     mirror: tuple = (False, False, False),
 ):
     """Lowest `count` eigenpairs of -1/2 Lap_h + v on grid to `tol`.
 
     mirror says, per axis, that v is symmetric about the box-centre plane;
     a mirrored axis must have an odd number of nodes, so that the plane
-    holds one. H then commutes with each such reflection, and every
-    eigenvector can be taken even or odd under it. Each sector, one parity
-    per mirrored axis (`_sectors`), is solved on its own folded grid, which
-    holds about 1/2 of the box per mirrored axis; with no mirrored axis the
-    one sector is the box.
+    holds one. v is given on the fold of those axes (`grids.FoldedGrid`),
+    which with no mirrored axis is the box. Each sector, one parity per
+    mirrored axis (`_sectors`), is solved on its own folded grid; with no
+    mirrored axis the one sector is the box.
 
     LOBPCG iterates only the `count` wanted vectors until every residual
     norm is at most tol / 10; EigenError is raised if the final residuals
-    miss tol * max(1, max |eps|). `initial` holds warm-start rows, one
-    vector per row (flat or of the grid's shape), for the first of them;
-    each row goes to the sector that holds most of its weight, folded
-    there (`_classify`), and so sets how many states that sector solves.
-    The rows it does not cover start random in the all-even sector. With
-    no mirrored axis and every row covered, LOBPCG reads `initial` without
-    a copy.
+    miss tol * max(1, max |eps|). `initial` warm-starts the first of them,
+    one vector per row: either rows of the box (flat or of the grid's
+    shape), each of which goes to the sector that holds most of its weight
+    (`_classify`), or a pair (rows, sectors) of fold arrays already in
+    their sectors, as this function returns them. The rows so set how many
+    states each sector solves; those `initial` does not cover start random
+    in the all-even sector. With no mirrored axis and every row covered,
+    LOBPCG reads the rows without a copy.
 
-    Returns (eps, orbitals, residuals). eps holds the eigenvalues,
-    nondecreasing. orbitals is one (count, nx, ny, nz) block, orthonormal
-    under the grid inner product (h^3 sum): with no mirrored axis a view
-    of the rows LOBPCG returns, and otherwise the sectors' rows unfolded
-    to the box (`_unfold`), each with its sector's parities exactly.
-    residuals holds the norm |H psi - eps psi| h^(3/2) of each pair, the
-    numbers the residual check compared with tol * max(1, max |eps|).
+    Returns (eps, orbitals, residuals, sectors). eps holds the eigenvalues,
+    nondecreasing. orbitals is one (count, ...) block of them on the fold,
+    orthonormal under the fold's integral (h^3 sum on the box), and sectors
+    holds each one's sector; with no mirrored axis the orbitals are a view
+    of the rows LOBPCG returns. residuals holds the norm
+    |H psi - eps psi| h^(3/2) of each pair, the numbers the residual check
+    compared with tol * max(1, max |eps|).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not isinstance(grid, Grid3D):
         raise GridError("lowest_eigenpairs expects a 3D grid")
+    if any(m and d % 2 == 0 for m, d in zip(mirror, grid.shape)):
+        raise GridError("a mirrored axis must have an odd number of nodes")
+    folded = FoldedGrid(grid, mirror)
+    if np.shape(v) != folded.shape:
+        raise GridError("the potential must be given on the fold of the mirrored axes")
     if not np.all(np.isfinite(v)):
         raise GridError("potential must be finite at all nodes")
     n = grid.n_points
     if count > n:
         raise ValueError("count must not exceed the number of grid points")
-    if any(m and d % 2 == 0 for m, d in zip(mirror, grid.shape)):
-        raise GridError("a mirrored axis must have an odd number of nodes")
 
     sectors = _sectors(mirror)
-    k = 0 if initial is None else min(len(initial), count)
+    rows, tags = initial if isinstance(initial, tuple) else (initial, None)
+    k = 0 if rows is None else min(len(rows), count)
     warm = {s: [] for s in sectors}
-    for row in initial[:k] if k else ():
-        s, folded = _classify(np.reshape(row, grid.shape), sectors)
-        warm[s].append(folded)
+    for j in range(k):
+        s, a = ((tags[j], rows[j]) if tags is not None
+                else _classify(np.reshape(rows[j], grid.shape), sectors, folded))
+        warm[s].append(a)
     counts = {s: len(warm[s]) for s in sectors}
     counts[sectors[0]] += count - k
 
@@ -530,14 +499,16 @@ def lowest_eigenpairs(
             raise ValueError(f"count must not exceed the number of grid points "
                              f"of sector {s}")
         if s == FULL and k == count:
-            start = np.reshape(initial[:k], (k, n))  # lobpcg only reads its start rows
+            start = np.reshape(rows[:k], (k, n))  # lobpcg only reads its start rows
         else:
             start = np.empty((counts[s], math.prod(shape)))
-            for row, folded in zip(start, warm[s]):
-                np.copyto(row.reshape(shape), folded)
-            np.random.default_rng(EIG_SEED).standard_normal(out=start[len(warm[s]):])
+            m = len(warm[s])
+            for row, a in zip(start, warm[s]):
+                np.copyto(row.reshape(shape), np.reshape(a, folded.shape)[_nodes(s)])
+            _scale(start[:m].reshape(m, *shape), s, SQRT_TWO)
+            np.random.default_rng(EIG_SEED).standard_normal(out=start[m:])
         warm[s] = None
-        vals, x, residuals, history = lobpcg(grid, np.ascontiguousarray(_half(v, s)), start,
+        vals, x, residuals, history = lobpcg(grid, np.ascontiguousarray(v[_nodes(s)]), start,
                                              c_shift, 0.1 * tol, maxiter, sector=s)
         del start
         x /= math.sqrt(grid.cell_volume)
@@ -555,43 +526,44 @@ def lowest_eigenpairs(
             history,
         )
     if sectors == [FULL]:  # LOBPCG's rows, ascending, are the orbitals
-        return eps, x.reshape(count, *grid.shape), residuals
+        return eps, x.reshape(count, *grid.shape), residuals, (FULL,) * count
     order = np.argsort(eps, kind="stable")
-    rows = [(s, row.reshape(_folded_shape(grid.shape, s))) for s, _, x, _, _ in parts
-            for row in x]
-    orbitals = np.empty((count, *grid.shape))
+    found = [(s, row) for s, _, x, _, _ in parts for row in x]
+    orbitals = np.empty((count, *folded.shape))
     for out, j in zip(orbitals, order):
-        _unfold(rows[j][1], rows[j][0], out)
-    return eps[order], orbitals, residuals[order]
+        _plain(found[j][1], found[j][0], out)
+    return eps[order], orbitals, residuals[order], tuple(found[j][0] for j in order)
 
 
 def guard_eigenpair(grid: Grid3D, v: np.ndarray, orbitals: np.ndarray,
-                    start: np.ndarray | None = None):
+                    start: np.ndarray | None = None, sector: tuple = FULL):
     """Loosely converged lowest state of H compressed to the complement of orbitals.
 
-    LOBPCG improves one guard vector on Q H Q, Q the projector onto the
-    orthogonal complement of the (k, nx, ny, nz) orbital block, which it
-    reads in place, until its residual norm reaches GUARD_TOL / 2; the
-    compression keeps the orbitals' own residuals (up to their tolerance)
-    from putting a floor under the guard's. LOBPCG minimizes the Rayleigh
-    quotient, so a guard started with weight on every state settles on the
-    lowest one it is free to take: the default start is random, and
-    `start` (a flat vector) replaces it. A guard that does not settle
-    raises EigenError with its residual history.
+    v, the orbital rows and the guard live on the sector's folded grid
+    (`_rows`), the box for FULL. LOBPCG improves one guard vector on
+    Q H Q, Q the projector onto the orthogonal complement of the orbitals,
+    which it reads in place, until its residual norm reaches GUARD_TOL / 2;
+    the compression keeps the orbitals' own residuals (up to their
+    tolerance) from putting a floor under the guard's. With no orbitals,
+    H is not compressed. LOBPCG minimizes the Rayleigh quotient, so a
+    guard started with weight on every state settles on the lowest one it
+    is free to take: the default start is random, and `start` (a flat
+    vector) replaces it. A guard that does not settle raises EigenError
+    with its residual history.
 
     Returns (theta, rho, vector): the guard's Ritz value and residual norm
     on Q H Q, which has an eigenvalue within rho of theta, and the flat
     vector, normalized and orthogonal to the orbitals.
     """
-    n = grid.n_points
-    if len(orbitals) + 1 > n:
+    n, k = math.prod(_folded_shape(grid.shape, sector)), len(orbitals)
+    if k + 1 > n:
         raise ValueError("orbitals must leave a grid state for the guard")
     if start is None:
         x = np.random.default_rng(EIG_SEED).standard_normal((1, n))
     else:
         x = np.reshape(start, (1, n))
-    vals, x, rho, history = lobpcg(grid, v, x, GUARD_SHIFT, 0.5 * GUARD_TOL,
-                                   GUARD_MAXITER, np.reshape(orbitals, (len(orbitals), n)))
+    vals, x, rho, history = lobpcg(grid, v, x, GUARD_SHIFT, 0.5 * GUARD_TOL, GUARD_MAXITER,
+                                   np.reshape(orbitals, (k, n)) if k else None, sector)
     theta, rho = float(vals[0]), float(rho[0])
     if not rho <= GUARD_TOL * max(1.0, abs(theta)):
         raise EigenError(
@@ -609,52 +581,75 @@ def occupied_eigenpairs(
     q: float,
     tol: float,
     solved,
-    guard: np.ndarray | None = None,
+    guards: dict | None = None,
     mirror: tuple = (False, False, False),
 ):
     """Eigenpairs and aufbau occupations of the states that hold n electrons.
 
-    Starts from `solved`, the (eps, orbitals, residuals) of a
-    lowest_eigenpairs result on this potential with the mirrored axes
-    `mirror`. The Fermi-level shell must close inside the block: the
-    guard's lower estimate theta - rho of the next eigenvalue must exceed
-    eps_F + FERMI_DEGENERACY_TOL. The guard is one vector on the whole
-    box, constrained by the orbitals as they are, so it checks the block
-    whichever sectors hold it. While the shell does not close, the block
-    grows by one state and is solved again, warm-started from the orbital
-    rows and the guard; the new state goes to the sector that holds most
-    of the guard's weight. `guard` warm-starts
-    the first guard run (later ones start random). When the block cannot
-    grow (the grown block and its guard would not fit in the grid),
-    EigenError is raised with the margins theta - rho - eps_F tried; a
-    guard that does not settle raises from guard_eigenpair.
+    Starts from `solved`, the (eps, orbitals, residuals, sectors) of a
+    lowest_eigenpairs result on this potential, given on the fold of the
+    mirrored axes `mirror`. The Fermi-level shell must close inside the
+    block: the lower estimate theta - rho of the next eigenvalue must exceed
+    eps_F + FERMI_DEGENERACY_TOL. H is block-diagonal over the sectors, so
+    a guard runs in each sector, constrained by that sector's orbitals
+    only, and the smallest theta - rho of them is the estimate; a sector
+    its orbitals fill has nothing to guard. While the shell does not close,
+    the block grows by one state in the sector of that guard, warm-started
+    from the orbitals and that guard vector, and is solved again. `guards`
+    maps sectors to the guard vectors that warm-start their next runs; the
+    other guards start random. When the block cannot grow (the grown block
+    and its guard would not fit in the grid), EigenError is raised with the
+    margins theta - rho - eps_F tried; a guard that does not settle raises
+    from guard_eigenpair.
 
     The SCF keeps the returned block size and runs this check on its first
     step and on the step it converges at, not on the steps between.
 
-    Returns (eps, orbitals, residuals, occupations, guard, margin): the
-    lowest_eigenpairs result of the accepted block, its aufbau
-    occupations, the settled guard vector and the accepted
-    theta - rho - eps_F.
+    Returns (solved, occupations, guards, margin): the lowest_eigenpairs
+    result of the accepted block, its aufbau occupations, each sector's
+    settled guard vector and the accepted theta - rho - eps_F.
     """
-    eps, orbitals, residuals = solved
+    guards = dict(guards or {})
     margins = []
     while True:
+        eps, orbitals, _, sectors = solved
         count = len(eps)
         occ = aufbau_occupations(eps, np.full(count, float(q)), n)
         eps_f = float(np.max(eps[occ > 0.0]))
-        theta, rho, guard = guard_eigenpair(grid, v, orbitals, guard)
-        margins.append(theta - rho - eps_f)
+        lowest = (math.inf,)  # (theta - rho, theta, rho, sector) of the lowest guard
+        for s in _sectors(mirror):
+            own = [j for j, t in enumerate(sectors) if t == s]
+            if len(own) < math.prod(_folded_shape(grid.shape, s)):  # else they fill the sector
+                rows = _rows(orbitals if len(own) == count else orbitals[own], s)
+                theta, rho, guards[s] = guard_eigenpair(grid, np.ascontiguousarray(v[_nodes(s)]),
+                                                        rows, guards.get(s), s)
+                lowest = min(lowest, (theta - rho, theta, rho, s))
+        margins.append(lowest[0] - eps_f)
         if margins[-1] > FERMI_DEGENERACY_TOL:
-            return eps, orbitals, residuals, occ, guard, margins[-1]
+            return solved, occ, guards, margins[-1]
+        _, theta, rho, s = lowest
         if count + 2 > grid.n_points:
             raise EigenError(
                 f"Fermi shell at {eps_f:.8g} Ha does not close inside {count} "
                 f"states: guard {theta:.8g} Ha with residual {rho:.3e}",
                 margins,
             )
-        initial = np.concatenate([orbitals.reshape(count, -1), guard[None]])
-        eps, orbitals, residuals = lowest_eigenpairs(
-            grid, v, count + 1, tol=tol, initial=initial, mirror=mirror
-        )
-        guard = None
+        state = np.empty(orbitals.shape[1:])
+        _plain(guards.pop(s), s, state)
+        solved = lowest_eigenpairs(grid, v, count + 1, tol=tol,
+                                   initial=([*orbitals, state], (*sectors, s)), mirror=mirror)
+
+
+def residual_norms(grid: Grid3D, v: np.ndarray, eps, orbitals, sectors) -> list:
+    """|H psi - eps psi| h^(3/2) of each pair, v and the orbitals on the fold.
+
+    Each orbital is applied as its sector's rows, on which the fold is an
+    isometry (`_rows`).
+    """
+    norms = []
+    for e, orb, s in zip(eps, orbitals, sectors):
+        x = _rows(orb, s)
+        hx = apply_hamiltonian(grid, np.ascontiguousarray(v[_nodes(s)]), x, sector=s)
+        hx -= x * e
+        norms.append(float(np.linalg.norm(hx)) * math.sqrt(grid.cell_volume))
+    return norms

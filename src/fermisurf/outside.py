@@ -30,6 +30,7 @@ from .tf_molecule import (
     atomic_references,
     atomic_superposition,
     exterior_tf,
+    nuclear_mirror_axes,
     screened_tf,
     solve_tf,
 )
@@ -139,10 +140,12 @@ def outside_decomposition_check(
     # one exterior problem per distinct matched atom and radius
     atoms = [atom for _, atom in atomic_references(config, grid, _AtomicExterior)]
     distinct = {id(atom): atom for atom in atoms}
+    folded = FoldedGrid(grid, nuclear_mirror_axes(grid, config))  # the exterior problems' fold
+    rho = mol.rho.values[folded.index]
     samples = []
     for r in rs:
         mask = RegionMask(config=config, r=r)
-        bound = float(np.sum(mol.rho.values[mask.grid_mask(grid)])) * grid.cell_volume
+        bound = folded.integrate(np.where(mask.grid_mask(folded), rho, 0.0))
         # the restriction of mol.rho to A_r is this problem's minimizer
         ext_mol = exterior_tf(grid, lambda folded: screened_tf(mol, mask, folded), mask,
                               bound, start=lambda folded: mol.rho.values[folded.index])

@@ -444,8 +444,10 @@ def poisson_solve(
 def unfold(grid: Grid3D, a: np.ndarray, mirror) -> np.ndarray:
     """The grid array, symmetric about each mirrored axis' centre plane, whose fold is a.
 
-    Each mirror image is an exact copy of its node. With no mirrored axis a
-    itself is returned.
+    Each mirror image is an exact copy of its node, negated along an axis
+    whose flag is -1: an `eig` sector unfolds its orbitals, which a holds
+    as 0 on such an axis' centre plane. With no mirrored axis a itself is
+    returned.
     """
     if not any(mirror):
         return a
@@ -457,5 +459,6 @@ def unfold(grid: Grid3D, a: np.ndarray, mirror) -> np.ndarray:
             index[axis] = slice(None)
             b = np.moveaxis(out[tuple(index)], axis, 0)
             # a ufunc: an assignment copies a source whose bounds overlap out's
-            np.positive(b[: (n - 1) // 2 : -1], out=b[: n // 2])
+            (np.negative if mirror[axis] < 0 else np.positive)(b[: (n - 1) // 2 : -1],
+                                                                out=b[: n // 2])
     return out

@@ -11,7 +11,8 @@ from fermisurf.eig import (
     lowest_eigenpairs,
     occupied_eigenpairs,
 )
-from fermisurf.grids import Grid3D, GridError
+from fermisurf.grids import FoldedGrid, Grid3D, GridError
+from fermisurf.poisson import unfold
 from fermisurf.tf_molecule import NuclearConfiguration, external_potential
 
 
@@ -69,7 +70,7 @@ class TestContracts:
         grid = Grid3D.cube((0, 0, 0), 5.0, 33)
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + Y**2 + Z**2)
-        _, orbitals, _ = lowest_eigenpairs(grid, v, 4, tol=1e-7)
+        _, orbitals, *_ = lowest_eigenpairs(grid, v, 4, tol=1e-7)
         vol = grid.cell_volume
         for i, fi in enumerate(orbitals):
             for j, fj in enumerate(orbitals):
@@ -174,7 +175,7 @@ class TestGuard:
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + 0.49 * Y**2 + 1.69 * Z**2)
         gauss = np.exp(-0.25 * (X**2 + Y**2 + Z**2))
-        _, orbitals, _ = lowest_eigenpairs(grid, v, 1, initial=gauss.reshape(1, -1))
+        _, orbitals, *_ = lowest_eigenpairs(grid, v, 1, initial=gauss.reshape(1, -1))
         ex, ey, ez = (_levels_1d(grid, w) for w in (1.0, 0.7, 1.3))
         levels = {"y_odd": ex[0] + ey[1] + ez[0], "x_odd": ex[1] + ey[0] + ez[0]}
         return grid, v, orbitals, (X * gauss).ravel(), levels
@@ -205,7 +206,7 @@ class TestGuard:
         grid = Grid3D.cube((0, 0, 0), 5.5, 12)
         X, Y, Z = grid.meshgrid()
         v = -0.6 / np.sqrt(X**2 + Y**2 + Z**2 + 1.0)
-        _, orbitals, _ = lowest_eigenpairs(grid, v, 1)
+        _, orbitals, *_ = lowest_eigenpairs(grid, v, 1)
         u = orbitals[0].ravel() * math.sqrt(grid.cell_volume)
         q = np.eye(grid.n_points) - np.outer(u, u)
         # Q H Q on the complement; the pair's own direction is lifted far
@@ -233,7 +234,7 @@ class TestShifts:
         # followed by a guard
         grid, v = _harmonic(5.0, 21)
         v -= 2.0
-        eps, *_ = _occupied(grid, v, 4.0, 2.0, 1e-8)
+        (eps, *_), *_ = _occupied(grid, v, 4.0, 2.0, 1e-8)
         assert len(eps) == 4
         wanted = 1.0 + 0.1 * max(0.0, -float(v.min()))
         assert wanted == pytest.approx(1.2, abs=1e-12)
@@ -254,14 +255,14 @@ class TestOccupied:
 
         monkeypatch.setattr(eig, "lowest_eigenpairs", counting)
         grid, v = _harmonic(5.0, 21)
-        eps, _, _, occ, guard, _ = _occupied(grid, v, 4.0, 2.0, 1e-8)
+        (eps, *_), occ, guards, _ = _occupied(grid, v, 4.0, 2.0, 1e-8)
         assert sizes == [2, 3, 4]
         assert len(eps) == 4
         assert np.allclose(occ, [2.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-        assert guard.shape == (grid.n_points,)
+        assert list(guards) == [eig.FULL] and guards[eig.FULL].shape == (grid.n_points,)
 
     def test_closed_shell_keeps_occupied_block(self):
-        eps, _, _, occ, *_ = _occupied(*_harmonic(5.0, 21), 2.0, 2.0, 1e-8)
+        (eps, *_), occ, *_ = _occupied(*_harmonic(5.0, 21), 2.0, 2.0, 1e-8)
         assert len(eps) == 1
         assert occ.tolist() == [2.0]
 
@@ -288,13 +289,13 @@ class TestLobpcg:
         grid, v = _harmonic(2.0, 5)
         count = grid.n_points - 2
         exact = np.linalg.eigvalsh(dense_hamiltonian(grid, v))[:count]
-        eps, _, residuals = lowest_eigenpairs(grid, v, count, tol=1e-9)
+        eps, _, residuals, _ = lowest_eigenpairs(grid, v, count, tol=1e-9)
         assert np.allclose(eps, exact, rtol=0.0, atol=1e-8)
         assert np.max(residuals) <= 1e-9 * max(1.0, float(np.max(np.abs(exact))))
 
     def test_converged_warm_start_takes_one_block_apply(self, monkeypatch):
         grid, v = _harmonic(5.0, 21)
-        eps, orbitals, _ = lowest_eigenpairs(grid, v, 3, tol=1e-8)
+        eps, orbitals, *_ = lowest_eigenpairs(grid, v, 3, tol=1e-8)
         vectors = []
         apply = eig.apply_hamiltonian
 
@@ -356,7 +357,7 @@ class TestInPlaceKernels:
     def test_guard_leaves_its_start_unchanged(self):
         # the constraint projection runs in the basis rows, not in the start
         grid, v = _harmonic(5.0, 21)
-        _, orbitals, _ = lowest_eigenpairs(grid, v, 1)
+        _, orbitals, *_ = lowest_eigenpairs(grid, v, 1)
         rng = np.random.default_rng(14)
         start = rng.standard_normal(grid.n_points) + orbitals[0].ravel()
         kept = start.copy()
@@ -371,10 +372,18 @@ def _anisotropic(half, n):
     return grid, 0.5 * (X**2 + 0.49 * Y**2 + 1.69 * Z**2)
 
 
+def _on_box(grid, orbitals, sectors):
+    """The fold orbitals of a sectored solve, unfolded to the box with their parities."""
+    return np.stack([unfold(grid, orb, s) for orb, s in zip(orbitals, sectors)])
+
+
 class TestSectors:
     """Mirror-parity sectors solved on their folded grids."""
 
     MIRROR = (True, True, True)
+
+    def _fold(self, grid, v):
+        return v[FoldedGrid(grid, self.MIRROR).index]
 
     def test_sectored_pairs_and_density_match_full_box(self):
         # Gaussians times 1, y, x, z, y^2 and xy put one start in each of
@@ -384,9 +393,11 @@ class TestSectors:
         gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
         initial = np.stack([gauss * m for m in (1.0, Y, X, Z, Y * Y, X * Y)])
         tol = 1e-8
-        full_eps, full, _ = lowest_eigenpairs(grid, v, 6, tol=tol)
-        eps, orbitals, residuals = lowest_eigenpairs(grid, v, 6, tol=tol, initial=initial,
-                                                     mirror=self.MIRROR)
+        full_eps, full, *_ = lowest_eigenpairs(grid, v, 6, tol=tol)
+        eps, folded, residuals, sectors = lowest_eigenpairs(
+            grid, self._fold(grid, v), 6, tol=tol, initial=initial, mirror=self.MIRROR)
+        assert folded.shape == (6, 11, 11, 11)
+        orbitals = _on_box(grid, folded, sectors)
         assert np.all(np.diff(eps) >= 0.0)
         assert np.allclose(eps, full_eps, rtol=0.0, atol=tol)
         assert np.max(residuals) <= tol * max(1.0, float(np.max(np.abs(eps))))
@@ -396,10 +407,9 @@ class TestSectors:
         rho, rho_full = (np.einsum("kxyz,kxyz->xyz", o, o) for o in (orbitals, full))
         assert np.max(np.abs(rho - rho_full)) <= tol * np.max(rho_full)
         # every orbital has its sector's parities exactly
-        for orb in orbitals:
-            for axis in range(3):
-                mirrored = np.flip(orb, axis)
-                assert np.array_equal(mirrored, orb) or np.array_equal(mirrored, -orb)
+        for orb, s in zip(orbitals, sectors):
+            for axis, p in enumerate(s):
+                assert np.array_equal(np.flip(orb, axis), p * orb)
 
     def test_block_spanning_sectors_matches_dense(self):
         # a random mirror-symmetric potential has no degenerate levels; the
@@ -412,40 +422,104 @@ class TestSectors:
         vals, vecs = np.linalg.eigh(dense_hamiltonian(grid, v))
         count = 10
         initial = vecs[:, :count].T + 1e-3 * rng.standard_normal((count, grid.n_points))
-        eps, orbitals, _ = lowest_eigenpairs(grid, v, count, tol=1e-9, initial=initial,
-                                             mirror=self.MIRROR)
+        eps, folded, _, sectors = lowest_eigenpairs(grid, self._fold(grid, v), count, tol=1e-9,
+                                                    initial=initial, mirror=self.MIRROR)
+        orbitals = _on_box(grid, folded, sectors)
         assert np.allclose(eps, vals[:count], rtol=0.0, atol=1e-8)
-        sectors = {tuple(int(np.array_equal(np.flip(o, a), o)) for a in range(3))
-                   for o in orbitals}
-        assert len(sectors) >= 4
+        assert len(set(sectors)) >= 4
         overlaps = np.abs(orbitals.reshape(count, -1) @ vecs[:, :count]) * grid.cell_volume**0.5
         assert np.allclose(np.diag(overlaps), 1.0, rtol=0.0, atol=1e-7)
+
+    def test_fold_rows_in_their_sectors_restart_converged(self, monkeypatch):
+        # a result's own orbitals and sectors, passed back as the warm
+        # start, are taken as they are: one block apply per sector
+        grid, v = _anisotropic(5.0, 21)
+        X, Y, Z = grid.meshgrid()
+        gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
+        fv = self._fold(grid, v)
+        eps, orbitals, _, sectors = lowest_eigenpairs(
+            grid, fv, 3, tol=1e-8, initial=np.stack([gauss, Y * gauss, X * gauss]),
+            mirror=self.MIRROR)
+        assert sectors == ((1, 1, 1), (1, -1, 1), (-1, 1, 1))
+        applies = []
+        apply = eig.apply_hamiltonian
+
+        def counting(grid, v, psi, **kw):
+            applies.append((kw["sector"], len(psi)))
+            return apply(grid, v, psi, **kw)
+
+        monkeypatch.setattr(eig, "apply_hamiltonian", counting)
+        again, _, _, same = lowest_eigenpairs(grid, fv, 3, tol=1e-8, initial=(orbitals, sectors),
+                                              mirror=self.MIRROR)
+        assert same == sectors
+        assert sorted(applies) == sorted((s, 1) for s in sectors)
+        assert np.allclose(again, eps, rtol=0.0, atol=1e-12)
 
     def test_first_count_in_wrong_sector_is_grown_by_the_guard(self):
         # N = 4, q = 2 fills the ground state (+,+,+) and the y-odd level
         # (+,-,+); the first block starts in (+,+,+) and the z-odd sector
-        # (+,+,-) instead, so the guard finds the y-odd level below eps_F
-        # and the block grows there
+        # (+,+,-) instead, so the y-odd sector's guard finds its level below
+        # eps_F and the block grows there
         grid, v = _anisotropic(5.0, 21)
         X, Y, Z = grid.meshgrid()
         gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
         tol = 1e-8
-        first = lowest_eigenpairs(grid, v, 2, tol=tol, initial=np.stack([gauss, Z * gauss]),
+        fv = self._fold(grid, v)
+        first = lowest_eigenpairs(grid, fv, 2, tol=tol, initial=np.stack([gauss, Z * gauss]),
                                   mirror=self.MIRROR)
-        eps, orbitals, _, occ, _, margin = occupied_eigenpairs(grid, v, 4.0, 2.0, tol, first,
-                                                               mirror=self.MIRROR)
-        full_eps, full_orbitals, _, full_occ, *_ = _occupied(grid, v, 4.0, 2.0, tol)
+        (eps, folded, _, sectors), occ, _, margin = occupied_eigenpairs(
+            grid, fv, 4.0, 2.0, tol, first, mirror=self.MIRROR)
+        (full_eps, full_orbitals, *_), full_occ, *_ = _occupied(grid, v, 4.0, 2.0, tol)
         assert len(eps) == 3 and margin > 0.0
+        assert sectors == ((1, 1, 1), (1, -1, 1), (1, 1, -1))
         assert occ.tolist() == [2.0, 2.0, 0.0] and full_occ.tolist() == [2.0, 2.0]
         assert np.allclose(eps[:2], full_eps, rtol=0.0, atol=tol)
+        orbitals = _on_box(grid, folded, sectors)
         rho = np.einsum("k,kxyz,kxyz->xyz", occ, orbitals, orbitals)
         rho_full = np.einsum("k,kxyz,kxyz->xyz", full_occ, full_orbitals, full_orbitals)
         assert np.max(np.abs(rho - rho_full)) <= 10 * tol * np.max(rho_full)
+
+    def test_smallest_sector_guard_matches_the_box_guard(self, monkeypatch):
+        # the ground state (+,+,+) and the y-odd level (+,-,+) held, as at
+        # N = 4: the lowest state outside them is the x-odd level, in a
+        # sector that holds no orbital. Each sector's guard is constrained
+        # by that sector's orbitals only, and the smallest theta - rho of
+        # the eight agrees with the one box guard's
+        grid, v = _anisotropic(5.0, 21)
+        X, Y, Z = grid.meshgrid()
+        gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
+        tol = 1e-8
+        constraints = {}
+        solve = eig.lobpcg
+
+        def recording(grid, v, x, c_shift, *args, **kw):
+            if c_shift == eig.GUARD_SHIFT:
+                y = args[2]
+                constraints[args[3]] = 0 if y is None else len(y)
+            return solve(grid, v, x, c_shift, *args, **kw)
+
+        first = lowest_eigenpairs(grid, self._fold(grid, v), 2, tol=tol,
+                                  initial=np.stack([gauss, Y * gauss]), mirror=self.MIRROR)
+        (eps, *_), _, _, margin = _occupied(grid, v, 4.0, 2.0, tol)
+        monkeypatch.setattr(eig, "lobpcg", recording)
+        (sector_eps, *_), _, guards, sector_margin = occupied_eigenpairs(
+            grid, self._fold(grid, v), 4.0, 2.0, tol, first, mirror=self.MIRROR)
+        assert first[3] == ((1, 1, 1), (1, -1, 1))
+        assert np.allclose(sector_eps, eps, rtol=0.0, atol=tol)
+        assert abs(sector_margin - margin) <= eig.GUARD_TOL
+        # every sector ran one guard; those with no orbital ran it unconstrained
+        assert set(guards) == set(constraints) == set(eig._sectors(self.MIRROR))
+        assert constraints == {s: int(s in first[3]) for s in eig._sectors(self.MIRROR)}
 
     def test_even_length_axis_is_refused(self):
         grid = Grid3D(origin=(0.0, 0.0, 0.0), h=0.5, dims=(9, 9, 10))
         with pytest.raises(GridError, match="odd"):
             lowest_eigenpairs(grid, np.zeros(grid.shape), 1, mirror=(False, False, True))
+
+    def test_potential_off_the_fold_is_refused(self):
+        grid, v = _anisotropic(2.0, 9)
+        with pytest.raises(GridError, match="fold"):
+            lowest_eigenpairs(grid, v, 1, mirror=self.MIRROR)
 
     def test_sectored_solve_holds_8k_plus_one_and_a_half_folded_arrays(self, monkeypatch):
         # two states in the (+,+,+) sector of a 61^3 box: LOBPCG works on
@@ -456,6 +530,7 @@ class TestSectors:
         X, Y, Z = grid.meshgrid()
         gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
         initial = np.stack([gauss, (X * X - Y * Y) * gauss])
+        v = np.ascontiguousarray(self._fold(grid, v))
         del X, Y, Z, gauss
         peaks = []
         solve = eig.lobpcg
