@@ -24,9 +24,9 @@ an axis with an odd number of nodes, H commutes with that reflection, so
 its eigenvectors can be taken even or odd under it. A sector is one parity
 per mirrored axis, up to 8 (Kronik et al., Phys. Status Solidi B 243:1063,
 2006, reduce real-space grids by point-group symmetry the same way). The
-potential and the orbitals travel as plain values on the fold of the box
-(`grids.FoldedGrid`), each orbital with its sector; an orbital odd along an
-axis is 0 on that axis' centre plane. LOBPCG runs per sector on the
+potential, the warm-start rows and the orbitals travel as plain values on
+the fold of the box (`grids.FoldedGrid`), each row with its sector; an
+orbital odd along an axis is 0 on that axis' centre plane. LOBPCG runs per sector on the
 sector's folded grid, the fold less the centre plane of each odd axis,
 with off-plane values stored times sqrt 2 (`_rows`), so plain dot products
 and norms of its rows are those of the full vectors and LOBPCG runs
@@ -59,7 +59,7 @@ import math
 
 import numpy as np
 
-from .grids import FoldedGrid, Grid3D, GridError, SolverError, weighted_sum
+from .grids import FoldedGrid, Grid3D, GridError, SolverError
 from .ks_common import FERMI_DEGENERACY_TOL, aufbau_occupations
 from .poisson import _axis_products, _dst_eigenvalues, _sine_columns
 
@@ -138,28 +138,6 @@ def _plain(x: np.ndarray, sector: tuple, out: np.ndarray) -> None:
     view = out[_nodes(sector)]
     np.copyto(view, x.reshape(view.shape))
     _scale(view, sector, SQRT_HALF)
-
-
-def _classify(a: np.ndarray, sectors: list, folded: FoldedGrid):
-    """(sector, fold) for the sector that holds most of the grid array a's weight.
-
-    A sector's component of a is (a + p flip(a)) / 2 along each of its
-    mirrored axes, p its parity there, and its fold is taken on `folded`.
-    The sectors' weights add up to |a|^2, so the search stops at the first
-    sector that holds more than half; a tie goes to the earlier sector.
-    """
-    total, best = float(np.vdot(a, a)), None
-    for s in sectors:
-        f = a
-        for axis, p in enumerate(s):
-            f = 0.5 * (f + p * np.flip(f, axis)) if p else f
-        f = np.ascontiguousarray(f[folded.index])
-        w = weighted_sum(f * f, folded.weights)
-        if best is None or w > best[0]:
-            best = (w, s, f)
-        if w > 0.5 * total:
-            break
-    return best[1], best[2]
 
 
 def apply_hamiltonian(grid: Grid3D, v: np.ndarray, psi: np.ndarray,
@@ -446,14 +424,15 @@ def lowest_eigenpairs(
 
     LOBPCG iterates only the `count` wanted vectors until every residual
     norm is at most tol / 10; EigenError is raised if the final residuals
-    miss tol * max(1, max |eps|). `initial` warm-starts the first of them,
-    one vector per row: either rows of the box (flat or of the grid's
-    shape), each of which goes to the sector that holds most of its weight
-    (`_classify`), or a pair (rows, sectors) of fold arrays already in
-    their sectors, as this function returns them. The rows so set how many
-    states each sector solves; those `initial` does not cover start random
-    in the all-even sector. With no mirrored axis and every row covered,
-    LOBPCG reads the rows without a copy.
+    miss tol * max(1, max |eps|). `initial` warm-starts the first of them:
+    a pair (rows, sectors) of fold arrays (flat or of the fold's shape),
+    one per row, each with its sector, as this function returns them; a
+    row's values off its sector's folded grid are not read. The rows so set
+    how many states each sector solves; those `initial` does not cover
+    start random in the all-even sector. With no mirrored axis and every
+    row covered, LOBPCG reads the rows without a copy. A row that does not
+    hold one value per node of the fold, or a sector that is not one of
+    `_sectors(mirror)`, raises GridError.
 
     Returns (eps, orbitals, residuals, sectors). eps holds the eigenvalues,
     nondecreasing. orbitals is one (count, ...) block of them on the fold,
@@ -479,12 +458,15 @@ def lowest_eigenpairs(
         raise ValueError("count must not exceed the number of grid points")
 
     sectors = _sectors(mirror)
-    rows, tags = initial if isinstance(initial, tuple) else (initial, None)
-    k = 0 if rows is None else min(len(rows), count)
+    rows, tags = ((), ()) if initial is None else initial
+    k = min(len(rows), count)
     warm = {s: [] for s in sectors}
     for j in range(k):
-        s, a = ((tags[j], rows[j]) if tags is not None
-                else _classify(np.reshape(rows[j], grid.shape), sectors, folded))
+        a, s = rows[j], tags[j]
+        if np.size(a) != math.prod(folded.shape):
+            raise GridError("a start row must hold one value per node of the fold")
+        if s not in warm:
+            raise GridError(f"start sector {s} is not a sector of the mirrored axes")
         warm[s].append(a)
     counts = {s: len(warm[s]) for s in sectors}
     counts[sectors[0]] += count - k

@@ -36,24 +36,29 @@ SCF_MAX_ITER = 120
 EIG_TOL = 1e-7  # floor of the per-step eigensolver tolerance
 
 
-def _density_start(grid: Grid3D, rho: np.ndarray, count: int) -> np.ndarray:
-    """Start rows of the first eigensolve, sqrt(rho) p_j normalized.
+def _density_start(folded: FoldedGrid, rho: np.ndarray, count: int):
+    """Start rows of the first eigensolve, sqrt(rho) p_j normalized, on the fold.
 
     The monomials p_j = 1, x, y, z, x^2, xy, ... are taken about the
-    charge centre. A tenth of a unit random vector is added to each, so
-    every start has weight on the states the monomials miss. Returns
-    (count, n_points) rows; each row's noise is drawn straight into it,
-    and one grid array holds the monomial term.
+    charge centre. On a mirrored axis that is the centre plane, the fold's
+    first node, so p_j has the parity (-1)^(its power of that axis) there
+    and the row's sector holds those parities, 0 on an axis that is not
+    mirrored. A tenth of a unit random vector is added to each, so every
+    start has weight on the states the monomials miss. Returns ((count, n)
+    rows, sectors), n the fold's node count; each row's noise is drawn
+    straight into it, and one fold array holds the monomial term.
     """
     total = rho.sum()
-    axes = [a - np.sum(a * rho) / total for a in np.ix_(*grid.axes())]
+    axes = [a - (a.flat[0] if m else np.sum(a * rho) / total)
+            for a, m in zip(np.ix_(*folded.axes()), folded.mirror)]
     monomials = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(3), d) for d in itertools.count()
     )
     rng = np.random.default_rng(EIG_SEED)
     root = np.sqrt(rho)
-    rows = np.empty((count, grid.n_points))
-    col = np.empty(grid.shape)
+    rows = np.empty((count, rho.size))
+    col = np.empty(folded.shape)
+    sectors = []
     for row, powers in zip(rows, monomials):
         term = root
         for k in powers:
@@ -62,7 +67,9 @@ def _density_start(grid: Grid3D, rho: np.ndarray, count: int) -> np.ndarray:
         noise = rng.standard_normal(out=row)
         noise *= 0.1 / np.linalg.norm(noise)
         noise += col.ravel()
-    return rows
+        sectors.append(tuple((-1) ** powers.count(k) if m else 0
+                             for k, m in enumerate(folded.mirror)))
+    return rows, tuple(sectors)
 
 
 def _density(orbitals: np.ndarray, occ) -> np.ndarray:
@@ -135,12 +142,11 @@ def scf_molecule(
     does: v_ext's values, rho, the Hartree potential, v_eff, the mixer,
     every Poisson solve and the eigen block, whose orbitals `eig` solves
     and guards per mirror-parity sector and returns on the fold, each with
-    its sector. Only the first step's start rows, formed from the unfolded
-    start density, and the returned rho and orbitals are box arrays. Each
-    start monomial, taken about the charge centre, which lies on every
-    mirrored plane, picks its sector: H2 gets one state in (+, +, +), and a
-    homonuclear pair with two states gets sigma_g there and sigma_u in
-    (-, +, +).
+    its sector. The first step's start rows are formed on the fold too,
+    each in the sector of its monomial (`_density_start`): H2 gets one
+    state in (+, +, +), and a homonuclear pair with two states gets sigma_g
+    there and sigma_u in (-, +, +). Only the returned rho and orbitals are
+    box arrays.
 
     Memory: a shell check peaks near 2M + 17.5 + 2k arrays of the fold, M =
     MIX_DEPTH and k the block size, beside the sectors' guard vectors, one
@@ -168,7 +174,7 @@ def scf_molecule(
         raise ValueError("rho must have the grid's shape")
     rho = rho * (N / folded.integrate(rho))
     count = int(math.ceil(N / q))  # block size, fixed by the first shell check
-    initial = _density_start(grid, unfold(grid, rho, mirror), count)
+    initial = _density_start(folded, rho, count)
 
     mixer = AndersonMixer(folded.weights)
     history = []

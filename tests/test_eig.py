@@ -175,7 +175,7 @@ class TestGuard:
         X, Y, Z = grid.meshgrid()
         v = 0.5 * (X**2 + 0.49 * Y**2 + 1.69 * Z**2)
         gauss = np.exp(-0.25 * (X**2 + Y**2 + Z**2))
-        _, orbitals, *_ = lowest_eigenpairs(grid, v, 1, initial=gauss.reshape(1, -1))
+        _, orbitals, *_ = lowest_eigenpairs(grid, v, 1, initial=(gauss.reshape(1, -1), (eig.FULL,)))
         ex, ey, ez = (_levels_1d(grid, w) for w in (1.0, 0.7, 1.3))
         levels = {"y_odd": ex[0] + ey[1] + ez[0], "x_odd": ex[1] + ey[0] + ez[0]}
         return grid, v, orbitals, (X * gauss).ravel(), levels
@@ -304,7 +304,7 @@ class TestLobpcg:
             return apply(grid, v, psi, **kw)
 
         monkeypatch.setattr(eig, "apply_hamiltonian", counting)
-        again, *_ = lowest_eigenpairs(grid, v, 3, tol=1e-8, initial=orbitals)
+        again, *_ = lowest_eigenpairs(grid, v, 3, tol=1e-8, initial=(orbitals, (eig.FULL,) * 3))
         assert vectors == [3]
         assert np.allclose(again, eps, rtol=0.0, atol=1e-12)
 
@@ -385,13 +385,19 @@ class TestSectors:
     def _fold(self, grid, v):
         return v[FoldedGrid(grid, self.MIRROR).index]
 
+    def _start(self, grid, rows, sectors):
+        """The warm start (fold rows, sectors) of the box rows, each in its sector."""
+        return np.stack([self._fold(grid, r.reshape(grid.shape)) for r in rows]), sectors
+
     def test_sectored_pairs_and_density_match_full_box(self):
         # Gaussians times 1, y, x, z, y^2 and xy put one start in each of
         # the sectors of the six lowest levels (1.47 up to 3.13 Ha)
         grid, v = _anisotropic(5.0, 21)
         X, Y, Z = grid.meshgrid()
         gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
-        initial = np.stack([gauss * m for m in (1.0, Y, X, Z, Y * Y, X * Y)])
+        initial = self._start(grid, [gauss * m for m in (1.0, Y, X, Z, Y * Y, X * Y)],
+                              ((1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, -1), (1, 1, 1),
+                               (-1, -1, 1)))
         tol = 1e-8
         full_eps, full, *_ = lowest_eigenpairs(grid, v, 6, tol=tol)
         eps, folded, residuals, sectors = lowest_eigenpairs(
@@ -413,7 +419,8 @@ class TestSectors:
 
     def test_block_spanning_sectors_matches_dense(self):
         # a random mirror-symmetric potential has no degenerate levels; the
-        # dense eigenvectors, perturbed, start the ten lowest in their sectors
+        # dense eigenvectors, perturbed, start the ten lowest in the sectors
+        # of their parities
         grid = Grid3D.cube((0, 0, 0), 2.0, 9)
         rng = np.random.default_rng(21)
         v = rng.standard_normal(grid.shape)
@@ -421,7 +428,10 @@ class TestSectors:
             v = v + np.flip(v, axis)
         vals, vecs = np.linalg.eigh(dense_hamiltonian(grid, v))
         count = 10
-        initial = vecs[:, :count].T + 1e-3 * rng.standard_normal((count, grid.n_points))
+        rows = vecs[:, :count].T + 1e-3 * rng.standard_normal((count, grid.n_points))
+        parities = [tuple(int(np.sign(np.sum(vec * np.flip(vec, axis)))) for axis in range(3))
+                    for vec in vecs[:, :count].T.reshape(count, *grid.shape)]
+        initial = self._start(grid, rows, tuple(parities))
         eps, folded, _, sectors = lowest_eigenpairs(grid, self._fold(grid, v), count, tol=1e-9,
                                                     initial=initial, mirror=self.MIRROR)
         orbitals = _on_box(grid, folded, sectors)
@@ -438,7 +448,9 @@ class TestSectors:
         gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
         fv = self._fold(grid, v)
         eps, orbitals, _, sectors = lowest_eigenpairs(
-            grid, fv, 3, tol=1e-8, initial=np.stack([gauss, Y * gauss, X * gauss]),
+            grid, fv, 3, tol=1e-8,
+            initial=self._start(grid, [gauss, Y * gauss, X * gauss],
+                                ((1, 1, 1), (1, -1, 1), (-1, 1, 1))),
             mirror=self.MIRROR)
         assert sectors == ((1, 1, 1), (1, -1, 1), (-1, 1, 1))
         applies = []
@@ -465,7 +477,9 @@ class TestSectors:
         gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
         tol = 1e-8
         fv = self._fold(grid, v)
-        first = lowest_eigenpairs(grid, fv, 2, tol=tol, initial=np.stack([gauss, Z * gauss]),
+        first = lowest_eigenpairs(grid, fv, 2, tol=tol,
+                                  initial=self._start(grid, [gauss, Z * gauss],
+                                                      ((1, 1, 1), (1, 1, -1))),
                                   mirror=self.MIRROR)
         (eps, folded, _, sectors), occ, _, margin = occupied_eigenpairs(
             grid, fv, 4.0, 2.0, tol, first, mirror=self.MIRROR)
@@ -499,7 +513,9 @@ class TestSectors:
             return solve(grid, v, x, c_shift, *args, **kw)
 
         first = lowest_eigenpairs(grid, self._fold(grid, v), 2, tol=tol,
-                                  initial=np.stack([gauss, Y * gauss]), mirror=self.MIRROR)
+                                  initial=self._start(grid, [gauss, Y * gauss],
+                                                      ((1, 1, 1), (1, -1, 1))),
+                                  mirror=self.MIRROR)
         (eps, *_), _, _, margin = _occupied(grid, v, 4.0, 2.0, tol)
         monkeypatch.setattr(eig, "lobpcg", recording)
         (sector_eps, *_), _, guards, sector_margin = occupied_eigenpairs(
@@ -521,6 +537,22 @@ class TestSectors:
         with pytest.raises(GridError, match="fold"):
             lowest_eigenpairs(grid, v, 1, mirror=self.MIRROR)
 
+    def test_start_row_off_the_fold_is_refused(self):
+        # a box row on a mirrored problem is not sorted into a sector
+        grid, v = _anisotropic(2.0, 9)
+        with pytest.raises(GridError, match="one value per node of the fold"):
+            lowest_eigenpairs(grid, self._fold(grid, v), 1,
+                              initial=(np.ones((1, grid.n_points)), ((1, 1, 1),)),
+                              mirror=self.MIRROR)
+
+    @pytest.mark.parametrize("sector", [(1, 1, 0), (2, 1, 1), eig.FULL])
+    def test_start_sector_off_the_mirrored_axes_is_refused(self, sector):
+        grid, v = _anisotropic(2.0, 9)
+        fv = self._fold(grid, v)
+        with pytest.raises(GridError, match="not a sector"):
+            lowest_eigenpairs(grid, fv, 1, initial=(np.ones((1, fv.size)), (sector,)),
+                              mirror=self.MIRROR)
+
     def test_sectored_solve_holds_8k_plus_one_and_a_half_folded_arrays(self, monkeypatch):
         # two states in the (+,+,+) sector of a 61^3 box: LOBPCG works on
         # its 31^3 folded grid, and its peak is the k = 2 budget of that grid
@@ -529,7 +561,7 @@ class TestSectors:
         grid, v = _anisotropic(6.0, 61)
         X, Y, Z = grid.meshgrid()
         gauss = np.exp(-0.5 * (X**2 + Y**2 + Z**2))
-        initial = np.stack([gauss, (X * X - Y * Y) * gauss])
+        initial = self._start(grid, [gauss, (X * X - Y * Y) * gauss], ((1, 1, 1), (1, 1, 1)))
         v = np.ascontiguousarray(self._fold(grid, v))
         del X, Y, Z, gauss
         peaks = []

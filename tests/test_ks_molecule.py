@@ -432,7 +432,75 @@ class TestContracts:
             scf_molecule(cfg, 1.0, lda, grid, rho=np.ones(grid.n_points))
 
 
+class TestStart:
+    def test_start_sectors_are_the_monomials_parities(self):
+        # an atom at the centre node of the 27^3 box folds every axis: the
+        # monomials 1, x, y, z and x^2 about the centre planes pick the
+        # parities of their powers
+        from fermisurf.eig import _nodes
+        from fermisurf.grids import FoldedGrid
+        from fermisurf.ks_molecule import _density_start
+        from fermisurf.tf_molecule import atomic_superposition, nuclear_mirror_axes
+
+        cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0]], charges=[6.0])
+        grid = GridPolicy(spacing=0.3).build(cfg)
+        assert grid.shape == (27, 27, 27)
+        assert nuclear_mirror_axes(grid, cfg) == (True, True, True)
+        folded = FoldedGrid(grid, (True, True, True))
+        rows, sectors = _density_start(folded, atomic_superposition(folded, cfg), 5)
+        assert sectors == ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1, 1))
+        assert rows.shape == (5, math.prod(folded.shape))
+        for row, s in zip(rows, sectors):
+            assert np.all(np.isfinite(row))
+            # the unit monomial term lies on the sector's nodes, the noise is 0.1
+            assert np.linalg.norm(row.reshape(folded.shape)[_nodes(s)]) >= 0.9
+
+
 class TestMemory:
+    def test_no_box_array_before_the_first_eigensolve(self, lda):
+        # from the entry of the SCF to its first eigensolve, a mirrored SCF
+        # holds fold arrays only; the start density is the caller's, as
+        # bo_ks passes its atomic references' superposition
+        from fermisurf import ks_molecule
+        from fermisurf.grids import FoldedGrid
+        from fermisurf.tf_molecule import atomic_superposition
+
+        class FirstEigensolve(Exception):
+            pass
+
+        cfg = diatomic(1.0, 1.0, 1.4)
+        grid = GridPolicy(spacing=0.5).build(cfg)
+        assert grid.shape == (31, 31, 31)
+        rho = atomic_superposition(grid, cfg)
+        flags, peaks = set(), []
+
+        def stop(grid, v, count, **kw):
+            flags.add(kw["mirror"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise FirstEigensolve
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ks_molecule, "lowest_eigenpairs", stop)
+            with pytest.raises(FirstEigensolve):  # builds the Poisson plan once
+                scf_molecule(cfg, 2.0, lda, grid, rho=rho)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                with pytest.raises(FirstEigensolve):
+                    scf_molecule(cfg, 2.0, lda, grid, rho=rho)
+                peak = peaks[-1] - before
+            finally:
+                tracemalloc.stop()
+        assert flags == {(False, True, True)}
+        fold = math.prod(FoldedGrid(grid, (False, True, True)).shape)
+        # rho's fold and v_ext's values, the count = 1 start rows, and the
+        # Hartree solve of v_eff: u, the interior source, its right-hand
+        # side and the solve's work array
+        count = 1
+        budget = 2 + count + 4
+        # one fold array of slack: face arrays, the monomials' axes
+        assert peak <= (budget + 1) * 8 * fold
+
     def test_second_solve_peak_within_the_step_budget(self, lda):
         from fermisurf import ks_molecule
         from fermisurf.grids import FoldedGrid
