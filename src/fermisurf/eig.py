@@ -38,7 +38,7 @@ the odd sine modes of S_n, folded the same way. H is block-diagonal over
 the sectors, so the lowest state outside the block is the lowest of the
 sectors' own: the guard runs once per sector, constrained by that
 sector's orbitals. A problem with no mirrored axis has one sector, the
-box, FULL.
+box, FULL, which takes the same path as any other sector.
 
 The preconditioner runs in float32: LOBPCG uses it only to choose search
 directions, which the Rayleigh-Ritz step then weighs in float64, so its
@@ -124,12 +124,12 @@ def _scale(a: np.ndarray, sector: tuple, factor: float) -> np.ndarray:
 
 
 def _rows(a: np.ndarray, sector: tuple) -> np.ndarray:
-    """The sector's LOBPCG rows of the fold arrays a: a fresh array, or a itself for FULL.
+    """The sector's LOBPCG rows of the fold arrays a, a fresh array.
 
     Off-plane values are stored times sqrt 2, so plain dot products and
     norms of the rows are those of the full vectors.
     """
-    return _scale(a[_nodes(sector)].copy(), sector, SQRT_TWO) if any(sector) else a
+    return _scale(a[_nodes(sector)].copy(), sector, SQRT_TWO)
 
 
 def _plain(x: np.ndarray, sector: tuple, out: np.ndarray) -> None:
@@ -429,18 +429,18 @@ def lowest_eigenpairs(
     one per row, each with its sector, as this function returns them; a
     row's values off its sector's folded grid are not read. The rows so set
     how many states each sector solves; those `initial` does not cover
-    start random in the all-even sector. With no mirrored axis and every
-    row covered, LOBPCG reads the rows without a copy. A row that does not
-    hold one value per node of the fold, or a sector that is not one of
-    `_sectors(mirror)`, raises GridError.
+    start random in the all-even sector. Each sector copies its rows into
+    its own start block. A row that does not hold one value per node of
+    the fold, or a sector that is not one of `_sectors(mirror)`, raises
+    GridError.
 
     Returns (eps, orbitals, residuals, sectors). eps holds the eigenvalues,
     nondecreasing. orbitals is one (count, ...) block of them on the fold,
     orthonormal under the fold's integral (h^3 sum on the box), and sectors
-    holds each one's sector; with no mirrored axis the orbitals are a view
-    of the rows LOBPCG returns. residuals holds the norm
-    |H psi - eps psi| h^(3/2) of each pair, the numbers the residual check
-    compared with tol * max(1, max |eps|).
+    holds each one's sector; with no mirrored axis the fold is the box and
+    every sector is FULL. residuals holds the norm |H psi - eps psi| h^(3/2)
+    of each pair, the numbers the residual check compared with
+    tol * max(1, max |eps|).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -453,8 +453,7 @@ def lowest_eigenpairs(
         raise GridError("the potential must be given on the fold of the mirrored axes")
     if not np.all(np.isfinite(v)):
         raise GridError("potential must be finite at all nodes")
-    n = grid.n_points
-    if count > n:
+    if count > grid.n_points:
         raise ValueError("count must not exceed the number of grid points")
 
     sectors = _sectors(mirror)
@@ -480,15 +479,12 @@ def lowest_eigenpairs(
         if counts[s] > math.prod(shape):
             raise ValueError(f"count must not exceed the number of grid points "
                              f"of sector {s}")
-        if s == FULL and k == count:
-            start = np.reshape(rows[:k], (k, n))  # lobpcg only reads its start rows
-        else:
-            start = np.empty((counts[s], math.prod(shape)))
-            m = len(warm[s])
-            for row, a in zip(start, warm[s]):
-                np.copyto(row.reshape(shape), np.reshape(a, folded.shape)[_nodes(s)])
-            _scale(start[:m].reshape(m, *shape), s, SQRT_TWO)
-            np.random.default_rng(EIG_SEED).standard_normal(out=start[m:])
+        start = np.empty((counts[s], math.prod(shape)))
+        m = len(warm[s])
+        for row, a in zip(start, warm[s]):
+            np.copyto(row.reshape(shape), np.reshape(a, folded.shape)[_nodes(s)])
+        _scale(start[:m].reshape(m, *shape), s, SQRT_TWO)
+        np.random.default_rng(EIG_SEED).standard_normal(out=start[m:])
         warm[s] = None
         vals, x, residuals, history = lobpcg(grid, np.ascontiguousarray(v[_nodes(s)]), start,
                                              c_shift, 0.1 * tol, maxiter, sector=s)
@@ -507,8 +503,6 @@ def lowest_eigenpairs(
             f"{best:.3e} after {len(history) - 1} iterations)",
             history,
         )
-    if sectors == [FULL]:  # LOBPCG's rows, ascending, are the orbitals
-        return eps, x.reshape(count, *grid.shape), residuals, (FULL,) * count
     order = np.argsort(eps, kind="stable")
     found = [(s, row) for s, _, x, _, _ in parts for row in x]
     orbitals = np.empty((count, *folded.shape))
@@ -602,7 +596,7 @@ def occupied_eigenpairs(
         for s in _sectors(mirror):
             own = [j for j, t in enumerate(sectors) if t == s]
             if len(own) < math.prod(_folded_shape(grid.shape, s)):  # else they fill the sector
-                rows = _rows(orbitals if len(own) == count else orbitals[own], s)
+                rows = _rows(orbitals[own], s)
                 theta, rho, guards[s] = guard_eigenpair(grid, np.ascontiguousarray(v[_nodes(s)]),
                                                         rows, guards.get(s), s)
                 lowest = min(lowest, (theta - rho, theta, rho, s))

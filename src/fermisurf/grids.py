@@ -175,8 +175,9 @@ class FoldedGrid:
     Along a mirrored axis of n nodes the fold keeps nodes n // 2 to n - 1,
     from the centre plane to the outer face. A grid array symmetric about
     those planes is determined by its fold a[index], and `integrate`
-    weighs each node by its `fold_weights` to give the grid integral. With
-    no mirrored axis the fold is the grid, and `integrate` is the grid's.
+    weighs each node by its `fold_weights` to give the grid integral. A
+    problem with no mirrored axis is the fold with none: the fold is the
+    grid, every weight is 1, and it runs the same code as any other fold.
     """
 
     def __init__(self, grid: Grid3D, mirror):
@@ -194,8 +195,6 @@ class FoldedGrid:
     squared_distance = Grid3D.squared_distance  # on the fold's own axes
 
     def integrate(self, values: np.ndarray) -> float:
-        if not any(self.mirror):
-            return self.grid.integrate(values)
         return weighted_sum(values, self.weights) * self.cell_volume
 
 

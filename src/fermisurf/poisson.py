@@ -2,13 +2,15 @@
 
 The 7-point stencil system with Dirichlet boundary data is solved directly
 by diagonalizing the stencil with the orthonormal type-I discrete sine
-transform (`sine_transform`, whose products the eigensolver's
-preconditioner also makes, in float32; every Poisson solve runs them in
-float64), so the solution is exact up to rounding. Boundary values come
-from the monopole + dipole expansion of the source about the box centre, a
-point fixed by the grid, so the whole solve is linear in its source:
-P(a) + P(b) = P(a + b) up to rounding, which the exterior TF problems rely
-on (`tf_molecule.exterior_tf`).
+transform, so the solution is exact up to rounding. Each solve runs the
+transform in float64 as matrix products along the axes (`_axis_products`)
+with its plan's sine columns (`_sine_columns`, and `_fold_products` along
+a mirrored axis); the eigensolver's preconditioner makes the same products
+in float32. `sine_transform` is the tests' reference transform. Boundary
+values come from the monopole + dipole expansion of the source about the
+box centre, a point fixed by the grid, so the whole solve is linear in its
+source: P(a) + P(b) = P(a + b) up to rounding, which the exterior TF
+problems rely on (`tf_molecule.exterior_tf`).
 
 The fold. `poisson_solve(grid, source, mirror)` takes and returns the
 plain values of fields symmetric about the box-centre plane of each axis
@@ -108,29 +110,24 @@ def _sine_matrix(n: int, dtype: np.dtype) -> np.ndarray:
     return s
 
 
-def sine_transform(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sine_transform(a: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the last three axes of an (..., nx, ny, nz) array.
+
+    The tests' reference transform: no solve calls it. It is checked
+    against scipy's `dstn`, and the eigensolver's in-place float32
+    preconditioner is checked against it bit for bit.
 
     Three matrix products with the symmetric orthogonal S_n, so the
     transform is its own inverse. Dense products beat an FFT here because
     a length-n DST-I is an FFT of length 2(n+1), which on these boxes has
-    large prime factors (CHANGES.md lists the lengths measured).
-
-    The products run in a's floating dtype (an integer a promotes to
-    float64): float64 for every Poisson solve; the eigensolver's
-    preconditioner makes the same products in float32 (`_sine_columns`).
-
-    Without `out` a is left alone and the transform is a fresh array. With
-    `out`, the products ping-pong between out and a, which must both be
-    C-contiguous and of one shape and dtype: the transform lands in out, a
-    is overwritten, and no array is allocated.
+    large prime factors (CHANGES.md lists the lengths measured). The
+    products run in a's floating dtype (an integer a promotes to float64).
+    a is left alone and the transform is a fresh array.
     """
     dt = np.promote_types(a.dtype, np.float32)
     sx, sy, sz = (_sine_matrix(n, dt) for n in a.shape[-3:])
     steps = [(2, (sz, sz)), (1, (sy, sy)), (0, (sx, sx))]
-    if out is None:
-        return _axis_products(a, steps, np.empty(a.shape, dt), None)
-    return _axis_products(a, steps, out, a)
+    return _axis_products(a, steps, np.empty(a.shape, dt), None)
 
 
 def _axis_products(a, steps, ping, pong):
@@ -446,11 +443,9 @@ def unfold(grid: Grid3D, a: np.ndarray, mirror) -> np.ndarray:
 
     Each mirror image is an exact copy of its node, negated along an axis
     whose flag is -1: an `eig` sector unfolds its orbitals, which a holds
-    as 0 on such an axis' centre plane. With no mirrored axis a itself is
-    returned.
+    as 0 on such an axis' centre plane. The result is a fresh grid array,
+    a copy of a when no axis is mirrored.
     """
-    if not any(mirror):
-        return a
     out = np.empty(grid.shape)
     index = list(FoldedGrid(grid, mirror).index)
     out[tuple(index)] = a

@@ -61,11 +61,11 @@ def tf_density(phi, mu: float = 0.0, slope_sum=False):
     """TF density law rho = (2 [phi - mu]_+)^(3/2) / (3 pi^2).
 
     Evaluated by `tf_law` on phi - mu, formed in one fresh array. With
-    `slope_sum`, (rho, s) is returned, s the sum over the nodes of the
-    slope d rho / d phi = (3/2) 2^(3/2) sqrt(t) / (3 pi^2), summed block by
-    block, so no slope array is made and rho is the same to the bit.
-    slope_sum may instead be one weight vector per axis of phi: each node's
-    slope is then weighed by the product of its weights (`FoldedGrid`).
+    `slope_sum`, one weight vector per axis of phi (a `FoldedGrid`'s
+    weights), (rho, s) is returned, s the sum over the nodes of the slope
+    d rho / d phi = (3/2) 2^(3/2) sqrt(t) / (3 pi^2), each node's weighed
+    by the product of its weights. It is summed block by block, so no slope
+    array is made and rho is the same to the bit.
     """
     return tf_law(np.subtract(phi, mu, out=np.empty(np.shape(phi))), slope_sum)
 
@@ -84,18 +84,17 @@ def tf_law(t: np.ndarray, slope_sum=False):
     rows = t.reshape(-1, t.shape[-1] if t.ndim else 1)
     k = max(1, DENSITY_BLOCK // rows.shape[1])
     scratch = np.empty((min(k, len(rows)), rows.shape[1]))
-    weights = (np.ones(len(rows)), np.ones(rows.shape[1])) if slope_sum is True else slope_sum
     sums = np.empty(len(rows))
     for i in range(0, len(rows), k):
         block = rows[i:i + k]
         root = np.sqrt(block, out=scratch[:len(block)])
         block *= root
         block *= c
-        if weights is not False:
-            sums[i:i + k] = root @ weights[-1]
-    if weights is False:
+        if slope_sum is not False:
+            sums[i:i + k] = root @ slope_sum[-1]
+    if slope_sum is False:
         return t[()]
-    return t[()], 1.5 * c * weighted_sum(sums, weights[:-1])
+    return t[()], 1.5 * c * weighted_sum(sums, slope_sum[:-1])
 
 
 def tf_residual(rho: np.ndarray, phi: np.ndarray, mu: float) -> float:

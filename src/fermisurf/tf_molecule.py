@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import FoldedGrid, Grid3D, GridError, ScalarField, SolverError, weighted_sum
+from .grids import FoldedGrid, Grid3D, GridError, ScalarField, SolverError
 from .ks_common import AndersonMixer, density_change
 from .poisson import poisson_solve, unfold
 from .tf_atom import atomic_tf, tf_density, tf_energy, tf_law, tf_residual
@@ -256,9 +256,7 @@ class TFSolution:
         return self.rho.integrate()
 
 
-def _pick_mu(
-    phi: np.ndarray, target: float, cell_vol: float, weights=None
-) -> tuple[float, np.ndarray]:
+def _pick_mu(phi: np.ndarray, target: float, folded: FoldedGrid) -> tuple[float, np.ndarray]:
     """Smallest mu >= 0 with int rho_TF(phi, mu) <= target, and that density.
 
     Newton's method on the excess charge g(mu) = int rho_TF(phi, mu) - target,
@@ -266,18 +264,18 @@ def _pick_mu(
     the root without passing it, and each evaluation of the TF law gives g
     and its slope. Stops once g <= 0 or the step is below 1e-14 max(1, mu);
     raises ConvergenceError with the excess history after PICK_MU_MAX_STEPS.
-    The slope is summed block by block inside `tf_density`, so beside phi
-    an evaluation holds only the density. `weights` weigh phi's nodes (a fold's).
+    phi is given on the fold `folded`, whose weights weigh the charge and
+    the slope. The slope is summed block by block inside `tf_density`, so
+    beside phi an evaluation holds only the density.
     """
     mu, history = 0.0, []
     for _ in range(PICK_MU_MAX_STEPS):
-        rho, slope = tf_density(phi, mu, slope_sum=weights or True)
-        charge = float(rho.sum()) if weights is None else weighted_sum(rho, weights)
-        excess = charge * cell_vol - target
+        rho, slope = tf_density(phi, mu, slope_sum=folded.weights)
+        excess = folded.integrate(rho) - target
         history.append(excess)
         if excess <= 0.0:
             return mu, rho
-        step = excess / (slope * cell_vol)
+        step = excess / (slope * folded.cell_volume)
         if step <= 1e-14 * max(1.0, mu):
             return mu, rho
         mu += step
@@ -321,7 +319,7 @@ def _tf_fixed_point(
 
     def density(u):
         if constrained:
-            return _pick_mu(v - u, n_target, folded.cell_volume, folded.weights)[1]
+            return _pick_mu(v - u, n_target, folded)[1]
         return tf_law(np.subtract(v, u))  # phi = v - u in its own array
 
     rho, u = start(folded), None
@@ -353,7 +351,7 @@ def _tf_fixed_point(
     del mixer, u, u_out, rho_new
 
     phi = v - poisson_solve(grid, rho, mirror)
-    mu = _pick_mu(phi, n_target, folded.cell_volume, folded.weights)[0] if constrained else 0.0
+    mu = _pick_mu(phi, n_target, folded)[0] if constrained else 0.0
     residual = tf_residual(rho, phi, mu)
     # a second solve of the same rho: perfbench's Poisson count identity
     # (sweeps + 2 per TF solve) counts it

@@ -49,6 +49,16 @@ class TestSurfaces:
         assert s.U_R == pytest.approx(1.0)
         assert s.grid_h == pytest.approx(0.4)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the Poisson faces get only the monopole and "
+               "dipole about the box centre, so the molecule's quadrupole "
+               "truncation error lands in D (-1.55e-3 Ha on the 79^3 box); "
+               "the quadrupole about the charge centre makes it pass",
+    )
+    def test_teller_positive_at_long_range(self):
+        assert bo_tf(diatomic(1.0, 1.0, 7.0), GridPolicy(spacing=0.25)).D > 0.0
+
     def test_sweep_sorted_and_decreasing(self):
         curve = tf_sweep((1.0, 1.0), [2.0, 1.0, 1.5], GridPolicy(spacing=0.4))
         rs = [s.R_min for s in curve.samples]

@@ -60,6 +60,11 @@ def mirrored_h2_state(lda):
     return state, flags, shapes
 
 
+# no box-centre plane is a mirror plane of the pair
+_OFF_AXIS_PAIR = NuclearConfiguration(positions=[[0.0, 0.0, 0.0], [0.8, 0.7, 0.3]],
+                                      charges=[1.0, 1.0])
+
+
 @pytest.fixture(scope="module")
 def h2_state(lda):
     # separation is a multiple of the spacing so both nuclei sit on nodes
@@ -364,9 +369,10 @@ print(json.dumps({{"flags": sorted(flags), "history": state.scf_history,
 
 
 class TestNoSector:
-    """Problems with no mirrored odd-length axis take the full box, as before sectors.
+    """Problems with no mirrored odd-length axis run on the fold with none, the box.
 
-    The SCF residual history and the eigen residual follow every iteration
+    Their one sector, FULL, runs the same code as every other sector. The
+    SCF residual history and the eigen residual follow every iteration
     of the run, so they pin its path far below the energy's noise. They
     also follow the rounding of BLAS products, which changes with the
     thread count, so each case runs in a subprocess with BLAS at one
@@ -394,9 +400,7 @@ class TestNoSector:
         from fermisurf.grids import Grid3D
 
         if case == "off_axis":
-            # no box-centre plane is a mirror plane of the pair
-            cfg = NuclearConfiguration(positions=[[0.0, 0.0, 0.0], [0.8, 0.7, 0.3]],
-                                       charges=[1.0, 1.0])
+            cfg = _OFF_AXIS_PAIR
             n, grid = 2.0, GridPolicy(spacing=0.5).build(cfg)
             history = [0.6803149437691614, 0.18326123057183724, 0.014954155277226013,
                        0.001699714861031318, 0.0005854609158466443, 1.878996059019378e-05,
@@ -416,6 +420,25 @@ class TestNoSector:
         assert np.allclose(run["history"], history, rtol=1e-6, atol=0.0)
         assert run["residual"] == pytest.approx([residual], rel=1e-6)
         assert run["total"] == pytest.approx(total, rel=1e-12)
+
+
+class TestPoissonCount:
+    # one Hartree solve per SCF step plus the two closing ones; perfbench's
+    # traced count identity relies on it
+    @pytest.mark.parametrize("cfg", [diatomic(1.0, 1.0, 1.4), _OFF_AXIS_PAIR],
+                             ids=["mirrored", "off_axis"])
+    def test_scf_molecule(self, lda, cfg, monkeypatch):
+        from fermisurf import ks_molecule
+
+        calls, poisson = [], ks_molecule.poisson_solve
+
+        def counting(grid, source, mirror):
+            calls.append(mirror)
+            return poisson(grid, source, mirror)
+
+        monkeypatch.setattr(ks_molecule, "poisson_solve", counting)
+        state = scf_molecule(cfg, 2.0, lda, GridPolicy(spacing=0.5).build(cfg))
+        assert len(calls) == len(state.scf_history) + 2
 
 
 class TestContracts:
@@ -501,13 +524,18 @@ class TestMemory:
         # one fold array of slack: face arrays, the monomials' axes
         assert peak <= (budget + 1) * 8 * fold
 
-    def test_second_solve_peak_within_the_step_budget(self, lda):
+    @pytest.mark.parametrize("cfg, mirror, dims", [
+        # the nuclei lie off the x centre plane, so the SCF folds in y and z
+        (diatomic(1.0, 1.0, 1.4), (False, True, True), (31, 31, 31)),
+        # no centre plane is a mirror plane of the pair: the fold is the box
+        (_OFF_AXIS_PAIR, (False, False, False), (29, 29, 29)),
+    ], ids=["mirrored", "off_axis"])
+    def test_second_solve_peak_within_the_step_budget(self, lda, cfg, mirror, dims):
         from fermisurf import ks_molecule
         from fermisurf.grids import FoldedGrid
 
-        cfg = diatomic(1.0, 1.0, 1.4)
         grid = GridPolicy(spacing=0.5).build(cfg)
-        assert grid.shape == (31, 31, 31)
+        assert grid.shape == dims
         scf_molecule(cfg, 2.0, lda, grid)  # the universal profile is cached once
         flags, poisson = set(), ks_molecule.poisson_solve
 
@@ -524,10 +552,9 @@ class TestMemory:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-        # the nuclei lie off the x centre plane, so the SCF folds in y and z
-        assert flags == {(False, True, True)}
+        assert flags == {mirror}
         box = math.prod(grid.dims)
-        fold = math.prod(FoldedGrid(grid, (False, True, True)).shape) / box
+        fold = math.prod(FoldedGrid(grid, mirror).shape) / box
         # the converged step's shell check, which runs one guard per
         # sector. On the fold: v_ext's values, rho, rho_out, v_eff, the
         # mixer's history and the occupied block (count = 1). Per guard, on

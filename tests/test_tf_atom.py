@@ -306,7 +306,7 @@ class TestDensityKernel:
         # summed over the nodes; asking for it leaves rho unchanged to the bit.
         # The size is no multiple of the block, so the sum spans a part block
         phi = np.random.default_rng(5).uniform(-1.0, 4.0, (33, 34, 35))
-        got, slope = tf_density(phi, 0.37, slope_sum=True)
+        got, slope = tf_density(phi, 0.37, slope_sum=tuple(np.ones(n) for n in phi.shape))
         assert np.array_equal(got, tf_density(phi, 0.37))
         ref = np.sqrt(2.0 * np.maximum(phi - 0.37, 0.0)) / math.pi**2
         assert slope == pytest.approx(float(ref.sum()), rel=1e-13, abs=0.0)
@@ -320,7 +320,7 @@ class TestDensityKernel:
         t *= np.sqrt(t)
         t *= 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
         assert np.array_equal(tf_density(phi, 0.37), t)
-        assert np.array_equal(tf_density(phi, 0.37, slope_sum=True)[0], t)
+        assert np.array_equal(tf_density(phi, 0.37, slope_sum=(np.ones(n),))[0], t)
 
     @pytest.mark.parametrize("phi", [2.5, np.array(2.5), -1.0, np.array(-1.0)])
     def test_scalar_and_0d_input(self, phi):

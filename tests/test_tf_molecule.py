@@ -206,14 +206,20 @@ class TestSolveTF:
         sol = solve_tf(cfg, 1.0, _grid_for(cfg, h=0.4))
         assert sol.residual < 1e-6
 
-    def test_peak_memory_within_the_sweep_budget(self):
+    @pytest.mark.parametrize("positions, mirror", [
+        ([[-0.5, 0, 0], [0.5, 0, 0]], (True, True, True)),
+        # no centre plane is a mirror plane: the fold is the box
+        ([[-0.5, 0.1, 0.2], [0.5, -0.3, 0.05]], (False, False, False)),
+    ], ids=["mirrored", "off_axis"])
+    def test_peak_memory_within_the_sweep_budget(self, positions, mirror):
         # v_ext, rho and u, the mixer's history, and one Poisson solve's
         # output plus two interior arrays (counted here as grid arrays); the
         # constrained case (n = 1.5 < Z) sets mu by Newton steps on the
-        # charge and must fit the same budget
-        cfg = NuclearConfiguration(positions=[[-0.5, 0, 0], [0.5, 0, 0]],
-                                   charges=[1.0, 1.0])
+        # charge and must fit the same budget. A mirrored H2 holds folded
+        # arrays far below it; the off-axis pair holds grid arrays
+        cfg = NuclearConfiguration(positions=positions, charges=[1.0, 1.0])
         grid = _grid_for(cfg, h=0.4)
+        assert nuclear_mirror_axes(grid, cfg) == mirror
         solve_tf(cfg, 2.0, grid)  # the universal profile is cached once
         budget = 3 + (2 * MIX_DEPTH + 2) + 3
         for n in (2.0, 1.5):
@@ -275,7 +281,9 @@ class TestSolveTF:
 
 
 class TestPickMu:
-    VOL = 0.1**3
+    # a fold with no mirrored axis: the box, every weight 1
+    FOLD = FoldedGrid(Grid3D((0.0, 0.0, 0.0), 0.1, (17,) * 3), (False,) * 3)
+    VOL = FOLD.cell_volume
 
     @staticmethod
     def _phi():
@@ -298,7 +306,7 @@ class TestPickMu:
     def test_matches_bisection_oracle(self):
         phi = self._phi()
         target = 0.4 * self._charge(phi, 0.0)
-        mu, _ = _pick_mu(phi, target, self.VOL)
+        mu, _ = _pick_mu(phi, target, self.FOLD)
         oracle = self._bisect(phi, target)
         assert mu > 0.0
         assert abs(mu - oracle) <= 1e-12 * oracle
@@ -307,7 +315,7 @@ class TestPickMu:
     @pytest.mark.parametrize("fraction", [0.4, 1.0])
     def test_returns_the_density_at_mu(self, fraction):
         phi = self._phi()
-        mu, rho = _pick_mu(phi, fraction * self._charge(phi, 0.0), self.VOL)
+        mu, rho = _pick_mu(phi, fraction * self._charge(phi, 0.0), self.FOLD)
         assert np.array_equal(rho, tf_density(phi, mu))
 
     @pytest.mark.parametrize("fraction", [0.9, 0.4, 0.05])
@@ -316,20 +324,20 @@ class TestPickMu:
         # below, so the charge at the returned mu is not short of the target
         phi = self._phi()
         target = fraction * self._charge(phi, 0.0)
-        mu, rho = _pick_mu(phi, target, self.VOL)
+        mu, rho = _pick_mu(phi, target, self.FOLD)
         assert mu > 0.0
         assert rho.sum() * self.VOL >= target - 1e-10 * target
 
     def test_zero_when_unconstrained_charge_fits(self):
         phi = self._phi()
-        assert _pick_mu(phi, self._charge(phi, 0.0), self.VOL)[0] == 0.0
-        assert _pick_mu(phi, 2.0 * self._charge(phi, 0.0), self.VOL)[0] == 0.0
+        assert _pick_mu(phi, self._charge(phi, 0.0), self.FOLD)[0] == 0.0
+        assert _pick_mu(phi, 2.0 * self._charge(phi, 0.0), self.FOLD)[0] == 0.0
 
     def test_step_limit_raises_with_history(self, monkeypatch):
         monkeypatch.setattr("fermisurf.tf_molecule.PICK_MU_MAX_STEPS", 1)
         phi = self._phi()
         with pytest.raises(ConvergenceError) as info:
-            _pick_mu(phi, 0.4 * self._charge(phi, 0.0), self.VOL)
+            _pick_mu(phi, 0.4 * self._charge(phi, 0.0), self.FOLD)
         assert len(info.value.history) > 0
         assert info.value.history[0] > 0.0
 
@@ -340,7 +348,7 @@ class TestPickMu:
         ref = weakref.ref(phi)
         gc.disable()
         try:
-            _pick_mu(phi, target, self.VOL)
+            _pick_mu(phi, target, self.FOLD)
             del phi
             assert ref() is None
         finally:
